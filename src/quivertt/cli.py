@@ -119,11 +119,14 @@ def _sections_json(spec, sections):
 
 
 def cmd_support(spec, args):
-    with open(args.complex, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
+        with open(args.complex, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError("the top level is not a JSON object")
         cx = complex_from_json(data, spec.quiver, spec.field)
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            DimensionMismatch) as exc:
         raise ParseError(f"bad complex file: {exc}", 1, 1)
     for i in cx.degrees():
         bad = satisfies_relations(cx.term(i), spec.relations)
@@ -261,7 +264,7 @@ def run_command(argv):
     try:
         spec = _load(args.file)
         body = _COMMANDS[args.command](spec, args)
-    except (ParseError, QuiverError, FileNotFoundError) as exc:
+    except (ParseError, QuiverError, OSError) as exc:
         if isinstance(exc, NotOrdered):
             return _error_doc(args.command, exc), 1
         return _error_doc(args.command, exc), 2

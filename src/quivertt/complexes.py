@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (DimensionMismatch, Echelon, Matrix, block_matrix,
-                     kernel_basis, kronecker, solve_many)
+                     complete_basis, kernel_basis, kronecker, solve_many)
 from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
 
@@ -333,21 +333,7 @@ def split_vector_complex(cx):
         d = cx.term_dim(i, x)
         reps = gvs.representatives.get(i, [])
         img = gvs.image_basis.get(i, [])
-        ech = Echelon(d, field)
-        for col in img:
-            ech.add(col)
-        for col in reps:
-            ech.add(col)
-        comp = []
-        for j in range(d):
-            e = [field.zero] * d
-            e[j] = field.one
-            if ech.add(e):
-                comp.append(tuple(e))
-        full = Matrix.from_columns(list(img) + list(reps) + comp, field, rows=d)
-        inv_cols = solve_many(full, [tuple(Matrix.identity(d, field).column(j))
-                                     for j in range(d)])
-        inv = Matrix.from_columns(list(inv_cols), field, rows=d)
+        _, inv = complete_basis(list(img) + list(reps), d, field)
         proj = Matrix.from_rows([inv.row(r) for r in
                                  range(len(img), len(img) + len(reps))],
                                 field, cols=d)

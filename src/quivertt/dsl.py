@@ -231,5 +231,13 @@ def parse_quiver(text):
 
 
 def parse_quiver_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_quiver(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = raw.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8 byte {raw[exc.start]:#04x}",
+                         raw.count(b"\n", 0, exc.start) + 1,
+                         exc.start - line_start + 1) from None
+    return parse_quiver(text)

@@ -295,8 +295,9 @@ def kronecker(a, b):
 class Echelon:
     """Incremental row echelon accumulator for span/membership questions.
 
-    Rows are kept pivot-normalized; `reduce` returns the residue of a vector
-    modulo the current span, `add` inserts it when the residue is nonzero.
+    Rows are kept fully reduced (each row is zero in every other row's pivot
+    column); `reduce` returns the residue of a vector modulo the current
+    span, `add` inserts it when the residue is nonzero.
     """
 
     def __init__(self, ncols, field=QQ):
@@ -318,7 +319,12 @@ class Echelon:
         for p, x in enumerate(v):
             if x:
                 inv = self.field.one / x
-                self.pivot_rows[p] = [inv * a for a in v]
+                row = [inv * a for a in v]
+                for q, other in list(self.pivot_rows.items()):
+                    f = other[p]
+                    if f:
+                        self.pivot_rows[q] = [a - f * b for a, b in zip(other, row)]
+                self.pivot_rows[p] = row
                 return True
         return False
 
@@ -328,3 +334,24 @@ class Echelon:
     @property
     def rank(self):
         return len(self.pivot_rows)
+
+
+def complete_basis(cols, dim, field=QQ):
+    """Extend the columns `cols` of length `dim` greedily by standard basis
+    vectors to a basis of field^dim.
+
+    Returns (the added standard vectors, the inverse of [cols | added]).
+    """
+    ech = Echelon(dim, field)
+    for col in cols:
+        ech.add(col)
+    added = []
+    for j in range(dim):
+        e = [field.zero] * dim
+        e[j] = field.one
+        if ech.add(e):
+            added.append(tuple(e))
+    full = Matrix.from_columns(list(cols) + added, field, rows=dim)
+    ident = Matrix.identity(dim, field)
+    inv_cols = solve_many(full, [ident.column(j) for j in range(dim)])
+    return added, Matrix.from_columns(inv_cols, field, rows=full.cols)

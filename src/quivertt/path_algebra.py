@@ -18,23 +18,38 @@ from .linalg import Echelon, Matrix, kernel_basis, solve_many
 from .quiver import Path, QuiverError, Relation, admissible_order, enumerate_paths, full_subquiver
 
 
-class RREFEchelon(Echelon):
-    """Echelon accumulator kept fully reduced (RREF), so a single forward
-    `reduce` pass yields the true residue modulo the row span."""
+# Kept only because `perfbench/tracing.py` wraps `RREFEchelon.add` by name.
+RREFEchelon = Echelon
 
-    def add(self, vec):
-        v = self.reduce(vec)
-        for p, x in enumerate(v):
-            if x:
-                inv = self.field.one / x
-                row = [inv * a for a in v]
-                for q, other in list(self.pivot_rows.items()):
-                    if other[p]:
-                        f = other[p]
-                        self.pivot_rows[q] = [a - f * b for a, b in zip(other, row)]
-                self.pivot_rows[p] = row
-                return True
-        return False
+
+def _coerced(relations, field):
+    """The relation generators with every coefficient in `field`."""
+    return tuple(Relation(g.source, g.target,
+                          tuple((field(c), p) for c, p in g.terms))
+                 for g in relations)
+
+
+def _ideal_rows(pair, generators, paths_by_pair, field):
+    """Spanning vectors of the (n, m) component of the two-sided ideal,
+    as coefficient lists over the component's path list."""
+    n, m = pair
+    plist = paths_by_pair.get(pair, [])
+    index = {p: i for i, p in enumerate(plist)}
+    rows = []
+    for gen in generators:
+        s, t = gen.source, gen.target
+        lefts = paths_by_pair.get((n, s), [])
+        rights = paths_by_pair.get((t, m), [])
+        for left in lefts:
+            for right in rights:
+                vec = [field.zero] * len(plist)
+                for c, mid in gen.terms:
+                    full = left.compose(mid).compose(right)
+                    k = index[full]
+                    vec[k] = vec[k] + c
+                if any(vec):
+                    rows.append(vec)
+    return rows
 
 
 class PathAlgebra:
@@ -43,7 +58,7 @@ class PathAlgebra:
 
     def __init__(self, quiver, relations, field=QQ):
         self.quiver = quiver
-        self.relations = tuple(relations)
+        self.relations = _coerced(relations, field)
         self.field = field
         self.order = admissible_order(quiver)
         self._pos = {v: i for i, v in enumerate(self.order)}
@@ -57,42 +72,18 @@ class PathAlgebra:
     def _pair_sort(self, pair):
         return (self._pos[pair[0]], self._pos[pair[1]])
 
-    def _ideal_rows(self, pair, generators, paths_by_pair):
-        """Spanning vectors of the (n, m) component of the two-sided ideal,
-        as coefficient lists over the component's path list."""
-        n, m = pair
-        plist = paths_by_pair.get(pair, [])
-        index = {p: i for i, p in enumerate(plist)}
-        rows = []
-        for gen in generators:
-            s, t = gen.source, gen.target
-            lefts = paths_by_pair.get((n, s), [])
-            rights = paths_by_pair.get((t, m), [])
-            for left in lefts:
-                for right in rights:
-                    vec = [self.field.zero] * len(plist)
-                    for c, mid in gen.terms:
-                        full = left.compose(mid).compose(right)
-                        k = index[full]
-                        vec[k] = vec[k] + c
-                    if any(vec):
-                        rows.append(vec)
-        return plist, rows
-
     def _build(self):
         self.basis = []
         self.basis_index = {}
         self.pair_indices = {}
         self.pair_of = []
         self._path_nf = {}
-        gens_by_pair = {}
-        for g in self.relations:
-            gens_by_pair.setdefault((g.source, g.target), []).append(g)
+        self._module_bases = {}
 
         for pair in sorted(self.paths_by_pair, key=self._pair_sort):
             plist = self.paths_by_pair[pair]
-            plist_i, rows = self._ideal_rows(pair, self.relations, self.paths_by_pair)
-            ech = RREFEchelon(len(plist), self.field)
+            rows = _ideal_rows(pair, self.relations, self.paths_by_pair, self.field)
+            ech = Echelon(len(plist), self.field)
             for r in rows:
                 ech.add(r)
             local = []
@@ -106,7 +97,7 @@ class PathAlgebra:
                     self._path_nf[p] = {gi: self.field.one}
             else:
                 residues = []
-                keep = RREFEchelon(len(plist), self.field)
+                keep = Echelon(len(plist), self.field)
                 chosen = []
                 for k, p in enumerate(plist):
                     e = [self.field.zero] * len(plist)
@@ -137,6 +128,7 @@ class PathAlgebra:
                             nf[gi] = c
                     self._path_nf[p] = nf
             self.pair_indices[pair] = local
+            self._module_bases.setdefault(pair[0], []).extend(local)
 
         self.idempotent_index = {}
         for v in self.quiver.vertices:
@@ -217,11 +209,7 @@ class PathAlgebra:
 
     def module_basis(self, v):
         """Global basis indices of M_v, in basis order."""
-        out = []
-        for pair in sorted(self.pair_indices, key=self._pair_sort):
-            if pair[0] == v:
-                out.extend(self.pair_indices[pair])
-        return out
+        return list(self._module_bases.get(v, ()))
 
     def right_mult_on_module(self, v, j):
         """Matrix of right multiplication by basis class j on M_v."""
@@ -306,6 +294,24 @@ def is_tensor_relations(alg):
     return TensorCheck(True)
 
 
+class TensorRelationError(ValueError):
+    def __init__(self, check):
+        self.check = check
+        super().__init__(
+            f"relations are not tensor relations: generator "
+            f"{check.witness.pretty()} fails the {check.failed_test} test")
+
+
+def checked_algebra(quiver, relations, field=QQ):
+    """The path algebra kQ/(R); raises TensorRelationError unless the
+    relations are tensor relations."""
+    alg = PathAlgebra(quiver, relations, field)
+    check = is_tensor_relations(alg)
+    if not check.ok:
+        raise TensorRelationError(check)
+    return alg
+
+
 # -- subquiver compatibility ------------------------------------------
 
 
@@ -328,7 +334,7 @@ def compatibility(quiver, relations, verts, field=QQ):
 
     r_cap = []
     r_bar = []
-    for gen in relations:
+    for gen in _coerced(relations, field):
         if all(inside(p) for _, p in gen.terms):
             r_cap.append(gen)
             continue
@@ -339,13 +345,12 @@ def compatibility(quiver, relations, verts, field=QQ):
     # membership of each r-bar generator in the ideal generated by r_cap,
     # tested inside the subquiver's path algebra component
     _, by_pair = enumerate_paths(sub)
-    helper = PathAlgebra(sub, (), field)
     witness = None
     for gen in r_bar:
         pair = (gen.source, gen.target)
-        plist, rows = helper._ideal_rows(pair, r_cap, by_pair)
-        ech = RREFEchelon(len(plist), field)
-        for r in rows:
+        plist = by_pair.get(pair, [])
+        ech = Echelon(len(plist), field)
+        for r in _ideal_rows(pair, r_cap, by_pair, field):
             ech.add(r)
         index = {p: i for i, p in enumerate(plist)}
         vec = [field.zero] * len(plist)
@@ -388,19 +393,9 @@ def module_hom_space(alg, n, m):
 
     # constraints on v in M_n: for each kernel element, sum c_w (v * w) = 0
     constraint_rows = []
-    zero = alg.field.zero
     for kappa in relations_of_generator:
-        acc = [[zero] * dn for _ in range(dn)]
-        for j, c in enumerate(kappa):
-            if not c:
-                continue
-            mat = alg.right_mult_on_module(n, j)
-            for r in range(dn):
-                arow, mrow = acc[r], mat.entries[r]
-                for s in range(dn):
-                    if mrow[s]:
-                        arow[s] = arow[s] + c * mrow[s]
-        constraint_rows.extend(tuple(r) for r in acc)
+        constraint_rows.extend(
+            alg.right_mult_of_element(n, dict(enumerate(kappa))).entries)
     if constraint_rows:
         sys_mat = Matrix.from_rows(list(constraint_rows), alg.field, cols=dn)
     else:

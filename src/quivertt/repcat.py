@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import (DimensionMismatch, Matrix, kernel_basis, kronecker,
-                     solve_many)
+from .linalg import (DimensionMismatch, Matrix, complete_basis, kernel_basis,
+                     kronecker, solve_many)
 from .quiver import QuiverError, admissible_order, full_subquiver
 
 
@@ -214,12 +214,6 @@ def hom_space(v, w):
     return basis
 
 
-def _inverse(b):
-    cols = solve_many(b, [tuple(Matrix.identity(b.rows, b.field).column(j))
-                          for j in range(b.rows)])
-    return Matrix.from_columns(list(cols), b.field, rows=b.cols)
-
-
 def sub_quotient(rep, sub_bases):
     """Split a representation along arrow-stable per-vertex subspaces.
 
@@ -256,19 +250,8 @@ def sub_quotient(rep, sub_bases):
     proj_mats = {}
     for x in quiver.vertices:
         d = rep.dims[x]
-        chosen = []
-        from .linalg import Echelon
-        ech = Echelon(d, field)
-        for col in sub_mats[x].columns():
-            ech.add(col)
-        for j in range(d):
-            e = [field.zero] * d
-            e[j] = field.one
-            if ech.add(e):
-                chosen.append(tuple(e))
+        chosen, inv = complete_basis(sub_mats[x].columns(), d, field)
         comp_mats[x] = Matrix.from_columns(chosen, field, rows=d)
-        full = sub_mats[x].hstack(comp_mats[x])
-        inv = _inverse(full)
         proj_mats[x] = Matrix.from_rows(
             [inv.row(i) for i in range(sub_mats[x].cols, d)], field, cols=d)
 

@@ -14,21 +14,14 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .complexes import support
-from .path_algebra import PathAlgebra, compatibility, is_tensor_relations
+from .path_algebra import checked_algebra, compatibility
+from .path_algebra import TensorRelationError  # noqa: F401  re-exported
 from .quiver import QuiverError, full_subquiver
 from .repcat import hom_space, unit_object
 
 
 class NotProper(ValueError):
     pass
-
-
-class TensorRelationError(ValueError):
-    def __init__(self, check):
-        self.check = check
-        super().__init__(
-            f"relations are not tensor relations: generator "
-            f"{check.witness.pretty()} fails the {check.failed_test} test")
 
 
 class IncompatibleSubquiver(ValueError):
@@ -91,10 +84,8 @@ def is_prime(descriptor):
     return len(descriptor.complement()) == 1
 
 
-def is_maximal(descriptor):
-    if descriptor.is_unit:
-        raise NotProper("the unit ideal is not maximal")
-    return len(descriptor.complement()) == 1
+# every proper prime is maximal: the spectrum is discrete
+is_maximal = is_prime
 
 
 @dataclass
@@ -115,14 +106,6 @@ class SpectrumReport:
         return len(self.points)
 
 
-def _require_tensor(quiver, relations, field):
-    alg = PathAlgebra(quiver, relations, field)
-    check = is_tensor_relations(alg)
-    if not check.ok:
-        raise TensorRelationError(check)
-    return alg
-
-
 def closed_set(quiver, objects):
     """Z(S): points whose prime misses every object of S, realized as the
     intersection of the supports."""
@@ -138,7 +121,7 @@ def spc(quiver, relations, field=QQ, object_lists=None):
     `object_lists` may map labels to lists of complexes; each gets its
     Zariski-closed set Z(S) in the report, cross-checked against the
     support intersection pointwise."""
-    _require_tensor(quiver, relations, field)
+    checked_algebra(quiver, relations, field)
     points = [SpectrumPoint(n, prime_at(quiver, n)) for n in quiver.vertices]
     closed = {}
     if object_lists:
@@ -167,8 +150,8 @@ def sheaf_sections(quiver, relations, open_set, field=QQ):
     """Sections of the structure sheaf over an open set: the product over
     its points of the endomorphisms of the unit on the one-vertex
     subquiver, i.e. the constant sheaf with stalk k."""
-    _require_tensor(quiver, relations, field)
-    opens = [v for v in quiver.vertices if v in set(open_set)]
+    checked_algebra(quiver, relations, field)
+    _, opens, _ = full_subquiver(quiver, open_set)
     dims = []
     for v in opens:
         sub, _, _ = full_subquiver(quiver, [v])
@@ -188,7 +171,7 @@ def presheaf_sections(quiver, relations, open_set, field=QQ):
     This computes sections before sheafification; it requires the
     subquiver to be compatible with the relations and refuses otherwise,
     returning the witness pair (R cap Q', R-bar)."""
-    _require_tensor(quiver, relations, field)
+    checked_algebra(quiver, relations, field)
     comp = compatibility(quiver, relations, open_set, field)
     if not comp.compatible:
         raise IncompatibleSubquiver(comp)

@@ -153,6 +153,36 @@ class TestExitCodes:
                         "--complex", str(cx))
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '"terms"', '{"terms": [1]}',
+        '{"terms": {"0": [1]}}', '{"terms": {"0": {"dims": {"1": 1e400}}}}'])
+    def test_unreadable_complex_file_is_2(self, tmp_path, capsys, text):
+        cx = tmp_path / "cx.json"
+        cx.write_text(text)
+        code = main(["support", fixture_path("kronecker2"),
+                     "--complex", str(cx)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error_type"] == "ParseError"
+
+    def test_spec_path_is_directory_is_2(self, tmp_path, capsys):
+        code = main(["validate", str(tmp_path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error_type"] == "IsADirectoryError"
+
+    def test_spec_not_utf8_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.quiver"
+        bad.write_bytes(b"quiver x\nvertices 1 \xe9\n")
+        code = main(["validate", str(bad)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert doc["error"].startswith("line 2, column 12:")
+
+    @pytest.mark.parametrize("command", ["sheaf", "presheaf"])
+    def test_unknown_open_vertex_is_2(self, command):
+        doc, code = run(command, fixture_path("square"), "--open", "1,zz")
+        assert code == 2 and doc["error_type"] == "QuiverError"
+        assert "'zz'" in doc["error"]
+
     def test_complex_violating_relations_is_1(self, tmp_path):
         # on the square with ab = cd, a representation where the two
         # composites differ is refused

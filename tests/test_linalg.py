@@ -185,3 +185,57 @@ class TestEchelon:
             for r in rows:
                 e.add(tuple(r))
             assert e.rank == rank(Matrix(5, 4, rows))
+
+
+class RREFEchelonOracle:
+    """The fully reduced accumulator the path-algebra builder used before
+    `Echelon` took its place, with the `reduce` it inherited; kept here as
+    a differential oracle."""
+
+    def __init__(self, ncols, field):
+        self.field = field
+        self.pivot_rows = {}
+
+    def reduce(self, vec):
+        v = list(vec)
+        for p in sorted(self.pivot_rows):
+            if v[p]:
+                f = v[p]
+                row = self.pivot_rows[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        for p, x in enumerate(v):
+            if x:
+                inv = self.field.one / x
+                row = [inv * a for a in v]
+                for q, other in list(self.pivot_rows.items()):
+                    if other[p]:
+                        f = other[p]
+                        self.pivot_rows[q] = [a - f * b for a, b in zip(other, row)]
+                self.pivot_rows[p] = row
+                return True
+        return False
+
+
+@st.composite
+def row_streams(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(101)]))
+    ncols = draw(st.integers(1, 6))
+    scalar = (entries if field == QQ else st.integers(-3, 3)).map(field)
+    rows = st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
+                    min_size=1, max_size=9)
+    return field, ncols, draw(rows), draw(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_streams())
+def test_echelon_matches_rref_oracle(stream):
+    field, ncols, rows, probes = stream
+    ech, oracle = Echelon(ncols, field), RREFEchelonOracle(ncols, field)
+    for row in rows:
+        assert ech.add(row) == oracle.add(row)
+        for probe in rows + probes:
+            assert ech.reduce(probe) == oracle.reduce(probe)

@@ -1,6 +1,8 @@
 import pytest
 
-from quivertt.fields import QQ
+from quivertt import reconstruct
+from quivertt.cli import run_command
+from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
 from quivertt.path_algebra import build_path_algebra, module_hom_space
@@ -12,7 +14,7 @@ from quivertt.reconstruct import (ReconstructionError, assemble_A,
                                   rational_points, yoneda_coordinates)
 from quivertt.spectrum import TensorRelationError
 
-from conftest import load_fixture
+from conftest import FIXTURE_DIR, load_fixture
 
 SMALL_FIXTURES = ["kronecker1", "kronecker2", "kronecker3", "kronecker4",
                   "beilinson1", "beilinson2", "square", "disconnected",
@@ -136,6 +138,36 @@ class TestAssembleA:
         for (n, m), space in assembled.components.items():
             assert space.dimension == space.hom_route_dimension
             assert space.dimension == assembled.algebra.dim_pair(n, m)
+
+    def test_rational_relations_over_prime_field(self, small_spec):
+        f101 = PrimeField(101)
+        assembled = assemble_A(small_spec.quiver, small_spec.relations, f101)
+        assert assembled.verdict.isomorphic
+        assert assembled.algebra.field == f101
+        assert assembled.dim == build_path_algebra(
+            small_spec.quiver, small_spec.relations).dim
+        center = center_and_z(small_spec.quiver, small_spec.relations,
+                              assembled, f101)
+        assert center.dimensions_match and center.z_is_unital_ring_map
+
+    def test_route_dimension_mismatch_clears_verdict(self, monkeypatch):
+        real = reconstruct.module_hom_space
+        spec = load_fixture("kronecker2")
+        first = spec.quiver.vertices[0]
+
+        def drop_one(alg, n, m):
+            maps = real(alg, n, m)
+            return maps[:-1] if n == m == first else maps
+
+        monkeypatch.setattr(reconstruct, "module_hom_space", drop_one)
+        verdict = assemble_A(spec.quiver, spec.relations).verdict
+        assert verdict.dimensions_match is False
+        assert verdict.isomorphic is False
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
+        assert code == 0
+        assert doc["verdict"]["dimensions_match"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
 
     def test_random_reconstruction(self, rng):
         for _ in range(5):
