@@ -23,10 +23,10 @@ from .repcat import (FiltrationStep, RepMorphism, Representation,
                      simple_object, sub_quotient, tensor, unit_filtration,
                      unit_object, zero_object)
 from .complexes import (BoundedComplex, ChainMap, ComplexError,
-                        GradedVectorSpace, cohomology_at, complex_from_json,
-                        complex_to_json, cone, direct_sum_complex,
-                        eval_functor, shift, split_vector_complex, support,
-                        tensor_complex)
+                        GradedVectorSpace, ResourceBudget, cohomology_at,
+                        complex_from_json, complex_to_json, cone,
+                        direct_sum_complex, eval_functor, shift,
+                        split_vector_complex, support, tensor_complex)
 from .spectrum import (IdealDescriptor, IncompatibleSubquiver, NotProper,
                        QuiverMorphism, SpectrumReport, TensorRelationError,
                        closed_set, contains, ideal_of, induced_spectrum_map,

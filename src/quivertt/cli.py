@@ -2,7 +2,8 @@
 print a JSON report.
 
 Exit codes: 0 on success, 1 on a domain refusal (non-tensor relations where
-tensor relations are required, incompatible subquiver, unordered quiver),
+tensor relations are required, incompatible subquiver, unordered quiver,
+an input over its size budget),
 2 on parse or contract errors (bad syntax, unknown vertices, malformed
 complex files).  Every report carries `"schema": 1`; dimensions are
 integers and scalars are strings, so exact values survive serialization.
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .complexes import complex_from_json, support
+from .complexes import ResourceBudget, complex_from_json, support
 from .dsl import ParseError, parse_quiver_file
 from .linalg import DimensionMismatch
 from .path_algebra import PathAlgebra, compatibility, is_tensor_relations
@@ -125,6 +126,8 @@ def cmd_support(spec, args):
         if not isinstance(data, dict):
             raise TypeError("the top level is not a JSON object")
         cx = complex_from_json(data, spec.quiver, spec.field)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad complex file: {exc.msg}", exc.lineno, exc.colno)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
             DimensionMismatch) as exc:
         raise ParseError(f"bad complex file: {exc}", 1, 1)
@@ -268,7 +271,8 @@ def run_command(argv):
         if isinstance(exc, NotOrdered):
             return _error_doc(args.command, exc), 1
         return _error_doc(args.command, exc), 2
-    except (TensorRelationError, IncompatibleSubquiver, DomainRefusal) as exc:
+    except (TensorRelationError, IncompatibleSubquiver, DomainRefusal,
+            ResourceBudget) as exc:
         return _error_doc(args.command, exc), 1
     doc = {"schema": SCHEMA, "command": args.command}
     doc.update(body)

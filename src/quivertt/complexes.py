@@ -17,8 +17,20 @@ from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
 
 
+# The largest total dimension, summed over every term and vertex, that
+# `complex_from_json` accepts.  A file can declare any dimension in a few
+# bytes, while the matrices along its arrows grow with the square of it and
+# the path products that `support` checks with its cube.  Four times the
+# largest complex that the `sweep-small` workload of `perfbench/` draws.
+MAX_COMPLEX_DIM = 256
+
+
 class ComplexError(ValueError):
     pass
+
+
+class ResourceBudget(Exception):
+    """An input is larger than a stated budget allows."""
 
 
 def id_morphism(rep):
@@ -380,9 +392,26 @@ def complex_to_json(cx):
 
 
 def complex_from_json(data, quiver, field=QQ):
+    """The complex a JSON object describes (format in docs/output-schema.md).
+    Raises ComplexError on a negative dimension and ResourceBudget when
+    the dimensions add up to more than MAX_COMPLEX_DIM, before building any
+    matrix."""
+    declared = {key: {v: int(d) for v, d in rep_data.get("dims", {}).items()}
+                for key, rep_data in data.get("terms", {}).items()}
+    total = 0
+    for key, dims in declared.items():
+        for v, d in dims.items():
+            if d < 0:
+                raise ComplexError(
+                    f"term {key}: negative dimension {d} at vertex {v}")
+            total += d
+    if total > MAX_COMPLEX_DIM:
+        raise ResourceBudget(
+            f"complex declares total dimension {total}, above the budget "
+            f"of {MAX_COMPLEX_DIM}")
     terms = {}
     for key, rep_data in data.get("terms", {}).items():
-        dims = {v: int(d) for v, d in rep_data.get("dims", {}).items()}
+        dims = declared[key]
         maps = {}
         for label, grid in rep_data.get("arrows", {}).items():
             a = quiver.arrow(label)

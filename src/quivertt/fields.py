@@ -108,6 +108,10 @@ class Rationals:
     name = "QQ"
 
     def __call__(self, x):
+        # a Fraction is already canonical; returning it unchanged saves the
+        # re-normalisation that Fraction(x) would do
+        if x.__class__ is Fraction:
+            return x
         return self.from_int(x) if isinstance(x, int) else Fraction(x)
 
     @property

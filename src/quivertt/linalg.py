@@ -219,19 +219,27 @@ def rank(m):
     return rref(m)[2]
 
 
-def kernel_basis(m):
-    """Basis of the right kernel, as a list of column-vector tuples."""
-    field = m.field
-    red, pivots, rk = rref(m)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
+def _kernel_from_reduced(rows, pivots, ncols, field):
+    """Basis of the right kernel of a matrix in reduced row echelon form,
+    given as its nonzero rows, in any order, with `rows[r]` pivoting at
+    `pivots[r]`: one vector per free column, as column-vector tuples."""
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [field.zero] * m.cols
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [field.zero] * ncols
         v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
+
+
+def kernel_basis(m):
+    """Basis of the right kernel, as a list of column-vector tuples."""
+    red, pivots, rk = rref(m)
+    return _kernel_from_reduced(red.entries, pivots, m.cols, m.field)
 
 
 def solve(a, b):
@@ -334,6 +342,14 @@ class Echelon:
     @property
     def rank(self):
         return len(self.pivot_rows)
+
+    def kernel_basis(self):
+        """Basis of the right kernel of the accumulated rows.  The rows are
+        fully reduced, so they are the RREF of any matrix with the same row
+        space and this equals `kernel_basis` of that matrix."""
+        return _kernel_from_reduced(list(self.pivot_rows.values()),
+                                    list(self.pivot_rows), self.ncols,
+                                    self.field)
 
 
 def complete_basis(cols, dim, field=QQ):

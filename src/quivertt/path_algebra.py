@@ -66,6 +66,7 @@ class PathAlgebra:
         self._build()
         self._product_cache = {}
         self._module_action_cache = {}
+        self._generator_relations = {}
 
     # -- construction -------------------------------------------------
 
@@ -219,32 +220,46 @@ class PathAlgebra:
             return cached
         mb = self.module_basis(v)
         pos = {gi: k for k, gi in enumerate(mb)}
-        cols = []
-        for gi in mb:
-            prod = self.product_indices(gi, j)
-            col = [self.field.zero] * len(mb)
-            for gk, c in prod.items():
-                col[pos[gk]] = c
-            cols.append(tuple(col))
-        mat = Matrix.from_columns(cols, self.field, rows=len(mb))
+        rows = [[self.field.zero] * len(mb) for _ in mb]
+        for k, gi in enumerate(mb):
+            for gk, c in self.product_indices(gi, j).items():
+                rows[pos[gk]][k] = c
+        mat = Matrix._raw(len(mb), len(mb), tuple(map(tuple, rows)), self.field)
         self._module_action_cache[key] = mat
         return mat
 
     def right_mult_of_element(self, v, elem):
         """Right multiplication by an element {basis index: c} on M_v."""
+        terms = [(j, c) for j, c in elem.items() if c]
+        if len(terms) == 1 and terms[0][1] == self.field.one:
+            return self.right_mult_on_module(v, terms[0][0])
         d = len(self.module_basis(v))
         zero = self.field.zero
         acc = [[zero] * d for _ in range(d)]
-        for j, c in elem.items():
-            if not c:
-                continue
+        for j, c in terms:
             mat = self.right_mult_on_module(v, j)
-            for r in range(d):
-                arow, mrow = acc[r], mat.entries[r]
-                for s in range(d):
-                    if mrow[s]:
-                        arow[s] = arow[s] + c * mrow[s]
+            for arow, mrow in zip(acc, mat.entries):
+                for s, x in enumerate(mrow):
+                    if x:
+                        arow[s] = arow[s] + c * x
         return Matrix._raw(d, d, tuple(tuple(r) for r in acc), self.field)
+
+    def generator_relations(self, m):
+        """Basis of the kernel of the action map Lambda -> M_m,
+        w -> e_m * w: the relations of the generator of M_m."""
+        rels = self._generator_relations.get(m)
+        if rels is None:
+            mb = self.module_basis(m)
+            pos = {gi: k for k, gi in enumerate(mb)}
+            e_m = self.idempotent_index[m]
+            rows = [[self.field.zero] * self.dim for _ in mb]
+            for j in range(self.dim):
+                for gi, c in self.product_indices(e_m, j).items():
+                    rows[pos[gi]][j] = c
+            action = Matrix._raw(len(mb), self.dim, tuple(map(tuple, rows)),
+                                 self.field)
+            rels = self._generator_relations[m] = kernel_basis(action)
+        return rels
 
 
 def build_path_algebra(quiver, relations, field=QQ):
@@ -375,38 +390,21 @@ def module_hom_space(alg, n, m):
     maps; each is returned as its matrix from M_m to M_n in module bases.
     """
     mb_m = alg.module_basis(m)
-    mb_n = alg.module_basis(n)
-    dm, dn = len(mb_m), len(mb_n)
-    pos_m = {gi: k for k, gi in enumerate(mb_m)}
+    dm, dn = len(mb_m), len(alg.module_basis(n))
 
-    # action map Lambda -> M_m, w -> e_m * w, and its kernel
-    e_m = alg.idempotent_index[m]
-    cols = []
-    for j in range(alg.dim):
-        prod = alg.product_indices(e_m, j)
-        col = [alg.field.zero] * dm
-        for gi, c in prod.items():
-            col[pos_m[gi]] = c
-        cols.append(tuple(col))
-    action = Matrix.from_columns(cols, alg.field, rows=dm)
-    relations_of_generator = kernel_basis(action)
-
-    # constraints on v in M_n: for each kernel element, sum c_w (v * w) = 0
-    constraint_rows = []
-    for kappa in relations_of_generator:
-        constraint_rows.extend(
-            alg.right_mult_of_element(n, dict(enumerate(kappa))).entries)
-    if constraint_rows:
-        sys_mat = Matrix.from_rows(list(constraint_rows), alg.field, cols=dn)
-    else:
-        sys_mat = Matrix.zeros(0, dn, alg.field)
-    vs = kernel_basis(sys_mat)
+    # constraints on v in M_n: for each relation kappa of the generator,
+    # sum c_w (v * w) = 0; once they have full rank only v = 0 is left
+    constraints = Echelon(dn, alg.field)
+    for kappa in alg.generator_relations(m):
+        if constraints.rank == dn:
+            break
+        for row in alg.right_mult_of_element(n, dict(enumerate(kappa))).entries:
+            if any(row):
+                constraints.add(row)
 
     maps = []
-    for v in vs:
+    for v in constraints.kernel_basis():
         # column for module basis element x is v * x
-        fcols = []
-        for gi in mb_m:
-            fcols.append(alg.right_mult_on_module(n, gi).apply(v))
-        maps.append(Matrix.from_columns(fcols, alg.field, rows=dn))
+        fcols = [alg.right_mult_on_module(n, gi).apply(v) for gi in mb_m]
+        maps.append(Matrix._raw(dn, dm, tuple(zip(*fcols)), alg.field))
     return maps

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .fields import QQ
 from .complexes import (BoundedComplex, cohomology_at, cohomology_coordinates,
                         eval_functor)
-from .linalg import Echelon, Matrix, kernel_basis
+from .linalg import Echelon, Matrix
 from .path_algebra import PathAlgebra, checked_algebra, module_hom_space
+from .quiver import Path
 from .repcat import hom_space, module_representation, simple_object, unit_object
 from .spectrum import prime_at
 
@@ -168,34 +169,39 @@ class ProbeEvaluator:
             self._actions[key] = self.probe(n).path_action(self.alg.basis[i])
         return self._actions[key]
 
-    def apply_element(self, n, elem, source_vertex, target_vertex):
-        t = self.probe(n)
-        out = Matrix.zeros(t.dims[target_vertex], t.dims[source_vertex],
-                           self.alg.field)
+    def _image(self, n, elem, vec, target_vertex):
+        """The vector `vec` of the probe M_n, at the source strand of the
+        homogeneous element `elem`, moved by `elem` to the strand at
+        `target_vertex`."""
+        field = self.alg.field
+        out = [field.zero] * self.probe(n).dims[target_vertex]
         for i, c in elem.items():
-            out = out + self.action(n, i).scale(c)
+            for k, x in enumerate(self.action(n, i).apply(vec)):
+                if x:
+                    out[k] = out[k] + c * x
         return out
 
-    def _generator_column(self, n):
+    def _generator(self, n):
+        """The trivial path e_n, as a vector of the strand of M_n at n."""
+        field = self.alg.field
         basis_n = self.alg.pair_indices.get((n, n), [])
-        return basis_n.index(self.alg.idempotent_index[n])
+        gen = [field.zero] * len(basis_n)
+        gen[basis_n.index(self.alg.idempotent_index[n])] = field.one
+        return gen
 
     def _to_element(self, n, m, col):
         basis_m = self.alg.pair_indices.get((n, m), [])
         return {gi: col[k] for k, gi in enumerate(basis_m) if col[k]}
 
     def yoneda(self, elem, n, m):
-        mat = self.apply_element(n, elem, n, m)
-        col = mat.column(self._generator_column(n))
+        col = self._image(n, elem, self._generator(n), m)
         return self._to_element(n, m, col)
 
     def compose(self, elem1, n, m, elem2, l):
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
-        first = self.apply_element(n, elem1, n, m)
-        second = self.apply_element(n, elem2, m, l)
-        col = second.apply(first.column(self._generator_column(n)))
-        return self._to_element(n, l, col)
+        first = self._image(n, elem1, self._generator(n), m)
+        return self._to_element(n, l, self._image(n, elem2, first, l))
 
 
 def yoneda_coordinates(alg, transform):
@@ -256,11 +262,12 @@ def assemble_A(quiver, relations, field=QQ):
     constants with the path algebra's.  Exact equality throughout."""
     alg = checked_algebra(quiver, relations, field)
     components = {}
+    module_maps = {}
     dims_ok = True
     for n in quiver.vertices:
         for m in quiver.vertices:
             route1 = [{i: field.one} for i in alg.pair_indices.get((n, m), [])]
-            route2 = module_hom_space(alg, n, m)
+            route2 = module_maps[(n, m)] = module_hom_space(alg, n, m)
             if len(route1) != len(route2):
                 dims_ok = False
             components[(n, m)] = NatTransSpace(n, m, route1, len(route2))
@@ -273,7 +280,7 @@ def assemble_A(quiver, relations, field=QQ):
         for elem in space.basis:
             if evaluator.yoneda(elem, n, m) != elem:
                 round_trip = False
-        for f in module_hom_space(alg, n, m):
+        for f in module_maps[(n, m)]:
             back = psi(alg, n, m, f)
             if evaluator.yoneda(back, n, m) != back:
                 round_trip = False
@@ -319,21 +326,25 @@ def center_and_z(quiver, relations, assembled, field=QQ):
     alg = assembled.algebra
     d = alg.dim
 
-    # center: solve x * b - b * x = 0 against every basis class
-    rows = []
-    for b in range(d):
+    # center: solve x * b - b * x = 0 for b running over the generators,
+    # the idempotents and the arrow classes; their commutant is Z(A)
+    generators = [alg.idempotent(v) for v in quiver.vertices]
+    generators += [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
+    commutes = Echelon(d, field)
+    for b in generators:
         blocks = {}   # output basis index -> linear form in the unknowns
         for i in range(d):
-            for gi, c in alg.product_indices(i, b).items():
+            x = {i: field.one}
+            for gi, c in alg.product(x, b).items():
                 row = blocks.setdefault(gi, [field.zero] * d)
                 row[i] = row[i] + c
-            for gi, c in alg.product_indices(b, i).items():
+            for gi, c in alg.product(b, x).items():
                 row = blocks.setdefault(gi, [field.zero] * d)
                 row[i] = row[i] - c
-        rows.extend(r for r in blocks.values() if any(r))
-    sys_mat = Matrix.from_rows(rows, field, cols=d) if rows \
-        else Matrix.zeros(0, d, field)
-    center_vecs = kernel_basis(sys_mat)
+        for row in blocks.values():
+            if any(row):
+                commutes.add(row)
+    center_vecs = commutes.kernel_basis()
     center_basis = [{i: v[i] for i in range(d) if v[i]} for v in center_vecs]
 
     unit = unit_object(quiver, field)

@@ -29,6 +29,9 @@ class Representation:
         self.quiver = quiver
         self.field = field
         self.dims = {v: int(dims.get(v, 0)) for v in quiver.vertices}
+        for v, d in self.dims.items():
+            if d < 0:
+                raise RepresentationError(f"negative dimension {d} at vertex {v}")
         self.arrow_maps = {}
         for a in quiver.arrows:
             m = arrow_maps.get(a.label)

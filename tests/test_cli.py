@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quivertt.cli import main, run_command
-from quivertt.complexes import BoundedComplex, complex_to_json
+from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
 from quivertt.repcat import simple_object, unit_object
 
 from conftest import FIXTURE_DIR, load_fixture
@@ -163,6 +163,48 @@ class TestExitCodes:
                      "--complex", str(cx)])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["error_type"] == "ParseError"
+
+    @pytest.mark.parametrize("text, where", [
+        ("{not json", "line 1, column 2:"),
+        ('{"terms": {\n  "0": {\n    "dims": {"1": 1,}}}}', "line 3, column 21:")])
+    def test_invalid_json_names_the_decoder_position(self, tmp_path, text,
+                                                    where):
+        cx = tmp_path / "cx.json"
+        cx.write_text(text)
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(cx))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert doc["error"].startswith(where)
+        assert doc["error"].count("line") == 1
+
+    def test_negative_complex_dimension_is_2(self, tmp_path):
+        cx = tmp_path / "cx.json"
+        cx.write_text('{"terms": {"0": {"dims": {"1": -1}}}}')
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(cx))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert "negative dimension -1" in doc["error"]
+
+    def test_complex_over_budget_is_1(self, tmp_path, capsys):
+        cx = tmp_path / "cx.json"
+        cx.write_text('{"terms": {"0": {"dims": {"1": 100000000}}}}')
+        code = main(["support", fixture_path("kronecker2"),
+                     "--complex", str(cx)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["error_type"] == "ResourceBudget"
+        assert "100000000" in doc["error"]
+        assert str(MAX_COMPLEX_DIM) in doc["error"]
+
+    def test_complex_budget_counts_every_term(self, tmp_path):
+        half = MAX_COMPLEX_DIM // 2
+        cx = tmp_path / "cx.json"
+        for extra, want in ((0, 0), (1, 1)):
+            cx.write_text(json.dumps({"terms": {
+                "0": {"dims": {"1": half}},
+                "1": {"dims": {"1": MAX_COMPLEX_DIM - half, "2": extra}}}}))
+            doc, code = run("support", fixture_path("kronecker2"),
+                            "--complex", str(cx))
+            assert code == want
 
     def test_spec_path_is_directory_is_2(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path)])

@@ -12,6 +12,16 @@ class TestRationals:
         assert QQ(Fraction(2, 4)) == Fraction(1, 2)
         assert QQ(3) == Fraction(3)
 
+    def test_fraction_is_returned_unchanged(self):
+        f = Fraction(-3, 7)
+        assert QQ(f) is f
+
+    def test_ints_and_strings_are_still_coerced(self):
+        for x, want in ((3, Fraction(3)), (-2, Fraction(-2)),
+                        ("3/6", Fraction(1, 2)), ("-4", Fraction(-4))):
+            got = QQ(x)
+            assert type(got) is Fraction and got == want
+
     def test_parse_and_format(self):
         assert QQ.parse("3/4") == Fraction(3, 4)
         assert QQ.parse("-7") == Fraction(-7)

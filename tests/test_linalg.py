@@ -239,3 +239,13 @@ def test_echelon_matches_rref_oracle(stream):
         assert ech.add(row) == oracle.add(row)
         for probe in rows + probes:
             assert ech.reduce(probe) == oracle.reduce(probe)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_streams())
+def test_echelon_kernel_matches_kernel_basis(stream):
+    field, ncols, rows, _ = stream
+    ech = Echelon(ncols, field)
+    for row in rows:
+        ech.add(row)
+    assert ech.kernel_basis() == kernel_basis(Matrix.from_rows(rows, field))

@@ -21,6 +21,11 @@ class TestRepresentation:
             Representation(q, {"1": 2, "2": 1},
                            {"a": Matrix(2, 2, [[1, 0], [0, 1]])})
 
+    def test_negative_dimension_rejected(self):
+        q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+        with pytest.raises(RepresentationError, match="negative dimension"):
+            Representation(q, {"1": -1}, {})
+
     def test_path_action_is_reverse_composite(self):
         # path a*b acts as B @ A: apply a's matrix first, then b's
         q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
