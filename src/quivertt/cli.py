@@ -12,6 +12,7 @@ integers and scalars are strings, so exact values survive serialization.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,7 +226,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="quivertt",
         description="Exact tensor-triangular geometry of quiver derived "
@@ -259,9 +262,8 @@ def build_parser():
 
 def run_command(argv):
     """Parse argv, run one subcommand, and return (report dict, exit code)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return None, (2 if exc.code else 0)
     try:

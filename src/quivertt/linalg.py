@@ -120,18 +120,13 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         zero = self.field.zero
-        ot = list(zip(*other.entries)) if other.entries else []
         out = []
         for row in self.entries:
-            out_row = []
-            for j in range(other.cols):
-                s = zero
-                col = ot[j] if ot else ()
-                for a, b in zip(row, col):
-                    if a:
-                        s = s + a * b
-                out_row.append(s)
-            out.append(tuple(out_row))
+            acc = [zero] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    acc = [s + a * b if b else s for s, b in zip(acc, orow)]
+            out.append(tuple(acc))
         return Matrix._raw(self.rows, other.cols, tuple(out), self.field)
 
     def apply(self, vec):
@@ -184,35 +179,17 @@ def block_matrix(blocks, field=QQ):
 
 
 def rref(m):
-    """Reduced row echelon form.
+    """Reduced row echelon form, read off an `Echelon` of the rows of `m`.
 
     Returns (reduced matrix, tuple of pivot columns, rank).
     """
-    field = m.field
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    piv_r = 0
-    for piv_c in range(m.cols):
-        pr = None
-        for i in range(piv_r, m.rows):
-            if rows[i][piv_c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        inv = field.one / rows[piv_r][piv_c]
-        rows[piv_r] = [inv * x for x in rows[piv_r]]
-        for i in range(m.rows):
-            if i != piv_r and rows[i][piv_c]:
-                f = rows[i][piv_c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[piv_r])]
-        pivots.append(piv_c)
-        piv_r += 1
-        if piv_r == m.rows:
-            break
-    return (Matrix._raw(m.rows, m.cols, tuple(tuple(r) for r in rows), field),
-            tuple(pivots), len(pivots))
+    ech = Echelon(m.cols, m.field)
+    for row in m.entries:
+        ech.add(row)
+    pivots = tuple(sorted(ech.pivot_rows))
+    rows = tuple(tuple(ech.pivot_rows[p]) for p in pivots)
+    rows += ((m.field.zero,) * m.cols,) * (m.rows - len(pivots))
+    return Matrix._raw(m.rows, m.cols, rows, m.field), pivots, len(pivots)
 
 
 def rank(m):
@@ -316,10 +293,10 @@ class Echelon:
     def reduce(self, vec):
         v = list(vec)
         for p in sorted(self.pivot_rows):
-            if v[p]:
-                f = v[p]
-                row = self.pivot_rows[p]
-                v = [a - f * b for a, b in zip(v, row)]
+            f = v[p]
+            if f:
+                v = [a - f * b if b else a
+                     for a, b in zip(v, self.pivot_rows[p])]
         return v
 
     def add(self, vec):
@@ -327,11 +304,14 @@ class Echelon:
         for p, x in enumerate(v):
             if x:
                 inv = self.field.one / x
+                # dense, so that every stored entry is a field element even
+                # where `reduce` kept an uncoerced input entry
                 row = [inv * a for a in v]
                 for q, other in list(self.pivot_rows.items()):
                     f = other[p]
                     if f:
-                        self.pivot_rows[q] = [a - f * b for a, b in zip(other, row)]
+                        self.pivot_rows[q] = [a - f * b if b else a
+                                              for a, b in zip(other, row)]
                 self.pivot_rows[p] = row
                 return True
         return False

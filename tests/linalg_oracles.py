@@ -1,0 +1,91 @@
+"""Dense reference versions of the elimination and product kernels, kept
+as differential oracles for the zero-skipping code in `linalg`.
+
+Each does the arithmetic on every entry, zero or not, as `linalg` did
+before its row operations skipped zeros and `rref` became a view of
+`Echelon`.
+"""
+
+from quivertt.linalg import Matrix
+
+
+def rref_oracle(m):
+    """Column-by-column Gauss-Jordan elimination.
+
+    Returns (reduced matrix, tuple of pivot columns, rank).
+    """
+    field = m.field
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    piv_r = 0
+    for piv_c in range(m.cols):
+        pr = None
+        for i in range(piv_r, m.rows):
+            if rows[i][piv_c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
+        inv = field.one / rows[piv_r][piv_c]
+        rows[piv_r] = [inv * x for x in rows[piv_r]]
+        for i in range(m.rows):
+            if i != piv_r and rows[i][piv_c]:
+                f = rows[i][piv_c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[piv_r])]
+        pivots.append(piv_c)
+        piv_r += 1
+        if piv_r == m.rows:
+            break
+    return (Matrix._raw(m.rows, m.cols, tuple(tuple(r) for r in rows), field),
+            tuple(pivots), len(pivots))
+
+
+def matmul_oracle(a, b):
+    """The product a @ b, one dot product per output entry."""
+    zero = a.field.zero
+    ot = list(zip(*b.entries)) if b.entries else []
+    out = []
+    for row in a.entries:
+        out_row = []
+        for j in range(b.cols):
+            s = zero
+            col = ot[j] if ot else ()
+            for x, y in zip(row, col):
+                if x:
+                    s = s + x * y
+            out_row.append(s)
+        out.append(tuple(out_row))
+    return Matrix._raw(a.rows, b.cols, tuple(out), a.field)
+
+
+class RREFEchelonOracle:
+    """The fully reduced accumulator the path-algebra builder used before
+    `Echelon` took its place, with the `reduce` it inherited."""
+
+    def __init__(self, ncols, field):
+        self.field = field
+        self.pivot_rows = {}
+
+    def reduce(self, vec):
+        v = list(vec)
+        for p in sorted(self.pivot_rows):
+            if v[p]:
+                f = v[p]
+                row = self.pivot_rows[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        for p, x in enumerate(v):
+            if x:
+                inv = self.field.one / x
+                row = [inv * a for a in v]
+                for q, other in list(self.pivot_rows.items()):
+                    if other[p]:
+                        f = other[p]
+                        self.pivot_rows[q] = [a - f * b for a, b in zip(other, row)]
+                self.pivot_rows[p] = row
+                return True
+        return False

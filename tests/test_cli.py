@@ -1,12 +1,22 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quivertt.cli import main, run_command
+from quivertt import cli
+from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
 from quivertt.repcat import simple_object, unit_object
 
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_COMMANDS = ["validate", "spectrum", "check-tensor", "filtration",
+                   "compare-points"]
 
 
 def fixture_path(name):
@@ -244,3 +254,66 @@ class TestExitCodes:
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert doc["point_count"] == 2
+
+
+class TestParserReuse:
+    REQUESTS = [
+        ("validate", fixture_path("kronecker2")),
+        ("no-such-command", fixture_path("kronecker2")),
+        ("sheaf", fixture_path("kronecker2"), "--open", "1,2"),
+        ("sheaf", fixture_path("kronecker2")),
+        ("presheaf", fixture_path("square"), "--open", "1,2"),
+        ("--help",),
+        ("compat", fixture_path("square"), "--verts", "1"),
+        ("sheaf", fixture_path("square"), "--open", "1,zz"),
+        ("spectrum", fixture_path("kronecker2")),
+        ("validate",),
+        ("sheaf", fixture_path("kronecker2"), "--open", "1"),
+    ]
+
+    def test_shared_parser_answers_as_a_fresh_one(self, monkeypatch, capsys):
+        build_parser.cache_clear()
+        shared = [run(*argv) for argv in self.REQUESTS]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [run(*argv) for argv in self.REQUESTS]
+        assert shared == fresh
+        assert [code for _, code in shared] == [0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 0]
+
+    def test_import_does_not_build_the_parser(self):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import quivertt.cli as c; print(c.build_parser.cache_info())"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert "currsize=0" in out
+
+    def test_hundred_calls_build_one_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        try:
+            for i in range(100):
+                argv = (("validate", fixture_path("kronecker1")) if i % 2
+                        else ("sheaf", fixture_path("kronecker1")))
+                run(*argv)
+        finally:
+            build_parser.cache_clear()
+        assert built.count("quivertt") == 1
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_report_matches_golden(command, name, capsys):
+    code = main([command, fixture_path(name)])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN_DIR / command / f"{name}.json").read_text()

@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivertt.fields import QQ, PrimeField
+from quivertt.fields import QQ, FpElement, PrimeField
 from quivertt.linalg import (DimensionMismatch, Echelon, InconsistentSystem,
                              Matrix, block_matrix, kernel_basis, kronecker,
                              rank, rref, solve, solve_many)
+
+from linalg_oracles import RREFEchelonOracle, matmul_oracle, rref_oracle
 
 
 # -- independent oracles ------------------------------------------------
@@ -187,39 +189,6 @@ class TestEchelon:
             assert e.rank == rank(Matrix(5, 4, rows))
 
 
-class RREFEchelonOracle:
-    """The fully reduced accumulator the path-algebra builder used before
-    `Echelon` took its place, with the `reduce` it inherited; kept here as
-    a differential oracle."""
-
-    def __init__(self, ncols, field):
-        self.field = field
-        self.pivot_rows = {}
-
-    def reduce(self, vec):
-        v = list(vec)
-        for p in sorted(self.pivot_rows):
-            if v[p]:
-                f = v[p]
-                row = self.pivot_rows[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec):
-        v = self.reduce(vec)
-        for p, x in enumerate(v):
-            if x:
-                inv = self.field.one / x
-                row = [inv * a for a in v]
-                for q, other in list(self.pivot_rows.items()):
-                    if other[p]:
-                        f = other[p]
-                        self.pivot_rows[q] = [a - f * b for a, b in zip(other, row)]
-                self.pivot_rows[p] = row
-                return True
-        return False
-
-
 @st.composite
 def row_streams(draw):
     field = draw(st.sampled_from([QQ, PrimeField(101)]))
@@ -249,3 +218,87 @@ def test_echelon_kernel_matches_kernel_basis(stream):
     for row in rows:
         ech.add(row)
     assert ech.kernel_basis() == kernel_basis(Matrix.from_rows(rows, field))
+
+
+# -- zero-skipping kernels against their dense oracles -------------------
+
+FIELDS = [QQ, PrimeField(101)]
+
+
+@st.composite
+def zero_heavy_grids(draw, field, r, c):
+    """An r x c grid of uncoerced ints (and Fractions over QQ) with at
+    least 70% zeros, some of its rows and columns entirely zero."""
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=r))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
+    cells = [(i, j) for i in range(r) for j in range(c)
+             if i not in zero_rows and j not in zero_cols]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True,
+                           max_size=3 * r * c // 10)) if cells else []
+    value = (entries.filter(bool) | st.integers(-3, 3).filter(bool)
+             if field == QQ else st.integers(1, 100))
+    grid = [[0] * c for _ in range(r)]
+    for i, j in chosen:
+        grid[i][j] = draw(value)
+    return grid
+
+
+def assert_canonical(m, field):
+    kind = Fraction if field == QQ else FpElement
+    for row in m.entries:
+        for x in row:
+            assert type(x) is kind
+            assert kind is Fraction or x.p == field.p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rref_matches_dense_oracle_on_zero_heavy(field, data):
+    r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    m = Matrix(r, c, data.draw(zero_heavy_grids(field, r, c)), field)
+    red, pivots, rk = rref(m)
+    want_red, want_pivots, want_rk = rref_oracle(m)
+    assert red == want_red
+    assert pivots == want_pivots and rk == want_rk == rank(m)
+    assert_canonical(red, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_echelon_rows_canonical_from_uncoerced_rows(field, data):
+    r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(1, 7))
+    grid = data.draw(zero_heavy_grids(field, r, c))
+    ech = Echelon(c, field)
+    for row in grid:
+        ech.add(row)
+    pivots = tuple(sorted(ech.pivot_rows))
+    got = Matrix._raw(len(pivots), c,
+                      tuple(tuple(ech.pivot_rows[p]) for p in pivots), field)
+    assert_canonical(got, field)
+    red, want_pivots, _ = rref_oracle(Matrix(r, c, grid, field))
+    assert pivots == want_pivots
+    assert got.entries == red.entries[:len(pivots)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_dense_oracle_on_zero_heavy(field, data):
+    r, k, c = (data.draw(st.integers(0, 7)) for _ in range(3))
+    a = Matrix(r, k, data.draw(zero_heavy_grids(field, r, k)), field)
+    b = Matrix(k, c, data.draw(zero_heavy_grids(field, k, c)), field)
+    prod = a @ b
+    assert prod == matmul_oracle(a, b)
+    assert_canonical(prod, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(), st.data())
+def test_matmul_matches_dense_oracle(a, data):
+    c = data.draw(st.integers(1, 4))
+    rows = st.lists(entries, min_size=c, max_size=c)
+    b = Matrix(a.cols, c, data.draw(st.lists(rows, min_size=a.cols,
+                                             max_size=a.cols)))
+    assert a @ b == matmul_oracle(a, b)
