@@ -12,8 +12,8 @@ from .linalg import (DimensionMismatch, Echelon, InconsistentSystem, Matrix,
                      block_matrix, kernel_basis, kronecker, rank, rref, solve,
                      solve_many)
 from .quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError, Relation,
-                     admissible_order, enumerate_paths, full_subquiver,
-                     is_ordered)
+                     ResourceBudget, admissible_order, count_paths,
+                     enumerate_paths, full_subquiver, is_ordered)
 from .path_algebra import (CompatibilityResult, PathAlgebra, TensorCheck,
                            build_path_algebra, compatibility,
                            is_tensor_relations, module_hom_space)
@@ -23,7 +23,7 @@ from .repcat import (FiltrationStep, RepMorphism, Representation,
                      simple_object, sub_quotient, tensor, unit_filtration,
                      unit_object, zero_object)
 from .complexes import (BoundedComplex, ChainMap, ComplexError,
-                        GradedVectorSpace, ResourceBudget, cohomology_at,
+                        GradedVectorSpace, cohomology_at,
                         complex_from_json, complex_to_json, cone,
                         direct_sum_complex, eval_functor, shift,
                         split_vector_complex, support, tensor_complex)

@@ -16,11 +16,11 @@ import functools
 import json
 import sys
 
-from .complexes import ResourceBudget, complex_from_json, support
+from .complexes import complex_from_json, support
 from .dsl import ParseError, parse_quiver_file
 from .linalg import DimensionMismatch
 from .path_algebra import PathAlgebra, compatibility, is_tensor_relations
-from .quiver import NotOrdered, QuiverError, admissible_order
+from .quiver import NotOrdered, QuiverError, ResourceBudget, admissible_order
 from .reconstruct import assemble_A, center_and_z, rational_points
 from .repcat import satisfies_relations, unit_filtration
 from .spectrum import (IncompatibleSubquiver, TensorRelationError,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .linalg import (DimensionMismatch, Echelon, Matrix, block_matrix,
                      complete_basis, kernel_basis, kronecker, solve_many)
+from .quiver import ResourceBudget
 from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
 
@@ -27,10 +28,6 @@ MAX_COMPLEX_DIM = 256
 
 class ComplexError(ValueError):
     pass
-
-
-class ResourceBudget(Exception):
-    """An input is larger than a stated budget allows."""
 
 
 def id_morphism(rep):

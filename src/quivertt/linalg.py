@@ -283,6 +283,11 @@ class Echelon:
     Rows are kept fully reduced (each row is zero in every other row's pivot
     column); `reduce` returns the residue of a vector modulo the current
     span, `add` inserts it when the residue is nonzero.
+
+    `pivot_rows` maps each pivot column to its row, whose pivot entry is
+    one.  Every stored entry is a field element, whatever the input rows
+    held: a zero is stored as the field's zero, and a nonzero entry is
+    stored already multiplied by the inverse of the pivot.
     """
 
     def __init__(self, ncols, field=QQ):
@@ -304,9 +309,8 @@ class Echelon:
         for p, x in enumerate(v):
             if x:
                 inv = self.field.one / x
-                # dense, so that every stored entry is a field element even
-                # where `reduce` kept an uncoerced input entry
-                row = [inv * a for a in v]
+                zero = self.field.zero
+                row = [inv * a if a else zero for a in v]
                 for q, other in list(self.pivot_rows.items()):
                     f = other[p]
                     if f:

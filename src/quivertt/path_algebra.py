@@ -1,12 +1,20 @@
 """The path algebra with relations kQ/(R): basis, structure constants,
 tensor-relation checking, subquiver compatibility, and module Hom spaces.
 
-The quotient is computed by saturating the span of {p * r * q} over all
-paths p, q and relation generators r, one (source, target) component at a
-time; acyclicity makes every component finite.  The basis of each component
-keeps the earliest paths (by length, then lexicographic arrow word) whose
-residues stay independent modulo the ideal, so structure constants are
-deterministic and reports are byte-stable.
+The quotient is computed one (source, target) component at a time;
+acyclicity makes every component finite.  The span of {p * r * q} over all
+paths p, q and relation generators r is put into one fully reduced echelon
+whose columns list the component's paths in reverse (by length, then
+lexicographic arrow word), so each pivot is the last path of some ideal
+element: its leading path, or "tip" in the sense of E. L. Green,
+*Noncommutative Groebner bases, and projective resolutions* (1999).
+
+The basis keeps the paths that are not tips.  These are exactly the
+earliest paths whose residues stay independent modulo the ideal, since
+path k is a tip iff e_k lies in I + span(e_j : j < k), so structure
+constants are deterministic and reports are byte-stable.  A basis path's
+normal form is itself; a tip's is read off its pivot row, which equals the
+tip minus its normal form.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, Matrix, kernel_basis, solve_many
+from .linalg import Echelon, Matrix, kernel_basis
 from .quiver import Path, QuiverError, Relation, admissible_order, enumerate_paths, full_subquiver
 
 
@@ -80,54 +88,32 @@ class PathAlgebra:
         self.pair_of = []
         self._path_nf = {}
         self._module_bases = {}
+        one = self.field.one
 
         for pair in sorted(self.paths_by_pair, key=self._pair_sort):
             plist = self.paths_by_pair[pair]
-            rows = _ideal_rows(pair, self.relations, self.paths_by_pair, self.field)
+            last = len(plist) - 1
+            # path k sits in column last - k, so every pivot is the last
+            # path of some ideal element: its leading path
             ech = Echelon(len(plist), self.field)
-            for r in rows:
-                ech.add(r)
+            for row in _ideal_rows(pair, self.relations, self.paths_by_pair, self.field):
+                ech.add(row[::-1])
             local = []
-            if ech.rank == 0:
-                for p in plist:
+            chosen = []     # (column, global index) of the basis paths so far
+            for k, p in enumerate(plist):
+                row = ech.pivot_rows.get(last - k)
+                if row is None:
                     gi = len(self.basis)
                     self.basis.append(p)
                     self.basis_index[p] = gi
                     self.pair_of.append(pair)
                     local.append(gi)
-                    self._path_nf[p] = {gi: self.field.one}
-            else:
-                residues = []
-                keep = Echelon(len(plist), self.field)
-                chosen = []
-                for k, p in enumerate(plist):
-                    e = [self.field.zero] * len(plist)
-                    e[k] = self.field.one
-                    r = ech.reduce(e)
-                    residues.append(r)
-                    if keep.add(r):
-                        chosen.append(k)
-                if chosen:
-                    span = Matrix.from_columns(
-                        [residues[k] for k in chosen], self.field, rows=len(plist))
-                    coords = solve_many(span, residues)
+                    chosen.append((last - k, gi))
+                    self._path_nf[p] = {gi: one}
                 else:
-                    coords = [() for _ in plist]
-                globals_for = []
-                for k in chosen:
-                    gi = len(self.basis)
-                    self.basis.append(plist[k])
-                    self.basis_index[plist[k]] = gi
-                    self.pair_of.append(pair)
-                    local.append(gi)
-                    globals_for.append(gi)
-                for k, p in enumerate(plist):
-                    nf = {}
-                    for j, gi in enumerate(globals_for):
-                        c = coords[k][j]
-                        if c:
-                            nf[gi] = c
-                    self._path_nf[p] = nf
+                    # the row is p plus a combination of earlier basis
+                    # paths, and lies in the ideal
+                    self._path_nf[p] = {gi: -row[c] for c, gi in chosen if row[c]}
             self.pair_indices[pair] = local
             self._module_bases.setdefault(pair[0], []).extend(local)
 

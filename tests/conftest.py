@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from quivertt.dsl import parse_quiver_file
+from quivertt.dsl import parse_quiver, parse_quiver_file
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src/quivertt/fixtures"
 
@@ -16,6 +16,24 @@ FIXTURE_NAMES = [
 
 def load_fixture(name):
     return parse_quiver_file(FIXTURE_DIR / f"{name}.quiver")
+
+
+def beilinson_text(m, length):
+    """Spec text of beil(m, L): a chain of L vertices, m+1 parallel arrows
+    per step, and every commutativity relation x_i*x'_j - x_j*x'_i between
+    neighbouring steps.  beil(m, m+2) is the fixture beilinson<m>."""
+    lines = [f"quiver beil_{m}_{length}",
+             "vertices " + " ".join(str(v) for v in range(1, length + 1))]
+    lines += [f"arrow x{s}_{j} : {s} -> {s + 1}"
+              for s in range(1, length) for j in range(m + 1)]
+    lines += [f"relation x{s}_{i}*x{s + 1}_{j} - x{s}_{j}*x{s + 1}_{i}"
+              for s in range(1, length - 1)
+              for i in range(m + 1) for j in range(i + 1, m + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def load_beilinson(m, length):
+    return parse_quiver(beilinson_text(m, length))
 
 
 @pytest.fixture

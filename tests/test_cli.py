@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,11 @@ import pytest
 from quivertt import cli
 from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
+from quivertt.quiver import MAX_PATHS, count_paths
 from quivertt.repcat import simple_object, unit_object
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
+from conftest import (FIXTURE_DIR, FIXTURE_NAMES, beilinson_text,
+                      load_beilinson, load_fixture)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_COMMANDS = ["validate", "spectrum", "check-tensor", "filtration",
@@ -215,6 +218,42 @@ class TestExitCodes:
             doc, code = run("support", fixture_path("kronecker2"),
                             "--complex", str(cx))
             assert code == want
+
+    def test_quiver_over_path_budget_is_1_at_once(self, tmp_path, capsys):
+        spec = tmp_path / "beil.quiver"
+        spec.write_text(beilinson_text(2, 12))
+        start = time.perf_counter()
+        code = main(["validate", str(spec)])
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["error_type"] == "ResourceBudget"
+        total = count_paths(load_beilinson(2, 12).quiver)
+        assert total > MAX_PATHS
+        assert f"{total} paths" in doc["error"]
+        assert str(MAX_PATHS) in doc["error"]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["sheaf", "--open", "1"], ["presheaf", "--open", "1"],
+        ["reconstruct"], ["check-tensor"], ["compare-points"],
+        ["compat", "--verts", ",".join(str(v) for v in range(1, 13))]])
+    def test_every_quotient_command_keeps_the_path_budget(self, tmp_path, argv):
+        spec = tmp_path / "beil.quiver"
+        spec.write_text(beilinson_text(2, 12))
+        doc, code = run(argv[0], str(spec), *argv[1:])
+        assert code == 1 and doc["error_type"] == "ResourceBudget"
+
+    def test_path_budget_boundary(self, tmp_path):
+        # two vertices and k parallel arrows have k + 2 paths, and with no
+        # relation every path is a basis element
+        spec = tmp_path / "wide.quiver"
+        for arrows, want in ((MAX_PATHS - 2, 0), (MAX_PATHS - 1, 1)):
+            spec.write_text("quiver wide\nvertices 1 2\n" + "".join(
+                f"arrow x{i} : 1 -> 2\n" for i in range(arrows)))
+            doc, code = run("validate", str(spec))
+            assert code == want
+            if code == 0:
+                assert doc["algebra_dimension"] == MAX_PATHS
 
     def test_spec_path_is_directory_is_2(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path)])

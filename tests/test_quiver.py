@@ -1,10 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivertt.quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError,
-                             Relation, admissible_order, enumerate_paths,
+import quivertt
+from quivertt import complexes
+from quivertt.quiver import (MAX_PATHS, Arrow, NotOrdered, Path, Quiver,
+                             QuiverError, Relation, ResourceBudget,
+                             admissible_order, count_paths, enumerate_paths,
                              full_subquiver, is_ordered)
 from quivertt.randgen import random_ordered_quiver
+
+from conftest import FIXTURE_NAMES, load_beilinson, load_fixture
 
 
 def count_paths_dfs(quiver, src, tgt):
@@ -106,6 +111,54 @@ class TestEnumeratePaths:
         q = Quiver(("1", "2"), (Arrow("b", "1", "2"), Arrow("a", "1", "2")))
         _, by_pair = enumerate_paths(q)
         assert [p.word() for p in by_pair[("1", "2")]] == ["a", "b"]
+
+
+def parallel_arrows(k):
+    """Two vertices and k arrows between them: k + 2 paths."""
+    return Quiver(("1", "2"), tuple(Arrow(f"x{i}", "1", "2") for i in range(k)))
+
+
+class TestPathBudget:
+    def test_count_matches_enumeration(self, rng):
+        for _ in range(30):
+            q = random_ordered_quiver(rng, max_vertices=6, max_arrows=10)
+            assert count_paths(q) == len(enumerate_paths(q)[0])
+
+    def test_count_refuses_cycles(self):
+        q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")))
+        with pytest.raises(NotOrdered):
+            count_paths(q)
+
+    def test_boundary(self):
+        flat, _ = enumerate_paths(parallel_arrows(MAX_PATHS - 2))
+        assert len(flat) == MAX_PATHS
+        with pytest.raises(ResourceBudget,
+                           match=f"{MAX_PATHS + 1} paths, above the budget "
+                                 f"of {MAX_PATHS}"):
+            enumerate_paths(parallel_arrows(MAX_PATHS - 1))
+
+    def test_refused_before_listing(self):
+        # 2^30 - 1 paths from the first vertex alone
+        spec = load_beilinson(1, 31)
+        with pytest.raises(ResourceBudget) as exc:
+            enumerate_paths(spec.quiver)
+        assert str(count_paths(spec.quiver)) in str(exc.value)
+
+    def test_fixtures_and_benchmark_instances_fit(self, rng):
+        for name in FIXTURE_NAMES:
+            assert count_paths(load_fixture(name).quiver) <= MAX_PATHS
+        # the Beilinson chains of perfbench/inputs.py
+        for m, length in ((2, 5), (3, 4), (1, 7), (1, 6), (3, 3), (1, 4),
+                          (2, 4)):
+            assert count_paths(load_beilinson(m, length).quiver) <= MAX_PATHS
+        # the largest quivers its `sweep-small` workload draws
+        for _ in range(300):
+            q = random_ordered_quiver(rng, max_vertices=6, max_arrows=10)
+            assert count_paths(q) <= MAX_PATHS
+
+    def test_one_exception_everywhere(self):
+        assert quivertt.ResourceBudget is ResourceBudget
+        assert complexes.ResourceBudget is ResourceBudget
 
 
 class TestRelation:
