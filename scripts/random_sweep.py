@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Random stress sweep: generate random tensor-relation quivers, reconstruct
-the path algebra from the derived category on each, and cross-check the
-support calculus on random complexes.  Any failure prints the seed so the
-instance can be replayed."""
+the path algebra from the derived category on each, check the unit
+filtration, and cross-check the support calculus on random complexes.  Any
+failure prints the seed so the instance can be replayed."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from quivertt.complexes import direct_sum_complex, support, tensor_complex
 from quivertt.randgen import (random_complex, random_tensor_quiver)
 from quivertt.reconstruct import assemble_A, center_and_z
+from quivertt.repcat import unit_filtration
 
 
 @dataclass
@@ -23,6 +24,16 @@ class SweepConfig:
     max_vertices: int = 4
     max_arrows: int = 6
     complexes_per_quiver: int = 10
+
+
+def filtration_ok(quiver, relations):
+    """Every step of the unit filtration satisfies the relations, has the
+    simple at its vertex as K_l / K_{l+1}, and has total dimension
+    |Q0| - level + 1."""
+    n = len(quiver.vertices)
+    return all(step.relation_witness is None and step.quotient_is_simple
+               and step.rep.total_dim == n - step.level + 1
+               for step in unit_filtration(quiver, relations))
 
 
 def run(config):
@@ -36,7 +47,8 @@ def run(config):
         center = center_and_z(quiver, relations, assembled)
         ok = (assembled.verdict.isomorphic
               and center.dimensions_match
-              and center.z_is_unital_ring_map)
+              and center.z_is_unital_ring_map
+              and filtration_ok(quiver, relations))
         for _ in range(config.complexes_per_quiver):
             v = random_complex(rng, quiver, relations)
             w = random_complex(rng, quiver, relations)

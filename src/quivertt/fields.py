@@ -106,6 +106,8 @@ class Rationals:
     """The field of arbitrary-precision rationals."""
 
     name = "QQ"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, x):
         # a Fraction is already canonical; returning it unchanged saves the
@@ -113,14 +115,6 @@ class Rationals:
         if x.__class__ is Fraction:
             return x
         return self.from_int(x) if isinstance(x, int) else Fraction(x)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -153,6 +147,8 @@ class PrimeField:
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     def __call__(self, x):
         if isinstance(x, FpElement):
@@ -164,14 +160,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
         raise FieldError(f"cannot coerce {x!r} into {self.name}")
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
 
     def from_int(self, n):
         return FpElement(n, self.p)

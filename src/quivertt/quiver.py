@@ -59,15 +59,25 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
                 raise QuiverError(f"arrow {a.label} has unknown endpoint")
+        # lookup tables, not dataclass fields: equality and hashing still
+        # see only the vertices and the arrows
+        out = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            out[a.source].append(a)
+        object.__setattr__(self, "_out",
+                           {v: tuple(arrows) for v, arrows in out.items()})
+        object.__setattr__(self, "_by_label",
+                           {a.label: a for a in self.arrows})
 
     def arrow(self, label):
-        for a in self.arrows:
-            if a.label == label:
-                return a
-        raise QuiverError(f"unknown arrow {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise QuiverError(f"unknown arrow {label!r}") from None
 
     def arrows_from(self, v):
-        return [a for a in self.arrows if a.source == v]
+        """The arrows with source v, in the order of `arrows`."""
+        return self._out.get(v, ())
 
     def arrows_between(self, v, w):
         return [a for a in self.arrows if a.source == v and a.target == w]

@@ -52,8 +52,11 @@ class Representation:
 
     def path_action(self, path):
         """Matrix of a path: V_source -> V_target."""
-        m = Matrix.identity(self.dims[path.source], self.field)
-        for label in path.arrows:
+        if path.is_trivial:
+            return Matrix.identity(self.dims[path.source], self.field)
+        first, *rest = path.arrows
+        m = self.arrow_maps[first]
+        for label in rest:
             m = self.arrow_maps[label] @ m
         return m
 
@@ -223,17 +226,30 @@ def sub_quotient(rep, sub_bases):
     `sub_bases` maps each vertex to a list of column vectors.  Returns
     (subrepresentation, quotient, inclusion, projection); raises naming the
     violating arrow when a subspace is not arrow-stable.
+
+    When every vertex's vectors are distinct standard basis vectors e_i,
+    in any order, the split is read off coordinate blocks: the sub and
+    quotient arrow matrices are the (kept x kept) and (rest x rest) blocks
+    of each arrow matrix, stability is the vanishing of the (rest x kept)
+    block, and the inclusion and projection are selection matrices.  Other
+    bases are split by solving for coordinates and completing to a basis
+    of each vertex space.
     """
     field = rep.field
     quiver = rep.quiver
-    sub_mats = {}
+    cols_at = {}
     for x in quiver.vertices:
         cols = [tuple(field(c) for c in col) for col in sub_bases.get(x, [])]
         for col in cols:
             if len(col) != rep.dims[x]:
                 raise RepresentationError(f"bad subspace vector length at {x}")
-        sub_mats[x] = Matrix.from_columns(list(cols), field, rows=rep.dims[x])
+        cols_at[x] = cols
+    kept = {x: _standard_indices(cols, field) for x, cols in cols_at.items()}
+    if all(k is not None for k in kept.values()):
+        return _coordinate_sub_quotient(rep, kept)
 
+    sub_mats = {x: Matrix.from_columns(cols, field, rows=rep.dims[x])
+                for x, cols in cols_at.items()}
     sub_arrow = {}
     for a in quiver.arrows:
         image_cols = [rep.arrow_maps[a.label].apply(col)
@@ -268,6 +284,69 @@ def sub_quotient(rep, sub_bases):
                               quot_arrow, field)
     incl = RepMorphism(sub_rep, rep, dict(sub_mats))
     proj = RepMorphism(rep, quot_rep, dict(proj_mats))
+    return sub_rep, quot_rep, incl, proj
+
+
+def _standard_indices(cols, field):
+    """The indices i_k with cols[k] = e_{i_k}, when the columns are distinct
+    standard basis vectors; None otherwise."""
+    one = field.one
+    out = []
+    for col in cols:
+        support = [i for i, c in enumerate(col) if c]
+        if len(support) != 1 or col[support[0]] != one:
+            return None
+        out.append(support[0])
+    return out if len(set(out)) == len(out) else None
+
+
+def _block(m, rows, cols):
+    return Matrix._raw(len(rows), len(cols),
+                       tuple(tuple(m.entries[i][j] for j in cols) for i in rows),
+                       m.field)
+
+
+def _selection(rows, cols, field):
+    """The 0/1 matrix with a one where the row index equals the column
+    index: with `rows` all coordinates it includes the coordinates `cols`,
+    and with `cols` all coordinates it projects onto the coordinates
+    `rows`."""
+    one, zero = field.one, field.zero
+    return Matrix._raw(len(rows), len(cols),
+                       tuple(tuple(one if i == j else zero for j in cols)
+                             for i in rows),
+                       field)
+
+
+def _coordinate_sub_quotient(rep, kept):
+    """`sub_quotient` for the span of the coordinates `kept[x]` at each
+    vertex x; the quotient keeps the remaining coordinates in increasing
+    order, the complement `complete_basis` would choose."""
+    field = rep.field
+    quiver = rep.quiver
+    rest = {}
+    for x in quiver.vertices:
+        taken = set(kept[x])
+        rest[x] = [i for i in range(rep.dims[x]) if i not in taken]
+    sub_arrow = {}
+    quot_arrow = {}
+    for a in quiver.arrows:
+        m = rep.arrow_maps[a.label]
+        if any(m.entries[i][j] for i in rest[a.target] for j in kept[a.source]):
+            raise RepresentationError(
+                f"subspace not stable under arrow {a.label}")
+        sub_arrow[a.label] = _block(m, kept[a.target], kept[a.source])
+        quot_arrow[a.label] = _block(m, rest[a.target], rest[a.source])
+    sub_rep = Representation(quiver, {x: len(kept[x]) for x in quiver.vertices},
+                             sub_arrow, field)
+    quot_rep = Representation(quiver, {x: len(rest[x]) for x in quiver.vertices},
+                              quot_arrow, field)
+    incl = RepMorphism(sub_rep, rep, {
+        x: _selection(range(rep.dims[x]), kept[x], field)
+        for x in quiver.vertices})
+    proj = RepMorphism(rep, quot_rep, {
+        x: _selection(rest[x], range(rep.dims[x]), field)
+        for x in quiver.vertices})
     return sub_rep, quot_rep, incl, proj
 
 
@@ -308,10 +387,11 @@ def unit_filtration(quiver, relations, field=QQ):
     spanned by the unit coordinates at vertices at position >= l in the
     admissible order."""
     order = admissible_order(quiver)
+    position = {v: i + 1 for i, v in enumerate(order)}
     unit = unit_object(quiver, field)
 
     def bases(level):
-        return {v: ([ (field.one,) ] if order.index(v) + 1 >= level else [])
+        return {v: ([(field.one,)] if position[v] >= level else [])
                 for v in quiver.vertices}
 
     steps = []
@@ -319,7 +399,7 @@ def unit_filtration(quiver, relations, field=QQ):
         vertex = order[level - 1]
         sub_rep, _, _, _ = sub_quotient(unit, bases(level))
         # quotient K_l / K_{l+1} inside K_l's own coordinates
-        inner = {v: ([ (field.one,) ] if order.index(v) + 1 >= level + 1
+        inner = {v: ([(field.one,)] if position[v] >= level + 1
                      and sub_rep.dims[v] else [])
                  for v in quiver.vertices}
         _, quot, _, _ = sub_quotient(sub_rep, inner)

@@ -1,0 +1,113 @@
+"""`repcat.sub_quotient` and `repcat.unit_filtration` as they were before
+coordinate subspaces were split by blocks, kept as differential oracles.
+
+Every subspace is split by solving for the coordinates of each arrow's
+image and completing each vertex's basis with standard vectors, and every
+path acts as a product that starts from the identity.
+"""
+
+from quivertt.fields import QQ
+from quivertt.linalg import Matrix, complete_basis, solve_many
+from quivertt.quiver import admissible_order
+from quivertt.repcat import (FiltrationStep, Representation,
+                             RepresentationError, RepMorphism, simple_object,
+                             unit_object)
+
+
+def sub_quotient_oracle(rep, sub_bases):
+    """(subrepresentation, quotient, inclusion, projection) of the span of
+    `sub_bases`, by generic solves; raises naming the first arrow, in
+    `quiver.arrows` order, under which the span is not stable."""
+    field = rep.field
+    quiver = rep.quiver
+    sub_mats = {}
+    for x in quiver.vertices:
+        cols = [tuple(field(c) for c in col) for col in sub_bases.get(x, [])]
+        for col in cols:
+            if len(col) != rep.dims[x]:
+                raise RepresentationError(f"bad subspace vector length at {x}")
+        sub_mats[x] = Matrix.from_columns(list(cols), field, rows=rep.dims[x])
+
+    sub_arrow = {}
+    for a in quiver.arrows:
+        image_cols = [rep.arrow_maps[a.label].apply(col)
+                      for col in sub_mats[a.source].columns()]
+        try:
+            coords = solve_many(sub_mats[a.target], image_cols)
+        except Exception as exc:
+            raise RepresentationError(
+                f"subspace not stable under arrow {a.label}") from exc
+        sub_arrow[a.label] = Matrix.from_columns(
+            list(coords), field, rows=sub_mats[a.target].cols)
+    sub_rep = Representation(quiver, {x: sub_mats[x].cols for x in quiver.vertices},
+                             sub_arrow, field)
+
+    comp_mats = {}
+    proj_mats = {}
+    for x in quiver.vertices:
+        d = rep.dims[x]
+        chosen, inv = complete_basis(sub_mats[x].columns(), d, field)
+        comp_mats[x] = Matrix.from_columns(chosen, field, rows=d)
+        proj_mats[x] = Matrix.from_rows(
+            [inv.row(i) for i in range(sub_mats[x].cols, d)], field, cols=d)
+
+    quot_arrow = {}
+    for a in quiver.arrows:
+        quot_arrow[a.label] = (proj_mats[a.target]
+                               @ rep.arrow_maps[a.label]
+                               @ comp_mats[a.source])
+    quot_rep = Representation(quiver,
+                              {x: comp_mats[x].cols for x in quiver.vertices},
+                              quot_arrow, field)
+    incl = RepMorphism(sub_rep, rep, dict(sub_mats))
+    proj = RepMorphism(rep, quot_rep, dict(proj_mats))
+    return sub_rep, quot_rep, incl, proj
+
+
+def path_action_oracle(rep, path):
+    """The matrix of a path, as the product of its arrow matrices applied
+    to the identity of the source space."""
+    m = Matrix.identity(rep.dims[path.source], rep.field)
+    for label in path.arrows:
+        m = rep.arrow_maps[label] @ m
+    return m
+
+
+def satisfies_relations_oracle(rep, relations):
+    """First generator whose action on `rep` is not zero, or None."""
+    for gen in relations:
+        action = None
+        for c, p in gen.terms:
+            part = path_action_oracle(rep, p).scale(c)
+            action = part if action is None else action + part
+        if not action.is_zero():
+            return gen
+    return None
+
+
+def unit_filtration_oracle(quiver, relations, field=QQ):
+    """The steps K_1 = U > K_2 > ... > K_q of the unit filtration, each
+    split off with `sub_quotient_oracle`."""
+    order = admissible_order(quiver)
+    unit = unit_object(quiver, field)
+
+    def bases(level):
+        return {v: ([(field.one,)] if order.index(v) + 1 >= level else [])
+                for v in quiver.vertices}
+
+    steps = []
+    for level in range(1, len(order) + 1):
+        vertex = order[level - 1]
+        sub_rep, _, _, _ = sub_quotient_oracle(unit, bases(level))
+        inner = {v: ([(field.one,)] if order.index(v) + 1 >= level + 1
+                     and sub_rep.dims[v] else [])
+                 for v in quiver.vertices}
+        _, quot, _, _ = sub_quotient_oracle(sub_rep, inner)
+        simple = simple_object(quiver, vertex, field)
+        is_simple = (quot.dims == simple.dims
+                     and all(quot.arrow_maps[a.label] == simple.arrow_maps[a.label]
+                             for a in quiver.arrows))
+        steps.append(FiltrationStep(level, vertex, bases(level), sub_rep,
+                                    satisfies_relations_oracle(sub_rep, relations),
+                                    is_simple))
+    return steps

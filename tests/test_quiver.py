@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +44,26 @@ class TestQuiver:
     def test_duplicate_arrow_label_rejected(self):
         with pytest.raises(QuiverError):
             Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("a", "1", "2")))
+
+    def test_lookups_agree_with_scans(self):
+        # the per-vertex and per-label tables answer what scans of
+        # `arrows` answered, on quivers with loops and parallel arrows
+        rng = random.Random(11)
+        for _ in range(30):
+            verts = tuple(str(i) for i in range(rng.randint(1, 6)))
+            arrows = tuple(Arrow(f"a{k}", rng.choice(verts), rng.choice(verts))
+                           for k in range(rng.randint(0, 12)))
+            q = Quiver(verts, arrows)
+            for v in verts:
+                assert list(q.arrows_from(v)) == [a for a in arrows
+                                                  if a.source == v]
+            for a in arrows:
+                assert q.arrow(a.label) == next(
+                    b for b in arrows if b.label == a.label)
+            with pytest.raises(QuiverError):
+                q.arrow("missing")
+            same = Quiver(list(verts), list(arrows))
+            assert same == q and hash(same) == hash(q)
 
     def test_undirected_components(self):
         q = Quiver(("1", "2", "3", "4"),
