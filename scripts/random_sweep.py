@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Random stress sweep: generate random tensor-relation quivers, reconstruct
-the path algebra from the derived category on each, check the unit
-filtration, and cross-check the support calculus on random complexes.  Any
-failure prints the seed so the instance can be replayed."""
+the path algebra from the derived category on each over QQ and over F_101,
+check the unit filtration, and cross-check the support calculus on random
+complexes.  Any failure prints the seed so the instance can be replayed.
+
+The relations drawn are differences of two paths, so every rank, and with
+it the algebra, center and End(U) dimensions, is the same over every field;
+a trial fails if they differ between the two fields."""
 
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import time
 from dataclasses import dataclass
 
 from quivertt.complexes import direct_sum_complex, support, tensor_complex
+from quivertt.fields import QQ, PrimeField
 from quivertt.randgen import (random_complex, random_tensor_quiver)
 from quivertt.reconstruct import assemble_A, center_and_z
 from quivertt.repcat import unit_filtration
@@ -36,6 +41,20 @@ def filtration_ok(quiver, relations):
                for step in unit_filtration(quiver, relations))
 
 
+FIELDS = (QQ, PrimeField(101))
+
+
+def reconstruction(quiver, relations, field):
+    """Whether every verdict bit of the reconstruction over `field` is
+    true, and its algebra, center and End(U) dimensions."""
+    assembled = assemble_A(quiver, relations, field)
+    center = center_and_z(quiver, relations, assembled, field)
+    ok = (assembled.verdict.isomorphic and center.z_lands_in_center
+          and center.dimensions_match and center.z_is_unital_ring_map)
+    return ok, (assembled.dim, center.center_dimension,
+                center.end_unit_dimension)
+
+
 def run(config):
     rng = random.Random(config.seed)
     failures = 0
@@ -43,11 +62,10 @@ def run(config):
     for trial in range(config.trials):
         quiver, relations = random_tensor_quiver(
             rng, config.max_vertices, config.max_arrows)
-        assembled = assemble_A(quiver, relations)
-        center = center_and_z(quiver, relations, assembled)
-        ok = (assembled.verdict.isomorphic
-              and center.dimensions_match
-              and center.z_is_unital_ring_map
+        results = [reconstruction(quiver, relations, f) for f in FIELDS]
+        dim, center_dim, _ = results[0][1]
+        ok = (all(verdicts for verdicts, _ in results)
+              and len({dims for _, dims in results}) == 1
               and filtration_ok(quiver, relations))
         for _ in range(config.complexes_per_quiver):
             v = random_complex(rng, quiver, relations)
@@ -58,7 +76,7 @@ def run(config):
         failures += not ok
         print(f"trial {trial:3d}: |Q0|={len(quiver.vertices)} "
               f"|Q1|={len(quiver.arrows)} |R|={len(relations)} "
-              f"dim={assembled.dim:3d} Z(A)={center.center_dimension} {status}")
+              f"dim={dim:3d} Z(A)={center_dim} {status}")
     dt = time.perf_counter() - t0
     print(f"\n{config.trials} trials, {failures} failures, {dt:.2f}s "
           f"(seed {config.seed})")

@@ -1,9 +1,15 @@
-"""Dense exact linear algebra over a field object from `fields`.
+"""Exact linear algebra over a field object from `fields`: dense matrices
+and one sparse elimination routine.
 
-Matrices are immutable, row-major tuples of tuples.  Zero-by-n and n-by-zero
-matrices are legal and represent maps to/from the zero space; they show up
-constantly when simple objects and extensions by zero are around, so nothing
-here assumes positive dimensions.
+Matrices are dense, immutable, row-major tuples of tuples.  Zero-by-n and
+n-by-zero matrices are legal and represent maps to/from the zero space; they
+show up constantly when simple objects and extensions by zero are around, so
+nothing here assumes positive dimensions.
+
+All elimination goes through `Echelon`, which stores its rows sparse, as
+{column: value} dicts, because the systems it solves (ideal rows, Hom
+constraints, commutators) have a handful of nonzeros per row.  `rref`,
+`kernel_basis` and the solvers read their answers off it.
 """
 
 from __future__ import annotations
@@ -130,14 +136,17 @@ class Matrix:
         return Matrix._raw(self.rows, other.cols, tuple(out), self.field)
 
     def apply(self, vec):
-        """Matrix times column vector (a tuple)."""
+        """Matrix times column vector (a tuple), summed over the nonzero
+        entries of the vector only."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
+        nonzero = [(j, b) for j, b in enumerate(vec) if b]
         zero = self.field.zero
         out = []
         for row in self.entries:
             s = zero
-            for a, b in zip(row, vec):
+            for j, b in nonzero:
+                a = row[j]
                 if a:
                     s = s + a * b
             out.append(s)
@@ -186,8 +195,9 @@ def rref(m):
     ech = Echelon(m.cols, m.field)
     for row in m.entries:
         ech.add(row)
-    pivots = tuple(sorted(ech.pivot_rows))
-    rows = tuple(tuple(ech.pivot_rows[p]) for p in pivots)
+    pivot_rows = ech.pivot_rows
+    pivots = tuple(sorted(pivot_rows))
+    rows = tuple(tuple(pivot_rows[p]) for p in pivots)
     rows += ((m.field.zero,) * m.cols,) * (m.rows - len(pivots))
     return Matrix._raw(m.rows, m.cols, rows, m.field), pivots, len(pivots)
 
@@ -196,27 +206,12 @@ def rank(m):
     return rref(m)[2]
 
 
-def _kernel_from_reduced(rows, pivots, ncols, field):
-    """Basis of the right kernel of a matrix in reduced row echelon form,
-    given as its nonzero rows, in any order, with `rows[r]` pivoting at
-    `pivots[r]`: one vector per free column, as column-vector tuples."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def kernel_basis(m):
     """Basis of the right kernel, as a list of column-vector tuples."""
-    red, pivots, rk = rref(m)
-    return _kernel_from_reduced(red.entries, pivots, m.cols, m.field)
+    ech = Echelon(m.cols, m.field)
+    for row in m.entries:
+        ech.add(row)
+    return ech.kernel_basis()
 
 
 def solve(a, b):
@@ -280,60 +275,114 @@ def kronecker(a, b):
 class Echelon:
     """Incremental row echelon accumulator for span/membership questions.
 
-    Rows are kept fully reduced (each row is zero in every other row's pivot
-    column); `reduce` returns the residue of a vector modulo the current
-    span, `add` inserts it when the residue is nonzero.
+    Each pivot row is stored sparse in `rows`, as a {column: value} dict
+    whose pivot entry is one and which holds no zeros.  The rows are kept
+    fully reduced (each row is zero in every other row's pivot column), so
+    they are the RREF of the span; `reduce` returns the residue of a vector
+    modulo the span, and `add` inserts it when the residue is nonzero,
+    pivoting at its lowest nonzero column.  `add`, `reduce` and `contains`
+    take a dense sequence or a {column: value} dict.
 
-    `pivot_rows` maps each pivot column to its row, whose pivot entry is
-    one.  Every stored entry is a field element, whatever the input rows
-    held: a zero is stored as the field's zero, and a nonzero entry is
-    stored already multiplied by the inverse of the pivot.
+    Every stored entry is a field element, whatever the input rows held.
+    `pivot_rows` is a dense view, built on each access: pivot column ->
+    row as a list.
     """
 
     def __init__(self, ncols, field=QQ):
         self.ncols = ncols
         self.field = field
-        self.pivot_rows = {}
+        self.rows = {}
 
-    def reduce(self, vec):
-        v = list(vec)
-        for p in sorted(self.pivot_rows):
-            f = v[p]
-            if f:
-                v = [a - f * b if b else a
-                     for a, b in zip(v, self.pivot_rows[p])]
+    def _residue(self, vec):
+        """The residue of `vec` as a {column: value} dict without zeros."""
+        field = self.field
+        v = {}
+        for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+            if x:
+                x = field(x)
+                if x:
+                    v[j] = x
+        rows = self.rows
+        # the rows are zero at each other's pivots, so the pivots to clear
+        # are the ones where `vec` itself is nonzero, in any order
+        for p in [c for c in v if c in rows]:
+            _subtract(v, v.pop(p), rows[p], p)
         return v
 
+    def reduce(self, vec):
+        return _dense(self._residue(vec), self.ncols, self.field.zero)
+
     def add(self, vec):
-        v = self.reduce(vec)
-        for p, x in enumerate(v):
-            if x:
-                inv = self.field.one / x
-                zero = self.field.zero
-                row = [inv * a if a else zero for a in v]
-                for q, other in list(self.pivot_rows.items()):
-                    f = other[p]
-                    if f:
-                        self.pivot_rows[q] = [a - f * b if b else a
-                                              for a, b in zip(other, row)]
-                self.pivot_rows[p] = row
-                return True
-        return False
+        v = self._residue(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = self.field.one / v[p]
+        row = {c: inv * a for c, a in v.items()}
+        for other in self.rows.values():
+            f = other.pop(p, None)
+            if f is not None:
+                _subtract(other, f, row, p)
+        self.rows[p] = row
+        return True
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self._residue(vec)
+
+    @property
+    def pivot_rows(self):
+        zero = self.field.zero
+        return {p: _dense(row, self.ncols, zero) for p, row in self.rows.items()}
 
     @property
     def rank(self):
-        return len(self.pivot_rows)
+        return len(self.rows)
+
+    def sparse_kernel_basis(self):
+        """Basis of the right kernel of the accumulated rows, one vector
+        per free column fc: one at fc and minus column fc of each row at
+        that row's pivot, as a {column: value} dict in column order.  The
+        rows are the RREF of any matrix with the same row space, so this is
+        the kernel basis of that matrix read off its RREF."""
+        one = self.field.one
+        hits = {}   # free column -> [(pivot, -entry)] over rows nonzero there
+        for pc, row in self.rows.items():
+            for c, x in row.items():
+                if c != pc:
+                    hits.setdefault(c, []).append((pc, -x))
+        return [dict(sorted([(fc, one)] + hits.get(fc, [])))
+                for fc in range(self.ncols) if fc not in self.rows]
 
     def kernel_basis(self):
-        """Basis of the right kernel of the accumulated rows.  The rows are
-        fully reduced, so they are the RREF of any matrix with the same row
-        space and this equals `kernel_basis` of that matrix."""
-        return _kernel_from_reduced(list(self.pivot_rows.values()),
-                                    list(self.pivot_rows), self.ncols,
-                                    self.field)
+        """`sparse_kernel_basis` as column-vector tuples."""
+        zero = self.field.zero
+        return [tuple(_dense(vec, self.ncols, zero))
+                for vec in self.sparse_kernel_basis()]
+
+
+def _dense(vec, ncols, zero):
+    """The {column: value} dict `vec` as a list of length `ncols`."""
+    out = [zero] * ncols
+    for c, x in vec.items():
+        out[c] = x
+    return out
+
+
+def _subtract(v, f, row, p):
+    """v -= f * row in place, at every column of `row` but its pivot p,
+    dropping the entries that cancel."""
+    g = -f
+    for c, b in row.items():
+        if c != p:
+            x = v.get(c)
+            if x is None:
+                v[c] = g * b
+            else:
+                x = x + g * b
+                if x:
+                    v[c] = x
+                else:
+                    del v[c]
 
 
 def complete_basis(cols, dim, field=QQ):

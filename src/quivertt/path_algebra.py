@@ -15,6 +15,12 @@ path k is a tip iff e_k lies in I + span(e_j : j < k), so structure
 constants are deterministic and reports are byte-stable.  A basis path's
 normal form is itself; a tip's is read off its pivot row, which equals the
 tip minus its normal form.
+
+Every linear system here is sparse and goes to `linalg.Echelon` as
+{column: coefficient} dicts: each ideal row p * r * q has one entry per
+term of r, and the Hom-space constraints and module-map columns are built
+straight from the cached structure constants, one nonzero product at a
+time.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, Matrix, kernel_basis
+from .linalg import Echelon, Matrix
 from .quiver import Path, QuiverError, Relation, admissible_order, enumerate_paths, full_subquiver
 
 
@@ -37,26 +43,39 @@ def _coerced(relations, field):
                  for g in relations)
 
 
-def _ideal_rows(pair, generators, paths_by_pair, field):
+def _columns(plist):
+    """Column of each path of a component: the paths in reverse, so that
+    an echelon's lowest nonzero column is its last path."""
+    last = len(plist) - 1
+    return {p: last - k for k, p in enumerate(plist)}
+
+
+def _vector(terms, column):
+    """The combination of paths `terms` as {column: coefficient}, without
+    zeros."""
+    vec = {}
+    for c, p in terms:
+        k = column[p]
+        vec[k] = vec[k] + c if k in vec else c
+    return {k: c for k, c in vec.items() if c}
+
+
+def _ideal_rows(pair, generators, paths_by_pair):
     """Spanning vectors of the (n, m) component of the two-sided ideal,
-    as coefficient lists over the component's path list."""
+    the p * r * q with r a generator, as {column: coefficient} dicts over
+    `_columns` of the component's path list."""
     n, m = pair
-    plist = paths_by_pair.get(pair, [])
-    index = {p: i for i, p in enumerate(plist)}
+    column = _columns(paths_by_pair.get(pair, []))
     rows = []
     for gen in generators:
-        s, t = gen.source, gen.target
-        lefts = paths_by_pair.get((n, s), [])
-        rights = paths_by_pair.get((t, m), [])
+        lefts = paths_by_pair.get((n, gen.source), [])
+        rights = paths_by_pair.get((gen.target, m), [])
         for left in lefts:
             for right in rights:
-                vec = [field.zero] * len(plist)
-                for c, mid in gen.terms:
-                    full = left.compose(mid).compose(right)
-                    k = index[full]
-                    vec[k] = vec[k] + c
-                if any(vec):
-                    rows.append(vec)
+                row = _vector([(c, left.compose(mid).compose(right))
+                               for c, mid in gen.terms], column)
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -96,24 +115,27 @@ class PathAlgebra:
             # path k sits in column last - k, so every pivot is the last
             # path of some ideal element: its leading path
             ech = Echelon(len(plist), self.field)
-            for row in _ideal_rows(pair, self.relations, self.paths_by_pair, self.field):
-                ech.add(row[::-1])
+            for row in _ideal_rows(pair, self.relations, self.paths_by_pair):
+                ech.add(row)
             local = []
-            chosen = []     # (column, global index) of the basis paths so far
+            basis_at = {}   # column -> global index, of the basis paths so far
             for k, p in enumerate(plist):
-                row = ech.pivot_rows.get(last - k)
+                col = last - k
+                row = ech.rows.get(col)
                 if row is None:
                     gi = len(self.basis)
                     self.basis.append(p)
                     self.basis_index[p] = gi
                     self.pair_of.append(pair)
                     local.append(gi)
-                    chosen.append((last - k, gi))
+                    basis_at[col] = gi
                     self._path_nf[p] = {gi: one}
                 else:
                     # the row is p plus a combination of earlier basis
-                    # paths, and lies in the ideal
-                    self._path_nf[p] = {gi: -row[c] for c, gi in chosen if row[c]}
+                    # paths (higher columns), and lies in the ideal
+                    self._path_nf[p] = {basis_at[c]: -row[c]
+                                        for c in sorted(row, reverse=True)
+                                        if c != col}
             self.pair_indices[pair] = local
             self._module_bases.setdefault(pair[0], []).extend(local)
 
@@ -150,18 +172,19 @@ class PathAlgebra:
         return out
 
     def product_indices(self, i, j):
-        """Structure constants: (basis class i) * (basis class j)."""
+        """Structure constants: (basis class i) * (basis class j), as
+        {basis index: c}.  The dict is cached and shared, so callers must
+        not change it."""
         key = (i, j)
         cached = self._product_cache.get(key)
-        if cached is not None:
-            return dict(cached)
-        pi, pj = self.basis[i], self.basis[j]
-        if pi.target != pj.source:
-            result = {}
-        else:
-            result = self.nf_path(pi.compose(pj))
-        self._product_cache[key] = result
-        return dict(result)
+        if cached is None:
+            pi, pj = self.basis[i], self.basis[j]
+            if pi.target != pj.source:
+                cached = {}
+            else:
+                cached = self._path_nf[pi.compose(pj)]
+            self._product_cache[key] = cached
+        return cached
 
     def product(self, a, b):
         """Product of two elements given as {basis index: coefficient}."""
@@ -214,37 +237,22 @@ class PathAlgebra:
         self._module_action_cache[key] = mat
         return mat
 
-    def right_mult_of_element(self, v, elem):
-        """Right multiplication by an element {basis index: c} on M_v."""
-        terms = [(j, c) for j, c in elem.items() if c]
-        if len(terms) == 1 and terms[0][1] == self.field.one:
-            return self.right_mult_on_module(v, terms[0][0])
-        d = len(self.module_basis(v))
-        zero = self.field.zero
-        acc = [[zero] * d for _ in range(d)]
-        for j, c in terms:
-            mat = self.right_mult_on_module(v, j)
-            for arow, mrow in zip(acc, mat.entries):
-                for s, x in enumerate(mrow):
-                    if x:
-                        arow[s] = arow[s] + c * x
-        return Matrix._raw(d, d, tuple(tuple(r) for r in acc), self.field)
-
     def generator_relations(self, m):
         """Basis of the kernel of the action map Lambda -> M_m,
-        w -> e_m * w: the relations of the generator of M_m."""
+        w -> e_m * w: the relations of the generator of M_m, each as the
+        list of its nonzero (basis index, coefficient) pairs."""
         rels = self._generator_relations.get(m)
         if rels is None:
-            mb = self.module_basis(m)
-            pos = {gi: k for k, gi in enumerate(mb)}
             e_m = self.idempotent_index[m]
-            rows = [[self.field.zero] * self.dim for _ in mb]
+            action = {}     # basis index of M_m -> linear form in w
             for j in range(self.dim):
                 for gi, c in self.product_indices(e_m, j).items():
-                    rows[pos[gi]][j] = c
-            action = Matrix._raw(len(mb), self.dim, tuple(map(tuple, rows)),
-                                 self.field)
-            rels = self._generator_relations[m] = kernel_basis(action)
+                    action.setdefault(gi, {})[j] = c
+            ech = Echelon(self.dim, self.field)
+            for row in action.values():
+                ech.add(row)
+            rels = self._generator_relations[m] = [
+                list(kappa.items()) for kappa in ech.sparse_kernel_basis()]
         return rels
 
 
@@ -351,13 +359,9 @@ def compatibility(quiver, relations, verts, field=QQ):
         pair = (gen.source, gen.target)
         plist = by_pair.get(pair, [])
         ech = Echelon(len(plist), field)
-        for r in _ideal_rows(pair, r_cap, by_pair, field):
+        for r in _ideal_rows(pair, r_cap, by_pair):
             ech.add(r)
-        index = {p: i for i, p in enumerate(plist)}
-        vec = [field.zero] * len(plist)
-        for c, p in gen.terms:
-            vec[index[p]] = vec[index[p]] + c
-        if any(ech.reduce(vec)):
+        if not ech.contains(_vector(gen.terms, _columns(plist))):
             witness = gen
             break
     return CompatibilityResult(witness is None, sub, tuple(r_cap), tuple(r_bar), witness)
@@ -375,22 +379,39 @@ def module_hom_space(alg, n, m):
     in M_m.  Solving that linear system over the algebra basis gives all
     maps; each is returned as its matrix from M_m to M_n in module bases.
     """
-    mb_m = alg.module_basis(m)
-    dm, dn = len(mb_m), len(alg.module_basis(n))
+    field = alg.field
+    mb_m, mb_n = alg.module_basis(m), alg.module_basis(n)
+    dm, dn = len(mb_m), len(mb_n)
+    pos_n = {gi: k for k, gi in enumerate(mb_n)}
 
-    # constraints on v in M_n: for each relation kappa of the generator,
-    # sum c_w (v * w) = 0; once they have full rank only v = 0 is left
-    constraints = Echelon(dn, alg.field)
+    # constraints on v = sum v_k x_k in M_n: for each relation kappa of the
+    # generator, v * kappa = sum v_k c_j (x_k * p_j) = 0, one row per basis
+    # index of M_n; once they have full rank only v = 0 is left
+    constraints = Echelon(dn, field)
     for kappa in alg.generator_relations(m):
         if constraints.rank == dn:
             break
-        for row in alg.right_mult_of_element(n, dict(enumerate(kappa))).entries:
-            if any(row):
-                constraints.add(row)
+        rows = {}
+        for j, c in kappa:
+            # x * p_j is zero unless x ends where p_j starts
+            for x in alg.pair_indices.get((n, alg.pair_of[j][0]), ()):
+                k = pos_n[x]
+                for g, y in alg.product_indices(x, j).items():
+                    row = rows.setdefault(g, {})
+                    row[k] = row[k] + c * y if k in row else c * y
+        for row in rows.values():
+            constraints.add(row)
 
     maps = []
-    for v in constraints.kernel_basis():
+    for v in constraints.sparse_kernel_basis():
         # column for module basis element x is v * x
-        fcols = [alg.right_mult_on_module(n, gi).apply(v) for gi in mb_m]
-        maps.append(Matrix._raw(dn, dm, tuple(zip(*fcols)), alg.field))
+        terms = [(mb_n[k], a) for k, a in v.items()]
+        cols = []
+        for x in mb_m:
+            col = [field.zero] * dn
+            for g, a in terms:
+                for h, y in alg.product_indices(g, x).items():
+                    col[pos_n[h]] = col[pos_n[h]] + a * y
+            cols.append(col)
+        maps.append(Matrix._raw(dn, dm, tuple(zip(*cols)), field))
     return maps

@@ -332,33 +332,25 @@ def center_and_z(quiver, relations, assembled, field=QQ):
     generators += [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
     commutes = Echelon(d, field)
     for b in generators:
-        blocks = {}   # output basis index -> linear form in the unknowns
+        blocks = {}   # output basis index -> linear form {unknown: c}
         for i in range(d):
-            x = {i: field.one}
-            for gi, c in alg.product(x, b).items():
-                row = blocks.setdefault(gi, [field.zero] * d)
-                row[i] = row[i] + c
-            for gi, c in alg.product(b, x).items():
-                row = blocks.setdefault(gi, [field.zero] * d)
-                row[i] = row[i] - c
+            for j, cb in b.items():
+                for gi, c in alg.product_indices(i, j).items():
+                    row = blocks.setdefault(gi, {})
+                    row[i] = row[i] + cb * c if i in row else cb * c
+                for gi, c in alg.product_indices(j, i).items():
+                    row = blocks.setdefault(gi, {})
+                    row[i] = row[i] - cb * c if i in row else -(cb * c)
         for row in blocks.values():
-            if any(row):
-                commutes.add(row)
-    center_vecs = commutes.kernel_basis()
-    center_basis = [{i: v[i] for i in range(d) if v[i]} for v in center_vecs]
+            commutes.add(row)
+    center_basis = commutes.sparse_kernel_basis()
 
     unit = unit_object(quiver, field)
     end_u = hom_space(unit, unit)
 
     center_span = Echelon(d, field)
-    for v in center_vecs:
+    for v in center_basis:
         center_span.add(v)
-
-    def to_vector(elem):
-        out = [field.zero] * d
-        for i, c in elem.items():
-            out[i] = c
-        return out
 
     z_images = []
     in_center = True
@@ -369,7 +361,7 @@ def center_and_z(quiver, relations, assembled, field=QQ):
             if c:
                 elem[alg.idempotent_index[v]] = c
         z_images.append(elem)
-        if not center_span.contains(to_vector(elem)):
+        if not center_span.contains(elem):
             in_center = False
 
     # ring map: multiplicative on the End(U) basis, and sends id_U to 1

@@ -41,6 +41,23 @@ def rref_oracle(m):
             tuple(pivots), len(pivots))
 
 
+def kernel_basis_oracle(m):
+    """Basis of the right kernel of `m`, one column-vector tuple per free
+    column of `rref_oracle(m)`."""
+    field = m.field
+    red, pivots, rk = rref_oracle(m)
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [field.zero] * m.cols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entries[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
 def matmul_oracle(a, b):
     """The product a @ b, one dot product per output entry."""
     zero = a.field.zero

@@ -3,15 +3,39 @@ were read off one reversed-order echelon, kept as a differential oracle.
 
 It reduces every standard vector modulo the ideal, keeps the earliest paths
 whose residues stay independent, and solves for every path's coordinates in
-the kept residues, with the dense kernels of `linalg_oracles`.
+the kept residues, with the dense kernels of `linalg_oracles`.  The ideal
+rows are dense and list the paths in forward order, as the library's did
+before it made them sparse and reversed.
 """
 
 from types import SimpleNamespace
 
 from quivertt.linalg import InconsistentSystem, Matrix
-from quivertt.path_algebra import _ideal_rows
 
 from linalg_oracles import RREFEchelonOracle, rref_oracle
+
+
+def ideal_rows_oracle(pair, generators, paths_by_pair, field):
+    """Spanning vectors of the (n, m) component of the two-sided ideal,
+    as coefficient lists over the component's path list."""
+    n, m = pair
+    plist = paths_by_pair.get(pair, [])
+    index = {p: i for i, p in enumerate(plist)}
+    rows = []
+    for gen in generators:
+        s, t = gen.source, gen.target
+        lefts = paths_by_pair.get((n, s), [])
+        rights = paths_by_pair.get((t, m), [])
+        for left in lefts:
+            for right in rights:
+                vec = [field.zero] * len(plist)
+                for c, mid in gen.terms:
+                    full = left.compose(mid).compose(right)
+                    k = index[full]
+                    vec[k] = vec[k] + c
+                if any(vec):
+                    rows.append(vec)
+    return rows
 
 
 def solve_many_oracle(a, bs):
@@ -40,7 +64,7 @@ def quotient_oracle(alg):
     for pair in sorted(alg.paths_by_pair, key=alg._pair_sort):
         plist = alg.paths_by_pair[pair]
         ech = RREFEchelonOracle(len(plist), field)
-        for r in _ideal_rows(pair, alg.relations, alg.paths_by_pair, field):
+        for r in ideal_rows_oracle(pair, alg.relations, alg.paths_by_pair, field):
             ech.add(r)
         residues = []
         keep = RREFEchelonOracle(len(plist), field)

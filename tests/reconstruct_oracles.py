@@ -1,12 +1,14 @@
 """Reference versions of two reconstruction systems, kept as differential
 oracles for the faster code in `path_algebra` and `reconstruct`.
 
-Both solve one dense system with `kernel_basis` and touch the algebra only
-through its structure constants (`product_indices`), module bases and
-idempotents.
+Both solve one dense system with `kernel_basis_oracle` and touch the
+algebra only through its structure constants (`product_indices`), module
+bases and idempotents.
 """
 
-from quivertt.linalg import Matrix, kernel_basis
+from quivertt.linalg import Matrix
+
+from linalg_oracles import kernel_basis_oracle
 
 
 def _right_mult_rows(alg, n, elem):
@@ -44,14 +46,14 @@ def module_hom_space_oracle(alg, n, m):
     action = Matrix.from_columns(cols, field, rows=dm)
 
     constraint_rows = []
-    for kappa in kernel_basis(action):
+    for kappa in kernel_basis_oracle(action):
         constraint_rows.extend(_right_mult_rows(alg, n, dict(enumerate(kappa))))
     sys_mat = Matrix.from_rows(constraint_rows, field, cols=dn)
 
     maps = []
-    for v in kernel_basis(sys_mat):
-        fcols = [Matrix.from_rows(_right_mult_rows(alg, n, {gi: field.one}),
-                                  field, cols=dn).apply(v)
+    for v in kernel_basis_oracle(sys_mat):
+        fcols = [[sum((a * b for a, b in zip(row, v)), field.zero)
+                  for row in _right_mult_rows(alg, n, {gi: field.one})]
                  for gi in mb_m]
         maps.append(Matrix.from_columns(fcols, field, rows=dn))
     return maps
@@ -73,5 +75,5 @@ def center_basis_oracle(alg):
                 row = blocks.setdefault(gi, [field.zero] * d)
                 row[i] = row[i] - c
         rows.extend(r for r in blocks.values() if any(r))
-    vecs = kernel_basis(Matrix.from_rows(rows, field, cols=d))
+    vecs = kernel_basis_oracle(Matrix.from_rows(rows, field, cols=d))
     return [{i: v[i] for i in range(d) if v[i]} for v in vecs]

@@ -9,7 +9,8 @@ from quivertt.linalg import (DimensionMismatch, Echelon, InconsistentSystem,
                              Matrix, block_matrix, kernel_basis, kronecker,
                              rank, rref, solve, solve_many)
 
-from linalg_oracles import RREFEchelonOracle, matmul_oracle, rref_oracle
+from linalg_oracles import (RREFEchelonOracle, kernel_basis_oracle,
+                            matmul_oracle, rref_oracle)
 
 
 # -- independent oracles ------------------------------------------------
@@ -302,3 +303,81 @@ def test_matmul_matches_dense_oracle(a, data):
     b = Matrix(a.cols, c, data.draw(st.lists(rows, min_size=a.cols,
                                              max_size=a.cols)))
     assert a @ b == matmul_oracle(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_apply_matches_dense_product_on_zero_heavy(field, data):
+    r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    m = Matrix(r, c, data.draw(zero_heavy_grids(field, r, c)), field)
+    vec = data.draw(zero_heavy_grids(field, 1, c))[0]
+    if data.draw(st.booleans()):
+        vec = [field(x) for x in vec]
+    got = m.apply(tuple(vec))
+    want = matmul_oracle(m, Matrix(c, 1, [[x] for x in vec], field))
+    assert got == tuple(row[0] for row in want.entries)
+    assert_canonical(Matrix._raw(1, r, (got,), field), field)
+
+
+# -- the sparse echelon against the dense accumulator ---------------------
+
+def row_form(row, form):
+    """`row` as given (a dense list), or as a dict with or without its
+    zero entries."""
+    if form == "dense":
+        return row
+    return {j: x for j, x in enumerate(row) if x or form == "dict+zeros"}
+
+
+def assert_sparse_rows(ech, field):
+    """Each stored row pivots at its lowest column with entry one, holds
+    only nonzero field elements, and is zero at every other pivot."""
+    kind = Fraction if field == QQ else FpElement
+    for p, row in ech.rows.items():
+        assert min(row) == p and row[p] == field.one
+        for c, x in row.items():
+            assert type(x) is kind and x and 0 <= c < ech.ncols
+            assert kind is Fraction or x.p == field.p
+            assert c == p or c not in ech.rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_echelon_matches_dense_oracle(field, data):
+    r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(1, 7))
+    grid = data.draw(zero_heavy_grids(field, r, c))
+    probes = grid + data.draw(zero_heavy_grids(field, 3, c))
+    forms = st.sampled_from(["dense", "dict", "dict+zeros"])
+    ech, oracle = Echelon(c, field), RREFEchelonOracle(c, field)
+    kind = Fraction if field == QQ else FpElement
+    for row in grid:
+        added = ech.add(row_form(row, data.draw(forms)))
+        assert added == oracle.add([field(x) for x in row])
+        assert ech.pivot_rows == oracle.pivot_rows
+        assert ech.rank == len(oracle.pivot_rows)
+        assert_sparse_rows(ech, field)
+        for probe in probes:
+            want = oracle.reduce([field(x) for x in probe])
+            got = ech.reduce(row_form(probe, data.draw(forms)))
+            assert got == want and len(got) == c
+            assert all(type(x) is kind for x in got)
+            assert ech.contains(row_form(probe, data.draw(forms))) == (not any(want))
+    assert list(ech.pivot_rows) == list(ech.rows) == list(oracle.pivot_rows)
+    want_kernel = kernel_basis_oracle(Matrix(r, c, grid, field))
+    assert ech.kernel_basis() == want_kernel
+    assert ech.sparse_kernel_basis() == [
+        {j: x for j, x in enumerate(v) if x} for v in want_kernel]
+    for v in ech.kernel_basis():
+        assert all(type(x) is kind for x in v)
+
+
+def test_echelon_coerces_multiples_of_p_to_zero():
+    f101 = PrimeField(101)
+    ech = Echelon(3, f101)
+    assert not ech.add([101, 0, -202])
+    assert not ech.add({0: 303, 2: 0})
+    assert ech.add({0: 202, 1: 3, 2: 1})
+    assert ech.rows == {1: {1: f101.one, 2: f101(1) / f101(3)}}
+    assert ech.contains([505, 6, 2])

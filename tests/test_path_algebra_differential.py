@@ -9,11 +9,11 @@ import pytest
 from quivertt.dsl import parse_quiver
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix, rank
-from quivertt.path_algebra import PathAlgebra, _ideal_rows
+from quivertt.path_algebra import PathAlgebra
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import FIXTURE_NAMES, load_beilinson, load_fixture
-from path_algebra_oracles import quotient_oracle
+from path_algebra_oracles import ideal_rows_oracle, quotient_oracle
 
 FIELDS = [QQ, PrimeField(101)]
 
@@ -103,7 +103,7 @@ def test_basis_paths_raise_the_rank(make, field):
     ideal rows and e_0, ..., e_{k-1} raises the rank."""
     alg = PathAlgebra(*make(), field)
     for pair, plist in alg.paths_by_pair.items():
-        ideal = _ideal_rows(pair, alg.relations, alg.paths_by_pair, field)
+        ideal = ideal_rows_oracle(pair, alg.relations, alg.paths_by_pair, field)
         kept = {alg.basis[gi] for gi in alg.pair_indices[pair]}
         units = []
         before = rank(Matrix.from_rows(ideal, field, cols=len(plist)))

@@ -19,7 +19,7 @@ from reconstruct_oracles import center_basis_oracle, module_hom_space_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reconstruct"
 FIELDS = [QQ, PrimeField(101)]
-SEEDS = range(10)
+SEEDS = range(20)
 
 
 def fixture_instance(name):
