@@ -390,14 +390,20 @@ def complex_to_json(cx):
 
 def complex_from_json(data, quiver, field=QQ):
     """The complex a JSON object describes (format in docs/output-schema.md).
-    Raises ComplexError on a negative dimension and ResourceBudget when
-    the dimensions add up to more than MAX_COMPLEX_DIM, before building any
-    matrix."""
-    declared = {key: {v: int(d) for v, d in rep_data.get("dims", {}).items()}
+    Raises ComplexError on a vertex key the quiver does not have, or a
+    dimension that is not a non-negative JSON integer, and ResourceBudget
+    when the dimensions add up to more than MAX_COMPLEX_DIM, before
+    building any matrix."""
+    declared = {key: rep_data.get("dims", {})
                 for key, rep_data in data.get("terms", {}).items()}
     total = 0
     for key, dims in declared.items():
+        _check_vertices(f"term {key}", dims, quiver)
         for v, d in dims.items():
+            if type(d) is not int:
+                raise ComplexError(
+                    f"term {key}: dimension {d!r} at vertex {v} is not an "
+                    f"integer")
             if d < 0:
                 raise ComplexError(
                     f"term {key}: negative dimension {d} at vertex {v}")
@@ -421,6 +427,7 @@ def complex_from_json(data, quiver, field=QQ):
         i = int(key)
         src = terms.get(i, zero_object(quiver, field))
         tgt = terms.get(i + 1, zero_object(quiver, field))
+        _check_vertices(f"differential {key}", comp_data, quiver)
         comps = {}
         for v in quiver.vertices:
             grid = comp_data.get(v, [])
@@ -429,3 +436,9 @@ def complex_from_json(data, quiver, field=QQ):
                               field)
         diffs[i] = RepMorphism(src, tgt, comps)
     return BoundedComplex(quiver, terms, diffs, field)
+
+
+def _check_vertices(where, by_vertex, quiver):
+    for v in by_vertex:
+        if v not in quiver.vertices:
+            raise ComplexError(f"{where}: unknown vertex {v!r}")

@@ -10,9 +10,9 @@ A spec file looks like::
     relation a0*b1 - a1*b0
 
 One declaration per line; `#` starts a comment; blank lines are ignored.
-`field` is `QQ` (the default) or `F <p>` for a prime p.  Relation
-expressions are signed, optionally coefficient-weighted path words, with
-paths written as `*`-separated arrow labels read left to right.
+`field` is `QQ` (the default) or `F <p>` for a prime p of at most 2^64.
+Relation expressions are signed, optionally coefficient-weighted path
+words, with paths written as `*`-separated arrow labels read left to right.
 Coefficients are integers or fractions `p/q`.  All diagnostics carry
 (line, column) positions.
 """

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .quiver import ResourceBudget
+
 
 class FieldError(ValueError):
     pass
@@ -91,14 +93,34 @@ class FpElement:
         return f"{self.value} (mod {self.p})"
 
 
+# The largest modulus `PrimeField` accepts.  Below it the Miller-Rabin test
+# on the twelve prime bases up to 37 is exact: the least strong pseudoprime
+# to all of them is 318665857834031151167461, about 3.2e23.
+MAX_PRIME = 2**64
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < 3.2e23."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -140,9 +162,13 @@ class Rationals:
 
 
 class PrimeField:
-    """The finite field F_p for a prime p."""
+    """The finite field F_p for a prime p up to MAX_PRIME; a larger
+    modulus raises ResourceBudget, and a composite one FieldError."""
 
     def __init__(self, p):
+        if p > MAX_PRIME:
+            raise ResourceBudget(
+                f"modulus {p} is above the budget of {MAX_PRIME} (2^64)")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
@@ -193,9 +219,14 @@ def field_by_name(name):
     if name == "QQ":
         return QQ
     if name.startswith("F"):
-        try:
-            p = int(name[1:])
-        except ValueError:
+        digits = name[1:]
+        if not (digits.isascii() and digits.isdigit()):
             raise FieldError(f"unknown field {name!r}")
+        try:
+            p = int(digits)
+        except ValueError:   # more digits than int() converts
+            raise ResourceBudget(
+                f"modulus of {len(digits)} digits is above the budget "
+                f"of {MAX_PRIME} (2^64)") from None
         return PrimeField(p)
     raise FieldError(f"unknown field {name!r}")

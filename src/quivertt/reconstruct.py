@@ -20,7 +20,8 @@ from .complexes import (BoundedComplex, cohomology_at, cohomology_coordinates,
 from .linalg import Echelon, Matrix
 from .path_algebra import PathAlgebra, checked_algebra, module_hom_space
 from .quiver import Path
-from .repcat import hom_space, module_representation, simple_object, unit_object
+from .repcat import (RepMorphism, hom_space, module_representation,
+                     simple_object, unit_object)
 from .spectrum import prime_at
 
 
@@ -315,6 +316,17 @@ class CenterReport:
         return self.center_dimension == self.end_unit_dimension
 
 
+def z_image(alg, f):
+    """The image in the algebra of a unit endomorphism f: the combination
+    of trivial paths e_v weighted by the scalars f acts by at each vertex."""
+    elem = {}
+    for v in alg.quiver.vertices:
+        c = f.components[v].entries[0][0]
+        if c:
+            elem[alg.idempotent_index[v]] = c
+    return elem
+
+
 def center_and_z(quiver, relations, assembled, field=QQ):
     """The center of the assembled algebra, the endomorphisms of the unit
     object, and the comparison map between them.
@@ -352,33 +364,16 @@ def center_and_z(quiver, relations, assembled, field=QQ):
     for v in center_basis:
         center_span.add(v)
 
-    z_images = []
-    in_center = True
-    for f in end_u:
-        elem = {}
-        for v in quiver.vertices:
-            c = f.components[v].entries[0][0]
-            if c:
-                elem[alg.idempotent_index[v]] = c
-        z_images.append(elem)
-        if not center_span.contains(elem):
-            in_center = False
+    z_images = [z_image(alg, f) for f in end_u]
+    in_center = all(center_span.contains(elem) for elem in z_images)
 
     # ring map: multiplicative on the End(U) basis, and sends id_U to 1
-    ring_ok = True
-    for i, f in enumerate(end_u):
-        for j, g in enumerate(end_u):
-            fg = f.compose(g)
-            elem_fg = {}
-            for v in quiver.vertices:
-                c = fg.components[v].entries[0][0]
-                if c:
-                    elem_fg[alg.idempotent_index[v]] = c
-            if alg.product(z_images[i], z_images[j]) != elem_fg:
-                ring_ok = False
-    # the identity endomorphism of the unit must land on the algebra unit
-    img_id = {alg.idempotent_index[v]: field.one for v in quiver.vertices}
-    if img_id != alg.unit():
+    ring_ok = all(
+        alg.product(z_images[i], z_images[j]) == z_image(alg, f.compose(g))
+        for i, f in enumerate(end_u) for j, g in enumerate(end_u))
+    id_u = RepMorphism(unit, unit, {v: Matrix.identity(1, field)
+                                    for v in quiver.vertices})
+    if z_image(alg, id_u) != alg.unit():
         ring_ok = False
 
     return CenterReport(center_basis, len(center_basis), len(end_u),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (DimensionMismatch, Matrix, complete_basis, kernel_basis,
-                     kronecker, solve_many)
+                     kronecker)
 from .quiver import QuiverError, admissible_order, full_subquiver
 
 
@@ -223,81 +223,40 @@ def hom_space(v, w):
 def sub_quotient(rep, sub_bases):
     """Split a representation along arrow-stable per-vertex subspaces.
 
-    `sub_bases` maps each vertex to a list of column vectors.  Returns
-    (subrepresentation, quotient, inclusion, projection); raises naming the
-    violating arrow when a subspace is not arrow-stable.
+    `sub_bases` maps each vertex to a list of linearly independent column
+    vectors.  Returns (subrepresentation, quotient, inclusion, projection);
+    raises naming the vertex whose vectors are dependent, or the arrow
+    under which their span is not stable.
 
-    When every vertex's vectors are distinct standard basis vectors e_i,
-    in any order, the split is read off coordinate blocks: the sub and
-    quotient arrow matrices are the (kept x kept) and (rest x rest) blocks
-    of each arrow matrix, stability is the vanishing of the (rest x kept)
-    block, and the inclusion and projection are selection matrices.  Other
-    bases are split by solving for coordinates and completing to a basis
-    of each vertex space.
+    Each vertex's vectors are completed greedily by standard basis vectors
+    (`complete_basis`) to a basis P_x with inverse Q_x.  In those bases
+    every arrow matrix becomes Q_t A P_s, and the sub and the quotient are
+    its leading and trailing coordinate blocks (`_split`).  The inclusion
+    is the given vectors, and the projection is the trailing rows of Q_x.
     """
     field = rep.field
     quiver = rep.quiver
-    cols_at = {}
-    for x in quiver.vertices:
-        cols = [tuple(field(c) for c in col) for col in sub_bases.get(x, [])]
-        for col in cols:
-            if len(col) != rep.dims[x]:
-                raise RepresentationError(f"bad subspace vector length at {x}")
-        cols_at[x] = cols
-    kept = {x: _standard_indices(cols, field) for x, cols in cols_at.items()}
-    if all(k is not None for k in kept.values()):
-        return _coordinate_sub_quotient(rep, kept)
-
-    sub_mats = {x: Matrix.from_columns(cols, field, rows=rep.dims[x])
-                for x, cols in cols_at.items()}
-    sub_arrow = {}
-    for a in quiver.arrows:
-        image_cols = [rep.arrow_maps[a.label].apply(col)
-                      for col in sub_mats[a.source].columns()]
-        try:
-            coords = solve_many(sub_mats[a.target], image_cols)
-        except Exception as exc:
-            raise RepresentationError(
-                f"subspace not stable under arrow {a.label}") from exc
-        sub_arrow[a.label] = Matrix.from_columns(
-            list(coords), field, rows=sub_mats[a.target].cols)
-    sub_rep = Representation(quiver, {x: sub_mats[x].cols for x in quiver.vertices},
-                             sub_arrow, field)
-
-    # complements by greedily extending with standard basis vectors
-    comp_mats = {}
-    proj_mats = {}
+    basis, inverse, kept = {}, {}, {}
+    incl, proj = {}, {}
     for x in quiver.vertices:
         d = rep.dims[x]
-        chosen, inv = complete_basis(sub_mats[x].columns(), d, field)
-        comp_mats[x] = Matrix.from_columns(chosen, field, rows=d)
-        proj_mats[x] = Matrix.from_rows(
-            [inv.row(i) for i in range(sub_mats[x].cols, d)], field, cols=d)
-
-    quot_arrow = {}
-    for a in quiver.arrows:
-        quot_arrow[a.label] = (proj_mats[a.target]
-                               @ rep.arrow_maps[a.label]
-                               @ comp_mats[a.source])
-    quot_rep = Representation(quiver,
-                              {x: comp_mats[x].cols for x in quiver.vertices},
-                              quot_arrow, field)
-    incl = RepMorphism(sub_rep, rep, dict(sub_mats))
-    proj = RepMorphism(rep, quot_rep, dict(proj_mats))
-    return sub_rep, quot_rep, incl, proj
-
-
-def _standard_indices(cols, field):
-    """The indices i_k with cols[k] = e_{i_k}, when the columns are distinct
-    standard basis vectors; None otherwise."""
-    one = field.one
-    out = []
-    for col in cols:
-        support = [i for i, c in enumerate(col) if c]
-        if len(support) != 1 or col[support[0]] != one:
-            return None
-        out.append(support[0])
-    return out if len(set(out)) == len(out) else None
+        cols = [tuple(field(c) for c in col) for col in sub_bases.get(x, [])]
+        if any(len(col) != d for col in cols):
+            raise RepresentationError(f"bad subspace vector length at {x}")
+        added, inverse[x] = complete_basis(cols, d, field)
+        if len(cols) + len(added) != d:
+            raise RepresentationError(
+                f"subspace vectors at {x} are linearly dependent")
+        basis[x] = Matrix.from_columns(cols + added, field, rows=d)
+        kept[x] = range(len(cols))
+        incl[x] = Matrix.from_columns(cols, field, rows=d)
+        proj[x] = _block(inverse[x], range(len(cols), d), range(d))
+    moved = Representation(quiver, rep.dims, {
+        a.label: inverse[a.target] @ rep.arrow_maps[a.label] @ basis[a.source]
+        for a in quiver.arrows}, field)
+    sub_rep, quot_rep = _split(moved, kept)
+    return (sub_rep, quot_rep, RepMorphism(sub_rep, rep, incl),
+            RepMorphism(rep, quot_rep, proj))
 
 
 def _block(m, rows, cols):
@@ -306,23 +265,12 @@ def _block(m, rows, cols):
                        m.field)
 
 
-def _selection(rows, cols, field):
-    """The 0/1 matrix with a one where the row index equals the column
-    index: with `rows` all coordinates it includes the coordinates `cols`,
-    and with `cols` all coordinates it projects onto the coordinates
-    `rows`."""
-    one, zero = field.one, field.zero
-    return Matrix._raw(len(rows), len(cols),
-                       tuple(tuple(one if i == j else zero for j in cols)
-                             for i in rows),
-                       field)
-
-
-def _coordinate_sub_quotient(rep, kept):
-    """`sub_quotient` for the span of the coordinates `kept[x]` at each
-    vertex x; the quotient keeps the remaining coordinates in increasing
-    order, the complement `complete_basis` would choose."""
-    field = rep.field
+def _split(rep, kept):
+    """(sub, quotient) of `rep` for the span of the coordinates `kept[x]`,
+    in the given order, at each vertex x; the quotient keeps the remaining
+    coordinates in increasing order.  The sub and quotient arrow matrices
+    are the (kept x kept) and (rest x rest) blocks of each arrow matrix, and
+    the span is stable when every (rest x kept) block vanishes."""
     quiver = rep.quiver
     rest = {}
     for x in quiver.vertices:
@@ -338,16 +286,10 @@ def _coordinate_sub_quotient(rep, kept):
         sub_arrow[a.label] = _block(m, kept[a.target], kept[a.source])
         quot_arrow[a.label] = _block(m, rest[a.target], rest[a.source])
     sub_rep = Representation(quiver, {x: len(kept[x]) for x in quiver.vertices},
-                             sub_arrow, field)
+                             sub_arrow, rep.field)
     quot_rep = Representation(quiver, {x: len(rest[x]) for x in quiver.vertices},
-                              quot_arrow, field)
-    incl = RepMorphism(sub_rep, rep, {
-        x: _selection(range(rep.dims[x]), kept[x], field)
-        for x in quiver.vertices})
-    proj = RepMorphism(rep, quot_rep, {
-        x: _selection(rest[x], range(rep.dims[x]), field)
-        for x in quiver.vertices})
-    return sub_rep, quot_rep, incl, proj
+                              quot_arrow, rep.field)
+    return sub_rep, quot_rep
 
 
 def restrict(rep, verts):
@@ -385,31 +327,29 @@ class FiltrationStep:
 def unit_filtration(quiver, relations, field=QQ):
     """The chain K_1 = U > K_2 > ... > K_q > K_{q+1} = 0, where K_l is
     spanned by the unit coordinates at vertices at position >= l in the
-    admissible order."""
+    admissible order.
+
+    K_1 is the unit, and each level makes one `_split` of K_l into K_{l+1}
+    and K_l / K_{l+1}.  The relations are tested on each K_l, and each
+    quotient is compared with the simple at the vertex peeled off, so both
+    bits come from the objects built."""
     order = admissible_order(quiver)
     position = {v: i + 1 for i, v in enumerate(order)}
-    unit = unit_object(quiver, field)
 
     def bases(level):
         return {v: ([(field.one,)] if position[v] >= level else [])
                 for v in quiver.vertices}
 
     steps = []
-    for level in range(1, len(order) + 1):
-        vertex = order[level - 1]
-        sub_rep, _, _, _ = sub_quotient(unit, bases(level))
-        # quotient K_l / K_{l+1} inside K_l's own coordinates
-        inner = {v: ([(field.one,)] if position[v] >= level + 1
-                     and sub_rep.dims[v] else [])
-                 for v in quiver.vertices}
-        _, quot, _, _ = sub_quotient(sub_rep, inner)
+    k_level = unit_object(quiver, field)
+    for level, vertex in enumerate(order, start=1):
+        k_next, quot = _split(k_level, {
+            v: [0] if position[v] > level else [] for v in quiver.vertices})
         simple = simple_object(quiver, vertex, field)
-        is_simple = (quot.dims == simple.dims
-                     and all(quot.arrow_maps[a.label] == simple.arrow_maps[a.label]
-                             for a in quiver.arrows))
-        steps.append(FiltrationStep(level, vertex, bases(level), sub_rep,
-                                    satisfies_relations(sub_rep, relations),
-                                    is_simple))
+        steps.append(FiltrationStep(level, vertex, bases(level), k_level,
+                                    satisfies_relations(k_level, relations),
+                                    quot == simple))
+        k_level = k_next
     return steps
 
 

@@ -198,6 +198,61 @@ class TestExitCodes:
         assert code == 2 and doc["error_type"] == "ParseError"
         assert "negative dimension -1" in doc["error"]
 
+    @pytest.mark.parametrize("dims, words", [
+        ({"1": 1.7}, ["term 0", "1.7", "vertex 1"]),
+        ({"1": 2.0}, ["term 0", "2.0", "vertex 1"]),
+        ({"1": True}, ["term 0", "True", "vertex 1"]),
+        ({"1": "1"}, ["term 0", "'1'", "vertex 1"]),
+        ({"1": None}, ["term 0", "None", "vertex 1"]),
+        ({"zz": 1}, ["term 0", "'zz'"]),
+        ({"1": 1, "zz": 0}, ["term 0", "'zz'"])],
+        ids=["float", "integral-float", "bool", "string", "null",
+             "unknown-vertex", "unknown-vertex-beside-a-known-one"])
+    def test_complex_dimension_must_be_an_integer_at_a_vertex(
+            self, tmp_path, dims, words):
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({"terms": {"0": {"dims": dims}}}))
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(cx))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert all(w in doc["error"] for w in words), doc["error"]
+
+    def test_complex_differential_at_unknown_vertex_is_2(self, tmp_path):
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({
+            "terms": {"0": {"dims": {"1": 1}}, "1": {"dims": {"1": 1}}},
+            "differentials": {"0": {"1": [["1"]], "zz": [["1"]]}}}))
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(cx))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert "differential 0" in doc["error"] and "'zz'" in doc["error"]
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])
+    def test_large_prime_field_is_accepted_at_once(self, tmp_path, p):
+        spec = tmp_path / "big.quiver"
+        spec.write_text(f"quiver big\nfield F {p}\nvertices 1 2\n"
+                        "arrow a : 1 -> 2\narrow b : 1 -> 2\n")
+        start = time.perf_counter()
+        doc, code = run("validate", str(spec))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and doc["field"] == f"F{p}"
+        assert doc["algebra_dimension"] == 4
+
+    def test_modulus_above_the_budget_is_1(self, tmp_path, capsys):
+        spec = tmp_path / "big.quiver"
+        spec.write_text(f"quiver big\nfield F{'9' * 31}\nvertices 1\n")
+        code = main(["validate", str(spec)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["error_type"] == "ResourceBudget"
+        assert str(2**64) in doc["error"]
+
+    def test_composite_modulus_is_2(self, tmp_path):
+        spec = tmp_path / "composite.quiver"
+        spec.write_text(f"quiver c\nfield F {2**64 - 1}\nvertices 1\n")
+        doc, code = run("validate", str(spec))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert "not prime" in doc["error"]
+
     def test_complex_over_budget_is_1(self, tmp_path, capsys):
         cx = tmp_path / "cx.json"
         cx.write_text('{"terms": {"0": {"dims": {"1": 100000000}}}}')

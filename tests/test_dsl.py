@@ -99,6 +99,12 @@ class TestDiagnostics:
     def test_unknown_field(self):
         self.check("quiver x\nfield R\nvertices 1\n", "unknown field")
 
+    @pytest.mark.parametrize("modulus", ["1_01", "101_"])
+    def test_modulus_must_be_digits(self, modulus):
+        # int() would read "1_01" as 101; the grammar's integer is digits
+        self.check(f"quiver x\nfield F {modulus}\nvertices 1\n",
+                   "unknown field")
+
     def test_arrow_to_unknown_vertex(self):
         with pytest.raises(ParseError):
             parse_quiver("quiver x\nvertices 1\narrow a : 1 -> 9\n")

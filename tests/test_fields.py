@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quivertt.fields import (QQ, FieldError, FpElement, PrimeField,
-                             field_by_name)
+from quivertt.fields import (MAX_PRIME, QQ, FieldError, FpElement, PrimeField,
+                             _is_prime, field_by_name)
+from quivertt.quiver import ResourceBudget
 
 
 class TestRationals:
@@ -66,6 +67,44 @@ class TestPrimeField:
         f7 = PrimeField(7)
         for v in range(7):
             assert f7.parse(f7.format(f7(v))) == f7(v)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_5000(self):
+        assert ([n for n in range(5000) if _is_prime(n)]
+                == [n for n in range(5000) if trial_division(n)])
+
+    def test_matches_trial_division_on_random_moduli(self, rng):
+        for _ in range(2000):
+            n = rng.randrange(10**6, 10**10)
+            assert _is_prime(n) == trial_division(n), n
+
+    @pytest.mark.parametrize("n", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # each is a strong pseudoprime to every prime base up to some
+        # bound below 37, so fewer bases would call it prime
+        assert not _is_prime(n)
+
+    def test_large_primes_and_their_neighbours(self):
+        assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+        assert not _is_prime(2**61 + 1) and not _is_prime(2**64 - 1)
+        assert not _is_prime((2**31 - 1) * (2**31 - 19))
+
+    def test_modulus_above_the_budget_is_refused(self):
+        assert PrimeField(2**64 - 59).p == 2**64 - 59
+        with pytest.raises(ResourceBudget, match=str(MAX_PRIME)):
+            PrimeField(MAX_PRIME + 1)
+        with pytest.raises(ResourceBudget):
+            field_by_name("F" + "9" * 31)
+        # more digits than int() converts from a string
+        with pytest.raises(ResourceBudget, match="5000 digits"):
+            field_by_name("F" + "9" * 5000)
 
 
 def test_field_by_name():

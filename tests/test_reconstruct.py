@@ -200,6 +200,26 @@ class TestCenter:
         assert center.z_lands_in_center
         assert center.z_is_unital_ring_map
 
+    def test_z_dropping_a_vertex_is_not_unital(self, monkeypatch):
+        # on the connected kronecker2, End(U) is spanned by the identity,
+        # and its image with the last vertex dropped is still
+        # multiplicative (e_1 e_1 = e_1), so only the unit test sees it
+        real = reconstruct.z_image
+        spec = load_fixture("kronecker2")
+        last = spec.quiver.vertices[-1]
+
+        def drop_last(alg, f):
+            return {i: c for i, c in real(alg, f).items()
+                    if i != alg.idempotent_index[last]}
+
+        monkeypatch.setattr(reconstruct, "z_image", drop_last)
+        assembled = assemble_A(spec.quiver, spec.relations)
+        center = center_and_z(spec.quiver, spec.relations, assembled)
+        assert center.z_is_unital_ring_map is False
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
+        assert code == 0 and doc["z_is_unital_ring_map"] is False
+
     def test_center_elements_commute(self, small_spec):
         assembled = assemble_A(small_spec.quiver, small_spec.relations)
         center = center_and_z(small_spec.quiver, small_spec.relations,

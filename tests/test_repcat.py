@@ -143,6 +143,35 @@ class TestSubQuotient:
             assert sub.dims[v] + quot.dims[v] == u.dims[v]
         assert incl.is_natural() and proj.is_natural()
 
+    @pytest.mark.parametrize("vectors", [
+        [(0, 0)], [(1, 0), (1, 0)], [(1, 2), (2, 4)], [(1, 0), (0, 1), (1, 1)]],
+        ids=["zero", "duplicate", "parallel", "too-many"])
+    def test_dependent_vectors_are_refused(self, vectors):
+        # 1 -> 2 with both spaces 2-dimensional and the identity along a
+        q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+        rep = Representation(q, {"1": 2, "2": 2},
+                             {"a": Matrix.identity(2)})
+        with pytest.raises(RepresentationError,
+                           match="vectors at 2 are linearly dependent"):
+            sub_quotient(rep, {"1": [], "2": vectors})
+
+    def test_given_basis_is_kept_and_quotient_is_complemented(self):
+        # 1 -> 2 with a = [[1, 1], [0, 2]]: the span of (1, 1) at both
+        # vertices is stable with a acting by 2 on it, and the quotient
+        # is spanned by (1, 0), the first standard vector independent of
+        # (1, 1); v = x(1, 1) + y(1, 0) projects to y = v_0 - v_1
+        q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+        rep = Representation(q, {"1": 2, "2": 2},
+                             {"a": Matrix(2, 2, [[1, 1], [0, 2]])})
+        sub, quot, incl, proj = sub_quotient(rep, {"1": [(1, 1)],
+                                                   "2": [(1, 1)]})
+        assert sub.arrow_maps["a"] == Matrix(1, 1, [[2]])
+        assert quot.arrow_maps["a"] == Matrix(1, 1, [[1]])
+        assert incl.components["2"] == Matrix(2, 1, [[1], [1]])
+        assert proj.components["2"] == Matrix(1, 2, [[1, -1]])
+        assert incl.is_natural() and proj.is_natural()
+        assert proj.compose(incl).is_zero()
+
 
 class TestRestrictExtend:
     def test_round_trip(self, fixture_spec):
