@@ -1,35 +1,50 @@
 """The path algebra with relations kQ/(R): basis, structure constants,
 tensor-relation checking, subquiver compatibility, and module Hom spaces.
 
-The quotient is computed one (source, target) component at a time;
-acyclicity makes every component finite.  The span of {p * r * q} over all
-paths p, q and relation generators r is put into one fully reduced echelon
-whose columns list the component's paths in reverse (by length, then
-lexicographic arrow word), so each pivot is the last path of some ideal
-element: its leading path, or "tip" in the sense of E. L. Green,
-*Noncommutative Groebner bases, and projective resolutions* (1999).
+Paths are ordered by length, then by their word of arrow labels
+(`Path.sort_key`).  That order is admissible: a well-order compatible with
+composition on both sides.  So the ideal (R) has a unique reduced Groebner
+basis, whose elements are "tip - normal form of the tip" with the tips the
+minimal leading paths of the ideal: E. L. Green, *Noncommutative Groebner
+bases, and projective resolutions* (1999); T. Mora, *An introduction to
+commutative and non-commutative Groebner bases*, Theoret. Comput. Sci. 134
+(1994).  `groebner_basis` finds it by Buchberger's algorithm.  Each
+overlap of two tips (a proper suffix of one equal to a proper prefix of
+the other, a tip with itself included) gives an S-polynomial, which is
+reduced and, if it is not zero, joins the basis with a monic tip; an older
+element whose tip contains the new tip goes back to be reduced again.  The
+tails are fully reduced at the end.  Polynomials are {word: coefficient}
+dicts, a word being a tuple of arrow labels; a path's source and target
+follow from its arrows.
 
-The basis keeps the paths that are not tips.  These are exactly the
-earliest paths whose residues stay independent modulo the ideal, since
-path k is a tip iff e_k lies in I + span(e_j : j < k), so structure
-constants are deterministic and reports are byte-stable.  A basis path's
-normal form is itself; a tip's is read off its pivot row, which equals the
-tip minus its normal form.
+The basis of kQ/(R) is the set of paths that contain no tip, listed by a
+depth-first search from each vertex that stops as soon as a suffix of the
+path is a tip.  These are exactly the earliest paths whose residues stay
+independent modulo the ideal, since path k is a tip iff e_k lies in
+I + span(e_j : j < k), so structure constants are deterministic and
+reports are byte-stable.  Normal forms are computed on demand and cached.
+The normal form of a path is folded along its arrows from a memoised table
+of nf(basis path * arrow), and each entry of that table is filled by
+reduction by the Groebner basis.  Neither the build nor `compatibility`
+lists the paths of the quiver: the path budget
+(`quiver.check_path_budget`) is checked first, and every tip is a path,
+so it bounds the Groebner computation too.
 
-Every linear system here is sparse and goes to `linalg.Echelon` as
-{column: coefficient} dicts: each ideal row p * r * q has one entry per
-term of r, and the Hom-space constraints and module-map columns are built
-straight from the cached structure constants, one nonzero product at a
-time.
+The Hom-space constraints and module-map columns go to `linalg.Echelon` as
+sparse {column: coefficient} dicts, built straight from the cached
+structure constants, one nonzero product at a time.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import deque
 from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import Echelon, Matrix
-from .quiver import Path, QuiverError, Relation, admissible_order, enumerate_paths, full_subquiver
+from .quiver import (Path, QuiverError, Relation, admissible_order,
+                     check_path_budget, enumerate_paths, full_subquiver)
 
 
 # Kept only because `perfbench/tracing.py` wraps `RREFEchelon.add` by name.
@@ -43,40 +58,111 @@ def _coerced(relations, field):
                  for g in relations)
 
 
-def _columns(plist):
-    """Column of each path of a component: the paths in reverse, so that
-    an echelon's lowest nonzero column is its last path."""
-    last = len(plist) - 1
-    return {p: last - k for k, p in enumerate(plist)}
+def _order_key(word):
+    """`Path.sort_key` of a path with this word."""
+    return (len(word), word)
 
 
-def _vector(terms, column):
-    """The combination of paths `terms` as {column: coefficient}, without
-    zeros."""
-    vec = {}
+def _polynomial(terms):
+    """The combination of paths `terms` as {word: coefficient}, with
+    repeated words summed and zeros dropped."""
+    poly = {}
     for c, p in terms:
-        k = column[p]
-        vec[k] = vec[k] + c if k in vec else c
-    return {k: c for k, c in vec.items() if c}
+        w = p.arrows
+        poly[w] = poly[w] + c if w in poly else c
+    return {w: c for w, c in poly.items() if c}
 
 
-def _ideal_rows(pair, generators, paths_by_pair):
-    """Spanning vectors of the (n, m) component of the two-sided ideal,
-    the p * r * q with r a generator, as {column: coefficient} dicts over
-    `_columns` of the component's path list."""
-    n, m = pair
-    column = _columns(paths_by_pair.get(pair, []))
-    rows = []
-    for gen in generators:
-        lefts = paths_by_pair.get((n, gen.source), [])
-        rights = paths_by_pair.get((gen.target, m), [])
-        for left in lefts:
-            for right in rights:
-                row = _vector([(c, left.compose(mid).compose(right))
-                               for c, mid in gen.terms], column)
-                if row:
-                    rows.append(row)
-    return rows
+def _contains(word, sub):
+    n = len(sub)
+    return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
+
+
+def _s_polynomials(u, ru, v, rv):
+    """The S-polynomial of each overlap of the tip u (rule u -> ru) with
+    the tip v (rule v -> rv): u = x*s and v = s*y with s a proper suffix of
+    u and a proper prefix of v, and the S-polynomial
+    (u - ru)*y - x*(v - rv) = x*rv - ru*y."""
+    for k in range(1, min(len(u), len(v))):
+        if u[len(u) - k:] == v[:k]:
+            x, y = u[:len(u) - k], v[k:]
+            s = {x + w: c for w, c in rv.items()}
+            for w, c in ru.items():
+                wy = w + y
+                s[wy] = s[wy] - c if wy in s else -c
+            yield {w: c for w, c in s.items() if c}
+
+
+class GroebnerBasis:
+    """Rewriting rules tip -> rhs, one per element tip - rhs of a Groebner
+    basis whose tips are monic and contain no other tip."""
+
+    def __init__(self):
+        self.rules = {}
+        self.lengths = []   # the tip lengths, ascending
+
+    def divisor(self, word):
+        """(start, tip) of the first tip found inside `word`, or None."""
+        n, rules = len(word), self.rules
+        for k in self.lengths:
+            if k > n:
+                break
+            for i in range(n - k + 1):
+                if word[i:i + k] in rules:
+                    return i, word[i:i + k]
+        return None
+
+    def reduce(self, poly):
+        """The normal form of the polynomial `poly`: no word of it contains
+        a tip.  Terms are rewritten from the largest word down, so every
+        word that a rewrite adds is smaller than the one it replaces."""
+        todo = dict(poly)
+        out = {}
+        while todo:
+            w = max(todo, key=_order_key)
+            c = todo.pop(w)
+            hit = self.divisor(w)
+            if hit is None:
+                out[w] = c
+                continue
+            i, tip = hit
+            left, right = w[:i], w[i + len(tip):]
+            for v, d in self.rules[tip].items():
+                u = left + v + right
+                e = todo[u] + c * d if u in todo else c * d
+                if e:
+                    todo[u] = e
+                else:
+                    del todo[u]
+        return out
+
+
+def groebner_basis(polys, field):
+    """The reduced Groebner basis of the two-sided ideal generated by the
+    homogeneous polynomials `polys`, by Buchberger's algorithm."""
+    gb = GroebnerBasis()
+    rules = gb.rules
+    queue = deque(polys)
+    while queue:
+        f = gb.reduce(queue.popleft())
+        if not f:
+            continue
+        tip = max(f, key=_order_key)
+        scale = -field.one / f[tip]
+        rhs = {w: c * scale for w, c in f.items() if w != tip}
+        # an element whose tip contains the new one is reduced again
+        for t in [t for t in rules if _contains(t, tip)]:
+            old = rules.pop(t)
+            queue.append({t: field.one, **{w: -c for w, c in old.items()}})
+        rules[tip] = rhs
+        gb.lengths = sorted({len(t) for t in rules})
+        for t, other in list(rules.items()):
+            queue.extend(_s_polynomials(tip, rhs, t, other))
+            if t != tip:
+                queue.extend(_s_polynomials(t, other, tip, rhs))
+    for t in rules:
+        rules[t] = gb.reduce(rules[t])
+    return gb
 
 
 class PathAlgebra:
@@ -89,59 +175,121 @@ class PathAlgebra:
         self.field = field
         self.order = admissible_order(quiver)
         self._pos = {v: i for i, v in enumerate(self.order)}
-        _, self.paths_by_pair = enumerate_paths(quiver)
+        check_path_budget(quiver)
+        self._source = {a.label: a.source for a in quiver.arrows}
+        self._target = {a.label: a.target for a in quiver.arrows}
+        for gen in self.relations:
+            for _, p in gen.terms:
+                self._check_path(p)
         self._build()
         self._product_cache = {}
         self._module_action_cache = {}
         self._generator_relations = {}
 
+    @functools.cached_property
+    def paths_by_pair(self):
+        """Every path, grouped by (source, target).  Kept only because
+        `perfbench/tracing.py` counts ideal rows from it; the algebra never
+        lists its paths."""
+        return enumerate_paths(self.quiver)[1]
+
     # -- construction -------------------------------------------------
 
-    def _pair_sort(self, pair):
-        return (self._pos[pair[0]], self._pos[pair[1]])
-
     def _build(self):
+        self.groebner = groebner_basis(
+            [_polynomial(g.terms) for g in self.relations], self.field)
+
+        # the paths that contain no tip, each extended from its prefix
+        words_by_pair = {}
+        for v in self.quiver.vertices:
+            stack = [((), v)]
+            while stack:
+                w, t = stack.pop()
+                words_by_pair.setdefault((v, t), []).append(w)
+                for a in self.quiver.arrows_from(t):
+                    longer = w + (a.label,)
+                    if self.groebner.divisor(longer) is None:
+                        stack.append((longer, a.target))
+
+        # every pair joined by a path has a component, possibly zero
+        reach = {}
+        for v in reversed(self.order):
+            r = {v}
+            for a in self.quiver.arrows_from(v):
+                r |= reach[a.target]
+            reach[v] = r
+
         self.basis = []
         self.basis_index = {}
         self.pair_indices = {}
         self.pair_of = []
-        self._path_nf = {}
         self._module_bases = {}
-        one = self.field.one
-
-        for pair in sorted(self.paths_by_pair, key=self._pair_sort):
-            plist = self.paths_by_pair[pair]
-            last = len(plist) - 1
-            # path k sits in column last - k, so every pivot is the last
-            # path of some ideal element: its leading path
-            ech = Echelon(len(plist), self.field)
-            for row in _ideal_rows(pair, self.relations, self.paths_by_pair):
-                ech.add(row)
-            local = []
-            basis_at = {}   # column -> global index, of the basis paths so far
-            for k, p in enumerate(plist):
-                col = last - k
-                row = ech.rows.get(col)
-                if row is None:
+        self._word_index = {}    # the word of a non-trivial basis path -> index
+        for s in self.order:
+            for t in sorted(reach[s], key=self._pos.__getitem__):
+                pair = (s, t)
+                local = []
+                for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
                     gi = len(self.basis)
+                    p = Path(s, t, w)
                     self.basis.append(p)
                     self.basis_index[p] = gi
                     self.pair_of.append(pair)
                     local.append(gi)
-                    basis_at[col] = gi
-                    self._path_nf[p] = {gi: one}
-                else:
-                    # the row is p plus a combination of earlier basis
-                    # paths (higher columns), and lies in the ideal
-                    self._path_nf[p] = {basis_at[c]: -row[c]
-                                        for c in sorted(row, reverse=True)
-                                        if c != col}
-            self.pair_indices[pair] = local
-            self._module_bases.setdefault(pair[0], []).extend(local)
+                    if w:
+                        self._word_index[w] = gi
+                self.pair_indices[pair] = local
+                self._module_bases.setdefault(s, []).extend(local)
 
         self.idempotent_index = {}
         for v in self.quiver.vertices:
             self.idempotent_index[v] = self.basis_index[Path.trivial(v)]
+        self._word_nf = {}   # non-trivial word -> normal form, on demand
+
+    # -- normal forms ---------------------------------------------------
+
+    def _check_path(self, p):
+        """Raise QuiverError unless `p` is a path of the quiver."""
+        w = p.arrows
+        src, tgt = self._source, self._target
+        if w:
+            ok = (all(a in src for a in w)
+                  and all(tgt[a] == src[b] for a, b in zip(w, w[1:]))
+                  and p.source == src[w[0]] and p.target == tgt[w[-1]])
+        else:
+            ok = p.source in self._pos and p.target == p.source
+        if not ok:
+            raise QuiverError(f"path {p} does not belong to this quiver")
+
+    def _nf_word(self, w):
+        """The normal form of the path with the non-trivial word `w`, cached
+        and shared.  A basis path times an arrow is reduced by the Groebner
+        basis; any other path is folded from its prefix's normal form."""
+        nf = self._word_nf.get(w)
+        if nf is not None:
+            return nf
+        head, a = w[:-1], w[-1]
+        index = self._word_index
+        if not head or head in index:
+            red = self.groebner.reduce({w: self.field.one})
+            nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
+        else:
+            acc = {}
+            for b, c in self._nf_word(head).items():
+                for g, x in self._nf_word(self.basis[b].arrows + (a,)).items():
+                    acc[g] = acc[g] + c * x if g in acc else c * x
+            nf = {g: acc[g] for g in sorted(acc) if acc[g]}
+        self._word_nf[w] = nf
+        return nf
+
+    def _nf(self, p):
+        """The normal form of the path p, cached and shared for a
+        non-trivial one; raises QuiverError unless p is a path of the
+        quiver."""
+        self._check_path(p)
+        if p.arrows:
+            return self._nf_word(p.arrows)
+        return {self.idempotent_index[p.source]: self.field.one}
 
     # -- basic queries -------------------------------------------------
 
@@ -154,16 +302,13 @@ class PathAlgebra:
 
     def nf_path(self, p):
         """Coordinates of the residue class of a path, as {basis index: c}."""
-        try:
-            return dict(self._path_nf[p])
-        except KeyError:
-            raise QuiverError(f"path {p} does not belong to this quiver")
+        return dict(self._nf(p))
 
     def nf_terms(self, terms):
         """Residue of a linear combination of paths."""
         out = {}
         for c, p in terms:
-            for gi, x in self._path_nf[p].items():
+            for gi, x in self._nf(p).items():
                 v = out.get(gi, self.field.zero) + c * x
                 if v:
                     out[gi] = v
@@ -179,10 +324,13 @@ class PathAlgebra:
         cached = self._product_cache.get(key)
         if cached is None:
             pi, pj = self.basis[i], self.basis[j]
+            w = pi.arrows + pj.arrows
             if pi.target != pj.source:
                 cached = {}
+            elif w:
+                cached = self._nf_word(w)
             else:
-                cached = self._path_nf[pi.compose(pj)]
+                cached = {i: self.field.one}
             self._product_cache[key] = cached
         return cached
 
@@ -289,7 +437,7 @@ def is_tensor_relations(alg):
         d = alg.dim
         acc = {}
         for c, p in gen.terms:
-            nf = alg._path_nf[p]
+            nf = alg._nf(p)
             for i, x in nf.items():
                 for j, y in nf.items():
                     k = i * d + j
@@ -304,11 +452,11 @@ def is_tensor_relations(alg):
 
 
 class TensorRelationError(ValueError):
-    def __init__(self, check):
+    def __init__(self, check, field=None):
         self.check = check
         super().__init__(
             f"relations are not tensor relations: generator "
-            f"{check.witness.pretty()} fails the {check.failed_test} test")
+            f"{check.witness.pretty(field)} fails the {check.failed_test} test")
 
 
 def checked_algebra(quiver, relations, field=QQ):
@@ -317,7 +465,7 @@ def checked_algebra(quiver, relations, field=QQ):
     alg = PathAlgebra(quiver, relations, field)
     check = is_tensor_relations(alg)
     if not check.ok:
-        raise TensorRelationError(check)
+        raise TensorRelationError(check, field)
     return alg
 
 
@@ -351,19 +499,15 @@ def compatibility(quiver, relations, verts, field=QQ):
         if terms:
             r_bar.append(Relation(gen.source, gen.target, tuple(terms)))
 
-    # membership of each r-bar generator in the ideal generated by r_cap,
-    # tested inside the subquiver's path algebra component
-    _, by_pair = enumerate_paths(sub)
+    # an r-bar generator lies in the ideal of kQ' generated by r_cap iff it
+    # reduces to zero by that ideal's Groebner basis; every overlap of two
+    # tips inside Q' stays inside Q'
+    check_path_budget(sub)
     witness = None
-    for gen in r_bar:
-        pair = (gen.source, gen.target)
-        plist = by_pair.get(pair, [])
-        ech = Echelon(len(plist), field)
-        for r in _ideal_rows(pair, r_cap, by_pair):
-            ech.add(r)
-        if not ech.contains(_vector(gen.terms, _columns(plist))):
-            witness = gen
-            break
+    if r_bar:
+        gb = groebner_basis([_polynomial(g.terms) for g in r_cap], field)
+        witness = next((gen for gen in r_bar
+                        if gb.reduce(_polynomial(gen.terms))), None)
     return CompatibilityResult(witness is None, sub, tuple(r_cap), tuple(r_bar), witness)
 
 

@@ -25,9 +25,9 @@ class NotProper(ValueError):
 
 
 class IncompatibleSubquiver(ValueError):
-    def __init__(self, result):
+    def __init__(self, result, field=None):
         self.result = result
-        bar = ", ".join(g.pretty() for g in result.r_bar)
+        bar = ", ".join(g.pretty(field) for g in result.r_bar)
         super().__init__(
             f"subquiver incompatible with relations (r-bar = {{{bar}}})")
 
@@ -174,7 +174,7 @@ def presheaf_sections(quiver, relations, open_set, field=QQ):
     checked_algebra(quiver, relations, field)
     comp = compatibility(quiver, relations, open_set, field)
     if not comp.compatible:
-        raise IncompatibleSubquiver(comp)
+        raise IncompatibleSubquiver(comp, field)
     sub = comp.subquiver
     u = unit_object(sub, field)
     basis = hom_space(u, u)

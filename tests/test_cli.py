@@ -151,6 +151,32 @@ class TestExitCodes:
                         "--open", "1,2,4")
         assert code == 1 and doc["error_type"] == "IncompatibleSubquiver"
 
+    def test_refusals_print_prime_field_coefficients(self, tmp_path):
+        # 3 a*b is 0 over F_3; the witness reads as check-tensor prints it
+        f = tmp_path / "f3.quiver"
+        f.write_text("quiver f3\nfield F3\nvertices 1 2 3\n"
+                     "arrow a : 1 -> 2\narrow c : 1 -> 2\narrow b : 2 -> 3\n"
+                     "relation 3 a*b + c*b\n")
+        doc, code = run("check-tensor", str(f))
+        assert code == 0 and doc["witness"]["expression"] == "0 a*b + c*b"
+        for argv in (["reconstruct"], ["spectrum"]):
+            doc, code = run(argv[0], str(f))
+            assert code == 1 and doc["error_type"] == "TensorRelationError"
+            assert doc["error"] == (
+                "relations are not tensor relations: generator "
+                "0 a*b + c*b fails the unit test")
+        # over F_5 the r-bar generator is 2 a*b, not 2 (mod 5) a*b
+        f = tmp_path / "f5.quiver"
+        f.write_text(Path(fixture_path("square")).read_text()
+                     .replace("relation a*b - c*d", "relation 2 a*b - 2 c*d")
+                     .replace("field QQ", "field F5"))
+        doc, code = run("presheaf", str(f), "--open", "1,2,4")
+        assert code == 1 and doc["error_type"] == "IncompatibleSubquiver"
+        assert doc["error"] == ("subquiver incompatible with relations "
+                                "(r-bar = {2 a*b})")
+        doc, code = run("spectrum", str(f))
+        assert code == 0
+
     def test_cyclic_quiver_is_1(self, tmp_path):
         f = tmp_path / "cycle.quiver"
         f.write_text("quiver c\nvertices 1 2\narrow a : 1 -> 2\n"

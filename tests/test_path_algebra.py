@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from quivertt.fields import QQ, PrimeField
-from quivertt.quiver import Arrow, Path, Quiver, Relation
+from quivertt.quiver import Arrow, Path, Quiver, QuiverError, Relation
 from quivertt.path_algebra import (PathAlgebra, build_path_algebra,
                                    compatibility, is_tensor_relations,
                                    module_hom_space)
@@ -94,6 +94,28 @@ class TestProduct:
             for w in spec.quiver.vertices:
                 prod = alg.product(alg.idempotent(v), alg.idempotent(w))
                 assert prod == (alg.idempotent(v) if v == w else {})
+
+    @pytest.mark.parametrize("path", [
+        Path("1", "4", ("a", "z")),      # unknown arrow
+        Path("1", "4", ("a", "d")),      # arrows that do not compose
+        Path("1", "3", ("a", "b")),      # wrong target
+        Path("2", "4", ("a", "b")),      # wrong source
+        Path("1", "2", ()),              # trivial path with two ends
+        Path("9", "9", ()),              # unknown vertex
+    ], ids=repr)
+    def test_nf_path_refuses_paths_outside_the_quiver(self, path):
+        spec = load_fixture("square")
+        alg = build_path_algebra(spec.quiver, spec.relations)
+        # cached normal forms of the same words must not let them through
+        alg.nf_path(Path("1", "4", ("a", "b")))
+        with pytest.raises(QuiverError, match="does not belong"):
+            alg.nf_path(path)
+
+    def test_relation_outside_the_quiver_is_refused(self):
+        spec = load_fixture("square")
+        bad = Relation("1", "4", ((QQ.one, Path("1", "4", ("a", "d"))),))
+        with pytest.raises(QuiverError, match="does not belong"):
+            build_path_algebra(spec.quiver, spec.relations + (bad,))
 
     def test_product_respects_relation(self):
         # in kQ/(ab - cd) the two composites coincide

@@ -1,19 +1,26 @@
-"""The quotient kQ/(R), read off one reversed-order echelon of the ideal,
+"""The quotient kQ/(R), built from a reduced Groebner basis of the ideal,
 against the builder that reduced every path and solved for its
-coordinates, and the basis rule against ranks of stacked matrices."""
+coordinates; the basis rule against ranks of stacked matrices; and
+subquiver compatibility against membership in the span of ideal rows."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivertt.dsl import parse_quiver
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix, rank
-from quivertt.path_algebra import PathAlgebra
+from quivertt.path_algebra import (PathAlgebra, compatibility,
+                                   is_tensor_relations)
+from quivertt.quiver import Arrow, Quiver, Relation, enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import FIXTURE_NAMES, load_beilinson, load_fixture
-from path_algebra_oracles import ideal_rows_oracle, quotient_oracle
+from path_algebra_oracles import (compatibility_oracle, ideal_rows_oracle,
+                                  quotient_oracle)
 
 FIELDS = [QQ, PrimeField(101)]
 
@@ -54,6 +61,31 @@ arrow c : 1 -> 3
 arrow d : 3 -> 4
 relation 3 a*b - 5 c*d
 """
+# two binomials whose tips a11*a21 and a21*a30 overlap in a21: the
+# S-polynomial of the overlap, a11*a20*a31 - a10*a20*a30, joins the basis
+OVERLAP = """quiver overlap
+vertices 1 2 3 4
+arrow a10 : 1 -> 2
+arrow a11 : 1 -> 2
+arrow a20 : 2 -> 3
+arrow a21 : 2 -> 3
+arrow a30 : 3 -> 4
+arrow a31 : 3 -> 4
+relation a10*a20 - a11*a21
+relation a21*a30 - a20*a31
+"""
+# the tip p*q of the second relation lies inside the tip p*q*c of the
+# first, which reduces to a*b*c - a*q*c: a new element with tip a*q*c
+INCLUSION = """quiver inclusion
+vertices 1 2 3 4
+arrow a : 1 -> 2
+arrow p : 1 -> 2
+arrow b : 2 -> 3
+arrow q : 2 -> 3
+arrow c : 3 -> 4
+relation p*q*c - a*q*c
+relation p*q - a*b
+"""
 
 
 def of_spec(spec):
@@ -64,14 +96,14 @@ def instances():
     """Makers of (quiver, relations), so that collecting builds nothing."""
     for name in FIXTURE_NAMES:
         yield pytest.param(lambda n=name: of_spec(load_fixture(n)), id=name)
-    for seed in range(20):
+    for seed in range(100):
         yield pytest.param(
             lambda s=seed: random_tensor_quiver(random.Random(s)),
             id=f"random{seed}")
     for m, length in ((1, 4), (2, 4), (3, 3), (2, 5)):
         yield pytest.param(lambda m=m, n=length: of_spec(load_beilinson(m, n)),
                            id=f"beil{m}_{length}")
-    for text in (WEIGHTED, DIAMOND, SQUARE):
+    for text in (WEIGHTED, DIAMOND, SQUARE, OVERLAP, INCLUSION):
         yield pytest.param(lambda t=text: of_spec(parse_quiver(t)),
                            id=text.split()[1])
 
@@ -79,7 +111,10 @@ def instances():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("make", list(instances()))
 def test_quotient_matches_oracle(make, field):
-    alg = PathAlgebra(*make(), field)
+    assert_matches_oracle(PathAlgebra(*make(), field))
+
+
+def assert_matches_oracle(alg):
     want = quotient_oracle(alg)
     assert alg.basis == want.basis
     assert list(alg.basis_index.items()) == list(want.basis_index.items())
@@ -87,13 +122,13 @@ def test_quotient_matches_oracle(make, field):
     assert list(alg.pair_indices.items()) == list(want.pair_indices.items())
     for v in alg.quiver.vertices:
         assert alg.module_basis(v) == want.module_bases.get(v, [])
-    # every normal form, with its keys in the same order, and the paths in
-    # the same order too
-    assert list(alg._path_nf) == list(want.path_nf)
-    element = type(field.one)
+    # the normal form of every path, with its keys in the same order
+    assert len(want.path_nf) == len(enumerate_paths(alg.quiver)[0])
+    element = type(alg.field.one)
     for p, nf in want.path_nf.items():
-        assert list(alg._path_nf[p].items()) == list(nf.items())
-        assert all(type(c) is element for c in alg._path_nf[p].values())
+        got = alg.nf_path(p)
+        assert list(got.items()) == list(nf.items()), p
+        assert all(type(c) is element for c in got.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -102,8 +137,9 @@ def test_basis_paths_raise_the_rank(make, field):
     """Path k of a component is a basis path iff stacking e_k under the
     ideal rows and e_0, ..., e_{k-1} raises the rank."""
     alg = PathAlgebra(*make(), field)
-    for pair, plist in alg.paths_by_pair.items():
-        ideal = ideal_rows_oracle(pair, alg.relations, alg.paths_by_pair, field)
+    _, by_pair = enumerate_paths(alg.quiver)
+    for pair, plist in by_pair.items():
+        ideal = ideal_rows_oracle(pair, alg.relations, by_pair, field)
         kept = {alg.basis[gi] for gi in alg.pair_indices[pair]}
         units = []
         before = rank(Matrix.from_rows(ideal, field, cols=len(plist)))
@@ -115,3 +151,93 @@ def test_basis_paths_raise_the_rank(make, field):
                                           cols=len(plist)))
             assert (p in kept) == (after > before), (pair, p)
             before = after
+
+
+def test_building_lists_no_path(monkeypatch):
+    """The algebra, the tensor check and compatibility never list the
+    quiver's paths."""
+    def refuse(q):
+        raise AssertionError("enumerate_paths called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quivertt") and hasattr(module, "enumerate_paths"):
+            monkeypatch.setattr(module, "enumerate_paths", refuse)
+    specs = [load_fixture(name) for name in FIXTURE_NAMES]
+    specs.append(load_beilinson(2, 7))
+    for spec in specs:
+        alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
+        assert is_tensor_relations(alg).ok
+        order = alg.order
+        for start in range(len(order)):
+            for verts in (order[start:], order[:start + 1]):
+                compatibility(spec.quiver, spec.relations, verts, spec.field)
+
+
+# -- random relation sets that exercise division, cancellation and overlaps
+
+
+FIELDS4 = [QQ, PrimeField(2), PrimeField(3), PrimeField(101)]
+# 2, 3, 6 and 101 vanish in some of the prime fields
+INTEGER_COEFFICIENTS = [1, -1, 2, -2, 3, 5, -6, 7, 101]
+FRACTION_COEFFICIENTS = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+
+
+@st.composite
+def relation_sets(draw):
+    """(quiver, relations, field): a chain of 3 to 5 vertices with one or
+    two arrows per step and up to two arrows that skip a vertex, so that
+    parallel paths have mixed lengths; relations are monomials or have two
+    or three terms, repeated or cancelling ones among them, with
+    coefficients other than +-1, some of which vanish in the field.  Half
+    the sets start with a chain: two arrows per step, and a relation of two
+    or three terms over every two steps."""
+    field = draw(st.sampled_from(FIELDS4))
+    chain = draw(st.booleans())
+    n = draw(st.integers(3, 5))
+    arrows = []
+    for i in range(1, n):
+        for j in range(2 if chain else draw(st.integers(1, 2))):
+            arrows.append(Arrow(f"a{i}{j}", str(i), str(i + 1)))
+    for i in draw(st.sets(st.integers(1, n - 2), max_size=2)):
+        arrows.append(Arrow(f"s{i}", str(i), str(i + 2)))
+    quiver = Quiver(tuple(str(i) for i in range(1, n + 1)), tuple(arrows))
+    _, by_pair = enumerate_paths(quiver)
+    components = [[p for p in plist if not p.is_trivial]
+                  for _, plist in sorted(by_pair.items())]
+    components = [ps for ps in components if ps]
+    # the tips of a chain of binomials overlap
+    pools = [(by_pair[(str(i), str(i + 2))], 2) for i in range(1, n - 1)
+             ] if chain else []
+    pools += [(draw(st.sampled_from(components)), 1)
+              for _ in range(draw(st.integers(1, 3)))]
+    coefficients = INTEGER_COEFFICIENTS + (
+        FRACTION_COEFFICIENTS if field == QQ else [])
+    relations = []
+    for paths, least in pools:
+        size = draw(st.integers(least, 3))
+        terms = [(field(draw(st.sampled_from(coefficients))),
+                  draw(st.sampled_from(paths))) for _ in range(size)]
+        if draw(st.booleans()):
+            c, p = terms[0]
+            terms.append((-c, p))
+        relations.append(Relation.from_terms(terms))
+    return quiver, tuple(relations), field
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_sets())
+def test_random_relation_sets_match_oracle(instance):
+    assert_matches_oracle(PathAlgebra(*instance))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relation_sets(), st.data())
+def test_compatibility_matches_ideal_row_membership(instance, data):
+    quiver, relations, field = instance
+    verts = data.draw(st.lists(st.sampled_from(quiver.vertices), min_size=1,
+                               unique=True))
+    got = compatibility(quiver, relations, verts, field)
+    r_cap, r_bar, witness = compatibility_oracle(
+        quiver, PathAlgebra(quiver, relations, field).relations, verts, field)
+    assert (got.r_cap, got.r_bar, got.witness) == (r_cap, r_bar, witness)
+    assert got.compatible is (witness is None)
