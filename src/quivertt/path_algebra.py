@@ -112,6 +112,11 @@ class GroebnerBasis:
                     return i, word[i:i + k]
         return None
 
+    def ends_in_tip(self, word):
+        """Whether some suffix of `word` is a tip."""
+        n, rules = len(word), self.rules
+        return any(word[n - k:] in rules for k in self.lengths if k <= n)
+
     def reduce(self, poly):
         """The normal form of the polynomial `poly`: no word of it contains
         a tip.  Terms are rewritten from the largest word down, so every
@@ -199,7 +204,8 @@ class PathAlgebra:
         self.groebner = groebner_basis(
             [_polynomial(g.terms) for g in self.relations], self.field)
 
-        # the paths that contain no tip, each extended from its prefix
+        # the paths that contain no tip, each extended from its prefix;
+        # the prefix contains none, so only the suffixes need a look
         words_by_pair = {}
         for v in self.quiver.vertices:
             stack = [((), v)]
@@ -208,7 +214,7 @@ class PathAlgebra:
                 words_by_pair.setdefault((v, t), []).append(w)
                 for a in self.quiver.arrows_from(t):
                     longer = w + (a.label,)
-                    if self.groebner.divisor(longer) is None:
+                    if not self.groebner.ends_in_tip(longer):
                         stack.append((longer, a.target))
 
         # every pair joined by a path has a component, possibly zero
@@ -452,7 +458,7 @@ def is_tensor_relations(alg):
 
 
 class TensorRelationError(ValueError):
-    def __init__(self, check, field=None):
+    def __init__(self, check, field):
         self.check = check
         super().__init__(
             f"relations are not tensor relations: generator "

@@ -207,13 +207,12 @@ def count_paths(q):
 
 
 def check_path_budget(q):
-    """The number of paths of an ordered quiver; raises ResourceBudget
-    when it is above MAX_PATHS."""
+    """Raise ResourceBudget when the ordered quiver q has more than
+    MAX_PATHS paths."""
     total = count_paths(q)
     if total > MAX_PATHS:
         raise ResourceBudget(
             f"quiver has {total} paths, above the budget of {MAX_PATHS}")
-    return total
 
 
 def enumerate_paths(q):

@@ -25,7 +25,7 @@ class NotProper(ValueError):
 
 
 class IncompatibleSubquiver(ValueError):
-    def __init__(self, result, field=None):
+    def __init__(self, result, field):
         self.result = result
         bar = ", ".join(g.pretty(field) for g in result.r_bar)
         super().__init__(
