@@ -1,14 +1,18 @@
 """Exact scalar arithmetic: rationals and prime fields.
 
 Rationals are python Fractions (already canonical: lowest terms, positive
-denominator).  Prime-field elements are small wrapper objects carrying their
-modulus so that matrix code can stay field-agnostic and use ordinary
-operators.  No floats anywhere.
+denominator).  Prime-field elements are `FpElement`s: immutable two-slot
+objects holding the representative in [0, p) and the modulus, so that
+matrix code can stay field-agnostic and use ordinary operators.  An
+operation on two elements of one field checks only the operand's class
+and modulus, then builds its result without the public constructor;
+coercing an `int` and refusing a foreign modulus happen off that path.
+No floats anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .quiver import ResourceBudget
@@ -18,15 +22,31 @@ class FieldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class FpElement:
-    """An element of F_p, stored as the canonical representative in [0, p)."""
+    """An element of F_p, stored as the canonical representative in [0, p).
 
-    value: int
-    p: int
+    `value` and `p` cannot be assigned after construction.  Arithmetic
+    between two elements of the same field builds its result with
+    `_reduced`, which skips the public constructor, and + and - skip the
+    `%` too.  An `int` operand is coerced into the field, an element of
+    another modulus raises FieldError, and any other operand gives
+    NotImplemented."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
+    __slots__ = ("value", "p")
+
+    def __init__(self, value, p):
+        _set_value(self, value % p)
+        _set_p(self, p)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default protocol would restore the slots through __setattr__
+        return FpElement, (self.value, self.p)
 
     def _coerce(self, other):
         if isinstance(other, FpElement):
@@ -38,43 +58,53 @@ class FpElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value + other.value, self.p)
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        s = self.value + other.value
+        return _reduced(s - p if s >= p else s, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value - other.value, self.p)
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = self.value - other.value
+        return _reduced(d + p if d < 0 else d, p)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FpElement(other.value - self.value, self.p)
+        return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value * other.value, self.p)
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _reduced(self.value * other.value % p, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        p = self.p
+        if other.__class__ is not FpElement or other.p != p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other.value == 0:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.value * pow(other.value, -1, self.p), self.p)
+        return _reduced(self.value * pow(other.value, -1, p) % p, p)
 
     def __neg__(self):
-        return FpElement(-self.value, self.p)
+        return _reduced(self.p - self.value if self.value else 0, self.p)
 
     def __bool__(self):
         return self.value != 0
@@ -91,6 +121,20 @@ class FpElement:
 
     def __repr__(self):
         return f"{self.value} (mod {self.p})"
+
+
+_set_value = FpElement.value.__set__
+_set_p = FpElement.p.__set__
+_new = object.__new__
+
+
+def _reduced(value, p):
+    """The element of F_p whose representative `value` is already in
+    [0, p), built without the public constructor."""
+    x = _new(FpElement)
+    _set_value(x, value)
+    _set_p(x, p)
+    return x
 
 
 # The largest modulus `PrimeField` accepts.  Below it the Miller-Rabin test

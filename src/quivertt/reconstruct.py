@@ -147,15 +147,21 @@ def psi(alg, n, m, module_map):
 
 
 class ProbeEvaluator:
-    """Evaluates transformations on the degree-zero projective probes,
-    caching the probe representations and the per-strand action matrices
-    of each basis class (computed through composite arrow matrices, not
-    the structure constants, so the comparison stays two-route)."""
+    """Evaluates transformations on the degree-zero projective probes.
+
+    It caches the probe representations, the per-strand action matrix of
+    each basis class, and, once per (probe vertex n, basis class i), the
+    image of the generator e_n under i.  `yoneda` and the first step of
+    `compose` read those images; the second step of `compose` applies the
+    action matrices.  Actions and images come from composite arrow
+    matrices, never from the structure constants, so the comparison stays
+    two-route."""
 
     def __init__(self, alg):
         self.alg = alg
         self._probes = {}
         self._actions = {}
+        self._images = {}
 
     def probe(self, n):
         if n not in self._probes:
@@ -170,14 +176,21 @@ class ProbeEvaluator:
             self._actions[key] = self.probe(n).path_action(self.alg.basis[i])
         return self._actions[key]
 
-    def _image(self, n, elem, vec, target_vertex):
-        """The vector `vec` of the probe M_n, at the source strand of the
-        homogeneous element `elem`, moved by `elem` to the strand at
-        `target_vertex`."""
+    def generator_image(self, n, i):
+        """Where basis class i, which starts at n, sends the generator e_n
+        of the probe M_n: a vector of the strand at i's target."""
+        key = (n, i)
+        if key not in self._images:
+            self._images[key] = self.action(n, i).apply(self._generator(n))
+        return self._images[key]
+
+    def _combine(self, n, terms, target_vertex):
+        """The sum of c * vec over `terms`, vectors of the strand of the
+        probe M_n at `target_vertex`."""
         field = self.alg.field
         out = [field.zero] * self.probe(n).dims[target_vertex]
-        for i, c in elem.items():
-            for k, x in enumerate(self.action(n, i).apply(vec)):
+        for c, vec in terms:
+            for k, x in enumerate(vec):
                 if x:
                     out[k] = out[k] + c * x
         return out
@@ -194,15 +207,20 @@ class ProbeEvaluator:
         basis_m = self.alg.pair_indices.get((n, m), [])
         return {gi: col[k] for k, gi in enumerate(basis_m) if col[k]}
 
+    def _on_generator(self, elem, n, m):
+        """The image of e_n under elem: F_n => F_m, on the strand at m."""
+        return self._combine(
+            n, [(c, self.generator_image(n, i)) for i, c in elem.items()], m)
+
     def yoneda(self, elem, n, m):
-        col = self._image(n, elem, self._generator(n), m)
-        return self._to_element(n, m, col)
+        return self._to_element(n, m, self._on_generator(elem, n, m))
 
     def compose(self, elem1, n, m, elem2, l):
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
-        first = self._image(n, elem1, self._generator(n), m)
-        return self._to_element(n, l, self._image(n, elem2, first, l))
+        first = self._on_generator(elem1, n, m)
+        second = [(c, self.action(n, j).apply(first)) for j, c in elem2.items()]
+        return self._to_element(n, l, self._combine(n, second, l))
 
 
 def yoneda_coordinates(alg, transform):

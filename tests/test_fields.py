@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -136,3 +139,94 @@ def test_field_axioms_on_f7(x, y, z):
     assert a - a == f7.zero
     if b:
         assert (a / b) * b == a
+
+
+# -- FpElement against int arithmetic mod p -----------------------------
+
+MODULI = (2, 3, 101, 10007, 2**61 - 1, 2**64 - 59)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+wide_ints = st.integers(-2**70, 2**70)
+
+
+@given(st.sampled_from(MODULI), wide_ints, wide_ints)
+def test_fp_element_matches_int_arithmetic(p, a, b):
+    x, y = FpElement(a, p), FpElement(b, p)
+    assert x.value == a % p and x.p == p
+    cases = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+             (x + b, a + b), (b + x, a + b), (x - b, a - b), (b - x, b - a),
+             (x * b, a * b), (b * x, a * b)]
+    if b % p:
+        inv = pow(b, -1, p)
+        cases += [(x / y, a * inv), (x / b, a * inv)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            x / b
+    for got, want in cases:
+        assert type(got) is FpElement
+        assert got.p == p and got.value == want % p
+        assert 0 <= got.value < p
+
+
+@given(st.sampled_from(MODULI), wide_ints, wide_ints)
+def test_fp_element_equality_and_hash(p, a, b):
+    x, y = FpElement(a, p), FpElement(b, p)
+    assert (x == y) is ((a - b) % p == 0)
+    assert (x == b) is ((a - b) % p == 0) and (b == x) is (x == b)
+    assert FpElement(a + p, p) == x
+    assert hash(FpElement(a + p, p)) == hash(x)
+    assert bool(x) is (a % p != 0)
+    assert x != "x" and x != Fraction(a)
+
+
+@given(st.permutations(MODULI), wide_ints, wide_ints)
+def test_fp_element_mixed_moduli_raise(moduli, a, b):
+    p, q = moduli[:2]
+    x, y = FpElement(a, p), FpElement(b, q)
+    for op in BINARY:
+        with pytest.raises(FieldError):
+            op(x, y)
+        with pytest.raises(FieldError):
+            op(y, x)
+    assert x != y
+
+
+def test_fp_element_foreign_operands_are_not_implemented():
+    x = FpElement(3, 7)
+    for op in BINARY:
+        with pytest.raises(TypeError):
+            op(x, 1.5)
+        with pytest.raises(TypeError):
+            op(x, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        1.5 + x
+
+
+def test_fp_element_is_immutable():
+    x = FpElement(3, 7)
+    for name in ("value", "p"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.other = 1
+    assert (x.value, x.p) == (3, 7)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FpElement(-4, 101),
+    lambda: FpElement(60, 101) * FpElement(70, 101),   # the fast path
+    lambda: PrimeField(2**64 - 59).from_int(-1),
+])
+def test_fp_element_pickles_and_copies(make):
+    x = make()
+    copies = [pickle.loads(pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(x), copy.deepcopy(x), copy.deepcopy({x: [x]})[x][0]]
+    for y in copies:
+        assert type(y) is FpElement
+        assert (y.value, y.p) == (x.value, x.p) and y == x
+        with pytest.raises(AttributeError):
+            y.value = 0

@@ -5,7 +5,8 @@ from quivertt.cli import run_command
 from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
-from quivertt.path_algebra import build_path_algebra, module_hom_space
+from quivertt.path_algebra import (PathAlgebra, build_path_algebra,
+                                  module_hom_space)
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver)
 from quivertt.repcat import hom_space
@@ -167,6 +168,58 @@ class TestAssembleA:
             ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
         assert code == 0
         assert doc["verdict"]["dimensions_match"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
+
+    def test_wrong_probe_image_clears_round_trip(self, monkeypatch):
+        # the probe route sends the generator to twice the arrow class
+        real = reconstruct.ProbeEvaluator.generator_image
+        spec = load_fixture("kronecker2")
+        arrow = spec.quiver.arrows[0]
+
+        def doubled(self, n, i):
+            image = real(self, n, i)
+            if self.alg.basis[i].arrows == (arrow.label,):
+                return tuple(x + x for x in image)
+            return image
+
+        monkeypatch.setattr(reconstruct.ProbeEvaluator, "generator_image",
+                            doubled)
+        verdict = assemble_A(spec.quiver, spec.relations).verdict
+        assert verdict.dimensions_match is True
+        assert verdict.round_trip_identity is False
+        assert verdict.isomorphic is False
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
+        assert code == 0
+        assert doc["verdict"]["round_trip_identity"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
+
+    def test_wrong_structure_constant_clears_match(self, monkeypatch):
+        # e_s * a = a for the arrow a: s -> t; the path algebra route
+        # now claims 2a, while the probes still compose to a
+        real = PathAlgebra.product
+        spec = load_fixture("kronecker2")
+        arrow = spec.quiver.arrows[0]
+
+        def wrong(alg, a, b):
+            out = real(alg, a, b)
+            pair = [alg.basis[i] for i in a] + [alg.basis[j] for j in b]
+            if (len(pair) == 2 and pair[0].is_trivial
+                    and pair[0].source == arrow.source
+                    and pair[1].arrows == (arrow.label,)):
+                out = {gi: c + c for gi, c in out.items()}
+            return out
+
+        monkeypatch.setattr(PathAlgebra, "product", wrong)
+        verdict = assemble_A(spec.quiver, spec.relations).verdict
+        assert verdict.dimensions_match is True
+        assert verdict.round_trip_identity is True
+        assert verdict.structure_constants_match is False
+        assert verdict.isomorphic is False
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
+        assert code == 0
+        assert doc["verdict"]["structure_constants_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_random_reconstruction(self, rng):

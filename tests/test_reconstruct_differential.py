@@ -18,6 +18,7 @@ from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
 from reconstruct_oracles import center_basis_oracle, module_hom_space_oracle
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reconstruct"
+GOLDEN_F101_DIR = GOLDEN_DIR.parent / "reconstruct-f101"
 FIELDS = [QQ, PrimeField(101)]
 SEEDS = range(20)
 
@@ -57,10 +58,26 @@ def test_center_basis_matches_oracle(make, arg, field):
     assert center.center_basis == center_basis_oracle(assembled.algebra)
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_reconstruct_report_matches_golden(name):
+def reconstruct_report(path):
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(["reconstruct", str(FIXTURE_DIR / f"{name}.quiver")])
+        code = main(["reconstruct", str(path)])
     assert code == 0
-    assert out.getvalue() == (GOLDEN_DIR / f"{name}.json").read_text()
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_reconstruct_report_matches_golden(name):
+    assert (reconstruct_report(FIXTURE_DIR / f"{name}.quiver")
+            == (GOLDEN_DIR / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_reconstruct_f101_report_matches_golden(name, tmp_path):
+    # the fixture redeclared over F_101, which runs the FpElement kernel
+    text = (FIXTURE_DIR / f"{name}.quiver").read_text()
+    assert text.count("field QQ\n") == 1
+    spec = tmp_path / f"{name}.quiver"
+    spec.write_text(text.replace("field QQ\n", "field F 101\n"))
+    assert (reconstruct_report(spec)
+            == (GOLDEN_F101_DIR / f"{name}.json").read_text())
