@@ -188,6 +188,7 @@ class PathAlgebra:
                 self._check_path(p)
         self._build()
         self._product_cache = {}
+        self._arrow_steps = {}
         self._module_action_cache = {}
         self._generator_relations = {}
 
@@ -338,6 +339,24 @@ class PathAlgebra:
             else:
                 cached = {i: self.field.one}
             self._product_cache[key] = cached
+        return cached
+
+    def arrow_step(self, x, label):
+        """(basis class x) * (class of the arrow `label`), as
+        {basis index: c} in ascending index order: one step of a walk along
+        arrows.  The dict is cached and shared, so callers must not change
+        it."""
+        key = (x, label)
+        cached = self._arrow_steps.get(key)
+        if cached is None:
+            arrow = self.nf_path(
+                Path(self._source[label], self._target[label], (label,)))
+            acc = {}
+            for j, cj in arrow.items():
+                for g, c in self.product_indices(x, j).items():
+                    acc[g] = acc[g] + cj * c if g in acc else cj * c
+            cached = self._arrow_steps[key] = {
+                g: acc[g] for g in sorted(acc) if acc[g]}
         return cached
 
     def product(self, a, b):

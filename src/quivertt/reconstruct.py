@@ -20,8 +20,7 @@ from .complexes import (BoundedComplex, cohomology_at, cohomology_coordinates,
 from .linalg import Echelon, Matrix
 from .path_algebra import PathAlgebra, checked_algebra, module_hom_space
 from .quiver import Path
-from .repcat import (RepMorphism, hom_space, module_representation,
-                     simple_object, unit_object)
+from .repcat import RepMorphism, hom_space, simple_object, unit_object
 from .spectrum import prime_at
 
 
@@ -56,16 +55,16 @@ def rational_points(quiver, relations, field=QQ):
     points = [RationalPoint(n) for n in quiver.vertices]
     simples = {m: BoundedComplex.from_representation(simple_object(quiver, m, field))
                for m in quiver.vertices}
-    grid = [[points[i].evaluate(simples[m]).total_dim
-             for m in quiver.vertices]
-            for i, _ in enumerate(quiver.vertices)]
+    values = [[point.evaluate(simples[m]) for m in quiver.vertices]
+              for point in points]
+    grid = [[h.total_dim for h in row] for row in values]
     ident = all(grid[i][j] == (1 if quiver.vertices[i] == quiver.vertices[j] else 0)
                 for i in range(len(grid)) for j in range(len(grid)))
     kernels_ok = True
-    for i, n in enumerate(quiver.vertices):
+    for n, row in zip(quiver.vertices, values):
         p_n = prime_at(quiver, n)
-        for m in quiver.vertices:
-            in_kernel = points[i].evaluate(simples[m]).is_zero()
+        for m, h in zip(quiver.vertices, row):
+            in_kernel = h.is_zero()
             in_prime = m in p_n.support_bound
             if in_kernel != in_prime:
                 kernels_ok = False
@@ -146,81 +145,83 @@ def psi(alg, n, m, module_map):
     return out
 
 
-class ProbeEvaluator:
-    """Evaluates transformations on the degree-zero projective probes.
+def _sparse_sum(terms):
+    """The sum of c * vec over `terms`, sparse vectors {basis index: x},
+    with its zeros dropped and its keys in ascending order.  A coefficient
+    1, the usual one, adds vec without a multiplication."""
+    acc = {}
+    for c, vec in terms:
+        unit = c == 1
+        for g, x in vec.items():
+            if not unit:
+                x = c * x
+            acc[g] = acc[g] + x if g in acc else x
+    return {g: acc[g] for g in sorted(acc) if acc[g]}
 
-    It caches the probe representations, the per-strand action matrix of
-    each basis class, and, once per (probe vertex n, basis class i), the
-    image of the generator e_n under i.  `yoneda` and the first step of
-    `compose` read those images; the second step of `compose` applies the
-    action matrices.  Actions and images come from composite arrow
-    matrices, never from the structure constants, so the comparison stays
-    two-route."""
+
+class ProbeEvaluator:
+    """Evaluates transformations on the degree-zero projective probes M_n
+    by pushing sparse vectors {basis index: c} through them, one arrow at
+    a time; no matrix is formed.
+
+    `walk(x, j)` is the basis class x of a probe pushed along the word of
+    the basis class j.  It is cached per (x, j): the start class belongs
+    to the key, since one class j acts on every class that ends where j
+    starts.  Basis paths are closed under prefixes, so each entry is one
+    arrow step (`PathAlgebra.arrow_step`) from the entry of j's prefix.
+    The image of the generator e_n under i is walk(e_n, i); the second step
+    of `compose` walks each class of the first image along each class of
+    the second element.
+
+    Images come from arrow steps alone, the arrow action of the probe,
+    never from `product_indices` on two whole classes.  So comparing
+    `compose` with `PathAlgebra.product` stays a comparison of two
+    routes."""
 
     def __init__(self, alg):
         self.alg = alg
-        self._probes = {}
-        self._actions = {}
-        self._images = {}
+        self._walks = {}
 
-    def probe(self, n):
-        if n not in self._probes:
-            self._probes[n] = module_representation(self.alg, n)
-        return self._probes[n]
-
-    def action(self, n, i):
-        """Matrix of basis class i acting on the probe M_n, from the
-        strand at its source vertex to the strand at its target."""
-        key = (n, i)
-        if key not in self._actions:
-            self._actions[key] = self.probe(n).path_action(self.alg.basis[i])
-        return self._actions[key]
+    def walk(self, x, j):
+        """The basis class x, which ends where basis class j starts, pushed
+        along the arrows of j's word, as {basis index: c}.  The dict is
+        cached and shared, so callers must not change it."""
+        key = (x, j)
+        out = self._walks.get(key)
+        if out is None:
+            alg = self.alg
+            p = alg.basis[j]
+            if p.is_trivial:
+                out = {x: alg.field.one}
+            else:
+                *head, last = p.arrows
+                prefix = alg.basis_index[
+                    Path(p.source, alg.quiver.arrow(last).source, tuple(head))]
+                out = _sparse_sum((c, alg.arrow_step(y, last))
+                                  for y, c in self.walk(x, prefix).items())
+            self._walks[key] = out
+        return out
 
     def generator_image(self, n, i):
         """Where basis class i, which starts at n, sends the generator e_n
-        of the probe M_n: a vector of the strand at i's target."""
-        key = (n, i)
-        if key not in self._images:
-            self._images[key] = self.action(n, i).apply(self._generator(n))
-        return self._images[key]
+        of the probe M_n, as {basis index: c}; shared, like `walk`."""
+        return self.walk(self.alg.idempotent_index[n], i)
 
-    def _combine(self, n, terms, target_vertex):
-        """The sum of c * vec over `terms`, vectors of the strand of the
-        probe M_n at `target_vertex`."""
-        field = self.alg.field
-        out = [field.zero] * self.probe(n).dims[target_vertex]
-        for c, vec in terms:
-            for k, x in enumerate(vec):
-                if x:
-                    out[k] = out[k] + c * x
-        return out
-
-    def _generator(self, n):
-        """The trivial path e_n, as a vector of the strand of M_n at n."""
-        field = self.alg.field
-        basis_n = self.alg.pair_indices.get((n, n), [])
-        gen = [field.zero] * len(basis_n)
-        gen[basis_n.index(self.alg.idempotent_index[n])] = field.one
-        return gen
-
-    def _to_element(self, n, m, col):
-        basis_m = self.alg.pair_indices.get((n, m), [])
-        return {gi: col[k] for k, gi in enumerate(basis_m) if col[k]}
-
-    def _on_generator(self, elem, n, m):
-        """The image of e_n under elem: F_n => F_m, on the strand at m."""
-        return self._combine(
-            n, [(c, self.generator_image(n, i)) for i, c in elem.items()], m)
+    def _on_generator(self, elem, n):
+        """The image of e_n under elem, which starts at n."""
+        return _sparse_sum((c, self.generator_image(n, i))
+                           for i, c in elem.items())
 
     def yoneda(self, elem, n, m):
-        return self._to_element(n, m, self._on_generator(elem, n, m))
+        """Coordinates of elem: F_n => F_m, read off its image of e_n."""
+        return self._on_generator(elem, n)
 
     def compose(self, elem1, n, m, elem2, l):
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
-        first = self._on_generator(elem1, n, m)
-        second = [(c, self.action(n, j).apply(first)) for j, c in elem2.items()]
-        return self._to_element(n, l, self._combine(n, second, l))
+        first = self._on_generator(elem1, n)
+        return _sparse_sum((c * a, self.walk(x, j))
+                           for j, c in elem2.items() for x, a in first.items())
 
 
 def yoneda_coordinates(alg, transform):

@@ -356,7 +356,9 @@ def unit_filtration(quiver, relations, field=QQ):
 def module_representation(alg, n):
     """The projective right module generated by the trivial path at n,
     viewed as a representation: the space at v is spanned by the basis
-    classes of paths from n to v, arrows acting by right multiplication."""
+    classes of paths from n to v, arrows acting by right multiplication.
+    Column x of the matrix of arrow a is `alg.arrow_step(x, a)`, the one
+    place that multiplies a basis class by an arrow class."""
     quiver = alg.quiver
     field = alg.field
     vertex_basis = {v: alg.pair_indices.get((n, v), []) for v in quiver.vertices}
@@ -365,19 +367,11 @@ def module_representation(alg, n):
     for a in quiver.arrows:
         src, tgt = vertex_basis[a.source], vertex_basis[a.target]
         pos = {gi: k for k, gi in enumerate(tgt)}
-        arrow_class = alg.nf_path(
-            _arrow_path(quiver, a))
         cols = []
         for gi in src:
             col = [field.zero] * len(tgt)
-            for j, cj in arrow_class.items():
-                for gk, c in alg.product_indices(gi, j).items():
-                    col[pos[gk]] = col[pos[gk]] + cj * c
+            for gk, c in alg.arrow_step(gi, a.label).items():
+                col[pos[gk]] = c
             cols.append(tuple(col))
         maps[a.label] = Matrix.from_columns(cols, field, rows=len(tgt))
     return Representation(quiver, dims, maps, field)
-
-
-def _arrow_path(quiver, a):
-    from .quiver import Path
-    return Path(a.source, a.target, (a.label,))

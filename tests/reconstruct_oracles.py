@@ -1,12 +1,16 @@
-"""Reference versions of two reconstruction systems, kept as differential
+"""Reference versions of reconstruction code, kept as differential
 oracles for the faster code in `path_algebra` and `reconstruct`.
 
-Both solve one dense system with `kernel_basis_oracle` and touch the
-algebra only through its structure constants (`product_indices`), module
-bases and idempotents.
+The Hom-space and center oracles solve one dense system with
+`kernel_basis_oracle`.  The probe oracle evaluates transformations with
+dense composite action matrices.  All of them touch the algebra only
+through its structure constants (`product_indices`), path normal forms,
+module bases and idempotents.
 """
 
 from quivertt.linalg import Matrix
+from quivertt.quiver import Path
+from quivertt.repcat import Representation
 
 from linalg_oracles import kernel_basis_oracle
 
@@ -77,3 +81,84 @@ def center_basis_oracle(alg):
         rows.extend(r for r in blocks.values() if any(r))
     vecs = kernel_basis_oracle(Matrix.from_rows(rows, field, cols=d))
     return [{i: v[i] for i in range(d) if v[i]} for v in vecs]
+
+
+def _dense_probe(alg, n):
+    """The projective module M_n as a representation with dense arrow
+    matrices: column x of arrow a is the class x times the class of a."""
+    field = alg.field
+    quiver = alg.quiver
+    vertex_basis = {v: alg.pair_indices.get((n, v), []) for v in quiver.vertices}
+    maps = {}
+    for a in quiver.arrows:
+        src, tgt = vertex_basis[a.source], vertex_basis[a.target]
+        pos = {gi: k for k, gi in enumerate(tgt)}
+        arrow_class = alg.nf_path(Path(a.source, a.target, (a.label,)))
+        cols = []
+        for gi in src:
+            col = [field.zero] * len(tgt)
+            for j, cj in arrow_class.items():
+                for gk, c in alg.product_indices(gi, j).items():
+                    col[pos[gk]] = col[pos[gk]] + cj * c
+            cols.append(tuple(col))
+        maps[a.label] = Matrix.from_columns(cols, field, rows=len(tgt))
+    dims = {v: len(b) for v, b in vertex_basis.items()}
+    return Representation(quiver, dims, maps, field)
+
+
+class _DenseProbeEvaluator:
+    """`yoneda` and `compose` of `reconstruct.ProbeEvaluator`, computed
+    with the composite matrix of each basis class on the probe
+    (`Representation.path_action`) applied to dense strand vectors."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self._probes = {}
+        self._actions = {}
+
+    def action(self, n, i):
+        """Matrix of basis class i on M_n, from the strand at its source
+        vertex to the strand at its target."""
+        if n not in self._probes:
+            self._probes[n] = _dense_probe(self.alg, n)
+        if (n, i) not in self._actions:
+            self._actions[(n, i)] = self._probes[n].path_action(self.alg.basis[i])
+        return self._actions[(n, i)]
+
+    def _combine(self, n, terms, target_vertex):
+        field = self.alg.field
+        out = [field.zero] * len(self.alg.pair_indices.get((n, target_vertex), []))
+        for c, vec in terms:
+            for k, x in enumerate(vec):
+                if x:
+                    out[k] = out[k] + c * x
+        return out
+
+    def _generator(self, n):
+        field = self.alg.field
+        basis_n = self.alg.pair_indices.get((n, n), [])
+        gen = [field.zero] * len(basis_n)
+        gen[basis_n.index(self.alg.idempotent_index[n])] = field.one
+        return gen
+
+    def _to_element(self, n, m, col):
+        basis_m = self.alg.pair_indices.get((n, m), [])
+        return {gi: col[k] for k, gi in enumerate(basis_m) if col[k]}
+
+    def _on_generator(self, elem, n, m):
+        gen = self._generator(n)
+        return self._combine(
+            n, [(c, self.action(n, i).apply(gen)) for i, c in elem.items()], m)
+
+    def yoneda(self, elem, n, m):
+        return self._to_element(n, m, self._on_generator(elem, n, m))
+
+    def compose(self, elem1, n, m, elem2, l):
+        first = self._on_generator(elem1, n, m)
+        second = [(c, self.action(n, j).apply(first)) for j, c in elem2.items()]
+        return self._to_element(n, l, self._combine(n, second, l))
+
+
+def probe_oracle(alg):
+    """A dense evaluator of transformations on the probes of `alg`."""
+    return _DenseProbeEvaluator(alg)

@@ -179,7 +179,7 @@ class TestAssembleA:
         def doubled(self, n, i):
             image = real(self, n, i)
             if self.alg.basis[i].arrows == (arrow.label,):
-                return tuple(x + x for x in image)
+                return {g: c + c for g, c in image.items()}
             return image
 
         monkeypatch.setattr(reconstruct.ProbeEvaluator, "generator_image",

@@ -1,21 +1,26 @@
-"""The Hom-space and center systems of `reconstruct` against reference
-solvers, and the `reconstruct` reports against golden files."""
+"""The Hom-space and center systems and the probe evaluator of
+`reconstruct` against reference versions, and the `reconstruct` reports
+against golden files."""
 
 import io
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quivertt.cli import main
+from quivertt.dsl import parse_quiver
 from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import build_path_algebra, module_hom_space
 from quivertt.randgen import random_tensor_quiver
-from quivertt.reconstruct import assemble_A, center_and_z
+from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
-from reconstruct_oracles import center_basis_oracle, module_hom_space_oracle
+from path_algebra_oracles import quotient_oracle
+from reconstruct_oracles import (center_basis_oracle, module_hom_space_oracle,
+                                 probe_oracle)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reconstruct"
 GOLDEN_F101_DIR = GOLDEN_DIR.parent / "reconstruct-f101"
@@ -32,10 +37,10 @@ def random_instance(seed):
     return random_tensor_quiver(random.Random(seed))
 
 
-def instances():
+def instances(seeds=SEEDS):
     for name in FIXTURE_NAMES:
         yield pytest.param(fixture_instance, name, id=name)
-    for seed in SEEDS:
+    for seed in seeds:
         yield pytest.param(random_instance, seed, id=f"random{seed}")
 
 
@@ -81,3 +86,95 @@ def test_reconstruct_f101_report_matches_golden(name, tmp_path):
     spec.write_text(text.replace("field QQ\n", "field F 101\n"))
     assert (reconstruct_report(spec)
             == (GOLDEN_F101_DIR / f"{name}.json").read_text())
+
+
+# -- the probe evaluator against the dense composite-matrix oracle ------
+
+PROBE_SEEDS = range(50)
+COEFFICIENTS = (2, Fraction(-3, 4), 101, 1, -1)
+
+# over F_2 the second relation equals the first, so dim kQ/(R) is 9 there
+# and 8 over QQ and F_3 (ranks of (1,-1,0), (1,1,-2) in span{ad, bd, cd})
+FIELD_SENSITIVE = """quiver field_sensitive
+field QQ
+vertices 1 2 3
+arrow a : 1 -> 2
+arrow b : 1 -> 2
+arrow c : 1 -> 2
+arrow d : 2 -> 3
+relation a*d - b*d
+relation a*d + b*d - 2 c*d
+"""
+FIELD_SENSITIVE_DIMS = {QQ: 8, PrimeField(2): 9, PrimeField(3): 8}
+
+
+def assert_same_element(got, want, field):
+    # the same keys in the same order, with values of the field's type
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is type(field.one) for c in got.values())
+
+
+def coefficients(field):
+    out = []
+    for c in COEFFICIENTS:
+        try:
+            out.append(field(c))
+        except ZeroDivisionError:   # -3/4 has no image in F_2
+            pass
+    return out
+
+
+def random_element(rng, indices, coeffs):
+    support = rng.sample(indices, rng.randint(1, len(indices)))
+    return {i: rng.choice(coeffs) for i in support}
+
+
+def assert_probes_match_oracle(alg, rng):
+    field = alg.field
+    evaluator, oracle = ProbeEvaluator(alg), probe_oracle(alg)
+    # every basis class, and every composable pair of basis classes
+    for i, (n, m) in enumerate(alg.pair_of):
+        elem = {i: field.one}
+        assert_same_element(evaluator.yoneda(elem, n, m),
+                            oracle.yoneda(elem, n, m), field)
+        for j in alg.module_basis(m):
+            l = alg.pair_of[j][1]
+            elem2 = {j: field.one}
+            assert_same_element(evaluator.compose(elem, n, m, elem2, l),
+                                oracle.compose(elem, n, m, elem2, l), field)
+    # elements that are not basis classes, some coefficients zero mod p
+    coeffs = coefficients(field)
+    for (n, m), first in alg.pair_indices.items():
+        if not first:
+            continue
+        for _ in range(3):
+            elem = random_element(rng, first, coeffs)
+            assert_same_element(evaluator.yoneda(elem, n, m),
+                                oracle.yoneda(elem, n, m), field)
+            for (m2, l), second in alg.pair_indices.items():
+                if m2 != m or not second:
+                    continue
+                elem2 = random_element(rng, second, coeffs)
+                assert_same_element(evaluator.compose(elem, n, m, elem2, l),
+                                    oracle.compose(elem, n, m, elem2, l), field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("make, arg", list(instances(PROBE_SEEDS)))
+def test_probe_evaluator_matches_oracle(make, arg, field):
+    quiver, relations = make(arg)
+    alg = build_path_algebra(quiver, relations, field)
+    assert_probes_match_oracle(alg, random.Random(f"{arg}-{field}"))
+
+
+@pytest.mark.parametrize("field", list(FIELD_SENSITIVE_DIMS), ids=str)
+def test_probe_evaluator_matches_oracle_field_sensitive(field):
+    spec = parse_quiver(FIELD_SENSITIVE)
+    alg = build_path_algebra(spec.quiver, spec.relations, field)
+    expected = len(quotient_oracle(alg).basis)
+    assert expected == FIELD_SENSITIVE_DIMS[field]
+    assert alg.dim == expected
+    assert_probes_match_oracle(alg, random.Random(str(field)))
+    assembled = assemble_A(spec.quiver, spec.relations, field)
+    assert assembled.dim == expected
+    assert assembled.verdict.isomorphic is True
