@@ -8,9 +8,9 @@ path algebra from the derived category.
 """
 
 from .fields import QQ, FieldError, FpElement, PrimeField, field_by_name
-from .linalg import (DimensionMismatch, Echelon, InconsistentSystem, Matrix,
-                     block_matrix, kernel_basis, kronecker, rank, rref, solve,
-                     solve_many)
+from .linalg import (Coordinates, DimensionMismatch, Echelon,
+                     InconsistentSystem, Matrix, block_matrix, kernel_basis,
+                     kronecker, rank, rref)
 from .quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError, Relation,
                      ResourceBudget, admissible_order, count_paths,
                      enumerate_paths, full_subquiver, is_ordered)
@@ -30,8 +30,8 @@ from .complexes import (BoundedComplex, ChainMap, ComplexError,
 from .spectrum import (IdealDescriptor, IncompatibleSubquiver, NotProper,
                        QuiverMorphism, SpectrumReport, TensorRelationError,
                        closed_set, contains, ideal_of, induced_spectrum_map,
-                       is_maximal, is_prime, presheaf_sections, prime_at,
-                       sheaf_sections, spc)
+                       is_prime, presheaf_sections, prime_at, sheaf_sections,
+                       spc)
 from .reconstruct import (CenterReport, ReconstructedAlgebra,
                           ReconstructionError, assemble_A, center_and_z,
                           phi, psi, rational_points, yoneda_coordinates)

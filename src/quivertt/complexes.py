@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import (DimensionMismatch, Echelon, Matrix, block_matrix,
-                     complete_basis, kernel_basis, kronecker, solve_many)
+from .linalg import (Coordinates, DimensionMismatch, Echelon, Matrix,
+                     block_matrix, complete_basis, kernel_basis, kronecker)
 from .quiver import ResourceBudget
 from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
@@ -152,17 +152,20 @@ def cohomology_at(cx, n):
     return GradedVectorSpace(dims, reps, images)
 
 
-def cohomology_coordinates(cx, n, gvs, degree, vec):
-    """Express a kernel vector at (vertex n, degree) in the chosen
-    cohomology basis, discarding its boundary part."""
-    field = cx.field
-    reps = gvs.representatives.get(degree, [])
-    img = gvs.image_basis.get(degree, [])
-    if not reps:
-        return ()
-    a = Matrix.from_columns(list(reps) + list(img), field, rows=len(vec))
-    sol = solve_many(a, [vec])[0]
-    return sol[:len(reps)]
+def induced_on_cohomology(mat, h_src, h_tgt, degree):
+    """The matrix, in the chosen cohomology bases, of the map that `mat`
+    induces from h_src to h_tgt in `degree`: each source representative's
+    image is read in the target's representatives and image basis, and its
+    boundary part is dropped."""
+    reps = h_src.representatives[degree]
+    tgt_reps = h_tgt.representatives.get(degree, [])
+    if not tgt_reps:
+        return Matrix.zeros(0, len(reps), mat.field)
+    coords = Coordinates(list(tgt_reps) + list(h_tgt.image_basis.get(degree, [])),
+                         mat.rows, mat.field)
+    k = len(tgt_reps)
+    return Matrix.from_columns([coords.of(mat.apply(r))[:k] for r in reps],
+                               mat.field, rows=k)
 
 
 def support(cx):
@@ -363,18 +366,10 @@ def split_vector_complex(cx):
 def induced_cohomology_map(f, n):
     """Per-degree matrices of the map H(source)_n -> H(target)_n induced
     by a chain map, in the chosen cohomology bases."""
-    src, tgt = f.source, f.target
-    h_src = cohomology_at(src, n)
-    h_tgt = cohomology_at(tgt, n)
-    out = {}
-    for i, reps in h_src.representatives.items():
-        fx = f.component(i).components[n]
-        cols = [tuple(cohomology_coordinates(tgt, n, h_tgt, i, fx.apply(r)))
-                for r in reps]
-        rows = h_tgt.dims.get(i, 0)
-        cols = [c if len(c) == rows else (src.field.zero,) * rows for c in cols]
-        out[i] = Matrix.from_columns(cols, src.field, rows=rows)
-    return out
+    h_src = cohomology_at(f.source, n)
+    h_tgt = cohomology_at(f.target, n)
+    return {i: induced_on_cohomology(f.component(i).components[n], h_src, h_tgt, i)
+            for i in h_src.representatives}
 
 
 def complex_to_json(cx):

@@ -8,8 +8,10 @@ nothing here assumes positive dimensions.
 
 All elimination goes through `Echelon`, which stores its rows sparse, as
 {column: value} dicts, because the systems it solves (ideal rows, Hom
-constraints, commutators) have a handful of nonzeros per row.  `rref`,
-`kernel_basis` and the solvers read their answers off it.
+constraints, commutators) have a handful of nonzeros per row.  `rref` and
+`kernel_basis` read their answers off it, and `Coordinates` reads the
+coordinates of a vector in a set of columns off one echelon of the columns
+augmented by the identity.
 """
 
 from __future__ import annotations
@@ -214,47 +216,6 @@ def kernel_basis(m):
     return ech.kernel_basis()
 
 
-def solve(a, b):
-    """Solve a x = b for a column vector b.
-
-    Returns (particular solution or None, kernel basis of a).
-    """
-    if len(b) != a.rows:
-        raise DimensionMismatch("rhs length must equal row count")
-    field = a.field
-    aug = a.hstack(Matrix.from_columns([list(b)], field, rows=a.rows))
-    red, pivots, rk = rref(aug)
-    if a.cols in pivots:
-        return None, kernel_basis(a)
-    x = [field.zero] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entries[r][a.cols]
-    return tuple(x), kernel_basis(a)
-
-
-def solve_many(a, bs):
-    """Particular solutions of a x = b for several rhs vectors at once.
-
-    Raises InconsistentSystem if any rhs is not in the column span.
-    """
-    field = a.field
-    if not bs:
-        return []
-    aug = a.hstack(Matrix.from_columns([list(b) for b in bs], field, rows=a.rows))
-    red, pivots, rk = rref(aug)
-    main_pivots = [p for p in pivots if p < a.cols]
-    if len(main_pivots) != len(pivots):
-        bad = pivots[len(main_pivots)] - a.cols
-        raise InconsistentSystem(f"rhs #{bad} not in column span")
-    sols = []
-    for k in range(len(bs)):
-        x = [field.zero] * a.cols
-        for r, pc in enumerate(main_pivots):
-            x[pc] = red.entries[r][a.cols + k]
-        sols.append(tuple(x))
-    return sols
-
-
 def kronecker(a, b):
     """Kronecker product; basis index ordering (i, j) -> i * b.cols + j."""
     if a.field != b.field:
@@ -400,7 +361,44 @@ def complete_basis(cols, dim, field=QQ):
         e[j] = field.one
         if ech.add(e):
             added.append(tuple(e))
-    full = Matrix.from_columns(list(cols) + added, field, rows=dim)
+    coords = Coordinates(list(cols) + added, dim, field)
     ident = Matrix.identity(dim, field)
-    inv_cols = solve_many(full, [ident.column(j) for j in range(dim)])
-    return added, Matrix.from_columns(inv_cols, field, rows=full.cols)
+    inv_cols = [coords.of(ident.column(j)) for j in range(dim)]
+    return added, Matrix.from_columns(inv_cols, field, rows=coords.k)
+
+
+class Coordinates:
+    """The coordinates x of a vector v = sum x_i c_i in the columns c_i of
+    length `dim`, read off one `Echelon` of the augmented rows [c_i | e_i]:
+    reducing [v | 0] leaves [0 | -x] exactly when v is in the span.  With
+    independent columns these are the unique coordinates.
+
+    `of` raises `InconsistentSystem` for a vector outside the span, and
+    `DimensionMismatch` for one whose length is not `dim`, which would
+    otherwise spill into the coordinate columns.
+    """
+
+    def __init__(self, cols, dim, field=QQ):
+        cols = list(cols)
+        self.dim = dim
+        self.k = len(cols)
+        self.field = field
+        self._ech = Echelon(dim + self.k, field)
+        for i, col in enumerate(cols):
+            if len(col) != dim:
+                raise DimensionMismatch("column length must equal dim")
+            row = dict(enumerate(col))
+            row[dim + i] = field.one
+            self._ech.add(row)
+
+    def of(self, vec):
+        dim = self.dim
+        if len(vec) != dim:
+            raise DimensionMismatch("vector length must equal dim")
+        res = self._ech._residue(vec)
+        if any(c < dim for c in res):
+            raise InconsistentSystem("vector not in the span of the columns")
+        x = [self.field.zero] * self.k
+        for c, a in res.items():
+            x[c - dim] = -a
+        return tuple(x)

@@ -189,7 +189,6 @@ class PathAlgebra:
         self._build()
         self._product_cache = {}
         self._arrow_steps = {}
-        self._module_action_cache = {}
         self._generator_relations = {}
 
     @functools.cached_property
@@ -393,22 +392,6 @@ class PathAlgebra:
     def module_basis(self, v):
         """Global basis indices of M_v, in basis order."""
         return list(self._module_bases.get(v, ()))
-
-    def right_mult_on_module(self, v, j):
-        """Matrix of right multiplication by basis class j on M_v."""
-        key = (v, j)
-        cached = self._module_action_cache.get(key)
-        if cached is not None:
-            return cached
-        mb = self.module_basis(v)
-        pos = {gi: k for k, gi in enumerate(mb)}
-        rows = [[self.field.zero] * len(mb) for _ in mb]
-        for k, gi in enumerate(mb):
-            for gk, c in self.product_indices(gi, j).items():
-                rows[pos[gk]][k] = c
-        mat = Matrix._raw(len(mb), len(mb), tuple(map(tuple, rows)), self.field)
-        self._module_action_cache[key] = mat
-        return mat
 
     def generator_relations(self, m):
         """Basis of the kernel of the action map Lambda -> M_m,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .complexes import (BoundedComplex, cohomology_at, cohomology_coordinates,
-                        eval_functor)
+from .complexes import (BoundedComplex, cohomology_at, eval_functor,
+                        induced_on_cohomology)
 from .linalg import Echelon, Matrix
 from .path_algebra import PathAlgebra, checked_algebra, module_hom_space
 from .quiver import Path
@@ -102,16 +102,8 @@ class PhiTransformation:
             return {i: act_on(t) for i, t in cx.terms.items()}
         h_n = cohomology_at(cx, n)
         h_m = cohomology_at(cx, m)
-        out = {}
-        for i, reps in h_n.representatives.items():
-            act = act_on(cx.term(i))
-            rows = h_m.dims.get(i, 0)
-            cols = []
-            for r in reps:
-                coord = tuple(cohomology_coordinates(cx, m, h_m, i, act.apply(r)))
-                cols.append(coord if len(coord) == rows else (field.zero,) * rows)
-            out[i] = Matrix.from_columns(cols, field, rows=rows)
-        return out
+        return {i: induced_on_cohomology(act_on(cx.term(i)), h_n, h_m, i)
+                for i in h_n.representatives}
 
 
 def phi(alg, element, source_vertex=None, target_vertex=None):
@@ -357,7 +349,7 @@ def center_and_z(quiver, relations, assembled, field=QQ):
     alg = assembled.algebra
     d = alg.dim
 
-    # center: solve x * b - b * x = 0 for b running over the generators,
+    # center: the x with x * b - b * x = 0 for b running over the generators,
     # the idempotents and the arrow classes; their commutant is Z(A)
     generators = [alg.idempotent(v) for v in quiver.vertices]
     generators += [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]

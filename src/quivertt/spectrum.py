@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .complexes import support
+from .linalg import Coordinates
 from .path_algebra import checked_algebra, compatibility
 from .path_algebra import TensorRelationError  # noqa: F401  re-exported
 from .quiver import QuiverError, full_subquiver
@@ -79,13 +80,11 @@ def prime_at(quiver, n):
 
 
 def is_prime(descriptor):
+    """Whether a proper ideal is prime, which here is the same as
+    maximal: the spectrum is discrete."""
     if descriptor.is_unit:
         raise NotProper("the unit ideal is not prime")
     return len(descriptor.complement()) == 1
-
-
-# every proper prime is maximal: the spectrum is discrete
-is_maximal = is_prime
 
 
 @dataclass
@@ -180,16 +179,13 @@ def presheaf_sections(quiver, relations, open_set, field=QQ):
     basis = hom_space(u, u)
     flat = [tuple(f.components[v].entries[0][0] for v in sub.vertices)
             for f in basis]
-    from .linalg import Matrix, solve_many
-    span = Matrix.from_columns([list(c) for c in flat], field,
-                               rows=len(sub.vertices))
+    coords = Coordinates(flat, len(sub.vertices), field)
     table = []
     for fi in flat:
         row = []
         for fj in flat:
             prod = tuple(a * b for a, b in zip(fi, fj))
-            coords = solve_many(span, [prod])[0] if flat else ()
-            row.append([field.format(c) for c in coords])
+            row.append([field.format(c) for c in coords.of(prod)])
         table.append(row)
     components = [sorted(c) for c in sub.undirected_components()]
     return AlgebraSections(tuple(sub.vertices), len(basis),

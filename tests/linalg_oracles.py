@@ -3,10 +3,12 @@ as differential oracles for the zero-skipping code in `linalg`.
 
 Each does the arithmetic on every entry, zero or not, as `linalg` did
 before its row operations skipped zeros and `rref` became a view of
-`Echelon`.
+`Echelon`.  The solver and the basis completion work on the dense RREF of
+an augmented matrix, as `linalg` did before it read coordinates off one
+sparse echelon.
 """
 
-from quivertt.linalg import Matrix
+from quivertt.linalg import InconsistentSystem, Matrix
 
 
 def rref_oracle(m):
@@ -56,6 +58,43 @@ def kernel_basis_oracle(m):
             v[pc] = -red.entries[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def solve_many_oracle(a, bs):
+    """Particular solutions of a x = b for each b, read off the RREF of
+    the augmented matrix [a | b_0 | b_1 | ...]."""
+    field = a.field
+    aug = a.hstack(Matrix.from_columns([list(b) for b in bs], field, rows=a.rows))
+    red, pivots, _ = rref_oracle(aug)
+    if any(p >= a.cols for p in pivots):
+        raise InconsistentSystem("rhs not in column span")
+    sols = []
+    for k in range(len(bs)):
+        x = [field.zero] * a.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = red.entries[r][a.cols + k]
+        sols.append(tuple(x))
+    return sols
+
+
+def complete_basis_oracle(cols, dim, field):
+    """The standard vectors that raise the rank of `cols` and of those kept
+    before them, and the inverse of [cols | added] solved against each
+    column of the identity."""
+    cols = [tuple(c) for c in cols]
+
+    def rank_of(vectors):
+        return rref_oracle(Matrix.from_columns(vectors, field, rows=dim))[2]
+
+    added = []
+    for j in range(dim):
+        e = tuple(field.one if i == j else field.zero for i in range(dim))
+        if rank_of(cols + added + [e]) > rank_of(cols + added):
+            added.append(e)
+    full = Matrix.from_columns(cols + added, field, rows=dim)
+    ident = Matrix.identity(dim, field)
+    inv_cols = solve_many_oracle(full, [ident.column(j) for j in range(dim)])
+    return added, Matrix.from_columns(inv_cols, field, rows=full.cols)
 
 
 def matmul_oracle(a, b):

@@ -14,11 +14,11 @@ reducing its vector against an echelon of the subquiver's ideal rows.
 
 from types import SimpleNamespace
 
-from quivertt.linalg import InconsistentSystem, Matrix
+from quivertt.linalg import Matrix
 from quivertt.quiver import (Relation, admissible_order, enumerate_paths,
                              full_subquiver)
 
-from linalg_oracles import RREFEchelonOracle, rref_oracle
+from linalg_oracles import RREFEchelonOracle, solve_many_oracle
 
 
 def ideal_rows_oracle(pair, generators, paths_by_pair, field):
@@ -42,23 +42,6 @@ def ideal_rows_oracle(pair, generators, paths_by_pair, field):
                 if any(vec):
                     rows.append(vec)
     return rows
-
-
-def solve_many_oracle(a, bs):
-    """Particular solutions of a x = b for each b, read off the RREF of
-    the augmented matrix [a | b_0 | b_1 | ...]."""
-    field = a.field
-    aug = a.hstack(Matrix.from_columns([list(b) for b in bs], field, rows=a.rows))
-    red, pivots, _ = rref_oracle(aug)
-    if any(p >= a.cols for p in pivots):
-        raise InconsistentSystem("rhs not in column span")
-    sols = []
-    for k in range(len(bs)):
-        x = [field.zero] * a.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][a.cols + k]
-        sols.append(tuple(x))
-    return sols
 
 
 def pairs_in_order(quiver, by_pair):
@@ -146,3 +129,16 @@ def compatibility_oracle(quiver, relations, verts, field):
             witness = gen
             break
     return tuple(r_cap), tuple(r_bar), witness
+
+
+def right_mult_oracle(alg, v, j):
+    """The matrix of right multiplication by basis class j on the module
+    M_v = e_v * Lambda, in the basis `alg.module_basis(v)`, one column per
+    basis class read off `product_indices`."""
+    mb = alg.module_basis(v)
+    pos = {gi: k for k, gi in enumerate(mb)}
+    rows = [[alg.field.zero] * len(mb) for _ in mb]
+    for k, gi in enumerate(mb):
+        for gk, c in alg.product_indices(gi, j).items():
+            rows[pos[gk]][k] = c
+    return Matrix(len(mb), len(mb), rows, alg.field)

@@ -7,11 +7,13 @@ path acts as a product that starts from the identity.
 """
 
 from quivertt.fields import QQ
-from quivertt.linalg import Matrix, complete_basis, solve_many
+from quivertt.linalg import Matrix
 from quivertt.quiver import admissible_order
 from quivertt.repcat import (FiltrationStep, Representation,
                              RepresentationError, RepMorphism, simple_object,
                              unit_object)
+
+from linalg_oracles import complete_basis_oracle, solve_many_oracle
 
 
 def sub_quotient_oracle(rep, sub_bases):
@@ -33,7 +35,7 @@ def sub_quotient_oracle(rep, sub_bases):
         image_cols = [rep.arrow_maps[a.label].apply(col)
                       for col in sub_mats[a.source].columns()]
         try:
-            coords = solve_many(sub_mats[a.target], image_cols)
+            coords = solve_many_oracle(sub_mats[a.target], image_cols)
         except Exception as exc:
             raise RepresentationError(
                 f"subspace not stable under arrow {a.label}") from exc
@@ -46,7 +48,7 @@ def sub_quotient_oracle(rep, sub_bases):
     proj_mats = {}
     for x in quiver.vertices:
         d = rep.dims[x]
-        chosen, inv = complete_basis(sub_mats[x].columns(), d, field)
+        chosen, inv = complete_basis_oracle(sub_mats[x].columns(), d, field)
         comp_mats[x] = Matrix.from_columns(chosen, field, rows=d)
         proj_mats[x] = Matrix.from_rows(
             [inv.row(i) for i in range(sub_mats[x].cols, d)], field, cols=d)

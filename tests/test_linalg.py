@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivertt.fields import QQ, FpElement, PrimeField
-from quivertt.linalg import (DimensionMismatch, Echelon, InconsistentSystem,
-                             Matrix, block_matrix, kernel_basis, kronecker,
-                             rank, rref, solve, solve_many)
+from quivertt.linalg import (Coordinates, DimensionMismatch, Echelon,
+                             InconsistentSystem, Matrix, block_matrix,
+                             complete_basis, kernel_basis, kronecker, rank,
+                             rref)
 
-from linalg_oracles import (RREFEchelonOracle, kernel_basis_oracle,
-                            matmul_oracle, rref_oracle)
+from linalg_oracles import (RREFEchelonOracle, complete_basis_oracle,
+                            kernel_basis_oracle, matmul_oracle, rref_oracle,
+                            solve_many_oracle)
 
 
 # -- independent oracles ------------------------------------------------
@@ -141,31 +143,81 @@ def test_kronecker_index_convention():
     assert [k[t, t] for t in range(4)] == [3, 4, 6, 8]
 
 
-# -- solving -----------------------------------------------------------
+# -- coordinates ---------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
-@given(matrices(), st.data())
-def test_solve_substitution(m, data):
-    x = tuple(data.draw(entries) for _ in range(m.cols))
-    b = m.apply(x)
-    sol, kernel = solve(m, b)
-    assert sol is not None
-    assert m.apply(sol) == b
+SOLVE_FIELDS = [QQ, PrimeField(101), PrimeField(2)]
 
 
-def test_solve_detects_inconsistency():
-    m = Matrix(2, 1, [[1], [0]])
-    sol, _ = solve(m, (QQ.zero, QQ.one))
-    assert sol is None
+def scalars(field):
+    return entries if field == QQ else st.integers(0, field.p - 1).map(field)
+
+
+@st.composite
+def spans(draw, field):
+    """Independent columns of length dim (dim and their count k both
+    possibly 0), kept from random candidates by the rank of the oracle."""
+    dim = draw(st.integers(0, 6))
+    kept = []
+    for col in draw(st.lists(st.lists(scalars(field), min_size=dim,
+                                      max_size=dim), max_size=dim + 1)):
+        col = tuple(field(x) for x in col)
+        grown = Matrix.from_columns(kept + [col], field, rows=dim)
+        if rref_oracle(grown)[2] == len(kept) + 1:
+            kept.append(col)
+    return dim, kept
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coordinates_match_solve_oracle(field, data):
+    dim, cols = data.draw(spans(field))
+    a = Matrix.from_columns(cols, field, rows=dim)
+    coords = Coordinates(cols, dim, field)
+    for _ in range(3):
+        x = tuple(data.draw(scalars(field)) for _ in cols)
+        v = a.apply(tuple(field(c) for c in x))
+        got = coords.of(v)
+        assert got == solve_many_oracle(a, [v])[0]
+        assert a.apply(got) == v and len(got) == len(cols)
+    v = tuple(field(c) for c in data.draw(
+        st.lists(scalars(field), min_size=dim, max_size=dim)))
+    try:
+        want = solve_many_oracle(a, [v])[0]
+    except InconsistentSystem:
+        with pytest.raises(InconsistentSystem):
+            coords.of(v)
+    else:
+        assert coords.of(v) == want
+
+
+def test_coordinates_detect_inconsistency():
+    coords = Coordinates([(QQ(1), QQ(0))], 2)
+    assert coords.of((QQ(3), QQ(0))) == (QQ(3),)
     with pytest.raises(InconsistentSystem):
-        solve_many(m, [(QQ.zero, QQ.one)])
+        coords.of((QQ(0), QQ(1)))
 
 
-def test_solve_many_matches_solve():
-    m = Matrix(3, 2, [[1, 0], [1, 1], [0, 1]])
-    bs = [m.apply((QQ(1), QQ(2))), m.apply((QQ(-1), QQ(0)))]
-    sols = solve_many(m, bs)
-    assert [m.apply(s) for s in sols] == bs
+def test_coordinates_reject_wrong_length():
+    coords = Coordinates([(QQ(1), QQ(0)), (QQ(1), QQ(1))], 2)
+    # a third entry would otherwise land in the first coordinate column
+    with pytest.raises(DimensionMismatch):
+        coords.of((QQ(0), QQ(0), QQ(1)))
+    with pytest.raises(DimensionMismatch):
+        coords.of((QQ(1),))
+    with pytest.raises(DimensionMismatch):
+        Coordinates([(QQ(1),)], 2)
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_complete_basis_inverts_completed_columns(field, data):
+    dim, cols = data.draw(spans(field))
+    added, inv = complete_basis(cols, dim, field)
+    full = Matrix.from_columns(cols + added, field, rows=dim)
+    assert inv @ full == Matrix.identity(dim, field)
+    assert (added, inv) == complete_basis_oracle(cols, dim, field)
 
 
 # -- incremental echelon -----------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from quivertt.cli import main
-from quivertt.dsl import parse_quiver
+from quivertt.dsl import parse_quiver, parse_quiver_file
 from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import build_path_algebra, module_hom_space
 from quivertt.randgen import random_tensor_quiver
@@ -24,6 +24,7 @@ from reconstruct_oracles import (center_basis_oracle, module_hom_space_oracle,
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reconstruct"
 GOLDEN_F101_DIR = GOLDEN_DIR.parent / "reconstruct-f101"
+SPEC_DIR = Path(__file__).resolve().parent / "specs"
 FIELDS = [QQ, PrimeField(101)]
 SEEDS = range(20)
 
@@ -35,6 +36,11 @@ def fixture_instance(name):
 
 def random_instance(seed):
     return random_tensor_quiver(random.Random(seed))
+
+
+def spec_instance(name):
+    spec = parse_quiver_file(SPEC_DIR / f"{name}.quiver")
+    return spec.quiver, spec.relations
 
 
 def instances(seeds=SEEDS):
@@ -159,8 +165,14 @@ def assert_probes_match_oracle(alg, rng):
                                     oracle.compose(elem, n, m, elem2, l), field)
 
 
+# an instance on which the first arrow's matrix on a probe is not square,
+# so a walk that steps with its transpose goes wrong
+PROBE_SPECS = [pytest.param(spec_instance, "first_arrow_transpose",
+                            id="first_arrow_transpose")]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("make, arg", list(instances(PROBE_SEEDS)))
+@pytest.mark.parametrize("make, arg", list(instances(PROBE_SEEDS)) + PROBE_SPECS)
 def test_probe_evaluator_matches_oracle(make, arg, field):
     quiver, relations = make(arg)
     alg = build_path_algebra(quiver, relations, field)

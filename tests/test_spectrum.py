@@ -3,13 +3,13 @@ from itertools import chain, combinations
 import pytest
 
 from quivertt.complexes import BoundedComplex, direct_sum_complex, support
-from quivertt.quiver import Arrow, Quiver, QuiverError
+from quivertt.quiver import Arrow, Quiver, QuiverError, full_subquiver
 from quivertt.randgen import random_complex, random_tensor_quiver
-from quivertt.repcat import simple_object, unit_object
+from quivertt.repcat import hom_space, simple_object, unit_object
 from quivertt.spectrum import (IdealDescriptor, IncompatibleSubquiver,
                                NotProper, QuiverMorphism, TensorRelationError,
                                closed_set, contains, ideal_of,
-                               induced_spectrum_map, is_maximal, is_prime,
+                               induced_spectrum_map, is_prime,
                                presheaf_sections, prime_at, sheaf_sections,
                                spc)
 
@@ -92,16 +92,19 @@ class TestPrimes:
         unit = IdealDescriptor(spec.quiver, frozenset(spec.quiver.vertices))
         with pytest.raises(NotProper):
             is_prime(unit)
-        with pytest.raises(NotProper):
-            is_maximal(unit)
 
     def test_prime_iff_maximal(self, fixture_spec):
+        # the spectrum is discrete: a proper ideal is prime exactly when no
+        # proper ideal strictly contains it, every support bound being an
+        # ideal (of the sums of simples over it)
         q = fixture_spec.quiver
-        for subset in powerset(q.vertices):
-            desc = IdealDescriptor(q, frozenset(subset))
-            if desc.is_unit:
+        everything = frozenset(q.vertices)
+        bounds = [frozenset(s) for s in powerset(q.vertices)]
+        for bound in bounds:
+            if bound == everything:
                 continue
-            assert is_prime(desc) == is_maximal(desc)
+            maximal = not any(bound < other < everything for other in bounds)
+            assert is_prime(IdealDescriptor(q, bound)) == maximal
 
 
 class TestSpc:
@@ -185,6 +188,29 @@ class TestPresheafSections:
             except IncompatibleSubquiver:
                 continue
             assert sections.dimension == len(sections.components)
+
+    def test_structure_constants_reproduce_products(self, fixture_spec):
+        # sum_k c_ijk f_k = f_i f_j, vertex by vertex, over the basis of
+        # End(1) on the open set, for every compatible open set
+        q, field = fixture_spec.quiver, fixture_spec.field
+        for open_set in powerset(q.vertices):
+            if not open_set:
+                continue
+            try:
+                sections = presheaf_sections(q, fixture_spec.relations,
+                                             open_set, field)
+            except IncompatibleSubquiver:
+                continue
+            sub, _, _ = full_subquiver(q, open_set)
+            u = unit_object(sub, field)
+            flat = [[f.components[v].entries[0][0] for v in sub.vertices]
+                    for f in hom_space(u, u)]
+            for fi, row in zip(flat, sections.multiplication):
+                for fj, coords in zip(flat, row):
+                    combo = [sum((field.parse(c) * fk[t]
+                                  for c, fk in zip(coords, flat)), field.zero)
+                             for t in range(len(sub.vertices))]
+                    assert combo == [a * b for a, b in zip(fi, fj)]
 
     def test_kronecker2_vs_kronecker3_presheaves_isomorphic(self):
         s2 = load_fixture("kronecker2")
