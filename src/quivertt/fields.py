@@ -1,17 +1,31 @@
 """Exact scalar arithmetic: rationals and prime fields.
 
-Rationals are python Fractions (already canonical: lowest terms, positive
-denominator).  Prime-field elements are `FpElement`s: immutable two-slot
-objects holding the representative in [0, p) and the modulus, so that
-matrix code can stay field-agnostic and use ordinary operators.  An
-operation on two elements of one field checks only the operand's class
-and modulus, then builds its result without the public constructor;
-coercing an `int` and refusing a foreign modulus happen off that path.
-No floats anywhere.
+A rational is a python `int` when it is integral and a `Fraction` (lowest
+terms, positive denominator) otherwise, so the +-1 and small integers that
+most systems here hold cost machine-integer arithmetic, not a gcd per
+operation.  Results are not normalised after each operation: a `Fraction`
+with denominator one, such as `Fraction(1, 2) * 2`, is still a valid
+element, which compares, hashes and formats like the `int`.  The field
+normalises where it coerces (`Rationals.__call__`, `parse`), and the
+elimination and the `Matrix` constructor coerce their inputs.  Since
+`int / int` is a float, no code outside this module divides field
+elements: a quotient is `field.inv(x)` times the numerator.
+
+Prime-field elements are `FpElement`s: immutable two-slot objects holding
+the representative in [0, p) and the modulus, so that matrix code can stay
+field-agnostic and use ordinary operators.  An operation on two elements
+of one field checks only the operand's class and modulus, then builds its
+result without the public constructor; coercing an `int` and refusing a
+foreign modulus happen off that path.
+
+Scalar literals (spec coefficients, complex-file entries) are an integer
+or "a/b" with ASCII digits and an optional sign; anything else, a float
+among them, raises FieldError.  No floats anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -168,29 +182,64 @@ def _is_prime(n):
     return True
 
 
+# the literal forms of a scalar: "3", "+3", "-1/2"; ASCII digits only,
+# so no exponent, decimal point, underscore or whitespace
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_literal(text, what):
+    """The rational that the literal `text` denotes, as a pair (numerator,
+    denominator); FieldError for any other text or a zero denominator."""
+    m = _LITERAL.fullmatch(text)
+    if m is not None:
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:   # more digits than int() converts
+            pass
+        else:
+            if den:
+                return num, den
+    raise FieldError(f"bad {what} literal {text!r}")
+
+
 class Rationals:
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals: an element is an `int`
+    when it is integral and a `Fraction` otherwise."""
 
     name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __call__(self, x):
-        # a Fraction is already canonical; returning it unchanged saves the
-        # re-normalisation that Fraction(x) would do
-        if x.__class__ is Fraction:
+        cls = x.__class__
+        if cls is int:
             return x
-        return self.from_int(x) if isinstance(x, int) else Fraction(x)
+        if cls is Fraction:
+            # already in lowest terms; only an integral one changes type
+            return x.numerator if x.denominator == 1 else x
+        if isinstance(x, int):   # bool and other int subclasses
+            return int(x)
+        if isinstance(x, str):
+            return self.parse(x)
+        raise FieldError(f"cannot coerce {x!r} into QQ")
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
+
+    def inv(self, x):
+        """The inverse of a nonzero element: +-1 itself, 1/n as a
+        `Fraction`, and the reciprocal of a `Fraction` in canonical form."""
+        if x.__class__ is int:
+            return x if x == 1 or x == -1 else Fraction(1, x)
+        num, den = x.numerator, x.denominator
+        if num == 1 or num == -1:
+            return num * den
+        return Fraction(den, num)
 
     def parse(self, text):
         """Parse "p/q" or an integer literal into a canonical rational."""
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"bad rational literal {text!r}") from exc
+        num, den = _parse_literal(text, "rational")
+        return num if den == 1 else self(Fraction(num, den))
 
     def format(self, x):
         return str(x)
@@ -234,13 +283,15 @@ class PrimeField:
     def from_int(self, n):
         return FpElement(n, self.p)
 
+    def inv(self, x):
+        """The inverse of a nonzero element."""
+        return self.one / x
+
     def parse(self, text):
-        """Parse an integer (or "a/b") literal mod p."""
-        try:
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FieldError(f"bad scalar literal {text!r}") from exc
-        return self(frac)
+        """Parse an integer (or "a/b") literal mod p; "a/b" is reduced to
+        lowest terms over QQ first."""
+        num, den = _parse_literal(text, "scalar")
+        return self(Fraction(num, den))
 
     def format(self, x):
         return str(self(x).value)

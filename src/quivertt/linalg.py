@@ -278,7 +278,7 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = self.field.one / v[p]
+        inv = self.field.inv(v[p])
         row = {c: inv * a for c, a in v.items()}
         for other in self.rows.values():
             f = other.pop(p, None)

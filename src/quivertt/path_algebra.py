@@ -153,7 +153,7 @@ def groebner_basis(polys, field):
         if not f:
             continue
         tip = max(f, key=_order_key)
-        scale = -field.one / f[tip]
+        scale = -field.inv(f[tip])
         rhs = {w: c * scale for w, c in f.items() if w != tip}
         # an element whose tip contains the new one is reduced again
         for t in [t for t in rules if _contains(t, tip)]:

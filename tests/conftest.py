@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from quivertt.dsl import parse_quiver, parse_quiver_file
+from quivertt.fields import QQ, FpElement
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src/quivertt/fixtures"
 
@@ -34,6 +36,13 @@ def beilinson_text(m, length):
 
 def load_beilinson(m, length):
     return parse_quiver(beilinson_text(m, length))
+
+
+def element_types(field):
+    """The types a value of `field` may have: an `int` (when integral) or
+    a `Fraction` over QQ, an `FpElement` over F_p.  Check a value with
+    `type(x) in element_types(field)`, which refuses `bool` and `float`."""
+    return (int, Fraction) if field == QQ else (FpElement,)
 
 
 @pytest.fixture

@@ -6,9 +6,22 @@ before its row operations skipped zeros and `rref` became a view of
 `Echelon`.  The solver and the basis completion work on the dense RREF of
 an augmented matrix, as `linalg` did before it read coordinates off one
 sparse echelon.
+
+Over QQ the eliminations compute in `Fraction` throughout, apart from the
+library's elements, which are `int`s when integral: there `/` would give
+a float.
 """
 
+from fractions import Fraction
+
+from quivertt.fields import QQ
 from quivertt.linalg import InconsistentSystem, Matrix
+
+
+def exact(field, x):
+    """`x` as the oracles compute with it: a `Fraction` over QQ, and the
+    field element itself over F_p."""
+    return Fraction(x) if field == QQ else x
 
 
 def rref_oracle(m):
@@ -17,7 +30,7 @@ def rref_oracle(m):
     Returns (reduced matrix, tuple of pivot columns, rank).
     """
     field = m.field
-    rows = [list(r) for r in m.entries]
+    rows = [[exact(field, x) for x in r] for r in m.entries]
     pivots = []
     piv_r = 0
     for piv_c in range(m.cols):
@@ -29,7 +42,7 @@ def rref_oracle(m):
         if pr is None:
             continue
         rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        inv = field.one / rows[piv_r][piv_c]
+        inv = exact(field, field.one) / rows[piv_r][piv_c]
         rows[piv_r] = [inv * x for x in rows[piv_r]]
         for i in range(m.rows):
             if i != piv_r and rows[i][piv_c]:
@@ -124,7 +137,7 @@ class RREFEchelonOracle:
         self.pivot_rows = {}
 
     def reduce(self, vec):
-        v = list(vec)
+        v = [exact(self.field, x) for x in vec]
         for p in sorted(self.pivot_rows):
             if v[p]:
                 f = v[p]
@@ -136,7 +149,7 @@ class RREFEchelonOracle:
         v = self.reduce(vec)
         for p, x in enumerate(v):
             if x:
-                inv = self.field.one / x
+                inv = exact(self.field, self.field.one) / x
                 row = [inv * a for a in v]
                 for q, other in list(self.pivot_rows.items()):
                     if other[p]:

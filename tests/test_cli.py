@@ -18,6 +18,7 @@ from conftest import (FIXTURE_DIR, FIXTURE_NAMES, beilinson_text,
                       load_beilinson, load_fixture)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SPEC_DIR = GOLDEN_DIR.parent / "specs"
 GOLDEN_COMMANDS = ["validate", "spectrum", "check-tensor", "filtration",
                    "compare-points"]
 
@@ -243,6 +244,33 @@ class TestExitCodes:
         assert code == 2 and doc["error_type"] == "ParseError"
         assert all(w in doc["error"] for w in words), doc["error"]
 
+    def test_exponent_scalar_in_complex_file_is_2_at_once(self, tmp_path):
+        # a 101-byte file whose entry, read as a rational, is 10**10000000
+        cx = tmp_path / "cx.json"
+        cx.write_text('{"terms": {"0": {"dims": {"1": 1, "2": 1}, '
+                      '"arrows": {"x0": [["1e10000000"]]}}}, '
+                      '"differentials": {}}')
+        start = time.perf_counter()
+        doc, code = run("support", fixture_path("kronecker1"),
+                        "--complex", str(cx))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert "'1e10000000'" in doc["error"]
+
+    @pytest.mark.parametrize("entry, code", [
+        (0.5, 2), ("0.5", 2), (2.0, 2), ("1/2", 0), (-3, 0), ("+3", 0)])
+    def test_complex_scalars_are_integer_or_fraction_literals(
+            self, tmp_path, entry, code):
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({"terms": {"0": {
+            "dims": {"1": 1, "2": 1}, "arrows": {"x0": [[entry]]}}}}))
+        doc, got = run("support", fixture_path("kronecker1"),
+                       "--complex", str(cx))
+        assert got == code, doc
+        if code:
+            assert doc["error_type"] == "ParseError"
+            assert repr(str(entry)) in doc["error"]
+
     def test_complex_differential_at_unknown_vertex_is_2(self, tmp_path):
         cx = tmp_path / "cx.json"
         cx.write_text(json.dumps({
@@ -434,6 +462,21 @@ class TestParserReuse:
 @pytest.mark.parametrize("command", GOLDEN_COMMANDS)
 def test_report_matches_golden(command, name, capsys):
     code = main([command, fixture_path(name)])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN_DIR / command / f"{name}.json").read_text()
+
+
+# specs whose relations have coefficients other than +-1, so their reports
+# mix integral and non-integral scalars
+SPEC_GOLDENS = [("validate", "weighted"), ("validate", "diamond"),
+                ("check-tensor", "weighted"), ("check-tensor", "diamond"),
+                ("reconstruct", "field_sensitive")]
+
+
+@pytest.mark.parametrize("command, name", SPEC_GOLDENS)
+def test_spec_report_matches_golden(command, name, capsys):
+    code = main([command, str(SPEC_DIR / f"{name}.quiver")])
     assert code == 0
     assert capsys.readouterr().out == \
         (GOLDEN_DIR / command / f"{name}.json").read_text()

@@ -105,6 +105,12 @@ class TestDiagnostics:
         self.check(f"quiver x\nfield F {modulus}\nvertices 1\n",
                    "unknown field")
 
+    @pytest.mark.parametrize("coeff", ["\u0663", "1/\u0663"])
+    def test_coefficient_must_be_ascii_digits(self, coeff):
+        # the grammar's integer is ASCII digits; int() would read U+0663 as 3
+        self.check("quiver x\nvertices 1 2\narrow a : 1 -> 2\n"
+                   f"relation {coeff} a\n", "bad rational literal", line=4)
+
     def test_arrow_to_unknown_vertex(self):
         with pytest.raises(ParseError):
             parse_quiver("quiver x\nvertices 1\narrow a : 1 -> 9\n")

@@ -10,6 +10,8 @@ from quivertt.fields import (MAX_PRIME, QQ, FieldError, FpElement, PrimeField,
                              _is_prime, field_by_name)
 from quivertt.quiver import ResourceBudget
 
+from conftest import element_types
+
 
 class TestRationals:
     def test_coercion_is_canonical(self):
@@ -24,7 +26,7 @@ class TestRationals:
         for x, want in ((3, Fraction(3)), (-2, Fraction(-2)),
                         ("3/6", Fraction(1, 2)), ("-4", Fraction(-4))):
             got = QQ(x)
-            assert type(got) is Fraction and got == want
+            assert type(got) in element_types(QQ) and got == want
 
     def test_parse_and_format(self):
         assert QQ.parse("3/4") == Fraction(3, 4)
@@ -39,6 +41,82 @@ class TestRationals:
     def test_units(self):
         assert QQ.zero == 0 and QQ.one == 1
         assert not QQ.zero and QQ.one
+
+
+class TestIntegralRationals:
+    """An element of QQ is an int when integral, a Fraction otherwise."""
+
+    def test_integral_values_are_ints(self):
+        for x in (3, -2, 0, Fraction(4, 2), Fraction(-6, 3), True, "4/2",
+                  QQ.zero, QQ.one):
+            assert type(QQ(x)) is int
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(QQ.from_int(True)) is int
+
+    def test_unnormalised_integral_fraction_acts_as_its_int(self):
+        x = Fraction(1, 2) * 2
+        assert type(x) is Fraction and type(QQ(x)) is int
+        assert x == 1 and hash(x) == hash(1) and QQ.format(x) == "1"
+        assert QQ.inv(x) == 1 and type(QQ.inv(x)) is int
+
+    @pytest.mark.parametrize("x", [0.5, 0.1, 1.0, -2.0, float("nan")])
+    def test_floats_are_refused(self, x):
+        with pytest.raises(FieldError):
+            QQ(x)
+        with pytest.raises(FieldError):
+            PrimeField(101)(x)
+
+    def test_int_quotient_fails_at_the_first_coercion(self):
+        with pytest.raises(FieldError):
+            QQ(QQ.one / 2)
+
+    def test_inv(self):
+        for x, want in ((1, 1), (-1, -1), (2, Fraction(1, 2)),
+                        (-3, Fraction(-1, 3)), (Fraction(1, 3), 3),
+                        (Fraction(-1, 5), -5),
+                        (Fraction(-2, 3), Fraction(-3, 2)),
+                        (Fraction(6, 1), Fraction(1, 6))):
+            got = QQ.inv(x)
+            assert got == want and type(got) is type(want)
+            if type(got) is Fraction:
+                assert got.denominator > 1
+        assert QQ.inv(QQ.one) is QQ.one
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(Fraction(0))
+
+    def test_inv_over_prime_field(self):
+        f7 = PrimeField(7)
+        for v in range(1, 7):
+            got = f7.inv(f7(v))
+            assert type(got) is FpElement and got * f7(v) == f7.one
+        with pytest.raises(ZeroDivisionError):
+            f7.inv(f7.zero)
+
+
+LITERAL_FIELDS = [QQ, PrimeField(101)]
+
+
+@pytest.mark.parametrize("field", LITERAL_FIELDS, ids=str)
+@pytest.mark.parametrize("text", [
+    "0.5", "1_000", " 3", "2e3", "3 ", "1e10000000", ".5", "1.", "1/0",
+    "", "+", "/2", "1/-2", "--1", "1/2/3", "0x10", "\u0663", "1\n",
+    "inf", "nan"])
+def test_parse_refuses_other_literals(field, text):
+    with pytest.raises(FieldError):
+        field.parse(text)
+
+
+@pytest.mark.parametrize("field", LITERAL_FIELDS, ids=str)
+@pytest.mark.parametrize("text, want", [
+    ("-1/2", Fraction(-1, 2)), ("+3", 3), ("4", 4), ("-0", 0),
+    ("6/4", Fraction(3, 2)), ("007", 7)])
+def test_parse_accepts_integer_and_fraction_literals(field, text, want):
+    got = field.parse(text)
+    assert got == field(want) and type(got) in element_types(field)
+    if field == QQ:
+        assert type(got) is type(want)
 
 
 class TestPrimeField:
@@ -128,7 +206,17 @@ def test_field_axioms_on_rationals(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
     if b:
-        assert (a / b) * b == a
+        # an integral element is an int, so a quotient is a * inv(b)
+        q = a * QQ.inv(b)
+        assert type(q) in element_types(QQ) and q * b == a
+
+
+@given(rationals.filter(bool))
+def test_inv_is_the_canonical_inverse(a):
+    b = QQ.inv(QQ(a))
+    assert b * a == 1
+    # canonical: an int exactly when integral
+    assert type(b) is type(QQ(b))
 
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
