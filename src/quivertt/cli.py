@@ -5,7 +5,8 @@ Exit codes: 0 on success, 1 on a domain refusal (non-tensor relations where
 tensor relations are required, incompatible subquiver, unordered quiver,
 an input over its size budget),
 2 on parse or contract errors (bad syntax, unknown vertices, malformed
-complex files).  Every report carries `"schema": 1`; dimensions are
+complex files).  Every document carries `"schema": 1`, and every report
+also names its field, `"field": "QQ"` or `"F101"`; dimensions are
 integers and scalars are strings, so exact values survive serialization.
 """
 
@@ -62,7 +63,6 @@ def cmd_validate(spec, args):
     check = is_tensor_relations(alg)
     return {
         "name": spec.name,
-        "field": spec.field_name,
         "vertices": list(spec.quiver.vertices),
         "arrows": [{"label": a.label, "source": a.source, "target": a.target}
                    for a in spec.quiver.arrows],
@@ -276,7 +276,8 @@ def run_command(argv):
     except (TensorRelationError, IncompatibleSubquiver, DomainRefusal,
             ResourceBudget) as exc:
         return _error_doc(args.command, exc), 1
-    doc = {"schema": SCHEMA, "command": args.command}
+    doc = {"schema": SCHEMA, "command": args.command,
+           "field": spec.field.name}
     doc.update(body)
     return doc, 0
 

@@ -45,10 +45,9 @@ class QuiverSpecFile:
     field: object = QQ
     quiver: Quiver = None
     relations: tuple = ()
-    field_name: str = "QQ"
 
     def pretty(self):
-        lines = [f"quiver {self.name}", f"field {self.field_name}"]
+        lines = [f"quiver {self.name}", f"field {self.field.name}"]
         lines.append("vertices " + " ".join(self.quiver.vertices))
         for a in self.quiver.arrows:
             lines.append(f"arrow {a.label} : {a.source} -> {a.target}")
@@ -160,7 +159,6 @@ def parse_quiver(text):
     position, or a homogeneity/composability error phrased the same way."""
     name = None
     field = QQ
-    field_name = "QQ"
     vertices = None
     arrows = []
     arrow_lookup = {}
@@ -184,7 +182,6 @@ def parse_quiver(text):
                 field = field_by_name(token)
             except FieldError as exc:
                 raise line.error(str(exc))
-            field_name = token
         elif keyword == "vertices":
             if vertices is not None:
                 raise line.error("duplicate vertices declaration")
@@ -222,7 +219,7 @@ def parse_quiver(text):
     except QuiverError as exc:
         raise ParseError(str(exc), 1, 1)
 
-    spec = QuiverSpecFile(name, field, quiver, (), field_name)
+    spec = QuiverSpecFile(name, field, quiver, ())
     relations = []
     for line in relation_lines:
         relations.append(_parse_relation(line, spec, arrow_lookup))

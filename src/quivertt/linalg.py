@@ -1,5 +1,5 @@
-"""Exact linear algebra over a field object from `fields`: dense matrices
-and one sparse elimination routine.
+"""Exact linear algebra over a field object from `fields`: dense matrices,
+one sparse linear-combination routine and one sparse elimination routine.
 
 Matrices are dense, immutable, row-major tuples of tuples.  Zero-by-n and
 n-by-zero matrices are legal and represent maps to/from the zero space; they
@@ -12,6 +12,14 @@ constraints, commutators) have a handful of nonzeros per row.  `rref` and
 `kernel_basis` read their answers off it, and `Coordinates` reads the
 coordinates of a vector in a set of columns off one echelon of the columns
 augmented by the identity.
+
+Sparse vectors are {index: value} dicts, the format `Echelon` eats.
+`combine` is the one sparse linear-combination routine: normal forms,
+structure constants, arrow steps, probe walks and the diagonal tensor
+square are sums it takes.  The linear systems of
+`path_algebra.module_hom_space` and `reconstruct.center_and_z` are the
+exception; each fills all of its rows in one pass, which costs less than a
+`combine` per unknown.
 """
 
 from __future__ import annotations
@@ -231,6 +239,20 @@ def kronecker(a, b):
                 row.extend(aij * x for x in brow)
             out.append(tuple(row))
     return Matrix._raw(a.rows * b.rows, a.cols * b.cols, tuple(out), field)
+
+
+def combine(terms):
+    """The sum of c * vec over the (c, vec) pairs `terms`, sparse vectors
+    {index: x}, with its zeros dropped and its keys in ascending order.  A
+    coefficient 1, the usual one, adds vec without a multiplication."""
+    acc = {}
+    for c, vec in terms:
+        unit = c == 1
+        for g, x in vec.items():
+            if not unit:
+                x = c * x
+            acc[g] = acc[g] + x if g in acc else x
+    return {g: x for g, x in sorted(acc.items()) if x}
 
 
 class Echelon:

@@ -30,9 +30,10 @@ lists the paths of the quiver: the path budget
 (`quiver.check_path_budget`) is checked first, and every tip is a path,
 so it bounds the Groebner computation too.
 
-The Hom-space constraints and module-map columns go to `linalg.Echelon` as
-sparse {column: coefficient} dicts, built straight from the cached
-structure constants, one nonzero product at a time.
+Every sum of multiples of sparse vectors here is one `linalg.combine`,
+except in `module_hom_space`: its constraint rows (sparse dicts for
+`linalg.Echelon`) and its module-map columns are each filled in one pass
+over the cached structure constants, which costs less.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, combine
 from .quiver import (Path, QuiverError, Relation, admissible_order,
                      check_path_budget, enumerate_paths, full_subquiver)
 
@@ -280,11 +281,8 @@ class PathAlgebra:
             red = self.groebner.reduce({w: self.field.one})
             nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
         else:
-            acc = {}
-            for b, c in self._nf_word(head).items():
-                for g, x in self._nf_word(self.basis[b].arrows + (a,)).items():
-                    acc[g] = acc[g] + c * x if g in acc else c * x
-            nf = {g: acc[g] for g in sorted(acc) if acc[g]}
+            nf = combine((c, self._nf_word(self.basis[b].arrows + (a,)))
+                         for b, c in self._nf_word(head).items())
         self._word_nf[w] = nf
         return nf
 
@@ -311,16 +309,9 @@ class PathAlgebra:
         return dict(self._nf(p))
 
     def nf_terms(self, terms):
-        """Residue of a linear combination of paths."""
-        out = {}
-        for c, p in terms:
-            for gi, x in self._nf(p).items():
-                v = out.get(gi, self.field.zero) + c * x
-                if v:
-                    out[gi] = v
-                elif gi in out:
-                    del out[gi]
-        return out
+        """Residue of a linear combination of paths, as {basis index: c}
+        in ascending index order."""
+        return combine((c, self._nf(p)) for c, p in terms)
 
     def product_indices(self, i, j):
         """Structure constants: (basis class i) * (basis class j), as
@@ -348,32 +339,16 @@ class PathAlgebra:
         key = (x, label)
         cached = self._arrow_steps.get(key)
         if cached is None:
-            arrow = self.nf_path(
-                Path(self._source[label], self._target[label], (label,)))
-            acc = {}
-            for j, cj in arrow.items():
-                for g, c in self.product_indices(x, j).items():
-                    acc[g] = acc[g] + cj * c if g in acc else cj * c
-            cached = self._arrow_steps[key] = {
-                g: acc[g] for g in sorted(acc) if acc[g]}
+            arrow = self._nf_word((label,))
+            cached = self._arrow_steps[key] = combine(
+                (c, self.product_indices(x, j)) for j, c in arrow.items())
         return cached
 
     def product(self, a, b):
-        """Product of two elements given as {basis index: coefficient}."""
-        out = {}
-        for i, ca in a.items():
-            if not ca:
-                continue
-            for j, cb in b.items():
-                if not cb:
-                    continue
-                for gi, c in self.product_indices(i, j).items():
-                    v = out.get(gi, self.field.zero) + ca * cb * c
-                    if v:
-                        out[gi] = v
-                    elif gi in out:
-                        del out[gi]
-        return out
+        """Product of two elements given as {basis index: coefficient},
+        in ascending index order."""
+        return combine((ca * cb, self.product_indices(i, j))
+                       for i, ca in a.items() for j, cb in b.items())
 
     def idempotent(self, v):
         return {self.idempotent_index[v]: self.field.one}
@@ -442,19 +417,13 @@ def is_tensor_relations(alg):
         total = gen.coefficient_sum()
         if total:
             return TensorCheck(False, gen, "unit")
+        # cls(p) (x) cls(p) is the sum of x_i * (e_i (x) cls(p)) over the
+        # terms x_i e_i of cls(p), and e_i (x) cls(p) is cls(p) shifted by
+        # i * dim
         d = alg.dim
-        acc = {}
-        for c, p in gen.terms:
-            nf = alg._nf(p)
-            for i, x in nf.items():
-                for j, y in nf.items():
-                    k = i * d + j
-                    v = acc.get(k, alg.field.zero) + c * x * y
-                    if v:
-                        acc[k] = v
-                    elif k in acc:
-                        del acc[k]
-        if acc:
+        nfs = [(c, alg._nf(p)) for c, p in gen.terms]
+        if combine((c * x, {i * d + j: y for j, y in nf.items()})
+                   for c, nf in nfs for i, x in nf.items()):
             return TensorCheck(False, gen, "diagonal")
     return TensorCheck(True)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
                         induced_on_cohomology)
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, combine
 from .path_algebra import PathAlgebra, checked_algebra, module_hom_space
 from .quiver import Path
 from .repcat import RepMorphism, hom_space, simple_object, unit_object
@@ -137,24 +137,11 @@ def psi(alg, n, m, module_map):
     return out
 
 
-def _sparse_sum(terms):
-    """The sum of c * vec over `terms`, sparse vectors {basis index: x},
-    with its zeros dropped and its keys in ascending order.  A coefficient
-    1, the usual one, adds vec without a multiplication."""
-    acc = {}
-    for c, vec in terms:
-        unit = c == 1
-        for g, x in vec.items():
-            if not unit:
-                x = c * x
-            acc[g] = acc[g] + x if g in acc else x
-    return {g: acc[g] for g in sorted(acc) if acc[g]}
-
-
 class ProbeEvaluator:
     """Evaluates transformations on the degree-zero projective probes M_n
     by pushing sparse vectors {basis index: c} through them, one arrow at
-    a time; no matrix is formed.
+    a time; no matrix is formed, and every sum of pushed vectors is one
+    `linalg.combine`.
 
     `walk(x, j)` is the basis class x of a probe pushed along the word of
     the basis class j.  It is cached per (x, j): the start class belongs
@@ -189,8 +176,8 @@ class ProbeEvaluator:
                 *head, last = p.arrows
                 prefix = alg.basis_index[
                     Path(p.source, alg.quiver.arrow(last).source, tuple(head))]
-                out = _sparse_sum((c, alg.arrow_step(y, last))
-                                  for y, c in self.walk(x, prefix).items())
+                out = combine((c, alg.arrow_step(y, last))
+                              for y, c in self.walk(x, prefix).items())
             self._walks[key] = out
         return out
 
@@ -201,8 +188,8 @@ class ProbeEvaluator:
 
     def _on_generator(self, elem, n):
         """The image of e_n under elem, which starts at n."""
-        return _sparse_sum((c, self.generator_image(n, i))
-                           for i, c in elem.items())
+        return combine((c, self.generator_image(n, i))
+                       for i, c in elem.items())
 
     def yoneda(self, elem, n, m):
         """Coordinates of elem: F_n => F_m, read off its image of e_n."""
@@ -212,8 +199,8 @@ class ProbeEvaluator:
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
         first = self._on_generator(elem1, n)
-        return _sparse_sum((c * a, self.walk(x, j))
-                           for j, c in elem2.items() for x, a in first.items())
+        return combine((c * a, self.walk(x, j))
+                       for j, c in elem2.items() for x, a in first.items())
 
 
 def yoneda_coordinates(alg, transform):
@@ -355,6 +342,7 @@ def center_and_z(quiver, relations, assembled, field=QQ):
     generators += [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
     commutes = Echelon(d, field)
     for b in generators:
+        # one pass fills every row; a `combine` per unknown costs more
         blocks = {}   # output basis index -> linear form {unknown: c}
         for i in range(d):
             for j, cb in b.items():

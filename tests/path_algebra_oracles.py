@@ -10,6 +10,8 @@ kernels of `linalg_oracles`.  The ideal rows are dense and list the paths
 in forward order, as the library's did before it made them sparse and
 reversed.  Compatibility tests membership of each r-bar generator by
 reducing its vector against an echelon of the subquiver's ideal rows.
+`QuotientSumsOracle` keeps the sparse sums of the quotient (normal forms,
+products, arrow steps, the diagonal tensor square) as hand-written loops.
 """
 
 from types import SimpleNamespace
@@ -142,3 +144,116 @@ def right_mult_oracle(alg, v, j):
         for gk, c in alg.product_indices(gi, j).items():
             rows[pos[gk]][k] = c
     return Matrix(len(mb), len(mb), rows, alg.field)
+
+
+
+class QuotientSumsOracle:
+    """The sparse sums of the quotient `alg` as they were written out loop
+    by loop, before they went through `linalg.combine`.  Each keeps its
+    own zero handling: the prefix fold and `arrow_step` sort and filter
+    once at the end, `nf_terms` and `product` delete an entry as soon as
+    it cancels, and `product` skips zero coefficients up front.  Normal
+    forms come from this object's own fold, never from the library's
+    cache; only the basis and the Groebner basis are read off `alg`."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.field = alg.field
+        self._index = {p.arrows: gi for gi, p in enumerate(alg.basis)
+                       if p.arrows}
+        self._word_nf = {}
+
+    def nf_word(self, w):
+        """The normal form of the path with the non-trivial word `w`: a
+        basis path times an arrow reduced by the Groebner basis, any other
+        path folded from its prefix's normal form."""
+        nf = self._word_nf.get(w)
+        if nf is not None:
+            return nf
+        head, a = w[:-1], w[-1]
+        index = self._index
+        if not head or head in index:
+            red = self.alg.groebner.reduce({w: self.field.one})
+            nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
+        else:
+            acc = {}
+            for b, c in self.nf_word(head).items():
+                for g, x in self.nf_word(self.alg.basis[b].arrows
+                                         + (a,)).items():
+                    acc[g] = acc[g] + c * x if g in acc else c * x
+            nf = {g: acc[g] for g in sorted(acc) if acc[g]}
+        self._word_nf[w] = nf
+        return nf
+
+    def nf(self, p):
+        """The normal form of the path p of the quiver."""
+        if p.arrows:
+            return self.nf_word(p.arrows)
+        return {self.alg.basis.index(p): self.field.one}
+
+    def product_indices(self, i, j):
+        """(basis class i) * (basis class j), as {basis index: c}."""
+        pi, pj = self.alg.basis[i], self.alg.basis[j]
+        if pi.target != pj.source:
+            return {}
+        return self.nf(pi.compose(pj))
+
+    def nf_terms(self, terms):
+        """Residue of a linear combination of paths."""
+        out = {}
+        for c, p in terms:
+            for gi, x in self.nf(p).items():
+                v = out.get(gi, self.field.zero) + c * x
+                if v:
+                    out[gi] = v
+                elif gi in out:
+                    del out[gi]
+        return out
+
+    def arrow_step(self, x, arrow):
+        """(basis class x) * (class of `arrow`), keys ascending."""
+        acc = {}
+        for j, cj in self.nf_word((arrow.label,)).items():
+            for g, c in self.product_indices(x, j).items():
+                acc[g] = acc[g] + cj * c if g in acc else cj * c
+        return {g: acc[g] for g in sorted(acc) if acc[g]}
+
+    def product(self, a, b):
+        """Product of two elements given as {basis index: coefficient}."""
+        out = {}
+        for i, ca in a.items():
+            if not ca:
+                continue
+            for j, cb in b.items():
+                if not cb:
+                    continue
+                for gi, c in self.product_indices(i, j).items():
+                    v = out.get(gi, self.field.zero) + ca * cb * c
+                    if v:
+                        out[gi] = v
+                    elif gi in out:
+                        del out[gi]
+        return out
+
+    def tensor_check(self):
+        """(ok, witness, failed_test) of the tensor-relation criterion:
+        the coefficient sum of each generator, then its diagonal square
+        sum(c_i * cls(p_i) (x) cls(p_i)), keyed by i * dim + j."""
+        d = self.alg.dim
+        for gen in self.alg.relations:
+            if gen.coefficient_sum():
+                return False, gen, "unit"
+            acc = {}
+            for c, p in gen.terms:
+                nf = self.nf(p)
+                for i, x in nf.items():
+                    for j, y in nf.items():
+                        k = i * d + j
+                        v = acc.get(k, self.field.zero) + c * x * y
+                        if v:
+                            acc[k] = v
+                        elif k in acc:
+                            del acc[k]
+            if acc:
+                return False, gen, "diagonal"
+        return True, None, ""

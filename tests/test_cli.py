@@ -11,6 +11,7 @@ import pytest
 from quivertt import cli
 from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
+from quivertt.dsl import parse_quiver_file
 from quivertt.quiver import MAX_PATHS, count_paths
 from quivertt.repcat import simple_object, unit_object
 
@@ -31,23 +32,64 @@ def run(*argv):
     return run_command(list(argv))
 
 
+def every_command(path):
+    """One argv per subcommand but `support`, each on the spec `path`,
+    which must have vertices 1 and 2."""
+    path = str(path)
+    return [
+        ("validate", path),
+        ("spectrum", path),
+        ("sheaf", path, "--open", "1,2"),
+        ("presheaf", path, "--open", "1,2"),
+        ("reconstruct", path),
+        ("check-tensor", path),
+        ("filtration", path),
+        ("compat", path, "--verts", "1"),
+        ("compare-points", path),
+    ]
+
+
 class TestSchema:
     def test_every_success_report_carries_schema(self):
-        commands = [
-            ("validate", fixture_path("kronecker2")),
-            ("spectrum", fixture_path("kronecker2")),
-            ("sheaf", fixture_path("kronecker2"), "--open", "1,2"),
-            ("presheaf", fixture_path("kronecker2"), "--open", "1,2"),
-            ("reconstruct", fixture_path("kronecker2")),
-            ("check-tensor", fixture_path("kronecker2")),
-            ("filtration", fixture_path("kronecker2")),
-            ("compat", fixture_path("kronecker2"), "--verts", "1"),
-            ("compare-points", fixture_path("kronecker2")),
-        ]
-        for argv in commands:
+        for argv in every_command(fixture_path("kronecker2")):
             doc, code = run(*argv)
             assert code == 0, argv
             assert doc["schema"] == 1 and doc["command"] == argv[0]
+
+    @pytest.mark.parametrize("declared, name", [
+        ("QQ", "QQ"), ("F 101", "F101"), ("F101", "F101"),
+        ("F 0101", "F101"), ("F 2", "F2")])
+    def test_every_success_report_names_its_field(self, tmp_path, declared,
+                                                   name):
+        text = (FIXTURE_DIR / "kronecker2.quiver").read_text()
+        assert text.count("field QQ\n") == 1
+        spec = tmp_path / "k2.quiver"
+        spec.write_text(text.replace("field QQ\n", f"field {declared}\n"))
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({"terms": {"0": {"dims": {"1": 1}}}}))
+        for argv in every_command(spec) + [("support", str(spec),
+                                            "--complex", str(cx))]:
+            doc, code = run(*argv)
+            assert code == 0, argv
+            assert doc["field"] == name, argv
+
+    def test_error_documents_name_no_field(self, tmp_path):
+        spec = tmp_path / "bad.quiver"
+        spec.write_text("quiver bad\nfield F 5\nvertices 1 2\n"
+                        "arrow a : 1 -> 2\nrelation a*b\n")
+        doc, code = run("validate", str(spec))
+        assert code == 2 and "field" not in doc
+        doc, code = run("spectrum", str(SPEC_DIR / "weighted.quiver"))
+        assert code == 1 and "field" not in doc
+
+    def test_leading_zeros_of_the_modulus_are_not_reported(self, tmp_path):
+        spec = tmp_path / "z.quiver"
+        spec.write_text("quiver z\nfield F 0101\nvertices 1 2\n"
+                        "arrow a : 1 -> 2\n")
+        doc, code = run("validate", str(spec))
+        assert code == 0 and doc["field"] == "F101"
+        assert parse_quiver_file(spec).pretty().splitlines()[1] == \
+            "field F101"
 
     def test_reports_are_json_serializable_and_stable(self):
         doc1, _ = run("reconstruct", fixture_path("beilinson2"))

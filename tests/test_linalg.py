@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import (Coordinates, DimensionMismatch, Echelon,
                              InconsistentSystem, Matrix, block_matrix,
-                             complete_basis, kernel_basis, kronecker, rank,
-                             rref)
+                             combine, complete_basis, kernel_basis, kronecker,
+                             rank, rref)
 
 from conftest import element_types
 from linalg_oracles import (RREFEchelonOracle, complete_basis_oracle,
@@ -432,3 +432,88 @@ def test_echelon_coerces_multiples_of_p_to_zero():
     assert ech.add({0: 202, 1: 3, 2: 1})
     assert ech.rows == {1: {1: f101.one, 2: f101(1) / f101(3)}}
     assert ech.contains([505, 6, 2])
+
+
+# -- combine: the one sparse linear-combination routine -----------------
+
+COMBINE_WIDTH = 8
+
+
+def field_scalars(field):
+    """Canonical elements of `field`, zero among them: n/d with |n| <= 6
+    and d <= 4 over QQ."""
+    if field == QQ:
+        return st.builds(lambda n, d: QQ(Fraction(n, d)),
+                         st.integers(-6, 6), st.integers(1, 4))
+    return st.integers(0, field.p - 1).map(field)
+
+
+@st.composite
+def sparse_terms(draw, field):
+    """(c, vec) pairs: a scalar c, zero possible, and a sparse vector
+    {index: x} without zeros whose keys come in no particular order."""
+    vecs = st.dictionaries(st.integers(0, COMBINE_WIDTH - 1),
+                           field_scalars(field).filter(bool), max_size=5)
+    return draw(st.lists(st.tuples(field_scalars(field), vecs), max_size=6))
+
+
+def combine_oracle(terms, field):
+    """The sum of c * vec, accumulated densely, as {index: x} over its
+    nonzero entries."""
+    acc = [field.zero] * COMBINE_WIDTH
+    for c, vec in terms:
+        for g, x in vec.items():
+            acc[g] = acc[g] + c * x
+    return {g: x for g, x in enumerate(acc) if x}
+
+
+def assert_combined(got, want, field):
+    assert got == want
+    assert list(got) == sorted(got)
+    assert all(x and type(x) in element_types(field) for x in got.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_combine_matches_dense_oracle(field, data):
+    terms = data.draw(sparse_terms(field))
+    assert_combined(combine(terms), combine_oracle(terms, field), field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_combine_of_terms_and_their_negatives_is_empty(field, data):
+    terms = data.draw(sparse_terms(field))
+    back = [(-c, vec) for c, vec in terms]
+    assert combine(data.draw(st.permutations(terms + back))) == {}
+    for c, vec in terms:
+        assert combine([(c, vec), (c, {g: -x for g, x in vec.items()})]) == {}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_combine_zero_coefficient_contributes_nothing(field, data):
+    terms = data.draw(sparse_terms(field))
+    zeros = [(field.zero, vec) for _, vec in data.draw(sparse_terms(field))]
+    mixed = data.draw(st.permutations(terms + zeros))
+    assert_combined(combine(mixed), combine(terms), field)
+    assert combine(zeros) == {}
+
+
+# each form of the coefficient one that a caller passes over the field
+UNIT_FORMS = {QQ: [1, Fraction(1)],
+              PrimeField(101): [1, PrimeField(101).one]}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_combine_unit_coefficient_adds_as_multiplying_does(field, data):
+    terms = data.draw(sparse_terms(field))
+    ones = [(data.draw(st.sampled_from(UNIT_FORMS[field])), vec)
+            for _, vec in data.draw(sparse_terms(field))]
+    mixed = data.draw(st.permutations(terms + ones))
+    assert_combined(combine(mixed), combine_oracle(mixed, field), field)
