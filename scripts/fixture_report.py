@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from quivertt.dsl import parse_quiver_file
-from quivertt.path_algebra import build_path_algebra, is_tensor_relations
+from quivertt.path_algebra import PathAlgebra
 from quivertt.reconstruct import assemble_A, center_and_z
 from quivertt.spectrum import spc
 
@@ -39,8 +39,8 @@ def main(argv=None):
     for path in sorted(args.fixtures.glob("*.quiver")):
         spec = parse_quiver_file(path)
         t0 = time.perf_counter()
-        alg = build_path_algebra(spec.quiver, spec.relations, spec.field)
-        ok = is_tensor_relations(alg).ok
+        alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
+        ok = alg.tensor_check.ok
         pi0 = len(spec.quiver.undirected_components())
         if not ok:
             # the spectrum and the reconstruction need tensor relations
@@ -48,10 +48,9 @@ def main(argv=None):
                   f"{'-':>6}{'-':>6}{pi0:>5}{'-':>8}")
             bad.append(spec.name)
             continue
-        points = spc(spec.quiver, spec.relations, spec.field).point_count
-        assembled = assemble_A(spec.quiver, spec.relations, spec.field)
-        center = center_and_z(spec.quiver, spec.relations, assembled,
-                              spec.field)
+        points = spc(alg).point_count
+        assembled = assemble_A(alg)
+        center = center_and_z(assembled)
         dt = time.perf_counter() - t0
         print(f"{spec.name:<14}{alg.dim:>5}{str(ok):>8}{points:>8}"
               f"{str(assembled.verdict.isomorphic):>6}"

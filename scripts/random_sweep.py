@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from quivertt.complexes import direct_sum_complex, support, tensor_complex
 from quivertt.fields import QQ, PrimeField
-from quivertt.randgen import (random_complex, random_tensor_quiver)
+from quivertt.path_algebra import PathAlgebra
+from quivertt.randgen import random_complex, random_tensor_quiver
 from quivertt.reconstruct import assemble_A, center_and_z
 from quivertt.repcat import unit_filtration
 
@@ -47,8 +48,8 @@ FIELDS = (QQ, PrimeField(101))
 def reconstruction(quiver, relations, field):
     """Whether every verdict bit of the reconstruction over `field` is
     true, and its algebra, center and End(U) dimensions."""
-    assembled = assemble_A(quiver, relations, field)
-    center = center_and_z(quiver, relations, assembled, field)
+    assembled = assemble_A(PathAlgebra(quiver, relations, field))
+    center = center_and_z(assembled)
     ok = (assembled.verdict.isomorphic and center.z_lands_in_center
           and center.dimensions_match and center.z_is_unital_ring_map)
     return ok, (assembled.dim, center.center_dimension,

@@ -15,8 +15,9 @@ from .quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError, Relation,
                      ResourceBudget, admissible_order, count_paths,
                      enumerate_paths, full_subquiver, is_ordered)
 from .path_algebra import (CompatibilityResult, PathAlgebra, TensorCheck,
-                           build_path_algebra, compatibility,
-                           is_tensor_relations, module_hom_space)
+                           TensorRelationError, compatibility,
+                           is_tensor_relations, module_hom_space,
+                           require_tensor_relations)
 from .repcat import (FiltrationStep, RepMorphism, Representation,
                      direct_sum, extend_by_zero, hom_space,
                      module_representation, restrict, satisfies_relations,
@@ -28,10 +29,9 @@ from .complexes import (BoundedComplex, ChainMap, ComplexError,
                         direct_sum_complex, eval_functor, shift,
                         split_vector_complex, support, tensor_complex)
 from .spectrum import (IdealDescriptor, IncompatibleSubquiver, NotProper,
-                       QuiverMorphism, SpectrumReport, TensorRelationError,
-                       closed_set, contains, ideal_of, induced_spectrum_map,
-                       is_prime, presheaf_sections, prime_at, sheaf_sections,
-                       spc)
+                       QuiverMorphism, SpectrumReport, closed_set, contains,
+                       ideal_of, induced_spectrum_map, is_prime,
+                       presheaf_sections, prime_at, sheaf_sections, spc)
 from .reconstruct import (CenterReport, ReconstructedAlgebra,
                           ReconstructionError, assemble_A, center_and_z,
                           phi, psi, rational_points, yoneda_coordinates)

@@ -20,12 +20,12 @@ import sys
 from .complexes import complex_from_json, support
 from .dsl import ParseError, parse_quiver_file
 from .linalg import DimensionMismatch
-from .path_algebra import PathAlgebra, compatibility, is_tensor_relations
+from .path_algebra import PathAlgebra, TensorRelationError, compatibility
 from .quiver import NotOrdered, QuiverError, ResourceBudget, admissible_order
 from .reconstruct import assemble_A, center_and_z, rational_points
 from .repcat import satisfies_relations, unit_filtration
-from .spectrum import (IncompatibleSubquiver, TensorRelationError,
-                       presheaf_sections, sheaf_sections, spc)
+from .spectrum import (IncompatibleSubquiver, presheaf_sections,
+                       sheaf_sections, spc)
 
 SCHEMA = 1
 
@@ -58,9 +58,12 @@ def _load(path):
     return spec
 
 
+def _algebra(spec):
+    return PathAlgebra(spec.quiver, spec.relations, spec.field)
+
+
 def cmd_validate(spec, args):
-    alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
-    check = is_tensor_relations(alg)
+    alg = _algebra(spec)
     return {
         "name": spec.name,
         "vertices": list(spec.quiver.vertices),
@@ -68,13 +71,12 @@ def cmd_validate(spec, args):
                    for a in spec.quiver.arrows],
         "relations": [_relation_json(spec, r) for r in spec.relations],
         "algebra_dimension": alg.dim,
-        "tensor_relations": check.ok,
+        "tensor_relations": alg.tensor_check.ok,
     }
 
 
 def cmd_check_tensor(spec, args):
-    alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
-    check = is_tensor_relations(alg)
+    check = _algebra(spec).tensor_check
     out = {"name": spec.name, "tensor_relations": check.ok}
     if not check.ok:
         out["failed_test"] = check.failed_test
@@ -83,7 +85,7 @@ def cmd_check_tensor(spec, args):
 
 
 def cmd_spectrum(spec, args):
-    report = spc(spec.quiver, spec.relations, spec.field)
+    report = spc(_algebra(spec))
     return {
         "name": spec.name,
         "points": [{"vertex": p.vertex,
@@ -95,14 +97,12 @@ def cmd_spectrum(spec, args):
 
 
 def cmd_sheaf(spec, args):
-    sections = sheaf_sections(spec.quiver, spec.relations,
-                              _vertex_list(args.open), spec.field)
+    sections = sheaf_sections(_algebra(spec), _vertex_list(args.open))
     return _sections_json(spec, sections)
 
 
 def cmd_presheaf(spec, args):
-    sections = presheaf_sections(spec.quiver, spec.relations,
-                                 _vertex_list(args.open), spec.field)
+    sections = presheaf_sections(_algebra(spec), _vertex_list(args.open))
     out = _sections_json(spec, sections)
     out["components"] = sections.components
     return out
@@ -146,8 +146,8 @@ def cmd_support(spec, args):
 
 
 def cmd_reconstruct(spec, args):
-    assembled = assemble_A(spec.quiver, spec.relations, spec.field)
-    center = center_and_z(spec.quiver, spec.relations, assembled, spec.field)
+    assembled = assemble_A(_algebra(spec))
+    center = center_and_z(assembled)
     alg = assembled.algebra
     order = list(spec.quiver.vertices)
     grid = [[alg.dim_pair(n, m) for m in order] for n in order]
@@ -201,7 +201,7 @@ def cmd_compat(spec, args):
 
 
 def cmd_compare_points(spec, args):
-    report = rational_points(spec.quiver, spec.relations, spec.field)
+    report = rational_points(_algebra(spec))
     return {
         "name": spec.name,
         "points": [p.vertex for p in report.points],

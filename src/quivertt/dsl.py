@@ -20,7 +20,7 @@ Coefficients are integers or fractions `p/q`.  All diagnostics carry
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import QQ, FieldError, field_by_name
 from .quiver import Arrow, Path, Quiver, QuiverError, Relation

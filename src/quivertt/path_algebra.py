@@ -191,6 +191,16 @@ class PathAlgebra:
         self._product_cache = {}
         self._arrow_steps = {}
         self._generator_relations = {}
+        self._tensor_check = None
+
+    @property
+    def tensor_check(self):
+        """`is_tensor_relations(self)`, computed on first use and kept."""
+        # not a cached_property: adding a key to the instance dict after
+        # __init__ slows every later attribute lookup on the algebra
+        if self._tensor_check is None:
+            self._tensor_check = is_tensor_relations(self)
+        return self._tensor_check
 
     @functools.cached_property
     def paths_by_pair(self):
@@ -308,11 +318,6 @@ class PathAlgebra:
         """Coordinates of the residue class of a path, as {basis index: c}."""
         return dict(self._nf(p))
 
-    def nf_terms(self, terms):
-        """Residue of a linear combination of paths, as {basis index: c}
-        in ascending index order."""
-        return combine((c, self._nf(p)) for c, p in terms)
-
     def product_indices(self, i, j):
         """Structure constants: (basis class i) * (basis class j), as
         {basis index: c}.  The dict is cached and shared, so callers must
@@ -387,10 +392,6 @@ class PathAlgebra:
         return rels
 
 
-def build_path_algebra(quiver, relations, field=QQ):
-    return PathAlgebra(quiver, relations, field)
-
-
 # -- tensor-relation criterion ----------------------------------------
 
 
@@ -436,14 +437,11 @@ class TensorRelationError(ValueError):
             f"{check.witness.pretty(field)} fails the {check.failed_test} test")
 
 
-def checked_algebra(quiver, relations, field=QQ):
-    """The path algebra kQ/(R); raises TensorRelationError unless the
-    relations are tensor relations."""
-    alg = PathAlgebra(quiver, relations, field)
-    check = is_tensor_relations(alg)
-    if not check.ok:
-        raise TensorRelationError(check, field)
-    return alg
+def require_tensor_relations(alg):
+    """Raise TensorRelationError unless the relations of `alg` are tensor
+    relations."""
+    if not alg.tensor_check.ok:
+        raise TensorRelationError(alg.tensor_check, alg.field)
 
 
 # -- subquiver compatibility ------------------------------------------

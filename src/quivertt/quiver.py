@@ -83,9 +83,6 @@ class Quiver:
         """The arrows with source v, in the order of `arrows`."""
         return self._out.get(v, ())
 
-    def arrows_between(self, v, w):
-        return [a for a in self.arrows if a.source == v and a.target == w]
-
     def undirected_components(self):
         """Connected components of the underlying undirected graph, as a
         list of frozensets in order of first vertex."""

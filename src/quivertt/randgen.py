@@ -10,12 +10,10 @@ preserve satisfaction, so generated instances are valid by construction.
 
 from __future__ import annotations
 
-import random
-
 from .fields import QQ
 from .complexes import (BoundedComplex, ChainMap, cone, direct_sum_complex,
                         shift, zero_morphism)
-from .quiver import Arrow, Path, Quiver, Relation, enumerate_paths
+from .quiver import Arrow, Quiver, Relation, enumerate_paths
 from .repcat import (direct_sum, hom_space, module_representation,
                      simple_object, unit_filtration, unit_object)
 

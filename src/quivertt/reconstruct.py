@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
                         induced_on_cohomology)
 from .linalg import Echelon, Matrix, combine
-from .path_algebra import PathAlgebra, checked_algebra, module_hom_space
+from .path_algebra import (PathAlgebra, module_hom_space,
+                           require_tensor_relations)
 from .quiver import Path
 from .repcat import RepMorphism, hom_space, simple_object, unit_object
 from .spectrum import prime_at
@@ -47,13 +47,14 @@ class RationalPointsReport:
     kernels_are_primes: bool
 
 
-def rational_points(quiver, relations, field=QQ):
-    """One point per vertex, certified pairwise distinct by evaluating on
-    the simple objects, with each kernel matched against the
-    corresponding prime ideal on those probes."""
-    checked_algebra(quiver, relations, field)
+def rational_points(alg):
+    """One point per vertex of the path algebra `alg`, certified pairwise
+    distinct by evaluating on the simple objects, with each kernel matched
+    against the corresponding prime ideal on those probes."""
+    require_tensor_relations(alg)
+    quiver = alg.quiver
     points = [RationalPoint(n) for n in quiver.vertices]
-    simples = {m: BoundedComplex.from_representation(simple_object(quiver, m, field))
+    simples = {m: BoundedComplex.from_representation(simple_object(quiver, m, alg.field))
                for m in quiver.vertices}
     values = [[point.evaluate(simples[m]) for m in quiver.vertices]
               for point in points]
@@ -191,11 +192,11 @@ class ProbeEvaluator:
         return combine((c, self.generator_image(n, i))
                        for i, c in elem.items())
 
-    def yoneda(self, elem, n, m):
+    def yoneda(self, elem, n):
         """Coordinates of elem: F_n => F_m, read off its image of e_n."""
         return self._on_generator(elem, n)
 
-    def compose(self, elem1, n, m, elem2, l):
+    def compose(self, elem1, n, elem2):
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
         first = self._on_generator(elem1, n)
@@ -207,16 +208,14 @@ def yoneda_coordinates(alg, transform):
     """Coordinates of a natural transformation F_n => F_m, read off from
     its action on the projective probe M_n placed in degree zero."""
     return ProbeEvaluator(alg).yoneda(transform.element,
-                                      transform.source_vertex,
-                                      transform.target_vertex)
+                                      transform.source_vertex)
 
 
 def compose_on_probe(alg, first, second):
     """Yoneda coordinates of (second o first) for first: F_n => F_m and
     second: F_m => F_l, evaluated on the probe M_n."""
     return ProbeEvaluator(alg).compose(first.element, first.source_vertex,
-                                       first.target_vertex, second.element,
-                                       second.target_vertex)
+                                       second.element)
 
 
 @dataclass
@@ -255,17 +254,18 @@ class ReconstructedAlgebra:
         return sum(c.dimension for c in self.components.values())
 
 
-def assemble_A(quiver, relations, field=QQ):
-    """Build every transformation space by two routes, compose the
-    transformations on probes, and compare the resulting structure
-    constants with the path algebra's.  Exact equality throughout."""
-    alg = checked_algebra(quiver, relations, field)
+def assemble_A(alg):
+    """Build every transformation space of the path algebra `alg` by two
+    routes, compose the transformations on probes, and compare the
+    resulting structure constants with the algebra's.  Exact equality
+    throughout; refuses non-tensor relations."""
+    require_tensor_relations(alg)
     components = {}
     module_maps = {}
     dims_ok = True
-    for n in quiver.vertices:
-        for m in quiver.vertices:
-            route1 = [{i: field.one} for i in alg.pair_indices.get((n, m), [])]
+    for n in alg.quiver.vertices:
+        for m in alg.quiver.vertices:
+            route1 = [{i: alg.field.one} for i in alg.pair_indices.get((n, m), [])]
             route2 = module_maps[(n, m)] = module_hom_space(alg, n, m)
             if len(route1) != len(route2):
                 dims_ok = False
@@ -277,27 +277,27 @@ def assemble_A(quiver, relations, field=QQ):
     round_trip = True
     for (n, m), space in components.items():
         for elem in space.basis:
-            if evaluator.yoneda(elem, n, m) != elem:
+            if evaluator.yoneda(elem, n) != elem:
                 round_trip = False
         for f in module_maps[(n, m)]:
             back = psi(alg, n, m, f)
-            if evaluator.yoneda(back, n, m) != back:
+            if evaluator.yoneda(back, n) != back:
                 round_trip = False
 
     # structure constants of the composition product vs the path algebra
     constants_ok = True
     for (n, m), space in components.items():
-        for (m2, l), space2 in components.items():
+        for (m2, _), space2 in components.items():
             if m2 != m:
                 continue
             for elem in space.basis:
                 for elem2 in space2.basis:
-                    composed = evaluator.compose(elem, n, m, elem2, l)
+                    composed = evaluator.compose(elem, n, elem2)
                     expected = alg.product(elem, elem2)
                     if composed != expected:
                         constants_ok = False
     verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
-    return ReconstructedAlgebra(quiver, alg, components, verdict)
+    return ReconstructedAlgebra(alg.quiver, alg, components, verdict)
 
 
 @dataclass
@@ -325,16 +325,17 @@ def z_image(alg, f):
     return elem
 
 
-def center_and_z(quiver, relations, assembled, field=QQ):
+def center_and_z(assembled):
     """The center of the assembled algebra, the endomorphisms of the unit
-    object, and the comparison map between them.
+    object over the algebra's quiver and field, and the comparison map
+    between them.
 
     A unit endomorphism has one scalar per vertex (constant on connected
     components); transporting it through the unit isomorphisms makes it
     act on the value of each point functor as that vertex's scalar, so its
     image in the algebra is the matching combination of trivial paths."""
     alg = assembled.algebra
-    d = alg.dim
+    quiver, field, d = alg.quiver, alg.field, alg.dim
 
     # center: the x with x * b - b * x = 0 for b running over the generators,
     # the idempotents and the arrow classes; their commutant is Z(A)

@@ -43,9 +43,6 @@ class Representation:
                     f"expected {self.dims[a.target]}x{self.dims[a.source]}")
             self.arrow_maps[a.label] = m
 
-    def dim_at(self, v):
-        return self.dims[v]
-
     @property
     def total_dim(self):
         return sum(self.dims.values())

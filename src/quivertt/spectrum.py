@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ
 from .complexes import support
 from .linalg import Coordinates
-from .path_algebra import checked_algebra, compatibility
-from .path_algebra import TensorRelationError  # noqa: F401  re-exported
+from .path_algebra import compatibility, require_tensor_relations
 from .quiver import QuiverError, full_subquiver
 from .repcat import hom_space, unit_object
 
@@ -114,13 +112,15 @@ def closed_set(quiver, objects):
     return verts
 
 
-def spc(quiver, relations, field=QQ, object_lists=None):
-    """Points and topology of the spectrum; refuses non-tensor relations.
+def spc(alg, object_lists=None):
+    """Points and topology of the spectrum of the path algebra `alg`;
+    refuses non-tensor relations.
 
     `object_lists` may map labels to lists of complexes; each gets its
     Zariski-closed set Z(S) in the report, cross-checked against the
     support intersection pointwise."""
-    checked_algebra(quiver, relations, field)
+    require_tensor_relations(alg)
+    quiver = alg.quiver
     points = [SpectrumPoint(n, prime_at(quiver, n)) for n in quiver.vertices]
     closed = {}
     if object_lists:
@@ -145,16 +145,17 @@ class AlgebraSections:
     components: list = None   # for presheaf: the pi0 blocks of the subquiver
 
 
-def sheaf_sections(quiver, relations, open_set, field=QQ):
+def sheaf_sections(alg, open_set):
     """Sections of the structure sheaf over an open set: the product over
     its points of the endomorphisms of the unit on the one-vertex
     subquiver, i.e. the constant sheaf with stalk k."""
-    checked_algebra(quiver, relations, field)
-    _, opens, _ = full_subquiver(quiver, open_set)
+    require_tensor_relations(alg)
+    _, opens, _ = full_subquiver(alg.quiver, open_set)
     dims = []
     for v in opens:
-        sub, _, _ = full_subquiver(quiver, [v])
-        end_u = hom_space(unit_object(sub, field), unit_object(sub, field))
+        sub, _, _ = full_subquiver(alg.quiver, [v])
+        u = unit_object(sub, alg.field)
+        end_u = hom_space(u, u)
         dims.append(len(end_u))
     assert all(d == 1 for d in dims)
     n = len(opens)
@@ -164,14 +165,15 @@ def sheaf_sections(quiver, relations, open_set, field=QQ):
                            table, "sheaf")
 
 
-def presheaf_sections(quiver, relations, open_set, field=QQ):
+def presheaf_sections(alg, open_set):
     """Endomorphisms of the unit over the full subquiver on the open set.
 
     This computes sections before sheafification; it requires the
     subquiver to be compatible with the relations and refuses otherwise,
     returning the witness pair (R cap Q', R-bar)."""
-    checked_algebra(quiver, relations, field)
-    comp = compatibility(quiver, relations, open_set, field)
+    require_tensor_relations(alg)
+    field = alg.field
+    comp = compatibility(alg.quiver, alg.relations, open_set, field)
     if not comp.compatible:
         raise IncompatibleSubquiver(comp, field)
     sub = comp.subquiver

@@ -151,10 +151,10 @@ class QuotientSumsOracle:
     """The sparse sums of the quotient `alg` as they were written out loop
     by loop, before they went through `linalg.combine`.  Each keeps its
     own zero handling: the prefix fold and `arrow_step` sort and filter
-    once at the end, `nf_terms` and `product` delete an entry as soon as
-    it cancels, and `product` skips zero coefficients up front.  Normal
-    forms come from this object's own fold, never from the library's
-    cache; only the basis and the Groebner basis are read off `alg`."""
+    once at the end, and `product` skips zero coefficients up front and
+    deletes an entry as soon as it cancels.  Normal forms come from this
+    object's own fold, never from the library's cache; only the basis and
+    the Groebner basis are read off `alg`."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -197,18 +197,6 @@ class QuotientSumsOracle:
         if pi.target != pj.source:
             return {}
         return self.nf(pi.compose(pj))
-
-    def nf_terms(self, terms):
-        """Residue of a linear combination of paths."""
-        out = {}
-        for c, p in terms:
-            for gi, x in self.nf(p).items():
-                v = out.get(gi, self.field.zero) + c * x
-                if v:
-                    out[gi] = v
-                elif gi in out:
-                    del out[gi]
-        return out
 
     def arrow_step(self, x, arrow):
         """(basis class x) * (class of `arrow`), keys ascending."""

@@ -7,7 +7,7 @@ from itertools import chain, combinations
 from quivertt.cli import run_command
 from quivertt.complexes import (BoundedComplex, direct_sum_complex,
                                 eval_functor, support, tensor_complex)
-from quivertt.path_algebra import (build_path_algebra, compatibility,
+from quivertt.path_algebra import (PathAlgebra, compatibility,
                                    is_tensor_relations)
 from quivertt.quiver import Path, Relation, admissible_order
 from quivertt.randgen import (random_commutativity_relations, random_complex,
@@ -50,7 +50,7 @@ def test_criterion_1_spectrum_discreteness():
         instances.append(
             (quiver, random_commutativity_relations(rng, quiver)))
     for quiver, relations in instances:
-        report = spc(quiver, relations)
+        report = spc(PathAlgebra(quiver, relations))
         assert report.point_count == len(quiver.vertices)
         assert report.topology == "discrete"
         seen = {p.vertex for p in report.points}
@@ -91,8 +91,9 @@ def test_criterion_3_structure_sheaf():
     for name in FIXTURE_NAMES:
         spec = load_fixture(name)
         q = spec.quiver
+        alg = PathAlgebra(q, spec.relations, spec.field)
         for subset in powerset(q.vertices):
-            sections = sheaf_sections(q, spec.relations, subset, spec.field)
+            sections = sheaf_sections(alg, subset)
             n = len(subset)
             assert sections.dimension == n
             for i in range(n):
@@ -102,7 +103,7 @@ def test_criterion_3_structure_sheaf():
                     assert sections.multiplication[i][j] == expected
         # global sections match the semisimple quotient of the path
         # algebra by its arrow ideal: one orthogonal idempotent per vertex
-        glob = sheaf_sections(q, spec.relations, q.vertices, spec.field)
+        glob = sheaf_sections(alg, q.vertices)
         assert glob.dimension == len(q.vertices)
         assert list(glob.basis_labels) == [f"1_{v}" for v in q.vertices]
 
@@ -113,17 +114,20 @@ def test_criterion_4_presheaf_sensitivity():
     for name in FIXTURE_NAMES:
         spec = load_fixture(name)
         q = spec.quiver
+        alg = PathAlgebra(q, spec.relations, spec.field)
         for pair in combinations(q.vertices, 2):
             comp = compatibility(q, spec.relations, pair, spec.field)
             if not comp.compatible:
                 continue
-            sections = presheaf_sections(q, spec.relations, pair, spec.field)
+            sections = presheaf_sections(alg, pair)
             pi0 = len(comp.subquiver.undirected_components())
             assert sections.dimension == pi0
     k2 = load_fixture("kronecker2")
     k3 = load_fixture("kronecker3")
-    p2 = presheaf_sections(k2.quiver, k2.relations, k2.quiver.vertices)
-    p3 = presheaf_sections(k3.quiver, k3.relations, k3.quiver.vertices)
+    p2 = presheaf_sections(PathAlgebra(k2.quiver, k2.relations),
+                           k2.quiver.vertices)
+    p3 = presheaf_sections(PathAlgebra(k3.quiver, k3.relations),
+                           k3.quiver.vertices)
     assert (p2.dimension, p2.multiplication) == (p3.dimension,
                                                  p3.multiplication)
 
@@ -140,7 +144,7 @@ def test_criterion_5_reconstruction_theorem():
         instances.append(random_tensor_quiver(rng, max_vertices=4,
                                               max_arrows=6))
     for quiver, relations in instances:
-        assembled = assemble_A(quiver, relations)
+        assembled = assemble_A(PathAlgebra(quiver, relations))
         assert assembled.verdict.dimensions_match
         assert assembled.verdict.round_trip_identity
         assert assembled.verdict.structure_constants_match
@@ -157,8 +161,8 @@ def test_criterion_6_center():
     one; z: End(U) -> Z(A) is a unital ring map."""
     for name in FIXTURE_NAMES:
         spec = load_fixture(name)
-        assembled = assemble_A(spec.quiver, spec.relations)
-        center = center_and_z(spec.quiver, spec.relations, assembled)
+        assembled = assemble_A(PathAlgebra(spec.quiver, spec.relations))
+        center = center_and_z(assembled)
         pi0 = len(spec.quiver.undirected_components())
         assert center.center_dimension == pi0
         assert center.end_unit_dimension == pi0
@@ -166,9 +170,9 @@ def test_criterion_6_center():
         assert center.z_lands_in_center
         assert center.z_is_unital_ring_map
     disconnected = load_fixture("disconnected")
-    assembled = assemble_A(disconnected.quiver, disconnected.relations)
-    center = center_and_z(disconnected.quiver, disconnected.relations,
-                          assembled)
+    assembled = assemble_A(PathAlgebra(disconnected.quiver,
+                                       disconnected.relations))
+    center = center_and_z(assembled)
     assert center.center_dimension == 2
 
 
@@ -225,18 +229,17 @@ def test_criterion_9_tensor_relations_checker():
     accepted relation sets still satisfy them (semantic cross-check)."""
     for name in FIXTURE_NAMES:
         spec = load_fixture(name)
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         assert is_tensor_relations(alg).ok
     chain4 = load_fixture("chain4")
     p = Path.from_arrows([chain4.quiver.arrow("a"), chain4.quiver.arrow("b")])
-    bad = build_path_algebra(chain4.quiver,
-                             (Relation("1", "3", ((QQ.one, p),)),))
+    bad = PathAlgebra(chain4.quiver, (Relation("1", "3", ((QQ.one, p),)),))
     check = is_tensor_relations(bad)
     assert not check.ok and check.failed_test == "unit"
     rng = random.Random(SEED)
     for _ in range(20):
         quiver, relations = random_tensor_quiver(rng)
-        assert is_tensor_relations(build_path_algebra(quiver, relations)).ok
+        assert is_tensor_relations(PathAlgebra(quiver, relations)).ok
         v = random_representation(rng, quiver, relations)
         w = random_representation(rng, quiver, relations)
         assert satisfies_relations(v, relations) is None

@@ -12,6 +12,7 @@ from quivertt import cli
 from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
 from quivertt.dsl import parse_quiver_file
+from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import MAX_PATHS, count_paths
 from quivertt.repcat import simple_object, unit_object
 
@@ -30,6 +31,14 @@ def fixture_path(name):
 
 def run(*argv):
     return run_command(list(argv))
+
+
+def non_tensor_spec(tmp_path):
+    """A spec whose relation a*b fails the tensor-relations criterion."""
+    f = tmp_path / "nt.quiver"
+    f.write_text("quiver nt\nvertices 1 2 3\narrow a : 1 -> 2\n"
+                 "arrow b : 2 -> 3\nrelation a*b\n")
+    return str(f)
 
 
 def every_command(path):
@@ -178,15 +187,17 @@ class TestExitCodes:
         assert code == 2
 
     def test_non_tensor_refusal_is_1(self, tmp_path):
-        f = tmp_path / "nt.quiver"
-        f.write_text("quiver nt\nvertices 1 2 3\narrow a : 1 -> 2\n"
-                     "arrow b : 2 -> 3\nrelation a*b\n")
-        doc, code = run("spectrum", str(f))
-        assert code == 1 and doc["error_type"] == "TensorRelationError"
+        f = non_tensor_spec(tmp_path)
+        for cmd in (("spectrum",), ("sheaf", "--open", "1,2"),
+                    ("presheaf", "--open", "1,2"), ("reconstruct",),
+                    ("compare-points",)):
+            doc, code = run(cmd[0], f, *cmd[1:])
+            assert code == 1, cmd
+            assert doc["error_type"] == "TensorRelationError", cmd
         # plain path-algebra commands still accept the file
         for cmd in (("validate",), ("check-tensor",),
                     ("compat", "--verts", "1,2")):
-            doc, code = run(cmd[0], str(f), *cmd[1:])
+            doc, code = run(cmd[0], f, *cmd[1:])
             assert code == 0, cmd
 
     def test_incompatible_subquiver_is_1(self):
@@ -444,6 +455,42 @@ class TestExitCodes:
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert doc["point_count"] == 2
+
+
+class TestAlgebraBuilds:
+    """Each request builds its `PathAlgebra` at most once, and the
+    commands that need no quotient build none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        init = PathAlgebra.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PathAlgebra, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("tensor", [True, False])
+    def test_one_build_per_quotient_command(self, builds, tmp_path, tensor):
+        # refusals included: the non-tensor spec is refused after its build
+        path = fixture_path("kronecker2") if tensor else non_tensor_spec(tmp_path)
+        for argv in every_command(path):
+            builds.clear()
+            run(*argv)
+            expected = 0 if argv[0] in ("filtration", "compat") else 1
+            assert len(builds) == expected, argv
+
+    def test_support_builds_none(self, builds, tmp_path):
+        spec = load_fixture("kronecker2")
+        cx = BoundedComplex.from_representation(unit_object(spec.quiver))
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps(complex_to_json(cx)))
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(path))
+        assert code == 0 and builds == []
 
 
 class TestParserReuse:

@@ -2,7 +2,7 @@ import pytest
 
 from quivertt.fields import QQ
 from quivertt.linalg import Matrix, rank
-from quivertt.path_algebra import build_path_algebra
+from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Quiver
 from quivertt.randgen import random_complex, random_tensor_quiver
 from quivertt.repcat import (RepMorphism, module_representation,
@@ -35,7 +35,7 @@ class TestBoundedComplex:
 
     def test_d_squared_checked(self):
         q = Quiver(("1",), ())
-        r1 = module_representation(build_path_algebra(q, ()), "1")
+        r1 = module_representation(PathAlgebra(q, ()), "1")
         ident = id_morphism(r1)
         with pytest.raises(ComplexError):
             BoundedComplex(q, {0: r1, 1: r1, 2: r1},

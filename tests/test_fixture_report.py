@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from quivertt.path_algebra import PathAlgebra
+
+from conftest import FIXTURE_DIR, FIXTURE_NAMES
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fixture_report.py"
 SPEC_DIR = Path(__file__).resolve().parent / "specs"
@@ -34,6 +36,19 @@ def test_the_fixture_library_passes(report, capsys):
     assert out.out.count("True") == 20 and not out.err
 
 
+def test_one_algebra_per_fixture(report, monkeypatch, capsys):
+    builds = []
+    init = PathAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PathAlgebra, "__init__", counting_init)
+    assert report.main([]) == 0
+    assert len(builds) == len(FIXTURE_NAMES) == 10
+
+
 def test_non_tensor_relations_fail(report, tmp_path, capsys):
     argv = two_fixtures(tmp_path)
     shutil.copy(SPEC_DIR / "weighted.quiver", tmp_path)
@@ -45,9 +60,9 @@ def test_a_false_isomorphism_verdict_fails(report, tmp_path, monkeypatch,
                                            capsys):
     honest = report.assemble_A
 
-    def false_on_disconnected(quiver, relations, field):
-        out = honest(quiver, relations, field)
-        if len(quiver.undirected_components()) > 1:
+    def false_on_disconnected(alg):
+        out = honest(alg)
+        if len(alg.quiver.undirected_components()) > 1:
             out.verdict = dataclasses.replace(out.verdict,
                                               round_trip_identity=False)
         return out

@@ -2,12 +2,16 @@ from math import comb
 
 import pytest
 
+from quivertt import path_algebra
 from quivertt.fields import QQ, PrimeField
 from quivertt.quiver import Arrow, Path, Quiver, QuiverError, Relation
-from quivertt.path_algebra import (PathAlgebra, build_path_algebra,
+from quivertt.linalg import combine
+from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
                                    compatibility, is_tensor_relations,
                                    module_hom_space)
 from quivertt.randgen import random_tensor_quiver
+from quivertt.reconstruct import assemble_A, rational_points
+from quivertt.spectrum import presheaf_sections, sheaf_sections, spc
 
 from conftest import load_fixture
 from path_algebra_oracles import right_mult_oracle
@@ -22,7 +26,7 @@ def kronecker(n_arrows):
 class TestBasis:
     def test_kronecker2_dimension(self):
         spec = load_fixture("kronecker2")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         assert alg.dim == 4
         assert alg.dim_pair("1", "2") == 2
 
@@ -31,7 +35,7 @@ class TestBasis:
         # m+1 commuting variables: C(m + j - i, j - i)
         for m in (1, 2, 3):
             spec = load_fixture(f"beilinson{m}")
-            alg = build_path_algebra(spec.quiver, spec.relations)
+            alg = PathAlgebra(spec.quiver, spec.relations)
             total = 0
             for i in range(1, m + 2):
                 for j in range(i, m + 2):
@@ -43,20 +47,20 @@ class TestBasis:
 
     def test_beilinson2_known_values(self):
         spec = load_fixture("beilinson2")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         assert alg.dim == 15
         assert alg.dim_pair("1", "3") == 6
 
     def test_basis_is_greedy_deterministic(self):
         spec = load_fixture("kronecker3")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         assert [p.word() for p in alg.basis] == ["e_1", "x0", "x1", "x2", "e_2"]
 
     def test_relations_have_zero_normal_form(self, fixture_spec):
-        alg = build_path_algebra(fixture_spec.quiver, fixture_spec.relations,
-                                 fixture_spec.field)
+        alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations,
+                          fixture_spec.field)
         for gen in fixture_spec.relations:
-            assert alg.nf_terms(gen.terms) == {}
+            assert combine((c, alg.nf_path(p)) for c, p in gen.terms) == {}
 
     def test_prime_field_quotient(self):
         spec = load_fixture("beilinson2")
@@ -70,7 +74,7 @@ class TestBasis:
 
 class TestProduct:
     def test_unit_is_identity(self, fixture_spec):
-        alg = build_path_algebra(fixture_spec.quiver, fixture_spec.relations)
+        alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations)
         unit = alg.unit()
         for i in range(alg.dim):
             x = {i: QQ.one}
@@ -79,7 +83,7 @@ class TestProduct:
 
     def test_associativity_on_all_basis_triples(self):
         spec = load_fixture("square")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         elems = [{i: QQ.one} for i in range(alg.dim)]
         for a in elems:
             for b in elems:
@@ -90,7 +94,7 @@ class TestProduct:
 
     def test_orthogonal_idempotents(self):
         spec = load_fixture("chain4")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         for v in spec.quiver.vertices:
             for w in spec.quiver.vertices:
                 prod = alg.product(alg.idempotent(v), alg.idempotent(w))
@@ -106,7 +110,7 @@ class TestProduct:
     ], ids=repr)
     def test_nf_path_refuses_paths_outside_the_quiver(self, path):
         spec = load_fixture("square")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         # cached normal forms of the same words must not let them through
         alg.nf_path(Path("1", "4", ("a", "b")))
         with pytest.raises(QuiverError, match="does not belong"):
@@ -116,12 +120,12 @@ class TestProduct:
         spec = load_fixture("square")
         bad = Relation("1", "4", ((QQ.one, Path("1", "4", ("a", "d"))),))
         with pytest.raises(QuiverError, match="does not belong"):
-            build_path_algebra(spec.quiver, spec.relations + (bad,))
+            PathAlgebra(spec.quiver, spec.relations + (bad,))
 
     def test_product_respects_relation(self):
         # in kQ/(ab - cd) the two composites coincide
         spec = load_fixture("square")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         q = spec.quiver
         ab = alg.nf_path(Path.from_arrows([q.arrow("a"), q.arrow("b")]))
         cd = alg.nf_path(Path.from_arrows([q.arrow("c"), q.arrow("d")]))
@@ -130,14 +134,14 @@ class TestProduct:
 
 class TestTensorCriterion:
     def test_fixture_relations_pass(self, fixture_spec):
-        alg = build_path_algebra(fixture_spec.quiver, fixture_spec.relations)
+        alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations)
         assert is_tensor_relations(alg).ok
 
     def test_single_path_fails_unit(self):
         spec = load_fixture("chain4")
         q = spec.quiver
         p = Path.from_arrows([q.arrow("a"), q.arrow("b")])
-        alg = build_path_algebra(q, (Relation("1", "3", ((QQ.one, p),)),))
+        alg = PathAlgebra(q, (Relation("1", "3", ((QQ.one, p),)),))
         check = is_tensor_relations(alg)
         assert not check.ok and check.failed_test == "unit"
 
@@ -147,7 +151,7 @@ class TestTensorCriterion:
         q = kronecker(4)
         terms = tuple((QQ((-1) ** i), Path.from_arrows([q.arrow(f"x{i}")]))
                       for i in range(4))
-        alg = build_path_algebra(q, (Relation("1", "2", terms),))
+        alg = PathAlgebra(q, (Relation("1", "2", terms),))
         check = is_tensor_relations(alg)
         assert not check.ok and check.failed_test == "diagonal"
 
@@ -155,8 +159,48 @@ class TestTensorCriterion:
         q = kronecker(2)
         terms = ((QQ.one, Path.from_arrows([q.arrow("x0")])),
                  (-QQ.one, Path.from_arrows([q.arrow("x1")])))
-        alg = build_path_algebra(q, (Relation("1", "2", terms),))
+        alg = PathAlgebra(q, (Relation("1", "2", terms),))
         assert is_tensor_relations(alg).ok
+
+
+def single_path_algebra():
+    """chain4 over QQ with the relation a*b, which fails the unit test."""
+    q = load_fixture("chain4").quiver
+    p = Path.from_arrows([q.arrow("a"), q.arrow("b")])
+    return PathAlgebra(q, (Relation("1", "3", ((QQ.one, p),)),))
+
+
+# every entry point that needs tensor relations, called on an algebra
+GATED = {
+    "spc": spc,
+    "sheaf_sections": lambda alg: sheaf_sections(alg, ["1", "2"]),
+    "presheaf_sections": lambda alg: presheaf_sections(alg, ["1", "2"]),
+    "rational_points": rational_points,
+    "assemble_A": assemble_A,
+}
+
+
+class TestTensorGate:
+    @pytest.mark.parametrize("name", GATED)
+    def test_entry_points_refuse_non_tensor_relations(self, name):
+        with pytest.raises(TensorRelationError,
+                           match=r"generator a\*b fails the unit test"):
+            GATED[name](single_path_algebra())
+
+    def test_the_check_runs_once_per_algebra(self, monkeypatch):
+        calls = []
+        real = path_algebra.is_tensor_relations
+
+        def counted(alg):
+            calls.append(alg)
+            return real(alg)
+
+        monkeypatch.setattr(path_algebra, "is_tensor_relations", counted)
+        spec = load_fixture("kronecker2")
+        alg = PathAlgebra(spec.quiver, spec.relations)
+        for call in GATED.values():
+            call(alg)
+        assert alg.tensor_check.ok and calls == [alg]
 
 
 class TestCompatibility:
@@ -190,7 +234,7 @@ class TestCompatibility:
 
 class TestModuleHomSpace:
     def test_dimension_matches_pair_component(self, fixture_spec):
-        alg = build_path_algebra(fixture_spec.quiver, fixture_spec.relations)
+        alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations)
         for n in fixture_spec.quiver.vertices:
             for m in fixture_spec.quiver.vertices:
                 maps = module_hom_space(alg, n, m)
@@ -198,7 +242,7 @@ class TestModuleHomSpace:
 
     def test_maps_commute_with_right_action(self, rng):
         quiver, relations = random_tensor_quiver(rng)
-        alg = build_path_algebra(quiver, relations)
+        alg = PathAlgebra(quiver, relations)
         for n in quiver.vertices:
             for m in quiver.vertices:
                 for f in module_hom_space(alg, n, m):
@@ -209,7 +253,7 @@ class TestModuleHomSpace:
 
     def test_endomorphisms_of_projective_contain_identity(self):
         spec = load_fixture("beilinson2")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         maps = module_hom_space(alg, "1", "1")
         size = len(alg.module_basis("1"))
         from quivertt.linalg import Matrix

@@ -5,15 +5,13 @@ from quivertt.cli import run_command
 from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
-from quivertt.path_algebra import (PathAlgebra, build_path_algebra,
-                                  module_hom_space)
+from quivertt.path_algebra import PathAlgebra, module_hom_space
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver)
 from quivertt.repcat import hom_space
 from quivertt.reconstruct import (ReconstructionError, assemble_A,
                                   center_and_z, compose_on_probe, phi, psi,
                                   rational_points, yoneda_coordinates)
-from quivertt.spectrum import TensorRelationError
 
 from conftest import FIXTURE_DIR, load_fixture
 
@@ -27,31 +25,28 @@ def small_spec(request):
     return load_fixture(request.param)
 
 
+def algebra_of(spec):
+    return PathAlgebra(spec.quiver, spec.relations)
+
+
 class TestRationalPoints:
     def test_points_separate_on_simples(self, small_spec):
-        report = rational_points(small_spec.quiver, small_spec.relations)
+        report = rational_points(algebra_of(small_spec))
         assert report.identity_pattern
         assert report.kernels_are_primes
         assert len(report.points) == len(small_spec.quiver.vertices)
 
-    def test_refuses_non_tensor_relations(self):
-        spec = load_fixture("chain4")
-        from quivertt.quiver import Path, Relation
-        p = Path.from_arrows([spec.quiver.arrow("a"), spec.quiver.arrow("b")])
-        with pytest.raises(TensorRelationError):
-            rational_points(spec.quiver, (Relation("1", "3", ((QQ.one, p),)),))
-
 
 class TestPhiPsi:
     def test_round_trip_on_basis(self, small_spec):
-        alg = build_path_algebra(small_spec.quiver, small_spec.relations)
+        alg = PathAlgebra(small_spec.quiver, small_spec.relations)
         for i in range(alg.dim):
             elem = {i: QQ.one}
             t = phi(alg, elem)
             assert yoneda_coordinates(alg, t) == elem
 
     def test_psi_phi_round_trip_on_module_maps(self, small_spec):
-        alg = build_path_algebra(small_spec.quiver, small_spec.relations)
+        alg = PathAlgebra(small_spec.quiver, small_spec.relations)
         for n in small_spec.quiver.vertices:
             for m in small_spec.quiver.vertices:
                 for f in module_hom_space(alg, n, m):
@@ -63,7 +58,7 @@ class TestPhiPsi:
 
     def test_phi_rejects_inhomogeneous_without_pair(self):
         spec = load_fixture("chain4")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         e1 = alg.idempotent_index["1"]
         e2 = alg.idempotent_index["2"]
         with pytest.raises(ReconstructionError):
@@ -71,7 +66,7 @@ class TestPhiPsi:
 
     def test_multiplicativity(self, small_spec):
         # phi(p * q) = phi(p) composed with phi(q) on probes
-        alg = build_path_algebra(small_spec.quiver, small_spec.relations)
+        alg = PathAlgebra(small_spec.quiver, small_spec.relations)
         for i in range(alg.dim):
             for j in range(alg.dim):
                 n, m = alg.pair_of[i]
@@ -90,7 +85,7 @@ class TestNaturality:
         # degree-zero complexes coming from representation morphisms
         for _ in range(5):
             quiver, relations = random_tensor_quiver(rng)
-            alg = build_path_algebra(quiver, relations)
+            alg = PathAlgebra(quiver, relations)
             v = random_representation(rng, quiver, relations)
             w = random_representation(rng, quiver, relations)
             basis = hom_space(v, w)
@@ -117,7 +112,7 @@ class TestNaturality:
         # the identity chain map commutes with phi on arbitrary complexes
         for _ in range(3):
             quiver, relations = random_tensor_quiver(rng)
-            alg = build_path_algebra(quiver, relations)
+            alg = PathAlgebra(quiver, relations)
             cx = random_complex(rng, quiver, relations)
             for i in range(alg.dim):
                 t = phi(alg, {i: QQ.one})
@@ -133,7 +128,7 @@ class TestNaturality:
 
 class TestAssembleA:
     def test_fixture_reconstruction(self, small_spec):
-        assembled = assemble_A(small_spec.quiver, small_spec.relations)
+        assembled = assemble_A(algebra_of(small_spec))
         assert assembled.verdict.isomorphic
         assert assembled.dim == assembled.algebra.dim
         for (n, m), space in assembled.components.items():
@@ -142,13 +137,13 @@ class TestAssembleA:
 
     def test_rational_relations_over_prime_field(self, small_spec):
         f101 = PrimeField(101)
-        assembled = assemble_A(small_spec.quiver, small_spec.relations, f101)
+        assembled = assemble_A(PathAlgebra(small_spec.quiver,
+                                           small_spec.relations, f101))
         assert assembled.verdict.isomorphic
         assert assembled.algebra.field == f101
-        assert assembled.dim == build_path_algebra(
+        assert assembled.dim == PathAlgebra(
             small_spec.quiver, small_spec.relations).dim
-        center = center_and_z(small_spec.quiver, small_spec.relations,
-                              assembled, f101)
+        center = center_and_z(assembled)
         assert center.dimensions_match and center.z_is_unital_ring_map
 
     def test_route_dimension_mismatch_clears_verdict(self, monkeypatch):
@@ -161,7 +156,7 @@ class TestAssembleA:
             return maps[:-1] if n == m == first else maps
 
         monkeypatch.setattr(reconstruct, "module_hom_space", drop_one)
-        verdict = assemble_A(spec.quiver, spec.relations).verdict
+        verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is False
         assert verdict.isomorphic is False
         doc, code = run_command(
@@ -184,7 +179,7 @@ class TestAssembleA:
 
         monkeypatch.setattr(reconstruct.ProbeEvaluator, "generator_image",
                             doubled)
-        verdict = assemble_A(spec.quiver, spec.relations).verdict
+        verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
         assert verdict.isomorphic is False
@@ -211,7 +206,7 @@ class TestAssembleA:
             return out
 
         monkeypatch.setattr(PathAlgebra, "product", wrong)
-        verdict = assemble_A(spec.quiver, spec.relations).verdict
+        verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is True
         assert verdict.structure_constants_match is False
@@ -225,7 +220,7 @@ class TestAssembleA:
     def test_random_reconstruction(self, rng):
         for _ in range(5):
             quiver, relations = random_tensor_quiver(rng)
-            assembled = assemble_A(quiver, relations)
+            assembled = assemble_A(PathAlgebra(quiver, relations))
             assert assembled.verdict.isomorphic
 
 
@@ -233,23 +228,22 @@ class TestCenter:
     def test_connected_center_is_one_dimensional(self):
         for name in ("kronecker2", "beilinson2", "square", "chain4"):
             spec = load_fixture(name)
-            assembled = assemble_A(spec.quiver, spec.relations)
-            center = center_and_z(spec.quiver, spec.relations, assembled)
+            assembled = assemble_A(algebra_of(spec))
+            center = center_and_z(assembled)
             assert center.center_dimension == 1
             assert center.dimensions_match
 
     def test_disconnected_center(self):
         spec = load_fixture("disconnected")
-        assembled = assemble_A(spec.quiver, spec.relations)
-        center = center_and_z(spec.quiver, spec.relations, assembled)
+        assembled = assemble_A(algebra_of(spec))
+        center = center_and_z(assembled)
         assert center.center_dimension == 2
         assert center.end_unit_dimension == 2
         assert center.dimensions_match
 
     def test_z_is_unital_ring_map_into_center(self, small_spec):
-        assembled = assemble_A(small_spec.quiver, small_spec.relations)
-        center = center_and_z(small_spec.quiver, small_spec.relations,
-                              assembled)
+        assembled = assemble_A(algebra_of(small_spec))
+        center = center_and_z(assembled)
         assert center.z_lands_in_center
         assert center.z_is_unital_ring_map
 
@@ -266,17 +260,16 @@ class TestCenter:
                     if i != alg.idempotent_index[last]}
 
         monkeypatch.setattr(reconstruct, "z_image", drop_last)
-        assembled = assemble_A(spec.quiver, spec.relations)
-        center = center_and_z(spec.quiver, spec.relations, assembled)
+        assembled = assemble_A(algebra_of(spec))
+        center = center_and_z(assembled)
         assert center.z_is_unital_ring_map is False
         doc, code = run_command(
             ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
         assert code == 0 and doc["z_is_unital_ring_map"] is False
 
     def test_center_elements_commute(self, small_spec):
-        assembled = assemble_A(small_spec.quiver, small_spec.relations)
-        center = center_and_z(small_spec.quiver, small_spec.relations,
-                              assembled)
+        assembled = assemble_A(algebra_of(small_spec))
+        center = center_and_z(assembled)
         alg = assembled.algebra
         for z in center.center_basis:
             for i in range(alg.dim):

@@ -2,7 +2,7 @@ import pytest
 
 from quivertt.fields import QQ
 from quivertt.linalg import Matrix
-from quivertt.path_algebra import build_path_algebra
+from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Quiver
 from quivertt.randgen import random_representation, random_tensor_quiver
 from quivertt.repcat import (Representation, RepresentationError, RepMorphism,
@@ -55,7 +55,7 @@ class TestTensor:
 
     def test_tensor_dims_multiply(self):
         spec = load_fixture("beilinson2")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         m1 = module_representation(alg, "1")
         t = tensor(m1, m1)
         for v in spec.quiver.vertices:
@@ -111,7 +111,7 @@ class TestHomSpace:
 
     def test_hom_between_projectives_matches_algebra(self):
         spec = load_fixture("beilinson2")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         m1 = module_representation(alg, "1")
         m3 = module_representation(alg, "3")
         # rep morphisms M_1 -> M_3 = Hom(e_3 L, e_1 L)... the projective
@@ -201,13 +201,13 @@ class TestUnitFiltration:
 
 class TestModuleRepresentation:
     def test_satisfies_relations(self, fixture_spec):
-        alg = build_path_algebra(fixture_spec.quiver, fixture_spec.relations)
+        alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations)
         for v in fixture_spec.quiver.vertices:
             rep = module_representation(alg, v)
             assert satisfies_relations(rep, fixture_spec.relations) is None
 
     def test_dims_are_pair_dimensions(self):
         spec = load_fixture("beilinson2")
-        alg = build_path_algebra(spec.quiver, spec.relations)
+        alg = PathAlgebra(spec.quiver, spec.relations)
         m1 = module_representation(alg, "1")
         assert [m1.dims[v] for v in spec.quiver.vertices] == [1, 3, 6]

@@ -3,17 +3,21 @@ from itertools import chain, combinations
 import pytest
 
 from quivertt.complexes import BoundedComplex, direct_sum_complex, support
+from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Quiver, QuiverError, full_subquiver
 from quivertt.randgen import random_complex, random_tensor_quiver
 from quivertt.repcat import hom_space, simple_object, unit_object
 from quivertt.spectrum import (IdealDescriptor, IncompatibleSubquiver,
-                               NotProper, QuiverMorphism, TensorRelationError,
-                               closed_set, contains, ideal_of,
-                               induced_spectrum_map, is_prime,
-                               presheaf_sections, prime_at, sheaf_sections,
-                               spc)
+                               NotProper, QuiverMorphism, closed_set,
+                               contains, ideal_of, induced_spectrum_map,
+                               is_prime, presheaf_sections, prime_at,
+                               sheaf_sections, spc)
 
 from conftest import load_fixture
+
+
+def fixture_algebra(spec):
+    return PathAlgebra(spec.quiver, spec.relations, spec.field)
 
 
 def powerset(iterable):
@@ -109,29 +113,18 @@ class TestPrimes:
 
 class TestSpc:
     def test_point_count_and_topology(self, fixture_spec):
-        report = spc(fixture_spec.quiver, fixture_spec.relations,
-                     fixture_spec.field)
+        report = spc(fixture_algebra(fixture_spec))
         assert report.point_count == len(fixture_spec.quiver.vertices)
         assert report.topology == "discrete"
         for p in report.points:
             assert is_prime(p.descriptor)
             assert p.descriptor == prime_at(fixture_spec.quiver, p.vertex)
 
-    def test_refuses_non_tensor_relations(self):
-        spec = load_fixture("chain4")
-        from quivertt.fields import QQ
-        from quivertt.quiver import Path, Relation
-        p = Path.from_arrows([spec.quiver.arrow("a"), spec.quiver.arrow("b")])
-        bad = (Relation("1", "3", ((QQ.one, p),)),)
-        with pytest.raises(TensorRelationError):
-            spc(spec.quiver, bad)
-
     def test_closed_sets_cross_checked(self, rng):
         spec = load_fixture("beilinson2")
         objs = [random_complex(rng, spec.quiver, spec.relations)
                 for _ in range(3)]
-        report = spc(spec.quiver, spec.relations, spec.field,
-                     object_lists={"S": objs})
+        report = spc(fixture_algebra(spec), object_lists={"S": objs})
         expected = closed_set(spec.quiver, objs)
         assert set(report.closed_sets["S"]) == expected
 
@@ -159,9 +152,9 @@ class TestSupportCalculus:
 class TestSheafSections:
     def test_constant_sheaf(self, fixture_spec):
         q = fixture_spec.quiver
+        alg = fixture_algebra(fixture_spec)
         for subset in powerset(q.vertices):
-            sections = sheaf_sections(q, fixture_spec.relations, subset,
-                                      fixture_spec.field)
+            sections = sheaf_sections(alg, subset)
             assert sections.dimension == len(subset)
             # componentwise product: e_i e_j = delta_ij e_i
             for i in range(len(subset)):
@@ -172,19 +165,18 @@ class TestSheafSections:
                     assert cell == expected
 
     def test_global_sections_match_vertex_count(self, fixture_spec):
-        sections = sheaf_sections(fixture_spec.quiver, fixture_spec.relations,
-                                  fixture_spec.quiver.vertices,
-                                  fixture_spec.field)
+        sections = sheaf_sections(fixture_algebra(fixture_spec),
+                                  fixture_spec.quiver.vertices)
         assert sections.dimension == len(fixture_spec.quiver.vertices)
 
 
 class TestPresheafSections:
     def test_two_vertex_opens_have_pi0_dimension(self, fixture_spec):
         q = fixture_spec.quiver
+        alg = fixture_algebra(fixture_spec)
         for pair in combinations(q.vertices, 2):
             try:
-                sections = presheaf_sections(q, fixture_spec.relations, pair,
-                                             fixture_spec.field)
+                sections = presheaf_sections(alg, pair)
             except IncompatibleSubquiver:
                 continue
             assert sections.dimension == len(sections.components)
@@ -193,12 +185,12 @@ class TestPresheafSections:
         # sum_k c_ijk f_k = f_i f_j, vertex by vertex, over the basis of
         # End(1) on the open set, for every compatible open set
         q, field = fixture_spec.quiver, fixture_spec.field
+        alg = fixture_algebra(fixture_spec)
         for open_set in powerset(q.vertices):
             if not open_set:
                 continue
             try:
-                sections = presheaf_sections(q, fixture_spec.relations,
-                                             open_set, field)
+                sections = presheaf_sections(alg, open_set)
             except IncompatibleSubquiver:
                 continue
             sub, _, _ = full_subquiver(q, open_set)
@@ -215,20 +207,20 @@ class TestPresheafSections:
     def test_kronecker2_vs_kronecker3_presheaves_isomorphic(self):
         s2 = load_fixture("kronecker2")
         s3 = load_fixture("kronecker3")
-        p2 = presheaf_sections(s2.quiver, s2.relations, s2.quiver.vertices)
-        p3 = presheaf_sections(s3.quiver, s3.relations, s3.quiver.vertices)
+        p2 = presheaf_sections(fixture_algebra(s2), s2.quiver.vertices)
+        p3 = presheaf_sections(fixture_algebra(s3), s3.quiver.vertices)
         assert p2.dimension == p3.dimension == 1
         assert p2.multiplication == p3.multiplication
 
     def test_incompatible_subquiver_refused(self):
         spec = load_fixture("square")
         with pytest.raises(IncompatibleSubquiver) as err:
-            presheaf_sections(spec.quiver, spec.relations, ["1", "2", "4"])
+            presheaf_sections(fixture_algebra(spec), ["1", "2", "4"])
         assert [g.pretty() for g in err.value.result.r_bar] == ["a*b"]
 
     def test_disconnected_presheaf_dimension(self):
         spec = load_fixture("disconnected")
-        sections = presheaf_sections(spec.quiver, spec.relations,
+        sections = presheaf_sections(fixture_algebra(spec),
                                      spec.quiver.vertices)
         assert sections.dimension == 2
 
