@@ -16,10 +16,11 @@ augmented by the identity.
 Sparse vectors are {index: value} dicts, the format `Echelon` eats.
 `combine` is the one sparse linear-combination routine: normal forms,
 structure constants, arrow steps, probe walks and the diagonal tensor
-square are sums it takes.  The linear systems of
+square are sums it takes.  The constraint rows of the linear systems of
 `path_algebra.module_hom_space` and `reconstruct.center_and_z` are the
-exception; each fills all of its rows in one pass, which costs less than a
-`combine` per unknown.
+exception; each system fills all of its rows in one pass, which costs less
+than a `combine` per unknown.  The center maps its solutions back to the
+algebra basis with `combine`.
 """
 
 from __future__ import annotations
@@ -269,12 +270,19 @@ class Echelon:
     Every stored entry is a field element, whatever the input rows held.
     `pivot_rows` is a dense view, built on each access: pivot column ->
     row as a list.
+
+    `add` clears the new pivot column from the other rows only when some
+    row can hold it: `_seen` holds every column of every row stored so far,
+    a superset of the columns the rows hold.  So a row that holds only its
+    pivot, as most rows of the Hom and center systems of `reconstruct` do,
+    is inserted without a pass over the other rows.
     """
 
     def __init__(self, ncols, field=QQ):
         self.ncols = ncols
         self.field = field
         self.rows = {}
+        self._seen = set()
 
     def _residue(self, vec):
         """The residue of `vec` as a {column: value} dict without zeros."""
@@ -302,10 +310,12 @@ class Echelon:
         p = min(v)
         inv = self.field.inv(v[p])
         row = {c: inv * a for c, a in v.items()}
-        for other in self.rows.values():
-            f = other.pop(p, None)
-            if f is not None:
-                _subtract(other, f, row, p)
+        if p in self._seen:
+            for other in self.rows.values():
+                f = other.pop(p, None)
+                if f is not None:
+                    _subtract(other, f, row, p)
+        self._seen.update(row)
         self.rows[p] = row
         return True
 

@@ -32,8 +32,9 @@ so it bounds the Groebner computation too.
 
 Every sum of multiples of sparse vectors here is one `linalg.combine`,
 except in `module_hom_space`: its constraint rows (sparse dicts for
-`linalg.Echelon`) and its module-map columns are each filled in one pass
-over the cached structure constants, which costs less.
+`linalg.Echelon`) are filled in one pass over the cached structure
+constants, which costs less.  It returns each module map as the image of
+the generator, a sparse element, and forms no matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, Matrix, combine
+from .linalg import Echelon, combine
 from .quiver import (Path, QuiverError, Relation, admissible_order,
                      check_path_budget, enumerate_paths, full_subquiver)
 
@@ -374,9 +375,16 @@ class PathAlgebra:
         return list(self._module_bases.get(v, ()))
 
     def generator_relations(self, m):
-        """Basis of the kernel of the action map Lambda -> M_m,
-        w -> e_m * w: the relations of the generator of M_m, each as the
-        list of its nonzero (basis index, coefficient) pairs."""
+        """A generating set, as a right ideal, of the relations of the
+        generator of M_m: the kernel of the action map Lambda -> M_m,
+        w -> e_m * w.  Each relation is a {basis index: c} dict.
+
+        The kernel's basis comes from `Echelon`.  It is scanned in order,
+        and a relation kappa is kept unless a relation g kept before it
+        certifies it: g * kappa = kappa puts kappa in g * Lambda.  So every
+        dropped relation lies in the right ideal the kept ones generate,
+        and an element that kills the kept ones kills the whole kernel.
+        The kept ones are tried newest first."""
         rels = self._generator_relations.get(m)
         if rels is None:
             e_m = self.idempotent_index[m]
@@ -387,8 +395,11 @@ class PathAlgebra:
             ech = Echelon(self.dim, self.field)
             for row in action.values():
                 ech.add(row)
-            rels = self._generator_relations[m] = [
-                list(kappa.items()) for kappa in ech.sparse_kernel_basis()]
+            rels = self._generator_relations[m] = []
+            for kappa in ech.sparse_kernel_basis():
+                if not any(self.product(g, kappa) == kappa
+                           for g in reversed(rels)):
+                    rels.append(kappa)
         return rels
 
 
@@ -490,17 +501,20 @@ def compatibility(quiver, relations, verts, field=QQ):
 
 
 def module_hom_space(alg, n, m):
-    """Basis of right-module homomorphisms M_m -> M_n.
+    """Basis of right-module homomorphisms M_m -> M_n, each given by the
+    image of the generator, as {basis index: c}.
 
     A module map out of the cyclic module M_m is pinned down by the image
     v of the trivial-path generator; v is admissible exactly when it kills
     every relation of that generator, i.e. v * w = 0 whenever e_m * w = 0
-    in M_m.  Solving that linear system over the algebra basis gives all
-    maps; each is returned as its matrix from M_m to M_n in module bases.
+    in M_m.  It is enough that v kills a generating set of those relations
+    (`PathAlgebra.generator_relations`), since they generate the rest as a
+    right ideal.  Solving that linear system over the module basis of M_n
+    gives all maps.
     """
     field = alg.field
-    mb_m, mb_n = alg.module_basis(m), alg.module_basis(n)
-    dm, dn = len(mb_m), len(mb_n)
+    mb_n = alg.module_basis(n)
+    dn = len(mb_n)
     pos_n = {gi: k for k, gi in enumerate(mb_n)}
 
     # constraints on v = sum v_k x_k in M_n: for each relation kappa of the
@@ -511,7 +525,7 @@ def module_hom_space(alg, n, m):
         if constraints.rank == dn:
             break
         rows = {}
-        for j, c in kappa:
+        for j, c in kappa.items():
             # x * p_j is zero unless x ends where p_j starts
             for x in alg.pair_indices.get((n, alg.pair_of[j][0]), ()):
                 k = pos_n[x]
@@ -520,17 +534,5 @@ def module_hom_space(alg, n, m):
                     row[k] = row[k] + c * y if k in row else c * y
         for row in rows.values():
             constraints.add(row)
-
-    maps = []
-    for v in constraints.sparse_kernel_basis():
-        # column for module basis element x is v * x
-        terms = [(mb_n[k], a) for k, a in v.items()]
-        cols = []
-        for x in mb_m:
-            col = [field.zero] * dn
-            for g, a in terms:
-                for h, y in alg.product_indices(g, x).items():
-                    col[pos_n[h]] = col[pos_n[h]] + a * y
-            cols.append(col)
-        maps.append(Matrix._raw(dn, dm, tuple(zip(*cols)), field))
-    return maps
+    return [{mb_n[k]: a for k, a in v.items()}
+            for v in constraints.sparse_kernel_basis()]

@@ -146,6 +146,22 @@ def right_mult_oracle(alg, v, j):
     return Matrix(len(mb), len(mb), rows, alg.field)
 
 
+def module_map_oracle(alg, n, m, image):
+    """The dense matrix, in module bases, of the map M_m -> M_n that sends
+    the generator e_m to `image` {basis index: c}: its column for the
+    module basis element x of M_m is image * x."""
+    field = alg.field
+    mb_m, mb_n = alg.module_basis(m), alg.module_basis(n)
+    pos_n = {gi: k for k, gi in enumerate(mb_n)}
+    cols = []
+    for x in mb_m:
+        col = [field.zero] * len(mb_n)
+        for g, a in image.items():
+            for h, y in alg.product_indices(g, x).items():
+                col[pos_n[h]] = col[pos_n[h]] + a * y
+        cols.append(col)
+    return Matrix.from_columns(cols, field, rows=len(mb_n))
+
 
 class QuotientSumsOracle:
     """The sparse sums of the quotient `alg` as they were written out loop

@@ -16,7 +16,7 @@ from quivertt.randgen import (random_commutativity_relations, random_complex,
 from quivertt.fields import QQ
 from quivertt.reconstruct import assemble_A, center_and_z
 from quivertt.repcat import (satisfies_relations, simple_object, tensor,
-                             unit_filtration, unit_object, zero_object)
+                             unit_filtration, zero_object)
 from quivertt.spectrum import (IdealDescriptor, contains, ideal_of, is_prime,
                                presheaf_sections, prime_at, sheaf_sections,
                                spc)

@@ -1,19 +1,17 @@
 import pytest
 
-from quivertt.fields import QQ
 from quivertt.linalg import Matrix, rank
 from quivertt.path_algebra import PathAlgebra
-from quivertt.quiver import Arrow, Quiver
+from quivertt.quiver import Quiver
 from quivertt.randgen import random_complex, random_tensor_quiver
-from quivertt.repcat import (RepMorphism, module_representation,
-                             simple_object, unit_object, zero_object)
+from quivertt.repcat import (module_representation, simple_object,
+                             unit_object, zero_object)
 from quivertt.complexes import (BoundedComplex, ChainMap, ComplexError,
                                 cohomology_at, complex_from_json,
                                 complex_to_json, cone, direct_sum_complex,
                                 eval_functor, id_morphism,
                                 induced_cohomology_map, shift,
-                                split_vector_complex, support, tensor_complex,
-                                zero_morphism)
+                                split_vector_complex, support, tensor_complex)
 
 from conftest import load_fixture
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from quivertt.dsl import ParseError, parse_quiver, parse_quiver_file
 from quivertt.fields import PrimeField
-from quivertt.quiver import Relation
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
 

@@ -14,7 +14,7 @@ from quivertt.reconstruct import assemble_A, rational_points
 from quivertt.spectrum import presheaf_sections, sheaf_sections, spc
 
 from conftest import load_fixture
-from path_algebra_oracles import right_mult_oracle
+from path_algebra_oracles import module_map_oracle, right_mult_oracle
 
 
 def kronecker(n_arrows):
@@ -245,7 +245,14 @@ class TestModuleHomSpace:
         alg = PathAlgebra(quiver, relations)
         for n in quiver.vertices:
             for m in quiver.vertices:
-                for f in module_hom_space(alg, n, m):
+                mb_n = alg.module_basis(n)
+                e_m = alg.module_basis(m).index(alg.idempotent_index[m])
+                for image in module_hom_space(alg, n, m):
+                    # the map x -> image * x sends the generator to the
+                    # image, so the image extends to a module map
+                    f = module_map_oracle(alg, n, m, image)
+                    assert f.column(e_m) == tuple(image.get(gi, alg.field.zero)
+                                                  for gi in mb_n)
                     for j in range(alg.dim):
                         lhs = f @ right_mult_oracle(alg, m, j)
                         rhs = right_mult_oracle(alg, n, j) @ f
@@ -255,6 +262,4 @@ class TestModuleHomSpace:
         spec = load_fixture("beilinson2")
         alg = PathAlgebra(spec.quiver, spec.relations)
         maps = module_hom_space(alg, "1", "1")
-        size = len(alg.module_basis("1"))
-        from quivertt.linalg import Matrix
-        assert Matrix.identity(size) in maps
+        assert alg.idempotent("1") in maps

@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import quivertt
 from quivertt import complexes

@@ -6,6 +6,7 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
 from quivertt.path_algebra import PathAlgebra, module_hom_space
+from quivertt.quiver import Path
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver)
 from quivertt.repcat import hom_space
@@ -13,7 +14,7 @@ from quivertt.reconstruct import (ReconstructionError, assemble_A,
                                   center_and_z, compose_on_probe, phi, psi,
                                   rational_points, yoneda_coordinates)
 
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, beilinson_text, load_fixture
 
 SMALL_FIXTURES = ["kronecker1", "kronecker2", "kronecker3", "kronecker4",
                   "beilinson1", "beilinson2", "square", "disconnected",
@@ -63,6 +64,18 @@ class TestPhiPsi:
         e2 = alg.idempotent_index["2"]
         with pytest.raises(ReconstructionError):
             phi(alg, {e1: QQ.one, e2: QQ.one})
+
+    def test_psi_rejects_image_outside_pair(self):
+        spec = load_fixture("kronecker2")
+        alg = algebra_of(spec)
+        arrow = spec.quiver.arrows[0]
+        n, m = arrow.source, arrow.target
+        a = alg.basis_index[Path.from_arrows([arrow])]
+        assert psi(alg, n, m, {a: QQ.one}) == {a: QQ.one}
+        for image in ({alg.idempotent_index[n]: QQ.one},
+                      {a: QQ.one, alg.idempotent_index[m]: QQ.one}):
+            with pytest.raises(ReconstructionError):
+                psi(alg, n, m, image)
 
     def test_multiplicativity(self, small_spec):
         # phi(p * q) = phi(p) composed with phi(q) on probes
@@ -189,6 +202,31 @@ class TestAssembleA:
         assert doc["verdict"]["round_trip_identity"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
+    def test_doubled_module_map_clears_round_trip(self, monkeypatch):
+        # route 2 sends the generator to twice an arrow class: still a
+        # module map, but psi of it is not the route-1 basis class
+        real = reconstruct.module_hom_space
+        spec = load_fixture("kronecker2")
+        arrow = spec.quiver.arrows[0]
+
+        def doubled(alg, n, m):
+            images = real(alg, n, m)
+            if (n, m) == (arrow.source, arrow.target):
+                images[0] = {g: c + c for g, c in images[0].items()}
+            return images
+
+        monkeypatch.setattr(reconstruct, "module_hom_space", doubled)
+        verdict = assemble_A(algebra_of(spec)).verdict
+        assert verdict.dimensions_match is True
+        assert verdict.round_trip_identity is False
+        assert verdict.structure_constants_match is True
+        assert verdict.isomorphic is False
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
+        assert code == 0
+        assert doc["verdict"]["round_trip_identity"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
+
     def test_wrong_structure_constant_clears_match(self, monkeypatch):
         # e_s * a = a for the arrow a: s -> t; the path algebra route
         # now claims 2a, while the probes still compose to a
@@ -216,6 +254,16 @@ class TestAssembleA:
         assert code == 0
         assert doc["verdict"]["structure_constants_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
+
+    def test_beilinson_2_7_reconstructs(self, tmp_path):
+        # dim 210, within the path budget
+        spec = tmp_path / "beil27.quiver"
+        spec.write_text(beilinson_text(2, 7))
+        doc, code = run_command(["reconstruct", str(spec)])
+        assert code == 0
+        assert doc["dimension"] == 210
+        assert doc["isomorphic_to_path_algebra"] is True
+        assert doc["center_dimension"] == doc["end_unit_dimension"] == 1
 
     def test_random_reconstruction(self, rng):
         for _ in range(5):

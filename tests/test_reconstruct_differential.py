@@ -53,11 +53,32 @@ def instances(seeds=SEEDS):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("make, arg", list(instances()))
 def test_module_hom_space_matches_oracle(make, arg, field):
+    # each generator image is the e_m column of the oracle's dense map,
+    # which is solved against every relation of the generator
     quiver, relations = make(arg)
     alg = PathAlgebra(quiver, relations, field)
     for n in quiver.vertices:
+        mb_n = alg.module_basis(n)
         for m in quiver.vertices:
-            assert module_hom_space(alg, n, m) == module_hom_space_oracle(alg, n, m)
+            e_m = alg.module_basis(m).index(alg.idempotent_index[m])
+            columns = [f.column(e_m)
+                       for f in module_hom_space_oracle(alg, n, m)]
+            want = [{gi: c for gi, c in zip(mb_n, col) if c}
+                    for col in columns]
+            got = module_hom_space(alg, n, m)
+            assert [list(image.items()) for image in got] == \
+                [list(image.items()) for image in want]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("make, arg", list(instances()))
+def test_generator_relations_are_one_per_other_vertex(make, arg, field):
+    # the certified generating set keeps one relation per vertex other
+    # than m, out of the dim Lambda - dim M_m in the kernel's basis
+    quiver, relations = make(arg)
+    alg = PathAlgebra(quiver, relations, field)
+    for m in quiver.vertices:
+        assert len(alg.generator_relations(m)) == len(quiver.vertices) - 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -5,11 +5,11 @@ from quivertt.linalg import Matrix
 from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Quiver
 from quivertt.randgen import random_representation, random_tensor_quiver
-from quivertt.repcat import (Representation, RepresentationError, RepMorphism,
-                             direct_sum, extend_by_zero, hom_space,
-                             module_representation, morphism_tensor, restrict,
-                             satisfies_relations, simple_object, sub_quotient,
-                             tensor, unit_filtration, unit_object, zero_object)
+from quivertt.repcat import (Representation, RepresentationError,
+                             extend_by_zero, hom_space, module_representation,
+                             morphism_tensor, restrict, satisfies_relations,
+                             simple_object, sub_quotient, tensor,
+                             unit_filtration, unit_object)
 
 from conftest import load_fixture
 

@@ -3,16 +3,19 @@
 An element of QQ is an `int` when it is integral, and `int / int` is a
 float, so no module but `fields` may divide: a quotient of field elements
 is `field.inv(x)` times the numerator.  Every name a module imports is used
-in that module; only the package's `__init__.py` imports to re-export."""
+in that module, in the library and in its tests alike; only the package's
+`__init__.py` imports to re-export."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quivertt"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "quivertt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "fields.py")
-IMPORTING = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+IMPORTING = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+             + sorted(TESTS.glob("*.py")))
 
 
 def divisions(source):
@@ -40,6 +43,9 @@ def unused_imports(source):
 def test_every_module_is_checked():
     names = {p.name for p in MODULES}
     assert {"linalg.py", "path_algebra.py", "reconstruct.py"} <= names
+    importing = {p.name for p in IMPORTING}
+    assert {"conftest.py", "test_source_lint.py", "reconstruct.py"} <= importing
+    assert len(importing) == len(IMPORTING)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

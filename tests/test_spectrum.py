@@ -4,7 +4,7 @@ import pytest
 
 from quivertt.complexes import BoundedComplex, direct_sum_complex, support
 from quivertt.path_algebra import PathAlgebra
-from quivertt.quiver import Arrow, Quiver, QuiverError, full_subquiver
+from quivertt.quiver import Quiver, QuiverError, full_subquiver
 from quivertt.randgen import random_complex, random_tensor_quiver
 from quivertt.repcat import hom_space, simple_object, unit_object
 from quivertt.spectrum import (IdealDescriptor, IncompatibleSubquiver,
