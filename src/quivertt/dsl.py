@@ -13,8 +13,17 @@ One declaration per line; `#` starts a comment; blank lines are ignored.
 `field` is `QQ` (the default) or `F <p>` for a prime p of at most 2^64.
 Relation expressions are signed, optionally coefficient-weighted path
 words, with paths written as `*`-separated arrow labels read left to right.
-Coefficients are integers or fractions `p/q`.  All diagnostics carry
-(line, column) positions.
+Coefficients are integers or fractions `p/q`.  An arrow label does not
+start with a digit, so `2a` in a relation is always the coefficient 2 times
+the arrow `a`.
+
+Each line is read by one match of `_LINE`, which holds the grammar of every
+declaration; a relation is then read by one match of `_TERM` per term.
+Every token of a declaration, and every token of a term, is an optional
+group that is tried only after the ones before it matched.  A match
+therefore always succeeds, and on a malformed line the first group left
+unset is the first token missing; the diagnostic is computed from that
+match, so every message keeps its (line, column) position.
 """
 
 from __future__ import annotations
@@ -31,9 +40,6 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
-
-
-_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass
@@ -56,102 +62,129 @@ class QuiverSpecFile:
         return "\n".join(lines) + "\n"
 
 
-class _Line:
-    def __init__(self, number, text):
-        self.number = number
-        self.text = text
-        self.pos = 0
-
-    def error(self, message, column=None):
-        return ParseError(message, self.number,
-                          (self.pos if column is None else column) + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal):
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def name(self, what="name"):
-        self.skip_ws()
-        m = _NAME.match(self.text, self.pos)
-        if not m:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def rest(self):
-        self.skip_ws()
-        return self.text[self.pos:]
+_B = "[ \t]*"                    # blanks: only spaces and tabs separate tokens
+_NAME = "[A-Za-z0-9_]+"
+_WHOLE = "(?![A-Za-z0-9_])"      # a keyword is a whole name, not a prefix
+_BLANKS = re.compile(_B)
 
 
-def _strip_comment(text):
-    cut = text.find("#")
-    return text if cut < 0 else text[:cut]
+def _steps(steps):
+    """The pattern of the (group, token, what) `steps` in order, blanks
+    allowed before each, where a step is tried only once all before it
+    matched; `what` names the token in a diagnostic."""
+    pattern = ""
+    for group, token, _ in reversed(steps):
+        pattern = f"(?:{_B}(?P<{group}>{token}){pattern})?"
+    return pattern
 
 
-_NUMBER = re.compile(r"\d+(/\d+)?")
+_ARROW = (("label", _NAME, "arrow label"), ("colon", ":", "':'"),
+          ("source", _NAME, "source vertex"), ("to", "->", "'->'"),
+          ("target", _NAME, "target vertex"))
+_QUIVER = (("name", _NAME, "quiver name"),)
+
+_LINE = re.compile(
+    f"{_B}(?:"
+    f"(?P<relation>relation){_WHOLE}"
+    f"|(?P<arrow>arrow){_WHOLE}{_steps(_ARROW)}"
+    f"|(?P<vertices>vertices){_WHOLE}(?P<names>(?:{_B}{_NAME})*)"
+    f"|(?P<quiver>quiver){_WHOLE}{_steps(_QUIVER)}"
+    f"|(?P<field>field){_WHOLE}(?:{_B}(?:(?P<F>F){_WHOLE}"
+    f"(?:{_B}(?P<prime>{_NAME}))?|(?P<token>{_NAME})))?"
+    f"|(?P<keyword>{_NAME})?"
+    ")")
+
+# sign? coefficient? path.  Every group after the coefficient is optional,
+# so the engine never backtracks into its digits, which are read as far as
+# they go (no atomic group, which Python 3.10 lacks): `12` is a coefficient
+# missing its path, never the label `12`.
+_TERM = re.compile(
+    f"{_B}(?P<sign>[+-]?){_B}(?P<coefficient>\\d+(?:/\\d+)?)?(?P<lead>{_B})"
+    f"(?P<path>{_NAME}(?:{_B}\\*{_B}{_NAME})*)?(?P<dangling>{_B}\\*)?")
+_LABEL = re.compile(_NAME)
 
 
-def _parse_relation(line, spec, pos_lookup):
+def _blanks_end(body, pos):
+    return _BLANKS.match(body, pos).end()
+
+
+def _arrow_error(m, body, number):
+    """The ParseError for an arrow line that `m` read: a label that starts
+    with a digit, a missing token, or a label declared before."""
+    label = m["label"]
+    if label is not None and label[0].isdigit():
+        return ParseError(f"arrow label {label!r} starts with a digit",
+                          number, m.start("label") + 1)
+    return (_missing(_ARROW, m, body, number)
+            or ParseError(f"duplicate arrow label {label!r}", number,
+                          m.end() + 1))
+
+
+def _expected(what, m, body, number):
+    """The ParseError for a token `what` missing after `m` ends."""
+    return ParseError(f"expected {what}", number,
+                      _blanks_end(body, m.end()) + 1)
+
+
+def _missing(steps, m, body, number):
+    """The ParseError for the first of `steps` that `m` did not reach, or
+    None when it read them all."""
+    for group, _, what in steps:
+        if m[group] is None:
+            return _expected(what, m, body, number)
+    return None
+
+
+def _parse_relation(number, body, pos, field, lookup):
     """One relation expression: sign? term (sign term)*, where a term is an
     optional numeric coefficient followed by a path word."""
-    field = spec.field
+    n = len(body)
+    one = field.one
+    minus_one = -one
     terms = []
-    first = True
     while True:
-        if line.at_end():
-            if first:
-                raise line.error("empty relation")
-            break
-        sign = field.one
-        ch = line.peek()
-        if ch in "+-":
-            line.pos += 1
-            sign = -field.one if ch == "-" else field.one
-        elif not first:
-            raise line.error("expected '+' or '-' between relation terms")
-        line.skip_ws()
-        coeff = field.one
-        m = _NUMBER.match(line.text, line.pos)
-        if m:
+        m = _TERM.match(body, pos)
+        sign, text, _, path, dangling = m.groups()
+        if not sign and terms:
+            raise ParseError("expected '+' or '-' between relation terms",
+                             number, m.start("sign") + 1)
+        coeff = one
+        if text is not None:
             try:
-                coeff = field.parse(m.group())
+                coeff = field.parse(text)
             except (FieldError, ZeroDivisionError) as exc:
-                raise line.error(str(exc))
-            line.pos = m.end()
-        start = line.pos
-        labels = [line.name("arrow label")]
-        while line.peek() == "*":
-            line.take("*")
-            labels.append(line.name("arrow label"))
-        arrows = []
-        for lab in labels:
-            if lab not in pos_lookup:
-                raise line.error(f"unknown arrow {lab!r}", start)
-            arrows.append(pos_lookup[lab])
+                raise ParseError(str(exc), number,
+                                 m.start("coefficient") + 1) from None
+        if path is None:
+            if m.start("sign") == n:
+                raise ParseError("empty relation", number, n + 1)
+            raise ParseError("expected arrow label", number, m.end("lead") + 1)
+        if dangling is not None:
+            raise _expected("arrow label", m, body, number)
+        labels = (path.split("*") if " " not in path and "\t" not in path
+                  else _LABEL.findall(path))
         try:
-            path = Path.from_arrows(arrows)
-        except QuiverError as exc:
-            raise line.error(str(exc), start)
-        terms.append((sign * coeff, path))
-        first = False
+            arrows = [lookup[label] for label in labels]
+        except KeyError as exc:
+            raise ParseError(f"unknown arrow {exc.args[0]!r}", number,
+                             m.start("lead") + 1) from None
+        last = arrows[0]
+        for a in arrows[1:]:
+            if last.target != a.source:
+                raise ParseError(
+                    f"arrows {last.label} and {a.label} do not compose",
+                    number, m.start("lead") + 1)
+            last = a
+        terms.append((minus_one * coeff if sign == "-" else coeff,
+                      Path(arrows[0].source, last.target, tuple(labels))))
+        pos = m.end()
+        if pos == n:
+            break
+    path = terms[0][1]
     try:
-        return Relation.from_terms(terms)
+        return Relation(path.source, path.target, terms)
     except QuiverError as exc:
-        raise line.error(str(exc), 0)
+        raise ParseError(str(exc), number, 1) from None
 
 
 def parse_quiver(text):
@@ -165,49 +198,56 @@ def parse_quiver(text):
     relation_lines = []
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).rstrip()
-        if not body.strip():
+        cut = raw.find("#")
+        body = (raw if cut < 0 else raw[:cut]).rstrip()
+        if not body:
             continue
-        line = _Line(number, body)
-        keyword = line.name("declaration keyword")
-        if keyword == "quiver":
+        m = _LINE.match(body)
+        if m["relation"] is not None:
+            relation_lines.append((number, body, m.end()))
+            continue
+        if m["arrow"] is not None:
+            label, source, target = m.group("label", "source", "target")
+            if target is None or label[0].isdigit() or label in arrow_lookup:
+                raise _arrow_error(m, body, number)
+            a = Arrow(label, source, target)
+            arrows.append(a)
+            arrow_lookup[label] = a
+        elif m["vertices"] is not None:
+            if vertices is not None:
+                raise ParseError("duplicate vertices declaration",
+                                 number, m.end("vertices") + 1)
+            vertices = m["names"].split()
+            if m.end() != len(body):
+                raise _expected("vertex", m, body, number)
+            if not vertices:
+                raise ParseError("empty vertex list", number, m.end() + 1)
+        elif m["quiver"] is not None:
             if name is not None:
-                raise line.error("duplicate quiver declaration")
-            name = line.name("quiver name")
-        elif keyword == "field":
-            token = line.name("field name")
-            if token == "F":
-                token = f"F{line.name('prime')}"
+                raise ParseError("duplicate quiver declaration",
+                                 number, m.end("quiver") + 1)
+            name = m["name"]
+            if name is None:
+                raise _missing(_QUIVER, m, body, number)
+        elif m["field"] is not None:
+            if m["token"] is not None:
+                token = m["token"]
+            elif m["prime"] is not None:
+                token = "F" + m["prime"]
+            else:
+                raise _expected("prime" if m["F"] is not None else "field name",
+                                m, body, number)
             try:
                 field = field_by_name(token)
             except FieldError as exc:
-                raise line.error(str(exc))
-        elif keyword == "vertices":
-            if vertices is not None:
-                raise line.error("duplicate vertices declaration")
-            vertices = []
-            while not line.at_end():
-                vertices.append(line.name("vertex"))
-            if not vertices:
-                raise line.error("empty vertex list")
-        elif keyword == "arrow":
-            label = line.name("arrow label")
-            line.take(":")
-            src = line.name("source vertex")
-            line.take("->")
-            tgt = line.name("target vertex")
-            if label in arrow_lookup:
-                raise line.error(f"duplicate arrow label {label!r}")
-            a = Arrow(label, src, tgt)
-            arrows.append(a)
-            arrow_lookup[label] = a
-        elif keyword == "relation":
-            relation_lines.append(line)
-            continue
+                raise ParseError(str(exc), number, m.end() + 1) from None
+        elif m["keyword"] is not None:
+            raise ParseError(f"unknown declaration {m['keyword']!r}", number, 1)
         else:
-            raise line.error(f"unknown declaration {keyword!r}", 0)
-        if not line.at_end():
-            raise line.error(f"trailing text {line.rest()!r}")
+            raise _expected("declaration keyword", m, body, number)
+        if m.end() != len(body):
+            pos = _blanks_end(body, m.end())
+            raise ParseError(f"trailing text {body[pos:]!r}", number, pos + 1)
 
     if name is None:
         raise ParseError("missing quiver declaration", 1, 1)
@@ -217,14 +257,12 @@ def parse_quiver(text):
     try:
         quiver = Quiver(tuple(vertices), tuple(arrows))
     except QuiverError as exc:
-        raise ParseError(str(exc), 1, 1)
+        raise ParseError(str(exc), 1, 1) from None
 
-    spec = QuiverSpecFile(name, field, quiver, ())
     relations = []
-    for line in relation_lines:
-        relations.append(_parse_relation(line, spec, arrow_lookup))
-    spec.relations = tuple(relations)
-    return spec
+    for number, body, pos in relation_lines:
+        relations.append(_parse_relation(number, body, pos, field, arrow_lookup))
+    return QuiverSpecFile(name, field, quiver, tuple(relations))
 
 
 def parse_quiver_file(path):

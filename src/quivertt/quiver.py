@@ -7,7 +7,7 @@ source(a) to target(b).  The trivial path at a vertex has an empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
 # The most paths, trivial ones included, that a quiver may have: the path
@@ -39,11 +39,55 @@ class NotOrdered(QuiverError):
         super().__init__(f"oriented cycle through vertices {' -> '.join(self.cycle)}")
 
 
-@dataclass(frozen=True)
-class Arrow:
-    label: str
-    source: str
-    target: str
+class _Record:
+    """An immutable record of the fields named in `_fields`, kept in slots
+    that the constructor sets once through their descriptors; cheaper to
+    build than a frozen dataclass, which assigns each field through
+    `object.__setattr__`.  Like one, it equals only a record of its own
+    class with equal fields and hashes as the tuple of its fields."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default protocol would restore the slots through __setattr__
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+
+def _setters(cls):
+    """The `__set__` of each slot descriptor of `cls`, in slot order; one
+    sets that slot on an instance of `cls`, past its `__setattr__`."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+class Arrow(_Record):
+    __slots__ = _fields = ("label", "source", "target")
+
+    def __init__(self, label, source, target):
+        _arrow_label(self, label)
+        _arrow_source(self, source)
+        _arrow_target(self, target)
+
+    def __repr__(self):
+        return (f"Arrow(label={self.label!r}, source={self.source!r}, "
+                f"target={self.target!r})")
+
+
+_arrow_label, _arrow_source, _arrow_target = _setters(Arrow)
 
 
 @dataclass(frozen=True)
@@ -72,6 +116,9 @@ class Quiver:
                            {v: tuple(arrows) for v, arrows in out.items()})
         object.__setattr__(self, "_by_label",
                            {a.label: a for a in self.arrows})
+        # the admissible order, filled in by the first `admissible_order`;
+        # set here so that filling it in adds no key to the instance dict
+        object.__setattr__(self, "_order", None)
 
     def arrow(self, label):
         try:
@@ -106,8 +153,17 @@ class Quiver:
 
 
 def admissible_order(q):
-    """Topological order of the vertices; raises NotOrdered with a cycle
-    witness if the quiver has an oriented cycle."""
+    """Topological order of the vertices, as a new list; raises NotOrdered
+    with a cycle witness if the quiver has an oriented cycle.  The order is
+    computed once per quiver and kept on it."""
+    order = q._order
+    if order is None:
+        order = _topological_order(q)
+        object.__setattr__(q, "_order", order)
+    return list(order)
+
+
+def _topological_order(q):
     indeg = {v: 0 for v in q.vertices}
     for a in q.arrows:
         if a.source != a.target:
@@ -124,7 +180,7 @@ def admissible_order(q):
             if indeg[a.target] == 0:
                 ready.append(a.target)
     if len(order) == len(q.vertices):
-        return order
+        return tuple(order)
     # walk forward inside the leftover subgraph until a vertex repeats
     left = [v for v in q.vertices if v not in set(order)]
     seen = []
@@ -144,14 +200,31 @@ def is_ordered(q):
         return False
 
 
-@dataclass(frozen=True)
-class Path:
-    source: str
-    target: str
-    arrows: tuple = ()
+class Path(_Record):
+    """A path from `source` to `target` whose word is `arrows`, the tuple
+    of its arrow labels; the trivial path at v is (v, v, ()).
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+    Its hash is computed once: dictionaries keyed by paths
+    (`PathAlgebra.basis_index`) hash them on every lookup."""
+
+    __slots__ = ("source", "target", "arrows", "_hash")
+    _fields = ("source", "target", "arrows")
+
+    def __init__(self, source, target, arrows=()):
+        arrows = tuple(arrows)
+        _path_source(self, source)
+        _path_target(self, target)
+        _path_arrows(self, arrows)
+        _path_hash(self, hash((source, target, arrows)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.arrows == other.arrows and self.source == other.source
+                and self.target == other.target)
 
     @classmethod
     def trivial(cls, v):
@@ -191,6 +264,9 @@ class Path:
 
     def __repr__(self):
         return f"Path({self.source}->{self.target}: {self.word()})"
+
+
+_path_source, _path_target, _path_arrows, _path_hash = _setters(Path)
 
 
 def count_paths(q):
@@ -238,26 +314,26 @@ def enumerate_paths(q):
     return flat, by_pair
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A homogeneous linear combination of non-trivial paths with a common
     source and target: a generator of the relation ideal."""
 
-    source: str
-    target: str
-    terms: tuple  # of (coefficient, Path)
+    __slots__ = _fields = ("source", "target", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, source, target, terms):
+        terms = tuple(terms)   # of (coefficient, Path)
+        if not terms:
             raise QuiverError("empty relation")
-        for c, p in self.terms:
-            if p.is_trivial:
+        for c, p in terms:
+            if not p.arrows:
                 raise QuiverError(f"relation contains trivial path at {p.source}")
-            if p.source != self.source or p.target != self.target:
+            if p.source != source or p.target != target:
                 raise QuiverError(
                     f"relation not homogeneous: path {p.word()} runs "
-                    f"{p.source}->{p.target}, expected {self.source}->{self.target}")
+                    f"{p.source}->{p.target}, expected {source}->{target}")
+        _relation_source(self, source)
+        _relation_target(self, target)
+        _relation_terms(self, terms)
 
     @classmethod
     def from_terms(cls, terms):
@@ -287,6 +363,9 @@ class Relation:
 
     def __repr__(self):
         return f"Relation({self.source}->{self.target}: {self.pretty()})"
+
+
+_relation_source, _relation_target, _relation_terms = _setters(Relation)
 
 
 def full_subquiver(q, verts):

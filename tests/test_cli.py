@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from quivertt import cli
+from quivertt import quiver as quiver_module
 from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
 from quivertt.dsl import parse_quiver_file
@@ -237,6 +238,39 @@ class TestExitCodes:
                      "arrow b : 2 -> 1\n")
         doc, code = run("validate", str(f))
         assert code == 1 and doc["error_type"] == "NotOrdered"
+
+    def test_digit_leading_arrow_label_is_2(self, tmp_path):
+        f = tmp_path / "digit.quiver"
+        f.write_text("quiver d\nvertices 1 2 3\narrow 2a : 1 -> 2\n"
+                     "arrow b : 2 -> 3\narrow c : 1 -> 2\n"
+                     "relation 2a*b - c*b\n")
+        doc, code = run("validate", str(f))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert doc["error"] == ("line 3, column 7: arrow label '2a' starts "
+                                "with a digit")
+
+    def test_admissible_order_is_computed_once_per_request(
+            self, tmp_path, monkeypatch):
+        calls = []
+        topological = quiver_module._topological_order
+
+        def counted(q):
+            calls.append(q)
+            return topological(q)
+
+        monkeypatch.setattr(quiver_module, "_topological_order", counted)
+        for name in ("kronecker2", "beilinson2", "disconnected"):
+            calls.clear()
+            doc, code = run("validate", fixture_path(name))
+            assert code == 0 and len(calls) == 1, name
+        # a cyclic spec is still refused by the order, with exit 1
+        f = tmp_path / "cycle.quiver"
+        f.write_text("quiver c\nvertices 1 2\narrow a : 1 -> 2\n"
+                     "arrow b : 2 -> 1\n")
+        calls.clear()
+        doc, code = run("validate", str(f))
+        assert code == 1 and doc["error_type"] == "NotOrdered"
+        assert len(calls) == 1
 
     def test_bad_complex_file_is_2(self, tmp_path):
         cx = tmp_path / "cx.json"

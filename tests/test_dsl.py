@@ -110,6 +110,30 @@ class TestDiagnostics:
         self.check("quiver x\nvertices 1 2\narrow a : 1 -> 2\n"
                    f"relation {coeff} a\n", "bad rational literal", line=4)
 
+    @pytest.mark.parametrize("label", ["2a", "2", "0_x"])
+    def test_arrow_label_must_not_start_with_a_digit(self, label):
+        # else `relation 2a*b` would read as 2 times the path a*b
+        with pytest.raises(ParseError) as err:
+            parse_quiver(f"quiver x\nvertices 1 2\narrow  {label} : 1 -> 2\n")
+        assert "starts with a digit" in str(err.value)
+        assert (err.value.line, err.value.column) == (3, 8)
+
+    def test_coefficient_is_read_before_the_path(self):
+        spec = parse_quiver("quiver x\nvertices 1 2 3\narrow a : 1 -> 2\n"
+                            "arrow b : 2 -> 3\narrow c : 1 -> 2\n"
+                            "relation 2a*b - c*b\n")
+        assert [(c, p.word()) for c, p in spec.relations[0].terms] == \
+            [(2, "a*b"), (-1, "c*b")]
+
+    @pytest.mark.parametrize("term, column", [("12", 12), ("12*a", 12)])
+    def test_coefficient_without_path(self, term, column):
+        # the digits are a coefficient, never re-read as a label `12`
+        with pytest.raises(ParseError) as err:
+            parse_quiver("quiver x\nvertices 1 2\narrow a : 1 -> 2\n"
+                         f"relation {term}\n")
+        assert "expected arrow label" in str(err.value)
+        assert (err.value.line, err.value.column) == (4, column)
+
     def test_arrow_to_unknown_vertex(self):
         with pytest.raises(ParseError):
             parse_quiver("quiver x\nvertices 1\narrow a : 1 -> 9\n")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -116,6 +118,74 @@ class TestPath:
         q = chain(4)
         with pytest.raises(QuiverError):
             Path.from_arrows([q.arrow("a1"), q.arrow("a3")])
+
+
+P13 = Path("1", "3", ("a1", "a2"))
+Q13 = Path("1", "3", ("b1", "b2"))
+# kind: (record, its field names, records differing from it in one field,
+# its repr)
+RECORDS = {
+    "path": (P13, ("source", "target", "arrows"),
+             [Path("0", "3", ("a1", "a2")), Path("1", "4", ("a1", "a2")),
+              Path("1", "3", ("a1",))], "Path(1->3: a1*a2)"),
+    "trivial-path": (Path.trivial("1"), ("source", "target", "arrows"),
+                     [Path.trivial("2"), Path("1", "2")], "Path(1->1: e_1)"),
+    "arrow": (Arrow("a", "1", "2"), ("label", "source", "target"),
+              [Arrow("b", "1", "2"), Arrow("a", "0", "2"),
+               Arrow("a", "1", "3")],
+              "Arrow(label='a', source='1', target='2')"),
+    "relation": (Relation("1", "3", ((1, P13), (-1, Q13))),
+                 ("source", "target", "terms"),
+                 [Relation("1", "3", ((2, P13), (-1, Q13))),
+                  Relation("1", "3", ((1, P13),))],
+                 "Relation(1->3: a1*a2 - b1*b2)"),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+class TestRecords:
+    """Path, Arrow and Relation keep the contract of the frozen
+    dataclasses they were."""
+
+    def test_equal_only_to_a_record_with_the_same_fields(self, kind):
+        record, names, others, _ = RECORDS[kind]
+        fields = tuple(getattr(record, name) for name in names)
+        again = type(record)(*fields)
+        assert again == record and hash(again) == hash(record)
+        assert len({record, again}) == 1
+        for other in [*others, fields]:
+            assert record != other and not record == other
+
+    def test_hash_is_that_of_its_fields(self, kind):
+        # as the dataclass hash was: every field takes part
+        record, names, _, _ = RECORDS[kind]
+        assert hash(record) == hash(tuple(getattr(record, n) for n in names))
+
+    def test_fields_cannot_be_assigned(self, kind):
+        record, names, _, _ = RECORDS[kind]
+        fields = tuple(getattr(record, name) for name in names)
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "x")
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert tuple(getattr(record, name) for name in names) == fields
+
+    def test_repr(self, kind):
+        record, _, _, text = RECORDS[kind]
+        assert repr(record) == text
+
+    def test_pickles_and_copies(self, kind):
+        record, names, _, _ = RECORDS[kind]
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(record), copy.deepcopy(record),
+                   copy.deepcopy({record: [record]})[record][0]]
+        for r in copies:
+            assert type(r) is type(record) and r == record
+            assert hash(r) == hash(record)
+            with pytest.raises(AttributeError):
+                setattr(r, names[0], "9")
 
 
 class TestEnumeratePaths:

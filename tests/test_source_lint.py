@@ -4,9 +4,13 @@ An element of QQ is an `int` when it is integral, and `int / int` is a
 float, so no module but `fields` may divide: a quotient of field elements
 is `field.inv(x)` times the numerator.  Every name a module imports is used
 in that module, in the library and in its tests alike; only the package's
-`__init__.py` imports to re-export."""
+`__init__.py` imports to re-export.  CI runs Python 3.10, so no compiled
+regex may use syntax that 3.11 added: atomic groups and possessive
+quantifiers."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,50 @@ def test_the_import_check_sees_every_form():
               "f(b)\n")
     assert unused_imports(source) == ["d", "j", "os"]
     assert unused_imports("import os.path\nos.sep\n") == []
+
+
+PY311_SYNTAX = ("(?>", "*+", "++", "?+")
+
+
+def py311_syntax(pattern):
+    """The 3.11-only constructs that the regex text `pattern` holds."""
+    return [token for token in PY311_SYNTAX if token in pattern]
+
+
+def compile_calls(source):
+    """The number of `re.compile` calls in `source`."""
+    return sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"
+               for node in ast.walk(ast.parse(source)))
+
+
+LIBRARY = sorted(SRC.glob("*.py"))
+
+
+def module_patterns():
+    """Every compiled regex bound at the top level of a library module,
+    as (module file name, attribute, pattern text)."""
+    out = []
+    for path in LIBRARY:
+        module = importlib.import_module(f"quivertt.{path.stem}")
+        out += [(path.name, name, value.pattern)
+                for name, value in vars(module).items()
+                if isinstance(value, re.Pattern)]
+    return out
+
+
+def test_no_python_311_regex_syntax():
+    patterns = module_patterns()
+    # a pattern compiled inside a function is not seen here: every
+    # `re.compile` in the library must bind a module-level name
+    assert len(patterns) == sum(compile_calls(p.read_text()) for p in LIBRARY)
+    assert {file for file, _, _ in patterns} >= {"dsl.py", "fields.py"}
+    assert [(file, name, py311_syntax(text)) for file, name, text in patterns
+            if py311_syntax(text)] == []
+
+
+def test_the_regex_check_sees_every_form():
+    assert py311_syntax("(?>a+)b") == ["(?>"]
+    assert py311_syntax("a*+b++c?+") == ["*+", "++", "?+"]
+    assert py311_syntax("[+-]?\\d+(?:/\\d+)?[ \t]*") == []
+    assert compile_calls("import re\nX = re.compile('a')\n"
+                         "def f():\n    return re.compile('b')\n") == 2
