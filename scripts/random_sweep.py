@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Random stress sweep: generate random tensor-relation quivers, reconstruct
-the path algebra from the derived category on each over QQ and over F_101,
+the path algebra from the derived category on each over QQ, F_2 and F_101,
 check the unit filtration, and cross-check the support calculus on random
 complexes.  Any failure prints the seed so the instance can be replayed.
 
 The relations drawn are differences of two paths, so every rank, and with
 it the algebra, center and End(U) dimensions, is the same over every field;
-a trial fails if they differ between the two fields."""
+a trial fails if they differ between the fields."""
 
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ def filtration_ok(quiver, relations):
                for step in unit_filtration(quiver, relations))
 
 
-FIELDS = (QQ, PrimeField(101))
+FIELDS = (QQ, PrimeField(2), PrimeField(101))
 
 
 def reconstruction(quiver, relations, field):

@@ -7,7 +7,7 @@ tensor ideals with its structure (pre)sheaf, and the reconstruction of the
 path algebra from the derived category.
 """
 
-from .fields import QQ, FieldError, FpElement, PrimeField, field_by_name
+from .fields import QQ, FieldError, PrimeField, field_by_name
 from .linalg import (Coordinates, DimensionMismatch, Echelon,
                      InconsistentSystem, Matrix, block_matrix, kernel_basis,
                      kronecker, rank, rref)

@@ -15,7 +15,9 @@ Relation expressions are signed, optionally coefficient-weighted path
 words, with paths written as `*`-separated arrow labels read left to right.
 Coefficients are integers or fractions `p/q`.  An arrow label does not
 start with a digit, so `2a` in a relation is always the coefficient 2 times
-the arrow `a`.
+the arrow `a`.  Relation lines are read after all the others, so a
+relation may precede the arrows it uses, and its coefficients are read in
+the field of the last `field` line, wherever it stands.
 
 Each line is read by one match of `_LINE`, which holds the grammar of every
 declaration; a relation is then read by one match of `_TERM` per term.
@@ -139,8 +141,7 @@ def _parse_relation(number, body, pos, field, lookup):
     """One relation expression: sign? term (sign term)*, where a term is an
     optional numeric coefficient followed by a path word."""
     n = len(body)
-    one = field.one
-    minus_one = -one
+    one, p = field.one, field.modulus
     terms = []
     while True:
         m = _TERM.match(body, pos)
@@ -175,7 +176,9 @@ def _parse_relation(number, body, pos, field, lookup):
                     f"arrows {last.label} and {a.label} do not compose",
                     number, m.start("lead") + 1)
             last = a
-        terms.append((minus_one * coeff if sign == "-" else coeff,
+        if sign == "-":
+            coeff = -coeff if p is None else -coeff % p
+        terms.append((coeff,
                       Path(arrows[0].source, last.target, tuple(labels))))
         pos = m.end()
         if pos == n:

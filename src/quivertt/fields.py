@@ -11,12 +11,16 @@ elimination and the `Matrix` constructor coerce their inputs.  Since
 `int / int` is a float, no code outside this module divides field
 elements: a quotient is `field.inv(x)` times the numerator.
 
-Prime-field elements are `FpElement`s: immutable two-slot objects holding
-the representative in [0, p) and the modulus, so that matrix code can stay
-field-agnostic and use ordinary operators.  An operation on two elements
-of one field checks only the operand's class and modulus, then builds its
-result without the public constructor; coercing an `int` and refusing a
-foreign modulus happen off that path.
+An element of F_p is a plain `int`, its representative in [0, p), so
+that the operators on it are machine-integer ones.  Those operators do
+not reduce, so each kernel that does arithmetic (`linalg.combine`,
+`Echelon`, `Matrix`, the Groebner basis and the tensor check of
+`path_algebra`) has a branch for F_p that reduces mod p before any zero
+test, comparison, hash, store or return; the branch is chosen once per
+call or per object on `field.modulus`, which is p for F_p and None for
+QQ.  A sum or product computed between two reductions may stray outside
+[0, p) but stays congruent to the true value.  `PrimeField.__call__`
+reduces, and `format` prints the representative.
 
 Scalar literals (spec coefficients, complex-file entries) are an integer
 or "a/b" with ASCII digits and an optional sign; anything else, a float
@@ -26,7 +30,6 @@ among them, raises FieldError.  No floats anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 from .quiver import ResourceBudget
@@ -34,121 +37,6 @@ from .quiver import ResourceBudget
 
 class FieldError(ValueError):
     pass
-
-
-class FpElement:
-    """An element of F_p, stored as the canonical representative in [0, p).
-
-    `value` and `p` cannot be assigned after construction.  Arithmetic
-    between two elements of the same field builds its result with
-    `_reduced`, which skips the public constructor, and + and - skip the
-    `%` too.  An `int` operand is coerced into the field, an element of
-    another modulus raises FieldError, and any other operand gives
-    NotImplemented."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        _set_value(self, value % p)
-        _set_p(self, p)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # the default protocol would restore the slots through __setattr__
-        return FpElement, (self.value, self.p)
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise FieldError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        s = self.value + other.value
-        return _reduced(s - p if s >= p else s, p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        d = self.value - other.value
-        return _reduced(d + p if d < 0 else d, p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _reduced(self.value * other.value % p, p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p = self.p
-        if other.__class__ is not FpElement or other.p != p:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return _reduced(self.value * pow(other.value, -1, p) % p, p)
-
-    def __neg__(self):
-        return _reduced(self.p - self.value if self.value else 0, self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
-_set_value = FpElement.value.__set__
-_set_p = FpElement.p.__set__
-_new = object.__new__
-
-
-def _reduced(value, p):
-    """The element of F_p whose representative `value` is already in
-    [0, p), built without the public constructor."""
-    x = _new(FpElement)
-    _set_value(x, value)
-    _set_p(x, p)
-    return x
 
 
 # The largest modulus `PrimeField` accepts.  Below it the Miller-Rabin test
@@ -210,6 +98,11 @@ class Rationals:
     zero = 0
     one = 1
 
+    def __init__(self):
+        # no modular branch in the kernels; an instance attribute, which
+        # the kernels read faster than a class attribute
+        self.modulus = None
+
     def __call__(self, x):
         cls = x.__class__
         if cls is int:
@@ -256,7 +149,11 @@ class Rationals:
 
 class PrimeField:
     """The finite field F_p for a prime p up to MAX_PRIME; a larger
-    modulus raises ResourceBudget, and a composite one FieldError."""
+    modulus raises ResourceBudget, and a composite one FieldError.  Its
+    elements are the `int`s in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if p > MAX_PRIME:
@@ -265,27 +162,26 @@ class PrimeField:
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
+        self.modulus = p
         self.name = f"F{p}"
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
 
     def __call__(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise FieldError(f"mixed moduli {x.p} and {self.p}")
-            return x
-        if isinstance(x, int):
-            return FpElement(x, self.p)
+        if isinstance(x, int):   # bool included: True % p is an int
+            return x % self.p
         if isinstance(x, Fraction):
-            return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
+            return x.numerator * self.inv(x.denominator) % self.p
         raise FieldError(f"cannot coerce {x!r} into {self.name}")
 
     def from_int(self, n):
-        return FpElement(n, self.p)
+        return n % self.p
 
     def inv(self, x):
-        """The inverse of a nonzero element."""
-        return self.one / x
+        """The inverse of a nonzero element; ZeroDivisionError for one
+        divisible by p."""
+        try:
+            return pow(x, -1, self.p)
+        except ValueError:   # not invertible mod p: x is 0 in F_p
+            raise ZeroDivisionError("division by zero in F_p") from None
 
     def parse(self, text):
         """Parse an integer (or "a/b") literal mod p; "a/b" is reduced to
@@ -294,7 +190,7 @@ class PrimeField:
         return self(Fraction(num, den))
 
     def format(self, x):
-        return str(self(x).value)
+        return str(self(x))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -21,6 +21,16 @@ square are sums it takes.  The constraint rows of the linear systems of
 exception; each system fills all of its rows in one pass, which costs less
 than a `combine` per unknown.  The center maps its solutions back to the
 algebra basis with `combine`.
+
+An element of F_p is a plain `int` in [0, p) (see `fields`), and the
+operators on ints do not reduce.  So every routine here that does
+arithmetic reads `field.modulus` once per call (`Echelon` once per object)
+and, over F_p, runs a branch that reduces mod p before it tests for zero,
+compares, stores or returns: `combine` reduces each sum once, at the end,
+before it drops zeros; `Echelon` reduces each entry of a row it takes and
+every entry it computes, so its callers may hand it unreduced ints;
+`Coordinates`, `Matrix` arithmetic and `kronecker` reduce what they
+return.  Over QQ (modulus None) the same routines run their plain code.
 """
 
 from __future__ import annotations
@@ -113,37 +123,48 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix._raw(self.rows, self.cols,
-                           tuple(tuple(a + b for a, b in zip(ra, rb))
-                                 for ra, rb in zip(self.entries, other.entries)),
-                           self.field)
+        p = self.field.modulus
+        if p is None:
+            entries = tuple(tuple(a + b for a, b in zip(ra, rb))
+                            for ra, rb in zip(self.entries, other.entries))
+        else:
+            entries = tuple(tuple((a + b) % p for a, b in zip(ra, rb))
+                            for ra, rb in zip(self.entries, other.entries))
+        return Matrix._raw(self.rows, self.cols, entries, self.field)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._raw(self.rows, self.cols,
-                           tuple(tuple(-a for a in row) for row in self.entries),
-                           self.field)
+        p = self.field.modulus
+        if p is None:
+            entries = tuple(tuple(-a for a in row) for row in self.entries)
+        else:
+            entries = tuple(tuple(-a % p for a in row) for row in self.entries)
+        return Matrix._raw(self.rows, self.cols, entries, self.field)
 
     def scale(self, c):
         c = self.field(c)
-        return Matrix._raw(self.rows, self.cols,
-                           tuple(tuple(c * a for a in row) for row in self.entries),
-                           self.field)
+        p = self.field.modulus
+        if p is None:
+            entries = tuple(tuple(c * a for a in row) for row in self.entries)
+        else:
+            entries = tuple(tuple(c * a % p for a in row)
+                            for row in self.entries)
+        return Matrix._raw(self.rows, self.cols, entries, self.field)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.field.zero
+        zero, p = self.field.zero, self.field.modulus
         out = []
         for row in self.entries:
             acc = [zero] * other.cols
             for a, orow in zip(row, other.entries):
                 if a:
                     acc = [s + a * b if b else s for s, b in zip(acc, orow)]
-            out.append(tuple(acc))
+            out.append(tuple(acc) if p is None else tuple(s % p for s in acc))
         return Matrix._raw(self.rows, other.cols, tuple(out), self.field)
 
     def apply(self, vec):
@@ -152,7 +173,7 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         nonzero = [(j, b) for j, b in enumerate(vec) if b]
-        zero = self.field.zero
+        zero, p = self.field.zero, self.field.modulus
         out = []
         for row in self.entries:
             s = zero
@@ -161,7 +182,7 @@ class Matrix:
                 if a:
                     s = s + a * b
             out.append(s)
-        return tuple(out)
+        return tuple(out) if p is None else tuple(s % p for s in out)
 
     def transpose(self):
         return Matrix._raw(self.cols, self.rows,
@@ -230,6 +251,7 @@ def kronecker(a, b):
     if a.field != b.field:
         raise DimensionMismatch("mixed fields in kronecker")
     field = a.field
+    p = field.modulus
     out = []
     for i in range(a.rows):
         for k in range(b.rows):
@@ -237,15 +259,21 @@ def kronecker(a, b):
             for j in range(a.cols):
                 aij = a.entries[i][j]
                 brow = b.entries[k]
-                row.extend(aij * x for x in brow)
+                if p is None:
+                    row.extend(aij * x for x in brow)
+                else:
+                    row.extend(aij * x % p for x in brow)
             out.append(tuple(row))
     return Matrix._raw(a.rows * b.rows, a.cols * b.cols, tuple(out), field)
 
 
-def combine(terms):
-    """The sum of c * vec over the (c, vec) pairs `terms`, sparse vectors
-    {index: x}, with its zeros dropped and its keys in ascending order.  A
-    coefficient 1, the usual one, adds vec without a multiplication."""
+def combine(terms, field):
+    """The sum over `field` of c * vec over the (c, vec) pairs `terms`,
+    sparse vectors {index: x}, with its zeros dropped and its keys in
+    ascending order.  A coefficient 1, the usual one, adds vec without a
+    multiplication.  Over F_p the sums are reduced once, at the end,
+    before the zeros are dropped, so `c` and the entries may be any ints
+    congruent to the elements they stand for."""
     acc = {}
     for c, vec in terms:
         unit = c == 1
@@ -253,7 +281,15 @@ def combine(terms):
             if not unit:
                 x = c * x
             acc[g] = acc[g] + x if g in acc else x
-    return {g: x for g, x in sorted(acc.items()) if x}
+    p = field.modulus
+    if p is None:
+        return {g: x for g, x in sorted(acc.items()) if x}
+    out = {}
+    for g, x in sorted(acc.items()):
+        x %= p
+        if x:
+            out[g] = x
+    return out
 
 
 class Echelon:
@@ -283,21 +319,31 @@ class Echelon:
         self.field = field
         self.rows = {}
         self._seen = set()
+        self._p = field.modulus
 
     def _residue(self, vec):
-        """The residue of `vec` as a {column: value} dict without zeros."""
-        field = self.field
+        """The residue of `vec` as a {column: value} dict without zeros.
+        Over F_p an `int` entry is reduced, so callers may pass any ints
+        congruent to the entries they mean."""
+        field, p = self.field, self._p
         v = {}
-        for j, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
-            if x:
-                x = field(x)
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        if p is None:
+            for j, x in items:
+                if x:
+                    x = field(x)
+                    if x:
+                        v[j] = x
+        else:
+            for j, x in items:
+                x = x % p if x.__class__ is int else field(x)
                 if x:
                     v[j] = x
         rows = self.rows
         # the rows are zero at each other's pivots, so the pivots to clear
         # are the ones where `vec` itself is nonzero, in any order
-        for p in [c for c in v if c in rows]:
-            _subtract(v, v.pop(p), rows[p], p)
+        for pc in [c for c in v if c in rows]:
+            _subtract(v, v.pop(pc), rows[pc], pc, p)
         return v
 
     def reduce(self, vec):
@@ -307,16 +353,20 @@ class Echelon:
         v = self._residue(vec)
         if not v:
             return False
-        p = min(v)
-        inv = self.field.inv(v[p])
-        row = {c: inv * a for c, a in v.items()}
-        if p in self._seen:
+        pc = min(v)
+        inv = self.field.inv(v[pc])
+        p = self._p
+        if p is None:
+            row = {c: inv * a for c, a in v.items()}
+        else:
+            row = {c: inv * a % p for c, a in v.items()}
+        if pc in self._seen:
             for other in self.rows.values():
-                f = other.pop(p, None)
+                f = other.pop(pc, None)
                 if f is not None:
-                    _subtract(other, f, row, p)
+                    _subtract(other, f, row, pc, p)
         self._seen.update(row)
-        self.rows[p] = row
+        self.rows[pc] = row
         return True
 
     def contains(self, vec):
@@ -343,6 +393,9 @@ class Echelon:
             for c, x in row.items():
                 if c != pc:
                     hits.setdefault(c, []).append((pc, -x))
+        p = self._p
+        if p is not None:   # -x + p is the representative of -x
+            hits = {c: [(pc, x + p) for pc, x in h] for c, h in hits.items()}
         return [dict(sorted([(fc, one)] + hits.get(fc, [])))
                 for fc in range(self.ncols) if fc not in self.rows]
 
@@ -361,17 +414,32 @@ def _dense(vec, ncols, zero):
     return out
 
 
-def _subtract(v, f, row, p):
-    """v -= f * row in place, at every column of `row` but its pivot p,
-    dropping the entries that cancel."""
-    g = -f
+def _subtract(v, f, row, pivot, p):
+    """v -= f * row in place, at every column of `row` but its pivot,
+    dropping the entries that cancel; reduced mod p unless p is None.
+    `v` and `row` hold canonical elements and no zeros, and f is nonzero."""
+    if p is None:
+        g = -f
+        for c, b in row.items():
+            if c != pivot:
+                x = v.get(c)
+                if x is None:
+                    v[c] = g * b
+                else:
+                    x = x + g * b
+                    if x:
+                        v[c] = x
+                    else:
+                        del v[c]
+        return
+    g = p - f
     for c, b in row.items():
-        if c != p:
+        if c != pivot:
             x = v.get(c)
             if x is None:
-                v[c] = g * b
+                v[c] = g * b % p   # nonzero: p is prime
             else:
-                x = x + g * b
+                x = (x + g * b) % p
                 if x:
                     v[c] = x
                 else:
@@ -433,4 +501,5 @@ class Coordinates:
         x = [self.field.zero] * self.k
         for c, a in res.items():
             x[c - dim] = -a
-        return tuple(x)
+        p = self.field.modulus
+        return tuple(x) if p is None else tuple(a % p for a in x)

@@ -35,6 +35,11 @@ except in `module_hom_space`: its constraint rows (sparse dicts for
 `linalg.Echelon`) are filled in one pass over the cached structure
 constants, which costs less.  It returns each module map as the image of
 the generator, a sparse element, and forms no matrix.
+
+Over F_p an element is a plain `int` (see `fields`): the polynomials, the
+S-polynomials, the Groebner rules and each reduction step reduce their
+coefficients mod p, as does the unit half of the tensor check, on a
+branch chosen once per call from `field.modulus`.
 """
 
 from __future__ import annotations
@@ -65,13 +70,16 @@ def _order_key(word):
     return (len(word), word)
 
 
-def _polynomial(terms):
+def _polynomial(terms, field):
     """The combination of paths `terms` as {word: coefficient}, with
-    repeated words summed and zeros dropped."""
+    repeated words summed over `field` and zeros dropped."""
     poly = {}
-    for c, p in terms:
-        w = p.arrows
+    for c, path in terms:
+        w = path.arrows
         poly[w] = poly[w] + c if w in poly else c
+    p = field.modulus
+    if p is not None:
+        poly = {w: c % p for w, c in poly.items()}
     return {w: c for w, c in poly.items() if c}
 
 
@@ -80,11 +88,12 @@ def _contains(word, sub):
     return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
 
 
-def _s_polynomials(u, ru, v, rv):
+def _s_polynomials(u, ru, v, rv, p):
     """The S-polynomial of each overlap of the tip u (rule u -> ru) with
     the tip v (rule v -> rv): u = x*s and v = s*y with s a proper suffix of
     u and a proper prefix of v, and the S-polynomial
-    (u - ru)*y - x*(v - rv) = x*rv - ru*y."""
+    (u - ru)*y - x*(v - rv) = x*rv - ru*y; reduced mod p unless p is
+    None."""
     for k in range(1, min(len(u), len(v))):
         if u[len(u) - k:] == v[:k]:
             x, y = u[:len(u) - k], v[k:]
@@ -92,14 +101,17 @@ def _s_polynomials(u, ru, v, rv):
             for w, c in ru.items():
                 wy = w + y
                 s[wy] = s[wy] - c if wy in s else -c
+            if p is not None:
+                s = {w: c % p for w, c in s.items()}
             yield {w: c for w, c in s.items() if c}
 
 
 class GroebnerBasis:
-    """Rewriting rules tip -> rhs, one per element tip - rhs of a Groebner
-    basis whose tips are monic and contain no other tip."""
+    """Rewriting rules tip -> rhs over `field`, one per element tip - rhs
+    of a Groebner basis whose tips are monic and contain no other tip."""
 
-    def __init__(self):
+    def __init__(self, field):
+        self.field = field
         self.rules = {}
         self.lengths = []   # the tip lengths, ascending
 
@@ -125,6 +137,7 @@ class GroebnerBasis:
         word that a rewrite adds is smaller than the one it replaces."""
         todo = dict(poly)
         out = {}
+        p = self.field.modulus
         while todo:
             w = max(todo, key=_order_key)
             c = todo.pop(w)
@@ -134,21 +147,31 @@ class GroebnerBasis:
                 continue
             i, tip = hit
             left, right = w[:i], w[i + len(tip):]
-            for v, d in self.rules[tip].items():
-                u = left + v + right
-                e = todo[u] + c * d if u in todo else c * d
-                if e:
-                    todo[u] = e
-                else:
-                    del todo[u]
+            if p is None:
+                for v, d in self.rules[tip].items():
+                    u = left + v + right
+                    e = todo[u] + c * d if u in todo else c * d
+                    if e:
+                        todo[u] = e
+                    else:
+                        del todo[u]
+            else:
+                for v, d in self.rules[tip].items():
+                    u = left + v + right
+                    e = (todo[u] + c * d if u in todo else c * d) % p
+                    if e:
+                        todo[u] = e
+                    else:
+                        del todo[u]
         return out
 
 
 def groebner_basis(polys, field):
     """The reduced Groebner basis of the two-sided ideal generated by the
     homogeneous polynomials `polys`, by Buchberger's algorithm."""
-    gb = GroebnerBasis()
+    gb = GroebnerBasis(field)
     rules = gb.rules
+    p = field.modulus
     queue = deque(polys)
     while queue:
         f = gb.reduce(queue.popleft())
@@ -156,17 +179,22 @@ def groebner_basis(polys, field):
             continue
         tip = max(f, key=_order_key)
         scale = -field.inv(f[tip])
-        rhs = {w: c * scale for w, c in f.items() if w != tip}
+        if p is None:
+            rhs = {w: c * scale for w, c in f.items() if w != tip}
+        else:
+            rhs = {w: c * scale % p for w, c in f.items() if w != tip}
         # an element whose tip contains the new one is reduced again
         for t in [t for t in rules if _contains(t, tip)]:
-            old = rules.pop(t)
-            queue.append({t: field.one, **{w: -c for w, c in old.items()}})
+            back = {w: -c for w, c in rules.pop(t).items()}
+            if p is not None:   # -c + p is the representative of -c
+                back = {w: c + p for w, c in back.items()}
+            queue.append({t: field.one, **back})
         rules[tip] = rhs
         gb.lengths = sorted({len(t) for t in rules})
         for t, other in list(rules.items()):
-            queue.extend(_s_polynomials(tip, rhs, t, other))
+            queue.extend(_s_polynomials(tip, rhs, t, other, p))
             if t != tip:
-                queue.extend(_s_polynomials(t, other, tip, rhs))
+                queue.extend(_s_polynomials(t, other, tip, rhs, p))
     for t in rules:
         rules[t] = gb.reduce(rules[t])
     return gb
@@ -214,7 +242,8 @@ class PathAlgebra:
 
     def _build(self):
         self.groebner = groebner_basis(
-            [_polynomial(g.terms) for g in self.relations], self.field)
+            [_polynomial(g.terms, self.field) for g in self.relations],
+            self.field)
 
         # the paths that contain no tip, each extended from its prefix;
         # the prefix contains none, so only the suffixes need a look
@@ -292,8 +321,8 @@ class PathAlgebra:
             red = self.groebner.reduce({w: self.field.one})
             nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
         else:
-            nf = combine((c, self._nf_word(self.basis[b].arrows + (a,)))
-                         for b, c in self._nf_word(head).items())
+            nf = combine(((c, self._nf_word(self.basis[b].arrows + (a,)))
+                          for b, c in self._nf_word(head).items()), self.field)
         self._word_nf[w] = nf
         return nf
 
@@ -347,14 +376,16 @@ class PathAlgebra:
         if cached is None:
             arrow = self._nf_word((label,))
             cached = self._arrow_steps[key] = combine(
-                (c, self.product_indices(x, j)) for j, c in arrow.items())
+                ((c, self.product_indices(x, j)) for j, c in arrow.items()),
+                self.field)
         return cached
 
     def product(self, a, b):
         """Product of two elements given as {basis index: coefficient},
         in ascending index order."""
-        return combine((ca * cb, self.product_indices(i, j))
-                       for i, ca in a.items() for j, cb in b.items())
+        return combine(((ca * cb, self.product_indices(i, j))
+                        for i, ca in a.items() for j, cb in b.items()),
+                       self.field)
 
     def idempotent(self, v):
         return {self.idempotent_index[v]: self.field.one}
@@ -425,8 +456,12 @@ def is_tensor_relations(alg):
                 tensor product of representations satisfying the relations
                 (and conversely, via the regular representation).
     """
+    field = alg.field
+    p = field.modulus
     for gen in alg.relations:
         total = gen.coefficient_sum()
+        if p is not None:
+            total %= p
         if total:
             return TensorCheck(False, gen, "unit")
         # cls(p) (x) cls(p) is the sum of x_i * (e_i (x) cls(p)) over the
@@ -434,8 +469,8 @@ def is_tensor_relations(alg):
         # i * dim
         d = alg.dim
         nfs = [(c, alg._nf(p)) for c, p in gen.terms]
-        if combine((c * x, {i * d + j: y for j, y in nf.items()})
-                   for c, nf in nfs for i, x in nf.items()):
+        if combine(((c * x, {i * d + j: y for j, y in nf.items()})
+                    for c, nf in nfs for i, x in nf.items()), field):
             return TensorCheck(False, gen, "diagonal")
     return TensorCheck(True)
 
@@ -491,9 +526,10 @@ def compatibility(quiver, relations, verts, field=QQ):
     check_path_budget(sub)
     witness = None
     if r_bar:
-        gb = groebner_basis([_polynomial(g.terms) for g in r_cap], field)
+        gb = groebner_basis([_polynomial(g.terms, field) for g in r_cap],
+                            field)
         witness = next((gen for gen in r_bar
-                        if gb.reduce(_polynomial(gen.terms))), None)
+                        if gb.reduce(_polynomial(gen.terms, field))), None)
     return CompatibilityResult(witness is None, sub, tuple(r_cap), tuple(r_bar), witness)
 
 
@@ -519,7 +555,8 @@ def module_hom_space(alg, n, m):
 
     # constraints on v = sum v_k x_k in M_n: for each relation kappa of the
     # generator, v * kappa = sum v_k c_j (x_k * p_j) = 0, one row per basis
-    # index of M_n; once they have full rank only v = 0 is left
+    # index of M_n; once they have full rank only v = 0 is left.  Over F_p
+    # the rows are left unreduced: `Echelon` reduces each row it takes
     constraints = Echelon(dn, field)
     for kappa in alg.generator_relations(m):
         if constraints.rank == dn:

@@ -335,12 +335,6 @@ class Relation(_Record):
         _relation_target(self, target)
         _relation_terms(self, terms)
 
-    @classmethod
-    def from_terms(cls, terms):
-        terms = [(c, p) for c, p in terms]
-        s, t = terms[0][1].source, terms[0][1].target
-        return cls(s, t, tuple(terms))
-
     def coefficient_sum(self):
         total = None
         for c, _ in self.terms:

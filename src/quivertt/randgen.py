@@ -56,7 +56,8 @@ def random_commutativity_relations(rng, quiver, max_relations=3, field=QQ):
         return ()
     count = rng.randint(0, min(max_relations, len(pairs)))
     chosen = rng.sample(pairs, count)
-    return tuple(Relation(p.source, p.target, ((field.one, p), (-field.one, q)))
+    minus_one = field(-1)
+    return tuple(Relation(p.source, p.target, ((field.one, p), (minus_one, q)))
                  for p, q in chosen)
 
 

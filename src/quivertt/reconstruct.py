@@ -170,8 +170,9 @@ class ProbeEvaluator:
                 *head, last = p.arrows
                 prefix = alg.basis_index[
                     Path(p.source, alg.quiver.arrow(last).source, tuple(head))]
-                out = combine((c, alg.arrow_step(y, last))
-                              for y, c in self.walk(x, prefix).items())
+                out = combine(((c, alg.arrow_step(y, last))
+                               for y, c in self.walk(x, prefix).items()),
+                              alg.field)
             self._walks[key] = out
         return out
 
@@ -182,8 +183,8 @@ class ProbeEvaluator:
 
     def _on_generator(self, elem, n):
         """The image of e_n under elem, which starts at n."""
-        return combine((c, self.generator_image(n, i))
-                       for i, c in elem.items())
+        return combine(((c, self.generator_image(n, i))
+                        for i, c in elem.items()), self.alg.field)
 
     def yoneda(self, elem, n):
         """Coordinates of elem: F_n => F_m, read off its image of e_n."""
@@ -193,8 +194,9 @@ class ProbeEvaluator:
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
         first = self._on_generator(elem1, n)
-        return combine((c * a, self.walk(x, j))
-                       for j, c in elem2.items() for x, a in first.items())
+        return combine(((c * a, self.walk(x, j))
+                        for j, c in elem2.items() for x, a in first.items()),
+                       self.alg.field)
 
 
 def yoneda_coordinates(alg, transform):
@@ -320,7 +322,8 @@ def _commutant(alg, unknowns, generators):
     """Kernel basis, in the coordinates y, of x = sum y_r * unknowns[r]
     commuting with every element of `generators`: the rows of
     x * b - b * x = 0 are filled in one pass over the structure constants
-    per generator b, which costs less than a `combine` per unknown."""
+    per generator b, which costs less than a `combine` per unknown.  Over
+    F_p the rows are left unreduced: `Echelon` reduces each row it takes."""
     commutes = Echelon(len(unknowns), alg.field)
     for b in generators:
         rows = {}   # output basis index -> linear form {r: c}
@@ -360,7 +363,7 @@ def center_and_z(assembled):
     idempotents = [alg.idempotent(v) for v in quiver.vertices]
     arrows = [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
     stage1 = _commutant(alg, [{i: field.one} for i in range(d)], idempotents)
-    center_basis = [combine((c, stage1[r]) for r, c in y.items())
+    center_basis = [combine(((c, stage1[r]) for r, c in y.items()), field)
                     for y in _commutant(alg, stage1, arrows)]
 
     unit = unit_object(quiver, field)

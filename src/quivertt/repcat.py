@@ -189,6 +189,8 @@ def hom_space(v, w):
         offsets[x] = total
         total += w.dims[x] * v.dims[x]
 
+    # over F_p the rows are left unreduced: the `Matrix` they are put in
+    # reduces its entries, as `Echelon` reduces each row it takes
     rows = []
     for a in quiver.arrows:
         n, m = a.source, a.target

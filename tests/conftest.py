@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from quivertt.dsl import parse_quiver, parse_quiver_file
-from quivertt.fields import QQ, FpElement
+from quivertt.fields import QQ
+from quivertt.quiver import Relation
+
+import fields_oracle
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src/quivertt/fixtures"
 
@@ -38,11 +41,31 @@ def load_beilinson(m, length):
     return parse_quiver(beilinson_text(m, length))
 
 
+def relation_from_terms(terms):
+    """The relation of the (coefficient, path) pairs `terms`, running
+    between the ends of the first path."""
+    terms = tuple(terms)
+    first = terms[0][1]
+    return Relation(first.source, first.target, terms)
+
+
 def element_types(field):
     """The types a value of `field` may have: an `int` (when integral) or
-    a `Fraction` over QQ, an `FpElement` over F_p.  Check a value with
+    a `Fraction` over QQ, an `int` over F_p, and an `FpElement` over the
+    oracle field of `fields_oracle`.  Check a value with
     `type(x) in element_types(field)`, which refuses `bool` and `float`."""
-    return (int, Fraction) if field == QQ else (FpElement,)
+    if field == QQ:
+        return (int, Fraction)
+    if isinstance(field, fields_oracle.PrimeField):
+        return (fields_oracle.FpElement,)
+    return (int,)
+
+
+def is_element(x, field):
+    """Whether `x` is a canonical element of `field`: of one of its
+    `element_types`, and in [0, p) over the library's F_p."""
+    return (type(x) in element_types(field)
+            and (field.modulus is None or 0 <= x < field.modulus))
 
 
 @pytest.fixture

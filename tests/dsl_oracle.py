@@ -4,7 +4,8 @@ kept as a test oracle for `test_dsl_differential.py`.
 It reads each line with a cursor that skips blanks and takes one token at
 a time.  It accepts an arrow label that starts with a digit, which the
 library now refuses; inputs that declare one are left out of the
-comparison.
+comparison.  A signed coefficient is coerced into the field, so over F_p
+it is the representative, as the library's elements are.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import re
 from dataclasses import dataclass
 
 from quivertt.fields import QQ, FieldError, field_by_name
-from quivertt.quiver import Arrow, Path, Quiver, QuiverError, Relation
+from quivertt.quiver import Arrow, Path, Quiver, QuiverError
+
+from conftest import relation_from_terms
 
 
 class ParseError(ValueError):
@@ -136,10 +139,10 @@ def _parse_relation(line, spec, pos_lookup):
             path = Path.from_arrows(arrows)
         except QuiverError as exc:
             raise line.error(str(exc), start)
-        terms.append((sign * coeff, path))
+        terms.append((field(sign * coeff), path))
         first = False
     try:
-        return Relation.from_terms(terms)
+        return relation_from_terms(terms)
     except QuiverError as exc:
         raise line.error(str(exc), 0)
 

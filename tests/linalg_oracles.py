@@ -9,7 +9,9 @@ sparse echelon.
 
 Over QQ the eliminations compute in `Fraction` throughout, apart from the
 library's elements, which are `int`s when integral: there `/` would give
-a float.
+a float.  Over F_p they compute in the `FpElement`s of `fields_oracle`,
+since the library's elements are plain `int`s that the operators do not
+reduce.  Their results compare equal to the library's elements.
 """
 
 from fractions import Fraction
@@ -17,11 +19,13 @@ from fractions import Fraction
 from quivertt.fields import QQ
 from quivertt.linalg import InconsistentSystem, Matrix
 
+from fields_oracle import oracle_field
+
 
 def exact(field, x):
-    """`x` as the oracles compute with it: a `Fraction` over QQ, and the
-    field element itself over F_p."""
-    return Fraction(x) if field == QQ else x
+    """`x` as the oracles compute with it: a `Fraction` over QQ, and an
+    element of the oracle field over F_p."""
+    return Fraction(x) if field == QQ else oracle_field(field)(x)
 
 
 def rref_oracle(m):
@@ -65,8 +69,8 @@ def kernel_basis_oracle(m):
     for fc in range(m.cols):
         if fc in pivots:
             continue
-        v = [field.zero] * m.cols
-        v[fc] = field.one
+        v = [exact(field, field.zero)] * m.cols
+        v[fc] = exact(field, field.one)
         for r, pc in enumerate(pivots):
             v[pc] = -red.entries[r][fc]
         basis.append(tuple(v))
@@ -83,7 +87,7 @@ def solve_many_oracle(a, bs):
         raise InconsistentSystem("rhs not in column span")
     sols = []
     for k in range(len(bs)):
-        x = [field.zero] * a.cols
+        x = [exact(field, field.zero)] * a.cols
         for r, pc in enumerate(pivots):
             x[pc] = red.entries[r][a.cols + k]
         sols.append(tuple(x))
@@ -93,7 +97,8 @@ def solve_many_oracle(a, bs):
 def complete_basis_oracle(cols, dim, field):
     """The standard vectors that raise the rank of `cols` and of those kept
     before them, and the inverse of [cols | added] solved against each
-    column of the identity."""
+    column of the identity; over F_p the inverse is a matrix over the
+    oracle field."""
     cols = [tuple(c) for c in cols]
 
     def rank_of(vectors):
@@ -107,12 +112,13 @@ def complete_basis_oracle(cols, dim, field):
     full = Matrix.from_columns(cols + added, field, rows=dim)
     ident = Matrix.identity(dim, field)
     inv_cols = solve_many_oracle(full, [ident.column(j) for j in range(dim)])
-    return added, Matrix.from_columns(inv_cols, field, rows=full.cols)
+    return added, Matrix.from_columns(inv_cols, oracle_field(field),
+                                      rows=full.cols)
 
 
 def matmul_oracle(a, b):
     """The product a @ b, one dot product per output entry."""
-    zero = a.field.zero
+    zero = exact(a.field, a.field.zero)
     ot = list(zip(*b.entries)) if b.entries else []
     out = []
     for row in a.entries:

@@ -12,6 +12,10 @@ reversed.  Compatibility tests membership of each r-bar generator by
 reducing its vector against an echelon of the subquiver's ideal rows.
 `QuotientSumsOracle` keeps the sparse sums of the quotient (normal forms,
 products, arrow steps, the diagonal tensor square) as hand-written loops.
+
+Over F_p every oracle computes in the field of `fields_oracle.oracle_field`,
+whose `FpElement`s reduce in each operator; the library's F_p elements are
+plain `int`s, on which the oracles' sums would run over Z.
 """
 
 from types import SimpleNamespace
@@ -20,6 +24,7 @@ from quivertt.linalg import Matrix
 from quivertt.quiver import (Relation, admissible_order, enumerate_paths,
                              full_subquiver)
 
+from fields_oracle import oracle_field
 from linalg_oracles import RREFEchelonOracle, solve_many_oracle
 
 
@@ -57,7 +62,7 @@ def quotient_oracle(alg):
     """The basis, its indices and the path normal forms of the quotient
     `alg` describes, computed afresh from its quiver's paths and its
     relations."""
-    field = alg.field
+    field = oracle_field(alg.field)
     _, by_pair = enumerate_paths(alg.quiver)
     out = SimpleNamespace(basis=[], basis_index={}, pair_indices={},
                           pair_of=[], path_nf={}, module_bases={})
@@ -101,6 +106,7 @@ def compatibility_oracle(quiver, relations, verts, field):
     r-bar generator outside the ideal of the subquiver generated by r_cap,
     found by whether its vector lies in the span of the ideal rows.
     `relations` must already have coefficients in `field`."""
+    field = oracle_field(field)
     sub, _, kept_labels = full_subquiver(quiver, verts)
     kept = set(kept_labels)
 
@@ -150,7 +156,7 @@ def module_map_oracle(alg, n, m, image):
     """The dense matrix, in module bases, of the map M_m -> M_n that sends
     the generator e_m to `image` {basis index: c}: its column for the
     module basis element x of M_m is image * x."""
-    field = alg.field
+    field = oracle_field(alg.field)
     mb_m, mb_n = alg.module_basis(m), alg.module_basis(n)
     pos_n = {gi: k for k, gi in enumerate(mb_n)}
     cols = []
@@ -174,7 +180,7 @@ class QuotientSumsOracle:
 
     def __init__(self, alg):
         self.alg = alg
-        self.field = alg.field
+        self.field = oracle_field(alg.field)
         self._index = {p.arrows: gi for gi, p in enumerate(alg.basis)
                        if p.arrows}
         self._word_nf = {}
@@ -189,8 +195,9 @@ class QuotientSumsOracle:
         head, a = w[:-1], w[-1]
         index = self._index
         if not head or head in index:
-            red = self.alg.groebner.reduce({w: self.field.one})
-            nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
+            red = self.alg.groebner.reduce({w: self.alg.field.one})
+            nf = {index[u]: self.field(red[u])
+                  for u in sorted(red, key=index.__getitem__)}
         else:
             acc = {}
             for b, c in self.nf_word(head).items():
@@ -245,7 +252,7 @@ class QuotientSumsOracle:
         sum(c_i * cls(p_i) (x) cls(p_i)), keyed by i * dim + j."""
         d = self.alg.dim
         for gen in self.alg.relations:
-            if gen.coefficient_sum():
+            if sum((c for c, _ in gen.terms), self.field.zero):
                 return False, gen, "unit"
             acc = {}
             for c, p in gen.terms:
@@ -261,3 +268,28 @@ class QuotientSumsOracle:
             if acc:
                 return False, gen, "diagonal"
         return True, None, ""
+
+
+def tensor_check_oracle(quiver, relations, field):
+    """(dim kQ/(R), the failed test) of `relations` over `field`, read off
+    `quotient_oracle`'s normal forms: "" for tensor relations, else "unit"
+    or "diagonal" for the first generator that fails, as in the library's
+    criterion.  The coefficients are coerced into `field` first."""
+    rels = tuple(Relation(g.source, g.target,
+                          tuple((field(c), p) for c, p in g.terms))
+                 for g in relations)
+    quotient = quotient_oracle(
+        SimpleNamespace(quiver=quiver, relations=rels, field=field))
+    dim = len(quotient.basis)
+    for gen in rels:
+        if sum((c for c, _ in gen.terms), field.zero):
+            return dim, "unit"
+        square = {}
+        for c, p in gen.terms:
+            nf = quotient.path_nf[p]
+            for i, x in nf.items():
+                for j, y in nf.items():
+                    square[i, j] = square.get((i, j), field.zero) + c * x * y
+        if any(square.values()):
+            return dim, "diagonal"
+    return dim, ""

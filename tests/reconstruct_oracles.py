@@ -5,19 +5,22 @@ The Hom-space and center oracles solve one dense system with
 `kernel_basis_oracle`.  The probe oracle evaluates transformations with
 dense composite action matrices.  All of them touch the algebra only
 through its structure constants (`product_indices`), path normal forms,
-module bases and idempotents.
+module bases and idempotents.  They compute in the field of
+`fields_oracle.oracle_field`, so over F_p in `FpElement`s, and their
+matrices are over that field.
 """
 
 from quivertt.linalg import Matrix
 from quivertt.quiver import Path
 from quivertt.repcat import Representation
 
+from fields_oracle import oracle_field
 from linalg_oracles import kernel_basis_oracle
 
 
 def _right_mult_rows(alg, n, elem):
     """Rows of the matrix of x -> x * elem on M_n, in module basis order."""
-    field = alg.field
+    field = oracle_field(alg.field)
     mb_n = alg.module_basis(n)
     pos_n = {gi: k for k, gi in enumerate(mb_n)}
     rows = [[field.zero] * len(mb_n) for _ in mb_n]
@@ -35,7 +38,7 @@ def module_hom_space_oracle(alg, n, m):
     gives every relation of the generator, all of their constraint rows
     are stacked into one matrix, and its kernel holds the admissible
     images of the generator."""
-    field = alg.field
+    field = oracle_field(alg.field)
     mb_m = alg.module_basis(m)
     dm, dn = len(mb_m), len(alg.module_basis(n))
     pos_m = {gi: k for k, gi in enumerate(mb_m)}
@@ -66,7 +69,7 @@ def module_hom_space_oracle(alg, n, m):
 def center_basis_oracle(alg):
     """Basis of the center: solve x * b - b * x = 0 against every basis
     class b."""
-    field = alg.field
+    field = oracle_field(alg.field)
     d = alg.dim
     rows = []
     for b in range(d):
@@ -86,7 +89,7 @@ def center_basis_oracle(alg):
 def _dense_probe(alg, n):
     """The projective module M_n as a representation with dense arrow
     matrices: column x of arrow a is the class x times the class of a."""
-    field = alg.field
+    field = oracle_field(alg.field)
     quiver = alg.quiver
     vertex_basis = {v: alg.pair_indices.get((n, v), []) for v in quiver.vertices}
     maps = {}
@@ -126,7 +129,7 @@ class _DenseProbeEvaluator:
         return self._actions[(n, i)]
 
     def _combine(self, n, terms, target_vertex):
-        field = self.alg.field
+        field = oracle_field(self.alg.field)
         out = [field.zero] * len(self.alg.pair_indices.get((n, target_vertex), []))
         for c, vec in terms:
             for k, x in enumerate(vec):
@@ -135,7 +138,7 @@ class _DenseProbeEvaluator:
         return out
 
     def _generator(self, n):
-        field = self.alg.field
+        field = oracle_field(self.alg.field)
         basis_n = self.alg.pair_indices.get((n, n), [])
         gen = [field.zero] * len(basis_n)
         gen[basis_n.index(self.alg.idempotent_index[n])] = field.one

@@ -3,7 +3,9 @@ coordinate subspaces were split by blocks, kept as differential oracles.
 
 Every subspace is split by solving for the coordinates of each arrow's
 image and completing each vertex's basis with standard vectors, and every
-path acts as a product that starts from the identity.
+path acts as a product that starts from the identity.  Over F_p the
+oracles work on a copy of the representation over the field of
+`fields_oracle.oracle_field`, so every sum reduces in `FpElement`s.
 """
 
 from quivertt.fields import QQ
@@ -13,13 +15,25 @@ from quivertt.repcat import (FiltrationStep, Representation,
                              RepresentationError, RepMorphism, simple_object,
                              unit_object)
 
+from fields_oracle import oracle_field
 from linalg_oracles import complete_basis_oracle, solve_many_oracle
+
+
+def in_oracle_field(rep):
+    """`rep` with its arrow matrices over the oracle field of its field."""
+    field = oracle_field(rep.field)
+    if field is rep.field:
+        return rep
+    return Representation(rep.quiver, rep.dims, {
+        label: Matrix(m.rows, m.cols, m.entries, field)
+        for label, m in rep.arrow_maps.items()}, field)
 
 
 def sub_quotient_oracle(rep, sub_bases):
     """(subrepresentation, quotient, inclusion, projection) of the span of
     `sub_bases`, by generic solves; raises naming the first arrow, in
     `quiver.arrows` order, under which the span is not stable."""
+    rep = in_oracle_field(rep)
     field = rep.field
     quiver = rep.quiver
     sub_mats = {}
@@ -90,6 +104,7 @@ def satisfies_relations_oracle(rep, relations):
 def unit_filtration_oracle(quiver, relations, field=QQ):
     """The steps K_1 = U > K_2 > ... > K_q of the unit filtration, each
     split off with `sub_quotient_oracle`."""
+    field = oracle_field(field)
     order = admissible_order(quiver)
     unit = unit_object(quiver, field)
 

@@ -44,6 +44,27 @@ class TestParsing:
         spec2 = parse_quiver("quiver x\nfield F5\nvertices 1\n")
         assert spec2.field == PrimeField(5)
 
+    def test_relations_are_read_after_every_other_line(self):
+        # docs/grammar.ebnf: a relation may stand above its arrows, and the
+        # last field line sets its field wherever that line stands
+        text = ("quiver late\nrelation a*b - 4 c*b\nrelation 1/2 a*b\n"
+                "vertices 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+                "arrow c : 1 -> 2\nfield QQ\nfield F 3\n")
+        spec = parse_quiver(text)
+        assert spec.field == PrimeField(3)
+        assert [[c for c, _ in r.terms] for r in spec.relations] == [[1, 2], [2]]
+        assert spec.pretty().splitlines()[-2:] == [
+            "relation a*b + 2 c*b", "relation 2 a*b"]
+        # a denominator that vanishes in that later field is refused at
+        # the relation's line and column
+        with pytest.raises(ParseError) as exc:
+            parse_quiver(text.replace("1/2", "1/3"))
+        assert (exc.value.line, exc.value.column) == (3, 10)
+        # an error in another line is reported before one in a relation
+        with pytest.raises(ParseError) as exc:
+            parse_quiver(text.replace("1/2", "1/3") + "arrow\n")
+        assert exc.value.line == 10
+
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_quiver("\n# hi\nquiver x\n\nvertices 1 # inline\n")
         assert spec.quiver.vertices == ("1",)

@@ -115,6 +115,15 @@ def test_diagnostics(line):
     assert_same(line + "\n" + BASE)
 
 
+@pytest.mark.parametrize("line", [x for x in LINES if x.startswith("relation")])
+def test_relations_over_a_prime_field(line):
+    # a minus sign over F_3 gives the representative of the negation
+    text = "field F 3\n" + BASE + line + "\n"
+    if declares_digit_label(text):
+        pytest.skip("declares a digit-leading label")
+    assert_same(text)
+
+
 # every message the parser composes, as a fragment
 MESSAGES = [
     "empty relation", "expected arrow label",

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quivertt.fields import (MAX_PRIME, QQ, FieldError, FpElement, PrimeField,
-                             _is_prime, field_by_name)
+from quivertt.fields import (MAX_PRIME, QQ, FieldError, PrimeField, _is_prime,
+                             field_by_name)
 from quivertt.quiver import ResourceBudget
 
 from conftest import element_types
+from fields_oracle import FpElement
+from fields_oracle import PrimeField as OraclePrimeField
 
 
 class TestRationals:
@@ -90,7 +92,7 @@ class TestIntegralRationals:
         f7 = PrimeField(7)
         for v in range(1, 7):
             got = f7.inv(f7(v))
-            assert type(got) is FpElement and got * f7(v) == f7.one
+            assert type(got) is int and 0 < got < 7 and got * v % 7 == 1
         with pytest.raises(ZeroDivisionError):
             f7.inv(f7.zero)
 
@@ -123,9 +125,11 @@ class TestPrimeField:
     def test_requires_prime_modulus(self):
         with pytest.raises(FieldError):
             PrimeField(6)
+        with pytest.raises(FieldError):
+            OraclePrimeField(6)
 
     def test_arithmetic_matches_ints_mod_p(self, rng):
-        f5 = PrimeField(5)
+        f5 = OraclePrimeField(5)
         for _ in range(100):
             a, b = rng.randrange(25), rng.randrange(1, 25)
             assert (f5(a) + f5(b)).value == (a + b) % 5
@@ -136,18 +140,75 @@ class TestPrimeField:
                 assert (q * f5(b)).value == a % 5
 
     def test_division_by_zero(self):
-        f3 = PrimeField(3)
+        f3 = OraclePrimeField(3)
         with pytest.raises(ZeroDivisionError):
             f3(1) / f3(0)
+        with pytest.raises(ZeroDivisionError):
+            f3(Fraction(1, 3))
+        # the int field divides only through its inverse, which refuses a
+        # multiple of p, as its coercion of a fraction does
+        f3 = PrimeField(3)
+        for x in (0, 3, -6):
+            with pytest.raises(ZeroDivisionError):
+                f3.inv(x)
+        with pytest.raises(ZeroDivisionError):
+            f3(Fraction(1, 3))
 
     def test_mixed_moduli_rejected(self):
+        # an int carries no modulus, so only the oracle's elements can
+        # refuse to mix
         with pytest.raises(FieldError):
-            PrimeField(3)(1) + PrimeField(5)(1)
+            OraclePrimeField(3)(1) + OraclePrimeField(5)(1)
+        with pytest.raises(FieldError):
+            OraclePrimeField(3)(OraclePrimeField(5)(1))
 
     def test_parse_format_round_trip(self):
         f7 = PrimeField(7)
         for v in range(7):
             assert f7.parse(f7.format(f7(v))) == f7(v)
+
+
+class TestIntPrimeField:
+    """An element of the library's F_p is an `int` in [0, p)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**64 - 59])
+    def test_coercion_reduces_to_the_representative(self, p):
+        f = PrimeField(p)
+        for x in (-1, 0, 1, p, p + 1, -5 * p - 3, 2**70, True, False):
+            got = f(x)
+            assert type(got) is int and 0 <= got < p and got == x % p
+            assert f.from_int(x) == got
+        for x in (Fraction(1, 3), Fraction(-7, 5)):
+            if x.denominator % p:
+                got = f(x)
+                assert type(got) is int and 0 <= got < p
+                assert got * x.denominator % p == x.numerator % p
+
+    def test_units_modulus_and_format(self):
+        f = PrimeField(101)
+        assert (f.zero, f.one, f.modulus) == (0, 1, 101)
+        assert type(f.zero) is int and type(f.one) is int
+        assert f.format(-1) == "100" and f.format(5) == "5"
+        assert f.parse("-1/2") == 50
+        # the kernels choose their modular branch on `modulus`
+        assert QQ.modulus is None and OraclePrimeField(101).modulus is None
+
+    def test_other_values_are_refused(self):
+        for x in ("3", 1.0, None, OraclePrimeField(5)(1)):
+            with pytest.raises(FieldError):
+                PrimeField(5)(x)
+
+
+@given(st.sampled_from((2, 3, 101, 10007, 2**61 - 1, 2**64 - 59)),
+       st.integers(-2**70, 2**70))
+def test_int_prime_field_inverse(p, x):
+    f = PrimeField(p)
+    if x % p:
+        got = f.inv(x)
+        assert type(got) is int and 0 < got < p and got * x % p == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f.inv(x)
 
 
 def trial_division(n):
@@ -221,7 +282,7 @@ def test_inv_is_the_canonical_inverse(a):
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
 def test_field_axioms_on_f7(x, y, z):
-    f7 = PrimeField(7)
+    f7 = OraclePrimeField(7)
     a, b, c = f7(x), f7(y), f7(z)
     assert a * (b + c) == a * b + a * c
     assert a - a == f7.zero
@@ -306,7 +367,7 @@ def test_fp_element_is_immutable():
 @pytest.mark.parametrize("make", [
     lambda: FpElement(-4, 101),
     lambda: FpElement(60, 101) * FpElement(70, 101),   # the fast path
-    lambda: PrimeField(2**64 - 59).from_int(-1),
+    lambda: OraclePrimeField(2**64 - 59).from_int(-1),
 ])
 def test_fp_element_pickles_and_copies(make):
     x = make()

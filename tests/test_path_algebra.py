@@ -60,7 +60,8 @@ class TestBasis:
         alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations,
                           fixture_spec.field)
         for gen in fixture_spec.relations:
-            assert combine((c, alg.nf_path(p)) for c, p in gen.terms) == {}
+            assert combine(((c, alg.nf_path(p)) for c, p in gen.terms),
+                           alg.field) == {}
 
     def test_prime_field_quotient(self):
         spec = load_fixture("beilinson2")

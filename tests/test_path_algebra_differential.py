@@ -15,11 +15,11 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix, rank
 from quivertt.path_algebra import (PathAlgebra, compatibility,
                                    is_tensor_relations)
-from quivertt.quiver import Arrow, Quiver, Relation, enumerate_paths
+from quivertt.quiver import Arrow, Quiver, enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
-from conftest import (FIXTURE_NAMES, element_types, load_beilinson,
-                      load_fixture)
+from conftest import (FIXTURE_NAMES, is_element, load_beilinson,
+                      load_fixture, relation_from_terms)
 from path_algebra_oracles import (compatibility_oracle, ideal_rows_oracle,
                                   quotient_oracle)
 
@@ -125,11 +125,10 @@ def assert_matches_oracle(alg):
         assert alg.module_basis(v) == want.module_bases.get(v, [])
     # the normal form of every path, with its keys in the same order
     assert len(want.path_nf) == len(enumerate_paths(alg.quiver)[0])
-    kind = element_types(alg.field)
     for p, nf in want.path_nf.items():
         got = alg.nf_path(p)
         assert list(got.items()) == list(nf.items()), p
-        assert all(type(c) in kind for c in got.values())
+        assert all(is_element(c, alg.field) for c in got.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -221,7 +220,7 @@ def relation_sets(draw):
         if draw(st.booleans()):
             c, p = terms[0]
             terms.append((-c, p))
-        relations.append(Relation.from_terms(terms))
+        relations.append(relation_from_terms(terms))
     return quiver, tuple(relations), field
 
 

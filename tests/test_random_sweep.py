@@ -1,5 +1,6 @@
 """`scripts/random_sweep.py`: a trial passes only when every verdict bit is
-true over QQ and over F_101 and the two fields give the same dimensions."""
+true over QQ, F_2 and F_101 and the three fields give the same
+dimensions."""
 
 import importlib.util
 import sys
@@ -27,7 +28,7 @@ def config(sweep):
 
 
 def test_sweep_passes_over_both_fields(sweep, capsys):
-    assert [str(f) for f in sweep.FIELDS] == ["QQ", "F101"]
+    assert [str(f) for f in sweep.FIELDS] == ["QQ", "F2", "F101"]
     assert sweep.run(config(sweep)) == 0
     assert "3 trials, 0 failures" in capsys.readouterr().out
 

@@ -17,7 +17,7 @@ from quivertt.path_algebra import PathAlgebra, module_hom_space
 from quivertt.randgen import random_tensor_quiver
 from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, element_types, load_fixture
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, is_element, load_fixture
 from path_algebra_oracles import quotient_oracle
 from reconstruct_oracles import (center_basis_oracle, module_hom_space_oracle,
                                  probe_oracle)
@@ -106,7 +106,7 @@ def test_reconstruct_report_matches_golden(name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_reconstruct_f101_report_matches_golden(name, tmp_path):
-    # the fixture redeclared over F_101, which runs the FpElement kernel
+    # the fixture redeclared over F_101, which runs the modular kernels
     text = (FIXTURE_DIR / f"{name}.quiver").read_text()
     assert text.count("field QQ\n") == 1
     spec = tmp_path / f"{name}.quiver"
@@ -138,7 +138,7 @@ FIELD_SENSITIVE_DIMS = {QQ: 8, PrimeField(2): 9, PrimeField(3): 8}
 def assert_same_element(got, want, field):
     # the same keys in the same order, with values of the field's type
     assert list(got.items()) == list(want.items())
-    assert all(type(c) in element_types(field) for c in got.values())
+    assert all(is_element(c, field) for c in got.values())
 
 
 def coefficients(field):

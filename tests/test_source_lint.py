@@ -6,7 +6,9 @@ is `field.inv(x)` times the numerator.  Every name a module imports is used
 in that module, in the library and in its tests alike; only the package's
 `__init__.py` imports to re-export.  CI runs Python 3.10, so no compiled
 regex may use syntax that 3.11 added: atomic groups and possessive
-quantifiers."""
+quantifiers.  An element of F_p is a plain `int`: the element class
+`FpElement` lives on only in the tests' oracle field, and no file under
+`src` names it."""
 
 import ast
 import importlib
@@ -50,6 +52,14 @@ def test_every_module_is_checked():
     importing = {p.name for p in IMPORTING}
     assert {"conftest.py", "test_source_lint.py", "reconstruct.py"} <= importing
     assert len(importing) == len(IMPORTING)
+
+
+def test_no_fp_element_in_src():
+    files = [p for p in SRC.parent.rglob("*")
+             if p.is_file() and "__pycache__" not in p.parts]
+    assert any(p.name == "fields.py" for p in files)
+    assert [str(p.relative_to(SRC.parent)) for p in files
+            if "FpElement" in p.read_text(errors="replace")] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quivertt.dsl import parse_quiver, parse_quiver_file
+from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import PathAlgebra, is_tensor_relations
 from quivertt.quiver import enumerate_paths
@@ -21,18 +21,6 @@ SPEC_DIR = Path(__file__).resolve().parent / "specs"
 F101 = PrimeField(101)
 # 2 and 3 vanish in some of the fields, so some sums cancel there
 COEFFICIENTS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 4), 0]
-
-
-# the second relation of field_sensitive alone: its coefficients sum to
-# zero, but c*d = (a*d + b*d)/2 makes its diagonal square nonzero over QQ
-HALF = """quiver half
-vertices 1 2 3
-arrow a : 1 -> 2
-arrow b : 1 -> 2
-arrow c : 1 -> 2
-arrow d : 2 -> 3
-relation a*d + b*d - 2 c*d
-"""
 
 
 def of_spec(spec):
@@ -56,10 +44,13 @@ def instances():
     for name, make in makers:
         for field in (QQ, F101):
             yield pytest.param(make, field, id=f"{name}-{field}")
-    for name, make in (("field_sensitive", lambda: load_spec("field_sensitive")),
-                       ("half", lambda: of_spec(parse_quiver(HALF)))):
+    # half.quiver is the second relation of field_sensitive alone: its
+    # coefficients sum to zero, but its diagonal square vanishes only over
+    # F_2
+    for name in ("field_sensitive", "half"):
         for field in (QQ, PrimeField(2), PrimeField(3)):
-            yield pytest.param(make, field, id=f"{name}-{field}")
+            yield pytest.param(lambda n=name: load_spec(n), field,
+                               id=f"{name}-{field}")
 
 
 def coefficients(field):
