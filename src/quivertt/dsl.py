@@ -11,13 +11,14 @@ A spec file looks like::
 
 One declaration per line; `#` starts a comment; blank lines are ignored.
 `field` is `QQ` (the default) or `F <p>` for a prime p of at most 2^64.
+The `quiver`, `vertices` and `field` lines may each appear once.
 Relation expressions are signed, optionally coefficient-weighted path
 words, with paths written as `*`-separated arrow labels read left to right.
 Coefficients are integers or fractions `p/q`.  An arrow label does not
 start with a digit, so `2a` in a relation is always the coefficient 2 times
 the arrow `a`.  Relation lines are read after all the others, so a
 relation may precede the arrows it uses, and its coefficients are read in
-the field of the last `field` line, wherever it stands.
+the field of the `field` line, wherever it stands.
 
 Each line is read by one match of `_LINE`, which holds the grammar of every
 declaration; a relation is then read by one match of `_TERM` per term.
@@ -141,7 +142,7 @@ def _parse_relation(number, body, pos, field, lookup):
     """One relation expression: sign? term (sign term)*, where a term is an
     optional numeric coefficient followed by a path word."""
     n = len(body)
-    one, p = field.one, field.modulus
+    one = field.one
     terms = []
     while True:
         m = _TERM.match(body, pos)
@@ -177,7 +178,7 @@ def _parse_relation(number, body, pos, field, lookup):
                     number, m.start("lead") + 1)
             last = a
         if sign == "-":
-            coeff = -coeff if p is None else -coeff % p
+            coeff = field(-coeff)
         terms.append((coeff,
                       Path(arrows[0].source, last.target, tuple(labels))))
         pos = m.end()
@@ -194,7 +195,7 @@ def parse_quiver(text):
     """Parse a spec file into a QuiverSpecFile; raises ParseError with a
     position, or a homogeneity/composability error phrased the same way."""
     name = None
-    field = QQ
+    field = None
     vertices = None
     arrows = []
     arrow_lookup = {}
@@ -233,6 +234,9 @@ def parse_quiver(text):
             if name is None:
                 raise _missing(_QUIVER, m, body, number)
         elif m["field"] is not None:
+            if field is not None:
+                raise ParseError("duplicate field declaration",
+                                 number, m.end("field") + 1)
             if m["token"] is not None:
                 token = m["token"]
             elif m["prime"] is not None:
@@ -262,6 +266,7 @@ def parse_quiver(text):
     except QuiverError as exc:
         raise ParseError(str(exc), 1, 1) from None
 
+    field = field or QQ
     relations = []
     for number, body, pos in relation_lines:
         relations.append(_parse_relation(number, body, pos, field, arrow_lookup))

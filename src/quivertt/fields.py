@@ -13,14 +13,18 @@ elements: a quotient is `field.inv(x)` times the numerator.
 
 An element of F_p is a plain `int`, its representative in [0, p), so
 that the operators on it are machine-integer ones.  Those operators do
-not reduce, so each kernel that does arithmetic (`linalg.combine`,
-`Echelon`, `Matrix`, the Groebner basis and the tensor check of
-`path_algebra`) has a branch for F_p that reduces mod p before any zero
-test, comparison, hash, store or return; the branch is chosen once per
-call or per object on `field.modulus`, which is p for F_p and None for
-QQ.  A sum or product computed between two reductions may stray outside
-[0, p) but stays congruent to the true value.  `PrimeField.__call__`
-reduces, and `format` prints the representative.
+not reduce: a sum or product computed between two reductions may stray
+outside [0, p) but stays congruent to the true value.  Reduction is the
+field's job.  Every kernel ends with one of three canonicalising calls:
+`field(x)` for one scalar, `field.nonzero(items)` for the {key: value}
+dict of the canonical nonzero entries of (key, value) pairs, and
+`field.vector(xs)` for the tuple of canonical entries.  Over QQ the last
+two drop zeros or build a tuple; over F_p they reduce mod p first.  Only
+three loops read `field.modulus` (p for F_p, None for QQ): `linalg.combine`
+and `linalg.Echelon` keep an F_p copy of their loop, because routing them
+through these calls measured slower, and `path_algebra.GroebnerBasis.reduce`
+reduces each term as it pops it (see each).  `format` prints the
+representative.
 
 Scalar literals (spec coefficients, complex-file entries) are an integer
 or "a/b" with ASCII digits and an optional sign; anything else, a float
@@ -99,8 +103,8 @@ class Rationals:
     one = 1
 
     def __init__(self):
-        # no modular branch in the kernels; an instance attribute, which
-        # the kernels read faster than a class attribute
+        # no modular branch in the three kernels that read it; an instance
+        # attribute, which they read faster than a class attribute
         self.modulus = None
 
     def __call__(self, x):
@@ -118,6 +122,13 @@ class Rationals:
 
     def from_int(self, n):
         return int(n)
+
+    def nonzero(self, items):
+        """The dict of the nonzero (key, value) pairs `items`."""
+        return {k: x for k, x in items if x}
+
+    def vector(self, xs):
+        return tuple(xs)
 
     def inv(self, x):
         """The inverse of a nonzero element: +-1 itself, 1/n as a
@@ -174,6 +185,17 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.p
+
+    def nonzero(self, items):
+        """The dict of the (key, value) pairs `items` with each value
+        reduced mod p, those that are 0 mod p dropped."""
+        p = self.p
+        return {k: r for k, x in items if (r := x % p)}
+
+    def vector(self, xs):
+        """The tuple of the ints `xs`, each reduced mod p."""
+        p = self.p
+        return tuple(x % p for x in xs)
 
     def inv(self, x):
         """The inverse of a nonzero element; ZeroDivisionError for one

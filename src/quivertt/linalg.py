@@ -23,14 +23,16 @@ than a `combine` per unknown.  The center maps its solutions back to the
 algebra basis with `combine`.
 
 An element of F_p is a plain `int` in [0, p) (see `fields`), and the
-operators on ints do not reduce.  So every routine here that does
-arithmetic reads `field.modulus` once per call (`Echelon` once per object)
-and, over F_p, runs a branch that reduces mod p before it tests for zero,
-compares, stores or returns: `combine` reduces each sum once, at the end,
-before it drops zeros; `Echelon` reduces each entry of a row it takes and
-every entry it computes, so its callers may hand it unreduced ints;
-`Coordinates`, `Matrix` arithmetic and `kronecker` reduce what they
-return.  Over QQ (modulus None) the same routines run their plain code.
+operators on ints do not reduce.  `Matrix` arithmetic, `kronecker` and
+`Coordinates` compute with the operators and hand what they return to
+`field.vector`, and `Echelon.sparse_kernel_basis` to `field.nonzero`;
+both reduce mod p over F_p.  Two routines keep an F_p
+copy of their loop instead, chosen once per call (`Echelon` once per
+object) on `field.modulus`, because routing them through the field
+measured slower on `reconstruct-f101`: `combine` reduces each sum once, at
+the end, before it drops zeros; `Echelon` (with `_subtract`) reduces each
+entry of a row it takes and every entry it computes, so its callers may
+hand it unreduced ints.
 """
 
 from __future__ import annotations
@@ -123,48 +125,37 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        p = self.field.modulus
-        if p is None:
-            entries = tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries))
-        else:
-            entries = tuple(tuple((a + b) % p for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries))
+        vector = self.field.vector
+        entries = tuple(vector(a + b for a, b in zip(ra, rb))
+                        for ra, rb in zip(self.entries, other.entries))
         return Matrix._raw(self.rows, self.cols, entries, self.field)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        p = self.field.modulus
-        if p is None:
-            entries = tuple(tuple(-a for a in row) for row in self.entries)
-        else:
-            entries = tuple(tuple(-a % p for a in row) for row in self.entries)
+        vector = self.field.vector
+        entries = tuple(vector(-a for a in row) for row in self.entries)
         return Matrix._raw(self.rows, self.cols, entries, self.field)
 
     def scale(self, c):
         c = self.field(c)
-        p = self.field.modulus
-        if p is None:
-            entries = tuple(tuple(c * a for a in row) for row in self.entries)
-        else:
-            entries = tuple(tuple(c * a % p for a in row)
-                            for row in self.entries)
+        vector = self.field.vector
+        entries = tuple(vector(c * a for a in row) for row in self.entries)
         return Matrix._raw(self.rows, self.cols, entries, self.field)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero, p = self.field.zero, self.field.modulus
+        zero, vector = self.field.zero, self.field.vector
         out = []
         for row in self.entries:
             acc = [zero] * other.cols
             for a, orow in zip(row, other.entries):
                 if a:
                     acc = [s + a * b if b else s for s, b in zip(acc, orow)]
-            out.append(tuple(acc) if p is None else tuple(s % p for s in acc))
+            out.append(vector(acc))
         return Matrix._raw(self.rows, other.cols, tuple(out), self.field)
 
     def apply(self, vec):
@@ -173,7 +164,7 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         nonzero = [(j, b) for j, b in enumerate(vec) if b]
-        zero, p = self.field.zero, self.field.modulus
+        zero = self.field.zero
         out = []
         for row in self.entries:
             s = zero
@@ -182,7 +173,7 @@ class Matrix:
                 if a:
                     s = s + a * b
             out.append(s)
-        return tuple(out) if p is None else tuple(s % p for s in out)
+        return self.field.vector(out)
 
     def transpose(self):
         return Matrix._raw(self.cols, self.rows,
@@ -251,19 +242,12 @@ def kronecker(a, b):
     if a.field != b.field:
         raise DimensionMismatch("mixed fields in kronecker")
     field = a.field
-    p = field.modulus
     out = []
     for i in range(a.rows):
         for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                aij = a.entries[i][j]
-                brow = b.entries[k]
-                if p is None:
-                    row.extend(aij * x for x in brow)
-                else:
-                    row.extend(aij * x % p for x in brow)
-            out.append(tuple(row))
+            brow = b.entries[k]
+            out.append(field.vector(aij * x for aij in a.entries[i]
+                                    for x in brow))
     return Matrix._raw(a.rows * b.rows, a.cols * b.cols, tuple(out), field)
 
 
@@ -273,7 +257,13 @@ def combine(terms, field):
     ascending order.  A coefficient 1, the usual one, adds vec without a
     multiplication.  Over F_p the sums are reduced once, at the end,
     before the zeros are dropped, so `c` and the entries may be any ints
-    congruent to the elements they stand for."""
+    congruent to the elements they stand for.
+
+    The F_p branch is written out, not a `field.nonzero` call: `combine`
+    runs once per normal form, product and arrow step, and that call put
+    `reconstruct-f101` `wall_s` up 4.0% (16.99 -> 17.67 ms, worse in 5/5
+    alternating pairs of 8 s perfbench runs, Python 3.11.7, 2-core
+    x86-64 Xeon)."""
     acc = {}
     for c, vec in terms:
         unit = c == 1
@@ -319,6 +309,12 @@ class Echelon:
         self.field = field
         self.rows = {}
         self._seen = set()
+        # over F_p, `_residue`, `add` and `_subtract` reduce every entry
+        # they store in a loop of their own.  Coercing with `field(x)` and
+        # leaving the rest to `field.nonzero` at the end of `_residue` and
+        # of each row `add` changes put `reconstruct-f101` `wall_s` up
+        # 12.0% (16.58 -> 18.58 ms, worse in 5/5 alternating pairs of 8 s
+        # perfbench runs, Python 3.11.7, 2-core x86-64 Xeon)
         self._p = field.modulus
 
     def _residue(self, vec):
@@ -387,16 +383,13 @@ class Echelon:
         that row's pivot, as a {column: value} dict in column order.  The
         rows are the RREF of any matrix with the same row space, so this is
         the kernel basis of that matrix read off its RREF."""
-        one = self.field.one
+        field = self.field
         hits = {}   # free column -> [(pivot, -entry)] over rows nonzero there
         for pc, row in self.rows.items():
             for c, x in row.items():
                 if c != pc:
                     hits.setdefault(c, []).append((pc, -x))
-        p = self._p
-        if p is not None:   # -x + p is the representative of -x
-            hits = {c: [(pc, x + p) for pc, x in h] for c, h in hits.items()}
-        return [dict(sorted([(fc, one)] + hits.get(fc, [])))
+        return [field.nonzero(sorted([(fc, field.one)] + hits.get(fc, [])))
                 for fc in range(self.ncols) if fc not in self.rows]
 
     def kernel_basis(self):
@@ -501,5 +494,4 @@ class Coordinates:
         x = [self.field.zero] * self.k
         for c, a in res.items():
             x[c - dim] = -a
-        p = self.field.modulus
-        return tuple(x) if p is None else tuple(a % p for a in x)
+        return self.field.vector(x)

@@ -36,10 +36,12 @@ except in `module_hom_space`: its constraint rows (sparse dicts for
 constants, which costs less.  It returns each module map as the image of
 the generator, a sparse element, and forms no matrix.
 
-Over F_p an element is a plain `int` (see `fields`): the polynomials, the
-S-polynomials, the Groebner rules and each reduction step reduce their
-coefficients mod p, as does the unit half of the tensor check, on a
-branch chosen once per call from `field.modulus`.
+Over F_p an element is a plain `int` (see `fields`), and the field
+reduces it: the polynomials, the S-polynomials and the Groebner rules end
+in `field.nonzero`, and the unit half of the tensor check in `field(x)`.
+`GroebnerBasis.reduce` is the one loop here that reads `field.modulus`:
+its work list holds unreduced ints, and it reduces each term as it pops
+it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from .quiver import (Path, QuiverError, Relation, admissible_order,
 
 # Kept only because `perfbench/tracing.py` wraps `RREFEchelon.add` by name.
 RREFEchelon = Echelon
+
+# the product of two classes that do not compose; shared, never changed
+_NO_PRODUCT = {}
 
 
 def _coerced(relations, field):
@@ -77,10 +82,7 @@ def _polynomial(terms, field):
     for c, path in terms:
         w = path.arrows
         poly[w] = poly[w] + c if w in poly else c
-    p = field.modulus
-    if p is not None:
-        poly = {w: c % p for w, c in poly.items()}
-    return {w: c for w, c in poly.items() if c}
+    return field.nonzero(poly.items())
 
 
 def _contains(word, sub):
@@ -88,12 +90,11 @@ def _contains(word, sub):
     return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
 
 
-def _s_polynomials(u, ru, v, rv, p):
+def _s_polynomials(u, ru, v, rv, field):
     """The S-polynomial of each overlap of the tip u (rule u -> ru) with
-    the tip v (rule v -> rv): u = x*s and v = s*y with s a proper suffix of
-    u and a proper prefix of v, and the S-polynomial
-    (u - ru)*y - x*(v - rv) = x*rv - ru*y; reduced mod p unless p is
-    None."""
+    the tip v (rule v -> rv) over `field`: u = x*s and v = s*y with s a
+    proper suffix of u and a proper prefix of v, and the S-polynomial
+    (u - ru)*y - x*(v - rv) = x*rv - ru*y."""
     for k in range(1, min(len(u), len(v))):
         if u[len(u) - k:] == v[:k]:
             x, y = u[:len(u) - k], v[k:]
@@ -101,9 +102,7 @@ def _s_polynomials(u, ru, v, rv, p):
             for w, c in ru.items():
                 wy = w + y
                 s[wy] = s[wy] - c if wy in s else -c
-            if p is not None:
-                s = {w: c % p for w, c in s.items()}
-            yield {w: c for w, c in s.items() if c}
+            yield field.nonzero(s.items())
 
 
 class GroebnerBasis:
@@ -134,35 +133,29 @@ class GroebnerBasis:
     def reduce(self, poly):
         """The normal form of the polynomial `poly`: no word of it contains
         a tip.  Terms are rewritten from the largest word down, so every
-        word that a rewrite adds is smaller than the one it replaces."""
+        word that a rewrite adds is smaller than the one it replaces, and
+        each word is popped once, with its final coefficient.  So the
+        work list may hold zeros and, over F_p, unreduced ints: a term is
+        reduced mod p when it is popped, and skipped if it is zero."""
         todo = dict(poly)
         out = {}
         p = self.field.modulus
         while todo:
             w = max(todo, key=_order_key)
             c = todo.pop(w)
+            if p is not None:
+                c %= p
+            if not c:
+                continue
             hit = self.divisor(w)
             if hit is None:
                 out[w] = c
                 continue
             i, tip = hit
             left, right = w[:i], w[i + len(tip):]
-            if p is None:
-                for v, d in self.rules[tip].items():
-                    u = left + v + right
-                    e = todo[u] + c * d if u in todo else c * d
-                    if e:
-                        todo[u] = e
-                    else:
-                        del todo[u]
-            else:
-                for v, d in self.rules[tip].items():
-                    u = left + v + right
-                    e = (todo[u] + c * d if u in todo else c * d) % p
-                    if e:
-                        todo[u] = e
-                    else:
-                        del todo[u]
+            for v, d in self.rules[tip].items():
+                u = left + v + right
+                todo[u] = todo[u] + c * d if u in todo else c * d
         return out
 
 
@@ -171,7 +164,6 @@ def groebner_basis(polys, field):
     homogeneous polynomials `polys`, by Buchberger's algorithm."""
     gb = GroebnerBasis(field)
     rules = gb.rules
-    p = field.modulus
     queue = deque(polys)
     while queue:
         f = gb.reduce(queue.popleft())
@@ -179,22 +171,17 @@ def groebner_basis(polys, field):
             continue
         tip = max(f, key=_order_key)
         scale = -field.inv(f[tip])
-        if p is None:
-            rhs = {w: c * scale for w, c in f.items() if w != tip}
-        else:
-            rhs = {w: c * scale % p for w, c in f.items() if w != tip}
+        rhs = field.nonzero((w, c * scale) for w, c in f.items() if w != tip)
         # an element whose tip contains the new one is reduced again
         for t in [t for t in rules if _contains(t, tip)]:
-            back = {w: -c for w, c in rules.pop(t).items()}
-            if p is not None:   # -c + p is the representative of -c
-                back = {w: c + p for w, c in back.items()}
+            back = field.nonzero((w, -c) for w, c in rules.pop(t).items())
             queue.append({t: field.one, **back})
         rules[tip] = rhs
         gb.lengths = sorted({len(t) for t in rules})
         for t, other in list(rules.items()):
-            queue.extend(_s_polynomials(tip, rhs, t, other, p))
+            queue.extend(_s_polynomials(tip, rhs, t, other, field))
             if t != tip:
-                queue.extend(_s_polynomials(t, other, tip, rhs, p))
+                queue.extend(_s_polynomials(t, other, tip, rhs, field))
     for t in rules:
         rules[t] = gb.reduce(rules[t])
     return gb
@@ -217,7 +204,6 @@ class PathAlgebra:
             for _, p in gen.terms:
                 self._check_path(p)
         self._build()
-        self._product_cache = {}
         self._arrow_steps = {}
         self._generator_relations = {}
         self._tensor_check = None
@@ -350,21 +336,17 @@ class PathAlgebra:
 
     def product_indices(self, i, j):
         """Structure constants: (basis class i) * (basis class j), as
-        {basis index: c}.  The dict is cached and shared, so callers must
-        not change it."""
-        key = (i, j)
-        cached = self._product_cache.get(key)
-        if cached is None:
-            pi, pj = self.basis[i], self.basis[j]
-            w = pi.arrows + pj.arrows
-            if pi.target != pj.source:
-                cached = {}
-            elif w:
-                cached = self._nf_word(w)
-            else:
-                cached = {i: self.field.one}
-            self._product_cache[key] = cached
-        return cached
+        {basis index: c}: the normal form of the concatenated word, read
+        from the memo of normal forms.  The dict may be shared, so callers
+        must not change it."""
+        pi, pj = self.basis[i], self.basis[j]
+        if pi.target != pj.source:
+            return _NO_PRODUCT
+        w = pi.arrows + pj.arrows
+        if not w:
+            return {i: self.field.one}
+        nf = self._word_nf.get(w)
+        return nf if nf is not None else self._nf_word(w)
 
     def arrow_step(self, x, label):
         """(basis class x) * (class of the arrow `label`), as
@@ -457,12 +439,8 @@ def is_tensor_relations(alg):
                 (and conversely, via the regular representation).
     """
     field = alg.field
-    p = field.modulus
     for gen in alg.relations:
-        total = gen.coefficient_sum()
-        if p is not None:
-            total %= p
-        if total:
+        if field(gen.coefficient_sum()):
             return TensorCheck(False, gen, "unit")
         # cls(p) (x) cls(p) is the sum of x_i * (e_i (x) cls(p)) over the
         # terms x_i e_i of cls(p), and e_i (x) cls(p) is cls(p) shifted by

@@ -1,17 +1,19 @@
 """Prime-field arithmetic as objects, kept as the arithmetic of the test
 oracles and as a second field for differential tests.
 
-The library's `PrimeField(p)` hands out plain `int`s in [0, p), and each
-kernel reduces mod p itself.  Code that sums field elements with ordinary
-operators, as the oracles do, would compute over Z on those ints.  So the
-oracles run over `PrimeField` here, whose elements are `FpElement`s:
-immutable two-slot objects holding the representative in [0, p) and the
-modulus, which reduce in every operator.
+The library's `PrimeField(p)` hands out plain `int`s in [0, p), which
+the field reduces at the end of each kernel (`nonzero`, `vector`), or the
+kernel itself where it reads `modulus`.  Code that sums field elements
+with ordinary operators, as the oracles do, would compute over Z on those
+ints.  So the oracles run over `PrimeField` here, whose elements are
+`FpElement`s: immutable two-slot objects holding the representative in
+[0, p) and the modulus, which reduce in every operator.
 
 This field's `modulus` is None, the value the library's kernels read to
-choose their modular branch, so the library runs its generic path, the
-one it runs over QQ, on these elements.  Comparing the reports of the
-library over `PrimeField(p)` here and over `quivertt.fields.PrimeField(p)`
+choose their modular branch, and its `nonzero` and `vector` are QQ's,
+which do not reduce, so the library runs its generic path, the one it
+runs over QQ, on these elements.  Comparing the reports of the library
+over `PrimeField(p)` here and over `quivertt.fields.PrimeField(p)`
 therefore compares the modular kernels with plain operator arithmetic.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
-from quivertt.fields import (MAX_PRIME, FieldError, _is_prime,
+from quivertt.fields import (MAX_PRIME, FieldError, Rationals, _is_prime,
                              _parse_literal)
 from quivertt.quiver import ResourceBudget
 
@@ -146,6 +148,9 @@ class PrimeField:
     a composite one FieldError."""
 
     modulus = None   # no modular branch: the kernels use the operators
+    # the operators already reduce, so canonical entries are QQ's
+    nonzero = Rationals.nonzero
+    vector = Rationals.vector
 
     def __init__(self, p):
         if p > MAX_PRIME:

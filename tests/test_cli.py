@@ -183,6 +183,13 @@ class TestExitCodes:
         doc, code = run("validate", str(bad))
         assert code == 2 and doc["error_type"] == "ParseError"
 
+    def test_duplicate_field_is_2(self, tmp_path):
+        bad = tmp_path / "bad.quiver"
+        bad.write_text("quiver x\nfield F 3\nvertices 1\nfield F 5\n")
+        doc, code = run("validate", str(bad))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert "line 4, column 6: duplicate field declaration" in doc["error"]
+
     def test_missing_file_is_2(self):
         doc, code = run("validate", "no/such/file.quiver")
         assert code == 2

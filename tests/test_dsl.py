@@ -46,10 +46,10 @@ class TestParsing:
 
     def test_relations_are_read_after_every_other_line(self):
         # docs/grammar.ebnf: a relation may stand above its arrows, and the
-        # last field line sets its field wherever that line stands
+        # field line sets its field wherever that line stands
         text = ("quiver late\nrelation a*b - 4 c*b\nrelation 1/2 a*b\n"
                 "vertices 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
-                "arrow c : 1 -> 2\nfield QQ\nfield F 3\n")
+                "arrow c : 1 -> 2\nfield F 3\n")
         spec = parse_quiver(text)
         assert spec.field == PrimeField(3)
         assert [[c for c, _ in r.terms] for r in spec.relations] == [[1, 2], [2]]
@@ -63,7 +63,7 @@ class TestParsing:
         # an error in another line is reported before one in a relation
         with pytest.raises(ParseError) as exc:
             parse_quiver(text.replace("1/2", "1/3") + "arrow\n")
-        assert exc.value.line == 10
+        assert exc.value.line == 9
 
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_quiver("\n# hi\nquiver x\n\nvertices 1 # inline\n")
@@ -115,6 +115,16 @@ class TestDiagnostics:
     def test_duplicate_arrow(self):
         self.check("quiver x\nvertices 1 2\narrow a : 1 -> 2\n"
                    "arrow a : 1 -> 2\n", "duplicate arrow")
+
+    def test_duplicate_field(self):
+        # like a second quiver or vertices line, and wherever it stands
+        for text in ("quiver x\nfield QQ\nvertices 1\nfield F 3\n",
+                     "quiver x\nfield F 3\nvertices 1\n  field F 3\n"):
+            with pytest.raises(ParseError) as err:
+                parse_quiver(text)
+            assert "duplicate field declaration" in str(err.value)
+            assert (err.value.line, err.value.column) == (
+                4, text.splitlines()[3].index("field") + 6)
 
     def test_unknown_field(self):
         self.check("quiver x\nfield R\nvertices 1\n", "unknown field")

@@ -193,6 +193,27 @@ class TestIntPrimeField:
         # the kernels choose their modular branch on `modulus`
         assert QQ.modulus is None and OraclePrimeField(101).modulus is None
 
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**64 - 59])
+    def test_canonical_entries_are_reduced_before_the_zero_test(self, p):
+        f = PrimeField(p)
+        items = [(0, p), (1, p + 1), (2, -1), (3, 0), (4, 3 * p * p - 1)]
+        assert f.nonzero(items) == {1: 1, 2: p - 1, 4: p - 1}
+        assert list(f.nonzero(iter(items))) == [1, 2, 4]
+        got = f.vector(x for _, x in items)
+        assert got == (0, 1, p - 1, 0, p - 1) and type(got) is tuple
+        assert all(type(x) is int and 0 <= x < p for x in got)
+
+    def test_canonical_entries_over_qq_and_the_oracle_field(self):
+        items = [(0, 0), (1, Fraction(1, 2)), (2, -3), (3, Fraction(0))]
+        assert QQ.nonzero(items) == {1: Fraction(1, 2), 2: -3}
+        assert QQ.vector(iter([0, -3])) == (0, -3)
+        # the oracle's elements reduce in their operators, so its field
+        # canonicalises as QQ does: it drops zeros and builds a tuple
+        f = OraclePrimeField(5)
+        items = [(0, f(5)), (1, f(7)), (2, f(4))]
+        assert f.nonzero(items) == {1: f(2), 2: f(4)}
+        assert f.vector([f(5), f(7)]) == (f(0), f(2))
+
     def test_other_values_are_refused(self):
         for x in ("3", 1.0, None, OraclePrimeField(5)(1)):
             with pytest.raises(FieldError):

@@ -8,7 +8,11 @@ in that module, in the library and in its tests alike; only the package's
 regex may use syntax that 3.11 added: atomic groups and possessive
 quantifiers.  An element of F_p is a plain `int`: the element class
 `FpElement` lives on only in the tests' oracle field, and no file under
-`src` names it."""
+`src` names it.  Reducing those ints is the field's job (`field(x)`,
+`field.nonzero`, `field.vector`), so `modulus` is read only in `fields`
+and in the three loops that reduce for themselves, each for a measured
+reason: `linalg.combine`, `linalg.Echelon` and
+`path_algebra.GroebnerBasis.reduce`."""
 
 import ast
 import importlib
@@ -132,3 +136,77 @@ def test_the_regex_check_sees_every_form():
     assert py311_syntax("[+-]?\\d+(?:/\\d+)?[ \t]*") == []
     assert compile_calls("import re\nX = re.compile('a')\n"
                          "def f():\n    return re.compile('b')\n") == 2
+
+
+# where `modulus` may be read: a file, and in it the functions or classes
+# (a class with all its methods) whose qualified name is listed; None for
+# anywhere in the file
+MODULUS_READERS = {"fields.py": None, "linalg.py": ("combine", "Echelon"),
+                   "path_algebra.py": ("GroebnerBasis.reduce",)}
+
+
+def modulus_reads(source):
+    """(line, qualified name of the enclosing function or class, "" at
+    module level) of every read of an attribute `modulus` in `source`, a
+    `getattr(x, "modulus")` included."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "modulus"
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Constant)
+                    and child.value == "modulus"):
+                out.append((child.lineno, ".".join(scope)))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return out
+
+
+def reader_site(file, scope):
+    """The entry of MODULUS_READERS that allows a read in `scope` of
+    `file`, or None."""
+    allowed = MODULUS_READERS.get(file, ())
+    if allowed is None:
+        return file
+    return next((site for site in allowed
+                 if scope == site or scope.startswith(site + ".")), None)
+
+
+def test_modulus_is_read_only_by_the_field_and_three_loops():
+    reads = [(path.name, line, scope) for path in LIBRARY
+             for line, scope in modulus_reads(path.read_text())]
+    assert [r for r in reads if reader_site(r[0], r[2]) is None] == []
+    # every listed loop still reads it, so the list does not go stale;
+    # `fields` only sets it
+    assert {(file, reader_site(file, scope)) for file, _, scope in reads} \
+        == {("linalg.py", "combine"), ("linalg.py", "Echelon"),
+            ("path_algebra.py", "GroebnerBasis.reduce")}
+
+
+def test_the_modulus_check_sees_every_form():
+    source = ("class Matrix:\n"
+              "    def __add__(self, other):\n"
+              "        p = self.field.modulus\n"
+              "    def scale(self, c):\n"
+              "        return getattr(self.field, 'modulus')\n"
+              "def combine(terms, field):\n"
+              "    p = field.modulus\n"
+              "class Echelon:\n"
+              "    def add(self, vec):\n"
+              "        def inner():\n"
+              "            return self.field.modulus\n"
+              "field.modulus = None\n")
+    reads = modulus_reads(source)
+    assert reads == [(3, "Matrix.__add__"), (5, "Matrix.scale"),
+                     (7, "combine"), (11, "Echelon.add.inner")]
+    assert [reader_site("linalg.py", scope) for _, scope in reads] == [
+        None, None, "combine", "Echelon"]
+    assert reader_site("dsl.py", "combine") is None
+    assert reader_site("path_algebra.py", "GroebnerBasis") is None
+    assert reader_site("fields.py", "PrimeField.__init__") == "fields.py"
