@@ -20,7 +20,11 @@ square are sums it takes.  The constraint rows of the linear systems of
 `path_algebra.module_hom_space` and `reconstruct.center_and_z` are the
 exception; each system fills all of its rows in one pass, which costs less
 than a `combine` per unknown.  The center maps its solutions back to the
-algebra basis with `combine`.
+algebra basis with `combine`.  A sum of one memoised vector with
+coefficient one is that vector, since every memo entry already has
+ascending keys and nonzero canonical values: `PathAlgebra.product` and
+the `ProbeEvaluator` of `reconstruct` copy it instead of calling
+`combine`, which measured faster on `reconstruct-f101`.
 
 An element of F_p is a plain `int` in [0, p) (see `fields`), and the
 operators on ints do not reduce.  `Matrix` arithmetic, `kronecker` and
@@ -301,7 +305,9 @@ class Echelon:
     row can hold it: `_seen` holds every column of every row stored so far,
     a superset of the columns the rows hold.  So a row that holds only its
     pivot, as most rows of the Hom and center systems of `reconstruct` do,
-    is inserted without a pass over the other rows.
+    is inserted without a pass over the other rows.  Such a row is stored
+    as {pivot: field.one} without an inverse, since scaling it makes its
+    one entry one.
     """
 
     def __init__(self, ncols, field=QQ):
@@ -349,13 +355,21 @@ class Echelon:
         v = self._residue(vec)
         if not v:
             return False
-        pc = min(v)
-        inv = self.field.inv(v[pc])
         p = self._p
-        if p is None:
-            row = {c: inv * a for c, a in v.items()}
+        if len(v) == 1:
+            # a one-entry residue scales to its pivot alone, which is one:
+            # no `field.inv`.  Most rows of the Hom and center systems are
+            # such rows; part of a 13% cut of `reconstruct-f101` `wall_s`
+            # (see `reconstruct.ProbeEvaluator.compose`)
+            pc, = v
+            row = {pc: self.field.one}
         else:
-            row = {c: inv * a % p for c, a in v.items()}
+            pc = min(v)
+            inv = self.field.inv(v[pc])
+            if p is None:
+                row = {c: inv * a for c, a in v.items()}
+            else:
+                row = {c: inv * a % p for c, a in v.items()}
         if pc in self._seen:
             for other in self.rows.values():
                 f = other.pop(pc, None)

@@ -34,7 +34,9 @@ Every sum of multiples of sparse vectors here is one `linalg.combine`,
 except in `module_hom_space`: its constraint rows (sparse dicts for
 `linalg.Echelon`) are filled in one pass over the cached structure
 constants, which costs less.  It returns each module map as the image of
-the generator, a sparse element, and forms no matrix.
+the generator, a sparse element, and forms no matrix.  `product` of two
+single classes whose coefficients multiply to 1 copies the memoised
+normal form, which `combine` would return unchanged.
 
 Over F_p an element is a plain `int` (see `fields`), and the field
 reduces it: the polynomials, the S-polynomials and the Groebner rules end
@@ -364,7 +366,19 @@ class PathAlgebra:
 
     def product(self, a, b):
         """Product of two elements given as {basis index: coefficient},
-        in ascending index order."""
+        in ascending index order; a new dict."""
+        if len(a) == 1 and len(b) == 1:
+            (i, ca), = a.items()
+            (j, cb), = b.items()
+            # two classes whose coefficients multiply to 1: `combine`
+            # would add the memoised normal form, whose keys ascend and
+            # whose values are nonzero field elements, without
+            # multiplying it, so the copy is equal.  Over F_p a product
+            # congruent to 1 but not equal to it still goes to `combine`.
+            # Part of a 13% cut of `reconstruct-f101` `wall_s` (see
+            # `reconstruct.ProbeEvaluator.compose`)
+            if ca * cb == 1:
+                return dict(self.product_indices(i, j))
         return combine(((ca * cb, self.product_indices(i, j))
                         for i, ca in a.items() for j, cb in b.items()),
                        self.field)

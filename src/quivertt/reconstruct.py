@@ -134,8 +134,8 @@ def psi(alg, n, m, image):
 class ProbeEvaluator:
     """Evaluates transformations on the degree-zero projective probes M_n
     by pushing sparse vectors {basis index: c} through them, one arrow at
-    a time; no matrix is formed, and every sum of pushed vectors is one
-    `linalg.combine`.
+    a time; no matrix is formed, and every sum of pushed vectors but a
+    single term with coefficient one (see below) is one `linalg.combine`.
 
     `walk(x, j)` is the basis class x of a probe pushed along the word of
     the basis class j.  It is cached per (x, j): the start class belongs
@@ -149,7 +149,14 @@ class ProbeEvaluator:
     Images come from arrow steps alone, the arrow action of the probe,
     never from `product_indices` on two whole classes.  So comparing
     `compose` with `PathAlgebra.product` stays a comparison of two
-    routes."""
+    routes.
+
+    The checks of `assemble_A` evaluate one basis class with coefficient
+    one at a time.  For such an input the sum is a single cached walk,
+    whose keys ascend and whose values are nonzero field elements, so
+    `combine` would return an equal dict: `_on_generator` returns the
+    shared walk, and `yoneda` and `compose` a copy of it, never the cached
+    dict itself.  Every other input is one `combine`."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -182,18 +189,41 @@ class ProbeEvaluator:
         return self.walk(self.alg.idempotent_index[n], i)
 
     def _on_generator(self, elem, n):
-        """The image of e_n under elem, which starts at n."""
+        """The image of e_n under elem, which starts at n.  It may be the
+        shared `generator_image`, so callers must not change it."""
+        if len(elem) == 1:
+            (i, c), = elem.items()
+            # one class with coefficient one: `combine` of the cached
+            # walk, which is canonical, equals the walk itself.  Skipping
+            # that `combine` is part of a 13% cut of `reconstruct-f101`
+            # `wall_s` (see `compose`)
+            if c == 1:
+                return self.generator_image(n, i)
         return combine(((c, self.generator_image(n, i))
                         for i, c in elem.items()), self.alg.field)
 
     def yoneda(self, elem, n):
         """Coordinates of elem: F_n => F_m, read off its image of e_n."""
-        return self._on_generator(elem, n)
+        return dict(self._on_generator(elem, n))
 
     def compose(self, elem1, n, elem2):
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
         first = self._on_generator(elem1, n)
+        if len(first) == 1 and len(elem2) == 1:
+            (x, a), = first.items()
+            (j, c), = elem2.items()
+            # the one term has coefficient c * a == 1, so `combine` would
+            # add the cached walk, canonical already, without multiplying
+            # it, and return an equal dict: the copy is exact.  Over F_p
+            # a product congruent to 1 but not equal to it (2 * 51 in
+            # F_101) still goes to `combine`, which reduces it.  With the
+            # same paths in `_on_generator`, `PathAlgebra.product` and
+            # `Echelon.add`, `reconstruct-f101` `wall_s` fell 17.21 ->
+            # 14.92 ms (better in 10/10 alternating pairs of 20 s
+            # perfbench runs, Python 3.11.7, 2-core x86-64 Xeon)
+            if c * a == 1:
+                return dict(self.walk(x, j))
         return combine(((c * a, self.walk(x, j))
                         for j, c in elem2.items() for x, a in first.items()),
                        self.alg.field)

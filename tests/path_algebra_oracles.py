@@ -12,6 +12,8 @@ reversed.  Compatibility tests membership of each r-bar generator by
 reducing its vector against an echelon of the subquiver's ideal rows.
 `QuotientSumsOracle` keeps the sparse sums of the quotient (normal forms,
 products, arrow steps, the diagonal tensor square) as hand-written loops.
+`combine_product` is `PathAlgebra.product` as one `linalg.combine` for
+every input, before two single classes were copied from the memo.
 
 Over F_p every oracle computes in the field of `fields_oracle.oracle_field`,
 whose `FpElement`s reduce in each operator; the library's F_p elements are
@@ -20,7 +22,7 @@ plain `int`s, on which the oracles' sums would run over Z.
 
 from types import SimpleNamespace
 
-from quivertt.linalg import Matrix
+from quivertt.linalg import Matrix, combine
 from quivertt.quiver import (Relation, admissible_order, enumerate_paths,
                              full_subquiver)
 
@@ -167,6 +169,14 @@ def module_map_oracle(alg, n, m, image):
                 col[pos_n[h]] = col[pos_n[h]] + a * y
         cols.append(col)
     return Matrix.from_columns(cols, field, rows=len(mb_n))
+
+
+def combine_product(alg, a, b):
+    """The product of the elements a and b of `alg` as one `combine` of
+    its structure constants, over the algebra's own field."""
+    return combine(((ca * cb, alg.product_indices(i, j))
+                    for i, ca in a.items() for j, cb in b.items()),
+                   alg.field)
 
 
 class QuotientSumsOracle:

@@ -8,9 +8,13 @@ through its structure constants (`product_indices`), path normal forms,
 module bases and idempotents.  They compute in the field of
 `fields_oracle.oracle_field`, so over F_p in `FpElement`s, and their
 matrices are over that field.
+
+`combine_yoneda` and `combine_compose` are the exception: they are the
+evaluator's sums as single `linalg.combine` calls, over the algebra's own
+field, against which the evaluator's copies of cached walks are checked.
 """
 
-from quivertt.linalg import Matrix
+from quivertt.linalg import Matrix, combine
 from quivertt.quiver import Path
 from quivertt.repcat import Representation
 
@@ -165,3 +169,21 @@ class _DenseProbeEvaluator:
 def probe_oracle(alg):
     """A dense evaluator of transformations on the probes of `alg`."""
     return _DenseProbeEvaluator(alg)
+
+
+def combine_yoneda(evaluator, elem, n):
+    """`ProbeEvaluator.yoneda` as it was before single classes with
+    coefficient one were copied from the walk cache: one `combine` of the
+    generator images of `evaluator`, for every input."""
+    return combine(((c, evaluator.generator_image(n, i))
+                    for i, c in elem.items()), evaluator.alg.field)
+
+
+def combine_compose(evaluator, elem1, n, elem2):
+    """`ProbeEvaluator.compose` as it was before a single term with
+    coefficient one was copied from the walk cache: one `combine` of the
+    walks of `evaluator`, for every input."""
+    first = combine_yoneda(evaluator, elem1, n)
+    return combine(((c * a, evaluator.walk(x, j))
+                    for j, c in elem2.items() for x, a in first.items()),
+                   evaluator.alg.field)

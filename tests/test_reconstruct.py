@@ -195,11 +195,15 @@ class TestAssembleA:
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
+        # the arrow composed with a class after it has the one term
+        # 2 * walk, which `compose` must scale, not copy
+        assert verdict.structure_constants_match is False
         assert verdict.isomorphic is False
         doc, code = run_command(
             ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
         assert code == 0
         assert doc["verdict"]["round_trip_identity"] is False
+        assert doc["verdict"]["structure_constants_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_doubled_module_map_clears_round_trip(self, monkeypatch):
@@ -254,6 +258,33 @@ class TestAssembleA:
         assert code == 0
         assert doc["verdict"]["structure_constants_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
+
+    def test_checks_go_through_yoneda_compose_and_product(self,
+                                                          monkeypatch):
+        # one `yoneda` per basis class and one `compose` and one `product`
+        # per composable pair: the probe span of the tracer and the
+        # patched `product` above see every check
+        alg = algebra_of(load_fixture("beilinson2"))
+        for m in alg.quiver.vertices:   # cached; these call `product` too
+            alg.generator_relations(m)
+        calls = {"yoneda": 0, "compose": 0, "product": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(reconstruct.ProbeEvaluator, "yoneda")
+        counted(reconstruct.ProbeEvaluator, "compose")
+        counted(PathAlgebra, "product")
+        composable = sum(alg.pair_of[i][1] == alg.pair_of[j][0]
+                         for i in range(alg.dim) for j in range(alg.dim))
+        assert assemble_A(alg).verdict.isomorphic
+        assert calls == {"yoneda": alg.dim, "compose": composable,
+                         "product": composable}
 
     def test_beilinson_2_7_reconstructs(self, tmp_path):
         # dim 210, within the path budget
