@@ -239,13 +239,11 @@ def cone(f):
             dv = v.strand_matrix(i + 1, x)
             dw = w.strand_matrix(i, x)
             fx = f.component(i + 1).components[x]
-            top = (-dv).hstack(Matrix.zeros(dv.rows, dw.cols, field))
-            bot = fx.hstack(dw)
-            comps[x] = top.vstack(bot)
+            comps[x] = block_matrix(
+                [[-dv, Matrix.zeros(dv.rows, dw.cols, field)], [fx, dw]],
+                field)
         diffs[i] = RepMorphism(terms[i], terms[i + 1], comps)
-    out = BoundedComplex(quiver, terms, diffs, field, check=False)
-    out._validate()
-    return out
+    return BoundedComplex(quiver, terms, diffs, field)
 
 
 def tensor_complex(v, w):
@@ -300,9 +298,7 @@ def tensor_complex(v, w):
                 blocks.append(row)
             comps[x] = block_matrix(blocks, field)
         diffs[k] = RepMorphism(terms[k], terms[k + 1], comps)
-    out = BoundedComplex(quiver, terms, diffs, field, check=False)
-    out._validate()
-    return out
+    return BoundedComplex(quiver, terms, diffs, field)
 
 
 def direct_sum_complex(v, w):
@@ -320,9 +316,9 @@ def direct_sum_complex(v, w):
         for x in v.quiver.vertices:
             dv = v.strand_matrix(i, x)
             dw = w.strand_matrix(i, x)
-            top = dv.hstack(Matrix.zeros(dv.rows, dw.cols, field))
-            bot = Matrix.zeros(dw.rows, dv.cols, field).hstack(dw)
-            comps[x] = top.vstack(bot)
+            comps[x] = block_matrix(
+                [[dv, Matrix.zeros(dv.rows, dw.cols, field)],
+                 [Matrix.zeros(dw.rows, dv.cols, field), dw]], field)
         diffs[i] = RepMorphism(terms[i], terms[i + 1], comps)
     return BoundedComplex(v.quiver, terms, diffs, field, check=False)
 

@@ -14,13 +14,14 @@ coordinates of a vector in a set of columns off one echelon of the columns
 augmented by the identity.
 
 Sparse vectors are {index: value} dicts, the format `Echelon` eats.
-`combine` is the one sparse linear-combination routine: normal forms,
-structure constants, arrow steps, probe walks and the diagonal tensor
-square are sums it takes.  The constraint rows of the linear systems of
-`path_algebra.module_hom_space` and `reconstruct.center_and_z` are the
-exception; each system fills all of its rows in one pass, which costs less
-than a `combine` per unknown.  The center maps its solutions back to the
-algebra basis with `combine`.  A sum of one memoised vector with
+`combine` is the one sparse linear-combination routine: folded normal
+forms, structure constants, probe walks and the diagonal tensor square
+are sums it takes.  An arrow step is no sum: it is the memoised normal
+form of a basis path followed by the arrow.  The constraint rows of the
+linear systems of `path_algebra.module_hom_space` and
+`reconstruct.center_and_z` are the exception; each system fills all of
+its rows in one pass, which costs less than a `combine` per unknown.  The
+center maps its solutions back to the algebra basis with `combine`.  A sum of one memoised vector with
 coefficient one is that vector, since every memo entry already has
 ascending keys and nonzero canonical values: `PathAlgebra.product` and
 the `ProbeEvaluator` of `reconstruct` copy it instead of calling
@@ -187,19 +188,6 @@ class Matrix:
     def is_zero(self):
         return all(not x for row in self.entries for x in row)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionMismatch("row mismatch in hstack")
-        return Matrix._raw(self.rows, self.cols + other.cols,
-                           tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
-                           self.field)
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise DimensionMismatch("column mismatch in vstack")
-        return Matrix._raw(self.rows + other.rows, self.cols,
-                           self.entries + other.entries, self.field)
-
 
 def block_matrix(blocks, field=QQ):
     """Assemble a matrix from a 2d grid of blocks (row/col counts must agree)."""
@@ -264,10 +252,10 @@ def combine(terms, field):
     congruent to the elements they stand for.
 
     The F_p branch is written out, not a `field.nonzero` call: `combine`
-    runs once per normal form, product and arrow step, and that call put
-    `reconstruct-f101` `wall_s` up 4.0% (16.99 -> 17.67 ms, worse in 5/5
-    alternating pairs of 8 s perfbench runs, Python 3.11.7, 2-core
-    x86-64 Xeon)."""
+    runs once per folded normal form, product and probe walk, and that
+    call put `reconstruct-f101` `wall_s` up 4.0% (16.99 -> 17.67 ms,
+    worse in 5/5 alternating pairs of 8 s perfbench runs, Python 3.11.7,
+    2-core x86-64 Xeon)."""
     acc = {}
     for c, vec in terms:
         unit = c == 1

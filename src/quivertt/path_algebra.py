@@ -22,11 +22,14 @@ depth-first search from each vertex that stops as soon as a suffix of the
 path is a tip.  These are exactly the earliest paths whose residues stay
 independent modulo the ideal, since path k is a tip iff e_k lies in
 I + span(e_j : j < k), so structure constants are deterministic and
-reports are byte-stable.  Normal forms are computed on demand and cached.
-The normal form of a path is folded along its arrows from a memoised table
-of nf(basis path * arrow), and each entry of that table is filled by
-reduction by the Groebner basis.  Neither the build nor `compatibility`
-lists the paths of the quiver: the path budget
+reports are byte-stable.  A basis path is found by its word
+(`word_index`), or by its vertex if it is trivial (`idempotent_index`).
+Normal forms are computed on demand and kept in one memo, `_word_nf`,
+keyed by word.  The entry of a basis path times an arrow is filled by
+reduction by the Groebner basis, and it is what `arrow_step` returns; the
+entry of any other path is folded along its arrows from its prefix's
+entry, one `arrow_step` per class of it.  Neither the build nor
+`compatibility` lists the paths of the quiver: the path budget
 (`quiver.check_path_budget`) is checked first, and every tip is a path,
 so it bounds the Groebner computation too.
 
@@ -39,11 +42,12 @@ single classes whose coefficients multiply to 1 copies the memoised
 normal form, which `combine` would return unchanged.
 
 Over F_p an element is a plain `int` (see `fields`), and the field
-reduces it: the polynomials, the S-polynomials and the Groebner rules end
-in `field.nonzero`, and the unit half of the tensor check in `field(x)`.
-`GroebnerBasis.reduce` is the one loop here that reads `field.modulus`:
-its work list holds unreduced ints, and it reduces each term as it pops
-it.
+reduces it: the Groebner rules end in `field.nonzero`, and the unit half
+of the tensor check in `field(x)`.  The relation polynomials, the
+S-polynomials and the rules sent back to be reduced again are left
+unreduced, since each goes only into `GroebnerBasis.reduce`.  That is the
+one loop here that reads `field.modulus`: it reduces each term as it pops
+it and skips zeros.
 """
 
 from __future__ import annotations
@@ -77,14 +81,15 @@ def _order_key(word):
     return (len(word), word)
 
 
-def _polynomial(terms, field):
+def _polynomial(terms):
     """The combination of paths `terms` as {word: coefficient}, with
-    repeated words summed over `field` and zeros dropped."""
+    repeated words summed; it may hold zeros and, over F_p, unreduced
+    ints, which `GroebnerBasis.reduce` drops and reduces."""
     poly = {}
     for c, path in terms:
         w = path.arrows
         poly[w] = poly[w] + c if w in poly else c
-    return field.nonzero(poly.items())
+    return poly
 
 
 def _contains(word, sub):
@@ -92,11 +97,11 @@ def _contains(word, sub):
     return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
 
 
-def _s_polynomials(u, ru, v, rv, field):
+def _s_polynomials(u, ru, v, rv):
     """The S-polynomial of each overlap of the tip u (rule u -> ru) with
-    the tip v (rule v -> rv) over `field`: u = x*s and v = s*y with s a
-    proper suffix of u and a proper prefix of v, and the S-polynomial
-    (u - ru)*y - x*(v - rv) = x*rv - ru*y."""
+    the tip v (rule v -> rv): u = x*s and v = s*y with s a proper suffix
+    of u and a proper prefix of v, and the S-polynomial
+    (u - ru)*y - x*(v - rv) = x*rv - ru*y, unreduced, like `_polynomial`."""
     for k in range(1, min(len(u), len(v))):
         if u[len(u) - k:] == v[:k]:
             x, y = u[:len(u) - k], v[k:]
@@ -104,7 +109,7 @@ def _s_polynomials(u, ru, v, rv, field):
             for w, c in ru.items():
                 wy = w + y
                 s[wy] = s[wy] - c if wy in s else -c
-            yield field.nonzero(s.items())
+            yield s
 
 
 class GroebnerBasis:
@@ -176,14 +181,14 @@ def groebner_basis(polys, field):
         rhs = field.nonzero((w, c * scale) for w, c in f.items() if w != tip)
         # an element whose tip contains the new one is reduced again
         for t in [t for t in rules if _contains(t, tip)]:
-            back = field.nonzero((w, -c) for w, c in rules.pop(t).items())
+            back = {w: -c for w, c in rules.pop(t).items()}
             queue.append({t: field.one, **back})
         rules[tip] = rhs
         gb.lengths = sorted({len(t) for t in rules})
         for t, other in list(rules.items()):
-            queue.extend(_s_polynomials(tip, rhs, t, other, field))
+            queue.extend(_s_polynomials(tip, rhs, t, other))
             if t != tip:
-                queue.extend(_s_polynomials(t, other, tip, rhs, field))
+                queue.extend(_s_polynomials(t, other, tip, rhs))
     for t in rules:
         rules[t] = gb.reduce(rules[t])
     return gb
@@ -206,7 +211,6 @@ class PathAlgebra:
             for _, p in gen.terms:
                 self._check_path(p)
         self._build()
-        self._arrow_steps = {}
         self._generator_relations = {}
         self._tensor_check = None
 
@@ -230,8 +234,7 @@ class PathAlgebra:
 
     def _build(self):
         self.groebner = groebner_basis(
-            [_polynomial(g.terms, self.field) for g in self.relations],
-            self.field)
+            [_polynomial(g.terms) for g in self.relations], self.field)
 
         # the paths that contain no tip, each extended from its prefix;
         # the prefix contains none, so only the suffixes need a look
@@ -255,30 +258,27 @@ class PathAlgebra:
             reach[v] = r
 
         self.basis = []
-        self.basis_index = {}
         self.pair_indices = {}
         self.pair_of = []
         self._module_bases = {}
-        self._word_index = {}    # the word of a non-trivial basis path -> index
+        self.word_index = {}    # the word of a non-trivial basis path -> index
+        # vertex -> index of its trivial path, in the quiver's vertex order
+        self.idempotent_index = dict.fromkeys(self.quiver.vertices)
         for s in self.order:
             for t in sorted(reach[s], key=self._pos.__getitem__):
                 pair = (s, t)
                 local = []
                 for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
                     gi = len(self.basis)
-                    p = Path(s, t, w)
-                    self.basis.append(p)
-                    self.basis_index[p] = gi
+                    self.basis.append(Path(s, t, w))
                     self.pair_of.append(pair)
                     local.append(gi)
                     if w:
-                        self._word_index[w] = gi
+                        self.word_index[w] = gi
+                    else:
+                        self.idempotent_index[s] = gi
                 self.pair_indices[pair] = local
                 self._module_bases.setdefault(s, []).extend(local)
-
-        self.idempotent_index = {}
-        for v in self.quiver.vertices:
-            self.idempotent_index[v] = self.basis_index[Path.trivial(v)]
         self._word_nf = {}   # non-trivial word -> normal form, on demand
 
     # -- normal forms ---------------------------------------------------
@@ -299,17 +299,18 @@ class PathAlgebra:
     def _nf_word(self, w):
         """The normal form of the path with the non-trivial word `w`, cached
         and shared.  A basis path times an arrow is reduced by the Groebner
-        basis; any other path is folded from its prefix's normal form."""
+        basis; any other path is folded from its prefix's normal form, one
+        `arrow_step` per class of it."""
         nf = self._word_nf.get(w)
         if nf is not None:
             return nf
         head, a = w[:-1], w[-1]
-        index = self._word_index
+        index = self.word_index
         if not head or head in index:
             red = self.groebner.reduce({w: self.field.one})
             nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
         else:
-            nf = combine(((c, self._nf_word(self.basis[b].arrows + (a,)))
+            nf = combine(((c, self.arrow_step(b, a))
                           for b, c in self._nf_word(head).items()), self.field)
         self._word_nf[w] = nf
         return nf
@@ -353,16 +354,12 @@ class PathAlgebra:
     def arrow_step(self, x, label):
         """(basis class x) * (class of the arrow `label`), as
         {basis index: c} in ascending index order: one step of a walk along
-        arrows.  The dict is cached and shared, so callers must not change
-        it."""
-        key = (x, label)
-        cached = self._arrow_steps.get(key)
-        if cached is None:
-            arrow = self._nf_word((label,))
-            cached = self._arrow_steps[key] = combine(
-                ((c, self.product_indices(x, j)) for j, c in arrow.items()),
-                self.field)
-        return cached
+        arrows.  It is the normal form of x's word followed by the arrow,
+        the memo entry of `_nf_word`, so callers must not change it."""
+        p = self.basis[x]
+        if p.target != self._source[label]:
+            return _NO_PRODUCT
+        return self._nf_word(p.arrows + (label,))
 
     def product(self, a, b):
         """Product of two elements given as {basis index: coefficient},
@@ -518,10 +515,9 @@ def compatibility(quiver, relations, verts, field=QQ):
     check_path_budget(sub)
     witness = None
     if r_bar:
-        gb = groebner_basis([_polynomial(g.terms, field) for g in r_cap],
-                            field)
+        gb = groebner_basis([_polynomial(g.terms) for g in r_cap], field)
         witness = next((gen for gen in r_bar
-                        if gb.reduce(_polynomial(gen.terms, field))), None)
+                        if gb.reduce(_polynomial(gen.terms))), None)
     return CompatibilityResult(witness is None, sub, tuple(r_cap), tuple(r_bar), witness)
 
 

@@ -202,23 +202,19 @@ def is_ordered(q):
 
 class Path(_Record):
     """A path from `source` to `target` whose word is `arrows`, the tuple
-    of its arrow labels; the trivial path at v is (v, v, ()).
+    of its arrow labels; the trivial path at v is (v, v, ()).  The path
+    algebra finds its basis paths by word, so no library dict is keyed by
+    a path, and its hash is the record's, computed on each call."""
 
-    Its hash is computed once: dictionaries keyed by paths
-    (`PathAlgebra.basis_index`) hash them on every lookup."""
-
-    __slots__ = ("source", "target", "arrows", "_hash")
-    _fields = ("source", "target", "arrows")
+    __slots__ = _fields = ("source", "target", "arrows")
 
     def __init__(self, source, target, arrows=()):
-        arrows = tuple(arrows)
         _path_source(self, source)
         _path_target(self, target)
-        _path_arrows(self, arrows)
-        _path_hash(self, hash((source, target, arrows)))
+        _path_arrows(self, tuple(arrows))
 
-    def __hash__(self):
-        return self._hash
+    # a class that defines __eq__ must name its __hash__
+    __hash__ = _Record.__hash__
 
     def __eq__(self, other):
         if other.__class__ is not Path:
@@ -266,7 +262,7 @@ class Path(_Record):
         return f"Path({self.source}->{self.target}: {self.word()})"
 
 
-_path_source, _path_target, _path_arrows, _path_hash = _setters(Path)
+_path_source, _path_target, _path_arrows = _setters(Path)
 
 
 def count_paths(q):

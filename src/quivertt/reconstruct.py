@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
-                        induced_on_cohomology)
+                        id_morphism, induced_on_cohomology)
 from .linalg import Echelon, Matrix, combine
 from .path_algebra import (PathAlgebra, module_hom_space,
                            require_tensor_relations)
 from .quiver import Path
-from .repcat import RepMorphism, hom_space, simple_object, unit_object
+from .repcat import hom_space, simple_object, unit_object
 from .spectrum import prime_at
 
 
@@ -141,15 +141,21 @@ class ProbeEvaluator:
     the basis class j.  It is cached per (x, j): the start class belongs
     to the key, since one class j acts on every class that ends where j
     starts.  Basis paths are closed under prefixes, so each entry is one
-    arrow step (`PathAlgebra.arrow_step`) from the entry of j's prefix.
-    The image of the generator e_n under i is walk(e_n, i); the second step
-    of `compose` walks each class of the first image along each class of
-    the second element.
+    arrow step (`PathAlgebra.arrow_step`) from the entry of j's prefix,
+    which `word_index` finds by its word (`idempotent_index` if it is
+    trivial).  The image of the generator e_n under i is walk(e_n, i); the
+    second step of `compose` walks each class of the first image along
+    each class of the second element.
 
     Images come from arrow steps alone, the arrow action of the probe,
-    never from `product_indices` on two whole classes.  So comparing
-    `compose` with `PathAlgebra.product` stays a comparison of two
-    routes.
+    never from `product_indices` on two whole classes.  An arrow step is
+    the algebra's memoised normal form of a basis path followed by one
+    arrow.  `PathAlgebra.product` reads the normal form of the joined word
+    of two classes, which `_nf_word` folds along the tail of that word;
+    `walk` folds the arrow steps along j's arrows, starting from x.  So
+    comparing `compose` with `product` compares two folds over one memo
+    of arrow steps: it sees a fault in either fold, but not a wrong
+    Groebner basis, which both folds read alike.
 
     The checks of `assemble_A` evaluate one basis class with coefficient
     one at a time.  For such an input the sum is a single cached walk,
@@ -174,9 +180,9 @@ class ProbeEvaluator:
             if p.is_trivial:
                 out = {x: alg.field.one}
             else:
-                *head, last = p.arrows
-                prefix = alg.basis_index[
-                    Path(p.source, alg.quiver.arrow(last).source, tuple(head))]
+                head, last = p.arrows[:-1], p.arrows[-1]
+                prefix = (alg.word_index[head] if head
+                          else alg.idempotent_index[p.source])
                 out = combine(((c, alg.arrow_step(y, last))
                                for y, c in self.walk(x, prefix).items()),
                               alg.field)
@@ -410,9 +416,7 @@ def center_and_z(assembled):
     ring_ok = all(
         alg.product(z_images[i], z_images[j]) == z_image(alg, f.compose(g))
         for i, f in enumerate(end_u) for j, g in enumerate(end_u))
-    id_u = RepMorphism(unit, unit, {v: Matrix.identity(1, field)
-                                    for v in quiver.vertices})
-    if z_image(alg, id_u) != alg.unit():
+    if z_image(alg, id_morphism(unit)) != alg.unit():
         ring_ok = False
 
     return CenterReport(center_basis, len(center_basis), len(end_u),

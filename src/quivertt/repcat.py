@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import (DimensionMismatch, Matrix, complete_basis, kernel_basis,
-                     kronecker)
+from .linalg import (DimensionMismatch, Matrix, block_matrix, complete_basis,
+                     kernel_basis, kronecker)
 from .quiver import QuiverError, admissible_order, full_subquiver
 
 
@@ -163,9 +163,9 @@ def direct_sum(v, w):
     maps = {}
     for a in v.quiver.arrows:
         va, wa = v.arrow_maps[a.label], w.arrow_maps[a.label]
-        top = va.hstack(Matrix.zeros(va.rows, wa.cols, field))
-        bot = Matrix.zeros(wa.rows, va.cols, field).hstack(wa)
-        maps[a.label] = top.vstack(bot)
+        maps[a.label] = block_matrix(
+            [[va, Matrix.zeros(va.rows, wa.cols, field)],
+             [Matrix.zeros(wa.rows, va.cols, field), wa]], field)
     return Representation(v.quiver, dims, maps, field)
 
 

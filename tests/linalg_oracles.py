@@ -81,7 +81,9 @@ def solve_many_oracle(a, bs):
     """Particular solutions of a x = b for each b, read off the RREF of
     the augmented matrix [a | b_0 | b_1 | ...]."""
     field = a.field
-    aug = a.hstack(Matrix.from_columns([list(b) for b in bs], field, rows=a.rows))
+    aug = Matrix.from_rows([tuple(row) + tuple(b[i] for b in bs)
+                            for i, row in enumerate(a.entries)],
+                           field, cols=a.cols + len(bs))
     red, pivots, _ = rref_oracle(aug)
     if any(p >= a.cols for p in pivots):
         raise InconsistentSystem("rhs not in column span")

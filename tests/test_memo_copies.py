@@ -2,8 +2,9 @@
 evaluator's `yoneda` and `compose`, which copy a memoised vector instead of
 summing it with `linalg.combine`, against the one-`combine` bodies they
 replaced; and the invariant those copies rest on: every memo entry of the
-normal forms, the arrow steps and the walks has ascending keys and nonzero
-canonical values, after a full reconstruction."""
+normal forms and the walks has ascending keys and nonzero canonical
+values, after a full reconstruction.  An arrow step is the normal-form
+memo's own entry, not a copy of it."""
 
 import random
 from fractions import Fraction
@@ -175,7 +176,12 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
     for i in range(alg.dim):
         for j in range(alg.dim):
             alg.product({i: field.one}, {j: field.one})
-    memos = [alg._word_nf, alg._arrow_steps]
+    # an arrow step is the normal-form memo's own entry
+    for x, p in enumerate(alg.basis):
+        for a in alg.quiver.arrows_from(p.target):
+            assert (alg.arrow_step(x, a.label)
+                    is alg._word_nf[p.arrows + (a.label,)]), (x, a.label)
+    memos = [alg._word_nf]
     memos += [e._walks for e in evaluators]
     assert any(memos)
     for memo in memos:

@@ -15,7 +15,7 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix, rank
 from quivertt.path_algebra import (PathAlgebra, compatibility,
                                    is_tensor_relations)
-from quivertt.quiver import Arrow, Quiver, enumerate_paths
+from quivertt.quiver import Arrow, Path, Quiver, enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import (FIXTURE_NAMES, is_element, load_beilinson,
@@ -118,7 +118,12 @@ def test_quotient_matches_oracle(make, field):
 def assert_matches_oracle(alg):
     want = quotient_oracle(alg)
     assert alg.basis == want.basis
-    assert list(alg.basis_index.items()) == list(want.basis_index.items())
+    # a basis path is found by its word, or by its vertex if trivial
+    positions = list(want.basis_index.items())
+    assert list(alg.word_index.items()) == [(p.arrows, gi)
+                                            for p, gi in positions if p.arrows]
+    assert list(alg.idempotent_index.items()) == [
+        (v, want.basis_index[Path.trivial(v)]) for v in alg.quiver.vertices]
     assert alg.pair_of == want.pair_of
     assert list(alg.pair_indices.items()) == list(want.pair_indices.items())
     for v in alg.quiver.vertices:

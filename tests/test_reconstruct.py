@@ -6,7 +6,6 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
 from quivertt.path_algebra import PathAlgebra, module_hom_space
-from quivertt.quiver import Path
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver)
 from quivertt.repcat import hom_space
@@ -70,7 +69,7 @@ class TestPhiPsi:
         alg = algebra_of(spec)
         arrow = spec.quiver.arrows[0]
         n, m = arrow.source, arrow.target
-        a = alg.basis_index[Path.from_arrows([arrow])]
+        a = alg.word_index[(arrow.label,)]
         assert psi(alg, n, m, {a: QQ.one}) == {a: QQ.one}
         for image in ({alg.idempotent_index[n]: QQ.one},
                       {a: QQ.one, alg.idempotent_index[m]: QQ.one}):
