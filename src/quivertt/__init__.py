@@ -26,7 +26,8 @@ from .repcat import (FiltrationStep, RepMorphism, Representation,
 from .complexes import (BoundedComplex, ChainMap, ComplexError,
                         GradedVectorSpace, cohomology_at,
                         complex_from_json, complex_to_json, cone,
-                        direct_sum_complex, eval_functor, shift,
+                        direct_sum_complex, eval_functor,
+                        induced_cohomology_map, shift,
                         split_vector_complex, support, tensor_complex)
 from .spectrum import (IdealDescriptor, IncompatibleSubquiver, NotProper,
                        QuiverMorphism, SpectrumReport, closed_set, contains,

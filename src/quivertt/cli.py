@@ -34,12 +34,8 @@ class DomainRefusal(ValueError):
     pass
 
 
-def _fmt(field, x):
-    return field.format(x)
-
-
 def _element_json(alg, elem):
-    return {alg.element_word(i): _fmt(alg.field, c)
+    return {alg.element_word(i): alg.field.format(c)
             for i, c in sorted(elem.items())}
 
 
@@ -212,17 +208,29 @@ def cmd_compare_points(spec, args):
     }
 
 
+_VERTEX_LIST = "comma-separated vertex list"
+
+# name -> (handler, help text, {required flag: help text}), in help order
 _COMMANDS = {
-    "validate": cmd_validate,
-    "spectrum": cmd_spectrum,
-    "sheaf": cmd_sheaf,
-    "presheaf": cmd_presheaf,
-    "support": cmd_support,
-    "reconstruct": cmd_reconstruct,
-    "check-tensor": cmd_check_tensor,
-    "filtration": cmd_filtration,
-    "compat": cmd_compat,
-    "compare-points": cmd_compare_points,
+    "validate": (cmd_validate, "parse a spec file and summarize it", {}),
+    "spectrum": (cmd_spectrum, "points and topology of the spectrum", {}),
+    "sheaf": (cmd_sheaf, "structure sheaf sections over an open set",
+              {"open": _VERTEX_LIST}),
+    "presheaf": (cmd_presheaf, "presheaf sections over a full subquiver",
+                 {"open": _VERTEX_LIST}),
+    "support": (cmd_support, "support of a bounded complex",
+                {"complex": "path to a complex JSON file"}),
+    "reconstruct": (cmd_reconstruct,
+                    "assemble A(D(Q)) and compare with kQ/(R)", {}),
+    "check-tensor": (cmd_check_tensor, "run the tensor-relations criterion",
+                     {}),
+    "filtration": (cmd_filtration,
+                   "the unit filtration with simple quotients", {}),
+    "compat": (cmd_compat,
+               "compatibility of a full subquiver with the relations",
+               {"verts": _VERTEX_LIST}),
+    "compare-points": (cmd_compare_points,
+                       "the k-points F_n and their separation", {}),
 }
 
 
@@ -235,28 +243,11 @@ def build_parser():
                     "categories: spectra, sheaf sections, and algebra "
                     "reconstruction from .quiver spec files.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **flags):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="path to a .quiver spec file")
-        for flag, (required, help2) in flags.items():
-            p.add_argument(f"--{flag}", required=required, help=help2)
-        return p
-
-    add("validate", "parse a spec file and summarize it")
-    add("spectrum", "points and topology of the spectrum")
-    add("sheaf", "structure sheaf sections over an open set",
-        open=(True, "comma-separated vertex list"))
-    add("presheaf", "presheaf sections over a full subquiver",
-        open=(True, "comma-separated vertex list"))
-    add("support", "support of a bounded complex",
-        complex=(True, "path to a complex JSON file"))
-    add("reconstruct", "assemble A(D(Q)) and compare with kQ/(R)")
-    add("check-tensor", "run the tensor-relations criterion")
-    add("filtration", "the unit filtration with simple quotients")
-    add("compat", "compatibility of a full subquiver with the relations",
-        verts=(True, "comma-separated vertex list"))
-    add("compare-points", "the k-points F_n and their separation")
+        for flag, flag_help in flags.items():
+            p.add_argument(f"--{flag}", required=True, help=flag_help)
     return parser
 
 
@@ -268,7 +259,7 @@ def run_command(argv):
         return None, (2 if exc.code else 0)
     try:
         spec = _load(args.file)
-        body = _COMMANDS[args.command](spec, args)
+        body = _COMMANDS[args.command][0](spec, args)
     except (ParseError, QuiverError, OSError) as exc:
         if isinstance(exc, NotOrdered):
             return _error_doc(args.command, exc), 1

@@ -4,6 +4,8 @@ supports, shifts, cones and total tensor complexes.
 Sign conventions, fixed once: d(x (x) y) = dx (x) y + (-1)^deg(x) x (x) dy
 for the total tensor complex; cone(f)^i = V^{i+1} + W^i with differential
 [[-dV, 0], [f, dW]]; shifting by j multiplies differentials by (-1)^j.
+The direct sum V + W is the cone of the zero map V[-1] -> W: its terms
+are V^i + W^i and its differentials [[dV, 0], [0, dW]].
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class GradedVectorSpace:
     @property
     def total_dim(self):
         return sum(self.dims.values())
-
-    def euler_characteristic(self):
-        return sum((-1) ** i * d for i, d in self.dims.items())
 
     def is_zero(self):
         return self.total_dim == 0
@@ -302,25 +301,10 @@ def tensor_complex(v, w):
 
 
 def direct_sum_complex(v, w):
+    """V + W, as the cone of the zero chain map V[-1] -> W."""
     if v.quiver != w.quiver:
         raise DimensionMismatch("direct sum of complexes over different quivers")
-    field = v.field
-    terms, diffs = {}, {}
-    degrees = sorted(set(v.terms) | set(w.terms))
-    for i in degrees:
-        terms[i] = direct_sum(v.term(i), w.term(i))
-    for i in degrees:
-        if i + 1 not in terms:
-            continue
-        comps = {}
-        for x in v.quiver.vertices:
-            dv = v.strand_matrix(i, x)
-            dw = w.strand_matrix(i, x)
-            comps[x] = block_matrix(
-                [[dv, Matrix.zeros(dv.rows, dw.cols, field)],
-                 [Matrix.zeros(dw.rows, dv.cols, field), dw]], field)
-        diffs[i] = RepMorphism(terms[i], terms[i + 1], comps)
-    return BoundedComplex(v.quiver, terms, diffs, field, check=False)
+    return cone(ChainMap(shift(v, -1), w, {}))
 
 
 def split_vector_complex(cx):

@@ -180,11 +180,6 @@ class Matrix:
             out.append(s)
         return self.field.vector(out)
 
-    def transpose(self):
-        return Matrix._raw(self.cols, self.rows,
-                           tuple(self.column(i) for i in range(self.cols)),
-                           self.field)
-
     def is_zero(self):
         return all(not x for row in self.entries for x in row)
 

@@ -242,13 +242,6 @@ def yoneda_coordinates(alg, transform):
                                       transform.source_vertex)
 
 
-def compose_on_probe(alg, first, second):
-    """Yoneda coordinates of (second o first) for first: F_n => F_m and
-    second: F_m => F_l, evaluated on the probe M_n."""
-    return ProbeEvaluator(alg).compose(first.element, first.source_vertex,
-                                       second.element)
-
-
 @dataclass
 class NatTransSpace:
     source_vertex: str

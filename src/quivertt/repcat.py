@@ -97,9 +97,6 @@ class RepMorphism:
     target: Representation
     components: dict   # vertex -> Matrix
 
-    def component(self, v):
-        return self.components[v]
-
     def is_natural(self):
         for a in self.source.quiver.arrows:
             lhs = self.components[a.target] @ self.source.arrow_maps[a.label]
@@ -167,12 +164,6 @@ def direct_sum(v, w):
             [[va, Matrix.zeros(va.rows, wa.cols, field)],
              [Matrix.zeros(wa.rows, va.cols, field), wa]], field)
     return Representation(v.quiver, dims, maps, field)
-
-
-def morphism_tensor(f, g):
-    return RepMorphism(tensor(f.source, g.source), tensor(f.target, g.target),
-                       {v: kronecker(f.components[v], g.components[v])
-                        for v in f.components})
 
 
 def hom_space(v, w):
@@ -317,7 +308,6 @@ def extend_by_zero(rep, quiver):
 class FiltrationStep:
     level: int                  # 1-based position in the admissible order
     vertex: str
-    sub_bases: dict             # per-vertex basis of K_level inside the unit
     rep: Representation         # K_level as a representation
     relation_witness: object    # violated generator, or None
     quotient_is_simple: bool    # K_l / K_{l+1} matches the simple at `vertex`
@@ -335,17 +325,13 @@ def unit_filtration(quiver, relations, field=QQ):
     order = admissible_order(quiver)
     position = {v: i + 1 for i, v in enumerate(order)}
 
-    def bases(level):
-        return {v: ([(field.one,)] if position[v] >= level else [])
-                for v in quiver.vertices}
-
     steps = []
     k_level = unit_object(quiver, field)
     for level, vertex in enumerate(order, start=1):
         k_next, quot = _split(k_level, {
             v: [0] if position[v] > level else [] for v in quiver.vertices})
         simple = simple_object(quiver, vertex, field)
-        steps.append(FiltrationStep(level, vertex, bases(level), k_level,
+        steps.append(FiltrationStep(level, vertex, k_level,
                                     satisfies_relations(k_level, relations),
                                     quot == simple))
         k_level = k_next

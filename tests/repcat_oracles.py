@@ -124,7 +124,7 @@ def unit_filtration_oracle(quiver, relations, field=QQ):
         is_simple = (quot.dims == simple.dims
                      and all(quot.arrow_maps[a.label] == simple.arrow_maps[a.label]
                              for a in quiver.arrows))
-        steps.append(FiltrationStep(level, vertex, bases(level), sub_rep,
+        steps.append(FiltrationStep(level, vertex, sub_rep,
                                     satisfies_relations_oracle(sub_rep, relations),
                                     is_simple))
     return steps

@@ -1,11 +1,14 @@
 """The README's library example runs as written: every line of its
 `python` block that ends in a `# ...` comment prints exactly that
-comment, so the documented API cannot drift from the code."""
+comment, so the documented API cannot drift from the code.  Its command
+list names each command of the CLI once, with that command's flags."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from quivertt.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +36,21 @@ def test_the_library_example_prints_its_comments(monkeypatch):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected_output(block)
 
+
+def command_lines(text):
+    """The words of each `quivertt ...` line in the README's `sh` blocks,
+    with any trailing `# ...` comment dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    return [line.split("#")[0].split() for block in blocks
+            for line in block.splitlines() if line.startswith("quivertt ")]
+
+
+def test_the_command_list_matches_the_cli():
+    lines = command_lines((ROOT / "README.md").read_text())
+    assert sorted(words[1] for words in lines) == sorted(_COMMANDS)
+    for command, spec_file, *rest in (words[1:] for words in lines):
+        assert spec_file.endswith(".quiver")
+        flags = rest[0::2]
+        assert all(flag.startswith("--") for flag in flags), command
+        assert len(rest) == 2 * len(flags), command
+        assert [flag[2:] for flag in flags] == list(_COMMANDS[command][2])

@@ -9,8 +9,8 @@ from quivertt.path_algebra import PathAlgebra, module_hom_space
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver)
 from quivertt.repcat import hom_space
-from quivertt.reconstruct import (ReconstructionError, assemble_A,
-                                  center_and_z, compose_on_probe, phi, psi,
+from quivertt.reconstruct import (ProbeEvaluator, ReconstructionError,
+                                  assemble_A, center_and_z, phi, psi,
                                   rational_points, yoneda_coordinates)
 
 from conftest import FIXTURE_DIR, beilinson_text, load_fixture
@@ -79,6 +79,7 @@ class TestPhiPsi:
     def test_multiplicativity(self, small_spec):
         # phi(p * q) = phi(p) composed with phi(q) on probes
         alg = PathAlgebra(small_spec.quiver, small_spec.relations)
+        probes = ProbeEvaluator(alg)
         for i in range(alg.dim):
             for j in range(alg.dim):
                 n, m = alg.pair_of[i]
@@ -87,7 +88,8 @@ class TestPhiPsi:
                     continue
                 first = phi(alg, {i: QQ.one})
                 second = phi(alg, {j: QQ.one})
-                composed = compose_on_probe(alg, first, second)
+                composed = probes.compose(first.element, first.source_vertex,
+                                          second.element)
                 assert composed == alg.product({i: QQ.one}, {j: QQ.one})
 
 

@@ -7,7 +7,7 @@ from quivertt.quiver import Arrow, Quiver
 from quivertt.randgen import random_representation, random_tensor_quiver
 from quivertt.repcat import (Representation, RepresentationError,
                              extend_by_zero, hom_space, module_representation,
-                             morphism_tensor, restrict, satisfies_relations,
+                             restrict, satisfies_relations,
                              simple_object, sub_quotient, tensor,
                              unit_filtration, unit_object)
 
@@ -70,18 +70,6 @@ class TestTensor:
             assert satisfies_relations(v, relations) is None
             assert satisfies_relations(w, relations) is None
             assert satisfies_relations(tensor(v, w), relations) is None
-
-    def test_morphism_tensor_functorial(self):
-        spec = load_fixture("kronecker2")
-        u = unit_object(spec.quiver)
-        basis = hom_space(u, u)
-        f = basis[0]
-        fg = morphism_tensor(f, f)
-        assert fg.is_natural()
-        comp = fg.compose(fg)
-        expected = morphism_tensor(f.compose(f), f.compose(f))
-        assert all(comp.components[v] == expected.components[v]
-                   for v in spec.quiver.vertices)
 
 
 class TestHomSpace:

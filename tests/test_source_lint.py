@@ -12,7 +12,10 @@ quantifiers.  An element of F_p is a plain `int`: the element class
 `field.nonzero`, `field.vector`), so `modulus` is read only in `fields`
 and in the three loops that reduce for themselves, each for a measured
 reason: `linalg.combine`, `linalg.Echelon` and
-`path_algebra.GroebnerBasis.reduce`."""
+`path_algebra.GroebnerBasis.reduce`.  Every function, class and method of
+the library is named outside its own body in the library, `scripts/` or
+`perfbench/`; the check goes by name, and `UNCALLED` lists the paper's
+maps that stay without a caller, each with its reason."""
 
 import ast
 import importlib
@@ -210,3 +213,119 @@ def test_the_modulus_check_sees_every_form():
     assert reader_site("dsl.py", "combine") is None
     assert reader_site("path_algebra.py", "GroebnerBasis") is None
     assert reader_site("fields.py", "PrimeField.__init__") == "fields.py"
+
+
+# Nothing in the library lacks a caller.  A function, class or method
+# defined in `src/quivertt` must be named outside its own body somewhere in
+# the library, `scripts/` or `perfbench/`; a test alone does not keep it.
+# The paper's maps stay even before a caller comes: each such exception is
+# listed here with its reason.
+USERS = (LIBRARY + sorted((SRC.parents[1] / "scripts").glob("*.py"))
+         + sorted((SRC.parents[1] / "perfbench").glob("*.py")))
+UNCALLED = {
+    "on_complex": "PhiTransformation.on_complex is phi acting on a complex, "
+                  "one of the paper's maps; recovering the quiver from the "
+                  "assembled algebra (ROADMAP, route A) calls it",
+}
+
+
+def definitions(source):
+    """The qualified names of the functions, classes and methods that
+    `source` defines, at any depth, dunder names aside."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    out.append(".".join(scope + (child.name,)))
+                walk(child, scope + (child.name,))
+            else:
+                walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return out
+
+
+def names_used(source):
+    """Every name that `source` uses outside the body of the definition
+    that bears it: a `Name`, an attribute, an imported name or its alias
+    (so a re-export counts), and each dotted segment of a string, as in
+    the tracer's "ProbeEvaluator.compose"."""
+    out = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                found = [child.id]
+            elif isinstance(child, ast.Attribute):
+                found = [child.attr]
+            elif isinstance(child, ast.alias):
+                found = child.name.split(".") + [child.asname]
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                found = [s for s in child.value.split(".") if s.isidentifier()]
+            else:
+                found = []
+            out.update(name for name in found if name and name not in scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, scope | {child.name})
+            else:
+                walk(child, scope)
+
+    walk(ast.parse(source), frozenset())
+    return out
+
+
+def uncalled(defining, using, allowed=()):
+    """The definitions in `defining`, {module name: source}, whose names no
+    source in `using` names, as "module.qualified.name".  The check is by
+    name alone: a method that shares its name with a called one elsewhere,
+    even in another class, counts as called."""
+    used = set(allowed).union(*(names_used(source) for source in using))
+    return [f"{module}.{qualname}" for module, source in defining.items()
+            for qualname in definitions(source)
+            if qualname.rsplit(".", 1)[-1] not in used]
+
+
+def test_every_definition_in_the_library_has_a_caller():
+    assert {p.parent.name for p in USERS} == {"quivertt", "scripts",
+                                              "perfbench"}
+    defining = {p.stem: p.read_text() for p in LIBRARY}
+    using = [p.read_text() for p in USERS]
+    assert uncalled(defining, using, UNCALLED) == []
+    # each exception is still defined and still without a caller, so the
+    # list does not go stale
+    assert sorted(uncalled(defining, using)) == [
+        "reconstruct.PhiTransformation.on_complex"]
+
+
+def test_the_caller_check_sees_every_form():
+    source = ("class Walker:\n"
+              "    def __init__(self):\n"
+              "        self.step()\n"
+              "    def step(self):\n"
+              "        return 1\n"
+              "    def again(self):\n"
+              "        return self.again()\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        return 0\n"
+              "    return inner() + Walker().step()\n"
+              "def traced():\n"
+              "    pass\n"
+              "def exported():\n"
+              "    pass\n"
+              "def kept():\n"
+              "    pass\n")
+    assert definitions(source) == ["Walker", "Walker.step", "Walker.again",
+                                   "outer", "outer.inner", "traced",
+                                   "exported", "kept"]
+    using = [source, 'WRAPPED = [("m", "Walker.traced")]\n',
+             "from .m import exported as public, outer\n"]
+    assert uncalled({"m": source}, using) == ["m.Walker.again", "m.kept"]
+    assert uncalled({"m": source}, using, {"kept"}) == ["m.Walker.again"]
+    assert uncalled({"m": source}, using[:2]) == [
+        "m.Walker.again", "m.outer", "m.exported", "m.kept"]
