@@ -211,7 +211,6 @@ class PathAlgebra:
             for _, p in gen.terms:
                 self._check_path(p)
         self._build()
-        self._generator_relations = {}
         self._tensor_check = None
 
     @property
@@ -403,28 +402,16 @@ class PathAlgebra:
         generator of M_m: the kernel of the action map Lambda -> M_m,
         w -> e_m * w.  Each relation is a {basis index: c} dict.
 
-        The kernel's basis comes from `Echelon`.  It is scanned in order,
-        and a relation kappa is kept unless a relation g kept before it
-        certifies it: g * kappa = kappa puts kappa in g * Lambda.  So every
-        dropped relation lies in the right ideal the kept ones generate,
-        and an element that kills the kept ones kills the whole kernel.
-        The kept ones are tried newest first."""
-        rels = self._generator_relations.get(m)
-        if rels is None:
-            e_m = self.idempotent_index[m]
-            action = {}     # basis index of M_m -> linear form in w
-            for j in range(self.dim):
-                for gi, c in self.product_indices(e_m, j).items():
-                    action.setdefault(gi, {})[j] = c
-            ech = Echelon(self.dim, self.field)
-            for row in action.values():
-                ech.add(row)
-            rels = self._generator_relations[m] = []
-            for kappa in ech.sparse_kernel_basis():
-                if not any(self.product(g, kappa) == kappa
-                           for g in reversed(rels)):
-                    rels.append(kappa)
-        return rels
+        e_m times a basis class j is j if j starts at m and zero otherwise,
+        so the kernel is spanned by the classes that start at the other
+        vertices, and each such class j is e_v * j for its source v.  So
+        the other idempotents e_v generate the kernel, and a module map
+        out of M_m sends e_m into e_n Lambda e_m (Assem, Simson and
+        Skowronski, Elements of the Representation Theory of Associative
+        Algebras 1, 2006, ch. I).  They come in ascending index order."""
+        one = self.field.one
+        return [{self.idempotent_index[v]: one}
+                for v in self.order if v != m]
 
 
 # -- tensor-relation criterion ----------------------------------------
@@ -531,10 +518,12 @@ def module_hom_space(alg, n, m):
     A module map out of the cyclic module M_m is pinned down by the image
     v of the trivial-path generator; v is admissible exactly when it kills
     every relation of that generator, i.e. v * w = 0 whenever e_m * w = 0
-    in M_m.  It is enough that v kills a generating set of those relations
-    (`PathAlgebra.generator_relations`), since they generate the rest as a
-    right ideal.  Solving that linear system over the module basis of M_n
-    gives all maps.
+    in M_m.  It is enough that v kills a generating set of those relations,
+    the idempotents e_v for v != m (`PathAlgebra.generator_relations`),
+    since they generate the rest as a right ideal.  Solving that linear
+    system over the module basis of M_n gives all maps: it leaves the
+    classes from n to m, which route 1 of `reconstruct.assemble_A` lists
+    without a system, so the two routes meet in its dimension check.
     """
     field = alg.field
     mb_n = alg.module_basis(n)

@@ -245,13 +245,6 @@ class Path(_Record):
     def __len__(self):
         return len(self.arrows)
 
-    def compose(self, other):
-        """self followed by other; defined when target(self) = source(other)."""
-        if self.target != other.source:
-            raise QuiverError(
-                f"paths {self} and {other} do not compose")
-        return Path(self.source, other.target, self.arrows + other.arrows)
-
     def sort_key(self):
         return (len(self.arrows), self.arrows)
 

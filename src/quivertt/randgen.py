@@ -94,15 +94,22 @@ def random_complex(rng, quiver, relations, field=QQ, depth=2,
                    include_projectives=True):
     """A random bounded complex whose terms satisfy the relations.
 
-    Built from single representations in random degrees by shifting,
-    summing, and taking cones of random morphisms (placed as two-term
-    complexes) and of zero chain maps, so d^2 = 0 holds structurally."""
+    Built from leaves in random degrees by shifting, summing, and taking
+    cones of zero chain maps, so d^2 = 0 holds structurally.  A leaf is a
+    random representation or, about half the time, the two-term complex
+    of a basis morphism from it to another one, a nonzero differential
+    whenever such a morphism exists."""
+    def rep():
+        return random_representation(rng, quiver, relations, field,
+                                     max_summands=2,
+                                     include_projectives=include_projectives)
+
     def leaf():
-        rep = random_representation(rng, quiver, relations, field,
-                                    max_summands=2,
-                                    include_projectives=include_projectives)
-        return shift(BoundedComplex.from_representation(rep),
-                     rng.randint(-1, 1))
+        v = rep()
+        maps = hom_space(v, rep()) if rng.random() < 0.5 else ()
+        cx = (BoundedComplex.from_map(rng.choice(maps)) if maps
+              else BoundedComplex.from_representation(v))
+        return shift(cx, rng.randint(-1, 1))
 
     cx = leaf()
     for _ in range(rng.randint(0, depth)):

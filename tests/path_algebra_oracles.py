@@ -23,11 +23,19 @@ plain `int`s, on which the oracles' sums would run over Z.
 from types import SimpleNamespace
 
 from quivertt.linalg import Matrix, combine
-from quivertt.quiver import (Relation, admissible_order, enumerate_paths,
-                             full_subquiver)
+from quivertt.quiver import (Path, QuiverError, Relation, admissible_order,
+                             enumerate_paths, full_subquiver)
 
 from fields_oracle import oracle_field
 from linalg_oracles import RREFEchelonOracle, solve_many_oracle
+
+
+def join_paths(p, q):
+    """The path p followed by the path q; defined when p ends where q
+    starts."""
+    if p.target != q.source:
+        raise QuiverError(f"paths {p} and {q} do not compose")
+    return Path(p.source, q.target, p.arrows + q.arrows)
 
 
 def ideal_rows_oracle(pair, generators, paths_by_pair, field):
@@ -45,7 +53,7 @@ def ideal_rows_oracle(pair, generators, paths_by_pair, field):
             for right in rights:
                 vec = [field.zero] * len(plist)
                 for c, mid in gen.terms:
-                    full = left.compose(mid).compose(right)
+                    full = join_paths(join_paths(left, mid), right)
                     k = index[full]
                     vec[k] = vec[k] + c
                 if any(vec):
@@ -229,7 +237,7 @@ class QuotientSumsOracle:
         pi, pj = self.alg.basis[i], self.alg.basis[j]
         if pi.target != pj.source:
             return {}
-        return self.nf(pi.compose(pj))
+        return self.nf(join_paths(pi, pj))
 
     def arrow_step(self, x, arrow):
         """(basis class x) * (class of `arrow`), keys ascending."""

@@ -12,10 +12,16 @@ matrices are over that field.
 `combine_yoneda` and `combine_compose` are the exception: they are the
 evaluator's sums as single `linalg.combine` calls, over the algebra's own
 field, against which the evaluator's copies of cached walks are checked.
+So are `generator_relations_oracle` and `idempotent_commutant_oracle`:
+they solve, with `linalg.Echelon` over the algebra's own field, the two
+systems whose answers `PathAlgebra.generator_relations` and
+`reconstruct.center_and_z` read off the basis, and
+`two_stage_center_oracle` is the center solved on top of the second.
 """
 
-from quivertt.linalg import Matrix, combine
+from quivertt.linalg import Echelon, Matrix, combine
 from quivertt.quiver import Path
+from quivertt.reconstruct import _commutant
 from quivertt.repcat import Representation
 
 from fields_oracle import oracle_field
@@ -187,3 +193,42 @@ def combine_compose(evaluator, elem1, n, elem2):
     return combine(((c * a, evaluator.walk(x, j))
                     for j, c in elem2.items() for x, a in first.items()),
                    evaluator.alg.field)
+
+
+def generator_relations_oracle(alg, m):
+    """`PathAlgebra.generator_relations(m)` as a solved system: the kernel
+    of w -> e_m * w by `Echelon`, scanned in order, with a relation kappa
+    kept unless a relation g kept before it certifies it, g * kappa =
+    kappa, which puts kappa in g * Lambda."""
+    e_m = alg.idempotent_index[m]
+    action = {}     # basis index of M_m -> linear form in w
+    for j in range(alg.dim):
+        for gi, c in alg.product_indices(e_m, j).items():
+            action.setdefault(gi, {})[j] = c
+    ech = Echelon(alg.dim, alg.field)
+    for row in action.values():
+        ech.add(row)
+    rels = []
+    for kappa in ech.sparse_kernel_basis():
+        if not any(alg.product(g, kappa) == kappa for g in reversed(rels)):
+            rels.append(kappa)
+    return rels
+
+
+def idempotent_commutant_oracle(alg):
+    """The commutant of the idempotents as a solved system: `_commutant`
+    of every basis class against every idempotent, as the kernel basis in
+    all dim unknowns."""
+    one = alg.field.one
+    return _commutant(alg, [{i: one} for i in range(alg.dim)],
+                      [alg.idempotent(v) for v in alg.quiver.vertices])
+
+
+def two_stage_center_oracle(alg):
+    """The center solved in two stages: the arrow commutators in unknowns
+    over the basis of `idempotent_commutant_oracle`, mapped back."""
+    field = alg.field
+    stage1 = idempotent_commutant_oracle(alg)
+    arrows = [alg.nf_path(Path.from_arrows([a])) for a in alg.quiver.arrows]
+    return [combine(((c, stage1[r]) for r, c in y.items()), field)
+            for y in _commutant(alg, stage1, arrows)]

@@ -15,13 +15,13 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix, rank
 from quivertt.path_algebra import (PathAlgebra, compatibility,
                                    is_tensor_relations)
-from quivertt.quiver import Arrow, Path, Quiver, enumerate_paths
+from quivertt.quiver import Arrow, Path, Quiver, QuiverError, enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import (FIXTURE_NAMES, is_element, load_beilinson,
                       load_fixture, relation_from_terms)
 from path_algebra_oracles import (compatibility_oracle, ideal_rows_oracle,
-                                  quotient_oracle)
+                                  join_paths, quotient_oracle)
 
 FIELDS = [QQ, PrimeField(101)]
 
@@ -107,6 +107,21 @@ def instances():
     for text in (WEIGHTED, DIAMOND, SQUARE, OVERLAP, INCLUSION):
         yield pytest.param(lambda t=text: of_spec(parse_quiver(t)),
                            id=text.split()[1])
+
+
+def test_join_paths():
+    # the oracles' own path join: the library joins words, not paths
+    p = Path.from_arrows([Arrow("a1", "1", "2")])
+    r = Path.from_arrows([Arrow("a2", "2", "3")])
+    assert join_paths(p, r).word() == "a1*a2"
+    with pytest.raises(QuiverError):
+        join_paths(r, p)
+
+
+def test_trivial_paths_are_identities_for_join():
+    p = Path.from_arrows([Arrow("a1", "1", "2")])
+    assert join_paths(Path.trivial("1"), p) == p
+    assert join_paths(p, Path.trivial("2")) == p
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

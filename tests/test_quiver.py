@@ -101,19 +101,6 @@ class TestAdmissibleOrder:
 
 
 class TestPath:
-    def test_compose(self):
-        q = chain(3)
-        p = Path.from_arrows([q.arrow("a1")])
-        r = Path.from_arrows([q.arrow("a2")])
-        assert p.compose(r).word() == "a1*a2"
-        with pytest.raises(QuiverError):
-            r.compose(p)
-
-    def test_trivial_identity_for_compose(self):
-        p = Path.from_arrows([chain(3).arrow("a1")])
-        assert Path.trivial("1").compose(p) == p
-        assert p.compose(Path.trivial("2")) == p
-
     def test_non_composable_arrows_rejected(self):
         q = chain(4)
         with pytest.raises(QuiverError):

@@ -232,6 +232,46 @@ class TestAssembleA:
         assert doc["verdict"]["round_trip_identity"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
+    @pytest.mark.parametrize("name", ["beilinson2", "chain4", "kronecker2"])
+    def test_missing_generator_relation_clears_round_trip(self, monkeypatch,
+                                                          name):
+        # without its last relation, route 2 admits generator images
+        # outside e_n Lambda e_m; psi refuses them, and that clears the
+        # round trip in the report instead of raising out of the command
+        real = PathAlgebra.generator_relations
+        monkeypatch.setattr(PathAlgebra, "generator_relations",
+                            lambda self, m: real(self, m)[:-1])
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / f"{name}.quiver")])
+        assert code == 0
+        assert doc["verdict"]["round_trip_identity"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
+
+    def test_module_map_outside_its_pair_clears_round_trip(self,
+                                                           monkeypatch):
+        # route 2 adds the generator e_n to a map n -> m with n != m: the
+        # dimensions still match, and only the round trip sees it
+        real = reconstruct.module_hom_space
+        spec = load_fixture("kronecker2")
+        arrow = spec.quiver.arrows[0]
+
+        def stray(alg, n, m):
+            images = real(alg, n, m)
+            if (n, m) == (arrow.source, arrow.target):
+                images[0] = {**images[0],
+                             alg.idempotent_index[n]: alg.field.one}
+            return images
+
+        monkeypatch.setattr(reconstruct, "module_hom_space", stray)
+        verdict = assemble_A(algebra_of(spec)).verdict
+        assert verdict.dimensions_match is True
+        assert verdict.round_trip_identity is False
+        assert verdict.structure_constants_match is True
+        doc, code = run_command(
+            ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
+        assert code == 0
+        assert doc["isomorphic_to_path_algebra"] is False
+
     def test_wrong_structure_constant_clears_match(self, monkeypatch):
         # e_s * a = a for the arrow a: s -> t; the path algebra route
         # now claims 2a, while the probes still compose to a
@@ -265,9 +305,9 @@ class TestAssembleA:
         # one `yoneda` per basis class and one `compose` and one `product`
         # per composable pair: the probe span of the tracer and the
         # patched `product` above see every check
+        # route 2's `generator_relations` reads the idempotents off the
+        # basis and calls no `product`, so every counted call is a check
         alg = algebra_of(load_fixture("beilinson2"))
-        for m in alg.quiver.vertices:   # cached; these call `product` too
-            alg.generator_relations(m)
         calls = {"yoneda": 0, "compose": 0, "product": 0}
 
         def counted(owner, name):

@@ -15,12 +15,15 @@ from quivertt.dsl import parse_quiver, parse_quiver_file
 from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import PathAlgebra, module_hom_space
 from quivertt.randgen import random_tensor_quiver
-from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
+from quivertt.reconstruct import (ProbeEvaluator, ReconstructedAlgebra,
+                                  assemble_A, center_and_z)
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, is_element, load_fixture
 from path_algebra_oracles import quotient_oracle
-from reconstruct_oracles import (center_basis_oracle, module_hom_space_oracle,
-                                 probe_oracle)
+from reconstruct_oracles import (center_basis_oracle, generator_relations_oracle,
+                                 idempotent_commutant_oracle,
+                                 module_hom_space_oracle, probe_oracle,
+                                 two_stage_center_oracle)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "reconstruct"
 GOLDEN_F101_DIR = GOLDEN_DIR.parent / "reconstruct-f101"
@@ -73,12 +76,61 @@ def test_module_hom_space_matches_oracle(make, arg, field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("make, arg", list(instances()))
 def test_generator_relations_are_one_per_other_vertex(make, arg, field):
-    # the certified generating set keeps one relation per vertex other
-    # than m, out of the dim Lambda - dim M_m in the kernel's basis
+    # the idempotents of the other vertices, one each, in ascending index
+    # order
     quiver, relations = make(arg)
     alg = PathAlgebra(quiver, relations, field)
     for m in quiver.vertices:
-        assert len(alg.generator_relations(m)) == len(quiver.vertices) - 1
+        want = [[(i, field.one)] for i in sorted(
+            alg.idempotent_index[v] for v in quiver.vertices if v != m)]
+        assert [list(r.items()) for r in alg.generator_relations(m)] == want
+
+
+# -- the closed forms read off the basis against the systems they replace
+
+ORACLE_FIELDS = [QQ, PrimeField(2), PrimeField(101)]
+SPEC_NAMES = sorted(p.stem for p in SPEC_DIR.glob("*.quiver"))
+
+
+def has_image(relations, field):
+    try:
+        for rel in relations:
+            for c, _ in rel.terms:
+                field(c)
+    except ZeroDivisionError:   # 1/2 has no image in F_2
+        return False
+    return True
+
+
+def closed_form_cases():
+    for field in ORACLE_FIELDS:
+        for case in instances():
+            yield pytest.param(*case.values, field, id=f"{case.id}-{field}")
+        for name in SPEC_NAMES:
+            if has_image(spec_instance(name)[1], field):
+                yield pytest.param(spec_instance, name, field,
+                                   id=f"{name}-{field}")
+
+
+@pytest.mark.parametrize("make, arg, field", list(closed_form_cases()))
+def test_closed_forms_match_their_systems(make, arg, field):
+    # the other idempotents are the relations the kernel of w -> e_m * w
+    # keeps after certification, and the diagonal classes are the kernel
+    # basis of the idempotents' commutant, so the center solved over them
+    # is the center solved in two stages; no tensor check is needed
+    quiver, relations = make(arg)
+    alg = PathAlgebra(quiver, relations, field)
+    for m in quiver.vertices:
+        assert ([list(r.items()) for r in alg.generator_relations(m)]
+                == [list(r.items()) for r in generator_relations_oracle(alg, m)])
+    assert idempotent_commutant_oracle(alg) == [
+        {i: field.one} for i, (s, t) in enumerate(alg.pair_of) if s == t]
+    center = center_and_z(ReconstructedAlgebra(alg, {}, None))
+    want = two_stage_center_oracle(alg)
+    assert [list(v.items()) for v in center.center_basis] \
+        == [list(v.items()) for v in want]
+    assert all(is_element(c, field)
+               for v in center.center_basis for c in v.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
