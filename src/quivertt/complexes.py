@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (Coordinates, DimensionMismatch, Echelon, Matrix,
-                     block_matrix, complete_basis, kernel_basis, kronecker)
+                     block_matrix, kernel_basis, kronecker)
 from .quiver import ResourceBudget
 from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
@@ -313,7 +313,9 @@ def split_vector_complex(cx):
 
     Returns (cohomology complex, map to it, map from it); both maps are
     chain maps and their composite in either order induces the identity on
-    cohomology.
+    cohomology.  The map to it takes each standard vector to its
+    coordinates on the representatives, read off a `Coordinates` of the
+    representatives and the image basis completed by standard vectors.
     """
     if len(cx.quiver.vertices) != 1:
         raise ComplexError("splitting requires a one-vertex quiver")
@@ -325,13 +327,13 @@ def split_vector_complex(cx):
         d = cx.term_dim(i, x)
         reps = gvs.representatives.get(i, [])
         img = gvs.image_basis.get(i, [])
-        _, inv = complete_basis(list(img) + list(reps), d, field)
-        proj = Matrix.from_rows([inv.row(r) for r in
-                                 range(len(img), len(img) + len(reps))],
-                                field, cols=d)
+        coords = Coordinates(list(reps) + list(img), d, field)
+        to_comps[i] = Matrix.from_columns(
+            [coords.completed(e)[:len(reps)]
+             for e in Matrix.identity(d, field).columns()],
+            field, rows=len(reps))
         if reps:
             h_terms[i] = Representation(cx.quiver, {x: len(reps)}, {}, field)
-        to_comps[i] = proj
         from_comps[i] = Matrix.from_columns(list(reps), field, rows=d)
     h_cx = BoundedComplex(cx.quiver, h_terms, {}, field)
     to_h = ChainMap(cx, h_cx,
@@ -365,7 +367,8 @@ def complex_to_json(cx):
 
 def complex_from_json(data, quiver, field=QQ):
     """The complex a JSON object describes (format in docs/output-schema.md).
-    Raises ComplexError on a vertex key the quiver does not have, or a
+    Raises ComplexError on a degree key that is not an integer in
+    canonical decimal form, a vertex key the quiver does not have, or a
     dimension that is not a non-negative JSON integer, and ResourceBudget
     when the dimensions add up to more than MAX_COMPLEX_DIM, before
     building any matrix."""
@@ -396,10 +399,10 @@ def complex_from_json(data, quiver, field=QQ):
             maps[label] = Matrix(dims.get(a.target, 0), dims.get(a.source, 0),
                                  [[field.parse(str(x)) for x in row] for row in grid],
                                  field)
-        terms[int(key)] = Representation(quiver, dims, maps, field)
+        terms[_degree("term", key)] = Representation(quiver, dims, maps, field)
     diffs = {}
     for key, comp_data in data.get("differentials", {}).items():
-        i = int(key)
+        i = _degree("differential", key)
         src = terms.get(i, zero_object(quiver, field))
         tgt = terms.get(i + 1, zero_object(quiver, field))
         _check_vertices(f"differential {key}", comp_data, quiver)
@@ -411,6 +414,17 @@ def complex_from_json(data, quiver, field=QQ):
                               field)
         diffs[i] = RepMorphism(src, tgt, comps)
     return BoundedComplex(quiver, terms, diffs, field)
+
+
+def _degree(where, key):
+    """The degree a key of `terms` or `differentials` names.  Only the
+    canonical decimal form of an int, the form `complex_to_json` writes,
+    names one, so no two keys name the same degree."""
+    i = int(key)
+    if str(i) != key:
+        raise ComplexError(f"{where} key {key!r} is not a degree in canonical "
+                           f"decimal form (no '+', leading 0, space or '_')")
+    return i
 
 
 def _check_vertices(where, by_vertex, quiver):

@@ -9,9 +9,11 @@ nothing here assumes positive dimensions.
 All elimination goes through `Echelon`, which stores its rows sparse, as
 {column: value} dicts, because the systems it solves (ideal rows, Hom
 constraints, commutators) have a handful of nonzeros per row.  `rref` and
-`kernel_basis` read their answers off it, and `Coordinates` reads the
-coordinates of a vector in a set of columns off one echelon of the columns
-augmented by the identity.
+`kernel_basis` read their answers off it.  `Coordinates` is the one
+basis-change routine: one echelon of the columns augmented by the identity
+gives the coordinates of a vector in the columns, the standard basis
+vectors that complete them greedily to a basis, and the coordinates in
+that completed basis, so no inverse matrix is formed.
 
 Sparse vectors are {index: value} dicts, the format `Echelon` eats.
 `combine` is the one sparse linear-combination routine: folded normal
@@ -436,36 +438,25 @@ def _subtract(v, f, row, pivot, p):
                     del v[c]
 
 
-def complete_basis(cols, dim, field=QQ):
-    """Extend the columns `cols` of length `dim` greedily by standard basis
-    vectors to a basis of field^dim.
-
-    Returns (the added standard vectors, the inverse of [cols | added]).
-    """
-    ech = Echelon(dim, field)
-    for col in cols:
-        ech.add(col)
-    added = []
-    for j in range(dim):
-        e = [field.zero] * dim
-        e[j] = field.one
-        if ech.add(e):
-            added.append(tuple(e))
-    coords = Coordinates(list(cols) + added, dim, field)
-    ident = Matrix.identity(dim, field)
-    inv_cols = [coords.of(ident.column(j)) for j in range(dim)]
-    return added, Matrix.from_columns(inv_cols, field, rows=coords.k)
-
-
 class Coordinates:
-    """The coordinates x of a vector v = sum x_i c_i in the columns c_i of
-    length `dim`, read off one `Echelon` of the augmented rows [c_i | e_i]:
-    reducing [v | 0] leaves [0 | -x] exactly when v is in the span.  With
-    independent columns these are the unique coordinates.
+    """Coordinates in the columns c_i of length `dim`, completed greedily
+    by standard basis vectors, read off one `Echelon`.
 
-    `of` raises `InconsistentSystem` for a vector outside the span, and
-    `DimensionMismatch` for one whose length is not `dim`, which would
-    otherwise spill into the coordinate columns.
+    The echelon holds the augmented rows [c_i | e_i] with the entries of
+    each c_i written last to first, so a pivot among the first `dim`
+    columns is the last nonzero entry of a vector of the span.  The
+    standard indices j whose entry is no such pivot are `complement`, in
+    ascending order: e_j is in it iff it lies outside the span of the
+    columns and of the e_j before it, the greedy completion.  Reducing
+    [v | 0] leaves [r | -x], where v = sum x_i c_i + r and r is zero off
+    `complement`.  `completed` returns x followed by r at `complement`:
+    with independent columns, the column at v of the inverse of
+    [c_i | e_j for j in complement].
+
+    `of` returns x alone and raises `InconsistentSystem` for a vector
+    outside the span.  Both raise `DimensionMismatch` for a vector whose
+    length is not `dim`, which would otherwise spill into the coordinate
+    columns.
     """
 
     def __init__(self, cols, dim, field=QQ):
@@ -477,18 +468,24 @@ class Coordinates:
         for i, col in enumerate(cols):
             if len(col) != dim:
                 raise DimensionMismatch("column length must equal dim")
-            row = dict(enumerate(col))
+            row = dict(enumerate(col[::-1]))
             row[dim + i] = field.one
             self._ech.add(row)
+        self.complement = tuple(j for j in range(dim)
+                                if dim - 1 - j not in self._ech.rows)
 
-    def of(self, vec):
+    def completed(self, vec):
         dim = self.dim
         if len(vec) != dim:
             raise DimensionMismatch("vector length must equal dim")
-        res = self._ech._residue(vec)
-        if any(c < dim for c in res):
+        res = self._ech._residue(vec[::-1])
+        zero = self.field.zero
+        return self.field.vector(
+            [-res.get(dim + i, zero) for i in range(self.k)]
+            + [res.get(dim - 1 - j, zero) for j in self.complement])
+
+    def of(self, vec):
+        full = self.completed(vec)
+        if any(full[self.k:]):
             raise InconsistentSystem("vector not in the span of the columns")
-        x = [self.field.zero] * self.k
-        for c, a in res.items():
-            x[c - dim] = -a
-        return self.field.vector(x)
+        return full[:self.k]

@@ -52,7 +52,6 @@ it and skips zeros.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -222,11 +221,12 @@ class PathAlgebra:
             self._tensor_check = is_tensor_relations(self)
         return self._tensor_check
 
-    @functools.cached_property
+    @property
     def paths_by_pair(self):
-        """Every path, grouped by (source, target).  Kept only because
-        `perfbench/tracing.py` counts ideal rows from it; the algebra never
-        lists its paths."""
+        """Every path, grouped by (source, target), listed on each read.
+        Kept only because `perfbench/tracing.py` counts ideal rows from it,
+        once per build; the algebra never lists its paths.  Not a
+        cached_property, for the reason `tensor_check` is not."""
         return enumerate_paths(self.quiver)[1]
 
     # -- construction -------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import (DimensionMismatch, Matrix, block_matrix, complete_basis,
+from .linalg import (Coordinates, DimensionMismatch, Matrix, block_matrix,
                      kernel_basis, kronecker)
 from .quiver import QuiverError, admissible_order, full_subquiver
 
@@ -219,30 +219,38 @@ def sub_quotient(rep, sub_bases):
     under which their span is not stable.
 
     Each vertex's vectors are completed greedily by standard basis vectors
-    (`complete_basis`) to a basis P_x with inverse Q_x.  In those bases
-    every arrow matrix becomes Q_t A P_s, and the sub and the quotient are
-    its leading and trailing coordinate blocks (`_split`).  The inclusion
-    is the given vectors, and the projection is the trailing rows of Q_x.
+    e_j to a basis, and one `Coordinates` per vertex reads coordinates in
+    it.  Each arrow matrix is rewritten in those bases column by column: the
+    coordinates at its target of the image of each basis vector of its
+    source.  The sub and the quotient are the leading and trailing
+    coordinate blocks of the rewritten matrices (`_split`).  The inclusion
+    is the given vectors, and the projection takes each e_j to its trailing
+    coordinates.
     """
     field = rep.field
     quiver = rep.quiver
-    basis, inverse, kept = {}, {}, {}
+    coords, basis, kept = {}, {}, {}
     incl, proj = {}, {}
     for x in quiver.vertices:
         d = rep.dims[x]
         cols = [tuple(field(c) for c in col) for col in sub_bases.get(x, [])]
         if any(len(col) != d for col in cols):
             raise RepresentationError(f"bad subspace vector length at {x}")
-        added, inverse[x] = complete_basis(cols, d, field)
-        if len(cols) + len(added) != d:
+        coords[x] = c = Coordinates(cols, d, field)
+        k = len(cols)
+        if k + len(c.complement) != d:
             raise RepresentationError(
                 f"subspace vectors at {x} are linearly dependent")
-        basis[x] = Matrix.from_columns(cols + added, field, rows=d)
-        kept[x] = range(len(cols))
+        ident = Matrix.identity(d, field).columns()
+        basis[x] = cols + [ident[j] for j in c.complement]
+        kept[x] = range(k)
         incl[x] = Matrix.from_columns(cols, field, rows=d)
-        proj[x] = _block(inverse[x], range(len(cols), d), range(d))
+        proj[x] = Matrix.from_columns([c.completed(e)[k:] for e in ident],
+                                      field, rows=d - k)
     moved = Representation(quiver, rep.dims, {
-        a.label: inverse[a.target] @ rep.arrow_maps[a.label] @ basis[a.source]
+        a.label: Matrix.from_columns(
+            [coords[a.target].completed(rep.arrow_maps[a.label].apply(b))
+             for b in basis[a.source]], field, rows=rep.dims[a.target])
         for a in quiver.arrows}, field)
     sub_rep, quot_rep = _split(moved, kept)
     return (sub_rep, quot_rep, RepMorphism(sub_rep, rep, incl),

@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from quivertt.dsl import parse_quiver, parse_quiver_file
 from quivertt.fields import QQ
@@ -59,6 +60,21 @@ def element_types(field):
     if isinstance(field, fields_oracle.PrimeField):
         return (fields_oracle.FpElement,)
     return (int,)
+
+
+@st.composite
+def unit_lower_triangular(draw, d):
+    """A random unit lower-triangular integer matrix T of size d and its
+    inverse, as lists of int rows.  The inverse is integral too, so both
+    map into every field, where they stay inverse to each other."""
+    t = [[draw(st.integers(-2, 2)) if j < i else int(i == j) for j in range(d)]
+         for i in range(d)]
+    inv = []
+    for i in range(d):
+        # row i of T^-1 from T T^-1 = 1, by forward substitution
+        inv.append([int(i == j) - sum(t[i][k] * inv[k][j] for k in range(i))
+                    for j in range(d)])
+    return t, inv
 
 
 def is_element(x, field):

@@ -375,6 +375,39 @@ class TestExitCodes:
         assert code == 2 and doc["error_type"] == "ParseError"
         assert "differential 0" in doc["error"] and "'zz'" in doc["error"]
 
+    @pytest.mark.parametrize("terms, diffs, words", [
+        ({"0": 1, "1": 1}, {"0": [["1"]], "00": [["0"]]},
+         ["differential key '00'"]),
+        ({"0": 1, "1": 1}, {"+0": [["1"]]}, ["differential key '+0'"]),
+        ({"0": 1, "-0": 1}, {}, ["term key '-0'"]),
+        ({"0": 1, " 1": 1}, {}, ["term key ' 1'"]),
+        ({"1_0": 1}, {}, ["term key '1_0'"])],
+        ids=["duplicate-zero", "plus-sign", "minus-zero", "space",
+             "underscore"])
+    def test_non_canonical_degree_key_is_2(self, tmp_path, terms, diffs,
+                                           words):
+        # int() reads each of these keys, so "00" would overwrite "0" and
+        # "1_0" would be degree 10
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({
+            "terms": {k: {"dims": {"1": d}} for k, d in terms.items()},
+            "differentials": {k: {"1": m} for k, m in diffs.items()}}))
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(cx))
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert all(w in doc["error"] for w in words), doc["error"]
+
+    def test_canonical_degree_keys_are_read(self, tmp_path):
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({
+            "terms": {"-1": {"dims": {"1": 1}}, "0": {"dims": {"1": 1}},
+                      "10": {"dims": {"1": 1}}},
+            "differentials": {"-1": {"1": [["1"]]}}}))
+        doc, code = run("support", fixture_path("kronecker2"),
+                        "--complex", str(cx))
+        assert code == 0 and doc["degrees"] == [-1, 0, 10]
+        assert doc["support"] == ["1"]
+
     @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])
     def test_large_prime_field_is_accepted_at_once(self, tmp_path, p):
         spec = tmp_path / "big.quiver"

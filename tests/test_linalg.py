@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import (Coordinates, DimensionMismatch, Echelon,
                              InconsistentSystem, Matrix, block_matrix,
-                             combine, complete_basis, kernel_basis, kronecker,
+                             combine, kernel_basis, kronecker,
                              rank, rref)
 
 from conftest import is_element
@@ -217,10 +217,80 @@ def test_coordinates_reject_wrong_length():
 @given(data=st.data())
 def test_complete_basis_inverts_completed_columns(field, data):
     dim, cols = data.draw(spans(field))
-    added, inv = complete_basis(cols, dim, field)
+    coords = Coordinates(cols, dim, field)
+    ident = Matrix.identity(dim, field)
+    added = [ident.column(j) for j in coords.complement]
+    inv = Matrix.from_columns([coords.completed(e) for e in ident.columns()],
+                              field, rows=dim)
     full = Matrix.from_columns(cols + added, field, rows=dim)
     assert inv @ full == Matrix.identity(dim, field)
     assert (added, inv) == complete_basis_oracle(cols, dim, field)
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coordinates_of_dependent_columns(field, data):
+    # any columns, dependent ones too: the complement is still the greedy
+    # one, and `completed` still writes v back from the columns and it
+    dim = data.draw(st.integers(0, 5))
+    drawn = data.draw(st.lists(st.lists(scalars(field), min_size=dim,
+                                        max_size=dim), max_size=dim + 2))
+    cols = [tuple(field(x) for x in col) for col in drawn]
+    coords = Coordinates(cols, dim, field)
+    ident = Matrix.identity(dim, field)
+    added = [ident.column(j) for j in coords.complement]
+    assert added == complete_basis_oracle(cols, dim, field)[0]
+    full = Matrix.from_columns(cols + added, field, rows=dim)
+    a = Matrix.from_columns(cols, field, rows=dim)
+    for _ in range(3):
+        v = tuple(field(c) for c in data.draw(
+            st.lists(scalars(field), min_size=dim, max_size=dim)))
+        got = coords.completed(v)
+        assert len(got) == len(cols) + len(added) and full.apply(got) == v
+        x = got[:len(cols)]
+        if any(got[len(cols):]):
+            with pytest.raises(InconsistentSystem):
+                coords.of(v)
+        else:
+            assert coords.of(v) == x and a.apply(x) == v
+
+
+def test_coordinates_of_dependent_columns_known_instance():
+    # c_1 = 2 c_0: the span is e_0, e_1, and e_2 completes it
+    cols = [(QQ(1), QQ(0), QQ(0)), (QQ(2), QQ(0), QQ(0)),
+            (QQ(0), QQ(1), QQ(0))]
+    coords = Coordinates(cols, 3)
+    assert coords.complement == (2,)
+    x = coords.of((QQ(4), QQ(5), QQ(0)))
+    assert Matrix.from_columns(cols, QQ, rows=3).apply(x) == (4, 5, 0)
+    assert coords.completed((QQ(0), QQ(0), QQ(7))) == (0, 0, 0, 7)
+    with pytest.raises(InconsistentSystem):
+        coords.of((QQ(0), QQ(0), QQ(1)))
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=str)
+def test_coordinates_of_no_columns_complete_by_every_standard_vector(field):
+    coords = Coordinates([], 3, field)
+    assert coords.complement == (0, 1, 2)
+    v = (field(2), field(0), field(-1))
+    assert coords.completed(v) == v
+    assert coords.of((field.zero,) * 3) == ()
+    with pytest.raises(InconsistentSystem):
+        coords.of(v)
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=str)
+def test_coordinates_of_a_basis_need_no_completion(field):
+    # determinant 1, so a basis over every field
+    cols = [(field(1), field(2), field(0)), (field(0), field(1), field(0)),
+            (field(3), field(1), field(1))]
+    coords = Coordinates(cols, 3, field)
+    assert coords.complement == ()
+    a = Matrix.from_columns(cols, field, rows=3)
+    for v in Matrix.identity(3, field).columns():
+        assert coords.completed(v) == coords.of(v)
+        assert a.apply(coords.of(v)) == v
 
 
 # -- incremental echelon -----------------------------------------------

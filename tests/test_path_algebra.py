@@ -203,6 +203,15 @@ class TestTensorGate:
             call(alg)
         assert alg.tensor_check.ok and calls == [alg]
 
+    def test_reading_paths_by_pair_adds_no_instance_key(self):
+        # a key added to the instance dict after __init__ slows every later
+        # attribute lookup on the algebra, traced runs included
+        spec = load_fixture("kronecker2")
+        alg = PathAlgebra(spec.quiver, spec.relations)
+        keys = list(vars(alg))
+        assert sum(len(p) for p in alg.paths_by_pair.values()) == alg.dim
+        assert list(vars(alg)) == keys
+
 
 class TestCompatibility:
     def test_square_example(self):

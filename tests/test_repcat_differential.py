@@ -13,7 +13,8 @@ from quivertt.randgen import random_representation, random_tensor_quiver
 from quivertt.repcat import (RepresentationError, Representation,
                              sub_quotient, unit_filtration)
 
-from conftest import FIXTURE_NAMES, element_types, load_fixture
+from conftest import (FIXTURE_NAMES, element_types, load_fixture,
+                      unit_lower_triangular)
 from repcat_oracles import (path_action_oracle, sub_quotient_oracle,
                             unit_filtration_oracle)
 
@@ -22,12 +23,17 @@ FIELDS = [QQ, PrimeField(101)]
 
 @st.composite
 def splits(draw, field):
-    """A random representation and per-vertex lists of distinct standard
-    basis vectors in shuffled order.  The (rest x kept) block of every
-    arrow is zeroed, so the span is stable, and then half the draws put
-    one nonzero entry into each such block that is not empty.  Some draws
-    pass the vectors as plain ints, and some scale one vector by 2, which
-    leaves the coordinate case."""
+    """A random representation and per-vertex lists of independent
+    vectors.  They start as distinct standard basis vectors in shuffled
+    order.  The (rest x kept) block of every arrow is zeroed, so the span
+    is stable, and then half the draws put one nonzero entry into each such
+    block that is not empty.  Some draws scale one vector by 2.  Last,
+    each vertex changes basis by a random unit lower-triangular T_v: each
+    arrow matrix A becomes T_t A T_s^-1 and each vector b becomes T_v b.
+    That keeps stable draws stable and unstable ones unstable, and it moves
+    the span off the standard vectors, where the complements that pivot at
+    the first and at the last nonzero entry differ.  Some draws pass the
+    vectors as plain ints."""
     n = draw(st.integers(1, 4))
     verts = tuple(str(i) for i in range(n))
     pairs = draw(st.lists(st.tuples(st.sampled_from(verts),
@@ -53,15 +59,25 @@ def splits(draw, field):
             i, j = draw(st.sampled_from(off))
             rows[i][j] = draw(st.sampled_from([-2, -1, 1, 2]))
         maps[a.label] = Matrix(dims[a.target], dims[a.source], rows, field)
-    rep = Representation(quiver, dims, maps, field)
-    as_ints = draw(st.booleans())
-    one, zero = (1, 0) if as_ints else (field.one, field.zero)
-    bases = {v: [tuple(one if r == i else zero for r in range(dims[v]))
-                 for i in kept[v]] for v in verts}
+    bases = {v: [tuple(int(r == i) for r in range(dims[v])) for i in kept[v]]
+             for v in verts}
     scaled = [v for v in verts if kept[v]]
     if scaled and draw(st.integers(0, 4)) == 0:
         v = draw(st.sampled_from(scaled))
         bases[v][0] = tuple(2 * c for c in bases[v][0])
+    change = {v: draw(unit_lower_triangular(dims[v])) for v in verts}
+    rep = Representation(quiver, dims, {
+        a.label: (Matrix(dims[a.target], dims[a.target],
+                         change[a.target][0], field)
+                  @ maps[a.label]
+                  @ Matrix(dims[a.source], dims[a.source],
+                           change[a.source][1], field))
+        for a in quiver.arrows}, field)
+    as_ints = draw(st.booleans())
+    coerce = int if as_ints else field
+    bases = {v: [tuple(coerce(sum(x * c for x, c in zip(row, b)))
+                       for row in change[v][0]) for b in bases[v]]
+             for v in verts}
     return rep, bases
 
 
