@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Random stress sweep: generate random tensor-relation quivers, reconstruct
 the path algebra from the derived category on each over QQ, F_2 and F_101,
-check the unit filtration, and cross-check the support calculus on random
-complexes.  Any failure prints the seed so the instance can be replayed.
+check the unit filtration over the same fields, and cross-check the
+support calculus on random complexes.  Any failure prints the seed so the
+instance can be replayed.
 
 The relations drawn are differences of two paths, so every rank, and with
 it the algebra, center and End(U) dimensions, is the same over every field;
@@ -32,17 +33,18 @@ class SweepConfig:
     complexes_per_quiver: int = 10
 
 
+FIELDS = (QQ, PrimeField(2), PrimeField(101))
+
+
 def filtration_ok(quiver, relations):
-    """Every step of the unit filtration satisfies the relations, has the
-    simple at its vertex as K_l / K_{l+1}, and has total dimension
-    |Q0| - level + 1."""
+    """Over each of FIELDS, every step of the unit filtration satisfies the
+    relations, has the simple at its vertex as K_l / K_{l+1}, and has total
+    dimension |Q0| - level + 1."""
     n = len(quiver.vertices)
     return all(step.relation_witness is None and step.quotient_is_simple
                and step.rep.total_dim == n - step.level + 1
-               for step in unit_filtration(quiver, relations))
-
-
-FIELDS = (QQ, PrimeField(2), PrimeField(101))
+               for field in FIELDS
+               for step in unit_filtration(quiver, relations, field))
 
 
 def reconstruction(quiver, relations, field):

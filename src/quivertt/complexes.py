@@ -44,9 +44,11 @@ def zero_morphism(src, tgt):
 
 class BoundedComplex:
     """Finitely many representation terms with differentials squaring to
-    zero at every vertex."""
+    zero at every vertex.  Every complex is checked when it is built: a
+    differential that is no morphism between its terms, or two that do not
+    compose to zero, raise ComplexError."""
 
-    def __init__(self, quiver, terms, differentials=None, field=QQ, check=True):
+    def __init__(self, quiver, terms, differentials=None, field=QQ):
         self.quiver = quiver
         self.field = field
         self.terms = {int(i): t for i, t in terms.items() if t.total_dim > 0}
@@ -58,10 +60,6 @@ class BoundedComplex:
                 if d is None:
                     d = zero_morphism(self.terms[i], self.terms[i + 1])
                 self.differentials[i] = d
-        if check:
-            self._validate()
-
-    def _validate(self):
         for i, d in self.differentials.items():
             if d.source is not self.terms[i] and d.source != self.terms[i]:
                 raise ComplexError(f"differential at degree {i} has wrong source")
@@ -216,7 +214,7 @@ def shift(cx, j):
     for i, d in cx.differentials.items():
         diffs[i - j] = RepMorphism(d.source, d.target,
                                    {v: m.scale(sign) for v, m in d.components.items()})
-    return BoundedComplex(cx.quiver, terms, diffs, cx.field, check=False)
+    return BoundedComplex(cx.quiver, terms, diffs, cx.field)
 
 
 def cone(f):
@@ -419,12 +417,12 @@ def complex_from_json(data, quiver, field=QQ):
 def _degree(where, key):
     """The degree a key of `terms` or `differentials` names.  Only the
     canonical decimal form of an int, the form `complex_to_json` writes,
-    names one, so no two keys name the same degree."""
-    i = int(key)
-    if str(i) != key:
+    names one, so no two keys name the same degree, and a key that `int`
+    cannot read names none."""
+    if not (key.removeprefix("-").isdecimal() and str(int(key)) == key):
         raise ComplexError(f"{where} key {key!r} is not a degree in canonical "
                            f"decimal form (no '+', leading 0, space or '_')")
-    return i
+    return int(key)
 
 
 def _check_vertices(where, by_vertex, quiver):

@@ -1,5 +1,6 @@
 """Exact linear algebra over a field object from `fields`: dense matrices,
-one sparse linear-combination routine and one sparse elimination routine.
+one sparse linear-combination routine, one sparse elimination routine and
+one sparse kernel routine.
 
 Matrices are dense, immutable, row-major tuples of tuples.  Zero-by-n and
 n-by-zero matrices are legal and represent maps to/from the zero space; they
@@ -9,25 +10,28 @@ nothing here assumes positive dimensions.
 All elimination goes through `Echelon`, which stores its rows sparse, as
 {column: value} dicts, because the systems it solves (ideal rows, Hom
 constraints, commutators) have a handful of nonzeros per row.  `rref` and
-`kernel_basis` read their answers off it.  `Coordinates` is the one
-basis-change routine: one echelon of the columns augmented by the identity
-gives the coordinates of a vector in the columns, the standard basis
-vectors that complete them greedily to a basis, and the coordinates in
-that completed basis, so no inverse matrix is formed.
+`kernel_basis` read their answers off it.  `sparse_kernel` is the one
+place that solves a homogeneous system given sparse: the module Hom spaces
+of `path_algebra`, the center's commutant in `reconstruct` and the
+naturality squares of `repcat.hom_space` hand it their terms, group by
+group.  `Coordinates` is the one basis-change routine: one echelon of the
+columns augmented by the identity gives the coordinates of a vector in
+the columns, the standard basis vectors that complete them greedily to a
+basis, and the coordinates in that completed basis, so no inverse matrix
+is formed.
 
 Sparse vectors are {index: value} dicts, the format `Echelon` eats.
 `combine` is the one sparse linear-combination routine: folded normal
 forms, structure constants, probe walks and the diagonal tensor square
 are sums it takes.  An arrow step is no sum: it is the memoised normal
-form of a basis path followed by the arrow.  The constraint rows of the
-linear systems of `path_algebra.module_hom_space` and
-`reconstruct.center_and_z` are the exception; each system fills all of
-its rows in one pass, which costs less than a `combine` per unknown.  The
-center maps its solutions back to the algebra basis with `combine`.  A sum of one memoised vector with
-coefficient one is that vector, since every memo entry already has
-ascending keys and nonzero canonical values: `PathAlgebra.product` and
-the `ProbeEvaluator` of `reconstruct` copy it instead of calling
-`combine`, which measured faster on `reconstruct-f101`.
+form of a basis path followed by the arrow.  The rows of a
+`sparse_kernel` system are the exception: each group's rows are filled
+in one pass over its terms, which costs less than a `combine` per
+unknown.  A sum of one memoised vector with coefficient one is that
+vector, since every memo entry already has ascending keys and nonzero
+canonical values: `PathAlgebra.product` and the `ProbeEvaluator` of
+`reconstruct` copy it instead of calling `combine`, which measured faster
+on `reconstruct-f101`.
 
 An element of F_p is a plain `int` in [0, p) (see `fields`), and the
 operators on ints do not reduce.  `Matrix` arithmetic, `kronecker` and
@@ -38,8 +42,8 @@ copy of their loop instead, chosen once per call (`Echelon` once per
 object) on `field.modulus`, because routing them through the field
 measured slower on `reconstruct-f101`: `combine` reduces each sum once, at
 the end, before it drops zeros; `Echelon` (with `_subtract`) reduces each
-entry of a row it takes and every entry it computes, so its callers may
-hand it unreduced ints.
+entry of a row it takes and every entry it computes, so its callers, and
+the terms of `sparse_kernel`, may hold unreduced ints.
 """
 
 from __future__ import annotations
@@ -119,9 +123,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -224,6 +225,37 @@ def kernel_basis(m):
     for row in m.entries:
         ech.add(row)
     return ech.kernel_basis()
+
+
+def sparse_kernel(ncols, field, groups):
+    """Sparse kernel basis, as `Echelon.sparse_kernel_basis` gives it, of
+    the homogeneous system in `ncols` unknowns that `groups` spell out.
+
+    Each group is an iterable of (column, c, vec) terms, `vec` a sparse
+    vector keyed by equation: unknown `column` adds c * vec to the group's
+    equations, one equation per key, and a key may be any hashable.  Each
+    group's rows are filled in one pass over its terms, which costs less
+    than a `combine` per unknown, and go into one `Echelon`, so over F_p
+    they may hold unreduced ints.  Once the rank reaches `ncols` the
+    kernel is zero, and no later group is read."""
+    ech = Echelon(ncols, field)
+    for group in groups:
+        if ech.rank == ncols:
+            break
+        rows = {}   # equation -> {column: coefficient}
+        for col, c, vec in group:
+            for key, x in vec.items():
+                # not `setdefault`, which builds a dict for every term
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {col: c * x}
+                elif col in row:
+                    row[col] += c * x
+                else:
+                    row[col] = c * x
+        for row in rows.values():
+            ech.add(row)
+    return ech.sparse_kernel_basis()
 
 
 def kronecker(a, b):
@@ -329,7 +361,7 @@ class Echelon:
         rows = self.rows
         # the rows are zero at each other's pivots, so the pivots to clear
         # are the ones where `vec` itself is nonzero, in any order
-        for pc in [c for c in v if c in rows]:
+        for pc in v.keys() & rows.keys():
             _subtract(v, v.pop(pc), rows[pc], pc, p)
         return v
 
@@ -381,15 +413,18 @@ class Echelon:
         per free column fc: one at fc and minus column fc of each row at
         that row's pivot, as a {column: value} dict in column order.  The
         rows are the RREF of any matrix with the same row space, so this is
-        the kernel basis of that matrix read off its RREF."""
+        the kernel basis of that matrix read off its RREF.  A free column
+        that no row holds gives {fc: one}, with no sort and no
+        `field.nonzero`; every kernel vector of `module_hom_space` is such."""
         field = self.field
         hits = {}   # free column -> [(pivot, -entry)] over rows nonzero there
         for pc, row in self.rows.items():
             for c, x in row.items():
                 if c != pc:
                     hits.setdefault(c, []).append((pc, -x))
-        return [field.nonzero(sorted([(fc, field.one)] + hits.get(fc, [])))
-                for fc in range(self.ncols) if fc not in self.rows]
+        one = field.one
+        return [field.nonzero(sorted([(fc, one)] + hits[fc])) if fc in hits
+                else {fc: one} for fc in range(self.ncols) if fc not in self.rows]
 
     def kernel_basis(self):
         """`sparse_kernel_basis` as column-vector tuples."""

@@ -34,12 +34,12 @@ entry, one `arrow_step` per class of it.  Neither the build nor
 so it bounds the Groebner computation too.
 
 Every sum of multiples of sparse vectors here is one `linalg.combine`,
-except in `module_hom_space`: its constraint rows (sparse dicts for
-`linalg.Echelon`) are filled in one pass over the cached structure
-constants, which costs less.  It returns each module map as the image of
-the generator, a sparse element, and forms no matrix.  `product` of two
-single classes whose coefficients multiply to 1 copies the memoised
-normal form, which `combine` would return unchanged.
+except in `module_hom_space`: it hands `linalg.sparse_kernel` one group of
+structure constants per generator relation, and that fills the group's
+constraint rows in one pass, which costs less.  It returns each module
+map as the image of the generator, a sparse element, and forms no
+matrix.  `product` of two single classes whose coefficients multiply to 1
+copies the memoised normal form, which `combine` would return unchanged.
 
 Over F_p an element is a plain `int` (see `fields`), and the field
 reduces it: the Groebner rules end in `field.nonzero`, and the unit half
@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, combine
+from .linalg import Echelon, combine, sparse_kernel
 from .quiver import (Path, QuiverError, Relation, admissible_order,
                      check_path_budget, enumerate_paths, full_subquiver)
 
@@ -525,28 +525,19 @@ def module_hom_space(alg, n, m):
     classes from n to m, which route 1 of `reconstruct.assemble_A` lists
     without a system, so the two routes meet in its dimension check.
     """
-    field = alg.field
     mb_n = alg.module_basis(n)
-    dn = len(mb_n)
     pos_n = {gi: k for k, gi in enumerate(mb_n)}
 
-    # constraints on v = sum v_k x_k in M_n: for each relation kappa of the
-    # generator, v * kappa = sum v_k c_j (x_k * p_j) = 0, one row per basis
-    # index of M_n; once they have full rank only v = 0 is left.  Over F_p
-    # the rows are left unreduced: `Echelon` reduces each row it takes
-    constraints = Echelon(dn, field)
-    for kappa in alg.generator_relations(m):
-        if constraints.rank == dn:
-            break
-        rows = {}
-        for j, c in kappa.items():
-            # x * p_j is zero unless x ends where p_j starts
-            for x in alg.pair_indices.get((n, alg.pair_of[j][0]), ()):
-                k = pos_n[x]
-                for g, y in alg.product_indices(x, j).items():
-                    row = rows.setdefault(g, {})
-                    row[k] = row[k] + c * y if k in row else c * y
-        for row in rows.values():
-            constraints.add(row)
+    def kills():
+        # v * kappa = sum v_k c_j (x_k * p_j) = 0, one equation per basis
+        # index; x * p_j is zero unless x ends where p_j starts, so a
+        # relation e_v with no class from n to v gives no group
+        for kappa in alg.generator_relations(m):
+            group = [(pos_n[x], c, alg.product_indices(x, j))
+                     for j, c in kappa.items()
+                     for x in alg.pair_indices.get((n, alg.pair_of[j][0]), ())]
+            if group:
+                yield group
+
     return [{mb_n[k]: a for k, a in v.items()}
-            for v in constraints.sparse_kernel_basis()]
+            for v in sparse_kernel(len(mb_n), alg.field, kills())]

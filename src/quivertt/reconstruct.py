@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
                         id_morphism, induced_on_cohomology)
-from .linalg import Echelon, Matrix, combine
+from .linalg import Echelon, Matrix, combine, sparse_kernel
 from .path_algebra import (PathAlgebra, module_hom_space,
                            require_tensor_relations)
 from .quiver import Path
@@ -353,26 +353,23 @@ def z_image(alg, f):
 
 def _commutant(alg, unknowns, generators):
     """Kernel basis, in the coordinates y, of x = sum y_r * unknowns[r]
-    commuting with every element of `generators`: the rows of
-    x * b - b * x = 0 are filled in one pass over the structure constants
-    per generator b, which costs less than a `combine` per unknown.  Over
-    F_p the rows are left unreduced: `Echelon` reduces each row it takes."""
-    commutes = Echelon(len(unknowns), alg.field)
-    for b in generators:
-        rows = {}   # output basis index -> linear form {r: c}
+    commuting with every element of `generators`: one `sparse_kernel`
+    group per generator b, whose terms are the structure constants of
+    x * b - b * x, so the rows are filled without a `combine` per
+    unknown.  A zero product, as of two classes that do not compose, gives
+    no term."""
+    def commutator(b):
         for r, x in enumerate(unknowns):
             for i, cx in x.items():
                 for j, cb in b.items():
-                    f = cx * cb
-                    for gi, c in alg.product_indices(i, j).items():
-                        row = rows.setdefault(gi, {})
-                        row[r] = row[r] + f * c if r in row else f * c
-                    for gi, c in alg.product_indices(j, i).items():
-                        row = rows.setdefault(gi, {})
-                        row[r] = row[r] - f * c if r in row else -(f * c)
-        for row in rows.values():
-            commutes.add(row)
-    return commutes.sparse_kernel_basis()
+                    p = alg.product_indices(i, j)
+                    if p:
+                        yield r, cx * cb, p
+                    p = alg.product_indices(j, i)
+                    if p:
+                        yield r, -(cx * cb), p
+
+    return sparse_kernel(len(unknowns), alg.field, map(commutator, generators))
 
 
 def center_and_z(assembled):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (Coordinates, DimensionMismatch, Matrix, block_matrix,
-                     kernel_basis, kronecker)
+                     kronecker, sparse_kernel)
 from .quiver import QuiverError, admissible_order, full_subquiver
 
 
@@ -168,7 +168,7 @@ def direct_sum(v, w):
 
 def hom_space(v, w):
     """Basis of all morphisms v -> w, by solving every naturality square
-    as one linear system."""
+    as one linear system: one `sparse_kernel` group per arrow."""
     if v.quiver != w.quiver:
         raise DimensionMismatch("Hom between representations of different quivers")
     field = v.field
@@ -180,32 +180,30 @@ def hom_space(v, w):
         offsets[x] = total
         total += w.dims[x] * v.dims[x]
 
-    # over F_p the rows are left unreduced: the `Matrix` they are put in
-    # reduces its entries, as `Echelon` reduces each row it takes
-    rows = []
-    for a in quiver.arrows:
+    def naturality(a):
+        # f_m v_a - w_a f_n = 0 for a: n -> m, one equation per entry (i, j)
         n, m = a.source, a.target
-        va = v.arrow_maps[a.label]
-        wa = w.arrow_maps[a.label]
+        va = v.arrow_maps[a.label].entries
+        wa = w.arrow_maps[a.label].entries
+        vn, vm = v.dims[n], v.dims[m]
         for i in range(w.dims[m]):
-            for j in range(v.dims[n]):
-                row = [field.zero] * total
-                for k in range(v.dims[m]):
-                    row[offsets[m] + i * v.dims[m] + k] = \
-                        row[offsets[m] + i * v.dims[m] + k] + va.entries[k][j]
-                for k in range(w.dims[n]):
-                    row[offsets[n] + k * v.dims[n] + j] = \
-                        row[offsets[n] + k * v.dims[n] + j] - wa.entries[i][k]
-                rows.append(row)
-    sys_mat = Matrix.from_rows(rows, field, cols=total)
+            for k in range(vm):
+                yield (offsets[m] + i * vm + k, 1,
+                       {(i, j): x for j, x in enumerate(va[k]) if x})
+        for k in range(w.dims[n]):
+            for j in range(vn):
+                yield (offsets[n] + k * vn + j, -1,
+                       {(i, j): row[k] for i, row in enumerate(wa) if row[k]})
+
+    zero = field.zero
     basis = []
-    for vec in kernel_basis(sys_mat):
+    for vec in sparse_kernel(total, field, map(naturality, quiver.arrows)):
         comps = {}
         for x in quiver.vertices:
-            r, c = w.dims[x], v.dims[x]
-            comps[x] = Matrix(r, c,
-                              [vec[offsets[x] + i * c: offsets[x] + (i + 1) * c]
-                               for i in range(r)], field)
+            r, c, o = w.dims[x], v.dims[x], offsets[x]
+            comps[x] = Matrix(r, c, [[vec.get(o + i * c + j, zero)
+                                      for j in range(c)] for i in range(r)],
+                              field)
         basis.append(RepMorphism(v, w, comps))
     return basis
 

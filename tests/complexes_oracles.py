@@ -41,7 +41,7 @@ def direct_sum_complex_oracle(v, w):
                 [[dv, Matrix.zeros(dv.rows, dw.cols, field)],
                  [Matrix.zeros(dw.rows, dv.cols, field), dw]], field)
         diffs[i] = RepMorphism(terms[i], terms[i + 1], comps)
-    return BoundedComplex(v.quiver, terms, diffs, field, check=False)
+    return BoundedComplex(v.quiver, terms, diffs, field)
 
 
 def split_vector_complex_oracle(cx):
@@ -64,7 +64,7 @@ def split_vector_complex_oracle(cx):
         reps = gvs.representatives.get(i, [])
         img = gvs.image_basis.get(i, [])
         _, inv = complete_basis_oracle(list(img) + list(reps), d, field)
-        proj = Matrix.from_rows([inv.row(r) for r in
+        proj = Matrix.from_rows([inv.entries[r] for r in
                                  range(len(img), len(img) + len(reps))],
                                 field, cols=d)
         if reps:

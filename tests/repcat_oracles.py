@@ -1,5 +1,7 @@
 """`repcat.sub_quotient` and `repcat.unit_filtration` as they were before
-coordinate subspaces were split by blocks, kept as differential oracles.
+coordinate subspaces were split by blocks, and `repcat.hom_space` as it was
+before its naturality system went to `linalg.sparse_kernel`, kept as
+differential oracles.
 
 Every subspace is split by solving for the coordinates of each arrow's
 image and completing each vertex's basis with standard vectors, and every
@@ -9,7 +11,7 @@ oracles work on a copy of the representation over the field of
 """
 
 from quivertt.fields import QQ
-from quivertt.linalg import Matrix
+from quivertt.linalg import DimensionMismatch, Matrix, kernel_basis
 from quivertt.quiver import admissible_order
 from quivertt.repcat import (FiltrationStep, Representation,
                              RepresentationError, RepMorphism, simple_object,
@@ -65,7 +67,7 @@ def sub_quotient_oracle(rep, sub_bases):
         chosen, inv = complete_basis_oracle(sub_mats[x].columns(), d, field)
         comp_mats[x] = Matrix.from_columns(chosen, field, rows=d)
         proj_mats[x] = Matrix.from_rows(
-            [inv.row(i) for i in range(sub_mats[x].cols, d)], field, cols=d)
+            [inv.entries[i] for i in range(sub_mats[x].cols, d)], field, cols=d)
 
     quot_arrow = {}
     for a in quiver.arrows:
@@ -128,3 +130,46 @@ def unit_filtration_oracle(quiver, relations, field=QQ):
                                     satisfies_relations_oracle(sub_rep, relations),
                                     is_simple))
     return steps
+
+
+def hom_space_oracle(v, w):
+    """Basis of all morphisms v -> w from the naturality squares as one
+    dense system: a row of `total` entries per square entry, one `Matrix`
+    of them, and its `kernel_basis`."""
+    if v.quiver != w.quiver:
+        raise DimensionMismatch("Hom between representations of different quivers")
+    field = v.field
+    quiver = v.quiver
+    # unknown layout: per vertex, the component matrix in row-major order
+    offsets = {}
+    total = 0
+    for x in quiver.vertices:
+        offsets[x] = total
+        total += w.dims[x] * v.dims[x]
+
+    rows = []
+    for a in quiver.arrows:
+        n, m = a.source, a.target
+        va = v.arrow_maps[a.label]
+        wa = w.arrow_maps[a.label]
+        for i in range(w.dims[m]):
+            for j in range(v.dims[n]):
+                row = [field.zero] * total
+                for k in range(v.dims[m]):
+                    row[offsets[m] + i * v.dims[m] + k] = \
+                        row[offsets[m] + i * v.dims[m] + k] + va.entries[k][j]
+                for k in range(w.dims[n]):
+                    row[offsets[n] + k * v.dims[n] + j] = \
+                        row[offsets[n] + k * v.dims[n] + j] - wa.entries[i][k]
+                rows.append(row)
+    sys_mat = Matrix.from_rows(rows, field, cols=total)
+    basis = []
+    for vec in kernel_basis(sys_mat):
+        comps = {}
+        for x in quiver.vertices:
+            r, c = w.dims[x], v.dims[x]
+            comps[x] = Matrix(r, c,
+                              [vec[offsets[x] + i * c: offsets[x] + (i + 1) * c]
+                               for i in range(r)], field)
+        basis.append(RepMorphism(v, w, comps))
+    return basis

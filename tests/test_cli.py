@@ -381,13 +381,17 @@ class TestExitCodes:
         ({"0": 1, "1": 1}, {"+0": [["1"]]}, ["differential key '+0'"]),
         ({"0": 1, "-0": 1}, {}, ["term key '-0'"]),
         ({"0": 1, " 1": 1}, {}, ["term key ' 1'"]),
-        ({"1_0": 1}, {}, ["term key '1_0'"])],
+        ({"1_0": 1}, {}, ["term key '1_0'"]),
+        ({"0": 1, "x": 1}, {}, ["term key 'x'", "canonical decimal form"]),
+        ({"0": 1, "1": 1}, {"x": [["1"]]},
+         ["differential key 'x'", "canonical decimal form"])],
         ids=["duplicate-zero", "plus-sign", "minus-zero", "space",
-             "underscore"])
+             "underscore", "letter-term", "letter-differential"])
     def test_non_canonical_degree_key_is_2(self, tmp_path, terms, diffs,
                                            words):
-        # int() reads each of these keys, so "00" would overwrite "0" and
-        # "1_0" would be degree 10
+        # int() reads the first five keys, so "00" would overwrite "0" and
+        # "1_0" would be degree 10; it cannot read "x", and the message
+        # still names the key
         cx = tmp_path / "cx.json"
         cx.write_text(json.dumps({
             "terms": {k: {"dims": {"1": d}} for k, d in terms.items()},

@@ -8,7 +8,7 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import (Coordinates, DimensionMismatch, Echelon,
                              InconsistentSystem, Matrix, block_matrix,
                              combine, kernel_basis, kronecker,
-                             rank, rref)
+                             rank, rref, sparse_kernel)
 
 from conftest import is_element
 from fields_oracle import oracle_field
@@ -588,3 +588,102 @@ def test_combine_unit_coefficient_adds_as_multiplying_does(field, data):
             for _, vec in data.draw(sparse_terms(field))]
     mixed = data.draw(st.permutations(terms + ones))
     assert_combined(combine(mixed, field), combine_oracle(mixed, field), field)
+
+
+# -- sparse_kernel: the one homogeneous solve ---------------------------
+
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(101)]
+# equation keys of several hashable kinds
+EQUATION_KEYS = ["a", "b", ("c", 1), 3, None, frozenset({2})]
+
+
+@st.composite
+def kernel_systems(draw, field):
+    """(ncols, groups): up to four groups of (column, c, vec) terms, with
+    c and the entries of vec zero possible and the keys of vec drawn from
+    EQUATION_KEYS."""
+    ncols = draw(st.integers(0, 5))
+    if not ncols:
+        return 0, draw(st.lists(st.just([]), max_size=2))
+    term = st.tuples(st.integers(0, ncols - 1), field_scalars(field),
+                     st.dictionaries(st.sampled_from(EQUATION_KEYS),
+                                     field_scalars(field), max_size=3))
+    return ncols, draw(st.lists(st.lists(term, max_size=6), max_size=4))
+
+
+def sparse_kernel_oracle(ncols, field, groups):
+    """Kernel basis of the dense matrix with one row per (group, key),
+    each summed term by term, as dense tuples."""
+    rows = []
+    for group in groups:
+        by_key = {}
+        for col, c, vec in group:
+            for key, x in vec.items():
+                row = by_key.setdefault(key, [0] * ncols)
+                row[col] += c * x
+        rows += by_key.values()
+    return kernel_basis_oracle(Matrix.from_rows(rows, field, cols=ncols))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_kernel_matches_dense_oracle(field, data):
+    ncols, groups = data.draw(kernel_systems(field))
+    got = sparse_kernel(ncols, field, groups)
+    assert [tuple(v.get(j, field.zero) for j in range(ncols)) for v in got] \
+        == sparse_kernel_oracle(ncols, field, groups)
+    assert all(x and is_element(x, field) for v in got for x in v.values())
+
+
+def unread():
+    """A group that fails the test if it is iterated."""
+    raise AssertionError("a group after full rank was read")
+    yield
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_sparse_kernel_reads_no_group_after_full_rank(field):
+    one = field.one
+    # the first group has rank 2 in 2 unknowns
+    full = [(0, one, {"e": one}), (1, one, {"f": one})]
+    assert sparse_kernel(2, field, iter([full, unread()])) == []
+    assert sparse_kernel(0, field, iter([unread()])) == []
+    # below full rank the next group is read, even at rank ncols - 1
+    with pytest.raises(AssertionError, match="full rank"):
+        sparse_kernel(3, field, iter([full, unread()]))
+    # rank 1 after the first group, 2 after the second: the kernel is zero
+    assert sparse_kernel(2, field, [full[:1], full[1:]]) == []
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_sparse_kernel_keeps_the_equations_of_each_group_apart(field):
+    one = field.one
+    # the key "e" of the first group and of the second are two equations,
+    # x0 = 0 and x1 = 0, not their sum x0 + x1 = 0
+    assert sparse_kernel(2, field, [[(0, one, {"e": one})],
+                                    [(1, one, {"e": one})]]) == []
+    # within a group the terms of one key add up: x0 + x1 = 0
+    assert sparse_kernel(2, field, [[(0, one, {"e": one}),
+                                     (1, one, {"e": one})]]) == [
+        {0: -one if field == QQ else field.p - 1, 1: one}]
+
+
+def test_sparse_kernel_takes_unreduced_ints_over_fp():
+    f101 = PrimeField(101)
+    # 102 x0 - 203 x1 = 0 is x0 - x1 = 0 mod 101; 404 x2 = 0 is no equation
+    groups = [[(0, 102, {"e": 1}), (1, -1, {"e": 203}), (2, 1, {"f": 404})]]
+    assert sparse_kernel(3, f101, groups) == [{0: 1, 1: 1}, {2: 1}]
+    reduced = [[(0, 1, {"e": 1}), (1, 100, {"e": 1})]]
+    assert sparse_kernel(3, f101, reduced) == [{0: 1, 1: 1}, {2: 1}]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_sparse_kernel_takes_any_hashable_equation_key(field):
+    one = field.one
+    two = field(2)
+    by_int = [[(0, one, {0: one, 1: two}), (1, one, {0: two}), (2, one, {1: one})]]
+    rename = dict(enumerate([("i", 0), frozenset({"j"})]))
+    by_other = [[(col, c, {rename[k]: x for k, x in vec.items()})
+                 for col, c, vec in group] for group in by_int]
+    assert sparse_kernel(3, field, by_other) == sparse_kernel(3, field, by_int)

@@ -1,7 +1,8 @@
 """`scripts/random_sweep.py`: a trial passes only when every verdict bit is
-true over QQ, F_2 and F_101 and the three fields give the same
-dimensions."""
+true over QQ, F_2 and F_101, the three fields give the same dimensions,
+and the unit filtration checks out over each of them."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -54,3 +55,21 @@ def test_dimensions_that_differ_between_fields_fail(sweep, monkeypatch):
 
     monkeypatch.setattr(sweep, "reconstruction", center_one_larger_over_f101)
     assert sweep.run(config(sweep)) == 3
+
+
+@pytest.mark.parametrize("bad", ["QQ", "F2", "F101"])
+def test_a_filtration_that_fails_over_one_field_fails_every_trial(
+        sweep, monkeypatch, bad):
+    honest = sweep.unit_filtration
+    seen = []
+
+    def not_simple_over_bad(quiver, relations, field):
+        seen.append(str(field))
+        steps = honest(quiver, relations, field)
+        if str(field) == bad:
+            steps[0] = dataclasses.replace(steps[0], quotient_is_simple=False)
+        return steps
+
+    monkeypatch.setattr(sweep, "unit_filtration", not_simple_over_bad)
+    assert sweep.run(config(sweep)) == 3
+    assert bad in seen

@@ -1,5 +1,6 @@
 """Subrepresentations split along coordinate blocks, and the unit
-filtration built from them, against the generic solves they replace."""
+filtration built from them, against the generic solves they replace; Hom
+spaces solved as sparse groups against the dense system they replace."""
 
 import random
 
@@ -8,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix
+from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Path, Quiver, enumerate_paths
 from quivertt.randgen import random_representation, random_tensor_quiver
-from quivertt.repcat import (RepresentationError, Representation,
-                             sub_quotient, unit_filtration)
+from quivertt.repcat import (RepresentationError, Representation, hom_space,
+                             module_representation, simple_object,
+                             sub_quotient, unit_filtration, unit_object)
 
 from conftest import (FIXTURE_NAMES, element_types, load_fixture,
                       unit_lower_triangular)
-from repcat_oracles import (path_action_oracle, sub_quotient_oracle,
-                            unit_filtration_oracle)
+from repcat_oracles import (hom_space_oracle, path_action_oracle,
+                            sub_quotient_oracle, unit_filtration_oracle)
 
 FIELDS = [QQ, PrimeField(101)]
 
@@ -155,3 +158,39 @@ def test_path_action_matches_identity_start(rng):
     q = Quiver(("1",), ())
     rep = Representation(q, {"1": 0}, {})
     assert rep.path_action(Path.trivial("1")) == Matrix.identity(0)
+
+
+HOM_FIELDS = [QQ, PrimeField(2), PrimeField(101)]
+
+
+def assert_same_hom_space(v, w):
+    got = hom_space(v, w)
+    assert [f.components for f in got] == [
+        f.components for f in hom_space_oracle(v, w)]
+    assert {type(x) for f in got for m in f.components.values()
+            for row in m.entries for x in row} <= set(element_types(v.field))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("field", HOM_FIELDS, ids=str)
+def test_hom_space_matches_dense_oracle_on_fixture_objects(name, field):
+    spec = load_fixture(name)
+    quiver = spec.quiver
+    alg = PathAlgebra(quiver, spec.relations, field)
+    objects = ([unit_object(quiver, field)]
+               + [simple_object(quiver, x, field) for x in quiver.vertices]
+               + [module_representation(alg, x) for x in quiver.vertices])
+    for v in objects:
+        for w in objects:
+            assert_same_hom_space(v, w)
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("field", HOM_FIELDS, ids=str)
+def test_hom_space_matches_dense_oracle_on_random_pairs(seed, field):
+    rng = random.Random(seed)
+    quiver, relations = random_tensor_quiver(rng)
+    v = random_representation(rng, quiver, relations, field)
+    w = random_representation(rng, quiver, relations, field)
+    assert_same_hom_space(v, w)
+    assert_same_hom_space(w, v)

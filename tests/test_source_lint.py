@@ -14,8 +14,9 @@ and in the three loops that reduce for themselves, each for a measured
 reason: `linalg.combine`, `linalg.Echelon` and
 `path_algebra.GroebnerBasis.reduce`.  Every function, class and method of
 the library is named outside its own body in the library, `scripts/` or
-`perfbench/`; the check goes by name, and `UNCALLED` lists the paper's
-maps that stay without a caller, each with its reason."""
+`perfbench/`, a method through an attribute, an import alias or a string,
+never a bare name; the check goes by name, and `UNCALLED` lists the
+paper's maps that stay without a caller, each with its reason."""
 
 import ast
 import importlib
@@ -230,36 +231,42 @@ UNCALLED = {
 
 
 def definitions(source):
-    """The qualified names of the functions, classes and methods that
-    `source` defines, at any depth, dunder names aside."""
-    out = []
+    """The functions, classes and methods that `source` defines, at any
+    depth, dunder names aside: {qualified name: whether it is a method,
+    a function defined directly in a class body}."""
+    out = {}
 
-    def walk(node, scope):
+    def walk(node, scope, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 if not (child.name.startswith("__")
                         and child.name.endswith("__")):
-                    out.append(".".join(scope + (child.name,)))
-                walk(child, scope + (child.name,))
+                    out[".".join(scope + (child.name,))] = (
+                        in_class and not isinstance(child, ast.ClassDef))
+                walk(child, scope + (child.name,),
+                     isinstance(child, ast.ClassDef))
             else:
-                walk(child, scope)
+                walk(child, scope, in_class)
 
-    walk(ast.parse(source), ())
+    walk(ast.parse(source), (), False)
     return out
 
 
 def names_used(source):
-    """Every name that `source` uses outside the body of the definition
-    that bears it: a `Name`, an attribute, an imported name or its alias
-    (so a re-export counts), and each dotted segment of a string, as in
-    the tracer's "ProbeEvaluator.compose"."""
-    out = set()
+    """(names, attributes): every name that `source` uses outside the body
+    of the definition that bears it.  `attributes` holds the ones a method
+    is called by: an attribute, an imported name or its alias (so a
+    re-export counts), and each dotted segment of a string, as in the
+    tracer's "ProbeEvaluator.compose".  `names` holds the bare `Name`s,
+    which call functions and classes but also read local variables."""
+    names, attributes = set(), set()
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
+            into = attributes
             if isinstance(child, ast.Name):
-                found = [child.id]
+                found, into = [child.id], names
             elif isinstance(child, ast.Attribute):
                 found = [child.attr]
             elif isinstance(child, ast.alias):
@@ -268,7 +275,7 @@ def names_used(source):
                 found = [s for s in child.value.split(".") if s.isidentifier()]
             else:
                 found = []
-            out.update(name for name in found if name and name not in scope)
+            into.update(name for name in found if name and name not in scope)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 walk(child, scope | {child.name})
@@ -276,18 +283,24 @@ def names_used(source):
                 walk(child, scope)
 
     walk(ast.parse(source), frozenset())
-    return out
+    return names, attributes
 
 
 def uncalled(defining, using, allowed=()):
     """The definitions in `defining`, {module name: source}, whose names no
-    source in `using` names, as "module.qualified.name".  The check is by
+    source in `using` names, as "module.qualified.name".  A method counts
+    as called only through an attribute, an import alias or a string, so
+    a local variable that shares its name keeps no method alive; a
+    function or class counts through a bare name too.  The check is by
     name alone: a method that shares its name with a called one elsewhere,
     even in another class, counts as called."""
-    used = set(allowed).union(*(names_used(source) for source in using))
+    used = [names_used(source) for source in using]
+    by_attribute = set(allowed).union(*(a for _, a in used))
+    by_name = by_attribute.union(*(n for n, _ in used))
     return [f"{module}.{qualname}" for module, source in defining.items()
-            for qualname in definitions(source)
-            if qualname.rsplit(".", 1)[-1] not in used]
+            for qualname, method in definitions(source).items()
+            if qualname.rsplit(".", 1)[-1]
+            not in (by_attribute if method else by_name)]
 
 
 def test_every_definition_in_the_library_has_a_caller():
@@ -320,12 +333,21 @@ def test_the_caller_check_sees_every_form():
               "    pass\n"
               "def kept():\n"
               "    pass\n")
-    assert definitions(source) == ["Walker", "Walker.step", "Walker.again",
-                                   "outer", "outer.inner", "traced",
-                                   "exported", "kept"]
+    assert list(definitions(source)) == [
+        "Walker", "Walker.step", "Walker.again", "outer", "outer.inner",
+        "traced", "exported", "kept"]
+    assert [name for name, method in definitions(source).items()
+            if method] == ["Walker.step", "Walker.again"]
     using = [source, 'WRAPPED = [("m", "Walker.traced")]\n',
              "from .m import exported as public, outer\n"]
     assert uncalled({"m": source}, using) == ["m.Walker.again", "m.kept"]
     assert uncalled({"m": source}, using, {"kept"}) == ["m.Walker.again"]
     assert uncalled({"m": source}, using[:2]) == [
         "m.Walker.again", "m.outer", "m.exported", "m.kept"]
+    # a bare name calls a function but no method: a local variable that
+    # shares a method's name does not keep the method
+    bare = "again = kept = 0\nfor row in again, kept:\n    pass\n"
+    assert uncalled({"m": source}, using + [bare]) == ["m.Walker.again"]
+    matrix = "class M:\n    def row(self):\n        pass\n"
+    assert uncalled({"m": matrix}, [bare + "M()\n"]) == ["m.M.row"]
+    assert uncalled({"m": matrix}, [bare + "M().row()\n"]) == []
