@@ -9,8 +9,8 @@ path algebra from the derived category.
 
 from .fields import QQ, FieldError, PrimeField, field_by_name
 from .linalg import (Coordinates, DimensionMismatch, Echelon,
-                     InconsistentSystem, Matrix, block_matrix, kernel_basis,
-                     kronecker, rank, rref)
+                     InconsistentSystem, Matrix, block_matrix, kronecker,
+                     rref)
 from .quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError, Relation,
                      ResourceBudget, admissible_order, count_paths,
                      enumerate_paths, full_subquiver, is_ordered)

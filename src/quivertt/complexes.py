@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (Coordinates, DimensionMismatch, Echelon, Matrix,
-                     block_matrix, kernel_basis, kronecker)
+                     block_matrix, kronecker, sparse_kernel)
 from .quiver import ResourceBudget
 from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
@@ -123,24 +123,29 @@ class GradedVectorSpace:
 
 
 def cohomology_at(cx, n):
-    """Vertex-wise cohomology: the graded space ker(d^i_n) / im(d^{i-1}_n)."""
+    """Vertex-wise cohomology: the graded space ker(d^i_n) / im(d^{i-1}_n).
+    The kernel of d^i_n is one `sparse_kernel` group, unknown j being
+    column j; a kernel vector is made dense only if it is kept."""
     field = cx.field
+    zero = field.zero
     dims, reps, images = {}, {}, {}
-    degrees = set(cx.terms)
-    for i in sorted(degrees):
-        if cx.term_dim(i, n) == 0:
+    for i in sorted(cx.terms):
+        dim = cx.term_dim(i, n)
+        if dim == 0:
             continue
-        d_i = cx.strand_matrix(i, n)
         d_prev = cx.strand_matrix(i - 1, n)
         img = []
-        ech = Echelon(cx.term_dim(i, n), field)
+        ech = Echelon(dim, field)
         for col in d_prev.columns():
             if ech.add(col):
                 img.append(col)
+        strand = zip(*cx.strand_matrix(i, n).entries)
+        group = [(j, 1, {r: x for r, x in enumerate(col) if x})
+                 for j, col in enumerate(strand)]
         chosen = []
-        for col in kernel_basis(d_i):
-            if ech.add(col):
-                chosen.append(col)
+        for vec in sparse_kernel(dim, field, [group]):
+            if ech.add(vec):
+                chosen.append(tuple(vec.get(j, zero) for j in range(dim)))
         if chosen:
             dims[i] = len(chosen)
             reps[i] = chosen

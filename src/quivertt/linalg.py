@@ -9,14 +9,14 @@ nothing here assumes positive dimensions.
 
 All elimination goes through `Echelon`, which stores its rows sparse, as
 {column: value} dicts, because the systems it solves (ideal rows, Hom
-constraints, commutators) have a handful of nonzeros per row.  `rref` and
-`kernel_basis` read their answers off it.  `sparse_kernel` is the one
-place that solves a homogeneous system given sparse: the module Hom spaces
-of `path_algebra`, the center's commutant in `reconstruct` and the
-naturality squares of `repcat.hom_space` hand it their terms, group by
-group.  `Coordinates` is the one basis-change routine: one echelon of the
-columns augmented by the identity gives the coordinates of a vector in
-the columns, the standard basis vectors that complete them greedily to a
+constraints, commutators, cohomology strands) have a handful of nonzeros
+per row.  `sparse_kernel` is the one kernel routine: the module Hom spaces
+of `path_algebra`, the center's commutant in `reconstruct`, the
+naturality squares of `repcat.hom_space` and the strands of
+`complexes.cohomology_at` hand it their terms, group by group.
+`Coordinates` is the one basis-change routine: one echelon of the columns
+augmented by the identity gives the coordinates of a vector in the
+columns, the standard basis vectors that complete them greedily to a
 basis, and the coordinates in that completed basis, so no inverse matrix
 is formed.
 
@@ -202,34 +202,26 @@ def block_matrix(blocks, field=QQ):
 
 def rref(m):
     """Reduced row echelon form, read off an `Echelon` of the rows of `m`.
+    Kept only because `perfbench/tracing.py` wraps it by name.
 
     Returns (reduced matrix, tuple of pivot columns, rank).
     """
     ech = Echelon(m.cols, m.field)
     for row in m.entries:
         ech.add(row)
-    pivot_rows = ech.pivot_rows
-    pivots = tuple(sorted(pivot_rows))
-    rows = tuple(tuple(pivot_rows[p]) for p in pivots)
-    rows += ((m.field.zero,) * m.cols,) * (m.rows - len(pivots))
+    pivots = tuple(sorted(ech.rows))
+    zero = m.field.zero
+    rows = tuple(tuple(_dense(ech.rows[p], m.cols, zero)) for p in pivots)
+    rows += ((zero,) * m.cols,) * (m.rows - len(pivots))
     return Matrix._raw(m.rows, m.cols, rows, m.field), pivots, len(pivots)
-
-
-def rank(m):
-    return rref(m)[2]
-
-
-def kernel_basis(m):
-    """Basis of the right kernel, as a list of column-vector tuples."""
-    ech = Echelon(m.cols, m.field)
-    for row in m.entries:
-        ech.add(row)
-    return ech.kernel_basis()
 
 
 def sparse_kernel(ncols, field, groups):
     """Sparse kernel basis, as `Echelon.sparse_kernel_basis` gives it, of
     the homogeneous system in `ncols` unknowns that `groups` spell out.
+    Its callers are `path_algebra.module_hom_space`, the center's
+    `_commutant` in `reconstruct`, `repcat.hom_space` and
+    `complexes.cohomology_at`.
 
     Each group is an iterable of (column, c, vec) terms, `vec` a sparse
     vector keyed by equation: unknown `column` adds c * vec to the group's
@@ -315,8 +307,6 @@ class Echelon:
     take a dense sequence or a {column: value} dict.
 
     Every stored entry is a field element, whatever the input rows held.
-    `pivot_rows` is a dense view, built on each access: pivot column ->
-    row as a list.
 
     `add` clears the new pivot column from the other rows only when some
     row can hold it: `_seen` holds every column of every row stored so far,
@@ -366,6 +356,8 @@ class Echelon:
         return v
 
     def reduce(self, vec):
+        """The residue of `vec` as a dense list.  Kept only because
+        `perfbench/tracing.py` wraps it by name."""
         return _dense(self._residue(vec), self.ncols, self.field.zero)
 
     def add(self, vec):
@@ -400,11 +392,6 @@ class Echelon:
         return not self._residue(vec)
 
     @property
-    def pivot_rows(self):
-        zero = self.field.zero
-        return {p: _dense(row, self.ncols, zero) for p, row in self.rows.items()}
-
-    @property
     def rank(self):
         return len(self.rows)
 
@@ -425,12 +412,6 @@ class Echelon:
         one = field.one
         return [field.nonzero(sorted([(fc, one)] + hits[fc])) if fc in hits
                 else {fc: one} for fc in range(self.ncols) if fc not in self.rows]
-
-    def kernel_basis(self):
-        """`sparse_kernel_basis` as column-vector tuples."""
-        zero = self.field.zero
-        return [tuple(_dense(vec, self.ncols, zero))
-                for vec in self.sparse_kernel_basis()]
 
 
 def _dense(vec, ncols, zero):

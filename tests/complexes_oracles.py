@@ -1,5 +1,11 @@
-"""Two functions of `complexes` as they were before, kept as differential
-oracles.
+"""Three functions of `complexes` as they were before, kept as
+differential oracles.
+
+`cohomology_at_oracle` is vertex-wise cohomology before the kernel of
+each strand went to `linalg.sparse_kernel`: the kernel is read off the
+dense RREF of the strand matrix (`kernel_basis_oracle`), and the image
+columns and then the kernel vectors are kept when they raise the rank of
+those kept before (`RREFEchelonOracle`).
 
 `direct_sum_complex_oracle` is the direct sum before it became the cone of
 a zero chain map: each term is the direct sum of the two terms in that
@@ -13,13 +19,36 @@ and takes the projection from the rows of the inverse of that basis, both
 from `complete_basis_oracle`."""
 
 from quivertt.complexes import (BoundedComplex, ChainMap, ComplexError,
-                                cohomology_at)
+                                GradedVectorSpace, cohomology_at)
 from quivertt.linalg import DimensionMismatch, Matrix, block_matrix
 from quivertt.repcat import RepMorphism, Representation, direct_sum
 
 from fields_oracle import oracle_field
-from linalg_oracles import complete_basis_oracle
+from linalg_oracles import (RREFEchelonOracle, complete_basis_oracle,
+                            kernel_basis_oracle)
 from repcat_oracles import in_oracle_field
+
+
+def cohomology_at_oracle(cx, n):
+    """ker(d^i_n) / im(d^{i-1}_n) in each degree, with its witness bases;
+    over F_p the vectors hold elements of the oracle field."""
+    field = cx.field
+    dims, reps, images = {}, {}, {}
+    for i in sorted(cx.terms):
+        dim = cx.term_dim(i, n)
+        if dim == 0:
+            continue
+        ech = RREFEchelonOracle(dim, field)
+        img = [col for col in cx.strand_matrix(i - 1, n).columns()
+               if ech.add(col)]
+        chosen = [vec for vec in kernel_basis_oracle(cx.strand_matrix(i, n))
+                  if ech.add(vec)]
+        if chosen:
+            dims[i] = len(chosen)
+            reps[i] = chosen
+        if img:
+            images[i] = img
+    return GradedVectorSpace(dims, reps, images)
 
 
 def direct_sum_complex_oracle(v, w):

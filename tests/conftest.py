@@ -24,6 +24,15 @@ def load_fixture(name):
     return parse_quiver_file(FIXTURE_DIR / f"{name}.quiver")
 
 
+def fixture_over(name, field):
+    """The fixture `name` redeclared over `field`."""
+    text = (FIXTURE_DIR / f"{name}.quiver").read_text()
+    assert text.count("field QQ\n") == 1
+    spec = parse_quiver(text.replace("field QQ\n", f"field {field.name}\n"))
+    assert spec.field == field
+    return spec
+
+
 def beilinson_text(m, length):
     """Spec text of beil(m, L): a chain of L vertices, m+1 parallel arrows
     per step, and every commutativity relation x_i*x'_j - x_j*x'_i between

@@ -11,7 +11,7 @@ oracles work on a copy of the representation over the field of
 """
 
 from quivertt.fields import QQ
-from quivertt.linalg import DimensionMismatch, Matrix, kernel_basis
+from quivertt.linalg import DimensionMismatch, Echelon, Matrix
 from quivertt.quiver import admissible_order
 from quivertt.repcat import (FiltrationStep, Representation,
                              RepresentationError, RepMorphism, simple_object,
@@ -134,8 +134,8 @@ def unit_filtration_oracle(quiver, relations, field=QQ):
 
 def hom_space_oracle(v, w):
     """Basis of all morphisms v -> w from the naturality squares as one
-    dense system: a row of `total` entries per square entry, one `Matrix`
-    of them, and its `kernel_basis`."""
+    dense system: a row of `total` entries per square entry, all added to
+    one `Echelon`, and its `sparse_kernel_basis` made dense."""
     if v.quiver != w.quiver:
         raise DimensionMismatch("Hom between representations of different quivers")
     field = v.field
@@ -162,9 +162,12 @@ def hom_space_oracle(v, w):
                     row[offsets[n] + k * v.dims[n] + j] = \
                         row[offsets[n] + k * v.dims[n] + j] - wa.entries[i][k]
                 rows.append(row)
-    sys_mat = Matrix.from_rows(rows, field, cols=total)
+    ech = Echelon(total, field)
+    for row in rows:
+        ech.add(row)
     basis = []
-    for vec in kernel_basis(sys_mat):
+    for sparse in ech.sparse_kernel_basis():
+        vec = [sparse.get(j, field.zero) for j in range(total)]
         comps = {}
         for x in quiver.vertices:
             r, c = w.dims[x], v.dims[x]

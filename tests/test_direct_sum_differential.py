@@ -15,7 +15,6 @@ import pytest
 
 from quivertt.complexes import (BoundedComplex, complex_to_json,
                                 direct_sum_complex, id_morphism, shift)
-from quivertt.dsl import parse_quiver
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import DimensionMismatch
 from quivertt.randgen import (random_complex, random_morphism_complex,
@@ -23,21 +22,12 @@ from quivertt.randgen import (random_complex, random_morphism_complex,
 from quivertt.repcat import unit_object
 
 from complexes_oracles import direct_sum_complex_oracle
-from conftest import FIXTURE_DIR, FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, fixture_over
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
 FIELD_IDS = [field.name for field in FIELDS]
 PAIRS_PER_FIXTURE = 6
 SEEDS = range(50)
-
-
-def fixture_over(name, field):
-    """The fixture `name` redeclared over `field`."""
-    text = (FIXTURE_DIR / f"{name}.quiver").read_text()
-    assert text.count("field QQ\n") == 1
-    spec = parse_quiver(text.replace("field QQ\n", f"field {field.name}\n"))
-    assert spec.field == field
-    return spec
 
 
 def draw(rng, quiver, relations, field):

@@ -1,6 +1,7 @@
 """`scripts/random_sweep.py`: a trial passes only when every verdict bit is
 true over QQ, F_2 and F_101, the three fields give the same dimensions,
-and the unit filtration checks out over each of them."""
+and the unit filtration and the support calculus check out over each of
+them."""
 
 import dataclasses
 import importlib.util
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from quivertt.complexes import complex_to_json
 from quivertt.fields import QQ
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "random_sweep.py"
@@ -73,3 +75,37 @@ def test_a_filtration_that_fails_over_one_field_fails_every_trial(
     monkeypatch.setattr(sweep, "unit_filtration", not_simple_over_bad)
     assert sweep.run(config(sweep)) == 3
     assert bad in seen
+
+
+@pytest.mark.parametrize("bad", ["QQ", "F2", "F101"])
+def test_a_support_check_that_fails_over_one_field_fails_every_trial(
+        sweep, monkeypatch, bad):
+    honest = sweep.support
+
+    def unequal_over_bad(cx):
+        # a fresh vertex set that no intersection or union reproduces
+        return frozenset([object()]) if str(cx.field) == bad else honest(cx)
+
+    monkeypatch.setattr(sweep, "support", unequal_over_bad)
+    assert sweep.run(config(sweep)) == 3
+
+
+def test_prime_field_draws_leave_the_qq_draws_alone(sweep, monkeypatch):
+    honest = sweep.random_complex
+
+    def drawn_over(fields):
+        drawn = []
+
+        def recording(rng, quiver, relations, field):
+            cx = honest(rng, quiver, relations, field)
+            drawn.append((str(field), complex_to_json(cx)))
+            return cx
+
+        monkeypatch.setattr(sweep, "random_complex", recording)
+        monkeypatch.setattr(sweep, "FIELDS", fields)
+        assert sweep.run(config(sweep)) == 0
+        return drawn
+
+    every_field = drawn_over(sweep.FIELDS)
+    assert {field for field, _ in every_field} == {"QQ", "F2", "F101"}
+    assert [d for d in every_field if d[0] == "QQ"] == drawn_over((QQ,))
