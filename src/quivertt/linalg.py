@@ -8,9 +8,9 @@ show up constantly when simple objects and extensions by zero are around, so
 nothing here assumes positive dimensions.
 
 All elimination goes through `Echelon`, which stores its rows sparse, as
-{column: value} dicts, because the systems it solves (ideal rows, Hom
-constraints, commutators, cohomology strands) have a handful of nonzeros
-per row.  `sparse_kernel` is the one kernel routine: the module Hom spaces
+{column: value} dicts, because the systems it solves (the relation
+images of the probes of `reconstruct`, Hom constraints, commutators,
+cohomology strands) have a handful of nonzeros per row.  `sparse_kernel` is the one kernel routine: the module Hom spaces
 of `path_algebra`, the center's commutant in `reconstruct`, the
 naturality squares of `repcat.hom_space` and the strands of
 `complexes.cohomology_at` hand it their terms, group by group.

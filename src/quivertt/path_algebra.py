@@ -34,9 +34,10 @@ entry, one `arrow_step` per class of it.  Neither the build nor
 so it bounds the Groebner computation too.
 
 Every sum of multiples of sparse vectors here is one `linalg.combine`,
-except in `module_hom_space`: it hands `linalg.sparse_kernel` one group of
-structure constants per generator relation, and that fills the group's
-constraint rows in one pass, which costs less.  It returns each module
+except in `module_hom_space`, which `reconstruct` no longer calls: it
+hands `linalg.sparse_kernel` one group of structure constants per
+generator relation, and that fills the group's constraint rows in one
+pass, which costs less.  It returns each module
 map as the image of the generator, a sparse element, and forms no
 matrix.  `product` of two single classes whose coefficients multiply to 1
 copies the memoised normal form, which `combine` would return unchanged.
@@ -408,7 +409,9 @@ class PathAlgebra:
         the other idempotents e_v generate the kernel, and a module map
         out of M_m sends e_m into e_n Lambda e_m (Assem, Simson and
         Skowronski, Elements of the Representation Theory of Associative
-        Algebras 1, 2006, ch. I).  They come in ascending index order."""
+        Algebras 1, 2006, ch. I).  They come in ascending index order.
+        Only `module_hom_space` reads them, and `reconstruct` no longer
+        calls that."""
         one = self.field.one
         return [{self.idempotent_index[v]: one}
                 for v in self.order if v != m]
@@ -522,8 +525,13 @@ def module_hom_space(alg, n, m):
     the idempotents e_v for v != m (`PathAlgebra.generator_relations`),
     since they generate the rest as a right ideal.  Solving that linear
     system over the module basis of M_n gives all maps: it leaves the
-    classes from n to m, which route 1 of `reconstruct.assemble_A` lists
-    without a system, so the two routes meet in its dimension check.
+    classes from n to m, which the path basis lists without a system.
+
+    `reconstruct` no longer calls it: `assemble_A` takes dim Hom(M_m, M_n)
+    = dim M_n(m) from the probes built from the relations, which a system
+    solved in the quotient cannot check.  It stays, with
+    `PathAlgebra.generator_relations`, because `perfbench/tracing.py`
+    wraps it by name.
     """
     mb_n = alg.module_basis(n)
     pos_n = {gi: k for k, gi in enumerate(mb_n)}

@@ -18,8 +18,12 @@ from dataclasses import FrozenInstanceError, dataclass
 # every commutativity relation), the quotient of beil(2,7) (1636 paths)
 # builds in about 3 ms, and that of beil(2,8) (4916 paths, refused) would
 # build in about 4 ms, in single runs on one x86-64 core with Python 3.11.
-# Lifting the budget waits for a budget of its own on `reconstruct`, whose
-# cost grows at least with the square of the quotient's dimension.
+# Lifting the budget waits for a budget of its own on `reconstruct`.  Its
+# checks run over the (basis class, arrow) pairs of the quotient and the
+# relation images of its probes, not over pairs of classes: with the
+# budget lifted, `assemble_A` took 0.34 s on P^6 = beil(6,7) (dimension
+# 3003) and 1.4 s on P^7 (dimension 11440), in single runs on one x86-64
+# core with Python 3.11.
 MAX_PATHS = 2048
 
 

@@ -72,11 +72,12 @@ def random_tensor_quiver(rng, max_vertices=4, max_arrows=6, field=QQ,
     return quiver, relations
 
 
-def random_representation(rng, quiver, relations, field=QQ, max_summands=3,
-                          include_projectives=True):
-    """A direct sum of objects that satisfy the relations: the unit, the
-    simples, unit-filtration layers, and (unless suppressed to keep
-    dimensions small) the projectives M_j."""
+def representation_menu(quiver, relations, field=QQ,
+                        include_projectives=True):
+    """The objects that satisfy the relations which `random_representation`
+    sums: the unit, the simples, unit-filtration layers, and (unless
+    suppressed to keep dimensions small) the projectives M_j.  Building it
+    draws nothing from a generator, so one menu serves many draws."""
     menu = [unit_object(quiver, field)]
     menu.extend(simple_object(quiver, v, field) for v in quiver.vertices)
     if include_projectives:
@@ -84,6 +85,12 @@ def random_representation(rng, quiver, relations, field=QQ, max_summands=3,
         alg = PathAlgebra(quiver, relations, field)
         menu.extend(module_representation(alg, v) for v in quiver.vertices)
     menu.extend(s.rep for s in unit_filtration(quiver, relations, field))
+    return menu
+
+
+def random_representation(rng, menu, max_summands=3):
+    """A direct sum of one to `max_summands` objects drawn from `menu`, a
+    `representation_menu`."""
     rep = rng.choice(menu)
     for _ in range(rng.randint(0, max_summands - 1)):
         rep = direct_sum(rep, rng.choice(menu))
@@ -98,11 +105,12 @@ def random_complex(rng, quiver, relations, field=QQ, depth=2,
     cones of zero chain maps, so d^2 = 0 holds structurally.  A leaf is a
     random representation or, about half the time, the two-term complex
     of a basis morphism from it to another one, a nonzero differential
-    whenever such a morphism exists."""
+    whenever such a morphism exists.  The menu of representations is
+    built once per call."""
+    menu = representation_menu(quiver, relations, field, include_projectives)
+
     def rep():
-        return random_representation(rng, quiver, relations, field,
-                                     max_summands=2,
-                                     include_projectives=include_projectives)
+        return random_representation(rng, menu, 2)
 
     def leaf():
         v = rep()
@@ -129,10 +137,12 @@ def random_complex(rng, quiver, relations, field=QQ, depth=2,
 
 def random_morphism_complex(rng, quiver, relations, field=QQ):
     """A two-term complex built from a random morphism between random
-    relation-satisfying representations (zero if no morphisms exist)."""
+    relation-satisfying representations (zero if no morphisms exist),
+    both drawn from one menu."""
     from .complexes import BoundedComplex as BC
-    v = random_representation(rng, quiver, relations, field, max_summands=2)
-    w = random_representation(rng, quiver, relations, field, max_summands=2)
+    menu = representation_menu(quiver, relations, field)
+    v = random_representation(rng, menu, 2)
+    w = random_representation(rng, menu, 2)
     basis = hom_space(v, w)
     if not basis:
         return BC.from_representation(v)

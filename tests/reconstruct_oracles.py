@@ -17,11 +17,18 @@ they solve, with `linalg.Echelon` over the algebra's own field, the two
 systems whose answers `PathAlgebra.generator_relations` and
 `reconstruct.center_and_z` read off the basis, and
 `two_stage_center_oracle` is the center solved on top of the second.
+`assemble_A_oracle` is the old body of `reconstruct.assemble_A`, which
+compared the path-algebra basis with the module maps of
+`module_hom_space` and the probe evaluator's composite with
+`PathAlgebra.product` on every composable pair of basis classes.
 """
 
 from quivertt.linalg import Echelon, Matrix, combine
+from quivertt.path_algebra import module_hom_space, require_tensor_relations
 from quivertt.quiver import Path
-from quivertt.reconstruct import _commutant
+from quivertt.reconstruct import (IsomorphismVerdict, NatTransSpace,
+                                  ProbeEvaluator, ReconstructedAlgebra,
+                                  ReconstructionError, _commutant, psi)
 from quivertt.repcat import Representation
 
 from fields_oracle import oracle_field
@@ -232,3 +239,49 @@ def two_stage_center_oracle(alg):
     arrows = [alg.nf_path(Path.from_arrows([a])) for a in alg.quiver.arrows]
     return [combine(((c, stage1[r]) for r, c in y.items()), field)
             for y in _commutant(alg, stage1, arrows)]
+
+
+def assemble_A_oracle(alg):
+    """`reconstruct.assemble_A` with its old second route: the module maps
+    M_m -> M_n of `module_hom_space` for the dimensions, `psi` of them
+    against the basis for the round trip, and `ProbeEvaluator.compose`
+    against `PathAlgebra.product` on every composable pair of basis
+    classes for the structure constants."""
+    require_tensor_relations(alg)
+    components = {}
+    module_maps = {}
+    dims_ok = True
+    for n in alg.quiver.vertices:
+        for m in alg.quiver.vertices:
+            route1 = [{i: alg.field.one} for i in alg.pair_indices.get((n, m), [])]
+            route2 = module_maps[(n, m)] = module_hom_space(alg, n, m)
+            if len(route1) != len(route2):
+                dims_ok = False
+            components[(n, m)] = NatTransSpace(n, m, route1, len(route2))
+
+    evaluator = ProbeEvaluator(alg)
+    round_trip = True
+    for (n, m), space in components.items():
+        for elem in space.basis:
+            if evaluator.yoneda(elem, n) != elem:
+                round_trip = False
+        try:
+            images = [psi(alg, n, m, f) for f in module_maps[(n, m)]]
+        except ReconstructionError:   # a module map outside e_n Lambda e_m
+            images = None
+        if images != space.basis:
+            round_trip = False
+
+    constants_ok = True
+    for (n, m), space in components.items():
+        for (m2, _), space2 in components.items():
+            if m2 != m:
+                continue
+            for elem in space.basis:
+                for elem2 in space2.basis:
+                    composed = evaluator.compose(elem, n, elem2)
+                    expected = alg.product(elem, elem2)
+                    if composed != expected:
+                        constants_ok = False
+    verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
+    return ReconstructedAlgebra(alg, components, verdict)

@@ -12,7 +12,7 @@ from quivertt.path_algebra import (PathAlgebra, compatibility,
 from quivertt.quiver import Path, Relation, admissible_order
 from quivertt.randgen import (random_commutativity_relations, random_complex,
                               random_ordered_quiver, random_representation,
-                              random_tensor_quiver)
+                              random_tensor_quiver, representation_menu)
 from quivertt.fields import QQ
 from quivertt.reconstruct import assemble_A, center_and_z
 from quivertt.repcat import (satisfies_relations, simple_object, tensor,
@@ -240,8 +240,9 @@ def test_criterion_9_tensor_relations_checker():
     for _ in range(20):
         quiver, relations = random_tensor_quiver(rng)
         assert is_tensor_relations(PathAlgebra(quiver, relations)).ok
-        v = random_representation(rng, quiver, relations)
-        w = random_representation(rng, quiver, relations)
+        menu = representation_menu(quiver, relations)
+        v = random_representation(rng, menu)
+        w = random_representation(rng, menu)
         assert satisfies_relations(v, relations) is None
         assert satisfies_relations(w, relations) is None
         assert satisfies_relations(tensor(v, w), relations) is None

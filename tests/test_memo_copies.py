@@ -3,8 +3,9 @@ evaluator's `yoneda` and `compose`, which copy a memoised vector instead of
 summing it with `linalg.combine`, against the one-`combine` bodies they
 replaced; and the invariant those copies rest on: every memo entry of the
 normal forms and the walks has ascending keys and nonzero canonical
-values, after a full reconstruction.  An arrow step is the normal-form
-memo's own entry, not a copy of it."""
+values, after a full reconstruction, and every arrow image of the probes
+that `reconstruct` builds has nonzero canonical values.  An arrow step is
+the normal-form memo's own entry, not a copy of it."""
 
 import random
 from fractions import Fraction
@@ -152,27 +153,34 @@ def test_single_class_copies_match_combine(make, arg, field):
                         lambda: combine_product(alg, elem, elem2), field)
 
 
-def assert_canonical_memo(memo, field):
+def assert_canonical_memo(memo, field, ordered=True):
     for key, vec in memo.items():
-        assert list(vec) == sorted(vec), key
+        if ordered:
+            assert list(vec) == sorted(vec), key
         assert all(x and is_element(x, field) for x in vec.values()), key
 
 
 @pytest.mark.parametrize("make, arg, field",
                          list(instances((QQ, F2, F101))))
 def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
-    evaluators = []
+    # `reconstruct` builds one probe per vertex.  `Probe.act` hands out a
+    # `steps` entry where `combine` of it alone would return an equal
+    # dict, so those entries hold nonzero canonical values; their key
+    # order is free, since the probe's vectors are only compared
+    probes = []
 
-    class Recording(ProbeEvaluator):
-        def __init__(self, alg):
-            super().__init__(alg)
-            evaluators.append(self)
+    class Recording(reconstruct.Probe):
+        def __init__(self, *args):
+            super().__init__(*args)
+            probes.append(self)
 
-    monkeypatch.setattr(reconstruct, "ProbeEvaluator", Recording)
+    monkeypatch.setattr(reconstruct, "Probe", Recording)
     alg = PathAlgebra(*make(arg), field)
     if alg.tensor_check.ok:
         center_and_z(assemble_A(alg))
-        assert len(evaluators) == 1
+        assert len(probes) == len(alg.quiver.vertices)
+        for probe in probes:
+            assert_canonical_memo(probe.steps, field, ordered=False)
     for i in range(alg.dim):
         for j in range(alg.dim):
             alg.product({i: field.one}, {j: field.one})
@@ -181,8 +189,10 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
         for a in alg.quiver.arrows_from(p.target):
             assert (alg.arrow_step(x, a.label)
                     is alg._word_nf[p.arrows + (a.label,)]), (x, a.label)
-    memos = [alg._word_nf]
-    memos += [e._walks for e in evaluators]
+    evaluator = ProbeEvaluator(alg)
+    for i, (n, _) in enumerate(alg.pair_of):
+        evaluator.yoneda({i: field.one}, n)
+    memos = [alg._word_nf, evaluator._walks]
     assert any(memos)
     for memo in memos:
         assert_canonical_memo(memo, field)

@@ -1,13 +1,13 @@
 import pytest
 
-from quivertt import reconstruct
+from quivertt import path_algebra, reconstruct
 from quivertt.cli import run_command
 from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
 from quivertt.path_algebra import PathAlgebra, module_hom_space
 from quivertt.randgen import (random_complex, random_representation,
-                              random_tensor_quiver)
+                              random_tensor_quiver, representation_menu)
 from quivertt.repcat import hom_space
 from quivertt.reconstruct import (ProbeEvaluator, ReconstructionError,
                                   assemble_A, center_and_z, phi, psi,
@@ -100,8 +100,9 @@ class TestNaturality:
         for _ in range(5):
             quiver, relations = random_tensor_quiver(rng)
             alg = PathAlgebra(quiver, relations)
-            v = random_representation(rng, quiver, relations)
-            w = random_representation(rng, quiver, relations)
+            menu = representation_menu(quiver, relations)
+            v = random_representation(rng, menu)
+            w = random_representation(rng, menu)
             basis = hom_space(v, w)
             if not basis:
                 continue
@@ -161,15 +162,16 @@ class TestAssembleA:
         assert center.dimensions_match and center.z_is_unital_ring_map
 
     def test_route_dimension_mismatch_clears_verdict(self, monkeypatch):
-        real = reconstruct.module_hom_space
+        # the probe builder kills one more word than the relations do: the
+        # largest column of the direct sum at each vertex after n
+        real = reconstruct.Probe.relation_images
         spec = load_fixture("kronecker2")
-        first = spec.quiver.vertices[0]
 
-        def drop_one(alg, n, m):
-            maps = real(alg, n, m)
-            return maps[:-1] if n == m == first else maps
+        def one_more(self, relations, col):
+            yield from real(self, relations, col)
+            yield {0: self.field.one}
 
-        monkeypatch.setattr(reconstruct, "module_hom_space", drop_one)
+        monkeypatch.setattr(reconstruct.Probe, "relation_images", one_more)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is False
         assert verdict.isomorphic is False
@@ -180,24 +182,22 @@ class TestAssembleA:
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_wrong_probe_image_clears_round_trip(self, monkeypatch):
-        # the probe route sends the generator to twice the arrow class
-        real = reconstruct.ProbeEvaluator.generator_image
+        # the probe's arrow action sends the generator to twice the arrow
+        real = reconstruct.Probe.act
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
-        def doubled(self, n, i):
-            image = real(self, n, i)
-            if self.alg.basis[i].arrows == (arrow.label,):
+        def doubled(self, vec, label):
+            image = real(self, vec, label)
+            if label == arrow.label and () in vec:
                 return {g: c + c for g, c in image.items()}
             return image
 
-        monkeypatch.setattr(reconstruct.ProbeEvaluator, "generator_image",
-                            doubled)
+        monkeypatch.setattr(reconstruct.Probe, "act", doubled)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
-        # the arrow composed with a class after it has the one term
-        # 2 * walk, which `compose` must scale, not copy
+        # the arrow's step from the trivial class is twice the quotient's
         assert verdict.structure_constants_match is False
         assert verdict.isomorphic is False
         doc, code = run_command(
@@ -208,19 +208,21 @@ class TestAssembleA:
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_doubled_module_map_clears_round_trip(self, monkeypatch):
-        # route 2 sends the generator to twice an arrow class: still a
-        # module map, but psi of it is not the route-1 basis class
-        real = reconstruct.module_hom_space
+        # the generator pushed along an arrow's word lands on twice that
+        # word's vector, while each arrow still acts as the quotient's
+        # arrow step: the module map M_m -> M_n of the arrow class is
+        # doubled, and only the round trip sees it
+        real = reconstruct.Probe.walk
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
-        def doubled(alg, n, m):
-            images = real(alg, n, m)
-            if (n, m) == (arrow.source, arrow.target):
-                images[0] = {g: c + c for g, c in images[0].items()}
-            return images
+        def doubled(self, word, start=None):
+            vec = real(self, word, start)
+            if start is None and word == (arrow.label,):
+                return {g: c + c for g, c in vec.items()}
+            return vec
 
-        monkeypatch.setattr(reconstruct, "module_hom_space", doubled)
+        monkeypatch.setattr(reconstruct.Probe, "walk", doubled)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
@@ -232,37 +234,43 @@ class TestAssembleA:
         assert doc["verdict"]["round_trip_identity"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
-    @pytest.mark.parametrize("name", ["beilinson2", "chain4", "kronecker2"])
-    def test_missing_generator_relation_clears_round_trip(self, monkeypatch,
-                                                          name):
-        # without its last relation, route 2 admits generator images
-        # outside e_n Lambda e_m; psi refuses them, and that clears the
-        # round trip in the report instead of raising out of the command
-        real = PathAlgebra.generator_relations
-        monkeypatch.setattr(PathAlgebra, "generator_relations",
-                            lambda self, m: real(self, m)[:-1])
+    @pytest.mark.parametrize("name", ["beilinson2", "beilinson3", "square"])
+    def test_skipped_relation_image_clears_a_verdict(self, monkeypatch,
+                                                     name):
+        # the probe builder leaves out one image x * r, the last one at
+        # the first vertex where relations end, so that M_n(w) is too large
+        real = reconstruct.Probe.relation_images
+        skipped = []
+
+        def skip_one(self, relations, col):
+            images = list(real(self, relations, col))
+            if images and not skipped:
+                skipped.append(images.pop())
+            return images
+
+        monkeypatch.setattr(reconstruct.Probe, "relation_images", skip_one)
         doc, code = run_command(
             ["reconstruct", str(FIXTURE_DIR / f"{name}.quiver")])
         assert code == 0
-        assert doc["verdict"]["round_trip_identity"] is False
+        assert doc["verdict"]["dimensions_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_module_map_outside_its_pair_clears_round_trip(self,
                                                            monkeypatch):
-        # route 2 adds the generator e_n to a map n -> m with n != m: the
-        # dimensions still match, and only the round trip sees it
-        real = reconstruct.module_hom_space
+        # the generator pushed along an arrow's word picks up the
+        # generator e_n itself, outside e_n Lambda e_m: the dimensions
+        # still match, and only the round trip sees it
+        real = reconstruct.Probe.walk
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
-        def stray(alg, n, m):
-            images = real(alg, n, m)
-            if (n, m) == (arrow.source, arrow.target):
-                images[0] = {**images[0],
-                             alg.idempotent_index[n]: alg.field.one}
-            return images
+        def stray(self, word, start=None):
+            vec = real(self, word, start)
+            if start is None and word == (arrow.label,):
+                return {**vec, (): self.field.one}
+            return vec
 
-        monkeypatch.setattr(reconstruct, "module_hom_space", stray)
+        monkeypatch.setattr(reconstruct.Probe, "walk", stray)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
@@ -273,22 +281,19 @@ class TestAssembleA:
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_wrong_structure_constant_clears_match(self, monkeypatch):
-        # e_s * a = a for the arrow a: s -> t; the path algebra route
-        # now claims 2a, while the probes still compose to a
-        real = PathAlgebra.product
+        # e_s * a = a for the arrow a: s -> t; the quotient's arrow step
+        # now claims 2a, while the probe still acts by a
+        real = PathAlgebra.arrow_step
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
-        def wrong(alg, a, b):
-            out = real(alg, a, b)
-            pair = [alg.basis[i] for i in a] + [alg.basis[j] for j in b]
-            if (len(pair) == 2 and pair[0].is_trivial
-                    and pair[0].source == arrow.source
-                    and pair[1].arrows == (arrow.label,)):
+        def wrong(alg, x, label):
+            out = real(alg, x, label)
+            if alg.basis[x].is_trivial and label == arrow.label:
                 out = {gi: c + c for gi, c in out.items()}
             return out
 
-        monkeypatch.setattr(PathAlgebra, "product", wrong)
+        monkeypatch.setattr(PathAlgebra, "arrow_step", wrong)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is True
@@ -300,32 +305,30 @@ class TestAssembleA:
         assert doc["verdict"]["structure_constants_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
 
-    def test_checks_go_through_yoneda_compose_and_product(self,
-                                                          monkeypatch):
-        # one `yoneda` per basis class and one `compose` and one `product`
-        # per composable pair: the probe span of the tracer and the
-        # patched `product` above see every check
-        # route 2's `generator_relations` reads the idempotents off the
-        # basis and calls no `product`, so every counted call is a check
+    def test_checks_walk_each_class_and_step_each_arrow(self, monkeypatch):
+        # one generator walk per basis class and one quotient arrow step
+        # per (basis class, arrow out of its target) pair: the patched
+        # `walk` and `arrow_step` above see every check.  The quotient's
+        # normal forms of beilinson2 fold no longer word, so every counted
+        # `arrow_step` is a check
         alg = algebra_of(load_fixture("beilinson2"))
-        calls = {"yoneda": 0, "compose": 0, "product": 0}
+        calls = {"walk": 0, "arrow_step": 0}
 
-        def counted(owner, name):
+        def counted(owner, name, check):
             real = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                calls[name] += check(*args)
                 return real(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(reconstruct.ProbeEvaluator, "yoneda")
-        counted(reconstruct.ProbeEvaluator, "compose")
-        counted(PathAlgebra, "product")
-        composable = sum(alg.pair_of[i][1] == alg.pair_of[j][0]
-                         for i in range(alg.dim) for j in range(alg.dim))
+        # the builder walks from the basis vectors of relation sources too
+        counted(reconstruct.Probe, "walk", lambda self, word, start=None:
+                start is None)
+        counted(PathAlgebra, "arrow_step", lambda *args: 1)
+        pairs = sum(len(alg.quiver.arrows_from(p.target)) for p in alg.basis)
         assert assemble_A(alg).verdict.isomorphic
-        assert calls == {"yoneda": alg.dim, "compose": composable,
-                         "product": composable}
+        assert calls == {"walk": alg.dim, "arrow_step": pairs}
 
     def test_beilinson_2_7_reconstructs(self, tmp_path):
         # dim 210, within the path budget
@@ -342,6 +345,57 @@ class TestAssembleA:
             quiver, relations = random_tensor_quiver(rng)
             assembled = assemble_A(PathAlgebra(quiver, relations))
             assert assembled.verdict.isomorphic
+
+
+class TestQuotientMutants:
+    """A wrong Groebner basis gives a wrong quotient.  The probes are built
+    from the quiver and the relations alone, so `reconstruct` reports it."""
+
+    @staticmethod
+    def report(tmp_path, name, field):
+        text = (FIXTURE_DIR / f"{name}.quiver").read_text()
+        assert text.count("field QQ\n") == 1
+        spec = tmp_path / f"{name}.quiver"
+        spec.write_text(text.replace("field QQ\n", f"field {field}\n"))
+        return run_command(["reconstruct", str(spec)])
+
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    @pytest.mark.parametrize("name", ["beilinson2", "beilinson3", "square"])
+    def test_negated_rules_clear_structure_constants(self, monkeypatch,
+                                                     tmp_path, name, field):
+        # every rule tip -> rhs becomes tip -> -rhs after the final
+        # reduction: the tips and the basis stay, the products change sign
+        real = path_algebra.groebner_basis
+
+        def negated(polys, fld):
+            gb = real(polys, fld)
+            for tip, rhs in gb.rules.items():
+                gb.rules[tip] = fld.nonzero((w, -c) for w, c in rhs.items())
+            return gb
+
+        monkeypatch.setattr(path_algebra, "groebner_basis", negated)
+        doc, code = self.report(tmp_path, name, field)
+        assert code == 0
+        assert doc["verdict"]["structure_constants_match"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
+
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    def test_extra_rule_clears_dimensions(self, monkeypatch, tmp_path, field):
+        # the rule x1_0 * x2_0 -> 0 kills a basis path of beilinson2 that
+        # the relations keep
+        real = path_algebra.groebner_basis
+
+        def extra(polys, fld):
+            gb = real(polys, fld)
+            gb.rules[("x1_0", "x2_0")] = {}
+            return gb
+
+        monkeypatch.setattr(path_algebra, "groebner_basis", extra)
+        doc, code = self.report(tmp_path, "beilinson2", field)
+        assert code == 0
+        assert doc["dimension"] == 14
+        assert doc["verdict"]["dimensions_match"] is False
+        assert doc["isomorphic_to_path_algebra"] is False
 
 
 class TestCenter:

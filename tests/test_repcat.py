@@ -4,7 +4,8 @@ from quivertt.fields import QQ
 from quivertt.linalg import Matrix
 from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Quiver
-from quivertt.randgen import random_representation, random_tensor_quiver
+from quivertt.randgen import (random_representation, random_tensor_quiver,
+                              representation_menu)
 from quivertt.repcat import (Representation, RepresentationError,
                              extend_by_zero, hom_space, module_representation,
                              restrict, satisfies_relations,
@@ -65,8 +66,9 @@ class TestTensor:
         # semantic cross-validation of the tensor-relations criterion
         for _ in range(20):
             quiver, relations = random_tensor_quiver(rng)
-            v = random_representation(rng, quiver, relations)
-            w = random_representation(rng, quiver, relations)
+            menu = representation_menu(quiver, relations)
+            v = random_representation(rng, menu)
+            w = random_representation(rng, menu)
             assert satisfies_relations(v, relations) is None
             assert satisfies_relations(w, relations) is None
             assert satisfies_relations(tensor(v, w), relations) is None

@@ -11,7 +11,8 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix
 from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Path, Quiver, enumerate_paths
-from quivertt.randgen import random_representation, random_tensor_quiver
+from quivertt.randgen import (random_representation, random_tensor_quiver,
+                              representation_menu)
 from quivertt.repcat import (RepresentationError, Representation, hom_space,
                              module_representation, simple_object,
                              sub_quotient, unit_filtration, unit_object)
@@ -151,7 +152,8 @@ def test_unit_filtration_matches_oracle(make):
 def test_path_action_matches_identity_start(rng):
     for _ in range(10):
         quiver, relations = random_tensor_quiver(rng)
-        rep = random_representation(rng, quiver, relations)
+        rep = random_representation(rng, representation_menu(quiver,
+                                                             relations))
         for p in enumerate_paths(quiver)[0]:
             assert rep.path_action(p) == path_action_oracle(rep, p)
     # a trivial path on a zero space is the 0x0 identity
@@ -190,7 +192,8 @@ def test_hom_space_matches_dense_oracle_on_fixture_objects(name, field):
 def test_hom_space_matches_dense_oracle_on_random_pairs(seed, field):
     rng = random.Random(seed)
     quiver, relations = random_tensor_quiver(rng)
-    v = random_representation(rng, quiver, relations, field)
-    w = random_representation(rng, quiver, relations, field)
+    menu = representation_menu(quiver, relations, field)
+    v = random_representation(rng, menu)
+    w = random_representation(rng, menu)
     assert_same_hom_space(v, w)
     assert_same_hom_space(w, v)

@@ -351,3 +351,44 @@ def test_the_caller_check_sees_every_form():
     matrix = "class M:\n    def row(self):\n        pass\n"
     assert uncalled({"m": matrix}, [bare + "M()\n"]) == ["m.M.row"]
     assert uncalled({"m": matrix}, [bare + "M().row()\n"]) == []
+
+
+# The probes of `reconstruct` are the route that `assemble_A` checks the
+# quotient against, so they are built from the quiver and the relations
+# alone: the probe builder reads none of the quotient's Groebner basis,
+# normal forms, structure constants or basis indices.
+QUOTIENT_ATTRIBUTES = {"groebner", "_nf_word", "arrow_step",
+                       "product_indices", "word_index", "idempotent_index"}
+PROBE_BUILDER = ("Probe",)
+
+
+def quotient_reads(source, defs=PROBE_BUILDER):
+    """The names of QUOTIENT_ATTRIBUTES that the top-level definitions
+    `defs` of `source` name, as a name, an attribute or a string."""
+    tree = ast.parse(source)
+    found = set()
+    for node in tree.body:
+        if getattr(node, "name", None) in defs:
+            names, attributes = names_used(ast.get_source_segment(source, node))
+            found |= (names | attributes) & QUOTIENT_ATTRIBUTES
+    return sorted(found)
+
+
+def test_probe_builder_reads_no_quotient_attribute():
+    source = (SRC / "reconstruct.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert set(PROBE_BUILDER) <= defined
+    assert quotient_reads(source) == []
+
+
+def test_the_probe_check_sees_every_form():
+    source = ("class Probe:\n"
+              "    def __init__(self, alg):\n"
+              "        self.index = alg.word_index\n"
+              "        self.rules = getattr(alg, 'groebner')\n"
+              "    def walk(self):\n"
+              "        return arrow_step\n"
+              "def assemble_A(alg):\n"
+              "    return alg.product_indices\n")
+    assert quotient_reads(source) == ["arrow_step", "groebner", "word_index"]

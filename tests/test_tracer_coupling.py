@@ -47,5 +47,10 @@ def test_traced_commands_exit_0(tmp_path):
     assert all(vars(ns)[attr] is orig for ns, attr, orig, _ in tracer.patches)
     assert recorder.calls["cli"] == 4
     assert recorder.calls["complexes.cohomology"] > 0
-    assert recorder.calls["path_algebra.module_hom"] > 0
+    # `reconstruct` compares the quotient with probes built from the
+    # relations; the wrapped `module_hom_space` and probe evaluator are
+    # no longer on its path
+    assert recorder.calls["reconstruct.assemble"] == 1
+    assert recorder.calls["path_algebra.module_hom"] == 0
+    assert recorder.calls["reconstruct.probe"] == 0
     assert recorder.calls["linalg.echelon_add"] > 0
