@@ -9,9 +9,9 @@ nothing here assumes positive dimensions.
 
 All elimination goes through `Echelon`, which stores its rows sparse, as
 {column: value} dicts, because the systems it solves (the relation
-images of the probes of `reconstruct`, Hom constraints, commutators,
-cohomology strands) have a handful of nonzeros per row.  `sparse_kernel` is the one kernel routine: the module Hom spaces
-of `path_algebra`, the center's commutant in `reconstruct`, the
+images of the probes of `repcat`, Hom constraints, commutators,
+cohomology strands) have a handful of nonzeros per row.  `sparse_kernel`
+is the one kernel routine: the center's commutant in `reconstruct`, the
 naturality squares of `repcat.hom_space` and the strands of
 `complexes.cohomology_at` hand it their terms, group by group.
 `Coordinates` is the one basis-change routine: one echelon of the columns
@@ -29,9 +29,8 @@ form of a basis path followed by the arrow.  The rows of a
 in one pass over its terms, which costs less than a `combine` per
 unknown.  A sum of one memoised vector with coefficient one is that
 vector, since every memo entry already has ascending keys and nonzero
-canonical values: `PathAlgebra.product` and the `ProbeEvaluator` of
-`reconstruct` copy it instead of calling `combine`, which measured faster
-on `reconstruct-f101`.
+canonical values: `PathAlgebra.product` copies it instead of calling
+`combine`, which measured faster on `reconstruct-f101`.
 
 An element of F_p is a plain `int` in [0, p) (see `fields`), and the
 operators on ints do not reduce.  `Matrix` arithmetic, `kronecker` and
@@ -219,9 +218,8 @@ def rref(m):
 def sparse_kernel(ncols, field, groups):
     """Sparse kernel basis, as `Echelon.sparse_kernel_basis` gives it, of
     the homogeneous system in `ncols` unknowns that `groups` spell out.
-    Its callers are `path_algebra.module_hom_space`, the center's
-    `_commutant` in `reconstruct`, `repcat.hom_space` and
-    `complexes.cohomology_at`.
+    Its callers are the center's `_commutant` in `reconstruct`,
+    `repcat.hom_space` and `complexes.cohomology_at`.
 
     Each group is an iterable of (column, c, vec) terms, `vec` a sparse
     vector keyed by equation: unknown `column` adds c * vec to the group's
@@ -369,7 +367,7 @@ class Echelon:
             # a one-entry residue scales to its pivot alone, which is one:
             # no `field.inv`.  Most rows of the Hom and center systems are
             # such rows; part of a 13% cut of `reconstruct-f101` `wall_s`
-            # (see `reconstruct.ProbeEvaluator.compose`)
+            # (see `PathAlgebra.product`)
             pc, = v
             row = {pc: self.field.one}
         else:
@@ -402,7 +400,7 @@ class Echelon:
         rows are the RREF of any matrix with the same row space, so this is
         the kernel basis of that matrix read off its RREF.  A free column
         that no row holds gives {fc: one}, with no sort and no
-        `field.nonzero`; every kernel vector of `module_hom_space` is such."""
+        `field.nonzero`."""
         field = self.field
         hits = {}   # free column -> [(pivot, -entry)] over rows nonzero there
         for pc, row in self.rows.items():

@@ -33,14 +33,11 @@ entry, one `arrow_step` per class of it.  Neither the build nor
 (`quiver.check_path_budget`) is checked first, and every tip is a path,
 so it bounds the Groebner computation too.
 
-Every sum of multiples of sparse vectors here is one `linalg.combine`,
-except in `module_hom_space`, which `reconstruct` no longer calls: it
-hands `linalg.sparse_kernel` one group of structure constants per
-generator relation, and that fills the group's constraint rows in one
-pass, which costs less.  It returns each module
-map as the image of the generator, a sparse element, and forms no
-matrix.  `product` of two single classes whose coefficients multiply to 1
-copies the memoised normal form, which `combine` would return unchanged.
+Every sum of multiples of sparse vectors here is one `linalg.combine`.
+`product` of two single classes whose coefficients multiply to 1 copies
+the memoised normal form, which `combine` would return unchanged.
+`module_hom_space` solves no system: the maps M_m -> M_n are the basis
+classes from n to m, each the image of the generator.
 
 Over F_p an element is a plain `int` (see `fields`), and the field
 reduces it: the Groebner rules end in `field.nonzero`, and the unit half
@@ -57,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import Echelon, combine, sparse_kernel
+from .linalg import Echelon, combine
 from .quiver import (Path, QuiverError, Relation, admissible_order,
                      check_path_budget, enumerate_paths, full_subquiver)
 
@@ -372,8 +369,10 @@ class PathAlgebra:
             # whose values are nonzero field elements, without
             # multiplying it, so the copy is equal.  Over F_p a product
             # congruent to 1 but not equal to it still goes to `combine`.
-            # Part of a 13% cut of `reconstruct-f101` `wall_s` (see
-            # `reconstruct.ProbeEvaluator.compose`)
+            # This copy and the one-entry path of `Echelon.add` were part
+            # of a 13% cut of `reconstruct-f101` `wall_s`, 17.21 -> 14.92
+            # ms (better in 10/10 alternating pairs of 20 s perfbench
+            # runs, Python 3.11.7, 2-core x86-64 Xeon)
             if ca * cb == 1:
                 return dict(self.product_indices(i, j))
         return combine(((ca * cb, self.product_indices(i, j))
@@ -397,24 +396,6 @@ class PathAlgebra:
     def module_basis(self, v):
         """Global basis indices of M_v, in basis order."""
         return list(self._module_bases.get(v, ()))
-
-    def generator_relations(self, m):
-        """A generating set, as a right ideal, of the relations of the
-        generator of M_m: the kernel of the action map Lambda -> M_m,
-        w -> e_m * w.  Each relation is a {basis index: c} dict.
-
-        e_m times a basis class j is j if j starts at m and zero otherwise,
-        so the kernel is spanned by the classes that start at the other
-        vertices, and each such class j is e_v * j for its source v.  So
-        the other idempotents e_v generate the kernel, and a module map
-        out of M_m sends e_m into e_n Lambda e_m (Assem, Simson and
-        Skowronski, Elements of the Representation Theory of Associative
-        Algebras 1, 2006, ch. I).  They come in ascending index order.
-        Only `module_hom_space` reads them, and `reconstruct` no longer
-        calls that."""
-        one = self.field.one
-        return [{self.idempotent_index[v]: one}
-                for v in self.order if v != m]
 
 
 # -- tensor-relation criterion ----------------------------------------
@@ -516,36 +497,16 @@ def compatibility(quiver, relations, verts, field=QQ):
 
 def module_hom_space(alg, n, m):
     """Basis of right-module homomorphisms M_m -> M_n, each given by the
-    image of the generator, as {basis index: c}.
+    image of the generator, as {basis index: c}: the basis classes from n
+    to m.
 
     A module map out of the cyclic module M_m is pinned down by the image
-    v of the trivial-path generator; v is admissible exactly when it kills
-    every relation of that generator, i.e. v * w = 0 whenever e_m * w = 0
-    in M_m.  It is enough that v kills a generating set of those relations,
-    the idempotents e_v for v != m (`PathAlgebra.generator_relations`),
-    since they generate the rest as a right ideal.  Solving that linear
-    system over the module basis of M_n gives all maps: it leaves the
-    classes from n to m, which the path basis lists without a system.
-
-    `reconstruct` no longer calls it: `assemble_A` takes dim Hom(M_m, M_n)
-    = dim M_n(m) from the probes built from the relations, which a system
-    solved in the quotient cannot check.  It stays, with
-    `PathAlgebra.generator_relations`, because `perfbench/tracing.py`
-    wraps it by name.
-    """
-    mb_n = alg.module_basis(n)
-    pos_n = {gi: k for k, gi in enumerate(mb_n)}
-
-    def kills():
-        # v * kappa = sum v_k c_j (x_k * p_j) = 0, one equation per basis
-        # index; x * p_j is zero unless x ends where p_j starts, so a
-        # relation e_v with no class from n to v gives no group
-        for kappa in alg.generator_relations(m):
-            group = [(pos_n[x], c, alg.product_indices(x, j))
-                     for j, c in kappa.items()
-                     for x in alg.pair_indices.get((n, alg.pair_of[j][0]), ())]
-            if group:
-                yield group
-
-    return [{mb_n[k]: a for k, a in v.items()}
-            for v in sparse_kernel(len(mb_n), alg.field, kills())]
+    v of the trivial-path generator e_m, and v is admissible exactly when
+    v * w = 0 whenever e_m * w = 0.  The idempotents e_u, u != m, generate
+    those w as a right ideal, so v is admissible iff v * e_u = 0 for each
+    of them, that is iff v lies in e_n Lambda e_m (Assem, Simson and
+    Skowronski, Elements of the Representation Theory of Associative
+    Algebras 1, 2006, ch. I): no system is solved.  `reconstruct` does not
+    call it; it stays because `perfbench/tracing.py` wraps it by name."""
+    one = alg.field.one
+    return [{i: one} for i in alg.pair_indices.get((n, m), [])]

@@ -7,10 +7,10 @@ The algebra is reconstructed by two routes, and `assemble_A` compares
 them.  One is the quotient kQ/(R) of `path_algebra`, read off a reduced
 Groebner basis of the relation ideal.  The other is the probes M_n =
 e_n kQ/(R), the projective right modules, built as representations from
-the quiver and the relations alone (`Probe`), so that a wrong Groebner
-basis shows as a disagreement.  By Yoneda the transformations F_n => F_m
-are Hom(M_m, M_n) = M_n(m), and a basis class acts on a probe by pushing
-its generator along the class's word.
+the quiver and the relations alone (`repcat.Probe`), so that a wrong
+Groebner basis shows as a disagreement.  By Yoneda the transformations
+F_n => F_m are Hom(M_m, M_n) = M_n(m), and a basis class acts on a probe
+by pushing its generator along the class's word.
 
 Product convention: for transformations alpha: F_n => F_m and
 beta: F_m => F_l, the algebra product alpha * beta is the composite
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
                         id_morphism, induced_on_cohomology)
 from .linalg import Echelon, Matrix, combine, sparse_kernel
-from .path_algebra import PathAlgebra, _order_key, require_tensor_relations
+from .path_algebra import PathAlgebra, require_tensor_relations
 from .quiver import Path
-from .repcat import hom_space, simple_object, unit_object
+from .repcat import Probe, hom_space, simple_object, unit_object
 from .spectrum import prime_at
 
 
@@ -140,213 +140,64 @@ def psi(alg, n, m, image):
 
 
 class ProbeEvaluator:
-    """Evaluates transformations on the degree-zero projective probes M_n
-    by pushing sparse vectors {basis index: c} through them, one arrow at
-    a time; no matrix is formed, and every sum of pushed vectors but a
-    single term with coefficient one (see below) is one `linalg.combine`.
-
-    `walk(x, j)` is the basis class x of a probe pushed along the word of
-    the basis class j.  It is cached per (x, j): the start class belongs
-    to the key, since one class j acts on every class that ends where j
-    starts.  Basis paths are closed under prefixes, so each entry is one
-    arrow step (`PathAlgebra.arrow_step`) from the entry of j's prefix,
-    which `word_index` finds by its word (`idempotent_index` if it is
-    trivial).  The image of the generator e_n under i is walk(e_n, i); the
-    second step of `compose` walks each class of the first image along
-    each class of the second element.
-
-    Images come from arrow steps alone, the arrow action of the probe,
-    never from `product_indices` on two whole classes.  An arrow step is
-    the algebra's memoised normal form of a basis path followed by one
-    arrow.  `PathAlgebra.product` reads the normal form of the joined word
-    of two classes, which `_nf_word` folds along the tail of that word;
-    `walk` folds the arrow steps along j's arrows, starting from x.  So
-    comparing `compose` with `product` compares two folds over one memo
-    of arrow steps: it sees a fault in either fold, but not a wrong
-    Groebner basis, which both folds read alike.  So `assemble_A` no
-    longer calls it: it checks the quotient against the `Probe`s, built
-    from the relations alone.  `yoneda_coordinates` evaluates with it,
-    and `compose` and `yoneda` keep their names and their method shape
-    because `perfbench/tracing.py` wraps them by name.
-
-    For one basis class with coefficient one the sum is a single cached
-    walk, whose keys ascend and whose values are nonzero field elements,
-    so `combine` would return an equal dict: `_on_generator` returns the
-    shared walk, and `yoneda` and `compose` a copy of it, never the cached
-    dict itself.  Every other input is one `combine`."""
+    """Evaluates transformations on the probes M_n, each a `Probe` built
+    on first use.  An element acts on M_n by pushing a vector along the
+    word of each of its classes (`Probe.walk`): the generator e_n for its
+    image, that image for a composite.  A class acts on the part of the
+    vector that ends where it starts, and kills the rest.  The image, a
+    vector of basis words, is read back as basis classes by word
+    (`word_index`), the trivial word by the probe's vertex
+    (`idempotent_index`).  A probe word that is no basis word of the
+    quotient raises ReconstructionError: the probe and the quotient
+    disagree there."""
 
     def __init__(self, alg):
         self.alg = alg
-        self._walks = {}
+        self._probes = {}
 
-    def walk(self, x, j):
-        """The basis class x, which ends where basis class j starts, pushed
-        along the arrows of j's word, as {basis index: c}.  The dict is
-        cached and shared, so callers must not change it."""
-        key = (x, j)
-        out = self._walks.get(key)
-        if out is None:
+    def probe(self, n):
+        """The probe M_n, built on first use."""
+        probe = self._probes.get(n)
+        if probe is None:
             alg = self.alg
-            p = alg.basis[j]
-            if p.is_trivial:
-                out = {x: alg.field.one}
-            else:
-                head, last = p.arrows[:-1], p.arrows[-1]
-                prefix = (alg.word_index[head] if head
-                          else alg.idempotent_index[p.source])
-                out = combine(((c, alg.arrow_step(y, last))
-                               for y, c in self.walk(x, prefix).items()),
-                              alg.field)
-            self._walks[key] = out
-        return out
+            probe = self._probes[n] = Probe(alg.quiver, alg.relations,
+                                            alg.field, alg.order, n)
+        return probe
 
-    def generator_image(self, n, i):
-        """Where basis class i, which starts at n, sends the generator e_n
-        of the probe M_n, as {basis index: c}; shared, like `walk`."""
-        return self.walk(self.alg.idempotent_index[n], i)
+    def _push(self, n, vec, elem):
+        """The vector `vec` of M_n, {basis word: c}, times elem."""
+        alg = self.alg
+        probe, quiver = self.probe(n), alg.quiver
+        terms = []
+        for i, c in elem.items():
+            p = alg.basis[i]
+            start = {x: a for x, a in vec.items()
+                     if (quiver.arrow(x[-1]).target if x else n) == p.source}
+            terms.append((c, probe.walk(p.arrows, start)))
+        return combine(terms, alg.field)
 
-    def _on_generator(self, elem, n):
-        """The image of e_n under elem, which starts at n.  It may be the
-        shared `generator_image`, so callers must not change it."""
-        if len(elem) == 1:
-            (i, c), = elem.items()
-            # one class with coefficient one: `combine` of the cached
-            # walk, which is canonical, equals the walk itself.  Skipping
-            # that `combine` is part of a 13% cut of `reconstruct-f101`
-            # `wall_s` (see `compose`)
-            if c == 1:
-                return self.generator_image(n, i)
-        return combine(((c, self.generator_image(n, i))
-                        for i, c in elem.items()), self.alg.field)
+    def _classes(self, n, vec):
+        """The vector `vec` of M_n as {basis index: c}, in ascending order."""
+        alg = self.alg
+        out = []
+        for word, c in vec.items():
+            i = alg.word_index.get(word) if word else alg.idempotent_index[n]
+            if i is None:
+                raise ReconstructionError(
+                    f"the word {'*'.join(word)} is a basis word of the probe "
+                    f"M_{n} but not of the quotient")
+            out.append((i, c))
+        return dict(sorted(out))
 
     def yoneda(self, elem, n):
         """Coordinates of elem: F_n => F_m, read off its image of e_n."""
-        return dict(self._on_generator(elem, n))
+        return self._classes(n, self._push(n, {(): self.alg.field.one}, elem))
 
     def compose(self, elem1, n, elem2):
         """Coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
-        first = self._on_generator(elem1, n)
-        if len(first) == 1 and len(elem2) == 1:
-            (x, a), = first.items()
-            (j, c), = elem2.items()
-            # the one term has coefficient c * a == 1, so `combine` would
-            # add the cached walk, canonical already, without multiplying
-            # it, and return an equal dict: the copy is exact.  Over F_p
-            # a product congruent to 1 but not equal to it (2 * 51 in
-            # F_101) still goes to `combine`, which reduces it.  With the
-            # same paths in `_on_generator`, `PathAlgebra.product` and
-            # `Echelon.add`, `reconstruct-f101` `wall_s` fell 17.21 ->
-            # 14.92 ms (better in 10/10 alternating pairs of 20 s
-            # perfbench runs, Python 3.11.7, 2-core x86-64 Xeon)
-            if c * a == 1:
-                return dict(self.walk(x, j))
-        return combine(((c * a, self.walk(x, j))
-                        for j, c in elem2.items() for x, a in first.items()),
-                       self.alg.field)
-
-
-class Probe:
-    """The probe M_n = e_n kQ/(R), the projective right module at the
-    vertex n, built as a representation from the quiver and the relation
-    generators alone: no Groebner basis and no normal form of the path
-    algebra goes into it.
-
-    The vertices are taken in the admissible `order`.  M_n(n) is spanned
-    by the trivial path, and M_n(v) is zero for every other vertex before
-    n.  For a later vertex w, M_n(w) is the direct sum, over the arrows
-    a: v -> w, of copies of M_n(v), modulo x * r for each relation r that
-    ends at w and each basis vector x of M_n(source of r).  The quiver has
-    no oriented cycle, so an ideal element u * r * t with t non-trivial is
-    already zero in the space that t's last arrow starts from: the
-    relations that end at w are all that the quotient at w needs, whatever
-    the lengths of their paths.
-
-    The columns of the direct sum at w are the words x + (a,), ordered by
-    `Path.sort_key` with the largest word in the lowest column, and one
-    `Echelon` reduces the relation images there.  So each pivot is the
-    largest word of an element of the relation space, and the free columns
-    are the words that are no such pivot: the basis words of M_n(w).  The
-    path order is admissible, so these are the paths from n to w that
-    contain no tip of the relation ideal, the basis words of kQ/(R) from n
-    to w, and a basis vector is named by its word.  `steps` holds, for
-    every column word, its image in M_n(w), {basis word: c}: that word
-    itself if it is free, else minus the rest of its echelon row.  So the
-    action of the arrow a on the basis vector x is `steps[x + (a,)]`."""
-
-    def __init__(self, quiver, relations, field, order, n):
-        self.field = field
-        self.words = {n: [()]}   # vertex -> the basis words of M_n there
-        self.steps = {}
-        into = {}
-        for a in quiver.arrows:
-            into.setdefault(a.target, []).append((a.label, a.source))
-        ending = {}
-        for r in relations:
-            ending.setdefault(r.target, []).append(r)
-        one = field.one
-        for w in order[order.index(n) + 1:]:
-            cols = [x + (label,) for label, v in into.get(w, ())
-                    for x in self.words.get(v, ())]
-            if not cols:
-                continue
-            cols.sort(key=_order_key, reverse=True)
-            col = {c: k for k, c in enumerate(cols)}
-            ech = Echelon(len(cols), field)
-            # the rows whose largest word is smallest first: then no row
-            # taken earlier holds the new pivot, and `Echelon.add` clears
-            # no column from the others.  The echelon form is the same in
-            # any order; `assemble_A` on P^6 = beil(6,7) went 0.48 -> 0.34 s
-            # (single runs, Python 3.11.7, 2-core x86-64)
-            for row in sorted(filter(None, self.relation_images(
-                    ending.get(w, ()), col)), key=min, reverse=True):
-                ech.add(row)
-            rows = ech.rows
-            basis = []
-            for k, c in enumerate(cols):
-                row = rows.get(k)
-                if row is None:
-                    basis.append(c)
-                    self.steps[c] = {c: one}
-                else:
-                    self.steps[c] = field.nonzero(
-                        (cols[j], -x) for j, x in row.items() if j != k)
-            self.words[w] = basis
-
-    def relation_images(self, relations, col):
-        """The images x * r of the `relations`, which end at one vertex, in
-        the direct sum there, whose columns `col` numbers by word: one
-        sparse row per relation r and basis vector x at r's source."""
-        field = self.field
-        for r in relations:
-            for x in self.words.get(r.source, ()):
-                start = {x: field.one}
-                yield combine(
-                    ((c, {col[y + p.arrows[-1:]]: d
-                          for y, d in self.walk(p.arrows[:-1], start).items()})
-                     for c, p in r.terms), field)
-
-    def dim(self, v):
-        return len(self.words.get(v, ()))
-
-    def act(self, vec, label):
-        """The vector `vec`, {basis word: c}, times the arrow `label`.  A
-        basis vector with coefficient one gives the shared `steps` entry,
-        which callers must not change."""
-        if len(vec) == 1:
-            (x, c), = vec.items()
-            if c == 1:
-                return self.steps[x + (label,)]
-        return combine(((c, self.steps[x + (label,)]) for x, c in vec.items()),
-                       self.field)
-
-    def walk(self, word, start=None):
-        """The vector `start`, the generator e_n by default, pushed along
-        the arrows of `word`."""
-        vec = {(): self.field.one} if start is None else start
-        for label in word:
-            vec = self.act(vec, label)
-        return vec
+        first = self._push(n, {(): self.alg.field.one}, elem1)
+        return self._classes(n, self._push(n, first, elem2))
 
 
 def yoneda_coordinates(alg, transform):

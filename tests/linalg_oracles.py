@@ -5,7 +5,9 @@ Each does the arithmetic on every entry, zero or not, as `linalg` did
 before its row operations skipped zeros and `rref` became a view of
 `Echelon`.  The solver and the basis completion work on the dense RREF of
 an augmented matrix, as `linalg` did before it read coordinates off one
-sparse echelon.
+sparse echelon.  `gauss_jordan_kernel_oracle` is a sparse Gauss-Jordan
+elimination, column by column, written apart from `linalg.Echelon`,
+for systems too large for the dense oracles.
 
 Over QQ the eliminations compute in `Fraction` throughout, apart from the
 library's elements, which are `int`s when integral: there `/` would give
@@ -19,7 +21,7 @@ from fractions import Fraction
 from quivertt.fields import QQ
 from quivertt.linalg import InconsistentSystem, Matrix
 
-from fields_oracle import oracle_field
+from fields_oracle import FpElement, oracle_field
 
 
 def exact(field, x):
@@ -75,6 +77,55 @@ def kernel_basis_oracle(m):
             v[pc] = -red.entries[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def gauss_jordan_kernel_oracle(rows, ncols, field):
+    """Basis of the right kernel of `rows`, {column: value} dicts in
+    `ncols` unknowns, by column-by-column Gauss-Jordan elimination on
+    sparse rows in the oracle arithmetic; it shares no code with
+    `linalg.Echelon`.  One vector per free column fc, in order: one at fc
+    and minus column fc of each pivot row at that row's pivot, as a
+    {column: value} dict over `field` in column order."""
+    one, zero = exact(field, field.one), exact(field, field.zero)
+    todo = []
+    for row in rows:
+        exact_row = {c: exact(field, x) for c, x in row.items()}
+        todo.append({c: x for c, x in exact_row.items() if x})
+    pivots = {}   # pivot column -> its row, one there and zero at the others
+    for col in range(ncols):
+        pivot = next((row for row in todo if col in row), None)
+        if pivot is None:
+            continue
+        todo = [row for row in todo if row is not pivot]
+        inv = one / pivot[col]
+        pivot = {c: inv * x for c, x in pivot.items()}
+        for row in todo + list(pivots.values()):
+            f = row.get(col)
+            if f is None:
+                continue
+            for c, x in pivot.items():
+                y = row.get(c, zero) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+        todo = [row for row in todo if row]
+        pivots[col] = pivot
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = {fc: one}
+        for pc, row in pivots.items():
+            if fc in row:
+                vec[pc] = -row[fc]
+        basis.append({c: library(field, vec[c]) for c in sorted(vec)})
+    return basis
+
+
+def library(field, x):
+    """The oracle's value `x` as an element of the library's `field`."""
+    return field(x.value if isinstance(x, FpElement) else x)
 
 
 def solve_many_oracle(a, bs):

@@ -1,34 +1,30 @@
 """Reference versions of reconstruction code, kept as differential
-oracles for the faster code in `path_algebra` and `reconstruct`.
+oracles for the faster code in `path_algebra`, `repcat` and `reconstruct`.
 
 The Hom-space and center oracles solve one dense system with
 `kernel_basis_oracle`.  The probe oracle evaluates transformations with
 dense composite action matrices.  All of them touch the algebra only
 through its structure constants (`product_indices`), path normal forms,
-module bases and idempotents.  They compute in the field of
-`fields_oracle.oracle_field`, so over F_p in `FpElement`s, and their
-matrices are over that field.
+module bases and idempotents, so none shares code with `repcat.Probe`.
+They compute in the field of `fields_oracle.oracle_field`, so over F_p in
+`FpElement`s, and their matrices are over that field.
 
-`combine_yoneda` and `combine_compose` are the exception: they are the
-evaluator's sums as single `linalg.combine` calls, over the algebra's own
-field, against which the evaluator's copies of cached walks are checked.
-So are `generator_relations_oracle` and `idempotent_commutant_oracle`:
-they solve, with `linalg.Echelon` over the algebra's own field, the two
-systems whose answers `PathAlgebra.generator_relations` and
+`generator_relations_oracle` and `idempotent_commutant_oracle` are the
+exception: they solve, with `linalg.Echelon` over the algebra's own
+field, the two systems whose answers `path_algebra.module_hom_space` and
 `reconstruct.center_and_z` read off the basis, and
 `two_stage_center_oracle` is the center solved on top of the second.
-`assemble_A_oracle` is the old body of `reconstruct.assemble_A`, which
-compared the path-algebra basis with the module maps of
-`module_hom_space` and the probe evaluator's composite with
-`PathAlgebra.product` on every composable pair of basis classes.
+`assemble_A_oracle` is `reconstruct.assemble_A` by the route it replaced:
+the module maps of `module_hom_space_oracle`, and the dense probe
+evaluator's composite against `PathAlgebra.product` on every composable
+pair of basis classes.
 """
 
 from quivertt.linalg import Echelon, Matrix, combine
-from quivertt.path_algebra import module_hom_space, require_tensor_relations
+from quivertt.path_algebra import require_tensor_relations
 from quivertt.quiver import Path
 from quivertt.reconstruct import (IsomorphismVerdict, NatTransSpace,
-                                  ProbeEvaluator, ReconstructedAlgebra,
-                                  ReconstructionError, _commutant, psi)
+                                  ReconstructedAlgebra, _commutant)
 from quivertt.repcat import Representation
 
 from fields_oracle import oracle_field
@@ -184,26 +180,8 @@ def probe_oracle(alg):
     return _DenseProbeEvaluator(alg)
 
 
-def combine_yoneda(evaluator, elem, n):
-    """`ProbeEvaluator.yoneda` as it was before single classes with
-    coefficient one were copied from the walk cache: one `combine` of the
-    generator images of `evaluator`, for every input."""
-    return combine(((c, evaluator.generator_image(n, i))
-                    for i, c in elem.items()), evaluator.alg.field)
-
-
-def combine_compose(evaluator, elem1, n, elem2):
-    """`ProbeEvaluator.compose` as it was before a single term with
-    coefficient one was copied from the walk cache: one `combine` of the
-    walks of `evaluator`, for every input."""
-    first = combine_yoneda(evaluator, elem1, n)
-    return combine(((c * a, evaluator.walk(x, j))
-                    for j, c in elem2.items() for x, a in first.items()),
-                   evaluator.alg.field)
-
-
 def generator_relations_oracle(alg, m):
-    """`PathAlgebra.generator_relations(m)` as a solved system: the kernel
+    """The relations of the generator of M_m as a solved system: the kernel
     of w -> e_m * w by `Echelon`, scanned in order, with a relation kappa
     kept unless a relation g kept before it certifies it, g * kappa =
     kappa, which puts kappa in g * Lambda."""
@@ -242,46 +220,47 @@ def two_stage_center_oracle(alg):
 
 
 def assemble_A_oracle(alg):
-    """`reconstruct.assemble_A` with its old second route: the module maps
-    M_m -> M_n of `module_hom_space` for the dimensions, `psi` of them
-    against the basis for the round trip, and `ProbeEvaluator.compose`
-    against `PathAlgebra.product` on every composable pair of basis
-    classes for the structure constants."""
+    """`reconstruct.assemble_A` by the route it replaced: the module maps
+    M_m -> M_n of `module_hom_space_oracle` for the dimensions, their
+    images of the generator and the dense probes of `probe_oracle` against
+    the basis for the round trip, and that evaluator's composite against
+    `PathAlgebra.product` on every composable pair of basis classes for
+    the structure constants."""
     require_tensor_relations(alg)
+    field = oracle_field(alg.field)
+
+    def lifted(elem):
+        return {i: field(c) for i, c in elem.items()}
+
+    evaluator = probe_oracle(alg)
     components = {}
-    module_maps = {}
-    dims_ok = True
+    dims_ok = round_trip = True
     for n in alg.quiver.vertices:
+        mb_n = alg.module_basis(n)
         for m in alg.quiver.vertices:
             route1 = [{i: alg.field.one} for i in alg.pair_indices.get((n, m), [])]
-            route2 = module_maps[(n, m)] = module_hom_space(alg, n, m)
+            route2 = module_hom_space_oracle(alg, n, m)
             if len(route1) != len(route2):
                 dims_ok = False
             components[(n, m)] = NatTransSpace(n, m, route1, len(route2))
-
-    evaluator = ProbeEvaluator(alg)
-    round_trip = True
-    for (n, m), space in components.items():
-        for elem in space.basis:
-            if evaluator.yoneda(elem, n) != elem:
+            e_m = alg.module_basis(m).index(alg.idempotent_index[m])
+            images = [{gi: c for gi, c in zip(mb_n, f.column(e_m)) if c}
+                      for f in route2]
+            if images != [lifted(elem) for elem in route1]:
                 round_trip = False
-        try:
-            images = [psi(alg, n, m, f) for f in module_maps[(n, m)]]
-        except ReconstructionError:   # a module map outside e_n Lambda e_m
-            images = None
-        if images != space.basis:
-            round_trip = False
+            if any(evaluator.yoneda(elem, n, m) != lifted(elem)
+                   for elem in route1):
+                round_trip = False
 
     constants_ok = True
     for (n, m), space in components.items():
-        for (m2, _), space2 in components.items():
+        for (m2, l), space2 in components.items():
             if m2 != m:
                 continue
             for elem in space.basis:
                 for elem2 in space2.basis:
-                    composed = evaluator.compose(elem, n, elem2)
-                    expected = alg.product(elem, elem2)
-                    if composed != expected:
+                    if (evaluator.compose(elem, n, m, elem2, l)
+                            != lifted(alg.product(elem, elem2))):
                         constants_ok = False
     verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
     return ReconstructedAlgebra(alg, components, verdict)

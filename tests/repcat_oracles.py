@@ -1,7 +1,8 @@
 """`repcat.sub_quotient` and `repcat.unit_filtration` as they were before
-coordinate subspaces were split by blocks, and `repcat.hom_space` as it was
-before its naturality system went to `linalg.sparse_kernel`, kept as
-differential oracles.
+coordinate subspaces were split by blocks, and `repcat.hom_space` with its
+naturality system solved by an elimination of its own
+(`linalg_oracles.gauss_jordan_kernel_oracle`), kept as differential
+oracles.
 
 Every subspace is split by solving for the coordinates of each arrow's
 image and completing each vertex's basis with standard vectors, and every
@@ -11,14 +12,15 @@ oracles work on a copy of the representation over the field of
 """
 
 from quivertt.fields import QQ
-from quivertt.linalg import DimensionMismatch, Echelon, Matrix
+from quivertt.linalg import DimensionMismatch, Matrix
 from quivertt.quiver import admissible_order
 from quivertt.repcat import (FiltrationStep, Representation,
                              RepresentationError, RepMorphism, simple_object,
                              unit_object)
 
 from fields_oracle import oracle_field
-from linalg_oracles import complete_basis_oracle, solve_many_oracle
+from linalg_oracles import (complete_basis_oracle, solve_many_oracle,
+                            gauss_jordan_kernel_oracle)
 
 
 def in_oracle_field(rep):
@@ -134,8 +136,9 @@ def unit_filtration_oracle(quiver, relations, field=QQ):
 
 def hom_space_oracle(v, w):
     """Basis of all morphisms v -> w from the naturality squares as one
-    dense system: a row of `total` entries per square entry, all added to
-    one `Echelon`, and its `sparse_kernel_basis` made dense."""
+    system: a sparse row per square entry, solved by
+    `gauss_jordan_kernel_oracle`, which shares no code with `linalg`'s
+    elimination."""
     if v.quiver != w.quiver:
         raise DimensionMismatch("Hom between representations of different quivers")
     field = v.field
@@ -154,19 +157,16 @@ def hom_space_oracle(v, w):
         wa = w.arrow_maps[a.label]
         for i in range(w.dims[m]):
             for j in range(v.dims[n]):
-                row = [field.zero] * total
+                row = {}
                 for k in range(v.dims[m]):
-                    row[offsets[m] + i * v.dims[m] + k] = \
-                        row[offsets[m] + i * v.dims[m] + k] + va.entries[k][j]
+                    c = offsets[m] + i * v.dims[m] + k
+                    row[c] = row.get(c, field.zero) + va.entries[k][j]
                 for k in range(w.dims[n]):
-                    row[offsets[n] + k * v.dims[n] + j] = \
-                        row[offsets[n] + k * v.dims[n] + j] - wa.entries[i][k]
+                    c = offsets[n] + k * v.dims[n] + j
+                    row[c] = row.get(c, field.zero) - wa.entries[i][k]
                 rows.append(row)
-    ech = Echelon(total, field)
-    for row in rows:
-        ech.add(row)
     basis = []
-    for sparse in ech.sparse_kernel_basis():
+    for sparse in gauss_jordan_kernel_oracle(rows, total, field):
         vec = [sparse.get(j, field.zero) for j in range(total)]
         comps = {}
         for x in quiver.vertices:

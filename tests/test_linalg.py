@@ -12,8 +12,8 @@ from quivertt.linalg import (Coordinates, DimensionMismatch, Echelon,
 from conftest import is_element
 from fields_oracle import oracle_field
 from linalg_oracles import (RREFEchelonOracle, complete_basis_oracle,
-                            kernel_basis_oracle, matmul_oracle, rref_oracle,
-                            solve_many_oracle)
+                            gauss_jordan_kernel_oracle, kernel_basis_oracle,
+                            matmul_oracle, rref_oracle, solve_many_oracle)
 
 
 # -- independent oracles ------------------------------------------------
@@ -366,6 +366,21 @@ def test_echelon_kernel_matches_kernel_basis(stream):
     for row in rows:
         ech.add(row)
     assert [dense(v, ncols, field) for v in ech.sparse_kernel_basis()] == \
+        kernel_basis_oracle(Matrix.from_rows(rows, field))
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_streams())
+def test_gauss_jordan_kernel_oracle_matches_kernel_basis(stream):
+    # the two oracles, one sparse and one dense, agree; the rows go in
+    # unreduced over F_p, with entries of any sign and multiples of p
+    field, ncols, rows, _ = stream
+    p = getattr(field, "p", None)
+    raw = [{j: x + (p if p and j % 2 else 0) for j, x in enumerate(row)}
+           for row in rows]
+    got = gauss_jordan_kernel_oracle(raw, ncols, field)
+    assert all(is_element(x, field) for v in got for x in v.values())
+    assert [dense(v, ncols, field) for v in got] == \
         kernel_basis_oracle(Matrix.from_rows(rows, field))
 
 

@@ -1,11 +1,12 @@
-"""The single-class paths of `PathAlgebra.product` and of the probe
-evaluator's `yoneda` and `compose`, which copy a memoised vector instead of
-summing it with `linalg.combine`, against the one-`combine` bodies they
-replaced; and the invariant those copies rest on: every memo entry of the
-normal forms and the walks has ascending keys and nonzero canonical
-values, after a full reconstruction, and every arrow image of the probes
-that `reconstruct` builds has nonzero canonical values.  An arrow step is
-the normal-form memo's own entry, not a copy of it."""
+"""The single-class path of `PathAlgebra.product`, which copies a
+memoised vector instead of summing it with `linalg.combine`, against the
+one-`combine` body it replaced; the probe evaluator's `yoneda` and
+`compose` against the same sums, key order included; and the invariant
+the copies rest on: every memo entry of the normal forms has ascending
+keys and nonzero canonical values, after a full reconstruction, and every
+arrow image of the probes that `reconstruct` builds has nonzero canonical
+values.  An arrow step is the normal-form memo's own entry, not a copy of
+it."""
 
 import random
 from fractions import Fraction
@@ -23,7 +24,6 @@ from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
 from conftest import FIXTURE_NAMES, is_element, load_fixture
 from fields_oracle import oracle_field
 from path_algebra_oracles import combine_product
-from reconstruct_oracles import combine_compose, combine_yoneda
 
 SPEC_DIR = Path(__file__).resolve().parent / "specs"
 F2, F3, F101 = PrimeField(2), PrimeField(3), PrimeField(101)
@@ -119,21 +119,23 @@ def test_single_class_copies_match_combine(make, arg, field):
     alg = PathAlgebra(*make(arg), field)
     evaluator = ProbeEvaluator(alg)
     singles, pairs = coefficients(field)
+    # an element is e_n times itself on M_n, which is zero unless it starts
+    # at n, and its composite with a second element is their product, zero
+    # unless the two compose
     for i, (n, m) in enumerate(alg.pair_of):
         for a in singles:
             elem = {i: a}
-            assert_copy(lambda: evaluator.yoneda(elem, n),
-                        lambda: combine_yoneda(evaluator, elem, n), field)
+            for v in alg.quiver.vertices:
+                assert_copy(lambda: evaluator.yoneda(elem, v),
+                            lambda: combine_product(alg, alg.idempotent(v),
+                                                    elem), field)
         for j in range(alg.dim):
             for a, c in pairs:
                 elem, elem2 = {i: a}, {j: c}
                 assert_copy(lambda: alg.product(elem, elem2),
                             lambda: combine_product(alg, elem, elem2), field)
-                if alg.pair_of[j][0] == m:
-                    assert_copy(
-                        lambda: evaluator.compose(elem, n, elem2),
-                        lambda: combine_compose(evaluator, elem, n, elem2),
-                        field)
+                assert_copy(lambda: evaluator.compose(elem, n, elem2),
+                            lambda: combine_product(alg, elem, elem2), field)
 
     # elements of up to three classes, which take the `combine` path
     rng = random.Random(f"{arg}-{field}")
@@ -145,10 +147,10 @@ def test_single_class_copies_match_combine(make, arg, field):
             elem2 = {rng.choice(second): rng.choice(singles)
                      for _ in range(3)}
             assert_copy(lambda: evaluator.yoneda(elem, n),
-                        lambda: combine_yoneda(evaluator, elem, n), field)
-            assert_copy(lambda: evaluator.compose(elem, n, elem2),
-                        lambda: combine_compose(evaluator, elem, n, elem2),
+                        lambda: combine_product(alg, alg.idempotent(n), elem),
                         field)
+            assert_copy(lambda: evaluator.compose(elem, n, elem2),
+                        lambda: combine_product(alg, elem, elem2), field)
             assert_copy(lambda: alg.product(elem, elem2),
                         lambda: combine_product(alg, elem, elem2), field)
 
@@ -163,7 +165,7 @@ def assert_canonical_memo(memo, field, ordered=True):
 @pytest.mark.parametrize("make, arg, field",
                          list(instances((QQ, F2, F101))))
 def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
-    # `reconstruct` builds one probe per vertex.  `Probe.act` hands out a
+    # `assemble_A` builds one probe per vertex.  `Probe.act` hands out a
     # `steps` entry where `combine` of it alone would return an equal
     # dict, so those entries hold nonzero canonical values; their key
     # order is free, since the probe's vectors are only compared
@@ -189,10 +191,11 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
         for a in alg.quiver.arrows_from(p.target):
             assert (alg.arrow_step(x, a.label)
                     is alg._word_nf[p.arrows + (a.label,)]), (x, a.label)
+    assert_canonical_memo(alg._word_nf, field)
+    # the probes an evaluator builds, one per vertex, after it has
+    # evaluated every class
     evaluator = ProbeEvaluator(alg)
     for i, (n, _) in enumerate(alg.pair_of):
         evaluator.yoneda({i: field.one}, n)
-    memos = [alg._word_nf, evaluator._walks]
-    assert any(memos)
-    for memo in memos:
-        assert_canonical_memo(memo, field)
+    for n in alg.quiver.vertices:
+        assert_canonical_memo(evaluator.probe(n).steps, field, ordered=False)

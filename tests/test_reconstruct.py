@@ -1,6 +1,6 @@
 import pytest
 
-from quivertt import path_algebra, reconstruct
+from quivertt import path_algebra, reconstruct, repcat
 from quivertt.cli import run_command
 from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
@@ -164,14 +164,14 @@ class TestAssembleA:
     def test_route_dimension_mismatch_clears_verdict(self, monkeypatch):
         # the probe builder kills one more word than the relations do: the
         # largest column of the direct sum at each vertex after n
-        real = reconstruct.Probe.relation_images
+        real = repcat.Probe.relation_images
         spec = load_fixture("kronecker2")
 
         def one_more(self, relations, col):
             yield from real(self, relations, col)
             yield {0: self.field.one}
 
-        monkeypatch.setattr(reconstruct.Probe, "relation_images", one_more)
+        monkeypatch.setattr(repcat.Probe, "relation_images", one_more)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is False
         assert verdict.isomorphic is False
@@ -183,7 +183,7 @@ class TestAssembleA:
 
     def test_wrong_probe_image_clears_round_trip(self, monkeypatch):
         # the probe's arrow action sends the generator to twice the arrow
-        real = reconstruct.Probe.act
+        real = repcat.Probe.act
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
@@ -193,7 +193,7 @@ class TestAssembleA:
                 return {g: c + c for g, c in image.items()}
             return image
 
-        monkeypatch.setattr(reconstruct.Probe, "act", doubled)
+        monkeypatch.setattr(repcat.Probe, "act", doubled)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
@@ -212,7 +212,7 @@ class TestAssembleA:
         # word's vector, while each arrow still acts as the quotient's
         # arrow step: the module map M_m -> M_n of the arrow class is
         # doubled, and only the round trip sees it
-        real = reconstruct.Probe.walk
+        real = repcat.Probe.walk
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
@@ -222,7 +222,7 @@ class TestAssembleA:
                 return {g: c + c for g, c in vec.items()}
             return vec
 
-        monkeypatch.setattr(reconstruct.Probe, "walk", doubled)
+        monkeypatch.setattr(repcat.Probe, "walk", doubled)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
@@ -239,7 +239,7 @@ class TestAssembleA:
                                                      name):
         # the probe builder leaves out one image x * r, the last one at
         # the first vertex where relations end, so that M_n(w) is too large
-        real = reconstruct.Probe.relation_images
+        real = repcat.Probe.relation_images
         skipped = []
 
         def skip_one(self, relations, col):
@@ -248,7 +248,7 @@ class TestAssembleA:
                 skipped.append(images.pop())
             return images
 
-        monkeypatch.setattr(reconstruct.Probe, "relation_images", skip_one)
+        monkeypatch.setattr(repcat.Probe, "relation_images", skip_one)
         doc, code = run_command(
             ["reconstruct", str(FIXTURE_DIR / f"{name}.quiver")])
         assert code == 0
@@ -260,7 +260,7 @@ class TestAssembleA:
         # the generator pushed along an arrow's word picks up the
         # generator e_n itself, outside e_n Lambda e_m: the dimensions
         # still match, and only the round trip sees it
-        real = reconstruct.Probe.walk
+        real = repcat.Probe.walk
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
@@ -270,7 +270,7 @@ class TestAssembleA:
                 return {**vec, (): self.field.one}
             return vec
 
-        monkeypatch.setattr(reconstruct.Probe, "walk", stray)
+        monkeypatch.setattr(repcat.Probe, "walk", stray)
         verdict = assemble_A(algebra_of(spec)).verdict
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
@@ -323,7 +323,7 @@ class TestAssembleA:
             monkeypatch.setattr(owner, name, wrapper)
 
         # the builder walks from the basis vectors of relation sources too
-        counted(reconstruct.Probe, "walk", lambda self, word, start=None:
+        counted(repcat.Probe, "walk", lambda self, word, start=None:
                 start is None)
         counted(PathAlgebra, "arrow_step", lambda *args: 1)
         pairs = sum(len(alg.quiver.arrows_from(p.target)) for p in alg.basis)
@@ -396,6 +396,29 @@ class TestQuotientMutants:
         assert doc["dimension"] == 14
         assert doc["verdict"]["dimensions_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
+    def test_extra_rule_raises_in_the_probe_evaluator(self, monkeypatch,
+                                                      field):
+        # the probe M_1 keeps the word x1_0 * x2_0, which the quotient
+        # with the rule x1_0 * x2_0 -> 0 has no class for
+        real = path_algebra.groebner_basis
+
+        def extra(polys, fld):
+            gb = real(polys, fld)
+            gb.rules[("x1_0", "x2_0")] = {}
+            return gb
+
+        monkeypatch.setattr(path_algebra, "groebner_basis", extra)
+        spec = load_fixture("beilinson2")
+        alg = PathAlgebra(spec.quiver, spec.relations, field)
+        assert ("x1_0", "x2_0") not in alg.word_index
+        first = {alg.word_index[("x1_0",)]: field.one}
+        second = {alg.word_index[("x2_0",)]: field.one}
+        evaluator = ProbeEvaluator(alg)
+        assert evaluator.yoneda(first, "1") == first
+        with pytest.raises(ReconstructionError, match=r"x1_0\*x2_0"):
+            evaluator.compose(first, "1", second)
 
 
 class TestCenter:

@@ -1,12 +1,16 @@
 """Subrepresentations split along coordinate blocks, and the unit
 filtration built from them, against the generic solves they replace; Hom
-spaces solved as sparse groups against the dense system they replace."""
+spaces solved as sparse groups against the dense system they replace; the
+projective modules built from the relations against the dense ones read
+off the quotient."""
 
 import random
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix
 from quivertt.path_algebra import PathAlgebra
@@ -19,6 +23,8 @@ from quivertt.repcat import (RepresentationError, Representation, hom_space,
 
 from conftest import (FIXTURE_NAMES, element_types, load_fixture,
                       unit_lower_triangular)
+from fields_oracle import oracle_field
+from reconstruct_oracles import _dense_probe
 from repcat_oracles import (hom_space_oracle, path_action_oracle,
                             sub_quotient_oracle, unit_filtration_oracle)
 
@@ -197,3 +203,57 @@ def test_hom_space_matches_dense_oracle_on_random_pairs(seed, field):
     w = random_representation(rng, menu)
     assert_same_hom_space(v, w)
     assert_same_hom_space(w, v)
+
+
+# -- the projective modules M_n against the quotient's dense ones -------
+
+SPEC_DIR = FilePath(__file__).resolve().parent / "specs"
+# the moduli each spec is read over, None for QQ: fractions with a
+# denominator divisible by 2 have no image in F_2
+SPEC_MODULI = {
+    "diamond": (None, 101),
+    "weighted": (None, 101),
+    "field_sensitive": (None, 2, 101),
+    "half": (None, 2, 101),
+    "first_arrow_transpose": (None, 2, 101),
+}
+
+
+def fixture_instance(name):
+    spec = load_fixture(name)
+    return spec.quiver, spec.relations
+
+
+def spec_instance(name):
+    spec = parse_quiver_file(SPEC_DIR / f"{name}.quiver")
+    return spec.quiver, spec.relations
+
+
+def random_instance(seed):
+    return random_tensor_quiver(random.Random(seed), max_vertices=6,
+                                max_arrows=10)
+
+
+def projective_cases():
+    for field in HOM_FIELDS:
+        cases = [(fixture_instance, name) for name in FIXTURE_NAMES]
+        cases += [(spec_instance, name)
+                  for name, moduli in SPEC_MODULI.items()
+                  if getattr(field, "p", None) in moduli]
+        cases += [(random_instance, seed) for seed in range(60)]
+        for make, arg in cases:
+            yield pytest.param(make, arg, field, id=f"{arg}-{field}")
+
+
+@pytest.mark.parametrize("make, arg, field", list(projective_cases()))
+def test_module_representation_matches_dense_probe(make, arg, field):
+    alg = PathAlgebra(*make(arg), field)
+    lift = oracle_field(field)
+    for n in alg.quiver.vertices:
+        got, want = module_representation(alg, n), _dense_probe(alg, n)
+        assert got.dims == want.dims
+        for label, m in got.arrow_maps.items():
+            assert [[lift(x) for x in row] for row in m.entries] \
+                == [list(row) for row in want.arrow_maps[label].entries]
+        assert {type(x) for m in got.arrow_maps.values()
+                for row in m.entries for x in row} <= set(element_types(field))

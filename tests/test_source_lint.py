@@ -353,33 +353,51 @@ def test_the_caller_check_sees_every_form():
     assert uncalled({"m": matrix}, [bare + "M().row()\n"]) == []
 
 
-# The probes of `reconstruct` are the route that `assemble_A` checks the
-# quotient against, so they are built from the quiver and the relations
-# alone: the probe builder reads none of the quotient's Groebner basis,
-# normal forms, structure constants or basis indices.
+# The probes are the route that `assemble_A` checks the quotient against,
+# so they are built from the quiver and the relations alone: the probe
+# builder reads none of the quotient's Groebner basis, normal forms,
+# structure constants or basis indices.
 QUOTIENT_ATTRIBUTES = {"groebner", "_nf_word", "arrow_step",
                        "product_indices", "word_index", "idempotent_index"}
 PROBE_BUILDER = ("Probe",)
+# The code that reads the projective modules off the probes: it multiplies
+# nothing in the quotient, and finds the quotient's basis classes only by
+# word and by vertex.
+PROBE_READERS = {"repcat": ("module_representation",),
+                 "reconstruct": ("ProbeEvaluator",)}
+PRODUCTS = ((QUOTIENT_ATTRIBUTES - {"word_index", "idempotent_index"})
+            | {"product"})
 
 
-def quotient_reads(source, defs=PROBE_BUILDER):
-    """The names of QUOTIENT_ATTRIBUTES that the top-level definitions
-    `defs` of `source` name, as a name, an attribute or a string."""
+def quotient_reads(source, defs=PROBE_BUILDER, attributes=QUOTIENT_ATTRIBUTES):
+    """The names of `attributes` that the top-level definitions `defs` of
+    `source` name, as a name, an attribute or a string."""
     tree = ast.parse(source)
     found = set()
     for node in tree.body:
         if getattr(node, "name", None) in defs:
-            names, attributes = names_used(ast.get_source_segment(source, node))
-            found |= (names | attributes) & QUOTIENT_ATTRIBUTES
+            names, used = names_used(ast.get_source_segment(source, node))
+            found |= (names | used) & attributes
     return sorted(found)
 
 
+def top_level(source):
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+
 def test_probe_builder_reads_no_quotient_attribute():
-    source = (SRC / "reconstruct.py").read_text()
-    defined = {node.name for node in ast.parse(source).body
-               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    assert set(PROBE_BUILDER) <= defined
+    source = (SRC / "repcat.py").read_text()
+    assert set(PROBE_BUILDER) <= top_level(source)
     assert quotient_reads(source) == []
+
+
+@pytest.mark.parametrize("module", sorted(PROBE_READERS))
+def test_probe_readers_multiply_nothing_in_the_quotient(module):
+    source = (SRC / f"{module}.py").read_text()
+    defs = PROBE_READERS[module]
+    assert set(defs) <= top_level(source)
+    assert quotient_reads(source, defs, PRODUCTS) == []
 
 
 def test_the_probe_check_sees_every_form():
@@ -392,3 +410,5 @@ def test_the_probe_check_sees_every_form():
               "def assemble_A(alg):\n"
               "    return alg.product_indices\n")
     assert quotient_reads(source) == ["arrow_step", "groebner", "word_index"]
+    assert quotient_reads(source, ("Probe", "assemble_A"), PRODUCTS) == [
+        "arrow_step", "groebner", "product_indices"]

@@ -1,8 +1,11 @@
 """`perfbench/tracing.py` wraps library functions and methods by name
 (`rref`, `Echelon.add`, `Echelon.reduce`, `RREFEchelon.add`,
-`module_hom_space`, `cohomology_at`, ...).  Deleting or renaming one of
-them breaks only the traced benchmark runs, so this test builds the tracer
-from the file as it is and runs four commands through it."""
+`module_hom_space`, `ProbeEvaluator.compose`, `cohomology_at`, ...).
+Deleting or renaming one of them breaks only the traced benchmark runs,
+so this test builds the tracer from the file as it is and runs four
+commands through it.  Some of the wrapped names are on no command's path
+(`module_hom_space`, which lists basis classes, and the probe evaluator);
+they are kept, under their names, for the tracer."""
 
 import importlib.util
 import json
@@ -49,7 +52,7 @@ def test_traced_commands_exit_0(tmp_path):
     assert recorder.calls["complexes.cohomology"] > 0
     # `reconstruct` compares the quotient with probes built from the
     # relations; the wrapped `module_hom_space` and probe evaluator are
-    # no longer on its path
+    # not on its path
     assert recorder.calls["reconstruct.assemble"] == 1
     assert recorder.calls["path_algebra.module_hom"] == 0
     assert recorder.calls["reconstruct.probe"] == 0
