@@ -19,12 +19,9 @@ field's job.  Every kernel ends with one of three canonicalising calls:
 `field(x)` for one scalar, `field.nonzero(items)` for the {key: value}
 dict of the canonical nonzero entries of (key, value) pairs, and
 `field.vector(xs)` for the tuple of canonical entries.  Over QQ the last
-two drop zeros or build a tuple; over F_p they reduce mod p first.  Only
-three loops read `field.modulus` (p for F_p, None for QQ): `linalg.combine`
-and `linalg.Echelon` keep an F_p copy of their loop, because routing them
-through these calls measured slower, and `path_algebra.GroebnerBasis.reduce`
-reduces each term as it pops it (see each).  `format` prints the
-representative.
+two drop zeros or build a tuple; over F_p they reduce mod p first.  No
+kernel reads `field.modulus` (p for F_p, None for QQ) or keeps a modular
+copy of its loop.  `format` prints the representative.
 
 Scalar literals (spec coefficients, complex-file entries) are an integer
 or "a/b" with ASCII digits and an optional sign; anything else, a float
@@ -101,11 +98,7 @@ class Rationals:
     name = "QQ"
     zero = 0
     one = 1
-
-    def __init__(self):
-        # no modular branch in the three kernels that read it; an instance
-        # attribute, which they read faster than a class attribute
-        self.modulus = None
+    modulus = None
 
     def __call__(self, x):
         cls = x.__class__

@@ -22,27 +22,21 @@ is formed.
 
 Sparse vectors are {index: value} dicts, the format `Echelon` eats.
 `combine` is the one sparse linear-combination routine: folded normal
-forms, structure constants, probe walks and the diagonal tensor square
-are sums it takes.  An arrow step is no sum: it is the memoised normal
-form of a basis path followed by the arrow.  The rows of a
+forms, products, structure constants, probe walks and the diagonal tensor
+square are sums it takes.  An arrow step is no sum: it is the memoised
+normal form of a basis path followed by the arrow.  The rows of a
 `sparse_kernel` system are the exception: each group's rows are filled
 in one pass over its terms, which costs less than a `combine` per
-unknown.  A sum of one memoised vector with coefficient one is that
-vector, since every memo entry already has ascending keys and nonzero
-canonical values: `PathAlgebra.product` copies it instead of calling
-`combine`, which measured faster on `reconstruct-f101`.
+unknown.
 
 An element of F_p is a plain `int` in [0, p) (see `fields`), and the
-operators on ints do not reduce.  `Matrix` arithmetic, `kronecker` and
-`Coordinates` compute with the operators and hand what they return to
-`field.vector`, and `Echelon.sparse_kernel_basis` to `field.nonzero`;
-both reduce mod p over F_p.  Two routines keep an F_p
-copy of their loop instead, chosen once per call (`Echelon` once per
-object) on `field.modulus`, because routing them through the field
-measured slower on `reconstruct-f101`: `combine` reduces each sum once, at
-the end, before it drops zeros; `Echelon` (with `_subtract`) reduces each
-entry of a row it takes and every entry it computes, so its callers, and
-the terms of `sparse_kernel`, may hold unreduced ints.
+operators on ints do not reduce; every routine here ends in the field's
+own reduction.  `Matrix` arithmetic, `kronecker` and `Coordinates` hand
+what they compute to `field.vector`, `combine` and
+`Echelon.sparse_kernel_basis` to `field.nonzero`, and `Echelon` (with
+`_subtract`) passes every entry it takes or computes through `field(x)`.
+So the callers of `combine` and `Echelon`, and the terms of
+`sparse_kernel`, may hold unreduced ints.
 """
 
 from __future__ import annotations
@@ -266,15 +260,9 @@ def combine(terms, field):
     """The sum over `field` of c * vec over the (c, vec) pairs `terms`,
     sparse vectors {index: x}, with its zeros dropped and its keys in
     ascending order.  A coefficient 1, the usual one, adds vec without a
-    multiplication.  Over F_p the sums are reduced once, at the end,
-    before the zeros are dropped, so `c` and the entries may be any ints
-    congruent to the elements they stand for.
-
-    The F_p branch is written out, not a `field.nonzero` call: `combine`
-    runs once per folded normal form, product and probe walk, and that
-    call put `reconstruct-f101` `wall_s` up 4.0% (16.99 -> 17.67 ms,
-    worse in 5/5 alternating pairs of 8 s perfbench runs, Python 3.11.7,
-    2-core x86-64 Xeon)."""
+    multiplication.  The sums go to `field.nonzero`, which reduces them
+    over F_p before it drops zeros, so `c` and the entries may be any ints
+    congruent to the elements they stand for."""
     acc = {}
     for c, vec in terms:
         unit = c == 1
@@ -282,15 +270,7 @@ def combine(terms, field):
             if not unit:
                 x = c * x
             acc[g] = acc[g] + x if g in acc else x
-    p = field.modulus
-    if p is None:
-        return {g: x for g, x in sorted(acc.items()) if x}
-    out = {}
-    for g, x in sorted(acc.items()):
-        x %= p
-        if x:
-            out[g] = x
-    return out
+    return field.nonzero(sorted(acc.items()))
 
 
 class Echelon:
@@ -304,15 +284,13 @@ class Echelon:
     pivoting at its lowest nonzero column.  `add`, `reduce` and `contains`
     take a dense sequence or a {column: value} dict.
 
-    Every stored entry is a field element, whatever the input rows held.
+    Every stored entry is a field element, whatever the input rows held:
+    each entry taken or computed goes through `field(x)`.
 
     `add` clears the new pivot column from the other rows only when some
     row can hold it: `_seen` holds every column of every row stored so far,
-    a superset of the columns the rows hold.  So a row that holds only its
-    pivot, as most rows of the Hom and center systems of `reconstruct` do,
-    is inserted without a pass over the other rows.  Such a row is stored
-    as {pivot: field.one} without an inverse, since scaling it makes its
-    one entry one.
+    a superset of the columns the rows hold.  So a row whose pivot column
+    no stored row holds is inserted without a pass over the other rows.
     """
 
     def __init__(self, ncols, field=QQ):
@@ -320,37 +298,24 @@ class Echelon:
         self.field = field
         self.rows = {}
         self._seen = set()
-        # over F_p, `_residue`, `add` and `_subtract` reduce every entry
-        # they store in a loop of their own.  Coercing with `field(x)` and
-        # leaving the rest to `field.nonzero` at the end of `_residue` and
-        # of each row `add` changes put `reconstruct-f101` `wall_s` up
-        # 12.0% (16.58 -> 18.58 ms, worse in 5/5 alternating pairs of 8 s
-        # perfbench runs, Python 3.11.7, 2-core x86-64 Xeon)
-        self._p = field.modulus
 
     def _residue(self, vec):
         """The residue of `vec` as a {column: value} dict without zeros.
-        Over F_p an `int` entry is reduced, so callers may pass any ints
+        Each entry goes through `field(x)`, so callers may pass any ints
         congruent to the entries they mean."""
-        field, p = self.field, self._p
+        field = self.field
         v = {}
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        if p is None:
-            for j, x in items:
-                if x:
-                    x = field(x)
-                    if x:
-                        v[j] = x
-        else:
-            for j, x in items:
-                x = x % p if x.__class__ is int else field(x)
+        for j, x in items:
+            if x:
+                x = field(x)
                 if x:
                     v[j] = x
         rows = self.rows
         # the rows are zero at each other's pivots, so the pivots to clear
         # are the ones where `vec` itself is nonzero, in any order
         for pc in v.keys() & rows.keys():
-            _subtract(v, v.pop(pc), rows[pc], pc, p)
+            _subtract(v, v.pop(pc), rows[pc], pc, field)
         return v
 
     def reduce(self, vec):
@@ -362,26 +327,15 @@ class Echelon:
         v = self._residue(vec)
         if not v:
             return False
-        p = self._p
-        if len(v) == 1:
-            # a one-entry residue scales to its pivot alone, which is one:
-            # no `field.inv`.  Most rows of the Hom and center systems are
-            # such rows; part of a 13% cut of `reconstruct-f101` `wall_s`
-            # (see `PathAlgebra.product`)
-            pc, = v
-            row = {pc: self.field.one}
-        else:
-            pc = min(v)
-            inv = self.field.inv(v[pc])
-            if p is None:
-                row = {c: inv * a for c, a in v.items()}
-            else:
-                row = {c: inv * a % p for c, a in v.items()}
+        field = self.field
+        pc = min(v)
+        inv = field.inv(v[pc])
+        row = {c: field(inv * a) for c, a in v.items()}
         if pc in self._seen:
             for other in self.rows.values():
                 f = other.pop(pc, None)
                 if f is not None:
-                    _subtract(other, f, row, pc, p)
+                    _subtract(other, f, row, pc, field)
         self._seen.update(row)
         self.rows[pc] = row
         return True
@@ -420,36 +374,18 @@ def _dense(vec, ncols, zero):
     return out
 
 
-def _subtract(v, f, row, pivot, p):
+def _subtract(v, f, row, pivot, field):
     """v -= f * row in place, at every column of `row` but its pivot,
-    dropping the entries that cancel; reduced mod p unless p is None.
-    `v` and `row` hold canonical elements and no zeros, and f is nonzero."""
-    if p is None:
-        g = -f
-        for c, b in row.items():
-            if c != pivot:
-                x = v.get(c)
-                if x is None:
-                    v[c] = g * b
-                else:
-                    x = x + g * b
-                    if x:
-                        v[c] = x
-                    else:
-                        del v[c]
-        return
-    g = p - f
+    each entry through `field(x)`, dropping the entries that cancel.  `v`
+    and `row` hold canonical elements and no zeros, and f is nonzero."""
+    g = -f
     for c, b in row.items():
         if c != pivot:
-            x = v.get(c)
-            if x is None:
-                v[c] = g * b % p   # nonzero: p is prime
+            x = field(v.get(c, 0) + g * b)
+            if x:
+                v[c] = x
             else:
-                x = (x + g * b) % p
-                if x:
-                    v[c] = x
-                else:
-                    del v[c]
+                del v[c]
 
 
 class Coordinates:

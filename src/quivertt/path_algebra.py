@@ -33,19 +33,17 @@ entry, one `arrow_step` per class of it.  Neither the build nor
 (`quiver.check_path_budget`) is checked first, and every tip is a path,
 so it bounds the Groebner computation too.
 
-Every sum of multiples of sparse vectors here is one `linalg.combine`.
-`product` of two single classes whose coefficients multiply to 1 copies
-the memoised normal form, which `combine` would return unchanged.
-`module_hom_space` solves no system: the maps M_m -> M_n are the basis
-classes from n to m, each the image of the generator.
+Every sum of multiples of sparse vectors here, `product` among them, is
+one `linalg.combine`.  `module_hom_space` solves no system: the maps
+M_m -> M_n are the basis classes from n to m, each the image of the
+generator.
 
 Over F_p an element is a plain `int` (see `fields`), and the field
 reduces it: the Groebner rules end in `field.nonzero`, and the unit half
 of the tensor check in `field(x)`.  The relation polynomials, the
 S-polynomials and the rules sent back to be reduced again are left
-unreduced, since each goes only into `GroebnerBasis.reduce`.  That is the
-one loop here that reads `field.modulus`: it reduces each term as it pops
-it and skips zeros.
+unreduced, since each goes only into `GroebnerBasis.reduce`, which passes
+each term through `field(x)` as it pops it and skips zeros.
 """
 
 from __future__ import annotations
@@ -139,16 +137,15 @@ class GroebnerBasis:
         a tip.  Terms are rewritten from the largest word down, so every
         word that a rewrite adds is smaller than the one it replaces, and
         each word is popped once, with its final coefficient.  So the
-        work list may hold zeros and, over F_p, unreduced ints: a term is
-        reduced mod p when it is popped, and skipped if it is zero."""
+        work list may hold zeros and, over F_p, unreduced ints: a term goes
+        through `field(x)` when it is popped, and is skipped if it is
+        zero."""
         todo = dict(poly)
         out = {}
-        p = self.field.modulus
+        field = self.field
         while todo:
             w = max(todo, key=_order_key)
-            c = todo.pop(w)
-            if p is not None:
-                c %= p
+            c = field(todo.pop(w))
             if not c:
                 continue
             hit = self.divisor(w)
@@ -345,8 +342,7 @@ class PathAlgebra:
         w = pi.arrows + pj.arrows
         if not w:
             return {i: self.field.one}
-        nf = self._word_nf.get(w)
-        return nf if nf is not None else self._nf_word(w)
+        return self._nf_word(w)
 
     def arrow_step(self, x, label):
         """(basis class x) * (class of the arrow `label`), as
@@ -361,20 +357,6 @@ class PathAlgebra:
     def product(self, a, b):
         """Product of two elements given as {basis index: coefficient},
         in ascending index order; a new dict."""
-        if len(a) == 1 and len(b) == 1:
-            (i, ca), = a.items()
-            (j, cb), = b.items()
-            # two classes whose coefficients multiply to 1: `combine`
-            # would add the memoised normal form, whose keys ascend and
-            # whose values are nonzero field elements, without
-            # multiplying it, so the copy is equal.  Over F_p a product
-            # congruent to 1 but not equal to it still goes to `combine`.
-            # This copy and the one-entry path of `Echelon.add` were part
-            # of a 13% cut of `reconstruct-f101` `wall_s`, 17.21 -> 14.92
-            # ms (better in 10/10 alternating pairs of 20 s perfbench
-            # runs, Python 3.11.7, 2-core x86-64 Xeon)
-            if ca * cb == 1:
-                return dict(self.product_indices(i, j))
         return combine(((ca * cb, self.product_indices(i, j))
                         for i, ca in a.items() for j, cb in b.items()),
                        self.field)

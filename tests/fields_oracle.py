@@ -2,19 +2,20 @@
 oracles and as a second field for differential tests.
 
 The library's `PrimeField(p)` hands out plain `int`s in [0, p), which
-the field reduces at the end of each kernel (`nonzero`, `vector`), or the
-kernel itself where it reads `modulus`.  Code that sums field elements
-with ordinary operators, as the oracles do, would compute over Z on those
-ints.  So the oracles run over `PrimeField` here, whose elements are
-`FpElement`s: immutable two-slot objects holding the representative in
-[0, p) and the modulus, which reduce in every operator.
+the field reduces at the end of each kernel (`field(x)`, `nonzero`,
+`vector`).  Code that sums field elements with ordinary operators, as the
+oracles do, would compute over Z on those ints.  So the oracles run over
+`PrimeField` here, whose elements are `FpElement`s: immutable two-slot
+objects holding the representative in [0, p) and the modulus, which
+reduce in every operator.
 
-This field's `modulus` is None, the value the library's kernels read to
-choose their modular branch, and its `nonzero` and `vector` are QQ's,
-which do not reduce, so the library runs its generic path, the one it
-runs over QQ, on these elements.  Comparing the reports of the library
-over `PrimeField(p)` here and over `quivertt.fields.PrimeField(p)`
-therefore compares the modular kernels with plain operator arithmetic.
+This field's `modulus` is None, as QQ's is, and its `nonzero` and
+`vector` are QQ's, which do not reduce; its `field(x)` returns an element
+unchanged.  So every reduction the library leaves to the field is a
+no-op on these elements, and the operators do all the reducing.
+Comparing the reports of the library over `PrimeField(p)` here and over
+`quivertt.fields.PrimeField(p)` therefore compares the field's reduction
+in the kernels with plain operator arithmetic.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class PrimeField:
     `FpElement`s for elements; a larger modulus raises ResourceBudget, and
     a composite one FieldError."""
 
-    modulus = None   # no modular branch: the kernels use the operators
+    modulus = None   # as QQ's: the operators reduce
     # the operators already reduce, so canonical entries are QQ's
     nonzero = Rationals.nonzero
     vector = Rationals.vector

@@ -190,7 +190,7 @@ class TestIntPrimeField:
         assert type(f.zero) is int and type(f.one) is int
         assert f.format(-1) == "100" and f.format(5) == "5"
         assert f.parse("-1/2") == 50
-        # the kernels choose their modular branch on `modulus`
+        # None for QQ, and for the oracle field, whose operators reduce
         assert QQ.modulus is None and OraclePrimeField(101).modulus is None
 
     @pytest.mark.parametrize("p", [2, 3, 101, 2**64 - 59])

@@ -1,12 +1,12 @@
-"""The single-class path of `PathAlgebra.product`, which copies a
-memoised vector instead of summing it with `linalg.combine`, against the
-one-`combine` body it replaced; the probe evaluator's `yoneda` and
-`compose` against the same sums, key order included; and the invariant
-the copies rest on: every memo entry of the normal forms has ascending
-keys and nonzero canonical values, after a full reconstruction, and every
-arrow image of the probes that `reconstruct` builds has nonzero canonical
-values.  An arrow step is the normal-form memo's own entry, not a copy of
-it."""
+"""`PathAlgebra.product` and the probe evaluator's `yoneda` and `compose`
+on one or more classes against a sum of structure constants taken with
+`linalg.combine`, key order included, and against changes to what they
+return; and the invariant that the shared entries rest on: every memo
+entry of the normal forms has ascending keys and nonzero canonical
+values, after a full reconstruction, and every arrow image of the probes
+that `reconstruct` builds, which `Probe.act` hands out for a basis vector
+with coefficient one, has nonzero canonical values.  An arrow step is the
+normal-form memo's own entry, not a copy of it."""
 
 import random
 from fractions import Fraction
@@ -76,9 +76,9 @@ def instances(fields):
 def coefficients(field):
     """(singles, pairs): coefficients for one class, and (a, c) pairs of
     them for two classes: every pair of singles, and pairs of inverses
-    other than (1, 1).  Over QQ their product is 1 and takes the copy;
-    over F_p it is an int only congruent to 1, such as 2 * 51 in F_101,
-    and takes `combine`."""
+    other than (1, 1).  Over QQ their product is 1; over F_p it is an int
+    only congruent to 1, such as 2 * 51 in F_101, which the field must
+    reduce."""
     p = getattr(field, "p", None)
     if p is None:
         singles = [1, Fraction(1), -1, 2, Fraction(1, 2)]
@@ -137,7 +137,7 @@ def test_single_class_copies_match_combine(make, arg, field):
                 assert_copy(lambda: evaluator.compose(elem, n, elem2),
                             lambda: combine_product(alg, elem, elem2), field)
 
-    # elements of up to three classes, which take the `combine` path
+    # elements of up to three classes
     rng = random.Random(f"{arg}-{field}")
     for (n, m), first in alg.pair_indices.items():
         for (m2, _), second in alg.pair_indices.items():

@@ -9,14 +9,13 @@ regex may use syntax that 3.11 added: atomic groups and possessive
 quantifiers.  An element of F_p is a plain `int`: the element class
 `FpElement` lives on only in the tests' oracle field, and no file under
 `src` names it.  Reducing those ints is the field's job (`field(x)`,
-`field.nonzero`, `field.vector`), so `modulus` is read only in `fields`
-and in the three loops that reduce for themselves, each for a measured
-reason: `linalg.combine`, `linalg.Echelon` and
-`path_algebra.GroebnerBasis.reduce`.  Every function, class and method of
-the library is named outside its own body in the library, `scripts/` or
-`perfbench/`, a method through an attribute, an import alias or a string,
-never a bare name; the check goes by name, and `UNCALLED` lists the
-paper's maps that stay without a caller, each with its reason."""
+`field.nonzero`, `field.vector`), so `modulus` is read only in `fields`:
+no kernel keeps a modular copy of its loop.  Every function, class and
+method of the library is named outside its own body in the library,
+`scripts/` or `perfbench/`, a method through an attribute, an import alias
+or a string, never a bare name; the check goes by name, and `UNCALLED`
+lists the paper's maps that stay without a caller, each with its
+reason."""
 
 import ast
 import importlib
@@ -145,8 +144,7 @@ def test_the_regex_check_sees_every_form():
 # where `modulus` may be read: a file, and in it the functions or classes
 # (a class with all its methods) whose qualified name is listed; None for
 # anywhere in the file
-MODULUS_READERS = {"fields.py": None, "linalg.py": ("combine", "Echelon"),
-                   "path_algebra.py": ("GroebnerBasis.reduce",)}
+MODULUS_READERS = {"fields.py": None}
 
 
 def modulus_reads(source):
@@ -182,15 +180,10 @@ def reader_site(file, scope):
                  if scope == site or scope.startswith(site + ".")), None)
 
 
-def test_modulus_is_read_only_by_the_field_and_three_loops():
+def test_modulus_is_read_only_by_the_field():
     reads = [(path.name, line, scope) for path in LIBRARY
              for line, scope in modulus_reads(path.read_text())]
     assert [r for r in reads if reader_site(r[0], r[2]) is None] == []
-    # every listed loop still reads it, so the list does not go stale;
-    # `fields` only sets it
-    assert {(file, reader_site(file, scope)) for file, _, scope in reads} \
-        == {("linalg.py", "combine"), ("linalg.py", "Echelon"),
-            ("path_algebra.py", "GroebnerBasis.reduce")}
 
 
 def test_the_modulus_check_sees_every_form():
@@ -210,9 +203,10 @@ def test_the_modulus_check_sees_every_form():
     assert reads == [(3, "Matrix.__add__"), (5, "Matrix.scale"),
                      (7, "combine"), (11, "Echelon.add.inner")]
     assert [reader_site("linalg.py", scope) for _, scope in reads] == [
-        None, None, "combine", "Echelon"]
-    assert reader_site("dsl.py", "combine") is None
-    assert reader_site("path_algebra.py", "GroebnerBasis") is None
+        None, None, None, None]
+    assert [reader_site("fields.py", scope) for _, scope in reads] == [
+        "fields.py"] * 4
+    assert reader_site("path_algebra.py", "GroebnerBasis.reduce") is None
     assert reader_site("fields.py", "PrimeField.__init__") == "fields.py"
 
 
