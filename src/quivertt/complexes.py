@@ -32,11 +32,6 @@ class ComplexError(ValueError):
     pass
 
 
-def id_morphism(rep):
-    return RepMorphism(rep, rep, {v: Matrix.identity(rep.dims[v], rep.field)
-                                  for v in rep.quiver.vertices})
-
-
 def zero_morphism(src, tgt):
     return RepMorphism(src, tgt, {v: Matrix.zeros(tgt.dims[v], src.dims[v], src.field)
                                   for v in src.quiver.vertices})

@@ -20,8 +20,8 @@ field's job.  Every kernel ends with one of three canonicalising calls:
 dict of the canonical nonzero entries of (key, value) pairs, and
 `field.vector(xs)` for the tuple of canonical entries.  Over QQ the last
 two drop zeros or build a tuple; over F_p they reduce mod p first.  No
-kernel reads `field.modulus` (p for F_p, None for QQ) or keeps a modular
-copy of its loop.  `format` prints the representative.
+kernel reads the prime `field.p` or keeps a modular copy of its loop.
+`format` prints the representative.
 
 Scalar literals (spec coefficients, complex-file entries) are an integer
 or "a/b" with ASCII digits and an optional sign; anything else, a float
@@ -40,7 +40,7 @@ class FieldError(ValueError):
     pass
 
 
-# The largest modulus `PrimeField` accepts.  Below it the Miller-Rabin test
+# The largest prime `PrimeField` accepts.  Below it the Miller-Rabin test
 # on the twelve prime bases up to 37 is exact: the least strong pseudoprime
 # to all of them is 318665857834031151167461, about 3.2e23.
 MAX_PRIME = 2**64
@@ -98,7 +98,6 @@ class Rationals:
     name = "QQ"
     zero = 0
     one = 1
-    modulus = None
 
     def __call__(self, x):
         cls = x.__class__
@@ -112,9 +111,6 @@ class Rationals:
         if isinstance(x, str):
             return self.parse(x)
         raise FieldError(f"cannot coerce {x!r} into QQ")
-
-    def from_int(self, n):
-        return int(n)
 
     def nonzero(self, items):
         """The dict of the nonzero (key, value) pairs `items`."""
@@ -153,7 +149,7 @@ class Rationals:
 
 class PrimeField:
     """The finite field F_p for a prime p up to MAX_PRIME; a larger
-    modulus raises ResourceBudget, and a composite one FieldError.  Its
+    p raises ResourceBudget, and a composite p FieldError.  Its
     elements are the `int`s in [0, p)."""
 
     zero = 0
@@ -166,7 +162,6 @@ class PrimeField:
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
-        self.modulus = p
         self.name = f"F{p}"
 
     def __call__(self, x):
@@ -175,9 +170,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return x.numerator * self.inv(x.denominator) % self.p
         raise FieldError(f"cannot coerce {x!r} into {self.name}")
-
-    def from_int(self, n):
-        return n % self.p
 
     def nonzero(self, items):
         """The dict of the (key, value) pairs `items` with each value

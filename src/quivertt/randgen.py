@@ -149,5 +149,5 @@ def random_morphism_complex(rng, quiver, relations, field=QQ):
     f = basis[0]
     for g in basis[1:]:
         if rng.random() < 0.5:
-            f = f + g.scale(field.from_int(rng.randint(-2, 2)))
+            f = f + g.scale(field(rng.randint(-2, 2)))
     return BC.from_map(f, degree=rng.randint(-1, 0))

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
-                        id_morphism, induced_on_cohomology)
+                        induced_on_cohomology)
 from .linalg import Echelon, Matrix, combine, sparse_kernel
 from .path_algebra import PathAlgebra, require_tensor_relations
 from .quiver import Path
-from .repcat import Probe, hom_space, simple_object, unit_object
+from .repcat import Probe, simple_object
 from .spectrum import prime_at
 
 
@@ -190,18 +190,18 @@ class ProbeEvaluator:
         return dict(sorted(out))
 
     def yoneda(self, elem, n):
-        """Coordinates of elem: F_n => F_m, read off its image of e_n."""
+        """The coordinates of elem: F_n => F_m, read off its image of e_n."""
         return self._classes(n, self._push(n, {(): self.alg.field.one}, elem))
 
     def compose(self, elem1, n, elem2):
-        """Coordinates of the composite action of elem1: F_n => F_m then
+        """The coordinates of the composite action of elem1: F_n => F_m then
         elem2: F_m => F_l on the probe M_n."""
         first = self._push(n, {(): self.alg.field.one}, elem1)
         return self._classes(n, self._push(n, first, elem2))
 
 
 def yoneda_coordinates(alg, transform):
-    """Coordinates of a natural transformation F_n => F_m, read off from
+    """The coordinates of a natural transformation F_n => F_m, read off
     its action on the projective probe M_n placed in degree zero."""
     return ProbeEvaluator(alg).yoneda(transform.element,
                                       transform.source_vertex)
@@ -306,15 +306,11 @@ class CenterReport:
         return self.center_dimension == self.end_unit_dimension
 
 
-def z_image(alg, f):
-    """The image in the algebra of a unit endomorphism f: the combination
-    of trivial paths e_v weighted by the scalars f acts by at each vertex."""
-    elem = {}
-    for v in alg.quiver.vertices:
-        c = f.components[v].entries[0][0]
-        if c:
-            elem[alg.idempotent_index[v]] = c
-    return elem
+def z_image(alg, vertices):
+    """The image in the algebra of the unit endomorphism that is 1 at
+    `vertices` and 0 elsewhere: the sum of their trivial paths e_v."""
+    return dict.fromkeys(sorted(alg.idempotent_index[v] for v in vertices),
+                         alg.field.one)
 
 
 def _commutant(alg, unknowns, generators):
@@ -351,10 +347,15 @@ def center_and_z(assembled):
     arrow commutators are solved, in unknowns over those classes alone,
     and the kernel basis mapped back is that of the one combined system.
 
-    A unit endomorphism has one scalar per vertex (constant on connected
-    components); transporting it through the unit isomorphisms makes it
-    act on the value of each point functor as that vertex's scalar, so its
-    image in the algebra is the matching combination of trivial paths."""
+    The unit U is k at every vertex with identity arrows, so a map
+    U -> U is natural exactly when its scalars at the two ends of every
+    arrow agree: End(U) is k^pi0(Q), with the indicators of the connected
+    components for basis, orthogonal idempotents that sum to 1.  Through
+    the unit isomorphisms an indicator acts on the value of each point
+    functor by its scalar at that vertex, so its image in the algebra is
+    the sum of the trivial paths of its component (`z_image`).  The
+    ring-map check multiplies those images, and the center membership is
+    tested against the commutant's span, so both can fail."""
     alg = assembled.algebra
     quiver, field, d = alg.quiver, alg.field, alg.dim
 
@@ -364,22 +365,20 @@ def center_and_z(assembled):
                     for y in _commutant(alg, [{i: field.one} for i in diagonal],
                                         arrows)]
 
-    unit = unit_object(quiver, field)
-    end_u = hom_space(unit, unit)
-
     center_span = Echelon(d, field)
     for v in center_basis:
         center_span.add(v)
 
-    z_images = [z_image(alg, f) for f in end_u]
+    z_images = [z_image(alg, c) for c in quiver.undirected_components()]
     in_center = all(center_span.contains(elem) for elem in z_images)
 
-    # ring map: multiplicative on the End(U) basis, and sends id_U to 1
-    ring_ok = all(
-        alg.product(z_images[i], z_images[j]) == z_image(alg, f.compose(g))
-        for i, f in enumerate(end_u) for j, g in enumerate(end_u))
-    if z_image(alg, id_morphism(unit)) != alg.unit():
+    # ring map: the images are orthogonal idempotents, and the indicator
+    # of every vertex, id_U, goes to 1
+    ring_ok = all(alg.product(zi, zj) == (zi if i == j else {})
+                  for i, zi in enumerate(z_images)
+                  for j, zj in enumerate(z_images))
+    if z_image(alg, quiver.vertices) != alg.unit():
         ring_ok = False
 
-    return CenterReport(center_basis, len(center_basis), len(end_u),
+    return CenterReport(center_basis, len(center_basis), len(z_images),
                         z_images, in_center, ring_ok)

@@ -6,6 +6,12 @@ Thick tensor ideals are encoded by their support bound: the subset S of
 vertices such that the ideal consists of all complexes whose cohomology is
 concentrated on S.  Supports are a complete invariant here, which is what
 makes this finite encoding possible.
+
+Both kinds of sections are algebras k^n, read off the quiver rather than
+solved for: the sheaf has one factor per point of the open set, and the
+presheaf one per connected component of the full subquiver, since the
+endomorphisms of the unit there are the scalars constant on each
+component.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import support
-from .linalg import Coordinates
 from .path_algebra import compatibility, require_tensor_relations
 from .quiver import QuiverError, full_subquiver
-from .repcat import hom_space, unit_object
 
 
 class NotProper(ValueError):
@@ -145,6 +149,14 @@ class AlgebraSections:
     components: list = None   # for presheaf: the pi0 blocks of the subquiver
 
 
+def _idempotent_table(n):
+    """The structure constants of k^n on its orthogonal idempotents
+    e_0, ..., e_{n-1}: table[i][j] lists the coefficients of e_i e_j,
+    which is e_i when i = j and 0 otherwise."""
+    return [[[int(i == j == k) for k in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
 def sheaf_sections(alg, open_set):
     """Sections of the structure sheaf over an open set: the product over
     its points of the endomorphisms of the unit on the one-vertex
@@ -154,10 +166,8 @@ def sheaf_sections(alg, open_set):
     require_tensor_relations(alg)
     _, opens, _ = full_subquiver(alg.quiver, open_set)
     n = len(opens)
-    table = [[[1 if (i == j and k == i) else 0 for k in range(n)]
-              for j in range(n)] for i in range(n)]
     return AlgebraSections(tuple(opens), n, [f"1_{v}" for v in opens],
-                           table, "sheaf")
+                           _idempotent_table(n), "sheaf")
 
 
 def presheaf_sections(alg, open_set):
@@ -165,29 +175,21 @@ def presheaf_sections(alg, open_set):
 
     This computes sections before sheafification; it requires the
     subquiver to be compatible with the relations and refuses otherwise,
-    returning the witness pair (R cap Q', R-bar)."""
+    returning the witness pair (R cap Q', R-bar).  Once it is compatible,
+    the unit there is k at every vertex with identity arrows, so its
+    endomorphisms are the scalars constant on each connected component:
+    k^pi0 of the subquiver, one idempotent per component."""
     require_tensor_relations(alg)
     field = alg.field
     comp = compatibility(alg.quiver, alg.relations, open_set, field)
     if not comp.compatible:
         raise IncompatibleSubquiver(comp, field)
     sub = comp.subquiver
-    u = unit_object(sub, field)
-    basis = hom_space(u, u)
-    flat = [tuple(f.components[v].entries[0][0] for v in sub.vertices)
-            for f in basis]
-    coords = Coordinates(flat, len(sub.vertices), field)
-    table = []
-    for fi in flat:
-        row = []
-        for fj in flat:
-            prod = tuple(a * b for a, b in zip(fi, fj))
-            row.append([field.format(c) for c in coords.of(prod)])
-        table.append(row)
     components = [sorted(c) for c in sub.undirected_components()]
-    return AlgebraSections(tuple(sub.vertices), len(basis),
-                           [f"pi0_{i}" for i in range(len(basis))],
-                           table, "presheaf", components)
+    n = len(components)
+    return AlgebraSections(tuple(sub.vertices), n,
+                           [f"pi0_{i}" for i in range(n)],
+                           _idempotent_table(n), "presheaf", components)
 
 
 @dataclass

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from quivertt.dsl import parse_quiver, parse_quiver_file
-from quivertt.fields import QQ
+from quivertt.fields import QQ, PrimeField
+from quivertt.linalg import Matrix
 from quivertt.quiver import Relation
+from quivertt.repcat import RepMorphism
 
 import fields_oracle
 
@@ -90,7 +92,13 @@ def is_element(x, field):
     """Whether `x` is a canonical element of `field`: of one of its
     `element_types`, and in [0, p) over the library's F_p."""
     return (type(x) in element_types(field)
-            and (field.modulus is None or 0 <= x < field.modulus))
+            and (not isinstance(field, PrimeField) or 0 <= x < field.p))
+
+
+def id_morphism(rep):
+    """The identity map of the representation `rep`."""
+    return RepMorphism(rep, rep, {v: Matrix.identity(rep.dims[v], rep.field)
+                                  for v in rep.quiver.vertices})
 
 
 @pytest.fixture

@@ -9,9 +9,8 @@ oracles do, would compute over Z on those ints.  So the oracles run over
 objects holding the representative in [0, p) and the modulus, which
 reduce in every operator.
 
-This field's `modulus` is None, as QQ's is, and its `nonzero` and
-`vector` are QQ's, which do not reduce; its `field(x)` returns an element
-unchanged.  So every reduction the library leaves to the field is a
+This field's `nonzero` and `vector` are QQ's, which do not reduce, and
+its `field(x)` returns an element unchanged.  So every reduction the library leaves to the field is a
 no-op on these elements, and the operators do all the reducing.
 Comparing the reports of the library over `PrimeField(p)` here and over
 `quivertt.fields.PrimeField(p)` therefore compares the field's reduction
@@ -148,7 +147,6 @@ class PrimeField:
     `FpElement`s for elements; a larger modulus raises ResourceBudget, and
     a composite one FieldError."""
 
-    modulus = None   # as QQ's: the operators reduce
     # the operators already reduce, so canonical entries are QQ's
     nonzero = Rationals.nonzero
     vector = Rationals.vector
@@ -174,9 +172,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
         raise FieldError(f"cannot coerce {x!r} into {self.name}")
-
-    def from_int(self, n):
-        return FpElement(n, self.p)
 
     def inv(self, x):
         """The inverse of a nonzero element."""

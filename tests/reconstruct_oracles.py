@@ -18,15 +18,22 @@ field, the two systems whose answers `path_algebra.module_hom_space` and
 the module maps of `module_hom_space_oracle`, and the dense probe
 evaluator's composite against `PathAlgebra.product` on every composable
 pair of basis classes.
+
+`center_and_z_oracle` is `reconstruct.center_and_z` before End(U) was read
+off the quiver's components: it solves the naturality system
+`repcat.hom_space(U, U)` for End(U), in the algebra's own field, and
+checks the ring map on the composites of that basis.
 """
 
 from quivertt.linalg import Echelon, Matrix, combine
 from quivertt.path_algebra import require_tensor_relations
 from quivertt.quiver import Path
-from quivertt.reconstruct import (IsomorphismVerdict, NatTransSpace,
-                                  ReconstructedAlgebra, _commutant)
-from quivertt.repcat import Representation
+from quivertt.reconstruct import (CenterReport, IsomorphismVerdict,
+                                  NatTransSpace, ReconstructedAlgebra,
+                                  _commutant)
+from quivertt.repcat import Representation, hom_space, unit_object
 
+from conftest import id_morphism
 from fields_oracle import oracle_field
 from linalg_oracles import kernel_basis_oracle
 
@@ -264,3 +271,49 @@ def assemble_A_oracle(alg):
                         constants_ok = False
     verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
     return ReconstructedAlgebra(alg, components, verdict)
+
+
+def z_image_oracle(alg, f):
+    """The image in the algebra of a unit endomorphism f: the combination
+    of trivial paths e_v weighted by the scalars f acts by at each vertex."""
+    elem = {}
+    for v in alg.quiver.vertices:
+        c = f.components[v].entries[0][0]
+        if c:
+            elem[alg.idempotent_index[v]] = c
+    return elem
+
+
+def center_and_z_oracle(assembled):
+    """The center of the assembled algebra as `reconstruct.center_and_z`
+    finds it, and End(U) solved as `hom_space(U, U)`: its basis mapped by
+    `z_image_oracle`, and the ring map checked as z(f) z(g) = z(f o g)
+    on every pair of basis maps and z(id_U) = 1."""
+    alg = assembled.algebra
+    quiver, field, d = alg.quiver, alg.field, alg.dim
+
+    arrows = [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
+    diagonal = [i for i, (s, t) in enumerate(alg.pair_of) if s == t]
+    center_basis = [{diagonal[r]: c for r, c in y.items()}
+                    for y in _commutant(alg, [{i: field.one} for i in diagonal],
+                                        arrows)]
+
+    unit = unit_object(quiver, field)
+    end_u = hom_space(unit, unit)
+
+    center_span = Echelon(d, field)
+    for v in center_basis:
+        center_span.add(v)
+
+    z_images = [z_image_oracle(alg, f) for f in end_u]
+    in_center = all(center_span.contains(elem) for elem in z_images)
+
+    ring_ok = all(
+        alg.product(z_images[i], z_images[j])
+        == z_image_oracle(alg, f.compose(g))
+        for i, f in enumerate(end_u) for j, g in enumerate(end_u))
+    if z_image_oracle(alg, id_morphism(unit)) != alg.unit():
+        ring_ok = False
+
+    return CenterReport(center_basis, len(center_basis), len(end_u),
+                        z_images, in_center, ring_ok)

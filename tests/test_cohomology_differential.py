@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from quivertt.complexes import (BoundedComplex, cohomology_at, id_morphism,
-                                tensor_complex)
+from quivertt.complexes import BoundedComplex, cohomology_at, tensor_complex
 from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import PathAlgebra
 from quivertt.randgen import (random_complex, random_morphism_complex,
@@ -23,7 +22,7 @@ from quivertt.repcat import (hom_space, module_representation, simple_object,
                              unit_object)
 
 from complexes_oracles import cohomology_at_oracle
-from conftest import FIXTURE_NAMES, element_types, fixture_over
+from conftest import FIXTURE_NAMES, element_types, fixture_over, id_morphism
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
 FIELD_IDS = [field.name for field in FIELDS]

@@ -11,11 +11,10 @@ from quivertt.repcat import (module_representation, simple_object,
 from quivertt.complexes import (BoundedComplex, ChainMap, ComplexError,
                                 cohomology_at, complex_from_json,
                                 complex_to_json, cone, direct_sum_complex,
-                                eval_functor, id_morphism,
-                                induced_cohomology_map, shift,
+                                eval_functor, induced_cohomology_map, shift,
                                 split_vector_complex, support, tensor_complex)
 
-from conftest import load_fixture
+from conftest import id_morphism, load_fixture
 from linalg_oracles import rref_oracle
 
 

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from quivertt.complexes import (BoundedComplex, complex_to_json,
-                                direct_sum_complex, id_morphism, shift)
+                                direct_sum_complex, shift)
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import DimensionMismatch
 from quivertt.randgen import (random_complex, random_morphism_complex,
@@ -22,7 +22,7 @@ from quivertt.randgen import (random_complex, random_morphism_complex,
 from quivertt.repcat import unit_object
 
 from complexes_oracles import direct_sum_complex_oracle
-from conftest import FIXTURE_NAMES, fixture_over
+from conftest import FIXTURE_NAMES, fixture_over, id_morphism
 
 FIELDS = [QQ, PrimeField(2), PrimeField(101)]
 FIELD_IDS = [field.name for field in FIELDS]

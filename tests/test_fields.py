@@ -53,7 +53,6 @@ class TestIntegralRationals:
                   QQ.zero, QQ.one):
             assert type(QQ(x)) is int
         assert type(QQ.zero) is int and type(QQ.one) is int
-        assert type(QQ.from_int(True)) is int
 
     def test_unnormalised_integral_fraction_acts_as_its_int(self):
         x = Fraction(1, 2) * 2
@@ -177,7 +176,6 @@ class TestIntPrimeField:
         for x in (-1, 0, 1, p, p + 1, -5 * p - 3, 2**70, True, False):
             got = f(x)
             assert type(got) is int and 0 <= got < p and got == x % p
-            assert f.from_int(x) == got
         for x in (Fraction(1, 3), Fraction(-7, 5)):
             if x.denominator % p:
                 got = f(x)
@@ -186,12 +184,10 @@ class TestIntPrimeField:
 
     def test_units_modulus_and_format(self):
         f = PrimeField(101)
-        assert (f.zero, f.one, f.modulus) == (0, 1, 101)
+        assert (f.zero, f.one, f.p) == (0, 1, 101)
         assert type(f.zero) is int and type(f.one) is int
         assert f.format(-1) == "100" and f.format(5) == "5"
         assert f.parse("-1/2") == 50
-        # None for QQ, and for the oracle field, whose operators reduce
-        assert QQ.modulus is None and OraclePrimeField(101).modulus is None
 
     @pytest.mark.parametrize("p", [2, 3, 101, 2**64 - 59])
     def test_canonical_entries_are_reduced_before_the_zero_test(self, p):
@@ -388,7 +384,7 @@ def test_fp_element_is_immutable():
 @pytest.mark.parametrize("make", [
     lambda: FpElement(-4, 101),
     lambda: FpElement(60, 101) * FpElement(70, 101),   # the fast path
-    lambda: OraclePrimeField(2**64 - 59).from_int(-1),
+    lambda: OraclePrimeField(2**64 - 59)(-1),
 ])
 def test_fp_element_pickles_and_copies(make):
     x = make()

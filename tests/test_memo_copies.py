@@ -83,7 +83,8 @@ def coefficients(field):
     if p is None:
         singles = [1, Fraction(1), -1, 2, Fraction(1, 2)]
         inverse = [(2, Fraction(1, 2)), (Fraction(-1, 2), -2)]
-    elif field.modulus is None:   # the oracle field reduces in its operators
+    elif not isinstance(field, PrimeField):
+        # the oracle field reduces in its operators
         singles = [field(1), field(p + 1), field(-1), field(2)]
         inverse = [(field(2), field.inv(field(2)))]
     else:

@@ -9,13 +9,13 @@ regex may use syntax that 3.11 added: atomic groups and possessive
 quantifiers.  An element of F_p is a plain `int`: the element class
 `FpElement` lives on only in the tests' oracle field, and no file under
 `src` names it.  Reducing those ints is the field's job (`field(x)`,
-`field.nonzero`, `field.vector`), so `modulus` is read only in `fields`:
-no kernel keeps a modular copy of its loop.  Every function, class and
-method of the library is named outside its own body in the library,
-`scripts/` or `perfbench/`, a method through an attribute, an import alias
-or a string, never a bare name; the check goes by name, and `UNCALLED`
-lists the paper's maps that stay without a caller, each with its
-reason."""
+`field.nonzero`, `field.vector`), so no module but `fields` reads the
+prime, as an attribute `p` or `modulus`: no kernel keeps a modular copy
+of its loop.  Every function, class and method of the library is named
+outside its own body in the library, `scripts/` or `perfbench/`, a method
+through an attribute, an import alias or a string, never a bare name; the
+check goes by name, and `UNCALLED` lists the paper's maps that stay
+without a caller, each with its reason."""
 
 import ast
 import importlib
@@ -141,16 +141,18 @@ def test_the_regex_check_sees_every_form():
                          "def f():\n    return re.compile('b')\n") == 2
 
 
-# where `modulus` may be read: a file, and in it the functions or classes
-# (a class with all its methods) whose qualified name is listed; None for
+# the attributes that hold a prime field's p
+MODULUS_ATTRIBUTES = {"p", "modulus"}
+# where they may be read: a file, and in it the functions or classes (a
+# class with all its methods) whose qualified name is listed; None for
 # anywhere in the file
 MODULUS_READERS = {"fields.py": None}
 
 
 def modulus_reads(source):
     """(line, qualified name of the enclosing function or class, "" at
-    module level) of every read of an attribute `modulus` in `source`, a
-    `getattr(x, "modulus")` included."""
+    module level) of every read of an attribute in MODULUS_ATTRIBUTES in
+    `source`, a `getattr(x, "p")` included."""
     out = []
 
     def walk(node, scope):
@@ -159,10 +161,11 @@ def modulus_reads(source):
                                   ast.ClassDef)):
                 walk(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "modulus"
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in MODULUS_ATTRIBUTES
                     and isinstance(child.ctx, ast.Load)
                     or isinstance(child, ast.Constant)
-                    and child.value == "modulus"):
+                    and child.value in MODULUS_ATTRIBUTES):
                 out.append((child.lineno, ".".join(scope)))
             walk(child, scope)
 
@@ -198,14 +201,18 @@ def test_the_modulus_check_sees_every_form():
               "    def add(self, vec):\n"
               "        def inner():\n"
               "            return self.field.modulus\n"
-              "field.modulus = None\n")
+              "field.modulus = None\n"
+              "def _residue(x, field):\n"
+              "    return x % field.p + getattr(field, 'p', 0)\n"
+              "field.p = 7\n")
     reads = modulus_reads(source)
     assert reads == [(3, "Matrix.__add__"), (5, "Matrix.scale"),
-                     (7, "combine"), (11, "Echelon.add.inner")]
+                     (7, "combine"), (11, "Echelon.add.inner"),
+                     (14, "_residue"), (14, "_residue")]
     assert [reader_site("linalg.py", scope) for _, scope in reads] == [
-        None, None, None, None]
+        None] * 6
     assert [reader_site("fields.py", scope) for _, scope in reads] == [
-        "fields.py"] * 4
+        "fields.py"] * 6
     assert reader_site("path_algebra.py", "GroebnerBasis.reduce") is None
     assert reader_site("fields.py", "PrimeField.__init__") == "fields.py"
 

@@ -199,7 +199,7 @@ class TestPresheafSections:
                     for f in hom_space(u, u)]
             for fi, row in zip(flat, sections.multiplication):
                 for fj, coords in zip(flat, row):
-                    combo = [sum((field.parse(c) * fk[t]
+                    combo = [sum((field(c) * fk[t]
                                   for c, fk in zip(coords, flat)), field.zero)
                              for t in range(len(sub.vertices))]
                     assert combo == [a * b for a, b in zip(fi, fj)]

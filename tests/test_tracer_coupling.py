@@ -2,10 +2,13 @@
 (`rref`, `Echelon.add`, `Echelon.reduce`, `RREFEchelon.add`,
 `module_hom_space`, `ProbeEvaluator.compose`, `cohomology_at`, ...).
 Deleting or renaming one of them breaks only the traced benchmark runs,
-so this test builds the tracer from the file as it is and runs four
+so this test builds the tracer from the file as it is and runs five
 commands through it.  Some of the wrapped names are on no command's path
 (`module_hom_space`, which lists basis classes, and the probe evaluator);
-they are kept, under their names, for the tracer."""
+they are kept, under their names, for the tracer.  `repcat.hom_space` is
+wrapped too, but no command solves a Hom system: the endomorphisms of the
+unit that `reconstruct` and `presheaf` need are read off the quiver's
+components."""
 
 import importlib.util
 import json
@@ -42,13 +45,14 @@ def test_traced_commands_exit_0(tmp_path):
         for argv in (["validate", str(fixture)],
                      ["reconstruct", str(fixture)],
                      ["compare-points", str(fixture)],
+                     ["presheaf", str(fixture), "--open", "1,2"],
                      ["support", str(fixture), "--complex", str(cx)]):
             doc, code = cli.run_command(argv)
             assert code == 0, (argv, doc)
     finally:
         tracer.enable(False)
     assert all(vars(ns)[attr] is orig for ns, attr, orig, _ in tracer.patches)
-    assert recorder.calls["cli"] == 4
+    assert recorder.calls["cli"] == 5
     assert recorder.calls["complexes.cohomology"] > 0
     # `reconstruct` compares the quotient with probes built from the
     # relations; the wrapped `module_hom_space` and probe evaluator are
@@ -57,3 +61,4 @@ def test_traced_commands_exit_0(tmp_path):
     assert recorder.calls["path_algebra.module_hom"] == 0
     assert recorder.calls["reconstruct.probe"] == 0
     assert recorder.calls["linalg.echelon_add"] > 0
+    assert recorder.calls["repcat.hom_space"] == 0
