@@ -13,6 +13,8 @@ overlap of two tips (a proper suffix of one equal to a proper prefix of
 the other, a tip with itself included) gives an S-polynomial, which is
 reduced and, if it is not zero, joins the basis with a monic tip; an older
 element whose tip contains the new tip goes back to be reduced again.  The
+overlaps of a new tip are found through an index of the tips by their
+first and by their last arrow, so it meets only the tips it overlaps.  The
 tails are fully reduced at the end.  Polynomials are {word: coefficient}
 dicts, a word being a tuple of arrow labels; a path's source and target
 follow from its arrows.
@@ -33,17 +35,20 @@ entry, one `arrow_step` per class of it.  Neither the build nor
 (`quiver.check_path_budget`) is checked first, and every tip is a path,
 so it bounds the Groebner computation too.
 
-Every sum of multiples of sparse vectors here, `product` among them, is
-one `linalg.combine`.  `module_hom_space` solves no system: the maps
-M_m -> M_n are the basis classes from n to m, each the image of the
-generator.
+Every sum of multiples of basis vectors here, `product` among them, is
+one `linalg.combine`.  The tensor check reads the Groebner basis directly:
+it reduces each relation term's word by it, not through the memo, and
+sums the diagonal square per pair of normal-form words.
+`module_hom_space` solves no system: the maps M_m -> M_n are the basis
+classes from n to m, each the image of the generator.
 
 Over F_p an element is a plain `int` (see `fields`), and the field
-reduces it: the Groebner rules end in `field.nonzero`, and the unit half
-of the tensor check in `field(x)`.  The relation polynomials, the
-S-polynomials and the rules sent back to be reduced again are left
-unreduced, since each goes only into `GroebnerBasis.reduce`, which passes
-each term through `field(x)` as it pops it and skips zeros.
+reduces it: the Groebner rules and the tensor check's diagonal square end
+in `field.nonzero`, and its unit half in `field(x)`.  The relation
+polynomials, the S-polynomials and the rules sent back to be reduced
+again are left unreduced, since each goes only into
+`GroebnerBasis.reduce`, which passes each term through `field(x)` as it
+pops it and skips zeros.
 """
 
 from __future__ import annotations
@@ -92,19 +97,15 @@ def _contains(word, sub):
     return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
 
 
-def _s_polynomials(u, ru, v, rv):
-    """The S-polynomial of each overlap of the tip u (rule u -> ru) with
-    the tip v (rule v -> rv): u = x*s and v = s*y with s a proper suffix
-    of u and a proper prefix of v, and the S-polynomial
-    (u - ru)*y - x*(v - rv) = x*rv - ru*y, unreduced, like `_polynomial`."""
-    for k in range(1, min(len(u), len(v))):
-        if u[len(u) - k:] == v[:k]:
-            x, y = u[:len(u) - k], v[k:]
-            s = {x + w: c for w, c in rv.items()}
-            for w, c in ru.items():
-                wy = w + y
-                s[wy] = s[wy] - c if wy in s else -c
-            yield s
+def _s_polynomial(x, rv, ru, y):
+    """x*rv - ru*y, unreduced, like `_polynomial`: the S-polynomial
+    (u - ru)*y - x*(v - rv) of the overlap u*y = x*v of the tips u and v
+    of the rules u -> ru and v -> rv."""
+    s = {x + w: c for w, c in rv.items()}
+    for w, c in ru.items():
+        wy = w + y
+        s[wy] = s[wy] - c if wy in s else -c
+    return s
 
 
 class GroebnerBasis:
@@ -165,24 +166,37 @@ def groebner_basis(polys, field):
     homogeneous polynomials `polys`, by Buchberger's algorithm."""
     gb = GroebnerBasis(field)
     rules = gb.rules
+    # the tips by first and by last arrow; dicts, not sets, so that the
+    # queue order does not follow the per-process string hash
+    firsts, lasts = {}, {}
     queue = deque(polys)
     while queue:
         f = gb.reduce(queue.popleft())
         if not f:
             continue
-        tip = max(f, key=_order_key)
-        scale = -field.inv(f[tip])
-        rhs = field.nonzero((w, c * scale) for w, c in f.items() if w != tip)
-        # an element whose tip contains the new one is reduced again
-        for t in [t for t in rules if _contains(t, tip)]:
+        u = max(f, key=_order_key)
+        scale = -field.inv(f[u])
+        ru = field.nonzero((w, c * scale) for w, c in f.items() if w != u)
+        # an element whose tip contains the new one is reduced again; u
+        # contains no tip, so such a tip is longer than u
+        for t in [t for t in rules if len(t) > len(u) and _contains(t, u)]:
+            del firsts[t[0]][t], lasts[t[-1]][t]
             back = {w: -c for w, c in rules.pop(t).items()}
             queue.append({t: field.one, **back})
-        rules[tip] = rhs
+        rules[u] = ru
+        firsts.setdefault(u[0], {})[u] = None
+        lasts.setdefault(u[-1], {})[u] = None
         gb.lengths = sorted({len(t) for t in rules})
-        for t, other in list(rules.items()):
-            queue.extend(_s_polynomials(tip, rhs, t, other))
-            if t != tip:
-                queue.extend(_s_polynomials(t, other, tip, rhs))
+        # the overlaps u = x*s, t = s*y (t = u included) and t = x*s,
+        # u = s*y (t != u) with |s| = k, found by the first or the last
+        # arrow of s; no other tip lies inside u, so s is a proper part of t
+        for k in range(1, len(u)):
+            for t in firsts.get(u[-k], ()):
+                if t[:k] == u[-k:]:
+                    queue.append(_s_polynomial(u[:-k], rules[t], ru, t[k:]))
+            for t in lasts.get(u[k - 1], ()):
+                if t != u and t[-k:] == u[:k]:
+                    queue.append(_s_polynomial(t[:-k], ru, rules[t], u[k:]))
     for t in rules:
         rules[t] = gb.reduce(rules[t])
     return gb
@@ -402,17 +416,20 @@ def is_tensor_relations(alg):
                 tensor product of representations satisfying the relations
                 (and conversely, via the regular representation).
     """
-    field = alg.field
+    field, reduce = alg.field, alg.groebner.reduce
     for gen in alg.relations:
         if field(gen.coefficient_sum()):
             return TensorCheck(False, gen, "unit")
-        # cls(p) (x) cls(p) is the sum of x_i * (e_i (x) cls(p)) over the
-        # terms x_i e_i of cls(p), and e_i (x) cls(p) is cls(p) shifted by
-        # i * dim
-        d = alg.dim
-        nfs = [(c, alg._nf(p)) for c, p in gen.terms]
-        if combine(((c * x, {i * d + j: y for j, y in nf.items()})
-                    for c, nf in nfs for i, x in nf.items()), field):
+        # cls(p) (x) cls(p) is the sum of x * y * (u (x) v) over the terms
+        # x*u and y*v of the normal form of p, u and v words of basis paths
+        square = {}
+        for w, c in _polynomial(gen.terms).items():
+            nf = reduce({w: field.one}).items()
+            for u, x in nf:
+                for v, y in nf:
+                    z = c * x * y
+                    square[u, v] = square[u, v] + z if (u, v) in square else z
+        if field.nonzero(square.items()):
             return TensorCheck(False, gen, "diagonal")
     return TensorCheck(True)
 

@@ -14,15 +14,20 @@ reducing its vector against an echelon of the subquiver's ideal rows.
 products, arrow steps, the diagonal tensor square) as hand-written loops.
 `combine_product` is `PathAlgebra.product` as one `linalg.combine` for
 every input, before two single classes were copied from the memo.
+`groebner_basis_oracle` is Buchberger's loop as it was before the tips
+were indexed by their first and last arrows: each new tip is matched
+against every rule, both ways round, at every overlap length.
 
 Over F_p every oracle computes in the field of `fields_oracle.oracle_field`,
 whose `FpElement`s reduce in each operator; the library's F_p elements are
 plain `int`s, on which the oracles' sums would run over Z.
 """
 
+from collections import deque
 from types import SimpleNamespace
 
 from quivertt.linalg import Matrix, combine
+from quivertt.path_algebra import GroebnerBasis
 from quivertt.quiver import (Path, QuiverError, Relation, admissible_order,
                              enumerate_paths, full_subquiver)
 
@@ -36,6 +41,61 @@ def join_paths(p, q):
     if p.target != q.source:
         raise QuiverError(f"paths {p} and {q} do not compose")
     return Path(p.source, q.target, p.arrows + q.arrows)
+
+
+def order_key(word):
+    """`Path.sort_key` of a path with this word."""
+    return (len(word), word)
+
+
+def contains(word, sub):
+    """Whether the word `sub` occurs inside the word `word`."""
+    n = len(sub)
+    return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
+
+
+def s_polynomials_oracle(u, ru, v, rv):
+    """The S-polynomial of each overlap of the tip u (rule u -> ru) with
+    the tip v (rule v -> rv): u = x*s and v = s*y with s a proper suffix
+    of u and a proper prefix of v, and the S-polynomial
+    (u - ru)*y - x*(v - rv) = x*rv - ru*y, unreduced."""
+    for k in range(1, min(len(u), len(v))):
+        if u[len(u) - k:] == v[:k]:
+            x, y = u[:len(u) - k], v[k:]
+            s = {x + w: c for w, c in rv.items()}
+            for w, c in ru.items():
+                wy = w + y
+                s[wy] = s[wy] - c if wy in s else -c
+            yield s
+
+
+def groebner_basis_oracle(polys, field):
+    """The reduced Groebner basis of the ideal generated by `polys`, by
+    Buchberger's loop that pairs each new tip with every rule, both ways
+    round; it reduces with the library's `GroebnerBasis.reduce`, over the
+    library's `field`."""
+    gb = GroebnerBasis(field)
+    rules = gb.rules
+    queue = deque(polys)
+    while queue:
+        f = gb.reduce(queue.popleft())
+        if not f:
+            continue
+        tip = max(f, key=order_key)
+        scale = -field.inv(f[tip])
+        rhs = field.nonzero((w, c * scale) for w, c in f.items() if w != tip)
+        for t in [t for t in rules if contains(t, tip)]:
+            back = {w: -c for w, c in rules.pop(t).items()}
+            queue.append({t: field.one, **back})
+        rules[tip] = rhs
+        gb.lengths = sorted({len(t) for t in rules})
+        for t, other in list(rules.items()):
+            queue.extend(s_polynomials_oracle(tip, rhs, t, other))
+            if t != tip:
+                queue.extend(s_polynomials_oracle(t, other, tip, rhs))
+    for t in rules:
+        rules[t] = gb.reduce(rules[t])
+    return gb
 
 
 def ideal_rows_oracle(pair, generators, paths_by_pair, field):

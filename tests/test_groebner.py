@@ -21,6 +21,7 @@ from quivertt.path_algebra import groebner_basis
 from quivertt.quiver import enumerate_paths
 
 from conftest import FIXTURE_NAMES, is_element, load_fixture
+from path_algebra_oracles import contains, order_key
 
 SPEC_DIR = Path(__file__).resolve().parent / "specs"
 SPEC_NAMES = sorted(p.stem for p in SPEC_DIR.glob("*.quiver"))
@@ -57,15 +58,6 @@ def canonical_polys(spec, field):
             poly[w] = poly.get(w, 0) + field(c)
         polys.append(field.nonzero(poly.items()))
     return polys
-
-
-def order_key(word):
-    return (len(word), word)
-
-
-def contains(word, sub):
-    n = len(sub)
-    return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
 
 
 def scrambled(poly, p, rng, spare_words):

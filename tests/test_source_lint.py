@@ -15,7 +15,9 @@ of its loop.  Every function, class and method of the library is named
 outside its own body in the library, `scripts/` or `perfbench/`, a method
 through an attribute, an import alias or a string, never a bare name; the
 check goes by name, and `UNCALLED` lists the paper's maps that stay
-without a caller, each with its reason."""
+without a caller, each with its reason.  The tensor check reads only the
+relations, the field and the Groebner basis of the algebra, so it cannot
+go back through the memo of normal forms."""
 
 import ast
 import importlib
@@ -413,3 +415,46 @@ def test_the_probe_check_sees_every_form():
     assert quotient_reads(source) == ["arrow_step", "groebner", "word_index"]
     assert quotient_reads(source, ("Probe", "assemble_A"), PRODUCTS) == [
         "arrow_step", "groebner", "product_indices"]
+
+
+# The tensor check reduces each relation term by the Groebner basis: of
+# the algebra it reads only these, so no later change can route it back
+# through `_nf`, `_word_nf` or `arrow_step`.
+TENSOR_CHECK_READS = {"relations", "field", "groebner"}
+
+
+def parameter_reads(source, name):
+    """(attributes, lines): the attributes that the top-level function
+    `name` of `source` reads off its first parameter, and the lines where
+    it uses that parameter in any other way, such as passing it on or
+    handing it to `getattr`."""
+    func = next(node for node in ast.parse(source).body
+                if getattr(node, "name", None) == name)
+    param = func.args.args[0].arg
+    uses = [node for node in ast.walk(func)
+            if isinstance(node, ast.Name) and node.id == param]
+    reads = {id(node.value): node.attr for node in ast.walk(func)
+             if isinstance(node, ast.Attribute)}
+    return ({reads[id(node)] for node in uses if id(node) in reads},
+            sorted(node.lineno for node in uses if id(node) not in reads))
+
+
+def test_tensor_check_reads_only_relations_field_and_groebner_basis():
+    source = (SRC / "path_algebra.py").read_text()
+    assert parameter_reads(source, "is_tensor_relations") == (
+        TENSOR_CHECK_READS, [])
+
+
+def test_the_parameter_check_sees_every_form():
+    source = ("def is_tensor_relations(alg):\n"
+              "    field = alg.field\n"
+              "    for gen in alg.relations:\n"
+              "        d = alg.dim\n"
+              "        nfs = [alg._nf(p) for _, p in gen.terms]\n"
+              "        memo = getattr(alg, '_word_nf')\n"
+              "        helper(alg, alg.groebner.reduce)\n"
+              "def helper(alg, reduce):\n"
+              "    return alg.arrow_step\n")
+    assert parameter_reads(source, "is_tensor_relations") == (
+        {"field", "relations", "dim", "_nf", "groebner"}, [6, 7])
+    assert parameter_reads(source, "helper") == ({"arrow_step"}, [])

@@ -1,12 +1,16 @@
 """The sparse sums of the quotient, which all go through `linalg.combine`,
 against the hand-written loops they replaced: normal forms (`nf_path`),
-`arrow_step`, `product` and the diagonal square of `is_tensor_relations`."""
+`arrow_step`, `product` and the diagonal square of `is_tensor_relations`.
+The tensor verdict, which reads the Groebner basis directly, is also
+checked on the random relation sets of the quotient's differential test,
+over QQ, F_2, F_3 and F_101."""
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, find, given, settings
 
 from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
@@ -14,8 +18,9 @@ from quivertt.path_algebra import PathAlgebra, is_tensor_relations
 from quivertt.quiver import enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, load_fixture, relation_from_terms
 from path_algebra_oracles import QuotientSumsOracle
+from test_path_algebra_differential import relation_sets
 
 SPEC_DIR = Path(__file__).resolve().parent / "specs"
 F101 = PrimeField(101)
@@ -112,3 +117,43 @@ def test_the_instances_reach_every_tensor_verdict():
         verdicts.add(QuotientSumsOracle(PathAlgebra(*make(), field))
                      .tensor_check()[2])
     assert verdicts == {"", "unit", "diagonal"}
+
+
+
+def balanced(relations):
+    """`relations` with one more term in each generator, its first path
+    times minus its coefficient sum, so that every generator passes the
+    unit test and its diagonal square decides; as drawn, almost every
+    random relation set fails the unit test."""
+    return tuple(relation_from_terms(
+        g.terms + ((-g.coefficient_sum(), g.terms[0][1]),))
+        for g in relations)
+
+
+def tensor_verdicts(instance):
+    """(library, oracle) tensor verdict of the relation set `instance` as
+    drawn and balanced, each as (ok, witness, failed_test)."""
+    quiver, relations, field = instance
+    out = []
+    for rels in (relations, balanced(relations)):
+        alg = PathAlgebra(quiver, rels, field)
+        check = is_tensor_relations(alg)
+        out.append(((check.ok, check.witness, check.failed_test),
+                    QuotientSumsOracle(alg).tensor_check()))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_sets())
+def test_tensor_verdict_on_random_relation_sets(instance):
+    for got, want in tensor_verdicts(instance):
+        assert got == want
+
+
+@pytest.mark.parametrize("verdict", ["", "unit", "diagonal"])
+def test_the_random_relation_sets_reach_every_tensor_verdict(verdict):
+    find(relation_sets(),
+         lambda instance: any(want[2] == verdict
+                              for _, want in tensor_verdicts(instance)),
+         settings=settings(database=None, derandomize=True,
+                           max_examples=300, phases=[Phase.generate]))
