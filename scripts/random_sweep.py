@@ -9,18 +9,30 @@ Any failure prints the seed so the instance can be replayed.
 
 The relations drawn are differences of two paths, so every rank, and with
 it the algebra, center and End(U) dimensions, is the same over every field;
-a trial fails if they differ between the fields."""
+a trial fails if they differ between the fields.
+
+Each trial also draws, from a generator of its own seeded by the sweep seed
+and the trial, relations of three or four terms on the trial's quiver,
+with coefficients some of which vanish mod 2 or 101, half of them balanced
+to pass the unit test.  The trial fails unless `quivertt check-tensor`
+exits 0 on them over QQ, F_2 and F_101: an exit 2 is a quotient whose
+Groebner rules and tensor verdict disagree."""
 
 from __future__ import annotations
 
 import argparse
 import random
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
+from quivertt.cli import run_command
 from quivertt.complexes import direct_sum_complex, support, tensor_complex
+from quivertt.dsl import QuiverSpecFile
 from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import PathAlgebra
+from quivertt.quiver import Relation, enumerate_paths
 from quivertt.randgen import random_complex, random_tensor_quiver
 from quivertt.reconstruct import assemble_A, center_and_z
 from quivertt.repcat import unit_filtration
@@ -36,6 +48,43 @@ class SweepConfig:
 
 
 FIELDS = (QQ, PrimeField(2), PrimeField(101))
+
+
+# the coefficients of the multi-term relations: 2 and 101 vanish in F_2 or
+# F_101, and so may the sums of the coefficients of one path
+TERM_COEFFICIENTS = (1, -1, 2, -2, 3, 101, -202)
+CHECK_FIELDS = ("QQ", "F 2", "F 101")
+
+
+def multi_term_relations(rng, quiver):
+    """One to three relations on `quiver` drawn from `rng`, each of three or
+    four terms on the non-trivial paths of one (source, target) pair, with
+    repeats, and coefficients from TERM_COEFFICIENTS.  Half of them are
+    balanced: the last coefficient is minus the sum of the others."""
+    _, by_pair = enumerate_paths(quiver)
+    pools = [paths for paths in ([p for p in plist if not p.is_trivial]
+                                 for plist in by_pair.values()) if paths]
+    relations = []
+    for _ in range(rng.randint(1, 3) if pools else 0):
+        paths = rng.choice(pools)
+        terms = [(rng.choice(TERM_COEFFICIENTS), rng.choice(paths))
+                 for _ in range(rng.randint(3, 4))]
+        if rng.random() < 0.5:
+            terms[-1] = (-sum(c for c, _ in terms[:-1]), terms[-1][1])
+        relations.append(Relation(paths[0].source, paths[0].target, terms))
+    return tuple(relations)
+
+
+def check_tensor_ok(quiver, relations, workdir):
+    """Whether `quivertt check-tensor` exits 0 on `quiver` with `relations`
+    over each of CHECK_FIELDS, the spec written under `workdir`."""
+    text = QuiverSpecFile("terms", QQ, quiver, relations).pretty()
+    spec = Path(workdir) / "terms.quiver"
+    for field in CHECK_FIELDS:
+        spec.write_text(text.replace("field QQ\n", f"field {field}\n"))
+        if run_command(["check-tensor", str(spec)])[1] != 0:
+            return False
+    return True
 
 
 def filtration_ok(quiver, relations):
@@ -74,6 +123,11 @@ def reconstruction(quiver, relations, field):
 
 
 def run(config):
+    with tempfile.TemporaryDirectory() as workdir:
+        return _run(config, workdir)
+
+
+def _run(config, workdir):
     rng = random.Random(config.seed)
     failures = 0
     t0 = time.perf_counter()
@@ -90,6 +144,9 @@ def run(config):
                                 relations, field, config.complexes_per_quiver)
                     for field in FIELDS]
         ok = ok and all(supports)
+        terms_rng = random.Random(f"terms:{config.seed}:{trial}")
+        ok = check_tensor_ok(quiver, multi_term_relations(terms_rng, quiver),
+                             workdir) and ok
         status = "ok" if ok else "FAIL"
         failures += not ok
         print(f"trial {trial:3d}: |Q0|={len(quiver.vertices)} "

@@ -13,16 +13,17 @@ from .linalg import (Coordinates, DimensionMismatch, Echelon,
                      rref)
 from .quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError, Relation,
                      ResourceBudget, admissible_order, count_paths,
-                     enumerate_paths, full_subquiver, is_ordered)
-from .path_algebra import (CompatibilityResult, PathAlgebra, TensorCheck,
+                     enumerate_paths, full_subquiver)
+from .path_algebra import (CompatibilityResult, PathAlgebra,
+                           QuotientCertificateError, TensorCheck,
                            TensorRelationError, compatibility,
                            is_tensor_relations, module_hom_space,
                            require_tensor_relations)
 from .repcat import (FiltrationStep, RepMorphism, Representation,
                      direct_sum, extend_by_zero, hom_space,
                      module_representation, restrict, satisfies_relations,
-                     simple_object, sub_quotient, tensor, unit_filtration,
-                     unit_object, zero_object)
+                     simple_object, tensor, unit_filtration, unit_object,
+                     zero_object)
 from .complexes import (BoundedComplex, ChainMap, ComplexError,
                         GradedVectorSpace, cohomology_at,
                         complex_from_json, complex_to_json, cone,

@@ -5,8 +5,9 @@ Exit codes: 0 on success, 1 on a domain refusal (non-tensor relations where
 tensor relations are required, incompatible subquiver, unordered quiver,
 an input over its size budget),
 2 on parse or contract errors (bad syntax, unknown vertices, malformed
-complex files).  Every document carries `"schema": 1`, and every report
-also names its field, `"field": "QQ"` or `"F101"`; dimensions are
+complex files, a quotient whose Groebner rules fail their certificate, a
+reconstruction error).  Every document carries `"schema": 1`, and every
+report also names its field, `"field": "QQ"` or `"F101"`; dimensions are
 integers and scalars are strings, so exact values survive serialization.
 """
 
@@ -20,9 +21,11 @@ import sys
 from .complexes import complex_from_json, support
 from .dsl import ParseError, parse_quiver_file
 from .linalg import DimensionMismatch
-from .path_algebra import PathAlgebra, TensorRelationError, compatibility
+from .path_algebra import (PathAlgebra, QuotientCertificateError,
+                           TensorRelationError, compatibility)
 from .quiver import NotOrdered, QuiverError, ResourceBudget, admissible_order
-from .reconstruct import assemble_A, center_and_z, rational_points
+from .reconstruct import (ReconstructionError, assemble_A, center_and_z,
+                          rational_points)
 from .repcat import satisfies_relations, unit_filtration
 from .spectrum import (IncompatibleSubquiver, presheaf_sections,
                        sheaf_sections, spc)
@@ -260,7 +263,8 @@ def run_command(argv):
     try:
         spec = _load(args.file)
         body = _COMMANDS[args.command][0](spec, args)
-    except (ParseError, QuiverError, OSError) as exc:
+    except (ParseError, QuiverError, OSError, QuotientCertificateError,
+            ReconstructionError) as exc:
         if isinstance(exc, NotOrdered):
             return _error_doc(args.command, exc), 1
         return _error_doc(args.command, exc), 2

@@ -21,12 +21,12 @@ basis, and the coordinates in that completed basis, so no inverse matrix
 is formed.
 
 Sparse vectors are {index: value} dicts, the format `Echelon` eats.
-`combine` is the one sparse linear-combination routine: folded normal
-forms, products, structure constants, probe walks and the diagonal tensor
-square are sums it takes.  An arrow step is no sum: it is the memoised
-normal form of a basis path followed by the arrow.  The rows of a
-`sparse_kernel` system are the exception: each group's rows are filled
-in one pass over its terms, which costs less than a `combine` per
+`combine` is the one sparse linear-combination routine: the products of
+elements (`PathAlgebra.product`) and the probe walks of `repcat` are sums
+it takes.  It folds no normal forms: on a tensor quotient the normal form
+of a path is one basis class, read off a table (`path_algebra`).  The
+rows of a `sparse_kernel` system are the exception: each group's rows are
+filled in one pass over its terms, which costs less than a `combine` per
 unknown.
 
 An element of F_p is a plain `int` in [0, p) (see `fields`), and the

@@ -26,18 +26,23 @@ independent modulo the ideal, since path k is a tip iff e_k lies in
 I + span(e_j : j < k), so structure constants are deterministic and
 reports are byte-stable.  A basis path is found by its word
 (`word_index`), or by its vertex if it is trivial (`idempotent_index`).
-Normal forms are computed on demand and kept in one memo, `_word_nf`,
-keyed by word.  The entry of a basis path times an arrow is filled by
-reduction by the Groebner basis, and it is what `arrow_step` returns; the
-entry of any other path is folded along its arrows from its prefix's
-entry, one `arrow_step` per class of it.  Neither the build nor
-`compatibility` lists the paths of the quiver: the path budget
-(`quiver.check_path_budget`) is checked first, and every tip is a path,
-so it bounds the Groebner computation too.
+Neither the build nor `compatibility` lists the paths of the quiver: the
+path budget (`quiver.check_path_budget`) is checked first, and every tip
+is a path, so it bounds the Groebner computation too.
 
-Every sum of multiples of basis vectors here, `product` among them, is
-one `linalg.combine`.  The tensor check reads the Groebner basis directly:
-it reduces each relation term's word by it, not through the memo, and
+R is a set of tensor relations iff every rule of the reduced Groebner
+basis rewrites its tip to one word with coefficient 1
+(docs/tensor-relations-criterion.md): then kQ/(R) = k[C] for a category C,
+and every path is one basis class.  `tensor_check` compares that shape
+with the per-generator criterion `is_tensor_relations` and raises
+QuotientCertificateError where they disagree.  On a certified tensor
+quotient a normal form is one class index: `arrow_step`,
+`product_indices` and `nf_path` walk one table, (basis class, arrow) ->
+basis class, filled on demand by `GroebnerBasis.reduce`, and return an
+index, or None for classes that do not compose; they raise
+TensorRelationError on any other quotient.  `product` is one
+`linalg.combine` of the products of classes.  The tensor check reads the
+Groebner basis directly: it reduces each relation term's word by it and
 sums the diagonal square per pair of normal-form words.
 `module_hom_space` solves no system: the maps M_m -> M_n are the basis
 classes from n to m, each the image of the generator.
@@ -64,9 +69,6 @@ from .quiver import (Path, QuiverError, Relation, admissible_order,
 
 # Kept only because `perfbench/tracing.py` wraps `RREFEchelon.add` by name.
 RREFEchelon = Echelon
-
-# the product of two classes that do not compose; shared, never changed
-_NO_PRODUCT = {}
 
 
 def _coerced(relations, field):
@@ -223,11 +225,13 @@ class PathAlgebra:
 
     @property
     def tensor_check(self):
-        """`is_tensor_relations(self)`, computed on first use and kept."""
+        """`is_tensor_relations(self)`, certified by the shape of the
+        Groebner rules (`certify_quotient`) on first use and kept."""
         # not a cached_property: adding a key to the instance dict after
         # __init__ slows every later attribute lookup on the algebra
         if self._tensor_check is None:
-            self._tensor_check = is_tensor_relations(self)
+            self._tensor_check = certify_quotient(self,
+                                                  is_tensor_relations(self))
         return self._tensor_check
 
     @property
@@ -287,7 +291,9 @@ class PathAlgebra:
                         self.idempotent_index[s] = gi
                 self.pair_indices[pair] = local
                 self._module_bases.setdefault(s, []).extend(local)
-        self._word_nf = {}   # non-trivial word -> normal form, on demand
+        # (basis class, arrow label) -> basis class, on demand, once the
+        # quotient is certified tensor
+        self._steps = None
 
     # -- normal forms ---------------------------------------------------
 
@@ -304,33 +310,27 @@ class PathAlgebra:
         if not ok:
             raise QuiverError(f"path {p} does not belong to this quiver")
 
-    def _nf_word(self, w):
-        """The normal form of the path with the non-trivial word `w`, cached
-        and shared.  A basis path times an arrow is reduced by the Groebner
-        basis; any other path is folded from its prefix's normal form, one
-        `arrow_step` per class of it."""
-        nf = self._word_nf.get(w)
-        if nf is not None:
-            return nf
-        head, a = w[:-1], w[-1]
-        index = self.word_index
-        if not head or head in index:
-            red = self.groebner.reduce({w: self.field.one})
-            nf = {index[u]: red[u] for u in sorted(red, key=index.__getitem__)}
-        else:
-            nf = combine(((c, self.arrow_step(b, a))
-                          for b, c in self._nf_word(head).items()), self.field)
-        self._word_nf[w] = nf
-        return nf
-
-    def _nf(self, p):
-        """The normal form of the path p, cached and shared for a
-        non-trivial one; raises QuiverError unless p is a path of the
-        quiver."""
-        self._check_path(p)
-        if p.arrows:
-            return self._nf_word(p.arrows)
-        return {self.idempotent_index[p.source]: self.field.one}
+    def _walk(self, x, start, word):
+        """The basis class of (basis class x) followed by the path `word`
+        from the vertex `start`, or None if x does not end at `start`.  A
+        step is read from the table `_steps`, or found by reducing the
+        basis word of its class followed by its arrow: the certified rules
+        rewrite a word to one word with coefficient 1.  Raises
+        TensorRelationError unless the relations are tensor relations."""
+        steps = self._steps
+        if steps is None:
+            require_tensor_relations(self)
+            steps = self._steps = {}
+        if self.basis[x].target != start:
+            return None
+        for a in word:
+            y = steps.get((x, a))
+            if y is None:
+                (w,) = self.groebner.reduce(
+                    {self.basis[x].arrows + (a,): self.field.one})
+                y = steps[x, a] = self.word_index[w]
+            x = y
+        return x
 
     # -- basic queries -------------------------------------------------
 
@@ -342,37 +342,28 @@ class PathAlgebra:
         return len(self.pair_indices.get((n, m), []))
 
     def nf_path(self, p):
-        """Coordinates of the residue class of a path, as {basis index: c}."""
-        return dict(self._nf(p))
+        """The basis class of the residue of a path: an index.  Raises
+        QuiverError unless p is a path of the quiver."""
+        self._check_path(p)
+        return self._walk(self.idempotent_index[p.source], p.source, p.arrows)
 
     def product_indices(self, i, j):
-        """Structure constants: (basis class i) * (basis class j), as
-        {basis index: c}: the normal form of the concatenated word, read
-        from the memo of normal forms.  The dict may be shared, so callers
-        must not change it."""
-        pi, pj = self.basis[i], self.basis[j]
-        if pi.target != pj.source:
-            return _NO_PRODUCT
-        w = pi.arrows + pj.arrows
-        if not w:
-            return {i: self.field.one}
-        return self._nf_word(w)
+        """Structure constants: (basis class i) * (basis class j), a basis
+        index, or None if the two classes do not compose."""
+        pj = self.basis[j]
+        return self._walk(i, pj.source, pj.arrows)
 
     def arrow_step(self, x, label):
-        """(basis class x) * (class of the arrow `label`), as
-        {basis index: c} in ascending index order: one step of a walk along
-        arrows.  It is the normal form of x's word followed by the arrow,
-        the memo entry of `_nf_word`, so callers must not change it."""
-        p = self.basis[x]
-        if p.target != self._source[label]:
-            return _NO_PRODUCT
-        return self._nf_word(p.arrows + (label,))
+        """(basis class x) * (class of the arrow `label`), a basis index,
+        or None if they do not compose: one step of a walk along arrows."""
+        return self._walk(x, self._source[label], (label,))
 
     def product(self, a, b):
         """Product of two elements given as {basis index: coefficient},
         in ascending index order; a new dict."""
-        return combine(((ca * cb, self.product_indices(i, j))
-                        for i, ca in a.items() for j, cb in b.items()),
+        return combine(((ca, {k: cb}) for i, ca in a.items()
+                        for j, cb in b.items()
+                        if (k := self.product_indices(i, j)) is not None),
                        self.field)
 
     def idempotent(self, v):
@@ -440,6 +431,44 @@ class TensorRelationError(ValueError):
         super().__init__(
             f"relations are not tensor relations: generator "
             f"{check.witness.pretty(field)} fails the {check.failed_test} test")
+
+
+class QuotientCertificateError(ValueError):
+    """The quotient's Groebner rules and the tensor-relation criterion
+    disagree, so the quotient is wrong: R is tensor iff every rule
+    rewrites its tip to one word with coefficient 1.  `witness` is the
+    first rule of another shape, as (tip, rhs), or else the generator that
+    fails the criterion."""
+
+    stage = "quotient"
+
+    def __init__(self, witness, check, field):
+        self.witness = witness
+        if check.ok:
+            tip, rhs = witness
+            text = " + ".join(f"{field.format(c)} {'*'.join(w)}"
+                              for w, c in rhs.items()) or "0"
+            why = (f"the Groebner rule {'*'.join(tip)} -> {text} is not one "
+                   f"word with coefficient 1, yet the relations pass the "
+                   f"tensor-relation criterion")
+        else:
+            why = (f"every Groebner rule is one word with coefficient 1, yet "
+                   f"generator {witness.pretty(field)} fails the "
+                   f"{check.failed_test} test")
+        super().__init__(f"{self.stage} certificate failed: {why}")
+
+
+def certify_quotient(alg, check):
+    """`check`, the tensor verdict of `alg`, if the shape of the Groebner
+    rules agrees with it; raises QuotientCertificateError if not.  One
+    look per rule (docs/tensor-relations-criterion.md)."""
+    one = [alg.field.one]
+    bad = next(((tip, rhs) for tip, rhs in alg.groebner.rules.items()
+                if list(rhs.values()) != one), None)
+    if check.ok != (bad is None):
+        raise QuotientCertificateError(bad if check.ok else check.witness,
+                                       check, alg.field)
+    return check
 
 
 def require_tensor_relations(alg):

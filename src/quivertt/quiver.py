@@ -196,14 +196,6 @@ def _topological_order(q):
     raise NotOrdered(cycle)
 
 
-def is_ordered(q):
-    try:
-        admissible_order(q)
-        return True
-    except NotOrdered:
-        return False
-
-
 class Path(_Record):
     """A path from `source` to `target` whose word is `arrows`, the tuple
     of its arrow labels; the trivial path at v is (v, v, ()).  The path

@@ -8,9 +8,13 @@ them.  One is the quotient kQ/(R) of `path_algebra`, read off a reduced
 Groebner basis of the relation ideal.  The other is the probes M_n =
 e_n kQ/(R), the projective right modules, built as representations from
 the quiver and the relations alone (`repcat.Probe`), so that a wrong
-Groebner basis shows as a disagreement.  By Yoneda the transformations
-F_n => F_m are Hom(M_m, M_n) = M_n(m), and a basis class acts on a probe
-by pushing its generator along the class's word.
+Groebner basis whose rules still pass the quotient's certificate shows as
+a disagreement.  By Yoneda the transformations F_n => F_m are
+Hom(M_m, M_n) = M_n(m), and a basis class acts on a probe by pushing its
+generator along the class's word.  The quotient side reads basis indices
+only: a product of two classes, an arrow step and the class of an arrow
+are each one index (`PathAlgebra.product_indices`, `arrow_step`,
+`nf_path`), and only `PathAlgebra.product` and the probe evaluator sum.
 
 Product convention: for transformations alpha: F_n => F_m and
 beta: F_m => F_l, the algebra product alpha * beta is the composite
@@ -200,11 +204,11 @@ class ProbeEvaluator:
         return self._classes(n, self._push(n, first, elem2))
 
 
-def yoneda_coordinates(alg, transform):
+def yoneda_coordinates(evaluator, transform):
     """The coordinates of a natural transformation F_n => F_m, read off
-    its action on the projective probe M_n placed in degree zero."""
-    return ProbeEvaluator(alg).yoneda(transform.element,
-                                      transform.source_vertex)
+    its action on the projective probe M_n of the `ProbeEvaluator`
+    `evaluator`, which builds each probe once."""
+    return evaluator.yoneda(transform.element, transform.source_vertex)
 
 
 @dataclass
@@ -256,10 +260,10 @@ def assemble_A(alg):
       word of its probe, and the generator pushed along that word is that
       word's own basis vector.
     - `structure_constants_match`: for every basis class x and arrow a out
-      of x's target, the probe action of a on x's vector is
-      `alg.arrow_step(x, a)`.  The basis words are closed under prefixes,
-      and the product of two classes is the normal form of the joined
-      word, folded one arrow step at a time.  So, since the algebra is
+      of x's target, the probe action of a on x's vector is the vector of
+      the class `alg.arrow_step(x, a)`.  The basis words are closed under
+      prefixes, and the product of two classes is the class of the joined
+      word, walked one arrow step at a time.  So, since the algebra is
       associative, phi(x * y) = phi(x) * phi(y) for every pair, by
       induction on the length of y, and the idempotents act as the
       identity of their vertex on both sides."""
@@ -284,9 +288,8 @@ def assemble_A(alg):
         if vec != {p.arrows: one}:
             round_trip = False
         for a in alg.quiver.arrows_from(p.target):
-            step = alg.arrow_step(x, a.label)
-            if (probe[n].act(vec, a.label)
-                    != {basis[j].arrows: c for j, c in step.items()}):
+            step = basis[alg.arrow_step(x, a.label)]
+            if probe[n].act(vec, a.label) != {step.arrows: one}:
                 constants_ok = False
     verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
     return ReconstructedAlgebra(alg, components, verdict)
@@ -314,22 +317,21 @@ def z_image(alg, vertices):
 
 
 def _commutant(alg, unknowns, generators):
-    """Kernel basis, in the coordinates y, of x = sum y_r * unknowns[r]
-    commuting with every element of `generators`: one `sparse_kernel`
-    group per generator b, whose terms are the structure constants of
-    x * b - b * x, so the rows are filled without a `combine` per
-    unknown.  A zero product, as of two classes that do not compose, gives
-    no term."""
+    """Kernel basis, in the coordinates y, of x = sum y_r * (basis class
+    unknowns[r]) commuting with every basis class of `generators`: one
+    `sparse_kernel` group per generator b, whose terms are the classes
+    of x * b - b * x, so the rows are filled without a `combine` per
+    unknown.  Two classes that do not compose give no term."""
+    one = alg.field.one
+
     def commutator(b):
-        for r, x in enumerate(unknowns):
-            for i, cx in x.items():
-                for j, cb in b.items():
-                    p = alg.product_indices(i, j)
-                    if p:
-                        yield r, cx * cb, p
-                    p = alg.product_indices(j, i)
-                    if p:
-                        yield r, -(cx * cb), p
+        for r, i in enumerate(unknowns):
+            k = alg.product_indices(i, b)
+            if k is not None:
+                yield r, one, {k: one}
+            k = alg.product_indices(b, i)
+            if k is not None:
+                yield r, -one, {k: one}
 
     return sparse_kernel(len(unknowns), alg.field, map(commutator, generators))
 
@@ -362,8 +364,7 @@ def center_and_z(assembled):
     arrows = [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
     diagonal = [i for i, (s, t) in enumerate(alg.pair_of) if s == t]
     center_basis = [{diagonal[r]: c for r, c in y.items()}
-                    for y in _commutant(alg, [{i: field.one} for i in diagonal],
-                                        arrows)]
+                    for y in _commutant(alg, diagonal, arrows)]
 
     center_span = Echelon(d, field)
     for v in center_basis:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import (Coordinates, DimensionMismatch, Echelon, Matrix,
-                     block_matrix, combine, kronecker, sparse_kernel)
+from .linalg import (DimensionMismatch, Echelon, Matrix, block_matrix,
+                     combine, kronecker, sparse_kernel)
 from .path_algebra import _order_key
 from .quiver import QuiverError, admissible_order, full_subquiver
 
@@ -208,53 +208,6 @@ def hom_space(v, w):
                               field)
         basis.append(RepMorphism(v, w, comps))
     return basis
-
-
-def sub_quotient(rep, sub_bases):
-    """Split a representation along arrow-stable per-vertex subspaces.
-
-    `sub_bases` maps each vertex to a list of linearly independent column
-    vectors.  Returns (subrepresentation, quotient, inclusion, projection);
-    raises naming the vertex whose vectors are dependent, or the arrow
-    under which their span is not stable.
-
-    Each vertex's vectors are completed greedily by standard basis vectors
-    e_j to a basis, and one `Coordinates` per vertex reads coordinates in
-    it.  Each arrow matrix is rewritten in those bases column by column: the
-    coordinates at its target of the image of each basis vector of its
-    source.  The sub and the quotient are the leading and trailing
-    coordinate blocks of the rewritten matrices (`_split`).  The inclusion
-    is the given vectors, and the projection takes each e_j to its trailing
-    coordinates.
-    """
-    field = rep.field
-    quiver = rep.quiver
-    coords, basis, kept = {}, {}, {}
-    incl, proj = {}, {}
-    for x in quiver.vertices:
-        d = rep.dims[x]
-        cols = [tuple(field(c) for c in col) for col in sub_bases.get(x, [])]
-        if any(len(col) != d for col in cols):
-            raise RepresentationError(f"bad subspace vector length at {x}")
-        coords[x] = c = Coordinates(cols, d, field)
-        k = len(cols)
-        if k + len(c.complement) != d:
-            raise RepresentationError(
-                f"subspace vectors at {x} are linearly dependent")
-        ident = Matrix.identity(d, field).columns()
-        basis[x] = cols + [ident[j] for j in c.complement]
-        kept[x] = range(k)
-        incl[x] = Matrix.from_columns(cols, field, rows=d)
-        proj[x] = Matrix.from_columns([c.completed(e)[k:] for e in ident],
-                                      field, rows=d - k)
-    moved = Representation(quiver, rep.dims, {
-        a.label: Matrix.from_columns(
-            [coords[a.target].completed(rep.arrow_maps[a.label].apply(b))
-             for b in basis[a.source]], field, rows=rep.dims[a.target])
-        for a in quiver.arrows}, field)
-    sub_rep, quot_rep = _split(moved, kept)
-    return (sub_rep, quot_rep, RepMorphism(sub_rep, rep, incl),
-            RepMorphism(rep, quot_rep, proj))
 
 
 def _block(m, rows, cols):

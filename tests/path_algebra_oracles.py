@@ -12,8 +12,12 @@ reversed.  Compatibility tests membership of each r-bar generator by
 reducing its vector against an echelon of the subquiver's ideal rows.
 `QuotientSumsOracle` keeps the sparse sums of the quotient (normal forms,
 products, arrow steps, the diagonal tensor square) as hand-written loops.
-`combine_product` is `PathAlgebra.product` as one `linalg.combine` for
-every input, before two single classes were copied from the memo.
+`word_nf_oracle`, `nf_path_oracle` and `product_indices_oracle` give
+normal forms as {basis index: c} dicts, each word reduced by the Groebner
+basis in one go, as the library did before a tensor quotient's normal
+form became one class index; they serve any quotient, tensor or not.
+`combine_product` is `PathAlgebra.product` as one `linalg.combine` of
+those dicts for every input.
 `groebner_basis_oracle` is Buchberger's loop as it was before the tips
 were indexed by their first and last arrows: each new tip is matched
 against every rule, both ways round, at every overlap length.
@@ -209,15 +213,42 @@ def compatibility_oracle(quiver, relations, verts, field):
     return tuple(r_cap), tuple(r_bar), witness
 
 
+def word_nf_oracle(alg, word):
+    """The normal form of the path of `alg` with the non-trivial `word`,
+    as {basis index: c} in ascending order: the word reduced by the
+    Groebner basis in one go, on any quotient, tensor or not."""
+    red = alg.groebner.reduce({word: alg.field.one})
+    return dict(sorted((alg.word_index[u], c) for u, c in red.items()))
+
+
+def nf_path_oracle(alg, p):
+    """The normal form of the path p of `alg`, as {basis index: c}."""
+    if p.arrows:
+        return word_nf_oracle(alg, p.arrows)
+    return {alg.idempotent_index[p.source]: alg.field.one}
+
+
+def product_indices_oracle(alg, i, j):
+    """(basis class i) * (basis class j) as {basis index: c}: the normal
+    form of the joined word, {} if the two classes do not compose.  On a
+    tensor quotient it holds one entry, (`alg.product_indices(i, j)`, 1)."""
+    pi, pj = alg.basis[i], alg.basis[j]
+    if pi.target != pj.source:
+        return {}
+    if not pj.arrows:
+        return {i: alg.field.one}
+    return word_nf_oracle(alg, pi.arrows + pj.arrows)
+
+
 def right_mult_oracle(alg, v, j):
     """The matrix of right multiplication by basis class j on the module
     M_v = e_v * Lambda, in the basis `alg.module_basis(v)`, one column per
-    basis class read off `product_indices`."""
+    basis class read off `product_indices_oracle`."""
     mb = alg.module_basis(v)
     pos = {gi: k for k, gi in enumerate(mb)}
     rows = [[alg.field.zero] * len(mb) for _ in mb]
     for k, gi in enumerate(mb):
-        for gk, c in alg.product_indices(gi, j).items():
+        for gk, c in product_indices_oracle(alg, gi, j).items():
             rows[pos[gk]][k] = c
     return Matrix(len(mb), len(mb), rows, alg.field)
 
@@ -233,7 +264,7 @@ def module_map_oracle(alg, n, m, image):
     for x in mb_m:
         col = [field.zero] * len(mb_n)
         for g, a in image.items():
-            for h, y in alg.product_indices(g, x).items():
+            for h, y in product_indices_oracle(alg, g, x).items():
                 col[pos_n[h]] = col[pos_n[h]] + a * y
         cols.append(col)
     return Matrix.from_columns(cols, field, rows=len(mb_n))
@@ -241,8 +272,9 @@ def module_map_oracle(alg, n, m, image):
 
 def combine_product(alg, a, b):
     """The product of the elements a and b of `alg` as one `combine` of
-    its structure constants, over the algebra's own field."""
-    return combine(((ca * cb, alg.product_indices(i, j))
+    the normal forms of `product_indices_oracle`, over the algebra's own
+    field, on any quotient."""
+    return combine(((ca * cb, product_indices_oracle(alg, i, j))
                     for i, ca in a.items() for j, cb in b.items()),
                    alg.field)
 

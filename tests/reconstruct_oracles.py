@@ -4,7 +4,8 @@ oracles for the faster code in `path_algebra`, `repcat` and `reconstruct`.
 The Hom-space and center oracles solve one dense system with
 `kernel_basis_oracle`.  The probe oracle evaluates transformations with
 dense composite action matrices.  All of them touch the algebra only
-through its structure constants (`product_indices`), path normal forms,
+through its structure constants and path normal forms, as the dicts of
+`path_algebra_oracles.product_indices_oracle` and `nf_path_oracle`, its
 module bases and idempotents, so none shares code with `repcat.Probe`.
 They compute in the field of `fields_oracle.oracle_field`, so over F_p in
 `FpElement`s, and their matrices are over that field.
@@ -14,6 +15,8 @@ exception: they solve, with `linalg.Echelon` over the algebra's own
 field, the two systems whose answers `path_algebra.module_hom_space` and
 `reconstruct.center_and_z` read off the basis, and
 `two_stage_center_oracle` is the center solved on top of the second.
+`commutant_oracle` is `reconstruct._commutant` as it was before it took
+basis classes: its unknowns and generators are element dicts.
 `assemble_A_oracle` is `reconstruct.assemble_A` by the route it replaced:
 the module maps of `module_hom_space_oracle`, and the dense probe
 evaluator's composite against `PathAlgebra.product` on every composable
@@ -25,17 +28,18 @@ off the quiver's components: it solves the naturality system
 checks the ring map on the composites of that basis.
 """
 
-from quivertt.linalg import Echelon, Matrix, combine
+from quivertt.linalg import Echelon, Matrix, combine, sparse_kernel
 from quivertt.path_algebra import require_tensor_relations
 from quivertt.quiver import Path
 from quivertt.reconstruct import (CenterReport, IsomorphismVerdict,
-                                  NatTransSpace, ReconstructedAlgebra,
-                                  _commutant)
+                                  NatTransSpace, ReconstructedAlgebra)
 from quivertt.repcat import Representation, hom_space, unit_object
 
 from conftest import id_morphism
 from fields_oracle import oracle_field
 from linalg_oracles import kernel_basis_oracle
+from path_algebra_oracles import (combine_product, nf_path_oracle,
+                                  product_indices_oracle)
 
 
 def _right_mult_rows(alg, n, elem):
@@ -48,7 +52,7 @@ def _right_mult_rows(alg, n, elem):
         if not c:
             continue
         for k, gi in enumerate(mb_n):
-            for gk, x in alg.product_indices(gi, j).items():
+            for gk, x in product_indices_oracle(alg, gi, j).items():
                 rows[pos_n[gk]][k] = rows[pos_n[gk]][k] + c * x
     return rows
 
@@ -67,7 +71,7 @@ def module_hom_space_oracle(alg, n, m):
     cols = []
     for j in range(alg.dim):
         col = [field.zero] * dm
-        for gi, c in alg.product_indices(e_m, j).items():
+        for gi, c in product_indices_oracle(alg, e_m, j).items():
             col[pos_m[gi]] = c
         cols.append(col)
     action = Matrix.from_columns(cols, field, rows=dm)
@@ -95,10 +99,10 @@ def center_basis_oracle(alg):
     for b in range(d):
         blocks = {}   # output basis index -> linear form in the unknowns
         for i in range(d):
-            for gi, c in alg.product_indices(i, b).items():
+            for gi, c in product_indices_oracle(alg, i, b).items():
                 row = blocks.setdefault(gi, [field.zero] * d)
                 row[i] = row[i] + c
-            for gi, c in alg.product_indices(b, i).items():
+            for gi, c in product_indices_oracle(alg, b, i).items():
                 row = blocks.setdefault(gi, [field.zero] * d)
                 row[i] = row[i] - c
         rows.extend(r for r in blocks.values() if any(r))
@@ -116,12 +120,13 @@ def _dense_probe(alg, n):
     for a in quiver.arrows:
         src, tgt = vertex_basis[a.source], vertex_basis[a.target]
         pos = {gi: k for k, gi in enumerate(tgt)}
-        arrow_class = alg.nf_path(Path(a.source, a.target, (a.label,)))
+        arrow_class = nf_path_oracle(alg,
+                                     Path(a.source, a.target, (a.label,)))
         cols = []
         for gi in src:
             col = [field.zero] * len(tgt)
             for j, cj in arrow_class.items():
-                for gk, c in alg.product_indices(gi, j).items():
+                for gk, c in product_indices_oracle(alg, gi, j).items():
                     col[pos[gk]] = col[pos[gk]] + cj * c
             cols.append(tuple(col))
         maps[a.label] = Matrix.from_columns(cols, field, rows=len(tgt))
@@ -195,24 +200,44 @@ def generator_relations_oracle(alg, m):
     e_m = alg.idempotent_index[m]
     action = {}     # basis index of M_m -> linear form in w
     for j in range(alg.dim):
-        for gi, c in alg.product_indices(e_m, j).items():
+        for gi, c in product_indices_oracle(alg, e_m, j).items():
             action.setdefault(gi, {})[j] = c
     ech = Echelon(alg.dim, alg.field)
     for row in action.values():
         ech.add(row)
     rels = []
     for kappa in ech.sparse_kernel_basis():
-        if not any(alg.product(g, kappa) == kappa for g in reversed(rels)):
+        if not any(combine_product(alg, g, kappa) == kappa
+                   for g in reversed(rels)):
             rels.append(kappa)
     return rels
 
 
+def commutant_oracle(alg, unknowns, generators):
+    """Kernel basis, in the coordinates y, of x = sum y_r * unknowns[r]
+    commuting with every element of `generators`, elements as
+    {basis index: c}: one `sparse_kernel` group per generator b, whose
+    terms are the structure constants of x * b - b * x."""
+    def commutator(b):
+        for r, x in enumerate(unknowns):
+            for i, cx in x.items():
+                for j, cb in b.items():
+                    p = product_indices_oracle(alg, i, j)
+                    if p:
+                        yield r, cx * cb, p
+                    p = product_indices_oracle(alg, j, i)
+                    if p:
+                        yield r, -(cx * cb), p
+
+    return sparse_kernel(len(unknowns), alg.field, map(commutator, generators))
+
+
 def idempotent_commutant_oracle(alg):
-    """The commutant of the idempotents as a solved system: `_commutant`
+    """The commutant of the idempotents as a solved system: `commutant_oracle`
     of every basis class against every idempotent, as the kernel basis in
     all dim unknowns."""
     one = alg.field.one
-    return _commutant(alg, [{i: one} for i in range(alg.dim)],
+    return commutant_oracle(alg, [{i: one} for i in range(alg.dim)],
                       [alg.idempotent(v) for v in alg.quiver.vertices])
 
 
@@ -221,9 +246,10 @@ def two_stage_center_oracle(alg):
     over the basis of `idempotent_commutant_oracle`, mapped back."""
     field = alg.field
     stage1 = idempotent_commutant_oracle(alg)
-    arrows = [alg.nf_path(Path.from_arrows([a])) for a in alg.quiver.arrows]
+    arrows = [nf_path_oracle(alg, Path.from_arrows([a]))
+              for a in alg.quiver.arrows]
     return [combine(((c, stage1[r]) for r, c in y.items()), field)
-            for y in _commutant(alg, stage1, arrows)]
+            for y in commutant_oracle(alg, stage1, arrows)]
 
 
 def assemble_A_oracle(alg):
@@ -292,11 +318,11 @@ def center_and_z_oracle(assembled):
     alg = assembled.algebra
     quiver, field, d = alg.quiver, alg.field, alg.dim
 
-    arrows = [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
+    arrows = [nf_path_oracle(alg, Path.from_arrows([a])) for a in quiver.arrows]
     diagonal = [i for i, (s, t) in enumerate(alg.pair_of) if s == t]
     center_basis = [{diagonal[r]: c for r, c in y.items()}
-                    for y in _commutant(alg, [{i: field.one} for i in diagonal],
-                                        arrows)]
+                    for y in commutant_oracle(
+                        alg, [{i: field.one} for i in diagonal], arrows)]
 
     unit = unit_object(quiver, field)
     end_u = hom_space(unit, unit)

@@ -1,6 +1,8 @@
-"""`repcat.sub_quotient` and `repcat.unit_filtration` as they were before
-coordinate subspaces were split by blocks, and `repcat.hom_space` with its
-naturality system solved by an elimination of its own
+"""`repcat.unit_filtration` as it was before coordinate subspaces were
+split by blocks, with `sub_quotient_oracle`, the split of a representation
+along arrow-stable subspaces that it uses (the library's own
+`sub_quotient` is gone), and `repcat.hom_space` with its naturality system
+solved by an elimination of its own
 (`linalg_oracles.gauss_jordan_kernel_oracle`), kept as differential
 oracles.
 

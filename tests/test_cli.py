@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quivertt import cli
+from quivertt import cli, path_algebra, reconstruct
 from quivertt import quiver as quiver_module
 from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
@@ -526,6 +526,44 @@ class TestExitCodes:
         doc, code = run("support", fixture_path("square"),
                         "--complex", str(cx))
         assert code == 1 and doc["error_type"] == "DomainRefusal"
+
+    def test_quotient_certificate_error_is_2(self, monkeypatch, capsys):
+        # every Groebner rule changes sign: the relations still pass the
+        # tensor-relation criterion, but the rules are no longer one word
+        # with coefficient 1, so the quotient is refused
+        real = path_algebra.groebner_basis
+
+        def negated(polys, field):
+            gb = real(polys, field)
+            for tip, rhs in gb.rules.items():
+                gb.rules[tip] = {w: -c for w, c in rhs.items()}
+            return gb
+
+        monkeypatch.setattr(path_algebra, "groebner_basis", negated)
+        code = main(["validate", fixture_path("square")])
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert code == 2 and doc["error_type"] == "QuotientCertificateError"
+        assert doc["error"] == (
+            "quotient certificate failed: the Groebner rule c*d -> -1 a*b "
+            "is not one word with coefficient 1, yet the relations pass "
+            "the tensor-relation criterion")
+        assert out.err == ""
+
+    def test_reconstruction_error_is_2(self, monkeypatch, capsys):
+        # phi of the unit, which is not supported on one pair of vertices
+        def inhomogeneous(assembled):
+            alg = assembled.algebra
+            return reconstruct.phi(alg, alg.unit())
+
+        monkeypatch.setattr(cli, "center_and_z", inhomogeneous)
+        code = main(["reconstruct", fixture_path("square")])
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert code == 2 and doc["error_type"] == "ReconstructionError"
+        assert doc["error"] == (
+            "element is not homogeneous; pass source and target vertices")
+        assert out.err == ""
 
     def test_main_prints_json(self, capsys):
         code = main(["spectrum", fixture_path("kronecker2")])

@@ -1,13 +1,15 @@
 """`PathAlgebra.product` and the probe evaluator's `yoneda` and `compose`
-on one or more classes against a sum of structure constants taken with
-`linalg.combine`, key order included, and against changes to what they
-return; and the invariant that the shared entries rest on: every memo
-entry of the normal forms has ascending keys and nonzero canonical
-values, after a full reconstruction, and every arrow image of the probes
-that `reconstruct` builds, which `Probe.act` hands out for a basis vector
-with coefficient one, has nonzero canonical values.  An arrow step is the
-normal-form memo's own entry, not a copy of it."""
+on one or more classes against a sum of the Groebner normal forms taken
+with `linalg.combine` (`combine_product`), key order included, and
+against changes to what they return; and the memos they rest on.  Every
+arrow image of the probes that `reconstruct` builds, which `Probe.act`
+hands out for a basis vector with coefficient one, has nonzero canonical
+values.  On a tensor quotient every entry of the step table, (basis
+class, arrow) -> basis class, is an index, the class of the class's word
+followed by the arrow; on any other quotient the table stays empty and
+`product` and `arrow_step` refuse."""
 
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +19,13 @@ import pytest
 from quivertt import reconstruct
 from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
-from quivertt.path_algebra import PathAlgebra
+from quivertt.path_algebra import PathAlgebra, TensorRelationError
 from quivertt.randgen import random_tensor_quiver
 from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
 
 from conftest import FIXTURE_NAMES, is_element, load_fixture
 from fields_oracle import oracle_field
-from path_algebra_oracles import combine_product
+from path_algebra_oracles import combine_product, word_nf_oracle
 
 SPEC_DIR = Path(__file__).resolve().parent / "specs"
 F2, F3, F101 = PrimeField(2), PrimeField(3), PrimeField(101)
@@ -120,6 +122,12 @@ def test_single_class_copies_match_combine(make, arg, field):
     alg = PathAlgebra(*make(arg), field)
     evaluator = ProbeEvaluator(alg)
     singles, pairs = coefficients(field)
+    if alg.tensor_check.ok:
+        product = alg.product
+    else:
+        with pytest.raises(TensorRelationError):
+            alg.product({0: field.one}, {0: field.one})
+        product = functools.partial(combine_product, alg)
     # an element is e_n times itself on M_n, which is zero unless it starts
     # at n, and its composite with a second element is their product, zero
     # unless the two compose
@@ -133,7 +141,7 @@ def test_single_class_copies_match_combine(make, arg, field):
         for j in range(alg.dim):
             for a, c in pairs:
                 elem, elem2 = {i: a}, {j: c}
-                assert_copy(lambda: alg.product(elem, elem2),
+                assert_copy(lambda: product(elem, elem2),
                             lambda: combine_product(alg, elem, elem2), field)
                 assert_copy(lambda: evaluator.compose(elem, n, elem2),
                             lambda: combine_product(alg, elem, elem2), field)
@@ -152,14 +160,14 @@ def test_single_class_copies_match_combine(make, arg, field):
                         field)
             assert_copy(lambda: evaluator.compose(elem, n, elem2),
                         lambda: combine_product(alg, elem, elem2), field)
-            assert_copy(lambda: alg.product(elem, elem2),
+            assert_copy(lambda: product(elem, elem2),
                         lambda: combine_product(alg, elem, elem2), field)
 
 
-def assert_canonical_memo(memo, field, ordered=True):
+def assert_canonical_memo(memo, field):
+    """Every entry of the probe memo `memo` holds nonzero canonical
+    values; the key order of an entry is free."""
     for key, vec in memo.items():
-        if ordered:
-            assert list(vec) == sorted(vec), key
         assert all(x and is_element(x, field) for x in vec.values()), key
 
 
@@ -179,24 +187,30 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
 
     monkeypatch.setattr(reconstruct, "Probe", Recording)
     alg = PathAlgebra(*make(arg), field)
-    if alg.tensor_check.ok:
+    if not alg.tensor_check.ok:
+        with pytest.raises(TensorRelationError):
+            alg.arrow_step(0, alg.quiver.arrows[0].label)
+        assert alg._steps is None
+    else:
         center_and_z(assemble_A(alg))
         assert len(probes) == len(alg.quiver.vertices)
         for probe in probes:
-            assert_canonical_memo(probe.steps, field, ordered=False)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            alg.product({i: field.one}, {j: field.one})
-    # an arrow step is the normal-form memo's own entry
-    for x, p in enumerate(alg.basis):
-        for a in alg.quiver.arrows_from(p.target):
-            assert (alg.arrow_step(x, a.label)
-                    is alg._word_nf[p.arrows + (a.label,)]), (x, a.label)
-    assert_canonical_memo(alg._word_nf, field)
+            assert_canonical_memo(probe.steps, field)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                alg.product({i: field.one}, {j: field.one})
+        # every step of the table is the class of the joined word, and an
+        # arrow step reads it
+        for (x, label), y in alg._steps.items():
+            word = alg.basis[x].arrows + (label,)
+            assert word_nf_oracle(alg, word) == {y: field.one}, (x, label)
+            assert alg.arrow_step(x, label) == y
+        assert len(alg._steps) == sum(
+            len(alg.quiver.arrows_from(p.target)) for p in alg.basis)
     # the probes an evaluator builds, one per vertex, after it has
     # evaluated every class
     evaluator = ProbeEvaluator(alg)
     for i, (n, _) in enumerate(alg.pair_of):
         evaluator.yoneda({i: field.one}, n)
     for n in alg.quiver.vertices:
-        assert_canonical_memo(evaluator.probe(n).steps, field, ordered=False)
+        assert_canonical_memo(evaluator.probe(n).steps, field)

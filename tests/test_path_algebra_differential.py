@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 from quivertt.dsl import parse_quiver
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Echelon
-from quivertt.path_algebra import (PathAlgebra, compatibility,
-                                   is_tensor_relations)
+from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
+                                   compatibility, is_tensor_relations)
 from quivertt.quiver import Arrow, Path, Quiver, QuiverError, enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import (FIXTURE_NAMES, is_element, load_beilinson,
                       load_fixture, relation_from_terms)
 from path_algebra_oracles import (compatibility_oracle, ideal_rows_oracle,
-                                  join_paths, quotient_oracle)
+                                  join_paths, nf_path_oracle, quotient_oracle)
 
 FIELDS = [QQ, PrimeField(101)]
 
@@ -143,12 +143,20 @@ def assert_matches_oracle(alg):
     assert list(alg.pair_indices.items()) == list(want.pair_indices.items())
     for v in alg.quiver.vertices:
         assert alg.module_basis(v) == want.module_bases.get(v, [])
-    # the normal form of every path, with its keys in the same order
+    # the normal form of every path, with its keys in the same order, by
+    # the Groebner basis; on a tensor quotient it is one class, which
+    # `nf_path` returns, and on any other `nf_path` refuses
     assert len(want.path_nf) == len(enumerate_paths(alg.quiver)[0])
+    tensor = alg.tensor_check.ok
     for p, nf in want.path_nf.items():
-        got = alg.nf_path(p)
+        got = nf_path_oracle(alg, p)
         assert list(got.items()) == list(nf.items()), p
         assert all(is_element(c, alg.field) for c in got.values())
+        if tensor:
+            assert {alg.nf_path(p): alg.field.one} == nf, p
+        else:
+            with pytest.raises(TensorRelationError):
+                alg.nf_path(p)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

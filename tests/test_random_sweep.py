@@ -5,13 +5,16 @@ them."""
 
 import dataclasses
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from quivertt.complexes import complex_to_json
-from quivertt.fields import QQ
+from quivertt.fields import QQ, PrimeField
+from quivertt.path_algebra import PathAlgebra
+from quivertt.randgen import random_tensor_quiver
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "random_sweep.py"
 
@@ -109,3 +112,47 @@ def test_prime_field_draws_leave_the_qq_draws_alone(sweep, monkeypatch):
     every_field = drawn_over(sweep.FIELDS)
     assert {field for field, _ in every_field} == {"QQ", "F2", "F101"}
     assert [d for d in every_field if d[0] == "QQ"] == drawn_over((QQ,))
+
+
+def test_a_check_tensor_exit_other_than_0_fails_every_trial(sweep,
+                                                           monkeypatch):
+    honest = sweep.run_command
+    calls = []
+
+    def refused(argv):
+        calls.append(argv[0])
+        doc, code = honest(argv)
+        return doc, 2 if argv[0] == "check-tensor" else code
+
+    monkeypatch.setattr(sweep, "run_command", refused)
+    assert sweep.run(config(sweep)) == 3
+    assert set(calls) == {"check-tensor"}
+
+
+def test_multi_term_draws_leave_the_other_draws_alone(sweep, monkeypatch,
+                                                     capsys):
+    assert sweep.run(config(sweep)) == 0
+    with_terms = capsys.readouterr().out.splitlines()[:-1]
+    monkeypatch.setattr(sweep, "multi_term_relations", lambda rng, q: ())
+    assert sweep.run(config(sweep)) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == with_terms
+
+
+def test_multi_term_relations_reach_every_verdict(sweep):
+    # three or four terms, some coefficient that vanishes mod 2 or 101,
+    # and over each field both tensor verdicts and both failed tests
+    verdicts = set()
+    coefficients = set()
+    for trial in range(100):
+        quiver, _ = random_tensor_quiver(random.Random(trial))
+        relations = sweep.multi_term_relations(random.Random(trial), quiver)
+        for rel in relations:
+            assert len(rel.terms) in (3, 4)
+            coefficients.update(c for c, _ in rel.terms)
+        for field in (QQ, PrimeField(2), PrimeField(101)):
+            check = PathAlgebra(quiver, relations, field).tensor_check
+            verdicts.add((str(field), check.failed_test))
+    assert coefficients & {2, -2, 101, -202}
+    assert {("QQ", ""), ("QQ", "unit"), ("QQ", "diagonal"), ("F2", ""),
+            ("F2", "unit"), ("F101", ""), ("F101", "unit"),
+            ("F101", "diagonal")} <= verdicts

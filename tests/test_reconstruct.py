@@ -5,7 +5,9 @@ from quivertt.cli import run_command
 from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
-from quivertt.path_algebra import PathAlgebra, module_hom_space
+from quivertt.dsl import parse_quiver_file
+from quivertt.path_algebra import (PathAlgebra, QuotientCertificateError,
+                                   module_hom_space)
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver, representation_menu)
 from quivertt.repcat import hom_space
@@ -40,13 +42,18 @@ class TestRationalPoints:
 class TestPhiPsi:
     def test_round_trip_on_basis(self, small_spec):
         alg = PathAlgebra(small_spec.quiver, small_spec.relations)
+        evaluator = ProbeEvaluator(alg)
         for i in range(alg.dim):
             elem = {i: QQ.one}
             t = phi(alg, elem)
-            assert yoneda_coordinates(alg, t) == elem
+            assert yoneda_coordinates(evaluator, t) == elem
+        # one probe per source vertex, built once
+        assert len(evaluator._probes) == len(
+            {p.source for p in alg.basis})
 
     def test_psi_phi_round_trip_on_module_maps(self, small_spec):
         alg = PathAlgebra(small_spec.quiver, small_spec.relations)
+        evaluator = ProbeEvaluator(alg)
         for n in small_spec.quiver.vertices:
             for m in small_spec.quiver.vertices:
                 for f in module_hom_space(alg, n, m):
@@ -54,7 +61,7 @@ class TestPhiPsi:
                     if not elem:
                         continue
                     t = phi(alg, elem, n, m)
-                    assert yoneda_coordinates(alg, t) == elem
+                    assert yoneda_coordinates(evaluator, t) == elem
 
     def test_phi_rejects_inhomogeneous_without_pair(self):
         spec = load_fixture("chain4")
@@ -281,17 +288,16 @@ class TestAssembleA:
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_wrong_structure_constant_clears_match(self, monkeypatch):
-        # e_s * a = a for the arrow a: s -> t; the quotient's arrow step
-        # now claims 2a, while the probe still acts by a
+        # e_1 * x0 = x0 for the arrow x0: 1 -> 2; the quotient's arrow step
+        # now claims the parallel arrow x1, while the probe still acts by x0
         real = PathAlgebra.arrow_step
         spec = load_fixture("kronecker2")
-        arrow = spec.quiver.arrows[0]
+        arrow, other = spec.quiver.arrows
 
         def wrong(alg, x, label):
-            out = real(alg, x, label)
             if alg.basis[x].is_trivial and label == arrow.label:
-                out = {gi: c + c for gi, c in out.items()}
-            return out
+                label = other.label
+            return real(alg, x, label)
 
         monkeypatch.setattr(PathAlgebra, "arrow_step", wrong)
         verdict = assemble_A(algebra_of(spec)).verdict
@@ -347,55 +353,142 @@ class TestAssembleA:
             assert assembled.verdict.isomorphic
 
 
+def negate_rules(monkeypatch):
+    """Every rule tip -> rhs becomes tip -> -rhs after the final
+    reduction: the tips and the basis stay, the products change sign."""
+    real = path_algebra.groebner_basis
+
+    def negated(polys, fld):
+        gb = real(polys, fld)
+        for tip, rhs in gb.rules.items():
+            gb.rules[tip] = fld.nonzero((w, -c) for w, c in rhs.items())
+        return gb
+
+    monkeypatch.setattr(path_algebra, "groebner_basis", negated)
+
+
+def add_extra_rule(monkeypatch):
+    """The rule x1_0 * x2_0 -> 0 joins the basis: it kills a basis path of
+    beilinson2 that the relations keep."""
+    real = path_algebra.groebner_basis
+
+    def extra(polys, fld):
+        gb = real(polys, fld)
+        gb.rules[("x1_0", "x2_0")] = {}
+        return gb
+
+    monkeypatch.setattr(path_algebra, "groebner_basis", extra)
+
+
+# two binomials whose tips a11*a21 and a21*a30 overlap in a21: the
+# S-polynomial of the overlap gives the rule a11*a20*a31 -> a10*a20*a30
+OVERLAP = """quiver overlap
+field {field}
+vertices 1 2 3 4
+arrow a10 : 1 -> 2
+arrow a11 : 1 -> 2
+arrow a20 : 2 -> 3
+arrow a21 : 2 -> 3
+arrow a30 : 3 -> 4
+arrow a31 : 3 -> 4
+relation a10*a20 - a11*a21
+relation a21*a30 - a20*a31
+"""
+QUOTIENT_COMMANDS = ["validate", "spectrum", "check-tensor",
+                     "compare-points", "reconstruct"]
+QUOTIENT_MUTANTS = [(negate_rules, name)
+                    for name in ("beilinson2", "beilinson3", "square")]
+QUOTIENT_MUTANTS.append((add_extra_rule, "beilinson2"))
+
+
 class TestQuotientMutants:
-    """A wrong Groebner basis gives a wrong quotient.  The probes are built
-    from the quiver and the relations alone, so `reconstruct` reports it."""
+    """A wrong Groebner basis gives a wrong quotient.  The sign flip and
+    the extra rule x1_0 * x2_0 -> 0 leave the relations tensor but give
+    rules that are not one word with coefficient 1, so the certificate
+    refuses the quotient and every command that builds it exits 2.  A
+    Buchberger loop that drops its S-polynomials keeps the shape of the
+    rules; the probes are built from the quiver and the relations alone,
+    so `reconstruct` reports it."""
 
     @staticmethod
-    def report(tmp_path, name, field):
+    def spec_file(tmp_path, name, field):
         text = (FIXTURE_DIR / f"{name}.quiver").read_text()
         assert text.count("field QQ\n") == 1
         spec = tmp_path / f"{name}.quiver"
         spec.write_text(text.replace("field QQ\n", f"field {field}\n"))
-        return run_command(["reconstruct", str(spec)])
+        return spec
+
+    @staticmethod
+    def assert_refused(doc, code, command, match):
+        assert code == 2
+        assert doc["command"] == command
+        assert doc["error_type"] == "QuotientCertificateError"
+        assert doc["error"].startswith("quotient certificate failed")
+        assert match in doc["error"]
 
     @pytest.mark.parametrize("field", ["QQ", "F 101"])
     @pytest.mark.parametrize("name", ["beilinson2", "beilinson3", "square"])
     def test_negated_rules_clear_structure_constants(self, monkeypatch,
                                                      tmp_path, name, field):
-        # every rule tip -> rhs becomes tip -> -rhs after the final
-        # reduction: the tips and the basis stay, the products change sign
-        real = path_algebra.groebner_basis
-
-        def negated(polys, fld):
-            gb = real(polys, fld)
-            for tip, rhs in gb.rules.items():
-                gb.rules[tip] = fld.nonzero((w, -c) for w, c in rhs.items())
-            return gb
-
-        monkeypatch.setattr(path_algebra, "groebner_basis", negated)
-        doc, code = self.report(tmp_path, name, field)
-        assert code == 0
-        assert doc["verdict"]["structure_constants_match"] is False
-        assert doc["isomorphic_to_path_algebra"] is False
+        # the products change sign, which `structure_constants_match` would
+        # show; the certificate refuses the quotient before any verdict
+        negate_rules(monkeypatch)
+        path = self.spec_file(tmp_path, name, field)
+        spec = parse_quiver_file(path)
+        alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
+        minus_one = spec.field(-1)
+        assert any(list(rhs.values()) == [minus_one]
+                   for rhs in alg.groebner.rules.values())
+        with pytest.raises(QuotientCertificateError) as err:
+            alg.tensor_check
+        assert "is not one word with coefficient 1" in str(err.value)
+        doc, code = run_command(["reconstruct", str(path)])
+        self.assert_refused(doc, code, "reconstruct", "Groebner rule")
 
     @pytest.mark.parametrize("field", ["QQ", "F 101"])
     def test_extra_rule_clears_dimensions(self, monkeypatch, tmp_path, field):
-        # the rule x1_0 * x2_0 -> 0 kills a basis path of beilinson2 that
-        # the relations keep
-        real = path_algebra.groebner_basis
+        # the quotient loses a dimension, which `dimensions_match` would
+        # show; the certificate refuses the quotient and names the rule
+        add_extra_rule(monkeypatch)
+        path = self.spec_file(tmp_path, "beilinson2", field)
+        spec = parse_quiver_file(path)
+        assert PathAlgebra(spec.quiver, spec.relations, spec.field).dim == 14
+        doc, code = run_command(["reconstruct", str(path)])
+        self.assert_refused(doc, code, "reconstruct",
+                            "the Groebner rule x1_0*x2_0 -> 0 is not")
 
-        def extra(polys, fld):
-            gb = real(polys, fld)
-            gb.rules[("x1_0", "x2_0")] = {}
-            return gb
-
-        monkeypatch.setattr(path_algebra, "groebner_basis", extra)
-        doc, code = self.report(tmp_path, "beilinson2", field)
+    @pytest.mark.parametrize("command", QUOTIENT_COMMANDS)
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    @pytest.mark.parametrize("mutant, name", QUOTIENT_MUTANTS,
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_mutants_fail_every_quotient_command(self, monkeypatch, tmp_path,
+                                                 mutant, name, field,
+                                                 command):
+        path = self.spec_file(tmp_path, name, field)
+        doc, code = run_command([command, str(path)])
         assert code == 0
-        assert doc["dimension"] == 14
+        mutant(monkeypatch)
+        doc, code = run_command([command, str(path)])
+        self.assert_refused(doc, code, command, "Groebner rule")
+
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    def test_dropped_s_polynomials_clear_dimensions(self, monkeypatch,
+                                                    tmp_path, field):
+        # without the S-polynomial of the overlap, a11*a20*a31 stays a
+        # basis word: the rules keep their shape, so the certificate
+        # passes, but the quotient is one dimension too large at (1, 4)
+        path = tmp_path / "overlap.quiver"
+        path.write_text(OVERLAP.format(field=field))
+        doc, code = run_command(["reconstruct", str(path)])
+        assert code == 0 and doc["isomorphic_to_path_algebra"] is True
+        monkeypatch.setattr(path_algebra, "_s_polynomial", lambda *args: {})
+        doc, code = run_command(["validate", str(path)])
+        assert code == 0 and doc["tensor_relations"] is True
+        doc, code = run_command(["reconstruct", str(path)])
+        assert code == 0
         assert doc["verdict"]["dimensions_match"] is False
         assert doc["isomorphic_to_path_algebra"] is False
+        assert "a11*a20*a31" in doc["basis"]
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
     def test_extra_rule_raises_in_the_probe_evaluator(self, monkeypatch,

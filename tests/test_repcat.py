@@ -1,15 +1,15 @@
 import pytest
 
 from quivertt.fields import QQ
-from quivertt.linalg import Matrix
+from quivertt.linalg import Coordinates, Matrix
 from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Quiver
 from quivertt.randgen import (random_representation, random_tensor_quiver,
                               representation_menu)
-from quivertt.repcat import (Representation, RepresentationError,
+from quivertt.repcat import (Representation, RepresentationError, _split,
                              extend_by_zero, hom_space, module_representation,
                              restrict, satisfies_relations,
-                             simple_object, sub_quotient, tensor,
+                             simple_object, tensor,
                              unit_filtration, unit_object)
 
 from conftest import load_fixture
@@ -114,53 +114,35 @@ class TestHomSpace:
 
 
 class TestSubQuotient:
+    """The block split behind the sub and quotient steps of the unit
+    filtration (`repcat._split`), and the greedy completion of a basis that
+    reads coordinates in it (`linalg.Coordinates`)."""
+
     def test_instability_reported_with_arrow(self):
         spec = load_fixture("chain4")
         u = unit_object(spec.quiver)
-        bases = {v: ([(QQ.one,)] if v == "1" else [])
-                 for v in spec.quiver.vertices}
+        kept = {v: ([0] if v == "1" else []) for v in spec.quiver.vertices}
         with pytest.raises(RepresentationError) as err:
-            sub_quotient(u, bases)
+            _split(u, kept)
         assert "a" in str(err.value)
 
     def test_sub_plus_quotient_dimensions(self):
         spec = load_fixture("chain4")
         u = unit_object(spec.quiver)
-        bases = {v: ([(QQ.one,)] if v in ("2", "3", "4") else [])
-                 for v in spec.quiver.vertices}
-        sub, quot, incl, proj = sub_quotient(u, bases)
+        kept = {v: ([0] if v in ("2", "3", "4") else [])
+                for v in spec.quiver.vertices}
+        sub, quot = _split(u, kept)
         for v in spec.quiver.vertices:
             assert sub.dims[v] + quot.dims[v] == u.dims[v]
-        assert incl.is_natural() and proj.is_natural()
-
-    @pytest.mark.parametrize("vectors", [
-        [(0, 0)], [(1, 0), (1, 0)], [(1, 2), (2, 4)], [(1, 0), (0, 1), (1, 1)]],
-        ids=["zero", "duplicate", "parallel", "too-many"])
-    def test_dependent_vectors_are_refused(self, vectors):
-        # 1 -> 2 with both spaces 2-dimensional and the identity along a
-        q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-        rep = Representation(q, {"1": 2, "2": 2},
-                             {"a": Matrix.identity(2)})
-        with pytest.raises(RepresentationError,
-                           match="vectors at 2 are linearly dependent"):
-            sub_quotient(rep, {"1": [], "2": vectors})
 
     def test_given_basis_is_kept_and_quotient_is_complemented(self):
-        # 1 -> 2 with a = [[1, 1], [0, 2]]: the span of (1, 1) at both
-        # vertices is stable with a acting by 2 on it, and the quotient
-        # is spanned by (1, 0), the first standard vector independent of
-        # (1, 1); v = x(1, 1) + y(1, 0) projects to y = v_0 - v_1
-        q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-        rep = Representation(q, {"1": 2, "2": 2},
-                             {"a": Matrix(2, 2, [[1, 1], [0, 2]])})
-        sub, quot, incl, proj = sub_quotient(rep, {"1": [(1, 1)],
-                                                   "2": [(1, 1)]})
-        assert sub.arrow_maps["a"] == Matrix(1, 1, [[2]])
-        assert quot.arrow_maps["a"] == Matrix(1, 1, [[1]])
-        assert incl.components["2"] == Matrix(2, 1, [[1], [1]])
-        assert proj.components["2"] == Matrix(1, 2, [[1, -1]])
-        assert incl.is_natural() and proj.is_natural()
-        assert proj.compose(incl).is_zero()
+        # the span of (1, 1) is completed by (1, 0), the first standard
+        # vector independent of it; v = x(1, 1) + y(1, 0) has x = v_1 and
+        # y = v_0 - v_1
+        coords = Coordinates([(1, 1)], 2, QQ)
+        assert coords.complement == (0,)
+        assert coords.completed((QQ(3), QQ(5))) == (5, -2)
+        assert coords.completed((QQ(1), QQ(0))) == (0, 1)
 
 
 class TestRestrictExtend:

@@ -1,5 +1,5 @@
-"""Subrepresentations split along coordinate blocks, and the unit
-filtration built from them, against the generic solves they replace; Hom
+"""The unit filtration, built from subrepresentations split along
+coordinate blocks, against the generic solves it replaces; Hom
 spaces solved as sparse groups against the dense system they replace; the
 projective modules built from the relations against the dense ones read
 off the quotient."""
@@ -8,7 +8,6 @@ import random
 from pathlib import Path as FilePath
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
@@ -17,122 +16,32 @@ from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Arrow, Path, Quiver, enumerate_paths
 from quivertt.randgen import (random_representation, random_tensor_quiver,
                               representation_menu)
-from quivertt.repcat import (RepresentationError, Representation, hom_space,
-                             module_representation, simple_object,
-                             sub_quotient, unit_filtration, unit_object)
+from quivertt.repcat import (RepresentationError, Representation, _split,
+                             hom_space, module_representation, simple_object,
+                             unit_filtration, unit_object)
 
-from conftest import (FIXTURE_NAMES, element_types, load_fixture,
-                      unit_lower_triangular)
+from conftest import FIXTURE_NAMES, element_types, load_fixture
 from fields_oracle import oracle_field
 from reconstruct_oracles import _dense_probe
 from repcat_oracles import (hom_space_oracle, path_action_oracle,
-                            sub_quotient_oracle, unit_filtration_oracle)
+                            unit_filtration_oracle)
 
 FIELDS = [QQ, PrimeField(101)]
-
-
-@st.composite
-def splits(draw, field):
-    """A random representation and per-vertex lists of independent
-    vectors.  They start as distinct standard basis vectors in shuffled
-    order.  The (rest x kept) block of every arrow is zeroed, so the span
-    is stable, and then half the draws put one nonzero entry into each such
-    block that is not empty.  Some draws scale one vector by 2.  Last,
-    each vertex changes basis by a random unit lower-triangular T_v: each
-    arrow matrix A becomes T_t A T_s^-1 and each vector b becomes T_v b.
-    That keeps stable draws stable and unstable ones unstable, and it moves
-    the span off the standard vectors, where the complements that pivot at
-    the first and at the last nonzero entry differ.  Some draws pass the
-    vectors as plain ints."""
-    n = draw(st.integers(1, 4))
-    verts = tuple(str(i) for i in range(n))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(verts),
-                                    st.sampled_from(verts)), max_size=6))
-    quiver = Quiver(verts, tuple(Arrow(f"a{k}", s, t)
-                                 for k, (s, t) in enumerate(pairs)))
-    dims = {v: draw(st.integers(0, 3)) for v in verts}
-    kept = {}
-    for v in verts:
-        order = draw(st.permutations(range(dims[v])))
-        kept[v] = order[:draw(st.integers(0, dims[v]))]
-    stable = draw(st.booleans())
-    entry = st.integers(-3, 3)
-    maps = {}
-    for a in quiver.arrows:
-        rows = [[draw(entry) for _ in range(dims[a.source])]
-                for _ in range(dims[a.target])]
-        off = [(i, j) for i in range(dims[a.target]) if i not in kept[a.target]
-               for j in kept[a.source]]
-        for i, j in off:
-            rows[i][j] = 0
-        if off and not stable:
-            i, j = draw(st.sampled_from(off))
-            rows[i][j] = draw(st.sampled_from([-2, -1, 1, 2]))
-        maps[a.label] = Matrix(dims[a.target], dims[a.source], rows, field)
-    bases = {v: [tuple(int(r == i) for r in range(dims[v])) for i in kept[v]]
-             for v in verts}
-    scaled = [v for v in verts if kept[v]]
-    if scaled and draw(st.integers(0, 4)) == 0:
-        v = draw(st.sampled_from(scaled))
-        bases[v][0] = tuple(2 * c for c in bases[v][0])
-    change = {v: draw(unit_lower_triangular(dims[v])) for v in verts}
-    rep = Representation(quiver, dims, {
-        a.label: (Matrix(dims[a.target], dims[a.target],
-                         change[a.target][0], field)
-                  @ maps[a.label]
-                  @ Matrix(dims[a.source], dims[a.source],
-                           change[a.source][1], field))
-        for a in quiver.arrows}, field)
-    as_ints = draw(st.booleans())
-    coerce = int if as_ints else field
-    bases = {v: [tuple(coerce(sum(x * c for x, c in zip(row, b)))
-                       for row in change[v][0]) for b in bases[v]]
-             for v in verts}
-    return rep, bases
-
-
-def entry_types(result):
-    sub, quot, incl, proj = result
-    mats = (list(sub.arrow_maps.values()) + list(quot.arrow_maps.values())
-            + list(incl.components.values()) + list(proj.components.values()))
-    return {type(x) for m in mats for row in m.entries for x in row}
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_sub_quotient_matches_oracle(field, data):
-    rep, bases = data.draw(splits(field))
-    try:
-        want = sub_quotient_oracle(rep, bases)
-    except RepresentationError as err:
-        with pytest.raises(RepresentationError) as got:
-            sub_quotient(rep, bases)
-        # the same first unstable arrow, in `quiver.arrows` order
-        assert str(got.value) == str(err)
-        return
-    got = sub_quotient(rep, bases)
-    assert got == want
-    assert entry_types(got) <= set(element_types(field))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_coordinate_split_of_a_known_instance(field):
     # on 1 -> 2 with a 3x2 arrow matrix, keep e_2, e_0 at vertex 2 and e_1
-    # at vertex 1: the blocks are read in the order the vectors are given
+    # at vertex 1: the blocks are read in the order the coordinates are
+    # given, and the quotient keeps the rest in increasing order
     q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     m = Matrix(3, 2, [[1, 4], [2, 0], [3, 5]], field)
     rep = Representation(q, {"1": 2, "2": 3}, {"a": m}, field)
-    e = lambda i, d: tuple(field.one if r == i else field.zero for r in range(d))
-    sub, quot, incl, proj = sub_quotient(rep, {"1": [e(1, 2)],
-                                               "2": [e(2, 3), e(0, 3)]})
+    sub, quot = _split(rep, {"1": [1], "2": [2, 0]})
     assert sub.arrow_maps["a"] == Matrix(2, 1, [[5], [4]], field)
     assert quot.arrow_maps["a"] == Matrix(1, 1, [[2]], field)
-    assert incl.components["2"] == Matrix(3, 2, [[0, 1], [0, 0], [1, 0]], field)
-    assert proj.components["1"] == Matrix(1, 2, [[1, 0]], field)
-    assert incl.is_natural() and proj.is_natural()
     with pytest.raises(RepresentationError, match="arrow a"):
-        sub_quotient(rep, {"1": [e(0, 2)], "2": [e(2, 3)]})
+        _split(rep, {"1": [0], "2": [2]})
 
 
 def of_spec(spec):

@@ -358,9 +358,9 @@ def test_the_caller_check_sees_every_form():
 
 # The probes are the route that `assemble_A` checks the quotient against,
 # so they are built from the quiver and the relations alone: the probe
-# builder reads none of the quotient's Groebner basis, normal forms,
-# structure constants or basis indices.
-QUOTIENT_ATTRIBUTES = {"groebner", "_nf_word", "arrow_step",
+# builder reads none of the quotient's Groebner basis, step table, normal
+# forms, structure constants or basis indices.
+QUOTIENT_ATTRIBUTES = {"groebner", "_steps", "_walk", "nf_path", "arrow_step",
                        "product_indices", "word_index", "idempotent_index"}
 PROBE_BUILDER = ("Probe",)
 # The code that reads the projective modules off the probes: it multiplies
@@ -418,9 +418,11 @@ def test_the_probe_check_sees_every_form():
 
 
 # The tensor check reduces each relation term by the Groebner basis: of
-# the algebra it reads only these, so no later change can route it back
-# through `_nf`, `_word_nf` or `arrow_step`.
+# the algebra it reads only these, so no later change can route it
+# through the step table or `arrow_step`, which need the check's verdict.
+# The certificate reads only the field and the Groebner rules.
 TENSOR_CHECK_READS = {"relations", "field", "groebner"}
+CERTIFICATE_READS = {"field", "groebner"}
 
 
 def parameter_reads(source, name):
@@ -443,6 +445,8 @@ def test_tensor_check_reads_only_relations_field_and_groebner_basis():
     source = (SRC / "path_algebra.py").read_text()
     assert parameter_reads(source, "is_tensor_relations") == (
         TENSOR_CHECK_READS, [])
+    assert parameter_reads(source, "certify_quotient") == (
+        CERTIFICATE_READS, [])
 
 
 def test_the_parameter_check_sees_every_form():
@@ -450,11 +454,11 @@ def test_the_parameter_check_sees_every_form():
               "    field = alg.field\n"
               "    for gen in alg.relations:\n"
               "        d = alg.dim\n"
-              "        nfs = [alg._nf(p) for _, p in gen.terms]\n"
-              "        memo = getattr(alg, '_word_nf')\n"
+              "        nfs = [alg._walk(p) for _, p in gen.terms]\n"
+              "        memo = getattr(alg, '_steps')\n"
               "        helper(alg, alg.groebner.reduce)\n"
               "def helper(alg, reduce):\n"
               "    return alg.arrow_step\n")
     assert parameter_reads(source, "is_tensor_relations") == (
-        {"field", "relations", "dim", "_nf", "groebner"}, [6, 7])
+        {"field", "relations", "dim", "_walk", "groebner"}, [6, 7])
     assert parameter_reads(source, "helper") == ({"arrow_step"}, [])

@@ -1,9 +1,12 @@
-"""The sparse sums of the quotient, which all go through `linalg.combine`,
-against the hand-written loops they replaced: normal forms (`nf_path`),
-`arrow_step`, `product` and the diagonal square of `is_tensor_relations`.
-The tensor verdict, which reads the Groebner basis directly, is also
-checked on the random relation sets of the quotient's differential test,
-over QQ, F_2, F_3 and F_101."""
+"""The sparse sums of the quotient against the hand-written loops they
+replaced: normal forms, arrow steps, `product` and the diagonal square of
+`is_tensor_relations`.  The normal forms by the Groebner basis
+(`nf_path_oracle`, `combine_product`) are checked on every quotient; on a
+tensor quotient `nf_path` and `arrow_step` give one class, which must be
+the oracle's one-entry normal form, and on any other they and `product`
+raise TensorRelationError.  The tensor verdict, which reads the Groebner
+basis directly, is also checked on the random relation sets of the
+quotient's differential test, over QQ, F_2, F_3 and F_101."""
 
 import random
 from fractions import Fraction
@@ -14,12 +17,14 @@ from hypothesis import Phase, find, given, settings
 
 from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
-from quivertt.path_algebra import PathAlgebra, is_tensor_relations
+from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
+                                   is_tensor_relations)
 from quivertt.quiver import enumerate_paths
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import FIXTURE_NAMES, load_fixture, relation_from_terms
-from path_algebra_oracles import QuotientSumsOracle
+from path_algebra_oracles import (QuotientSumsOracle, combine_product,
+                                  nf_path_oracle)
 from test_path_algebra_differential import relation_sets
 
 SPEC_DIR = Path(__file__).resolve().parent / "specs"
@@ -83,25 +88,39 @@ def test_sparse_sums_match_the_loops(make, field):
     rng = random.Random(alg.dim)
     coeffs = coefficients(field)
 
+    one = field.one
+    tensor = alg.tensor_check.ok
     paths, _ = enumerate_paths(alg.quiver)
     for p in paths:
-        assert list(alg.nf_path(p).items()) == list(oracle.nf(p).items()), p
+        want = oracle.nf(p)
+        assert list(nf_path_oracle(alg, p).items()) == list(want.items()), p
+        if tensor:
+            assert {alg.nf_path(p): one} == want, p
 
     for x, p in enumerate(alg.basis):
         for arrow in alg.quiver.arrows_from(p.target):
-            got = alg.arrow_step(x, arrow.label)
-            assert list(got.items()) == \
-                list(oracle.arrow_step(x, arrow).items()), (x, arrow)
+            want = oracle.arrow_step(x, arrow)
+            if tensor:
+                assert {alg.arrow_step(x, arrow.label): one} == want, \
+                    (x, arrow)
+            else:
+                with pytest.raises(TensorRelationError):
+                    alg.arrow_step(x, arrow.label)
 
-    one = field.one
     pairs = [({i: one}, {j: one}) for i in range(alg.dim)
              for j in range(alg.dim)]
     pairs += [(random_element(rng, alg, coeffs, 3),
                random_element(rng, alg, coeffs, 3)) for _ in range(30)]
     for a, b in pairs:
-        got = alg.product(a, b)
-        assert got == oracle.product(a, b), (a, b)
-        assert_ascending(got)
+        want = oracle.product(a, b)
+        assert combine_product(alg, a, b) == want, (a, b)
+        if tensor:
+            got = alg.product(a, b)
+            assert got == want, (a, b)
+            assert_ascending(got)
+        else:
+            with pytest.raises(TensorRelationError):
+                alg.product(a, b)
 
     check = is_tensor_relations(alg)
     assert (check.ok, check.witness, check.failed_test) == \
