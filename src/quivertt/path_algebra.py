@@ -19,16 +19,21 @@ tails are fully reduced at the end.  Polynomials are {word: coefficient}
 dicts, a word being a tuple of arrow labels; a path's source and target
 follow from its arrows.
 
-The basis of kQ/(R) is the set of paths that contain no tip, listed by a
-depth-first search from each vertex that stops as soon as a suffix of the
-path is a tip.  These are exactly the earliest paths whose residues stay
-independent modulo the ideal, since path k is a tip iff e_k lies in
-I + span(e_j : j < k), so structure constants are deterministic and
-reports are byte-stable.  A basis path is found by its word
-(`word_index`), or by its vertex if it is trivial (`idempotent_index`).
-Neither the build nor `compatibility` lists the paths of the quiver: the
-path budget (`quiver.check_path_budget`) is checked first, and every tip
-is a path, so it bounds the Groebner computation too.
+Building a `PathAlgebra` checks the path budget
+(`quiver.check_path_budget`) and runs the Groebner basis; every tip is a
+path, so the budget bounds the Groebner computation too.  The basis of
+kQ/(R) is listed only when something first reads it (`basis`, `dim`, the
+indices below, the products): the commands that need only the quiver and
+the certified tensor verdict (spectrum, sheaves, k-points,
+`check-tensor`) never list it.  It is the set of paths that contain no
+tip, listed by a depth-first search from each vertex that stops as soon
+as a suffix of the path is a tip.  These are exactly the earliest paths
+whose residues stay independent modulo the ideal, since path k is a tip
+iff e_k lies in I + span(e_j : j < k), so structure constants are
+deterministic and reports are byte-stable.  A basis path is found by its
+word (`word_index`), or by its vertex if it is trivial
+(`idempotent_index`).  Neither the build nor `compatibility` lists the
+paths of the quiver.
 
 R is a set of tensor relations iff every rule of the reduced Groebner
 basis rewrites its tip to one word with coefficient 1
@@ -220,7 +225,15 @@ class PathAlgebra:
         for gen in self.relations:
             for _, p in gen.terms:
                 self._check_path(p)
-        self._build()
+        self.groebner = groebner_basis(
+            [_polynomial(g.terms) for g in self.relations], field)
+        # listed by `_list_basis` on first read; None until then, so that
+        # listing adds no key to the instance dict
+        self._basis = self._pair_indices = self._pair_of = None
+        self._word_index = self._idempotent_index = self._module_bases = None
+        # (basis class, arrow label) -> basis class, on demand, once the
+        # quotient is certified tensor
+        self._steps = None
         self._tensor_check = None
 
     @property
@@ -242,12 +255,12 @@ class PathAlgebra:
         cached_property, for the reason `tensor_check` is not."""
         return enumerate_paths(self.quiver)[1]
 
-    # -- construction -------------------------------------------------
+    # -- the basis, listed on first read --------------------------------
 
-    def _build(self):
-        self.groebner = groebner_basis(
-            [_polynomial(g.terms) for g in self.relations], self.field)
-
+    def _list_basis(self):
+        """Fill `basis`, `pair_indices`, `pair_of`, `word_index`,
+        `idempotent_index` and the module bases, all read off the tips of
+        the Groebner basis."""
         # the paths that contain no tip, each extended from its prefix;
         # the prefix contains none, so only the suffixes need a look
         words_by_pair = {}
@@ -269,31 +282,69 @@ class PathAlgebra:
                 r |= reach[a.target]
             reach[v] = r
 
-        self.basis = []
-        self.pair_indices = {}
-        self.pair_of = []
-        self._module_bases = {}
-        self.word_index = {}    # the word of a non-trivial basis path -> index
+        basis, pair_indices, pair_of, module_bases = [], {}, [], {}
+        word_index = {}    # the word of a non-trivial basis path -> index
         # vertex -> index of its trivial path, in the quiver's vertex order
-        self.idempotent_index = dict.fromkeys(self.quiver.vertices)
+        idempotent_index = dict.fromkeys(self.quiver.vertices)
         for s in self.order:
             for t in sorted(reach[s], key=self._pos.__getitem__):
                 pair = (s, t)
                 local = []
                 for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
-                    gi = len(self.basis)
-                    self.basis.append(Path(s, t, w))
-                    self.pair_of.append(pair)
+                    gi = len(basis)
+                    basis.append(Path(s, t, w))
+                    pair_of.append(pair)
                     local.append(gi)
                     if w:
-                        self.word_index[w] = gi
+                        word_index[w] = gi
                     else:
-                        self.idempotent_index[s] = gi
-                self.pair_indices[pair] = local
-                self._module_bases.setdefault(s, []).extend(local)
-        # (basis class, arrow label) -> basis class, on demand, once the
-        # quotient is certified tensor
-        self._steps = None
+                        idempotent_index[s] = gi
+                pair_indices[pair] = local
+                module_bases.setdefault(s, []).extend(local)
+        self._pair_indices, self._pair_of = pair_indices, pair_of
+        self._word_index, self._idempotent_index = word_index, idempotent_index
+        self._module_bases = module_bases
+        # last: a read of any listed field tests this one
+        self._basis = basis
+
+    # Properties, not cached_property, for the reason `tensor_check` is
+    # not one; the readers that run per product read the private fields.
+
+    @property
+    def basis(self):
+        """The basis paths of kQ/(R), in basis order."""
+        if self._basis is None:
+            self._list_basis()
+        return self._basis
+
+    @property
+    def pair_indices(self):
+        """(source, target) -> the basis indices of that pair, ascending,
+        for every pair joined by a path."""
+        if self._basis is None:
+            self._list_basis()
+        return self._pair_indices
+
+    @property
+    def pair_of(self):
+        """The (source, target) of each basis class."""
+        if self._basis is None:
+            self._list_basis()
+        return self._pair_of
+
+    @property
+    def word_index(self):
+        """The word of each non-trivial basis path -> its index."""
+        if self._basis is None:
+            self._list_basis()
+        return self._word_index
+
+    @property
+    def idempotent_index(self):
+        """Vertex -> the index of its trivial path, in vertex order."""
+        if self._basis is None:
+            self._list_basis()
+        return self._idempotent_index
 
     # -- normal forms ---------------------------------------------------
 
@@ -320,15 +371,18 @@ class PathAlgebra:
         steps = self._steps
         if steps is None:
             require_tensor_relations(self)
+            if self._basis is None:
+                self._list_basis()
             steps = self._steps = {}
-        if self.basis[x].target != start:
+        basis = self._basis
+        if basis[x].target != start:
             return None
         for a in word:
             y = steps.get((x, a))
             if y is None:
                 (w,) = self.groebner.reduce(
-                    {self.basis[x].arrows + (a,): self.field.one})
-                y = steps[x, a] = self.word_index[w]
+                    {basis[x].arrows + (a,): self.field.one})
+                y = steps[x, a] = self._word_index[w]
             x = y
         return x
 
@@ -350,7 +404,9 @@ class PathAlgebra:
     def product_indices(self, i, j):
         """Structure constants: (basis class i) * (basis class j), a basis
         index, or None if the two classes do not compose."""
-        pj = self.basis[j]
+        if self._basis is None:
+            self._list_basis()
+        pj = self._basis[j]
         return self._walk(i, pj.source, pj.arrows)
 
     def arrow_step(self, x, label):
@@ -382,6 +438,8 @@ class PathAlgebra:
 
     def module_basis(self, v):
         """Global basis indices of M_v, in basis order."""
+        if self._basis is None:
+            self._list_basis()
         return list(self._module_bases.get(v, ()))
 
 

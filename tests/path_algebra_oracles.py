@@ -18,6 +18,8 @@ basis in one go, as the library did before a tensor quotient's normal
 form became one class index; they serve any quotient, tensor or not.
 `combine_product` is `PathAlgebra.product` as one `linalg.combine` of
 those dicts for every input.
+`first_reads` gives, for each reader of the quotient's listed basis, what
+it must return, read off `quotient_oracle`'s build.
 `groebner_basis_oracle` is Buchberger's loop as it was before the tips
 were indexed by their first and last arrows: each new tip is matched
 against every rule, both ways round, at every overlap length.
@@ -31,7 +33,7 @@ from collections import deque
 from types import SimpleNamespace
 
 from quivertt.linalg import Matrix, combine
-from quivertt.path_algebra import GroebnerBasis
+from quivertt.path_algebra import GroebnerBasis, TensorRelationError
 from quivertt.quiver import (Path, QuiverError, Relation, admissible_order,
                              enumerate_paths, full_subquiver)
 
@@ -277,6 +279,66 @@ def combine_product(alg, a, b):
     return combine(((ca * cb, product_indices_oracle(alg, i, j))
                     for i, ca in a.items() for j, cb in b.items()),
                    alg.field)
+
+
+def first_reads(quiver, want, tensor):
+    """{reader: (read, expected)} for every reader of the listed basis of a
+    `PathAlgebra` on `quiver` whose oracle build is `want`: `read(alg)`
+    reads the algebra through that reader alone, and must return
+    `expected`.  The step readers `nf_path`, `arrow_step` and
+    `product_indices` return the one class of the oracle's normal form on
+    a tensor quotient (`tensor`); on any other, `expected` is
+    `TensorRelationError`, which they must raise.  The arguments come from
+    the oracle, so that no read but `read`'s own touches the algebra."""
+    basis, verts = want.basis, quiver.vertices
+    d = len(basis)
+    paths = list(want.path_nf)
+
+    def index(path):
+        nf = want.path_nf[path]
+        (k,) = nf
+        assert nf == {k: 1}, path
+        return k
+
+    def walked(p, q):
+        return index(join_paths(p, q)) if p.target == q.source else None
+
+    arrows = quiver.arrows
+    steps = {
+        "nf_path": (lambda alg: [alg.nf_path(p) for p in paths],
+                    lambda: [index(p) for p in paths]),
+        "arrow_step": (lambda alg: [alg.arrow_step(x, a.label)
+                                    for x in range(d) for a in arrows],
+                       lambda: [walked(basis[x], Path.from_arrows([a]))
+                                for x in range(d) for a in arrows]),
+        "product_indices": (lambda alg: [alg.product_indices(i, j)
+                                         for i in range(d) for j in range(d)],
+                            lambda: [walked(basis[i], basis[j])
+                                     for i in range(d) for j in range(d)]),
+    }
+    pairs = [(n, m) for n in verts for m in verts]
+    reads = {
+        "basis": (lambda alg: alg.basis, basis),
+        "pair_indices": (lambda alg: list(alg.pair_indices.items()),
+                         list(want.pair_indices.items())),
+        "pair_of": (lambda alg: alg.pair_of, want.pair_of),
+        "word_index": (lambda alg: list(alg.word_index.items()),
+                       [(p.arrows, gi) for p, gi in want.basis_index.items()
+                        if p.arrows]),
+        "idempotent_index": (lambda alg: list(alg.idempotent_index.items()),
+                             [(v, want.basis_index[Path.trivial(v)])
+                              for v in verts]),
+        "dim": (lambda alg: alg.dim, d),
+        "dim_pair": (lambda alg: [alg.dim_pair(n, m) for n, m in pairs],
+                     [len(want.pair_indices.get(pair, ())) for pair in pairs]),
+        "element_word": (lambda alg: [alg.element_word(i) for i in range(d)],
+                         [p.word() for p in basis]),
+        "module_basis": (lambda alg: [alg.module_basis(v) for v in verts],
+                         [want.module_bases.get(v, []) for v in verts]),
+    }
+    for name, (read, expected) in steps.items():
+        reads[name] = (read, expected() if tensor else TensorRelationError)
+    return reads
 
 
 class QuotientSumsOracle:

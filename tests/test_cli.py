@@ -609,6 +609,61 @@ class TestAlgebraBuilds:
         assert code == 0 and builds == []
 
 
+class TestBasisListing:
+    """The commands that need only the quiver and the certified tensor
+    verdict never list the basis of kQ/(R); `validate` and `reconstruct`
+    list it once per build."""
+
+    @staticmethod
+    def certificate_only(name):
+        # the whole vertex set and one vertex are compatible with any
+        # relations, so `presheaf` answers on both
+        path = fixture_path(name)
+        verts = list(load_fixture(name).quiver.vertices)
+        argvs = [("spectrum", path), ("check-tensor", path),
+                 ("compare-points", path)]
+        for opened in (verts, verts[:1]):
+            argvs += [(command, path, "--open", ",".join(opened))
+                      for command in ("sheaf", "presheaf")]
+        return argvs
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_certificate_only_commands_list_no_basis(self, name,
+                                                     monkeypatch):
+        argvs = self.certificate_only(name)
+        want = [run(*argv) for argv in argvs]
+
+        def refuse(alg):
+            raise AssertionError("the basis of kQ/(R) was listed")
+
+        monkeypatch.setattr(PathAlgebra, "_list_basis", refuse)
+        got = [run(*argv) for argv in argvs]
+        assert [code for _, code in got] == [0] * len(argvs)
+        assert got == want
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_validate_and_reconstruct_list_once_per_build(self, name,
+                                                          monkeypatch):
+        builds, listings = [], []
+        init, list_basis = PathAlgebra.__init__, PathAlgebra._list_basis
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        def counting_list(self):
+            listings.append(self)
+            list_basis(self)
+
+        monkeypatch.setattr(PathAlgebra, "__init__", counting_init)
+        monkeypatch.setattr(PathAlgebra, "_list_basis", counting_list)
+        for command in ("validate", "reconstruct"):
+            builds.clear()
+            listings.clear()
+            _, code = run(command, fixture_path(name))
+            assert code == 0 and len(builds) == 1 and listings == builds
+
+
 class TestParserReuse:
     REQUESTS = [
         ("validate", fixture_path("kronecker2")),

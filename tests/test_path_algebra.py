@@ -1,3 +1,4 @@
+import contextlib
 from math import comb
 
 import pytest
@@ -14,7 +15,8 @@ from quivertt.reconstruct import assemble_A, rational_points
 from quivertt.spectrum import presheaf_sections, sheaf_sections, spc
 
 from conftest import load_fixture
-from path_algebra_oracles import module_map_oracle, right_mult_oracle
+from path_algebra_oracles import (first_reads, module_map_oracle,
+                                  quotient_oracle, right_mult_oracle)
 
 
 def kronecker(n_arrows):
@@ -205,12 +207,26 @@ class TestTensorGate:
 
     def test_reading_paths_by_pair_adds_no_instance_key(self):
         # a key added to the instance dict after __init__ slows every later
-        # attribute lookup on the algebra, traced runs included
+        # attribute lookup on the algebra, traced runs included; nor does
+        # listing the basis add one, whichever reader lists it, on a tensor
+        # quotient and on one whose step readers refuse
         spec = load_fixture("kronecker2")
         alg = PathAlgebra(spec.quiver, spec.relations)
         keys = list(vars(alg))
         assert sum(len(p) for p in alg.paths_by_pair.values()) == alg.dim
         assert list(vars(alg)) == keys
+        makers = (lambda: PathAlgebra(spec.quiver, spec.relations),
+                  single_path_algebra)
+        for make in makers:
+            alg = make()
+            want = quotient_oracle(alg)
+            tensor = alg.tensor_check.ok
+            for name, (read, _) in first_reads(alg.quiver, want,
+                                               tensor).items():
+                alg = make()
+                with contextlib.suppress(TensorRelationError):
+                    read(alg)
+                assert list(vars(alg)) == keys, name
 
 
 class TestCompatibility:

@@ -1,16 +1,18 @@
 """The quotient kQ/(R), built from a reduced Groebner basis of the ideal,
 against the builder that reduced every path and solved for its
-coordinates; the basis rule against ranks of stacked matrices; and
-subquiver compatibility against membership in the span of ideal rows."""
+coordinates, whichever reader first lists its basis; the basis rule
+against ranks of stacked matrices; and subquiver compatibility against
+membership in the span of ideal rows."""
 
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivertt.dsl import parse_quiver
+from quivertt.dsl import parse_quiver, parse_quiver_file
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Echelon
 from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
@@ -20,10 +22,12 @@ from quivertt.randgen import random_tensor_quiver
 
 from conftest import (FIXTURE_NAMES, is_element, load_beilinson,
                       load_fixture, relation_from_terms)
-from path_algebra_oracles import (compatibility_oracle, ideal_rows_oracle,
-                                  join_paths, nf_path_oracle, quotient_oracle)
+from path_algebra_oracles import (compatibility_oracle, first_reads,
+                                  ideal_rows_oracle, join_paths,
+                                  nf_path_oracle, quotient_oracle)
 
 FIELDS = [QQ, PrimeField(101)]
+SPEC_DIR = FilePath(__file__).resolve().parent / "specs"
 
 # relations whose coefficients are not +-1, of mixed path lengths, with a
 # monomial relation, and not all of them tensor relations
@@ -94,7 +98,9 @@ def of_spec(spec):
 
 
 def instances():
-    """Makers of (quiver, relations), so that collecting builds nothing."""
+    """Makers of (quiver, relations): the fixtures, seeded random quivers,
+    Beilinson chains, the texts above and the specs; collecting builds
+    nothing."""
     for name in FIXTURE_NAMES:
         yield pytest.param(lambda n=name: of_spec(load_fixture(n)), id=name)
     for seed in range(100):
@@ -107,6 +113,9 @@ def instances():
     for text in (WEIGHTED, DIAMOND, SQUARE, OVERLAP, INCLUSION):
         yield pytest.param(lambda t=text: of_spec(parse_quiver(t)),
                            id=text.split()[1])
+    for path in sorted(SPEC_DIR.glob("*.quiver")):
+        yield pytest.param(lambda p=path: of_spec(parse_quiver_file(p)),
+                           id=f"spec-{path.stem}")
 
 
 def test_join_paths():
@@ -127,11 +136,10 @@ def test_trivial_paths_are_identities_for_join():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("make", list(instances()))
 def test_quotient_matches_oracle(make, field):
-    assert_matches_oracle(PathAlgebra(*make(), field))
+    assert_first_reads_match(*make(), field)
 
 
-def assert_matches_oracle(alg):
-    want = quotient_oracle(alg)
+def assert_matches_oracle(alg, want):
     assert alg.basis == want.basis
     # a basis path is found by its word, or by its vertex if trivial
     positions = list(want.basis_index.items())
@@ -157,6 +165,23 @@ def assert_matches_oracle(alg):
         else:
             with pytest.raises(TensorRelationError):
                 alg.nf_path(p)
+
+
+def assert_first_reads_match(quiver, relations, field):
+    """Each reader of the listed basis, read first on a fresh algebra,
+    returns what the oracle build gives, and leaves the algebra matching
+    the oracle."""
+    built = PathAlgebra(quiver, relations, field)
+    want = quotient_oracle(built)
+    reads = first_reads(quiver, want, built.tensor_check.ok)
+    for name, (read, expected) in reads.items():
+        alg = PathAlgebra(quiver, relations, field)
+        if expected is TensorRelationError:
+            with pytest.raises(TensorRelationError):
+                read(alg)
+        else:
+            assert read(alg) == expected, name
+        assert_matches_oracle(alg, want)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -250,7 +275,7 @@ def relation_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(relation_sets())
 def test_random_relation_sets_match_oracle(instance):
-    assert_matches_oracle(PathAlgebra(*instance))
+    assert_first_reads_match(*instance)
 
 
 @settings(max_examples=100, deadline=None)

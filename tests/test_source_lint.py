@@ -17,7 +17,9 @@ through an attribute, an import alias or a string, never a bare name; the
 check goes by name, and `UNCALLED` lists the paper's maps that stay
 without a caller, each with its reason.  The tensor check reads only the
 relations, the field and the Groebner basis of the algebra, so it cannot
-go back through the memo of normal forms."""
+go back through the memo of normal forms.  The spectrum, the sheaf and
+presheaf sections, the k-points and the certified tensor verdict name
+nothing that lists the basis of kQ/(R)."""
 
 import ast
 import importlib
@@ -415,6 +417,32 @@ def test_the_probe_check_sees_every_form():
     assert quotient_reads(source) == ["arrow_step", "groebner", "word_index"]
     assert quotient_reads(source, ("Probe", "assemble_A"), PRODUCTS) == [
         "arrow_step", "groebner", "product_indices"]
+
+
+# The spectrum, the sheaf and presheaf sections, the k-points and the
+# tensor verdict with its certificate need only the quiver, the relations
+# and the Groebner rules, so the commands built on them never list the
+# basis of kQ/(R), which the algebra lists on first read: these name no
+# listed attribute, no reader that lists, and not `dim`.
+LISTED = {"basis", "pair_indices", "pair_of", "word_index", "idempotent_index",
+          "_basis", "_pair_indices", "_pair_of", "_word_index",
+          "_idempotent_index", "_module_bases", "_list_basis", "dim",
+          "dim_pair", "nf_path", "arrow_step", "product_indices",
+          "element_word", "module_basis", "_walk", "product", "idempotent"}
+CERTIFICATE_ONLY = {
+    "spectrum": ("spc", "sheaf_sections", "presheaf_sections"),
+    "reconstruct": ("rational_points",),
+    "path_algebra": ("require_tensor_relations", "certify_quotient",
+                     "is_tensor_relations"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(CERTIFICATE_ONLY))
+def test_certificate_only_code_names_no_listed_attribute(module):
+    source = (SRC / f"{module}.py").read_text()
+    defs = CERTIFICATE_ONLY[module]
+    assert set(defs) <= top_level(source)
+    assert quotient_reads(source, defs, LISTED) == []
 
 
 # The tensor check reduces each relation term by the Groebner basis: of
