@@ -49,14 +49,13 @@ def main(argv=None):
             bad.append(spec.name)
             continue
         points = spc(alg).point_count
-        assembled = assemble_A(alg)
-        center = center_and_z(assembled)
+        verdict = assemble_A(alg)
+        center = center_and_z(alg)
         dt = time.perf_counter() - t0
         print(f"{spec.name:<14}{alg.dim:>5}{str(ok):>8}{points:>8}"
-              f"{str(assembled.verdict.isomorphic):>6}"
+              f"{str(verdict.isomorphic):>6}"
               f"{center.center_dimension:>6}{pi0:>5}{dt:>7.2f}s")
-        if not (assembled.verdict.isomorphic
-                and center.center_dimension == pi0):
+        if not (verdict.isomorphic and center.center_dimension == pi0):
             bad.append(spec.name)
     if bad:
         print("false verdict or Z(A) != pi0: " + ", ".join(bad),

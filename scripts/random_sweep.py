@@ -114,12 +114,12 @@ def supports_ok(rng, quiver, relations, field, count):
 def reconstruction(quiver, relations, field):
     """Whether every verdict bit of the reconstruction over `field` is
     true, and its algebra, center and End(U) dimensions."""
-    assembled = assemble_A(PathAlgebra(quiver, relations, field))
-    center = center_and_z(assembled)
-    ok = (assembled.verdict.isomorphic and center.z_lands_in_center
+    alg = PathAlgebra(quiver, relations, field)
+    verdict = assemble_A(alg)
+    center = center_and_z(alg)
+    ok = (verdict.isomorphic and center.z_lands_in_center
           and center.dimensions_match and center.z_is_unital_ring_map)
-    return ok, (assembled.dim, center.center_dimension,
-                center.end_unit_dimension)
+    return ok, (alg.dim, center.center_dimension, center.end_unit_dimension)
 
 
 def run(config):

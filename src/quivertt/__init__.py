@@ -30,13 +30,13 @@ from .complexes import (BoundedComplex, ChainMap, ComplexError,
                         direct_sum_complex, eval_functor,
                         induced_cohomology_map, shift,
                         split_vector_complex, support, tensor_complex)
-from .spectrum import (IdealDescriptor, IncompatibleSubquiver, NotProper,
+from .spectrum import (IdealDescriptor, IncompatibleSubquiver,
                        QuiverMorphism, SpectrumReport, closed_set, contains,
-                       ideal_of, induced_spectrum_map, is_prime,
-                       presheaf_sections, prime_at, sheaf_sections, spc)
-from .reconstruct import (CenterReport, ReconstructedAlgebra,
-                          ReconstructionError, assemble_A, center_and_z,
-                          phi, psi, rational_points, yoneda_coordinates)
+                       ideal_of, induced_spectrum_map, presheaf_sections,
+                       prime_at, sheaf_sections, spc)
+from .reconstruct import (CenterReport, ReconstructionError, assemble_A,
+                          center_and_z, phi, psi, rational_points,
+                          yoneda_coordinates)
 from .dsl import ParseError, QuiverSpecFile, parse_quiver, parse_quiver_file
 
 __version__ = "0.1.0"

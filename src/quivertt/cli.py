@@ -145,22 +145,21 @@ def cmd_support(spec, args):
 
 
 def cmd_reconstruct(spec, args):
-    assembled = assemble_A(_algebra(spec))
-    center = center_and_z(assembled)
-    alg = assembled.algebra
+    alg = _algebra(spec)
+    verdict = assemble_A(alg)
+    center = center_and_z(alg)
     order = list(spec.quiver.vertices)
     grid = [[alg.dim_pair(n, m) for m in order] for n in order]
     return {
         "name": spec.name,
-        "dimension": assembled.dim,
+        "dimension": alg.dim,
         "basis": [alg.element_word(i) for i in range(alg.dim)],
         "hom_dimension_grid": grid,
-        "isomorphic_to_path_algebra": assembled.verdict.isomorphic,
+        "isomorphic_to_path_algebra": verdict.isomorphic,
         "verdict": {
-            "dimensions_match": assembled.verdict.dimensions_match,
-            "round_trip_identity": assembled.verdict.round_trip_identity,
-            "structure_constants_match":
-                assembled.verdict.structure_constants_match,
+            "dimensions_match": verdict.dimensions_match,
+            "round_trip_identity": verdict.round_trip_identity,
+            "structure_constants_match": verdict.structure_constants_match,
         },
         "center_dimension": center.center_dimension,
         "center_basis": [_element_json(alg, e) for e in center.center_basis],

@@ -30,8 +30,10 @@ tip, listed by a depth-first search from each vertex that stops as soon
 as a suffix of the path is a tip.  These are exactly the earliest paths
 whose residues stay independent modulo the ideal, since path k is a tip
 iff e_k lies in I + span(e_j : j < k), so structure constants are
-deterministic and reports are byte-stable.  A basis path is found by its
-word (`word_index`), or by its vertex if it is trivial
+deterministic and reports are byte-stable.  Each fact about the basis is
+kept once: the paths (`basis`, whose source and target give the pair of a
+class), their indices by pair (`pair_indices`, which also give the basis
+of M_v), by word (`word_index`) and, for the trivial paths, by vertex
 (`idempotent_index`).  Neither the build nor `compatibility` lists the
 paths of the quiver.
 
@@ -229,8 +231,8 @@ class PathAlgebra:
             [_polynomial(g.terms) for g in self.relations], field)
         # listed by `_list_basis` on first read; None until then, so that
         # listing adds no key to the instance dict
-        self._basis = self._pair_indices = self._pair_of = None
-        self._word_index = self._idempotent_index = self._module_bases = None
+        self._basis = self._pair_indices = None
+        self._word_index = self._idempotent_index = None
         # (basis class, arrow label) -> basis class, on demand, once the
         # quotient is certified tensor
         self._steps = None
@@ -258,9 +260,8 @@ class PathAlgebra:
     # -- the basis, listed on first read --------------------------------
 
     def _list_basis(self):
-        """Fill `basis`, `pair_indices`, `pair_of`, `word_index`,
-        `idempotent_index` and the module bases, all read off the tips of
-        the Groebner basis."""
+        """Fill `basis`, `pair_indices`, `word_index` and
+        `idempotent_index`, all read off the tips of the Groebner basis."""
         # the paths that contain no tip, each extended from its prefix;
         # the prefix contains none, so only the suffixes need a look
         words_by_pair = {}
@@ -282,7 +283,7 @@ class PathAlgebra:
                 r |= reach[a.target]
             reach[v] = r
 
-        basis, pair_indices, pair_of, module_bases = [], {}, [], {}
+        basis, pair_indices = [], {}
         word_index = {}    # the word of a non-trivial basis path -> index
         # vertex -> index of its trivial path, in the quiver's vertex order
         idempotent_index = dict.fromkeys(self.quiver.vertices)
@@ -293,17 +294,14 @@ class PathAlgebra:
                 for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
                     gi = len(basis)
                     basis.append(Path(s, t, w))
-                    pair_of.append(pair)
                     local.append(gi)
                     if w:
                         word_index[w] = gi
                     else:
                         idempotent_index[s] = gi
                 pair_indices[pair] = local
-                module_bases.setdefault(s, []).extend(local)
-        self._pair_indices, self._pair_of = pair_indices, pair_of
+        self._pair_indices = pair_indices
         self._word_index, self._idempotent_index = word_index, idempotent_index
-        self._module_bases = module_bases
         # last: a read of any listed field tests this one
         self._basis = basis
 
@@ -324,13 +322,6 @@ class PathAlgebra:
         if self._basis is None:
             self._list_basis()
         return self._pair_indices
-
-    @property
-    def pair_of(self):
-        """The (source, target) of each basis class."""
-        if self._basis is None:
-            self._list_basis()
-        return self._pair_of
 
     @property
     def word_index(self):
@@ -437,10 +428,11 @@ class PathAlgebra:
     # -- right modules M_v = e_v * Lambda ------------------------------
 
     def module_basis(self, v):
-        """Global basis indices of M_v, in basis order."""
-        if self._basis is None:
-            self._list_basis()
-        return list(self._module_bases.get(v, ()))
+        """Global basis indices of M_v, in basis order: the classes of the
+        pairs from v, which `pair_indices` holds in basis order.  Kept
+        only because `perfbench/tracing.py` counts Hom rows from it."""
+        return [i for (s, _), local in self.pair_indices.items() if s == v
+                for i in local]
 
 
 # -- tensor-relation criterion ----------------------------------------

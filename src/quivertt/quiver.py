@@ -23,9 +23,9 @@ from dataclasses import FrozenInstanceError, dataclass
 # Lifting the budget waits for a budget of its own on `reconstruct`.  Its
 # checks run over the (basis class, arrow) pairs of the quotient and the
 # relation images of its probes, not over pairs of classes: with the
-# budget lifted, `assemble_A` took 0.34 s on P^6 = beil(6,7) (dimension
-# 3003) and 1.4 s on P^7 (dimension 11440), in single runs on one x86-64
-# core with Python 3.11.
+# budget lifted, `assemble_A` took 0.15 s on P^6 = beil(6,7) (dimension
+# 3003) and 0.86 s on P^7 (dimension 11440), in-process, best of 5 and 3
+# runs on a 2-core x86-64 Xeon with Python 3.11.7.
 MAX_PATHS = 2048
 
 

@@ -1,7 +1,7 @@
 """Recovering the path algebra with relations from the derived tensor
-category: evaluation functors as k-points, spaces of natural
-transformations between them, the assembled algebra with its composition
-product, and the mutually inverse comparison maps with kQ/(R).
+category: evaluation functors as k-points, natural transformations
+between them, the verdict that the algebra they assemble is kQ/(R), its
+center, and the mutually inverse comparison maps with kQ/(R).
 
 The algebra is reconstructed by two routes, and `assemble_A` compares
 them.  One is the quotient kQ/(R) of `path_algebra`, read off a reduced
@@ -9,9 +9,11 @@ Groebner basis of the relation ideal.  The other is the probes M_n =
 e_n kQ/(R), the projective right modules, built as representations from
 the quiver and the relations alone (`repcat.Probe`), so that a wrong
 Groebner basis whose rules still pass the quotient's certificate shows as
-a disagreement.  By Yoneda the transformations F_n => F_m are
-Hom(M_m, M_n) = M_n(m), and a basis class acts on a probe by pushing its
-generator along the class's word.  The quotient side reads basis indices
+a disagreement.  The algebra A is the quotient's basis classes, so
+`assemble_A` returns only its verdict, the dimension of A is
+`PathAlgebra.dim`, and `center_and_z` reads the quotient.  By Yoneda the
+transformations F_n => F_m are Hom(M_m, M_n) = M_n(m), and a basis class
+acts on a probe by pushing its generator along the class's word.  The quotient side reads basis indices
 only: a product of two classes, an arrow step and the class of an arrow
 are each one index (`PathAlgebra.product_indices`, `arrow_step`,
 `nf_path`), and only `PathAlgebra.product` and the probe evaluator sum.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from .complexes import (BoundedComplex, cohomology_at, eval_functor,
                         induced_on_cohomology)
 from .linalg import Echelon, Matrix, combine, sparse_kernel
-from .path_algebra import PathAlgebra, require_tensor_relations
+from .path_algebra import require_tensor_relations
 from .quiver import Path
 from .repcat import Probe, simple_object
 from .spectrum import prime_at
@@ -121,7 +123,8 @@ class PhiTransformation:
 
 def phi(alg, element, source_vertex=None, target_vertex=None):
     """Wrap an element of e_n Lambda e_m as a natural transformation."""
-    pairs = {alg.pair_of[i] for i in element if element[i]}
+    basis = alg.basis
+    pairs = {(basis[i].source, basis[i].target) for i in element if element[i]}
     if source_vertex is None or target_vertex is None:
         if len(pairs) != 1:
             raise ReconstructionError(
@@ -137,7 +140,8 @@ def psi(alg, n, m, image):
     {basis index: c}, evaluated at the trivial path: that image, which
     must lie in e_n Lambda e_m."""
     out = {gi: c for gi, c in image.items() if c}
-    if any(alg.pair_of[gi] != (n, m) for gi in out):
+    basis = alg.basis
+    if any((basis[gi].source, basis[gi].target) != (n, m) for gi in out):
         raise ReconstructionError(
             "module map image of the generator lies outside e_n Lambda e_m")
     return out
@@ -165,7 +169,7 @@ class ProbeEvaluator:
         if probe is None:
             alg = self.alg
             probe = self._probes[n] = Probe(alg.quiver, alg.relations,
-                                            alg.field, alg.order, n)
+                                            alg.field, n)
         return probe
 
     def _push(self, n, vec, elem):
@@ -212,18 +216,6 @@ def yoneda_coordinates(evaluator, transform):
 
 
 @dataclass
-class NatTransSpace:
-    source_vertex: str
-    target_vertex: str
-    basis: list        # of element dicts {basis index: coefficient}
-    hom_route_dimension: int
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-
-@dataclass
 class IsomorphismVerdict:
     dimensions_match: bool
     round_trip_identity: bool
@@ -235,24 +227,14 @@ class IsomorphismVerdict:
                 and self.structure_constants_match)
 
 
-@dataclass
-class ReconstructedAlgebra:
-    algebra: PathAlgebra
-    components: dict          # (n, m) -> NatTransSpace
-    verdict: IsomorphismVerdict
-
-    @property
-    def dim(self):
-        return sum(c.dimension for c in self.components.values())
-
-
 def assemble_A(alg):
-    """Compare the path algebra `alg`, the quotient read off its Groebner
-    basis, with the probes M_n = e_n kQ/(R) built from the quiver and the
-    relations alone (`Probe`).  The transformations F_n => F_m are the
-    basis classes of e_n kQ/(R) e_m; by Yoneda, Hom(M_m, M_n) is M_n(m),
-    since M_m is projective, and a class x from n to m acts on the probe
-    by sending the generator e_n along x's word.  Exact equality
+    """The `IsomorphismVerdict` of the path algebra `alg`, the quotient
+    read off its Groebner basis, against the probes M_n = e_n kQ/(R)
+    built from the quiver and the relations alone (`Probe`).  The
+    transformations F_n => F_m are the basis classes of e_n kQ/(R) e_m; by
+    Yoneda, Hom(M_m, M_n) is M_n(m), since M_m is projective, and a class
+    x from n to m acts on the probe by sending the generator e_n along x's
+    word.  Exact equality
     throughout; refuses non-tensor relations.
 
     - `dimensions_match`: dim e_n kQ/(R) e_m is dim M_n(m) for every pair.
@@ -268,17 +250,11 @@ def assemble_A(alg):
       induction on the length of y, and the idempotents act as the
       identity of their vertex on both sides."""
     require_tensor_relations(alg)
-    probe = {n: Probe(alg.quiver, alg.relations, alg.field, alg.order, n)
-             for n in alg.quiver.vertices}
-    components = {}
-    dims_ok = True
-    for n in alg.quiver.vertices:
-        for m in alg.quiver.vertices:
-            route1 = [{i: alg.field.one} for i in alg.pair_indices.get((n, m), [])]
-            dim = probe[n].dim(m)
-            if len(route1) != dim:
-                dims_ok = False
-            components[(n, m)] = NatTransSpace(n, m, route1, dim)
+    vertices = alg.quiver.vertices
+    probe = {n: Probe(alg.quiver, alg.relations, alg.field, n)
+             for n in vertices}
+    dims_ok = all(alg.dim_pair(n, m) == probe[n].dim(m)
+                  for n in vertices for m in vertices)
 
     round_trip = constants_ok = True
     one, basis = alg.field.one, alg.basis
@@ -291,8 +267,7 @@ def assemble_A(alg):
             step = basis[alg.arrow_step(x, a.label)]
             if probe[n].act(vec, a.label) != {step.arrows: one}:
                 constants_ok = False
-    verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
-    return ReconstructedAlgebra(alg, components, verdict)
+    return IsomorphismVerdict(dims_ok, round_trip, constants_ok)
 
 
 @dataclass
@@ -336,18 +311,19 @@ def _commutant(alg, unknowns, generators):
     return sparse_kernel(len(unknowns), alg.field, map(commutator, generators))
 
 
-def center_and_z(assembled):
-    """The center of the assembled algebra, the endomorphisms of the unit
-    object over the algebra's quiver and field, and the comparison map
-    between them.
+def center_and_z(alg):
+    """The center of the algebra `alg`, the endomorphisms of the unit
+    object over its quiver and field, and the comparison map between them.
 
     The center is the commutant of the idempotents and the arrow classes.
     For a basis class x from s to t, e_v * x - x * e_v is
     ([v = s] - [v = t]) * x, so the commutant of the idempotents is
-    spanned by the classes with s = t, read off `pair_of` in ascending
-    order; it is the kernel basis of the idempotents' system.  Only the
-    arrow commutators are solved, in unknowns over those classes alone,
-    and the kernel basis mapped back is that of the one combined system.
+    spanned by the classes with s = t, in ascending order; it is the
+    kernel basis of the idempotents' system.  The quiver has no oriented
+    cycle, so the only class from a vertex to itself is its trivial path:
+    those classes are the idempotents.  Only the arrow commutators are
+    solved, in unknowns over the idempotents alone, and the kernel basis
+    mapped back is that of the one combined system.
 
     The unit U is k at every vertex with identity arrows, so a map
     U -> U is natural exactly when its scalars at the two ends of every
@@ -358,11 +334,10 @@ def center_and_z(assembled):
     the sum of the trivial paths of its component (`z_image`).  The
     ring-map check multiplies those images, and the center membership is
     tested against the commutant's span, so both can fail."""
-    alg = assembled.algebra
     quiver, field, d = alg.quiver, alg.field, alg.dim
 
     arrows = [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
-    diagonal = [i for i, (s, t) in enumerate(alg.pair_of) if s == t]
+    diagonal = sorted(alg.idempotent_index.values())
     center_basis = [{diagonal[r]: c for r, c in y.items()}
                     for y in _commutant(alg, diagonal, arrows)]
 

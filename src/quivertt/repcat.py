@@ -305,7 +305,8 @@ class Probe:
     generators alone: no Groebner basis and no normal form of the path
     algebra goes into it.
 
-    The vertices are taken in the admissible `order`.  M_n(n) is spanned
+    The vertices are taken in the quiver's admissible order
+    (`admissible_order`, kept on the quiver).  M_n(n) is spanned
     by the trivial path, and M_n(v) is zero for every other vertex before
     n.  For a later vertex w, M_n(w) is the direct sum, over the arrows
     a: v -> w, of copies of M_n(v), modulo x * r for each relation r that
@@ -327,7 +328,7 @@ class Probe:
     itself if it is free, else minus the rest of its echelon row.  So the
     action of the arrow a on the basis vector x is `steps[x + (a,)]`."""
 
-    def __init__(self, quiver, relations, field, order, n):
+    def __init__(self, quiver, relations, field, n):
         self.field = field
         self.words = {n: [()]}   # vertex -> the basis words of M_n there
         self.steps = {}
@@ -338,6 +339,7 @@ class Probe:
         for r in relations:
             ending.setdefault(r.target, []).append(r)
         one = field.one
+        order = admissible_order(quiver)
         for w in order[order.index(n) + 1:]:
             cols = [x + (label,) for label, v in into.get(w, ())
                     for x in self.words.get(v, ())]
@@ -410,7 +412,7 @@ def module_representation(alg, n):
     classes of `alg` from n there, and the column of a basis word x in
     the matrix of the arrow a is `steps[x + (a,)]`, the action of a on x."""
     quiver, field = alg.quiver, alg.field
-    probe = Probe(quiver, alg.relations, field, alg.order, n)
+    probe = Probe(quiver, alg.relations, field, n)
     # the probe lists its words largest first
     words = {v: probe.words.get(v, [])[::-1] for v in quiver.vertices}
     maps = {}

@@ -23,10 +23,6 @@ from .path_algebra import compatibility, require_tensor_relations
 from .quiver import QuiverError, full_subquiver
 
 
-class NotProper(ValueError):
-    pass
-
-
 class IncompatibleSubquiver(ValueError):
     def __init__(self, result, field):
         self.result = result
@@ -47,15 +43,8 @@ class IdealDescriptor:
                 raise QuiverError(f"unknown vertex {v!r}")
 
     @property
-    def is_unit(self):
-        return self.support_bound == frozenset(self.quiver.vertices)
-
-    @property
     def is_zero(self):
         return not self.support_bound
-
-    def complement(self):
-        return frozenset(self.quiver.vertices) - self.support_bound
 
 
 def ideal_of(objects, quiver=None):
@@ -79,14 +68,6 @@ def prime_at(quiver, n):
     if n not in quiver.vertices:
         raise QuiverError(f"unknown vertex {n!r}")
     return IdealDescriptor(quiver, frozenset(quiver.vertices) - {n})
-
-
-def is_prime(descriptor):
-    """Whether a proper ideal is prime, which here is the same as
-    maximal: the spectrum is discrete."""
-    if descriptor.is_unit:
-        raise NotProper("the unit ideal is not prime")
-    return len(descriptor.complement()) == 1
 
 
 @dataclass

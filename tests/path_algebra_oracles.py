@@ -141,7 +141,7 @@ def quotient_oracle(alg):
     field = oracle_field(alg.field)
     _, by_pair = enumerate_paths(alg.quiver)
     out = SimpleNamespace(basis=[], basis_index={}, pair_indices={},
-                          pair_of=[], path_nf={}, module_bases={})
+                          path_nf={}, module_bases={})
     for pair in pairs_in_order(alg.quiver, by_pair):
         plist = by_pair[pair]
         ech = RREFEchelonOracle(len(plist), field)
@@ -168,7 +168,6 @@ def quotient_oracle(alg):
             gi = len(out.basis)
             out.basis.append(plist[k])
             out.basis_index[plist[k]] = gi
-            out.pair_of.append(pair)
             local.append(gi)
         for k, p in enumerate(plist):
             out.path_nf[p] = {gi: c for gi, c in zip(local, coords[k]) if c}
@@ -321,7 +320,6 @@ def first_reads(quiver, want, tensor):
         "basis": (lambda alg: alg.basis, basis),
         "pair_indices": (lambda alg: list(alg.pair_indices.items()),
                          list(want.pair_indices.items())),
-        "pair_of": (lambda alg: alg.pair_of, want.pair_of),
         "word_index": (lambda alg: list(alg.word_index.items()),
                        [(p.arrows, gi) for p, gi in want.basis_index.items()
                         if p.arrows]),

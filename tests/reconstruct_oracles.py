@@ -20,7 +20,8 @@ basis classes: its unknowns and generators are element dicts.
 `assemble_A_oracle` is `reconstruct.assemble_A` by the route it replaced:
 the module maps of `module_hom_space_oracle`, and the dense probe
 evaluator's composite against `PathAlgebra.product` on every composable
-pair of basis classes.
+pair of basis classes; besides the verdict, it gives the dimensions it
+compared for each pair.
 
 `center_and_z_oracle` is `reconstruct.center_and_z` before End(U) was read
 off the quiver's components: it solves the naturality system
@@ -31,8 +32,7 @@ checks the ring map on the composites of that basis.
 from quivertt.linalg import Echelon, Matrix, combine, sparse_kernel
 from quivertt.path_algebra import require_tensor_relations
 from quivertt.quiver import Path
-from quivertt.reconstruct import (CenterReport, IsomorphismVerdict,
-                                  NatTransSpace, ReconstructedAlgebra)
+from quivertt.reconstruct import CenterReport, IsomorphismVerdict
 from quivertt.repcat import Representation, hom_space, unit_object
 
 from conftest import id_morphism
@@ -258,7 +258,8 @@ def assemble_A_oracle(alg):
     images of the generator and the dense probes of `probe_oracle` against
     the basis for the round trip, and that evaluator's composite against
     `PathAlgebra.product` on every composable pair of basis classes for
-    the structure constants."""
+    the structure constants.  Returns the verdict and {(n, m): (the
+    number of classes from n to m, the dimension of the module maps)}."""
     require_tensor_relations(alg)
     field = oracle_field(alg.field)
 
@@ -266,7 +267,7 @@ def assemble_A_oracle(alg):
         return {i: field(c) for i, c in elem.items()}
 
     evaluator = probe_oracle(alg)
-    components = {}
+    components, dims = {}, {}
     dims_ok = round_trip = True
     for n in alg.quiver.vertices:
         mb_n = alg.module_basis(n)
@@ -275,7 +276,8 @@ def assemble_A_oracle(alg):
             route2 = module_hom_space_oracle(alg, n, m)
             if len(route1) != len(route2):
                 dims_ok = False
-            components[(n, m)] = NatTransSpace(n, m, route1, len(route2))
+            components[(n, m)] = route1
+            dims[(n, m)] = (len(route1), len(route2))
             e_m = alg.module_basis(m).index(alg.idempotent_index[m])
             images = [{gi: c for gi, c in zip(mb_n, f.column(e_m)) if c}
                       for f in route2]
@@ -290,13 +292,12 @@ def assemble_A_oracle(alg):
         for (m2, l), space2 in components.items():
             if m2 != m:
                 continue
-            for elem in space.basis:
-                for elem2 in space2.basis:
+            for elem in space:
+                for elem2 in space2:
                     if (evaluator.compose(elem, n, m, elem2, l)
                             != lifted(alg.product(elem, elem2))):
                         constants_ok = False
-    verdict = IsomorphismVerdict(dims_ok, round_trip, constants_ok)
-    return ReconstructedAlgebra(alg, components, verdict)
+    return IsomorphismVerdict(dims_ok, round_trip, constants_ok), dims
 
 
 def z_image_oracle(alg, f):
@@ -310,16 +311,18 @@ def z_image_oracle(alg, f):
     return elem
 
 
-def center_and_z_oracle(assembled):
-    """The center of the assembled algebra as `reconstruct.center_and_z`
-    finds it, and End(U) solved as `hom_space(U, U)`: its basis mapped by
+def center_and_z_oracle(alg):
+    """The center of the algebra `alg` as `reconstruct.center_and_z`
+    finds it, over the classes that start and end at one vertex, and
+    End(U) solved as `hom_space(U, U)`: its basis mapped by
     `z_image_oracle`, and the ring map checked as z(f) z(g) = z(f o g)
-    on every pair of basis maps and z(id_U) = 1."""
-    alg = assembled.algebra
+    on every pair of basis maps and z(id_U) = 1.  Refuses non-tensor
+    relations, as `center_and_z` does."""
+    require_tensor_relations(alg)
     quiver, field, d = alg.quiver, alg.field, alg.dim
 
     arrows = [nf_path_oracle(alg, Path.from_arrows([a])) for a in quiver.arrows]
-    diagonal = [i for i, (s, t) in enumerate(alg.pair_of) if s == t]
+    diagonal = [i for i, p in enumerate(alg.basis) if p.source == p.target]
     center_basis = [{diagonal[r]: c for r, c in y.items()}
                     for y in commutant_oracle(
                         alg, [{i: field.one} for i in diagonal], arrows)]

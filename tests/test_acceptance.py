@@ -15,13 +15,15 @@ from quivertt.randgen import (random_commutativity_relations, random_complex,
                               random_tensor_quiver, representation_menu)
 from quivertt.fields import QQ
 from quivertt.reconstruct import assemble_A, center_and_z
-from quivertt.repcat import (satisfies_relations, simple_object, tensor,
-                             unit_filtration, zero_object)
-from quivertt.spectrum import (IdealDescriptor, contains, ideal_of, is_prime,
+from quivertt.repcat import (module_representation, satisfies_relations,
+                             simple_object, tensor, unit_filtration,
+                             zero_object)
+from quivertt.spectrum import (IdealDescriptor, contains, ideal_of,
                                presheaf_sections, prime_at, sheaf_sections,
                                spc)
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
+from spectrum_oracles import is_prime, is_unit
 
 SEED = 1789
 
@@ -56,13 +58,13 @@ def test_criterion_1_spectrum_discreteness():
         seen = {p.vertex for p in report.points}
         assert seen == set(quiver.vertices)
         for p in report.points:
-            assert is_prime(p.descriptor) and not p.descriptor.is_unit
+            assert is_prime(p.descriptor) and not is_unit(p.descriptor)
         if len(quiver.vertices) <= 3:
             # brute-force oracle over every support-bound descriptor:
             # prime iff no pair of achievable supports violates primality
             for subset in powerset(quiver.vertices):
                 desc = IdealDescriptor(quiver, frozenset(subset))
-                if desc.is_unit:
+                if is_unit(desc):
                     continue
                 expected = True
                 for a in powerset(quiver.vertices):
@@ -144,16 +146,16 @@ def test_criterion_5_reconstruction_theorem():
         instances.append(random_tensor_quiver(rng, max_vertices=4,
                                               max_arrows=6))
     for quiver, relations in instances:
-        assembled = assemble_A(PathAlgebra(quiver, relations))
-        assert assembled.verdict.dimensions_match
-        assert assembled.verdict.round_trip_identity
-        assert assembled.verdict.structure_constants_match
-        assert assembled.verdict.isomorphic
-        alg = assembled.algebra
-        for (n, m), space in assembled.components.items():
-            assert space.dimension == space.hom_route_dimension
-            assert space.dimension == alg.dim_pair(n, m)
-        assert assembled.dim == alg.dim
+        alg = PathAlgebra(quiver, relations)
+        verdict = assemble_A(alg)
+        assert verdict.dimensions_match
+        assert verdict.round_trip_identity
+        assert verdict.structure_constants_match
+        assert verdict.isomorphic
+        for n in quiver.vertices:
+            probe = module_representation(alg, n)
+            for m in quiver.vertices:
+                assert alg.dim_pair(n, m) == probe.dims[m]
 
 
 def test_criterion_6_center():
@@ -161,8 +163,7 @@ def test_criterion_6_center():
     one; z: End(U) -> Z(A) is a unital ring map."""
     for name in FIXTURE_NAMES:
         spec = load_fixture(name)
-        assembled = assemble_A(PathAlgebra(spec.quiver, spec.relations))
-        center = center_and_z(assembled)
+        center = center_and_z(PathAlgebra(spec.quiver, spec.relations))
         pi0 = len(spec.quiver.undirected_components())
         assert center.center_dimension == pi0
         assert center.end_unit_dimension == pi0
@@ -170,9 +171,8 @@ def test_criterion_6_center():
         assert center.z_lands_in_center
         assert center.z_is_unital_ring_map
     disconnected = load_fixture("disconnected")
-    assembled = assemble_A(PathAlgebra(disconnected.quiver,
-                                       disconnected.relations))
-    center = center_and_z(assembled)
+    center = center_and_z(PathAlgebra(disconnected.quiver,
+                                      disconnected.relations))
     assert center.center_dimension == 2
 
 

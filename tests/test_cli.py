@@ -552,8 +552,7 @@ class TestExitCodes:
 
     def test_reconstruction_error_is_2(self, monkeypatch, capsys):
         # phi of the unit, which is not supported on one pair of vertices
-        def inhomogeneous(assembled):
-            alg = assembled.algebra
+        def inhomogeneous(alg):
             return reconstruct.phi(alg, alg.unit())
 
         monkeypatch.setattr(cli, "center_and_z", inhomogeneous)

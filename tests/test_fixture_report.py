@@ -63,8 +63,7 @@ def test_a_false_isomorphism_verdict_fails(report, tmp_path, monkeypatch,
     def false_on_disconnected(alg):
         out = honest(alg)
         if len(alg.quiver.undirected_components()) > 1:
-            out.verdict = dataclasses.replace(out.verdict,
-                                              round_trip_identity=False)
+            out = dataclasses.replace(out, round_trip_identity=False)
         return out
 
     monkeypatch.setattr(report, "assemble_A", false_on_disconnected)

@@ -131,7 +131,8 @@ def test_single_class_copies_match_combine(make, arg, field):
     # an element is e_n times itself on M_n, which is zero unless it starts
     # at n, and its composite with a second element is their product, zero
     # unless the two compose
-    for i, (n, m) in enumerate(alg.pair_of):
+    for i, p in enumerate(alg.basis):
+        n = p.source
         for a in singles:
             elem = {i: a}
             for v in alg.quiver.vertices:
@@ -192,7 +193,8 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
             alg.arrow_step(0, alg.quiver.arrows[0].label)
         assert alg._steps is None
     else:
-        center_and_z(assemble_A(alg))
+        assemble_A(alg)
+        center_and_z(alg)
         assert len(probes) == len(alg.quiver.vertices)
         for probe in probes:
             assert_canonical_memo(probe.steps, field)
@@ -210,7 +212,7 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
     # the probes an evaluator builds, one per vertex, after it has
     # evaluated every class
     evaluator = ProbeEvaluator(alg)
-    for i, (n, _) in enumerate(alg.pair_of):
-        evaluator.yoneda({i: field.one}, n)
+    for i, p in enumerate(alg.basis):
+        evaluator.yoneda({i: field.one}, p.source)
     for n in alg.quiver.vertices:
         assert_canonical_memo(evaluator.probe(n).steps, field)

@@ -147,7 +147,6 @@ def assert_matches_oracle(alg, want):
                                             for p, gi in positions if p.arrows]
     assert list(alg.idempotent_index.items()) == [
         (v, want.basis_index[Path.trivial(v)]) for v in alg.quiver.vertices]
-    assert alg.pair_of == want.pair_of
     assert list(alg.pair_indices.items()) == list(want.pair_indices.items())
     for v in alg.quiver.vertices:
         assert alg.module_basis(v) == want.module_bases.get(v, [])

@@ -2,8 +2,9 @@
 from the quiver and the relations, against its old body,
 `reconstruct_oracles.assemble_A_oracle`: the module maps of
 `module_hom_space` and the probe evaluator on every composable pair.  On
-correct input both give the same verdicts and the same components, over
-QQ, F_2 and F_101; the probes' dimensions are those of the module maps."""
+correct input both give the same verdicts and, for each pair (n, m), the
+same number of classes from n to m, over QQ, F_2 and F_101; the probes'
+dimensions are those of the module maps."""
 
 import random
 from pathlib import Path
@@ -15,6 +16,7 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import PathAlgebra, TensorRelationError
 from quivertt.randgen import random_tensor_quiver
 from quivertt.reconstruct import assemble_A
+from quivertt.repcat import Probe
 
 from conftest import FIXTURE_NAMES, load_fixture
 from reconstruct_oracles import assemble_A_oracle
@@ -60,24 +62,31 @@ def instances():
 
 
 def outcome(assemble, alg):
-    """The verdict bits and the components of `assemble(alg)`, or the
-    type of the error it raises."""
+    """The verdict bits of `assemble(alg)` and, for each pair (n, m), the
+    dimensions it compares, or the type of the error it raises."""
     try:
-        assembled = assemble(alg)
+        verdict, dims = assemble(alg)
     except TensorRelationError as exc:
         return type(exc).__name__
-    verdict = assembled.verdict
     return ((verdict.dimensions_match, verdict.round_trip_identity,
-             verdict.structure_constants_match),
-            assembled.dim,
-            [(pair, space.basis, space.hom_route_dimension)
-             for pair, space in assembled.components.items()])
+             verdict.structure_constants_match), dims)
+
+
+def assemble_with_dimensions(alg):
+    """`assemble_A(alg)` and, for each pair (n, m), the number of classes
+    from n to m and dim M_n(m) of the probe."""
+    verdict = assemble_A(alg)
+    vertices = alg.quiver.vertices
+    probes = {n: Probe(alg.quiver, alg.relations, alg.field, n)
+              for n in vertices}
+    return verdict, {(n, m): (alg.dim_pair(n, m), probes[n].dim(m))
+                     for n in vertices for m in vertices}
 
 
 @pytest.mark.parametrize("make, arg, field", list(instances()))
 def test_assemble_matches_oracle(make, arg, field):
     want = outcome(assemble_A_oracle, PathAlgebra(*make(arg), field))
-    got = outcome(assemble_A, PathAlgebra(*make(arg), field))
+    got = outcome(assemble_with_dimensions, PathAlgebra(*make(arg), field))
     assert got == want
     if not isinstance(got, str):
         assert got[0] == (True, True, True)

@@ -89,9 +89,7 @@ class TestPhiPsi:
         probes = ProbeEvaluator(alg)
         for i in range(alg.dim):
             for j in range(alg.dim):
-                n, m = alg.pair_of[i]
-                m2, l = alg.pair_of[j]
-                if m != m2:
+                if alg.basis[i].target != alg.basis[j].source:
                     continue
                 first = phi(alg, {i: QQ.one})
                 second = phi(alg, {j: QQ.one})
@@ -118,8 +116,8 @@ class TestNaturality:
             cw = BoundedComplex.from_representation(w)
             g = ChainMap(cv, cw, {0: g0})
             assert g.is_chain_map()
-            for i in range(alg.dim):
-                n, m = alg.pair_of[i]
+            for i, p in enumerate(alg.basis):
+                n, m = p.source, p.target
                 t = phi(alg, {i: QQ.one})
                 tv = t.on_complex(cv)[0]
                 tw = t.on_complex(cw)[0]
@@ -136,10 +134,10 @@ class TestNaturality:
             quiver, relations = random_tensor_quiver(rng)
             alg = PathAlgebra(quiver, relations)
             cx = random_complex(rng, quiver, relations)
-            for i in range(alg.dim):
+            for i, p in enumerate(alg.basis):
                 t = phi(alg, {i: QQ.one})
                 mats = t.on_complex(cx)
-                n, m = alg.pair_of[i]
+                n, m = p.source, p.target
                 from quivertt.complexes import eval_functor
                 hn = eval_functor(cx, n)
                 hm = eval_functor(cx, m)
@@ -150,22 +148,21 @@ class TestNaturality:
 
 class TestAssembleA:
     def test_fixture_reconstruction(self, small_spec):
-        assembled = assemble_A(algebra_of(small_spec))
-        assert assembled.verdict.isomorphic
-        assert assembled.dim == assembled.algebra.dim
-        for (n, m), space in assembled.components.items():
-            assert space.dimension == space.hom_route_dimension
-            assert space.dimension == assembled.algebra.dim_pair(n, m)
+        alg = algebra_of(small_spec)
+        assert assemble_A(alg).isomorphic
+        vertices = small_spec.quiver.vertices
+        for n in vertices:
+            probe = repcat.Probe(alg.quiver, alg.relations, alg.field, n)
+            for m in vertices:
+                assert alg.dim_pair(n, m) == probe.dim(m)
 
     def test_rational_relations_over_prime_field(self, small_spec):
         f101 = PrimeField(101)
-        assembled = assemble_A(PathAlgebra(small_spec.quiver,
-                                           small_spec.relations, f101))
-        assert assembled.verdict.isomorphic
-        assert assembled.algebra.field == f101
-        assert assembled.dim == PathAlgebra(
+        alg = PathAlgebra(small_spec.quiver, small_spec.relations, f101)
+        assert assemble_A(alg).isomorphic
+        assert alg.dim == PathAlgebra(
             small_spec.quiver, small_spec.relations).dim
-        center = center_and_z(assembled)
+        center = center_and_z(alg)
         assert center.dimensions_match and center.z_is_unital_ring_map
 
     def test_route_dimension_mismatch_clears_verdict(self, monkeypatch):
@@ -179,7 +176,7 @@ class TestAssembleA:
             yield {0: self.field.one}
 
         monkeypatch.setattr(repcat.Probe, "relation_images", one_more)
-        verdict = assemble_A(algebra_of(spec)).verdict
+        verdict = assemble_A(algebra_of(spec))
         assert verdict.dimensions_match is False
         assert verdict.isomorphic is False
         doc, code = run_command(
@@ -201,7 +198,7 @@ class TestAssembleA:
             return image
 
         monkeypatch.setattr(repcat.Probe, "act", doubled)
-        verdict = assemble_A(algebra_of(spec)).verdict
+        verdict = assemble_A(algebra_of(spec))
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
         # the arrow's step from the trivial class is twice the quotient's
@@ -230,7 +227,7 @@ class TestAssembleA:
             return vec
 
         monkeypatch.setattr(repcat.Probe, "walk", doubled)
-        verdict = assemble_A(algebra_of(spec)).verdict
+        verdict = assemble_A(algebra_of(spec))
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
         assert verdict.structure_constants_match is True
@@ -278,7 +275,7 @@ class TestAssembleA:
             return vec
 
         monkeypatch.setattr(repcat.Probe, "walk", stray)
-        verdict = assemble_A(algebra_of(spec)).verdict
+        verdict = assemble_A(algebra_of(spec))
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is False
         assert verdict.structure_constants_match is True
@@ -300,7 +297,7 @@ class TestAssembleA:
             return real(alg, x, label)
 
         monkeypatch.setattr(PathAlgebra, "arrow_step", wrong)
-        verdict = assemble_A(algebra_of(spec)).verdict
+        verdict = assemble_A(algebra_of(spec))
         assert verdict.dimensions_match is True
         assert verdict.round_trip_identity is True
         assert verdict.structure_constants_match is False
@@ -333,7 +330,7 @@ class TestAssembleA:
                 start is None)
         counted(PathAlgebra, "arrow_step", lambda *args: 1)
         pairs = sum(len(alg.quiver.arrows_from(p.target)) for p in alg.basis)
-        assert assemble_A(alg).verdict.isomorphic
+        assert assemble_A(alg).isomorphic
         assert calls == {"walk": alg.dim, "arrow_step": pairs}
 
     def test_beilinson_2_7_reconstructs(self, tmp_path):
@@ -349,8 +346,7 @@ class TestAssembleA:
     def test_random_reconstruction(self, rng):
         for _ in range(5):
             quiver, relations = random_tensor_quiver(rng)
-            assembled = assemble_A(PathAlgebra(quiver, relations))
-            assert assembled.verdict.isomorphic
+            assert assemble_A(PathAlgebra(quiver, relations)).isomorphic
 
 
 def negate_rules(monkeypatch):
@@ -518,22 +514,19 @@ class TestCenter:
     def test_connected_center_is_one_dimensional(self):
         for name in ("kronecker2", "beilinson2", "square", "chain4"):
             spec = load_fixture(name)
-            assembled = assemble_A(algebra_of(spec))
-            center = center_and_z(assembled)
+            center = center_and_z(algebra_of(spec))
             assert center.center_dimension == 1
             assert center.dimensions_match
 
     def test_disconnected_center(self):
         spec = load_fixture("disconnected")
-        assembled = assemble_A(algebra_of(spec))
-        center = center_and_z(assembled)
+        center = center_and_z(algebra_of(spec))
         assert center.center_dimension == 2
         assert center.end_unit_dimension == 2
         assert center.dimensions_match
 
     def test_z_is_unital_ring_map_into_center(self, small_spec):
-        assembled = assemble_A(algebra_of(small_spec))
-        center = center_and_z(assembled)
+        center = center_and_z(algebra_of(small_spec))
         assert center.z_lands_in_center
         assert center.z_is_unital_ring_map
 
@@ -550,17 +543,15 @@ class TestCenter:
                     if i != alg.idempotent_index[last]}
 
         monkeypatch.setattr(reconstruct, "z_image", drop_last)
-        assembled = assemble_A(algebra_of(spec))
-        center = center_and_z(assembled)
+        center = center_and_z(algebra_of(spec))
         assert center.z_is_unital_ring_map is False
         doc, code = run_command(
             ["reconstruct", str(FIXTURE_DIR / "kronecker2.quiver")])
         assert code == 0 and doc["z_is_unital_ring_map"] is False
 
     def test_center_elements_commute(self, small_spec):
-        assembled = assemble_A(algebra_of(small_spec))
-        center = center_and_z(assembled)
-        alg = assembled.algebra
+        alg = algebra_of(small_spec)
+        center = center_and_z(alg)
         for z in center.center_basis:
             for i in range(alg.dim):
                 b = {i: QQ.one}

@@ -16,8 +16,7 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
                                    module_hom_space)
 from quivertt.randgen import random_tensor_quiver
-from quivertt.reconstruct import (ProbeEvaluator, ReconstructedAlgebra,
-                                  assemble_A, center_and_z)
+from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, is_element, load_fixture
 from path_algebra_oracles import quotient_oracle
@@ -131,13 +130,14 @@ def test_closed_forms_match_their_systems(make, arg, field):
         assert ([list(r.items()) for r in generator_relations_oracle(alg, m)]
                 == other_idempotents(alg, m))
     assert idempotent_commutant_oracle(alg) == [
-        {i: field.one} for i, (s, t) in enumerate(alg.pair_of) if s == t]
+        {i: field.one} for i, p in enumerate(alg.basis)
+        if p.source == p.target]
     want = two_stage_center_oracle(alg)
     if not alg.tensor_check.ok:
         with pytest.raises(TensorRelationError):
-            center_and_z(ReconstructedAlgebra(alg, {}, None))
+            center_and_z(alg)
         return
-    center = center_and_z(ReconstructedAlgebra(alg, {}, None))
+    center = center_and_z(alg)
     assert [list(v.items()) for v in center.center_basis] \
         == [list(v.items()) for v in want]
     assert all(is_element(c, field)
@@ -148,9 +148,8 @@ def test_closed_forms_match_their_systems(make, arg, field):
 @pytest.mark.parametrize("make, arg", list(instances()))
 def test_center_basis_matches_oracle(make, arg, field):
     quiver, relations = make(arg)
-    assembled = assemble_A(PathAlgebra(quiver, relations, field))
-    center = center_and_z(assembled)
-    assert center.center_basis == center_basis_oracle(assembled.algebra)
+    alg = PathAlgebra(quiver, relations, field)
+    assert center_and_z(alg).center_basis == center_basis_oracle(alg)
 
 
 def reconstruct_report(path):
@@ -223,12 +222,13 @@ def assert_probes_match_oracle(alg, rng):
     field = alg.field
     evaluator, oracle = ProbeEvaluator(alg), probe_oracle(alg)
     # every basis class, and every composable pair of basis classes
-    for i, (n, m) in enumerate(alg.pair_of):
+    for i, p in enumerate(alg.basis):
+        n, m = p.source, p.target
         elem = {i: field.one}
         assert_same_element(evaluator.yoneda(elem, n),
                             oracle.yoneda(elem, n, m), field)
         for j in alg.module_basis(m):
-            l = alg.pair_of[j][1]
+            l = alg.basis[j].target
             elem2 = {j: field.one}
             assert_same_element(evaluator.compose(elem, n, elem2),
                                 oracle.compose(elem, n, m, elem2, l), field)
@@ -271,6 +271,5 @@ def test_probe_evaluator_matches_oracle_field_sensitive(field):
     assert expected == FIELD_SENSITIVE_DIMS[field]
     assert alg.dim == expected
     assert_probes_match_oracle(alg, random.Random(str(field)))
-    assembled = assemble_A(PathAlgebra(spec.quiver, spec.relations, field))
-    assert assembled.dim == expected
-    assert assembled.verdict.isomorphic is True
+    fresh = PathAlgebra(spec.quiver, spec.relations, field)
+    assert assemble_A(fresh).isomorphic is True

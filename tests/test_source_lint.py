@@ -424,9 +424,9 @@ def test_the_probe_check_sees_every_form():
 # and the Groebner rules, so the commands built on them never list the
 # basis of kQ/(R), which the algebra lists on first read: these name no
 # listed attribute, no reader that lists, and not `dim`.
-LISTED = {"basis", "pair_indices", "pair_of", "word_index", "idempotent_index",
-          "_basis", "_pair_indices", "_pair_of", "_word_index",
-          "_idempotent_index", "_module_bases", "_list_basis", "dim",
+LISTED = {"basis", "pair_indices", "word_index", "idempotent_index",
+          "_basis", "_pair_indices", "_word_index", "_idempotent_index",
+          "_list_basis", "dim",
           "dim_pair", "nf_path", "arrow_step", "product_indices",
           "element_word", "module_basis", "_walk", "product", "idempotent"}
 CERTIFICATE_ONLY = {

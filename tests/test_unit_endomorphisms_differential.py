@@ -22,7 +22,7 @@ from quivertt.cli import run_command
 from quivertt.fields import QQ
 from quivertt.path_algebra import PathAlgebra, TensorRelationError
 from quivertt.quiver import Quiver
-from quivertt.reconstruct import assemble_A, center_and_z
+from quivertt.reconstruct import center_and_z
 from quivertt.spectrum import IncompatibleSubquiver, presheaf_sections
 
 from conftest import FIXTURE_DIR
@@ -73,7 +73,7 @@ def test_center_and_z_matches_hom_system(make, arg, field):
     alg = PathAlgebra(*make(arg), field)
 
     def report(center):
-        return center_fields(outcome(lambda: center(assemble_A(alg))))
+        return center_fields(outcome(lambda: center(alg)))
 
     got = report(center_and_z)
     assert got == report(center_and_z_oracle)
