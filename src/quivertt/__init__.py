@@ -14,7 +14,7 @@ from .linalg import (Coordinates, DimensionMismatch, Echelon,
 from .quiver import (Arrow, NotOrdered, Path, Quiver, QuiverError, Relation,
                      ResourceBudget, admissible_order, count_paths,
                      enumerate_paths, full_subquiver)
-from .path_algebra import (CompatibilityResult, PathAlgebra,
+from .path_algebra import (CompatibilityResult, PathAlgebra, Presentation,
                            QuotientCertificateError, TensorCheck,
                            TensorRelationError, compatibility,
                            is_tensor_relations, module_hom_space,

@@ -21,8 +21,9 @@ import sys
 from .complexes import complex_from_json, support
 from .dsl import ParseError, parse_quiver_file
 from .linalg import DimensionMismatch
-from .path_algebra import (PathAlgebra, QuotientCertificateError,
-                           TensorRelationError, compatibility)
+from .path_algebra import (PathAlgebra, Presentation,
+                           QuotientCertificateError, TensorRelationError,
+                           compatibility)
 from .quiver import NotOrdered, QuiverError, ResourceBudget, admissible_order
 from .reconstruct import (ReconstructionError, assemble_A, center_and_z,
                           rational_points)
@@ -61,6 +62,10 @@ def _algebra(spec):
     return PathAlgebra(spec.quiver, spec.relations, spec.field)
 
 
+def _presentation(spec):
+    return Presentation(spec.quiver, spec.relations, spec.field)
+
+
 def cmd_validate(spec, args):
     alg = _algebra(spec)
     return {
@@ -75,7 +80,7 @@ def cmd_validate(spec, args):
 
 
 def cmd_check_tensor(spec, args):
-    check = _algebra(spec).tensor_check
+    check = _presentation(spec).tensor_check
     out = {"name": spec.name, "tensor_relations": check.ok}
     if not check.ok:
         out["failed_test"] = check.failed_test
@@ -84,7 +89,7 @@ def cmd_check_tensor(spec, args):
 
 
 def cmd_spectrum(spec, args):
-    report = spc(_algebra(spec))
+    report = spc(_presentation(spec))
     return {
         "name": spec.name,
         "points": [{"vertex": p.vertex,
@@ -96,12 +101,12 @@ def cmd_spectrum(spec, args):
 
 
 def cmd_sheaf(spec, args):
-    sections = sheaf_sections(_algebra(spec), _vertex_list(args.open))
+    sections = sheaf_sections(_presentation(spec), _vertex_list(args.open))
     return _sections_json(spec, sections)
 
 
 def cmd_presheaf(spec, args):
-    sections = presheaf_sections(_algebra(spec), _vertex_list(args.open))
+    sections = presheaf_sections(_presentation(spec), _vertex_list(args.open))
     out = _sections_json(spec, sections)
     out["components"] = sections.components
     return out
@@ -199,7 +204,7 @@ def cmd_compat(spec, args):
 
 
 def cmd_compare_points(spec, args):
-    report = rational_points(_algebra(spec))
+    report = rational_points(_presentation(spec))
     return {
         "name": spec.name,
         "points": [p.vertex for p in report.points],

@@ -19,21 +19,22 @@ tails are fully reduced at the end.  Polynomials are {word: coefficient}
 dicts, a word being a tuple of arrow labels; a path's source and target
 follow from its arrows.
 
-Building a `PathAlgebra` checks the path budget
-(`quiver.check_path_budget`) and runs the Groebner basis; every tip is a
-path, so the budget bounds the Groebner computation too.  The basis of
-kQ/(R) is listed only when something first reads it (`basis`, `dim`, the
-indices below, the products): the commands that need only the quiver and
-the certified tensor verdict (spectrum, sheaves, k-points,
-`check-tensor`) never list it.  It is the set of paths that contain no
-tip, listed by a depth-first search from each vertex that stops as soon
-as a suffix of the path is a tip.  These are exactly the earliest paths
-whose residues stay independent modulo the ideal, since path k is a tip
-iff e_k lies in I + span(e_j : j < k), so structure constants are
-deterministic and reports are byte-stable.  Each fact about the basis is
-kept once: the paths (`basis`, whose source and target give the pair of a
-class), their indices by pair (`pair_indices`, which also give the basis
-of M_v), by word (`word_index`) and, for the trivial paths, by vertex
+A `Presentation` is the quiver, the relations and the field.  Building
+one checks the path budget (`quiver.check_path_budget`) and runs the
+Groebner basis; every tip is a path, so the budget bounds the Groebner
+computation too.  It lists no basis: the spectrum, the sheaves, the
+k-points and `check-tensor` need only the quiver and the certified tensor
+verdict, so they take a `Presentation`.  A `PathAlgebra` is a
+`Presentation` that lists the basis of kQ/(R) when it is built.  The
+basis is the set of paths that contain no tip, listed by a depth-first
+search from each vertex that stops as soon as a suffix of the path is a
+tip.  These are exactly the earliest paths whose residues stay
+independent modulo the ideal, since path k is a tip iff e_k lies in
+I + span(e_j : j < k), so structure constants are deterministic and
+reports are byte-stable.  Each fact about the basis is kept once: the
+paths (`basis`, whose source and target give the pair of a class), their
+indices by pair (`pair_indices`, which also give the basis of M_v), by
+word (`word_index`) and, for the trivial paths, by vertex
 (`idempotent_index`).  Neither the build nor `compatibility` lists the
 paths of the quiver.
 
@@ -211,16 +212,17 @@ def groebner_basis(polys, field):
     return gb
 
 
-class PathAlgebra:
-    """Finite-dimensional quotient of a path algebra by homogeneous
-    relation generators, with structure constants in a fixed basis."""
+class Presentation:
+    """A quiver with homogeneous relation generators over a field: the
+    relations with their coefficients in the field, the reduced Groebner
+    basis of their ideal and the certified tensor verdict.  It lists no
+    basis of kQ/(R)."""
 
     def __init__(self, quiver, relations, field=QQ):
         self.quiver = quiver
         self.relations = _coerced(relations, field)
         self.field = field
-        self.order = admissible_order(quiver)
-        self._pos = {v: i for i, v in enumerate(self.order)}
+        self._pos = {v: i for i, v in enumerate(admissible_order(quiver))}
         check_path_budget(quiver)
         self._source = {a.label: a.source for a in quiver.arrows}
         self._target = {a.label: a.target for a in quiver.arrows}
@@ -229,13 +231,6 @@ class PathAlgebra:
                 self._check_path(p)
         self.groebner = groebner_basis(
             [_polynomial(g.terms) for g in self.relations], field)
-        # listed by `_list_basis` on first read; None until then, so that
-        # listing adds no key to the instance dict
-        self._basis = self._pair_indices = None
-        self._word_index = self._idempotent_index = None
-        # (basis class, arrow label) -> basis class, on demand, once the
-        # quotient is certified tensor
-        self._steps = None
         self._tensor_check = None
 
     @property
@@ -243,101 +238,11 @@ class PathAlgebra:
         """`is_tensor_relations(self)`, certified by the shape of the
         Groebner rules (`certify_quotient`) on first use and kept."""
         # not a cached_property: adding a key to the instance dict after
-        # __init__ slows every later attribute lookup on the algebra
+        # __init__ slows every later attribute lookup on the instance
         if self._tensor_check is None:
             self._tensor_check = certify_quotient(self,
                                                   is_tensor_relations(self))
         return self._tensor_check
-
-    @property
-    def paths_by_pair(self):
-        """Every path, grouped by (source, target), listed on each read.
-        Kept only because `perfbench/tracing.py` counts ideal rows from it,
-        once per build; the algebra never lists its paths.  Not a
-        cached_property, for the reason `tensor_check` is not."""
-        return enumerate_paths(self.quiver)[1]
-
-    # -- the basis, listed on first read --------------------------------
-
-    def _list_basis(self):
-        """Fill `basis`, `pair_indices`, `word_index` and
-        `idempotent_index`, all read off the tips of the Groebner basis."""
-        # the paths that contain no tip, each extended from its prefix;
-        # the prefix contains none, so only the suffixes need a look
-        words_by_pair = {}
-        for v in self.quiver.vertices:
-            stack = [((), v)]
-            while stack:
-                w, t = stack.pop()
-                words_by_pair.setdefault((v, t), []).append(w)
-                for a in self.quiver.arrows_from(t):
-                    longer = w + (a.label,)
-                    if not self.groebner.ends_in_tip(longer):
-                        stack.append((longer, a.target))
-
-        # every pair joined by a path has a component, possibly zero
-        reach = {}
-        for v in reversed(self.order):
-            r = {v}
-            for a in self.quiver.arrows_from(v):
-                r |= reach[a.target]
-            reach[v] = r
-
-        basis, pair_indices = [], {}
-        word_index = {}    # the word of a non-trivial basis path -> index
-        # vertex -> index of its trivial path, in the quiver's vertex order
-        idempotent_index = dict.fromkeys(self.quiver.vertices)
-        for s in self.order:
-            for t in sorted(reach[s], key=self._pos.__getitem__):
-                pair = (s, t)
-                local = []
-                for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
-                    gi = len(basis)
-                    basis.append(Path(s, t, w))
-                    local.append(gi)
-                    if w:
-                        word_index[w] = gi
-                    else:
-                        idempotent_index[s] = gi
-                pair_indices[pair] = local
-        self._pair_indices = pair_indices
-        self._word_index, self._idempotent_index = word_index, idempotent_index
-        # last: a read of any listed field tests this one
-        self._basis = basis
-
-    # Properties, not cached_property, for the reason `tensor_check` is
-    # not one; the readers that run per product read the private fields.
-
-    @property
-    def basis(self):
-        """The basis paths of kQ/(R), in basis order."""
-        if self._basis is None:
-            self._list_basis()
-        return self._basis
-
-    @property
-    def pair_indices(self):
-        """(source, target) -> the basis indices of that pair, ascending,
-        for every pair joined by a path."""
-        if self._basis is None:
-            self._list_basis()
-        return self._pair_indices
-
-    @property
-    def word_index(self):
-        """The word of each non-trivial basis path -> its index."""
-        if self._basis is None:
-            self._list_basis()
-        return self._word_index
-
-    @property
-    def idempotent_index(self):
-        """Vertex -> the index of its trivial path, in vertex order."""
-        if self._basis is None:
-            self._list_basis()
-        return self._idempotent_index
-
-    # -- normal forms ---------------------------------------------------
 
     def _check_path(self, p):
         """Raise QuiverError unless `p` is a path of the quiver."""
@@ -352,6 +257,78 @@ class PathAlgebra:
         if not ok:
             raise QuiverError(f"path {p} does not belong to this quiver")
 
+
+class PathAlgebra(Presentation):
+    """Finite-dimensional quotient kQ/(R) of a presentation, with its basis
+    listed when it is built and structure constants in that basis.
+
+    `basis` holds the basis paths in basis order, `pair_indices` maps
+    (source, target) to the basis indices of that pair, ascending, for
+    every pair joined by a path, `word_index` the word of each non-trivial
+    basis path to its index, and `idempotent_index` each vertex, in vertex
+    order, to the index of its trivial path."""
+
+    def __init__(self, quiver, relations, field=QQ):
+        super().__init__(quiver, relations, field)
+        # (basis class, arrow label) -> basis class, on demand, once the
+        # quotient is certified tensor
+        self._steps = None
+        self._list_basis()
+
+    @property
+    def paths_by_pair(self):
+        """Every path, grouped by (source, target), listed on each read.
+        Kept only because `perfbench/tracing.py` counts ideal rows from it,
+        once per build; the algebra never lists its paths.  Not a
+        cached_property, for the reason `tensor_check` is not."""
+        return enumerate_paths(self.quiver)[1]
+
+    def _list_basis(self):
+        """Set `basis`, `pair_indices`, `word_index`, `idempotent_index`
+        and `dim`, all read off the tips of the Groebner basis."""
+        # the paths that contain no tip, each extended from its prefix;
+        # the prefix contains none, so only the suffixes need a look
+        words_by_pair = {}
+        for v in self.quiver.vertices:
+            stack = [((), v)]
+            while stack:
+                w, t = stack.pop()
+                words_by_pair.setdefault((v, t), []).append(w)
+                for a in self.quiver.arrows_from(t):
+                    longer = w + (a.label,)
+                    if not self.groebner.ends_in_tip(longer):
+                        stack.append((longer, a.target))
+
+        # every pair joined by a path has a component, possibly zero
+        order = admissible_order(self.quiver)
+        reach = {}
+        for v in reversed(order):
+            r = {v}
+            for a in self.quiver.arrows_from(v):
+                r |= reach[a.target]
+            reach[v] = r
+
+        basis, pair_indices, word_index = [], {}, {}
+        idempotent_index = dict.fromkeys(self.quiver.vertices)
+        for s in order:
+            for t in sorted(reach[s], key=self._pos.__getitem__):
+                pair = (s, t)
+                local = []
+                for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
+                    gi = len(basis)
+                    basis.append(Path(s, t, w))
+                    local.append(gi)
+                    if w:
+                        word_index[w] = gi
+                    else:
+                        idempotent_index[s] = gi
+                pair_indices[pair] = local
+        self.basis, self.pair_indices = basis, pair_indices
+        self.word_index, self.idempotent_index = word_index, idempotent_index
+        self.dim = len(basis)
+
+    # -- normal forms ---------------------------------------------------
+
     def _walk(self, x, start, word):
         """The basis class of (basis class x) followed by the path `word`
         from the vertex `start`, or None if x does not end at `start`.  A
@@ -362,10 +339,8 @@ class PathAlgebra:
         steps = self._steps
         if steps is None:
             require_tensor_relations(self)
-            if self._basis is None:
-                self._list_basis()
             steps = self._steps = {}
-        basis = self._basis
+        basis = self.basis
         if basis[x].target != start:
             return None
         for a in word:
@@ -373,15 +348,11 @@ class PathAlgebra:
             if y is None:
                 (w,) = self.groebner.reduce(
                     {basis[x].arrows + (a,): self.field.one})
-                y = steps[x, a] = self._word_index[w]
+                y = steps[x, a] = self.word_index[w]
             x = y
         return x
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def dim(self):
-        return len(self.basis)
 
     def dim_pair(self, n, m):
         return len(self.pair_indices.get((n, m), []))
@@ -395,9 +366,7 @@ class PathAlgebra:
     def product_indices(self, i, j):
         """Structure constants: (basis class i) * (basis class j), a basis
         index, or None if the two classes do not compose."""
-        if self._basis is None:
-            self._list_basis()
-        pj = self._basis[j]
+        pj = self.basis[j]
         return self._walk(i, pj.source, pj.arrows)
 
     def arrow_step(self, x, label):
@@ -446,8 +415,8 @@ class TensorCheck:
 
 
 def is_tensor_relations(alg):
-    """Decide whether the relation generators cut out a monoidal
-    subcategory of the representation category.
+    """Decide whether the relation generators of the presentation `alg`
+    cut out a monoidal subcategory of the representation category.
 
     Two linear conditions per generator r = sum(c_i * p_i):
       unit:     sum(c_i) = 0, so the all-identities representation
@@ -509,9 +478,9 @@ class QuotientCertificateError(ValueError):
 
 
 def certify_quotient(alg, check):
-    """`check`, the tensor verdict of `alg`, if the shape of the Groebner
-    rules agrees with it; raises QuotientCertificateError if not.  One
-    look per rule (docs/tensor-relations-criterion.md)."""
+    """`check`, the tensor verdict of the presentation `alg`, if the shape
+    of the Groebner rules agrees with it; raises QuotientCertificateError
+    if not.  One look per rule (docs/tensor-relations-criterion.md)."""
     one = [alg.field.one]
     bad = next(((tip, rhs) for tip, rhs in alg.groebner.rules.items()
                 if list(rhs.values()) != one), None)
@@ -522,8 +491,8 @@ def certify_quotient(alg, check):
 
 
 def require_tensor_relations(alg):
-    """Raise TensorRelationError unless the relations of `alg` are tensor
-    relations."""
+    """Raise TensorRelationError unless the relations of the presentation
+    `alg` are tensor relations."""
     if not alg.tensor_check.ok:
         raise TensorRelationError(alg.tensor_check, alg.field)
 

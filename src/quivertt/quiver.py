@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 
 
-# The most paths, trivial ones included, that a quiver may have: the path
-# algebra kQ/(R), subquiver compatibility and `enumerate_paths` all refuse
-# a larger quiver (`check_path_budget`).  The build lists no paths: it runs
-# the Groebner basis, and every Groebner tip is a path, so the budget bounds
-# it too; the basis of kQ/(R) is listed on first read.  On the Beilinson
-# chains beil(2, L) (L vertices, three parallel arrows per step, every
-# commutativity relation), beil(2,7) (1636 paths) takes about 0.3 ms for
+# The most paths, trivial ones included, that a quiver may have: the
+# presentation of kQ/(R), subquiver compatibility and `enumerate_paths` all
+# refuse a larger quiver (`check_path_budget`).  The build lists no paths:
+# it runs the Groebner basis, and every Groebner tip is a path, so the
+# budget bounds it too; a `PathAlgebra` lists the basis of kQ/(R) when it
+# is built, a `Presentation` never.  On the Beilinson chains beil(2, L)
+# (L vertices, three parallel arrows per step, every commutativity
+# relation), beil(2,7) (1636 paths) takes about 0.3 ms for
 # the Groebner basis and 0.5 ms for the basis listing, and beil(2,8) (4916
 # paths, refused) would take about 0.3 and 0.9 ms, best of 15 runs on one
 # x86-64 core with Python 3.11.

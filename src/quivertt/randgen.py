@@ -18,9 +18,9 @@ from .repcat import (direct_sum, hom_space, module_representation,
                      simple_object, unit_filtration, unit_object)
 
 
-def random_ordered_quiver(rng, max_vertices=6, max_arrows=10, min_vertices=2):
+def random_ordered_quiver(rng, max_vertices=6, max_arrows=10):
     """A random acyclic quiver: arrows only go up a fixed vertex order."""
-    n = rng.randint(min_vertices, max_vertices)
+    n = rng.randint(2, max_vertices)
     vertices = tuple(str(i) for i in range(1, n + 1))
     n_arrows = rng.randint(1, max_arrows)
     arrows = []
@@ -31,9 +31,9 @@ def random_ordered_quiver(rng, max_vertices=6, max_arrows=10, min_vertices=2):
     return Quiver(vertices, tuple(arrows))
 
 
-def parallel_path_pairs(quiver, max_pairs=None):
-    """Pairs of distinct non-trivial parallel paths, longest components
-    first so relations tend to be non-vacuous."""
+def parallel_path_pairs(quiver, max_pairs):
+    """Up to `max_pairs` pairs of distinct non-trivial parallel paths,
+    longest components first so relations tend to be non-vacuous."""
     _, by_pair = enumerate_paths(quiver)
     pairs = []
     for (s, t), plist in sorted(by_pair.items()):
@@ -41,35 +41,30 @@ def parallel_path_pairs(quiver, max_pairs=None):
         for i in range(len(nontrivial)):
             for j in range(i + 1, len(nontrivial)):
                 pairs.append((nontrivial[i], nontrivial[j]))
-                if max_pairs is not None and len(pairs) >= max_pairs:
+                if len(pairs) >= max_pairs:
                     return pairs
     return pairs
 
 
-def random_commutativity_relations(rng, quiver, max_relations=3, field=QQ):
-    """A random subset of commutativity relations p - q.  Differences of
-    paths that become equal in the quotient always pass both halves of
-    the tensor-relations criterion, so the result is a tensor-relation
-    set by construction."""
+def random_commutativity_relations(rng, quiver, field=QQ):
+    """A random subset of at most three commutativity relations p - q.
+    Differences of paths that become equal in the quotient always pass
+    both halves of the tensor-relations criterion, so the result is a
+    tensor-relation set by construction."""
     pairs = parallel_path_pairs(quiver, max_pairs=50)
     if not pairs:
         return ()
-    count = rng.randint(0, min(max_relations, len(pairs)))
+    count = rng.randint(0, min(3, len(pairs)))
     chosen = rng.sample(pairs, count)
     minus_one = field(-1)
     return tuple(Relation(p.source, p.target, ((field.one, p), (minus_one, q)))
                  for p, q in chosen)
 
 
-def random_tensor_quiver(rng, max_vertices=4, max_arrows=6, field=QQ,
-                         require_relations=False):
+def random_tensor_quiver(rng, max_vertices=4, max_arrows=6, field=QQ):
     """A random quiver together with random tensor relations."""
-    for _ in range(50):
-        quiver = random_ordered_quiver(rng, max_vertices, max_arrows)
-        relations = random_commutativity_relations(rng, quiver, field=field)
-        if relations or not require_relations:
-            return quiver, relations
-    return quiver, relations
+    quiver = random_ordered_quiver(rng, max_vertices, max_arrows)
+    return quiver, random_commutativity_relations(rng, quiver, field=field)
 
 
 def representation_menu(quiver, relations, field=QQ,
@@ -81,9 +76,8 @@ def representation_menu(quiver, relations, field=QQ,
     menu = [unit_object(quiver, field)]
     menu.extend(simple_object(quiver, v, field) for v in quiver.vertices)
     if include_projectives:
-        from .path_algebra import PathAlgebra
-        alg = PathAlgebra(quiver, relations, field)
-        menu.extend(module_representation(alg, v) for v in quiver.vertices)
+        menu.extend(module_representation(quiver, relations, field, v)
+                    for v in quiver.vertices)
     menu.extend(s.rep for s in unit_filtration(quiver, relations, field))
     return menu
 
@@ -139,15 +133,14 @@ def random_morphism_complex(rng, quiver, relations, field=QQ):
     """A two-term complex built from a random morphism between random
     relation-satisfying representations (zero if no morphisms exist),
     both drawn from one menu."""
-    from .complexes import BoundedComplex as BC
     menu = representation_menu(quiver, relations, field)
     v = random_representation(rng, menu, 2)
     w = random_representation(rng, menu, 2)
     basis = hom_space(v, w)
     if not basis:
-        return BC.from_representation(v)
+        return BoundedComplex.from_representation(v)
     f = basis[0]
     for g in basis[1:]:
         if rng.random() < 0.5:
             f = f + g.scale(field(rng.randint(-2, 2)))
-    return BC.from_map(f, degree=rng.randint(-1, 0))
+    return BoundedComplex.from_map(f, degree=rng.randint(-1, 0))

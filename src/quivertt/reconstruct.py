@@ -62,7 +62,7 @@ class RationalPointsReport:
 
 
 def rational_points(alg):
-    """One point per vertex of the path algebra `alg`, certified pairwise
+    """One point per vertex of the presentation `alg`, certified pairwise
     distinct by evaluating on the simple objects, with each kernel matched
     against the corresponding prime ideal on those probes."""
     require_tensor_relations(alg)

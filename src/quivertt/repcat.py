@@ -404,15 +404,14 @@ class Probe:
         return vec
 
 
-def module_representation(alg, n):
+def module_representation(quiver, relations, field, n):
     """The projective right module M_n = e_n kQ/(R), generated by the
     trivial path at n, as a representation: the `Probe` at n, built from
-    the quiver and the relations of `alg`.  The basis at each vertex is
-    the probe's basis words in ascending order, which are the basis
-    classes of `alg` from n there, and the column of a basis word x in
+    the quiver and the relations over `field`.  The basis at each vertex
+    is the probe's basis words in ascending order, which are the basis
+    classes of kQ/(R) from n there, and the column of a basis word x in
     the matrix of the arrow a is `steps[x + (a,)]`, the action of a on x."""
-    quiver, field = alg.quiver, alg.field
-    probe = Probe(quiver, alg.relations, field, n)
+    probe = Probe(quiver, relations, field, n)
     # the probe lists its words largest first
     words = {v: probe.words.get(v, [])[::-1] for v in quiver.vertices}
     maps = {}

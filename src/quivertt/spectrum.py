@@ -42,10 +42,6 @@ class IdealDescriptor:
             if v not in self.quiver.vertices:
                 raise QuiverError(f"unknown vertex {v!r}")
 
-    @property
-    def is_zero(self):
-        return not self.support_bound
-
 
 def ideal_of(objects, quiver=None):
     """Descriptor of the smallest thick tensor ideal containing the given
@@ -98,7 +94,7 @@ def closed_set(quiver, objects):
 
 
 def spc(alg, object_lists=None):
-    """Points and topology of the spectrum of the path algebra `alg`;
+    """Points and topology of the spectrum of the presentation `alg`;
     refuses non-tensor relations.
 
     `object_lists` may map labels to lists of complexes; each gets its
@@ -139,11 +135,12 @@ def _idempotent_table(n):
 
 
 def sheaf_sections(alg, open_set):
-    """Sections of the structure sheaf over an open set: the product over
-    its points of the endomorphisms of the unit on the one-vertex
-    subquiver, i.e. the constant sheaf with stalk k.  Nothing is computed
-    per point: a one-vertex subquiver of an ordered quiver has no arrows
-    (no loops), so the unit there is k and its endomorphisms are k."""
+    """Sections of the structure sheaf of the presentation `alg` over an
+    open set: the product over its points of the endomorphisms of the unit
+    on the one-vertex subquiver, i.e. the constant sheaf with stalk k.
+    Nothing is computed per point: a one-vertex subquiver of an ordered
+    quiver has no arrows (no loops), so the unit there is k and its
+    endomorphisms are k."""
     require_tensor_relations(alg)
     _, opens, _ = full_subquiver(alg.quiver, open_set)
     n = len(opens)
@@ -152,7 +149,8 @@ def sheaf_sections(alg, open_set):
 
 
 def presheaf_sections(alg, open_set):
-    """Endomorphisms of the unit over the full subquiver on the open set.
+    """Endomorphisms of the unit over the full subquiver of the
+    presentation `alg` on the open set.
 
     This computes sections before sheafification; it requires the
     subquiver to be compatible with the relations and refuses otherwise,

@@ -6,7 +6,8 @@ U)`, in the algebra's own field, and reads the multiplication table off a
 
 `is_prime` is the primality test of a proper ideal that `spectrum` once
 exported, kept for the checks that the points of `spc` are prime, and
-`is_unit` the flag of the unit ideal that it read."""
+`is_unit` the flag of the unit ideal that it read; `is_zero` is the flag
+of the zero ideal that `IdealDescriptor` once carried."""
 
 from quivertt.linalg import Coordinates
 from quivertt.path_algebra import compatibility, require_tensor_relations
@@ -18,6 +19,12 @@ def is_unit(descriptor):
     """Whether the ideal `descriptor` is the whole category: its support
     bound is every vertex."""
     return descriptor.support_bound == frozenset(descriptor.quiver.vertices)
+
+
+def is_zero(descriptor):
+    """Whether the ideal `descriptor` is zero: its support bound is
+    empty."""
+    return not descriptor.support_bound
 
 
 def is_prime(descriptor):

@@ -153,7 +153,7 @@ def test_criterion_5_reconstruction_theorem():
         assert verdict.structure_constants_match
         assert verdict.isomorphic
         for n in quiver.vertices:
-            probe = module_representation(alg, n)
+            probe = module_representation(quiver, relations, alg.field, n)
             for m in quiver.vertices:
                 assert alg.dim_pair(n, m) == probe.dims[m]
 

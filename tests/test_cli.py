@@ -13,7 +13,7 @@ from quivertt import quiver as quiver_module
 from quivertt.cli import build_parser, main, run_command
 from quivertt.complexes import MAX_COMPLEX_DIM, BoundedComplex, complex_to_json
 from quivertt.dsl import parse_quiver_file
-from quivertt.path_algebra import PathAlgebra
+from quivertt.path_algebra import PathAlgebra, Presentation
 from quivertt.quiver import MAX_PATHS, count_paths
 from quivertt.repcat import simple_object, unit_object
 
@@ -573,19 +573,27 @@ class TestExitCodes:
 
 
 class TestAlgebraBuilds:
-    """Each request builds its `PathAlgebra` at most once, and the
-    commands that need no quotient build none."""
+    """Each request builds its `Presentation` at most once; only
+    `validate` and `reconstruct` build it as a `PathAlgebra`, which lists
+    the basis, and the commands that need no quotient build neither."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        built = []
-        init = PathAlgebra.__init__
+        """{class: the quivers it was built on}, counted by each class's
+        own `__init__`, so a `PathAlgebra` build counts under both."""
+        built = {Presentation: [], PathAlgebra: []}
 
-        def counting_init(self, *args, **kwargs):
-            built.append(args[0])
-            init(self, *args, **kwargs)
+        def count(cls):
+            init = cls.__init__
 
-        monkeypatch.setattr(PathAlgebra, "__init__", counting_init)
+            def counting_init(self, *args, **kwargs):
+                built[cls].append(args[0])
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        for cls in built:
+            count(cls)
         return built
 
     @pytest.mark.parametrize("tensor", [True, False])
@@ -593,10 +601,13 @@ class TestAlgebraBuilds:
         # refusals included: the non-tensor spec is refused after its build
         path = fixture_path("kronecker2") if tensor else non_tensor_spec(tmp_path)
         for argv in every_command(path):
-            builds.clear()
+            for quivers in builds.values():
+                quivers.clear()
             run(*argv)
-            expected = 0 if argv[0] in ("filtration", "compat") else 1
-            assert len(builds) == expected, argv
+            quotient = argv[0] not in ("filtration", "compat")
+            listed = argv[0] in ("validate", "reconstruct")
+            assert len(builds[Presentation]) == quotient, argv
+            assert len(builds[PathAlgebra]) == listed, argv
 
     def test_support_builds_none(self, builds, tmp_path):
         spec = load_fixture("kronecker2")
@@ -605,7 +616,7 @@ class TestAlgebraBuilds:
         path.write_text(json.dumps(complex_to_json(cx)))
         doc, code = run("support", fixture_path("kronecker2"),
                         "--complex", str(path))
-        assert code == 0 and builds == []
+        assert code == 0 and not any(builds.values())
 
 
 class TestBasisListing:

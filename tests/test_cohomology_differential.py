@@ -15,7 +15,6 @@ import pytest
 
 from quivertt.complexes import BoundedComplex, cohomology_at, tensor_complex
 from quivertt.fields import QQ, PrimeField
-from quivertt.path_algebra import PathAlgebra
 from quivertt.randgen import (random_complex, random_morphism_complex,
                               random_tensor_quiver)
 from quivertt.repcat import (hom_space, module_representation, simple_object,
@@ -43,8 +42,8 @@ def assert_matches_oracle(cx):
 def fixture_complexes(spec, field):
     quiver = spec.quiver
     unit = unit_object(quiver, field)
-    alg = PathAlgebra(quiver, spec.relations, field)
-    projectives = [module_representation(alg, x) for x in quiver.vertices]
+    projectives = [module_representation(quiver, spec.relations, field, x)
+                   for x in quiver.vertices]
     singles = ([unit] + [simple_object(quiver, x, field)
                          for x in quiver.vertices] + projectives)
     yield from (BoundedComplex.from_representation(rep, degree=1)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from quivertt.fields import QQ
 from quivertt.linalg import Matrix
-from quivertt.path_algebra import PathAlgebra
 from quivertt.quiver import Quiver
 from quivertt.randgen import random_complex, random_tensor_quiver
 from quivertt.repcat import (module_representation, simple_object,
@@ -35,7 +35,7 @@ class TestBoundedComplex:
 
     def test_d_squared_checked(self):
         q = Quiver(("1",), ())
-        r1 = module_representation(PathAlgebra(q, ()), "1")
+        r1 = module_representation(q, (), QQ, "1")
         ident = id_morphism(r1)
         with pytest.raises(ComplexError):
             BoundedComplex(q, {0: r1, 1: r1, 2: r1},

@@ -7,16 +7,17 @@ from quivertt import path_algebra
 from quivertt.fields import QQ, PrimeField
 from quivertt.quiver import Arrow, Path, Quiver, QuiverError, Relation
 from quivertt.linalg import combine
-from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
-                                   compatibility, is_tensor_relations,
-                                   module_hom_space)
+from quivertt.path_algebra import (PathAlgebra, Presentation,
+                                   TensorRelationError, compatibility,
+                                   is_tensor_relations, module_hom_space)
 from quivertt.randgen import random_tensor_quiver
 from quivertt.reconstruct import assemble_A, rational_points
 from quivertt.spectrum import presheaf_sections, sheaf_sections, spc
 
-from conftest import load_fixture
+from conftest import FIXTURE_NAMES, load_fixture
 from path_algebra_oracles import (first_reads, module_map_oracle,
                                   quotient_oracle, right_mult_oracle)
+from test_source_lint import LISTED
 
 
 def kronecker(n_arrows):
@@ -207,9 +208,9 @@ class TestTensorGate:
 
     def test_reading_paths_by_pair_adds_no_instance_key(self):
         # a key added to the instance dict after __init__ slows every later
-        # attribute lookup on the algebra, traced runs included; nor does
-        # listing the basis add one, whichever reader lists it, on a tensor
-        # quotient and on one whose step readers refuse
+        # attribute lookup on the algebra, traced runs included; nor does a
+        # first read through any reader of the basis, on a tensor quotient
+        # and on one whose step readers refuse
         spec = load_fixture("kronecker2")
         alg = PathAlgebra(spec.quiver, spec.relations)
         keys = list(vars(alg))
@@ -227,6 +228,23 @@ class TestTensorGate:
                 with contextlib.suppress(TensorRelationError):
                     read(alg)
                 assert list(vars(alg)) == keys, name
+
+
+class TestPresentation:
+    """A `Presentation` has no basis of kQ/(R), so the code that takes one
+    cannot list it: no name of the listed basis or of a reader of it is an
+    attribute of it, its tensor verdict read or not, while every one is
+    an attribute of the `PathAlgebra` on the same input."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_has_no_listed_name(self, name):
+        spec = load_fixture(name)
+        pres = Presentation(spec.quiver, spec.relations, spec.field)
+        assert [n for n in sorted(LISTED) if hasattr(pres, n)] == []
+        assert pres.tensor_check.ok
+        assert [n for n in sorted(LISTED) if hasattr(pres, n)] == []
+        alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
+        assert all(hasattr(alg, n) for n in LISTED)
 
 
 class TestCompatibility:

@@ -56,8 +56,7 @@ class TestTensor:
 
     def test_tensor_dims_multiply(self):
         spec = load_fixture("beilinson2")
-        alg = PathAlgebra(spec.quiver, spec.relations)
-        m1 = module_representation(alg, "1")
+        m1 = module_representation(spec.quiver, spec.relations, QQ, "1")
         t = tensor(m1, m1)
         for v in spec.quiver.vertices:
             assert t.dims[v] == m1.dims[v] ** 2
@@ -102,8 +101,8 @@ class TestHomSpace:
     def test_hom_between_projectives_matches_algebra(self):
         spec = load_fixture("beilinson2")
         alg = PathAlgebra(spec.quiver, spec.relations)
-        m1 = module_representation(alg, "1")
-        m3 = module_representation(alg, "3")
+        m1 = module_representation(spec.quiver, spec.relations, QQ, "1")
+        m3 = module_representation(spec.quiver, spec.relations, QQ, "3")
         # rep morphisms M_1 -> M_3 = Hom(e_3 L, e_1 L)... the projective
         # viewed as a representation has morphisms given by left
         # multiplication; dimension equals dim e_3 L e_1 + contributions
@@ -173,13 +172,12 @@ class TestUnitFiltration:
 
 class TestModuleRepresentation:
     def test_satisfies_relations(self, fixture_spec):
-        alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations)
         for v in fixture_spec.quiver.vertices:
-            rep = module_representation(alg, v)
+            rep = module_representation(fixture_spec.quiver,
+                                        fixture_spec.relations, QQ, v)
             assert satisfies_relations(rep, fixture_spec.relations) is None
 
     def test_dims_are_pair_dimensions(self):
         spec = load_fixture("beilinson2")
-        alg = PathAlgebra(spec.quiver, spec.relations)
-        m1 = module_representation(alg, "1")
+        m1 = module_representation(spec.quiver, spec.relations, QQ, "1")
         assert [m1.dims[v] for v in spec.quiver.vertices] == [1, 3, 6]

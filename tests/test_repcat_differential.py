@@ -93,10 +93,10 @@ def assert_same_hom_space(v, w):
 def test_hom_space_matches_dense_oracle_on_fixture_objects(name, field):
     spec = load_fixture(name)
     quiver = spec.quiver
-    alg = PathAlgebra(quiver, spec.relations, field)
     objects = ([unit_object(quiver, field)]
                + [simple_object(quiver, x, field) for x in quiver.vertices]
-               + [module_representation(alg, x) for x in quiver.vertices])
+               + [module_representation(quiver, spec.relations, field, x)
+                  for x in quiver.vertices])
     for v in objects:
         for w in objects:
             assert_same_hom_space(v, w)
@@ -159,7 +159,8 @@ def test_module_representation_matches_dense_probe(make, arg, field):
     alg = PathAlgebra(*make(arg), field)
     lift = oracle_field(field)
     for n in alg.quiver.vertices:
-        got, want = module_representation(alg, n), _dense_probe(alg, n)
+        got = module_representation(alg.quiver, alg.relations, field, n)
+        want = _dense_probe(alg, n)
         assert got.dims == want.dims
         for label, m in got.arrow_maps.items():
             assert [[lift(x) for x in row] for row in m.entries] \

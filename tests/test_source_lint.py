@@ -421,11 +421,10 @@ def test_the_probe_check_sees_every_form():
 
 # The spectrum, the sheaf and presheaf sections, the k-points and the
 # tensor verdict with its certificate need only the quiver, the relations
-# and the Groebner rules, so the commands built on them never list the
-# basis of kQ/(R), which the algebra lists on first read: these name no
-# listed attribute, no reader that lists, and not `dim`.
+# and the Groebner rules, so they take a `Presentation`, which has no
+# basis of kQ/(R): these name no listed attribute, no reader of one, and
+# not `dim`.
 LISTED = {"basis", "pair_indices", "word_index", "idempotent_index",
-          "_basis", "_pair_indices", "_word_index", "_idempotent_index",
           "_list_basis", "dim",
           "dim_pair", "nf_path", "arrow_step", "product_indices",
           "element_word", "module_basis", "_walk", "product", "idempotent"}

@@ -14,7 +14,7 @@ from quivertt.spectrum import (IdealDescriptor, IncompatibleSubquiver,
                                spc)
 
 from conftest import load_fixture
-from spectrum_oracles import is_prime, is_unit
+from spectrum_oracles import is_prime, is_unit, is_zero
 
 
 def fixture_algebra(spec):
@@ -67,8 +67,10 @@ class TestIdealDescriptor:
 
     def test_unit_zero_flags(self):
         spec = load_fixture("kronecker2")
-        assert is_unit(IdealDescriptor(spec.quiver, frozenset({"1", "2"})))
-        assert IdealDescriptor(spec.quiver, frozenset()).is_zero
+        unit = IdealDescriptor(spec.quiver, frozenset({"1", "2"}))
+        zero = IdealDescriptor(spec.quiver, frozenset())
+        assert is_unit(unit) and not is_zero(unit)
+        assert is_zero(zero) and not is_unit(zero)
 
 
 class TestPrimes:
