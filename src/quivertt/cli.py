@@ -134,7 +134,9 @@ def cmd_support(spec, args):
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad complex file: {exc.msg}", exc.lineno, exc.colno)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
-            DimensionMismatch) as exc:
+            DimensionMismatch, RecursionError) as exc:
+        # json.load raises RecursionError on arrays or objects nested
+        # deeper than the interpreter's recursion limit
         raise ParseError(f"bad complex file: {exc}", 1, 1)
     for i in cx.degrees():
         bad = satisfies_relations(cx.term(i), spec.relations)

@@ -2,7 +2,7 @@
 tensor-relation checking, subquiver compatibility, and module Hom spaces.
 
 Paths are ordered by length, then by their word of arrow labels
-(`Path.sort_key`).  That order is admissible: a well-order compatible with
+(`quiver.word_order`).  That order is admissible: a well-order compatible with
 composition on both sides.  So the ideal (R) has a unique reduced Groebner
 basis, whose elements are "tip - normal form of the tip" with the tips the
 minimal leading paths of the ideal: E. L. Green, *Noncommutative Groebner
@@ -20,38 +20,40 @@ dicts, a word being a tuple of arrow labels; a path's source and target
 follow from its arrows.
 
 A `Presentation` is the quiver, the relations and the field.  Building
-one checks the path budget (`quiver.check_path_budget`) and runs the
-Groebner basis; every tip is a path, so the budget bounds the Groebner
-computation too.  It lists no basis: the spectrum, the sheaves, the
-k-points and `check-tensor` need only the quiver and the certified tensor
-verdict, so they take a `Presentation`.  A `PathAlgebra` is a
-`Presentation` that lists the basis of kQ/(R) when it is built.  The
-basis is the set of paths that contain no tip, listed by a depth-first
-search from each vertex that stops as soon as a suffix of the path is a
-tip.  These are exactly the earliest paths whose residues stay
-independent modulo the ideal, since path k is a tip iff e_k lies in
-I + span(e_j : j < k), so structure constants are deterministic and
-reports are byte-stable.  Each fact about the basis is kept once: the
-paths (`basis`, whose source and target give the pair of a class), their
-indices by pair (`pair_indices`, which also give the basis of M_v), by
-word (`word_index`) and, for the trivial paths, by vertex
-(`idempotent_index`).  Neither the build nor `compatibility` lists the
-paths of the quiver.
+one checks the path budget (`quiver.check_path_budget`), runs the
+Groebner basis and certifies the tensor verdict; every tip is a path, so
+the budget bounds the Groebner computation too.  It lists no path: the
+spectrum, the sheaves, the k-points and `check-tensor` need only the
+quiver and the certified tensor verdict, so they take a `Presentation`.
+A `PathAlgebra` is a `Presentation` that lists the basis of kQ/(R) when
+it is built.  The basis is the set of paths that contain no tip, listed
+by `quiver.list_paths`, the depth-first search of `enumerate_paths`,
+pruned as soon as a suffix of the path is a tip.  These are exactly the
+earliest paths whose residues stay independent modulo the ideal, since
+path k is a tip iff e_k lies in I + span(e_j : j < k), so structure
+constants are deterministic and reports are byte-stable.  Each fact
+about the basis is kept once: the paths (`basis`, whose source and
+target give the pair of a class), their indices by pair (`pair_indices`,
+which also give the basis of M_v), by word (`word_index`) and, for the
+trivial paths, by vertex (`idempotent_index`).  The build lists no path
+but the basis, and `compatibility` lists none.
 
 R is a set of tensor relations iff every rule of the reduced Groebner
 basis rewrites its tip to one word with coefficient 1
 (docs/tensor-relations-criterion.md): then kQ/(R) = k[C] for a category C,
-and every path is one basis class.  `tensor_check` compares that shape
-with the per-generator criterion `is_tensor_relations` and raises
-QuotientCertificateError where they disagree.  On a certified tensor
-quotient a normal form is one class index: `arrow_step`,
+and every path is one basis class.  Building a presentation compares that
+shape with the per-generator criterion `is_tensor_relations`
+(`certify_quotient`) and raises QuotientCertificateError where they
+disagree; `tensor_check` holds the certified verdict.  On a certified
+tensor quotient a normal form is one class index: `arrow_step`,
 `product_indices` and `nf_path` walk one table, (basis class, arrow) ->
-basis class, filled on demand by `GroebnerBasis.reduce`, and return an
-index, or None for classes that do not compose; they raise
-TensorRelationError on any other quotient.  `product` is one
-`linalg.combine` of the products of classes.  The tensor check reads the
-Groebner basis directly: it reduces each relation term's word by it and
-sums the diagonal square per pair of normal-form words.
+basis class, which starts empty and `GroebnerBasis.reduce` fills one
+step at a time, and return an index, or None for classes that do not
+compose; on any other quotient there is no table, and they raise
+TensorRelationError.  `product` is one `linalg.combine` of the products
+of classes.  The tensor check reads the Groebner basis directly: it
+reduces each relation term's word by it and sums the diagonal square per
+pair of normal-form words.
 `module_hom_space` solves no system: the maps M_m -> M_n are the basis
 classes from n to m, each the image of the generator.
 
@@ -71,8 +73,9 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import Echelon, combine
-from .quiver import (Path, QuiverError, Relation, admissible_order,
-                     check_path_budget, enumerate_paths, full_subquiver)
+from .quiver import (QuiverError, Relation, admissible_order,
+                     check_path_budget, enumerate_paths, full_subquiver,
+                     list_paths, word_order)
 
 
 # Kept only because `perfbench/tracing.py` wraps `RREFEchelon.add` by name.
@@ -84,11 +87,6 @@ def _coerced(relations, field):
     return tuple(Relation(g.source, g.target,
                           tuple((field(c), p) for c, p in g.terms))
                  for g in relations)
-
-
-def _order_key(word):
-    """`Path.sort_key` of a path with this word."""
-    return (len(word), word)
 
 
 def _polynomial(terms):
@@ -155,7 +153,7 @@ class GroebnerBasis:
         out = {}
         field = self.field
         while todo:
-            w = max(todo, key=_order_key)
+            w = max(todo, key=word_order)
             c = field(todo.pop(w))
             if not c:
                 continue
@@ -184,7 +182,7 @@ def groebner_basis(polys, field):
         f = gb.reduce(queue.popleft())
         if not f:
             continue
-        u = max(f, key=_order_key)
+        u = max(f, key=word_order)
         scale = -field.inv(f[u])
         ru = field.nonzero((w, c * scale) for w, c in f.items() if w != u)
         # an element whose tip contains the new one is reduced again; u
@@ -231,18 +229,7 @@ class Presentation:
                 self._check_path(p)
         self.groebner = groebner_basis(
             [_polynomial(g.terms) for g in self.relations], field)
-        self._tensor_check = None
-
-    @property
-    def tensor_check(self):
-        """`is_tensor_relations(self)`, certified by the shape of the
-        Groebner rules (`certify_quotient`) on first use and kept."""
-        # not a cached_property: adding a key to the instance dict after
-        # __init__ slows every later attribute lookup on the instance
-        if self._tensor_check is None:
-            self._tensor_check = certify_quotient(self,
-                                                  is_tensor_relations(self))
-        return self._tensor_check
+        self.tensor_check = certify_quotient(self, is_tensor_relations(self))
 
     def _check_path(self, p):
         """Raise QuiverError unless `p` is a path of the quiver."""
@@ -264,15 +251,15 @@ class PathAlgebra(Presentation):
 
     `basis` holds the basis paths in basis order, `pair_indices` maps
     (source, target) to the basis indices of that pair, ascending, for
-    every pair joined by a path, `word_index` the word of each non-trivial
+    every pair with a basis class, `word_index` the word of each non-trivial
     basis path to its index, and `idempotent_index` each vertex, in vertex
     order, to the index of its trivial path."""
 
     def __init__(self, quiver, relations, field=QQ):
         super().__init__(quiver, relations, field)
-        # (basis class, arrow label) -> basis class, on demand, once the
-        # quotient is certified tensor
-        self._steps = None
+        # (basis class, arrow label) -> basis class, filled on demand; None
+        # unless the quotient is certified tensor
+        self._steps = {} if self.tensor_check.ok else None
         self._list_basis()
 
     @property
@@ -280,49 +267,24 @@ class PathAlgebra(Presentation):
         """Every path, grouped by (source, target), listed on each read.
         Kept only because `perfbench/tracing.py` counts ideal rows from it,
         once per build; the algebra never lists its paths.  Not a
-        cached_property, for the reason `tensor_check` is not."""
+        cached_property: adding a key to the instance dict after __init__
+        slows every later attribute lookup on the instance."""
         return enumerate_paths(self.quiver)[1]
 
     def _list_basis(self):
         """Set `basis`, `pair_indices`, `word_index`, `idempotent_index`
-        and `dim`, all read off the tips of the Groebner basis."""
-        # the paths that contain no tip, each extended from its prefix;
-        # the prefix contains none, so only the suffixes need a look
-        words_by_pair = {}
-        for v in self.quiver.vertices:
-            stack = [((), v)]
-            while stack:
-                w, t = stack.pop()
-                words_by_pair.setdefault((v, t), []).append(w)
-                for a in self.quiver.arrows_from(t):
-                    longer = w + (a.label,)
-                    if not self.groebner.ends_in_tip(longer):
-                        stack.append((longer, a.target))
-
-        # every pair joined by a path has a component, possibly zero
-        order = admissible_order(self.quiver)
-        reach = {}
-        for v in reversed(order):
-            r = {v}
-            for a in self.quiver.arrows_from(v):
-                r |= reach[a.target]
-            reach[v] = r
-
-        basis, pair_indices, word_index = [], {}, {}
+        and `dim`: the basis is the paths that contain no tip of the
+        Groebner basis, and a path contains a tip iff some prefix of it
+        ends in one, so `list_paths` pruned by `ends_in_tip` lists them."""
+        basis = list_paths(self.quiver, self.groebner.ends_in_tip)[0]
+        pair_indices, word_index = {}, {}
         idempotent_index = dict.fromkeys(self.quiver.vertices)
-        for s in order:
-            for t in sorted(reach[s], key=self._pos.__getitem__):
-                pair = (s, t)
-                local = []
-                for w in sorted(words_by_pair.get(pair, ()), key=_order_key):
-                    gi = len(basis)
-                    basis.append(Path(s, t, w))
-                    local.append(gi)
-                    if w:
-                        word_index[w] = gi
-                    else:
-                        idempotent_index[s] = gi
-                pair_indices[pair] = local
+        for i, p in enumerate(basis):
+            pair_indices.setdefault((p.source, p.target), []).append(i)
+            if p.arrows:
+                word_index[p.arrows] = i
+            else:
+                idempotent_index[p.source] = i
         self.basis, self.pair_indices = basis, pair_indices
         self.word_index, self.idempotent_index = word_index, idempotent_index
         self.dim = len(basis)
@@ -338,8 +300,7 @@ class PathAlgebra(Presentation):
         TensorRelationError unless the relations are tensor relations."""
         steps = self._steps
         if steps is None:
-            require_tensor_relations(self)
-            steps = self._steps = {}
+            raise TensorRelationError(self.tensor_check, self.field)
         basis = self.basis
         if basis[x].target != start:
             return None

@@ -67,17 +67,15 @@ def random_tensor_quiver(rng, max_vertices=4, max_arrows=6, field=QQ):
     return quiver, random_commutativity_relations(rng, quiver, field=field)
 
 
-def representation_menu(quiver, relations, field=QQ,
-                        include_projectives=True):
+def representation_menu(quiver, relations, field=QQ):
     """The objects that satisfy the relations which `random_representation`
-    sums: the unit, the simples, unit-filtration layers, and (unless
-    suppressed to keep dimensions small) the projectives M_j.  Building it
-    draws nothing from a generator, so one menu serves many draws."""
+    sums: the unit, the simples, the projectives M_j and the
+    unit-filtration layers.  Building it draws nothing from a generator,
+    so one menu serves many draws."""
     menu = [unit_object(quiver, field)]
     menu.extend(simple_object(quiver, v, field) for v in quiver.vertices)
-    if include_projectives:
-        menu.extend(module_representation(quiver, relations, field, v)
-                    for v in quiver.vertices)
+    menu.extend(module_representation(quiver, relations, field, v)
+                for v in quiver.vertices)
     menu.extend(s.rep for s in unit_filtration(quiver, relations, field))
     return menu
 
@@ -91,17 +89,16 @@ def random_representation(rng, menu, max_summands=3):
     return rep
 
 
-def random_complex(rng, quiver, relations, field=QQ, depth=2,
-                   include_projectives=True):
+def random_complex(rng, quiver, relations, field=QQ):
     """A random bounded complex whose terms satisfy the relations.
 
-    Built from leaves in random degrees by shifting, summing, and taking
-    cones of zero chain maps, so d^2 = 0 holds structurally.  A leaf is a
-    random representation or, about half the time, the two-term complex
-    of a basis morphism from it to another one, a nonzero differential
-    whenever such a morphism exists.  The menu of representations is
-    built once per call."""
-    menu = representation_menu(quiver, relations, field, include_projectives)
+    Built from a leaf in a random degree by up to two moves, each a shift,
+    a sum with another leaf or the cone of a zero chain map to one, so
+    d^2 = 0 holds structurally.  A leaf is a random representation or,
+    about half the time, the two-term complex of a basis morphism from it
+    to another one, a nonzero differential whenever such a morphism
+    exists.  The menu of representations is built once per call."""
+    menu = representation_menu(quiver, relations, field)
 
     def rep():
         return random_representation(rng, menu, 2)
@@ -114,7 +111,7 @@ def random_complex(rng, quiver, relations, field=QQ, depth=2,
         return shift(cx, rng.randint(-1, 1))
 
     cx = leaf()
-    for _ in range(rng.randint(0, depth)):
+    for _ in range(rng.randint(0, 2)):
         move = rng.randrange(3)
         if move == 0:
             cx = shift(cx, rng.choice((-1, 1)))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .linalg import (DimensionMismatch, Echelon, Matrix, block_matrix,
                      combine, kronecker, sparse_kernel)
-from .path_algebra import _order_key
-from .quiver import QuiverError, admissible_order, full_subquiver
+from .quiver import QuiverError, admissible_order, full_subquiver, word_order
 
 
 class RepresentationError(ValueError):
@@ -317,7 +316,7 @@ class Probe:
     the lengths of their paths.
 
     The columns of the direct sum at w are the words x + (a,), ordered by
-    `Path.sort_key` with the largest word in the lowest column, and one
+    `word_order` with the largest word in the lowest column, and one
     `Echelon` reduces the relation images there.  So each pivot is the
     largest word of an element of the relation space, and the free columns
     are the words that are no such pivot: the basis words of M_n(w).  The
@@ -345,7 +344,7 @@ class Probe:
                     for x in self.words.get(v, ())]
             if not cols:
                 continue
-            cols.sort(key=_order_key, reverse=True)
+            cols.sort(key=word_order, reverse=True)
             col = {c: k for k, c in enumerate(cols)}
             ech = Echelon(len(cols), field)
             # the rows whose largest word is smallest first: then no row

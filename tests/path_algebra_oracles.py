@@ -50,7 +50,7 @@ def join_paths(p, q):
 
 
 def order_key(word):
-    """`Path.sort_key` of a path with this word."""
+    """`quiver.word_order` of a path with this word."""
     return (len(word), word)
 
 
@@ -171,7 +171,9 @@ def quotient_oracle(alg):
             local.append(gi)
         for k, p in enumerate(plist):
             out.path_nf[p] = {gi: c for gi, c in zip(local, coords[k]) if c}
-        out.pair_indices[pair] = local
+        if local:
+            # the algebra indexes only the pairs with a basis class
+            out.pair_indices[pair] = local
         out.module_bases.setdefault(pair[0], []).extend(local)
     return out
 

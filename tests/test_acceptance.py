@@ -184,8 +184,7 @@ def test_criterion_7_support_calculus():
     for name in FIXTURE_NAMES:
         spec = load_fixture(name)
         q = spec.quiver
-        complexes = [random_complex(rng, q, spec.relations,
-                                    include_projectives=False)
+        complexes = [random_complex(rng, q, spec.relations)
                      for _ in range(100)]
         for cx in complexes:
             assert (ideal_of([cx]).support_bound

@@ -298,6 +298,19 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["error_type"] == "ParseError"
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"terms": ' + "[" * 100000 + "]" * 100000 + "}"],
+        ids=["array", "terms"])
+    def test_deeply_nested_complex_file_is_2(self, tmp_path, capsys, text):
+        cx = tmp_path / "deep.json"
+        cx.write_text(text)
+        code = main(["support", fixture_path("square"),
+                     "--complex", str(cx)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error_type"] == "ParseError"
+        assert "bad complex file: maximum recursion depth" in doc["error"]
+
     @pytest.mark.parametrize("text, where", [
         ("{not json", "line 1, column 2:"),
         ('{"terms": {\n  "0": {\n    "dims": {"1": 1,}}}}', "line 3, column 21:")])

@@ -18,12 +18,12 @@ from quivertt.linalg import Echelon
 from quivertt.path_algebra import (PathAlgebra, TensorRelationError,
                                    compatibility, is_tensor_relations)
 from quivertt.quiver import (Arrow, Path, Quiver, QuiverError, admissible_order,
-                             enumerate_paths)
+                             enumerate_paths, list_paths)
 from quivertt.randgen import random_tensor_quiver
 
 from conftest import (FIXTURE_NAMES, is_element, load_beilinson,
                       load_fixture, relation_from_terms)
-from path_algebra_oracles import (compatibility_oracle, first_reads,
+from path_algebra_oracles import (compatibility_oracle, contains, first_reads,
                                   ideal_rows_oracle, join_paths,
                                   nf_path_oracle, quotient_oracle)
 
@@ -170,8 +170,16 @@ def assert_matches_oracle(alg, want):
 def assert_first_reads_match(quiver, relations, field):
     """Each reader of the listed basis, read first on a fresh algebra,
     returns what the oracle build gives, and leaves the algebra matching
-    the oracle."""
+    the oracle.  The step table is empty when the algebra is built on a
+    tensor quotient, and there is none on any other; `list_paths` pruned
+    at the Groebner tips lists the paths of `enumerate_paths` that contain
+    no tip, in its order."""
     built = PathAlgebra(quiver, relations, field)
+    assert built._steps == ({} if built.tensor_check.ok else None)
+    tips = built.groebner.rules
+    assert list_paths(quiver, built.groebner.ends_in_tip)[0] == [
+        p for p in enumerate_paths(quiver)[0]
+        if not any(contains(p.arrows, tip) for tip in tips)]
     want = quotient_oracle(built)
     reads = first_reads(quiver, want, built.tensor_check.ok)
     for name, (read, expected) in reads.items():
@@ -196,7 +204,7 @@ def test_basis_paths_raise_the_rank(make, field):
         ech = Echelon(len(plist), field)
         for row in ideal_rows_oracle(pair, alg.relations, by_pair, field):
             ech.add(row)
-        kept = {alg.basis[gi] for gi in alg.pair_indices[pair]}
+        kept = {alg.basis[gi] for gi in alg.pair_indices.get(pair, [])}
         for k, p in enumerate(plist):
             assert (p in kept) == ech.add({k: field.one}), (pair, p)
 

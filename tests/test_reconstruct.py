@@ -6,8 +6,9 @@ from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
 from quivertt.dsl import parse_quiver_file
-from quivertt.path_algebra import (PathAlgebra, QuotientCertificateError,
-                                   module_hom_space)
+from quivertt.path_algebra import (PathAlgebra, Presentation,
+                                   QuotientCertificateError, module_hom_space)
+from quivertt.quiver import list_paths
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver, representation_menu)
 from quivertt.repcat import hom_space
@@ -397,14 +398,31 @@ QUOTIENT_MUTANTS = [(negate_rules, name)
 QUOTIENT_MUTANTS.append((add_extra_rule, "beilinson2"))
 
 
+def mutant_groebner_basis(spec):
+    """The Groebner basis of the relations of `spec`, as the patched
+    `groebner_basis` gives it."""
+    return path_algebra.groebner_basis(
+        [path_algebra._polynomial(g.terms) for g in spec.relations],
+        spec.field)
+
+
+def first_bad_rule(gb):
+    """The start of the certificate's message naming the first rule of
+    `gb` whose right side is not one word with coefficient 1."""
+    tip = next(t for t, rhs in gb.rules.items()
+               if list(rhs.values()) != [gb.field.one])
+    return f"the Groebner rule {'*'.join(tip)} -> "
+
+
 class TestQuotientMutants:
     """A wrong Groebner basis gives a wrong quotient.  The sign flip and
     the extra rule x1_0 * x2_0 -> 0 leave the relations tensor but give
     rules that are not one word with coefficient 1, so the certificate
-    refuses the quotient and every command that builds it exits 2.  A
-    Buchberger loop that drops its S-polynomials keeps the shape of the
-    rules; the probes are built from the quiver and the relations alone,
-    so `reconstruct` reports it."""
+    refuses the quotient as it is built, and every command that builds it
+    exits 2.  A Buchberger loop that drops its S-polynomials, or an extra
+    rule of the right shape, keeps the shape of the rules; the probes are
+    built from the quiver and the relations alone, so `reconstruct`
+    reports it."""
 
     @staticmethod
     def spec_file(tmp_path, name, field):
@@ -426,17 +444,18 @@ class TestQuotientMutants:
     @pytest.mark.parametrize("name", ["beilinson2", "beilinson3", "square"])
     def test_negated_rules_clear_structure_constants(self, monkeypatch,
                                                      tmp_path, name, field):
-        # the products change sign, which `structure_constants_match` would
-        # show; the certificate refuses the quotient before any verdict
+        # the products would change sign, which `structure_constants_match`
+        # would show; the certificate refuses the quotient as it is built
         negate_rules(monkeypatch)
         path = self.spec_file(tmp_path, name, field)
         spec = parse_quiver_file(path)
-        alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
+        gb = mutant_groebner_basis(spec)
         minus_one = spec.field(-1)
         assert any(list(rhs.values()) == [minus_one]
-                   for rhs in alg.groebner.rules.values())
+                   for rhs in gb.rules.values())
         with pytest.raises(QuotientCertificateError) as err:
-            alg.tensor_check
+            PathAlgebra(spec.quiver, spec.relations, spec.field)
+        assert first_bad_rule(gb) in str(err.value)
         assert "is not one word with coefficient 1" in str(err.value)
         doc, code = run_command(["reconstruct", str(path)])
         self.assert_refused(doc, code, "reconstruct", "Groebner rule")
@@ -448,10 +467,30 @@ class TestQuotientMutants:
         add_extra_rule(monkeypatch)
         path = self.spec_file(tmp_path, "beilinson2", field)
         spec = parse_quiver_file(path)
-        assert PathAlgebra(spec.quiver, spec.relations, spec.field).dim == 14
+        gb = mutant_groebner_basis(spec)
+        assert len(list_paths(spec.quiver, gb.ends_in_tip)[0]) == 14
+        with pytest.raises(QuotientCertificateError,
+                           match=r"the Groebner rule x1_0\*x2_0 -> 0 is not"):
+            PathAlgebra(spec.quiver, spec.relations, spec.field)
         doc, code = run_command(["reconstruct", str(path)])
         self.assert_refused(doc, code, "reconstruct",
                             "the Groebner rule x1_0*x2_0 -> 0 is not")
+
+    @pytest.mark.parametrize("cls", [Presentation, PathAlgebra],
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    @pytest.mark.parametrize("mutant, name", QUOTIENT_MUTANTS,
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_mutants_fail_the_constructor(self, monkeypatch, tmp_path,
+                                          mutant, name, field, cls):
+        # the verdict is certified as the presentation is built, so no
+        # wrong quotient is ever handed out
+        spec = parse_quiver_file(self.spec_file(tmp_path, name, field))
+        assert cls(spec.quiver, spec.relations, spec.field).tensor_check.ok
+        mutant(monkeypatch)
+        with pytest.raises(QuotientCertificateError) as err:
+            cls(spec.quiver, spec.relations, spec.field)
+        assert first_bad_rule(mutant_groebner_basis(spec)) in str(err.value)
 
     @pytest.mark.parametrize("command", QUOTIENT_COMMANDS)
     @pytest.mark.parametrize("field", ["QQ", "F 101"])
@@ -490,18 +529,23 @@ class TestQuotientMutants:
     def test_extra_rule_raises_in_the_probe_evaluator(self, monkeypatch,
                                                       field):
         # the probe M_1 keeps the word x1_0 * x2_0, which the quotient
-        # with the rule x1_0 * x2_0 -> 0 has no class for
+        # with the rule x1_0 * x2_0 -> x1_1 * x2_1 has no class for; the
+        # rule is one word with coefficient 1, so the certificate passes
         real = path_algebra.groebner_basis
 
         def extra(polys, fld):
             gb = real(polys, fld)
-            gb.rules[("x1_0", "x2_0")] = {}
+            gb.rules[("x1_0", "x2_0")] = {("x1_1", "x2_1"): fld.one}
             return gb
 
         monkeypatch.setattr(path_algebra, "groebner_basis", extra)
         spec = load_fixture("beilinson2")
         alg = PathAlgebra(spec.quiver, spec.relations, field)
+        assert alg.tensor_check.ok
         assert ("x1_0", "x2_0") not in alg.word_index
+        verdict = assemble_A(alg)
+        assert not verdict.dimensions_match
+        assert not verdict.structure_constants_match
         first = {alg.word_index[("x1_0",)]: field.one}
         second = {alg.word_index[("x2_0",)]: field.one}
         evaluator = ProbeEvaluator(alg)

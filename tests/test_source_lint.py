@@ -4,7 +4,9 @@ An element of QQ is an `int` when it is integral, and `int / int` is a
 float, so no module but `fields` may divide: a quotient of field elements
 is `field.inv(x)` times the numerator.  Every name a module imports is used
 in that module, in the library and in its tests alike; only the package's
-`__init__.py` imports to re-export.  CI runs Python 3.10, so no compiled
+`__init__.py` imports to re-export.  No library module imports a
+`_`-prefixed name from another one: what two modules share is public,
+like the path order `quiver.word_order`.  CI runs Python 3.10, so no compiled
 regex may use syntax that 3.11 added: atomic groups and possessive
 quantifiers.  An element of F_p is a plain `int`: the element class
 `FpElement` lives on only in the tests' oracle field, and no file under
@@ -96,6 +98,31 @@ def test_the_import_check_sees_every_form():
               "f(b)\n")
     assert unused_imports(source) == ["d", "j", "os"]
     assert unused_imports("import os.path\nos.sep\n") == []
+
+
+def private_imports(source):
+    """The `_`-prefixed names that `source` imports from a module of the
+    package, by a relative import or from `quivertt`."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level
+                       or (node.module or "").split(".")[0] == "quivertt")
+                  for a in node.names if a.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_name_is_imported_across_modules(path):
+    assert private_imports(path.read_text()) == [], \
+        f"{path.name}: imports a private name of another module"
+
+
+def test_the_private_import_check_sees_every_form():
+    source = ("from __future__ import annotations\n"
+              "from collections import _chain\n"
+              "from .a import b, _c\nfrom . import _d as e\n"
+              "from quivertt.f import _g\nfrom .h.i import _j, k\n")
+    assert private_imports(source) == ["_c", "_d", "_g", "_j"]
 
 
 PY311_SYNTAX = ("(?>", "*+", "++", "?+")
