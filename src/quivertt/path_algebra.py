@@ -45,15 +45,20 @@ and every path is one basis class.  Building a presentation compares that
 shape with the per-generator criterion `is_tensor_relations`
 (`certify_quotient`) and raises QuotientCertificateError where they
 disagree; `tensor_check` holds the certified verdict.  On a certified
-tensor quotient a normal form is one class index: `arrow_step`,
-`product_indices` and `nf_path` walk one table, (basis class, arrow) ->
-basis class, which starts empty and `GroebnerBasis.reduce` fills one
-step at a time, and return an index, or None for classes that do not
-compose; on any other quotient there is no table, and they raise
-TensorRelationError.  `product` is one `linalg.combine` of the products
-of classes.  The tensor check reads the Groebner basis directly: it
-reduces each relation term's word by it and sums the diagonal square per
-pair of normal-form words.
+tensor quotient a normal form is one class index: `arrow_step` and
+`product_indices` walk one table, (basis class, arrow) -> basis class,
+and return an index, or None for classes that do not compose; on any
+other quotient there is no table, and they raise TensorRelationError.
+The table starts empty, and the certified rules, word -> word, fill it
+one step at a time through the table itself (`PathAlgebra._fill`): a
+basis word followed by an arrow is a basis word, or it ends in one tip,
+and then its step is the walk along that tip's rule from the class of
+the rest.  No step reduces a polynomial.  A wrong rule whose right side
+cannot be walked, or leads back to the step being filled, raises
+RewriteError, a QuotientCertificateError.  `product` is one
+`linalg.combine` of the products of classes.  The tensor check reads the
+Groebner basis directly: it reduces each relation term's word by it and
+sums the diagonal square per pair of normal-form words.
 `module_hom_space` solves no system: the maps M_m -> M_n are the basis
 classes from n to m, each the image of the generator.
 
@@ -260,6 +265,9 @@ class PathAlgebra(Presentation):
         # (basis class, arrow label) -> basis class, filled on demand; None
         # unless the quotient is certified tensor
         self._steps = {} if self.tensor_check.ok else None
+        # the steps that `_fill` is filling: meeting one again means the
+        # rules rewrite a word back to itself
+        self._filling = set()
         self._list_basis()
 
     @property
@@ -294,35 +302,67 @@ class PathAlgebra(Presentation):
     def _walk(self, x, start, word):
         """The basis class of (basis class x) followed by the path `word`
         from the vertex `start`, or None if x does not end at `start`.  A
-        step is read from the table `_steps`, or found by reducing the
-        basis word of its class followed by its arrow: the certified rules
-        rewrite a word to one word with coefficient 1.  Raises
-        TensorRelationError unless the relations are tensor relations."""
+        step is read from the table `_steps`, or filled from the certified
+        rules by `_fill`.  Raises TensorRelationError unless the relations
+        are tensor relations."""
         steps = self._steps
         if steps is None:
             raise TensorRelationError(self.tensor_check, self.field)
-        basis = self.basis
-        if basis[x].target != start:
+        if self.basis[x].target != start:
             return None
         for a in word:
             y = steps.get((x, a))
-            if y is None:
-                (w,) = self.groebner.reduce(
-                    {basis[x].arrows + (a,): self.field.one})
-                y = steps[x, a] = self.word_index[w]
-            x = y
+            x = self._fill(x, a) if y is None else y
         return x
+
+    def _fill(self, x, a):
+        """Fill the step (basis class x, arrow a) of the table from the
+        certified rules, and return it.  The basis word w of x contains no
+        tip, so w*a holds a tip only as a suffix.  If it holds none, w*a is
+        a basis word.  Else w*a = u*t for the tip t with rule t -> r, and
+        the step is the class of u, a prefix of w and so a basis word,
+        walked along r through the table.  A certified rule rewrites its
+        tip to a smaller word, and the order is compatible with
+        composition, so every step that walk fills has a smaller word than
+        w*a.  A step is never filled inside its own filling, so the
+        recursion ends even on rules that are neither confluent nor
+        decreasing.  Raises RewriteError if a rule's right side cannot be
+        walked from u's class to where w*a ends, or leads back to the step
+        being filled."""
+        p = self.basis[x]
+        w = p.arrows + (a,)
+        if self._source.get(a) != p.target:
+            raise RewriteError(w, "is not a path")
+        y = self.word_index.get(w)
+        if y is None:
+            # the basis is the paths whose prefixes end in no tip
+            rules, n = self.groebner.rules, len(w)
+            t = next(w[n - k:] for k in self.groebner.lengths
+                     if k <= n and w[n - k:] in rules)
+            (r,) = rules[t]
+            u = w[:n - len(t)]
+            filling = self._filling
+            if (x, a) in filling:
+                raise RewriteError(w, "is rewritten back to itself")
+            filling.add((x, a))
+            try:
+                y = self._walk(self.word_index[u] if u
+                               else self.idempotent_index[p.source],
+                               self._source.get(r[0]) if r else None, r)
+            finally:
+                filling.discard((x, a))
+            if y is None or self.basis[y].target != self._target[a]:
+                raise RewriteError(w, f"ends in the tip {'*'.join(t)}, "
+                                      f"whose rule's right side "
+                                      f"{'*'.join(r)} cannot be walked "
+                                      f"from {'*'.join(u) or p.source}")
+        self._steps[x, a] = y
+        return y
 
     # -- basic queries -------------------------------------------------
 
     def dim_pair(self, n, m):
         return len(self.pair_indices.get((n, m), []))
-
-    def nf_path(self, p):
-        """The basis class of the residue of a path: an index.  Raises
-        QuiverError unless p is a path of the quiver."""
-        self._check_path(p)
-        return self._walk(self.idempotent_index[p.source], p.source, p.arrows)
 
     def product_indices(self, i, j):
         """Structure constants: (basis class i) * (basis class j), a basis
@@ -436,6 +476,18 @@ class QuotientCertificateError(ValueError):
                    f"generator {witness.pretty(field)} fails the "
                    f"{check.failed_test} test")
         super().__init__(f"{self.stage} certificate failed: {why}")
+
+
+class RewriteError(QuotientCertificateError):
+    """A step of the table that the certified rules cannot fill: the word
+    `witness`, a basis word followed by an arrow, is no path, or it ends in
+    a tip whose rule cannot be walked or rewrites it back to itself.
+    `groebner_basis` gives no such rule; a wrong one can."""
+
+    def __init__(self, word, why):
+        self.witness = word
+        ValueError.__init__(self, f"{self.stage} certificate failed: the "
+                                  f"word {'*'.join(word)} {why}")
 
 
 def certify_quotient(alg, check):

@@ -25,8 +25,8 @@ from dataclasses import FrozenInstanceError, dataclass
 # Lifting the budget waits for a budget of its own on `reconstruct`.  Its
 # checks run over the (basis class, arrow) pairs of the quotient and the
 # relation images of its probes, not over pairs of classes: with the
-# budget lifted, `assemble_A` took 0.15 s on P^6 = beil(6,7) (dimension
-# 3003) and 0.86 s on P^7 (dimension 11440), in-process, best of 5 and 3
+# budget lifted, `assemble_A` took 0.10 s on P^6 = beil(6,7) (dimension
+# 3003) and 0.51 s on P^7 (dimension 11440), in-process, best of 5 and 3
 # runs on a 2-core x86-64 Xeon with Python 3.11.7.
 MAX_PATHS = 2048
 
@@ -221,22 +221,6 @@ class Path(_Record):
             return NotImplemented
         return (self.arrows == other.arrows and self.source == other.source
                 and self.target == other.target)
-
-    @classmethod
-    def trivial(cls, v):
-        return cls(v, v, ())
-
-    @classmethod
-    def from_arrows(cls, arrows):
-        arrows = list(arrows)
-        if not arrows:
-            raise QuiverError("empty arrow list; use Path.trivial")
-        for a, b in zip(arrows, arrows[1:]):
-            if a.target != b.source:
-                raise QuiverError(
-                    f"arrows {a.label} and {b.label} do not compose")
-        return cls(arrows[0].source, arrows[-1].target,
-                   tuple(a.label for a in arrows))
 
     @property
     def is_trivial(self):

@@ -13,10 +13,13 @@ a disagreement.  The algebra A is the quotient's basis classes, so
 `assemble_A` returns only its verdict, the dimension of A is
 `PathAlgebra.dim`, and `center_and_z` reads the quotient.  By Yoneda the
 transformations F_n => F_m are Hom(M_m, M_n) = M_n(m), and a basis class
-acts on a probe by pushing its generator along the class's word.  The quotient side reads basis indices
-only: a product of two classes, an arrow step and the class of an arrow
-are each one index (`PathAlgebra.product_indices`, `arrow_step`,
-`nf_path`), and only `PathAlgebra.product` and the probe evaluator sum.
+acts on a probe by pushing its generator along the class's word, which
+`assemble_A` does one arrow at a time from the vector of the class's
+prefix.  The quotient side reads basis indices only: a product of two
+classes and an arrow step are each one index, walked through the step
+table that the certified rules fill (`PathAlgebra.product_indices`,
+`arrow_step`), the class of an arrow is its step from the idempotent of
+its source, and only `PathAlgebra.product` and the probe evaluator sum.
 
 Product convention: for transformations alpha: F_n => F_m and
 beta: F_m => F_l, the algebra product alpha * beta is the composite
@@ -33,7 +36,6 @@ from .complexes import (BoundedComplex, cohomology_at, eval_functor,
                         induced_on_cohomology)
 from .linalg import Echelon, Matrix, combine, sparse_kernel
 from .path_algebra import require_tensor_relations
-from .quiver import Path
 from .repcat import Probe, simple_object
 from .spectrum import prime_at
 
@@ -234,8 +236,11 @@ def assemble_A(alg):
     transformations F_n => F_m are the basis classes of e_n kQ/(R) e_m; by
     Yoneda, Hom(M_m, M_n) is M_n(m), since M_m is projective, and a class
     x from n to m acts on the probe by sending the generator e_n along x's
-    word.  Exact equality
-    throughout; refuses non-tensor relations.
+    word: x's vector.  The basis words are closed under prefixes, and a
+    prefix comes earlier in basis order, so each class's vector is its
+    prefix class's vector pushed along its last arrow (`Probe.walk`): one
+    arrow per class.  Exact equality throughout; refuses non-tensor
+    relations.
 
     - `dimensions_match`: dim e_n kQ/(R) e_m is dim M_n(m) for every pair.
     - `round_trip_identity`: the word of every basis class is a basis
@@ -257,11 +262,18 @@ def assemble_A(alg):
                   for n in vertices for m in vertices)
 
     round_trip = constants_ok = True
-    one, basis = alg.field.one, alg.basis
+    one, basis, word_index = alg.field.one, alg.basis, alg.word_index
+    vectors = []
     for x, p in enumerate(basis):
-        n = p.source
-        vec = probe[n].walk(p.arrows)
-        if vec != {p.arrows: one}:
+        n, w = p.source, p.arrows
+        if w:
+            prefix = (word_index[w[:-1]] if len(w) > 1
+                      else alg.idempotent_index[n])
+            vec = probe[n].walk(w[-1:], vectors[prefix])
+        else:
+            vec = {(): one}
+        vectors.append(vec)
+        if vec != {w: one}:
             round_trip = False
         for a in alg.quiver.arrows_from(p.target):
             step = basis[alg.arrow_step(x, a.label)]
@@ -296,17 +308,21 @@ def _commutant(alg, unknowns, generators):
     unknowns[r]) commuting with every basis class of `generators`: one
     `sparse_kernel` group per generator b, whose terms are the classes
     of x * b - b * x, so the rows are filled without a `combine` per
-    unknown.  Two classes that do not compose give no term."""
-    one = alg.field.one
+    unknown.  Two classes compose only where one ends and the other
+    starts, so a group visits only the unknowns that end where b starts
+    and those that start where b ends."""
+    one, basis = alg.field.one, alg.basis
+    ending, starting = {}, {}
+    for r, i in enumerate(unknowns):
+        ending.setdefault(basis[i].target, []).append((r, i))
+        starting.setdefault(basis[i].source, []).append((r, i))
 
     def commutator(b):
-        for r, i in enumerate(unknowns):
-            k = alg.product_indices(i, b)
-            if k is not None:
-                yield r, one, {k: one}
-            k = alg.product_indices(b, i)
-            if k is not None:
-                yield r, -one, {k: one}
+        p = basis[b]
+        for r, i in ending.get(p.source, ()):
+            yield r, one, {alg.product_indices(i, b): one}
+        for r, i in starting.get(p.target, ()):
+            yield r, -one, {alg.product_indices(b, i): one}
 
     return sparse_kernel(len(unknowns), alg.field, map(commutator, generators))
 
@@ -336,8 +352,10 @@ def center_and_z(alg):
     tested against the commutant's span, so both can fail."""
     quiver, field, d = alg.quiver, alg.field, alg.dim
 
-    arrows = [alg.nf_path(Path.from_arrows([a])) for a in quiver.arrows]
-    diagonal = sorted(alg.idempotent_index.values())
+    idempotent = alg.idempotent_index
+    arrows = [alg.arrow_step(idempotent[a.source], a.label)
+              for a in quiver.arrows]
+    diagonal = sorted(idempotent.values())
     center_basis = [{diagonal[r]: c for r, c in y.items()}
                     for y in _commutant(alg, diagonal, arrows)]
 

@@ -370,15 +370,20 @@ class Probe:
     def relation_images(self, relations, col):
         """The images x * r of the `relations`, which end at one vertex, in
         the direct sum there, whose columns `col` numbers by word: one
-        sparse row per relation r and basis vector x at r's source."""
+        sparse row per relation r and basis vector x at r's source.  The
+        terms are summed in place, not by `combine`: only `Echelon.add`
+        reads a row, and it brings each entry to canonical form."""
         field = self.field
+        one = field.one
         for r in relations:
+            terms = [(c, p.arrows[:-1], p.arrows[-1:]) for c, p in r.terms]
             for x in self.words.get(r.source, ()):
-                start = {x: field.one}
-                yield combine(
-                    ((c, {col[y + p.arrows[-1:]]: d
-                          for y, d in self.walk(p.arrows[:-1], start).items()})
-                     for c, p in r.terms), field)
+                row = {}
+                for c, prefix, last in terms:
+                    for y, d in self.walk(prefix, {x: one}).items():
+                        k = col[y + last]
+                        row[k] = row[k] + c * d if k in row else c * d
+                yield field.nonzero(row.items())
 
     def dim(self, v):
         return len(self.words.get(v, ()))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quivertt.dsl import parse_quiver, parse_quiver_file
 from quivertt.fields import QQ, PrimeField
 from quivertt.linalg import Matrix
-from quivertt.quiver import Relation
+from quivertt.quiver import Path as QuiverPath, QuiverError, Relation
 from quivertt.repcat import RepMorphism
 
 import fields_oracle
@@ -51,6 +51,20 @@ def beilinson_text(m, length):
 
 def load_beilinson(m, length):
     return parse_quiver(beilinson_text(m, length))
+
+
+def path_from_arrows(arrows):
+    """The path along the non-empty list `arrows`; raises QuiverError if
+    two neighbours do not compose.  The library names a path by its ends
+    and its word only."""
+    arrows = list(arrows)
+    if not arrows:
+        raise QuiverError("empty arrow list")
+    for a, b in zip(arrows, arrows[1:]):
+        if a.target != b.source:
+            raise QuiverError(f"arrows {a.label} and {b.label} do not compose")
+    return QuiverPath(arrows[0].source, arrows[-1].target,
+                      tuple(a.label for a in arrows))
 
 
 def relation_from_terms(terms):

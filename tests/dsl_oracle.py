@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 
 from quivertt.fields import QQ, FieldError, field_by_name
-from quivertt.quiver import Arrow, Path, Quiver, QuiverError
+from quivertt.quiver import Arrow, Quiver, QuiverError
 
-from conftest import relation_from_terms
+from conftest import path_from_arrows, relation_from_terms
 
 
 class ParseError(ValueError):
@@ -136,7 +136,7 @@ def _parse_relation(line, spec, pos_lookup):
                 raise line.error(f"unknown arrow {lab!r}", start)
             arrows.append(pos_lookup[lab])
         try:
-            path = Path.from_arrows(arrows)
+            path = path_from_arrows(arrows)
         except QuiverError as exc:
             raise line.error(str(exc), start)
         terms.append((field(sign * coeff), path))

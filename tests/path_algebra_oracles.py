@@ -17,7 +17,8 @@ normal forms as {basis index: c} dicts, each word reduced by the Groebner
 basis in one go, as the library did before a tensor quotient's normal
 form became one class index; they serve any quotient, tensor or not.
 `combine_product` is `PathAlgebra.product` as one `linalg.combine` of
-those dicts for every input.
+those dicts for every input.  `nf_path` reads a path's class off the
+library's step table.
 `first_reads` gives, for each reader of the quotient's listed basis, what
 it must return, read off `quotient_oracle`'s build.
 `groebner_basis_oracle` is Buchberger's loop as it was before the tips
@@ -37,6 +38,7 @@ from quivertt.path_algebra import GroebnerBasis, TensorRelationError
 from quivertt.quiver import (Path, QuiverError, Relation, admissible_order,
                              enumerate_paths, full_subquiver)
 
+from conftest import path_from_arrows
 from fields_oracle import oracle_field
 from linalg_oracles import RREFEchelonOracle, solve_many_oracle
 
@@ -231,6 +233,16 @@ def nf_path_oracle(alg, p):
     return {alg.idempotent_index[p.source]: alg.field.one}
 
 
+def nf_path(alg, p):
+    """The basis class of the residue of the path p of the tensor quotient
+    `alg`, an index, walked from the idempotent of p's source through the
+    algebra's step table; `PathAlgebra.nf_path` as the library had it
+    before `center_and_z` took each arrow's class as one `arrow_step`.
+    Raises QuiverError unless p is a path of the quiver."""
+    alg._check_path(p)
+    return alg._walk(alg.idempotent_index[p.source], p.source, p.arrows)
+
+
 def product_indices_oracle(alg, i, j):
     """(basis class i) * (basis class j) as {basis index: c}: the normal
     form of the joined word, {} if the two classes do not compose.  On a
@@ -306,11 +318,11 @@ def first_reads(quiver, want, tensor):
 
     arrows = quiver.arrows
     steps = {
-        "nf_path": (lambda alg: [alg.nf_path(p) for p in paths],
+        "nf_path": (lambda alg: [nf_path(alg, p) for p in paths],
                     lambda: [index(p) for p in paths]),
         "arrow_step": (lambda alg: [alg.arrow_step(x, a.label)
                                     for x in range(d) for a in arrows],
-                       lambda: [walked(basis[x], Path.from_arrows([a]))
+                       lambda: [walked(basis[x], path_from_arrows([a]))
                                 for x in range(d) for a in arrows]),
         "product_indices": (lambda alg: [alg.product_indices(i, j)
                                          for i in range(d) for j in range(d)],
@@ -326,7 +338,7 @@ def first_reads(quiver, want, tensor):
                        [(p.arrows, gi) for p, gi in want.basis_index.items()
                         if p.arrows]),
         "idempotent_index": (lambda alg: list(alg.idempotent_index.items()),
-                             [(v, want.basis_index[Path.trivial(v)])
+                             [(v, want.basis_index[Path(v, v, ())])
                               for v in verts]),
         "dim": (lambda alg: alg.dim, d),
         "dim_pair": (lambda alg: [alg.dim_pair(n, m) for n, m in pairs],

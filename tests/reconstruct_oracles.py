@@ -35,7 +35,7 @@ from quivertt.quiver import Path
 from quivertt.reconstruct import CenterReport, IsomorphismVerdict
 from quivertt.repcat import Representation, hom_space, unit_object
 
-from conftest import id_morphism
+from conftest import id_morphism, path_from_arrows
 from fields_oracle import oracle_field
 from linalg_oracles import kernel_basis_oracle
 from path_algebra_oracles import (combine_product, nf_path_oracle,
@@ -246,7 +246,7 @@ def two_stage_center_oracle(alg):
     over the basis of `idempotent_commutant_oracle`, mapped back."""
     field = alg.field
     stage1 = idempotent_commutant_oracle(alg)
-    arrows = [nf_path_oracle(alg, Path.from_arrows([a]))
+    arrows = [nf_path_oracle(alg, path_from_arrows([a]))
               for a in alg.quiver.arrows]
     return [combine(((c, stage1[r]) for r, c in y.items()), field)
             for y in commutant_oracle(alg, stage1, arrows)]
@@ -321,7 +321,7 @@ def center_and_z_oracle(alg):
     require_tensor_relations(alg)
     quiver, field, d = alg.quiver, alg.field, alg.dim
 
-    arrows = [nf_path_oracle(alg, Path.from_arrows([a])) for a in quiver.arrows]
+    arrows = [nf_path_oracle(alg, path_from_arrows([a])) for a in quiver.arrows]
     diagonal = [i for i, p in enumerate(alg.basis) if p.source == p.target]
     center_basis = [{diagonal[r]: c for r, c in y.items()}
                     for y in commutant_oracle(

@@ -9,7 +9,7 @@ from quivertt.complexes import (BoundedComplex, direct_sum_complex,
                                 eval_functor, support, tensor_complex)
 from quivertt.path_algebra import (PathAlgebra, compatibility,
                                    is_tensor_relations)
-from quivertt.quiver import Path, Relation, admissible_order
+from quivertt.quiver import Relation, admissible_order
 from quivertt.randgen import (random_commutativity_relations, random_complex,
                               random_ordered_quiver, random_representation,
                               random_tensor_quiver, representation_menu)
@@ -22,7 +22,8 @@ from quivertt.spectrum import (IdealDescriptor, contains, ideal_of,
                                presheaf_sections, prime_at, sheaf_sections,
                                spc)
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
+from conftest import (FIXTURE_DIR, FIXTURE_NAMES, load_fixture,
+                      path_from_arrows)
 from spectrum_oracles import is_prime, is_unit
 
 SEED = 1789
@@ -231,7 +232,7 @@ def test_criterion_9_tensor_relations_checker():
         alg = PathAlgebra(spec.quiver, spec.relations)
         assert is_tensor_relations(alg).ok
     chain4 = load_fixture("chain4")
-    p = Path.from_arrows([chain4.quiver.arrow("a"), chain4.quiver.arrow("b")])
+    p = path_from_arrows([chain4.quiver.arrow("a"), chain4.quiver.arrow("b")])
     bad = PathAlgebra(chain4.quiver, (Relation("1", "3", ((QQ.one, p),)),))
     check = is_tensor_relations(bad)
     assert not check.ok and check.failed_test == "unit"

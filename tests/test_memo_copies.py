@@ -5,9 +5,10 @@ against changes to what they return; and the memos they rest on.  Every
 arrow image of the probes that `reconstruct` builds, which `Probe.act`
 hands out for a basis vector with coefficient one, has nonzero canonical
 values.  On a tensor quotient every entry of the step table, (basis
-class, arrow) -> basis class, is an index, the class of the class's word
-followed by the arrow; on any other quotient the table stays empty and
-`product` and `arrow_step` refuse."""
+class, arrow) -> basis class, which the certified rules fill, is the
+class that the Groebner reduction of the class's word followed by the
+arrow gives, and no step reduces a polynomial; on any other quotient the
+table stays empty and `product` and `arrow_step` refuse."""
 
 import functools
 import random
@@ -17,13 +18,16 @@ from pathlib import Path
 import pytest
 
 from quivertt import reconstruct
+from quivertt.cli import run_command
 from quivertt.dsl import parse_quiver_file
 from quivertt.fields import QQ, PrimeField
-from quivertt.path_algebra import PathAlgebra, TensorRelationError
+from quivertt.path_algebra import (GroebnerBasis, PathAlgebra,
+                                   TensorRelationError)
 from quivertt.randgen import random_tensor_quiver
 from quivertt.reconstruct import ProbeEvaluator, assemble_A, center_and_z
 
-from conftest import FIXTURE_NAMES, is_element, load_fixture
+from conftest import (FIXTURE_DIR, FIXTURE_NAMES, is_element,
+                      load_beilinson, load_fixture)
 from fields_oracle import oracle_field
 from path_algebra_oracles import combine_product, word_nf_oracle
 
@@ -60,19 +64,26 @@ def field_id(field):
     return f"oracle{field}" if field is ORACLE_F101 else str(field)
 
 
-def instances(fields):
-    """(maker, argument, field) for the fixtures, the specs and seeded
-    random quivers over each of `fields`, so that collecting builds
-    nothing."""
+def beilinson_instance(shape):
+    spec = load_beilinson(*shape)
+    return spec.quiver, spec.relations
+
+
+def instances(fields, seeds=RANDOM_SEEDS, shapes=()):
+    """(maker, argument, field) for the fixtures, the specs, seeded random
+    quivers and the Beilinson chains beil(m, L) of `shapes` over each of
+    `fields`, so that collecting builds nothing."""
     for field in fields:
         makers = [(fixture_instance, name) for name in FIXTURE_NAMES]
         makers += [(spec_instance, name)
                    for name, moduli in SPEC_MODULI.items()
                    if getattr(field, "p", None) in moduli]
-        makers += [(random_instance, seed) for seed in RANDOM_SEEDS]
+        makers += [(random_instance, seed) for seed in seeds]
+        makers += [(beilinson_instance, shape) for shape in shapes]
         for make, arg in makers:
+            name = "beil{}_{}".format(*arg) if isinstance(arg, tuple) else arg
             yield pytest.param(make, arg, field,
-                               id=f"{arg}-{field_id(field)}")
+                               id=f"{name}-{field_id(field)}")
 
 
 def coefficients(field):
@@ -198,17 +209,6 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
         assert len(probes) == len(alg.quiver.vertices)
         for probe in probes:
             assert_canonical_memo(probe.steps, field)
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                alg.product({i: field.one}, {j: field.one})
-        # every step of the table is the class of the joined word, and an
-        # arrow step reads it
-        for (x, label), y in alg._steps.items():
-            word = alg.basis[x].arrows + (label,)
-            assert word_nf_oracle(alg, word) == {y: field.one}, (x, label)
-            assert alg.arrow_step(x, label) == y
-        assert len(alg._steps) == sum(
-            len(alg.quiver.arrows_from(p.target)) for p in alg.basis)
     # the probes an evaluator builds, one per vertex, after it has
     # evaluated every class
     evaluator = ProbeEvaluator(alg)
@@ -216,3 +216,67 @@ def test_memo_entries_are_canonical(make, arg, field, monkeypatch):
         evaluator.yoneda({i: field.one}, p.source)
     for n in alg.quiver.vertices:
         assert_canonical_memo(evaluator.probe(n).steps, field)
+
+
+# the step table against the Groebner reduction: the fixtures, the specs,
+# 100 seeded random quivers and beil(m, L) for m <= 3 and L <= 5
+TABLE_SEEDS = range(100)
+TABLE_SHAPES = [(m, length) for m in range(4) for length in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "make, arg, field",
+    list(instances((QQ, F2, F101), TABLE_SEEDS, TABLE_SHAPES)))
+def test_step_table_matches_the_reduction(make, arg, field):
+    # the certified rules fill the table through the table itself; after
+    # every reader of the quotient has run, each entry is the class that
+    # the Groebner reduction of the class's word followed by the arrow
+    # gives, and the table holds one entry per (basis class, arrow out of
+    # its target) pair
+    alg = PathAlgebra(*make(arg), field)
+    if not alg.tensor_check.ok:
+        assert alg._steps is None
+        return
+    assemble_A(alg)
+    center_and_z(alg)
+    one = field.one
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            alg.product({i: one}, {j: one})
+    steps = alg._steps
+    assert len(steps) == sum(len(alg.quiver.arrows_from(p.target))
+                             for p in alg.basis)
+    for (x, label), y in steps.items():
+        assert alg.basis[x].target == alg.quiver.arrow(label).source
+        word = alg.basis[x].arrows + (label,)
+        assert word_nf_oracle(alg, word) == {y: one}, (x, label)
+
+
+class ReducedAfterTheBuild(AssertionError):
+    pass
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_reconstruct_reduces_no_polynomial_after_the_build(name,
+                                                           monkeypatch):
+    # the build reduces the relations for the tensor check; after it no
+    # step of the table reduces a polynomial, and the report is unchanged
+    path = str(FIXTURE_DIR / f"{name}.quiver")
+    want = run_command(["reconstruct", path])
+    assert want[1] == 0
+    real_init = PathAlgebra.__init__
+    algebras = []
+
+    def refuse(self, poly):
+        raise ReducedAfterTheBuild(poly)
+
+    def built(self, *args):
+        real_init(self, *args)
+        monkeypatch.setattr(GroebnerBasis, "reduce", refuse)
+        algebras.append(self)
+
+    monkeypatch.setattr(PathAlgebra, "__init__", built)
+    assert run_command(["reconstruct", path]) == want
+    (alg,) = algebras
+    with pytest.raises(ReducedAfterTheBuild):
+        alg.groebner.reduce({})

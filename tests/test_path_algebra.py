@@ -14,8 +14,8 @@ from quivertt.randgen import random_tensor_quiver
 from quivertt.reconstruct import assemble_A, rational_points
 from quivertt.spectrum import presheaf_sections, sheaf_sections, spc
 
-from conftest import FIXTURE_NAMES, load_fixture
-from path_algebra_oracles import (first_reads, module_map_oracle,
+from conftest import FIXTURE_NAMES, load_fixture, path_from_arrows
+from path_algebra_oracles import (first_reads, module_map_oracle, nf_path,
                                   quotient_oracle, right_mult_oracle)
 from test_source_lint import LISTED
 
@@ -63,7 +63,7 @@ class TestBasis:
         alg = PathAlgebra(fixture_spec.quiver, fixture_spec.relations,
                           fixture_spec.field)
         for gen in fixture_spec.relations:
-            assert combine(((c, {alg.nf_path(p): alg.field.one})
+            assert combine(((c, {nf_path(alg, p): alg.field.one})
                             for c, p in gen.terms), alg.field) == {}
 
     def test_prime_field_quotient(self):
@@ -116,9 +116,9 @@ class TestProduct:
         spec = load_fixture("square")
         alg = PathAlgebra(spec.quiver, spec.relations)
         # cached normal forms of the same words must not let them through
-        alg.nf_path(Path("1", "4", ("a", "b")))
+        nf_path(alg, Path("1", "4", ("a", "b")))
         with pytest.raises(QuiverError, match="does not belong"):
-            alg.nf_path(path)
+            nf_path(alg, path)
 
     def test_relation_outside_the_quiver_is_refused(self):
         spec = load_fixture("square")
@@ -131,8 +131,8 @@ class TestProduct:
         spec = load_fixture("square")
         alg = PathAlgebra(spec.quiver, spec.relations)
         q = spec.quiver
-        ab = alg.nf_path(Path.from_arrows([q.arrow("a"), q.arrow("b")]))
-        cd = alg.nf_path(Path.from_arrows([q.arrow("c"), q.arrow("d")]))
+        ab = nf_path(alg, path_from_arrows([q.arrow("a"), q.arrow("b")]))
+        cd = nf_path(alg, path_from_arrows([q.arrow("c"), q.arrow("d")]))
         assert ab == cd and alg.basis[ab].arrows in (("a", "b"), ("c", "d"))
 
 
@@ -144,7 +144,7 @@ class TestTensorCriterion:
     def test_single_path_fails_unit(self):
         spec = load_fixture("chain4")
         q = spec.quiver
-        p = Path.from_arrows([q.arrow("a"), q.arrow("b")])
+        p = path_from_arrows([q.arrow("a"), q.arrow("b")])
         alg = PathAlgebra(q, (Relation("1", "3", ((QQ.one, p),)),))
         check = is_tensor_relations(alg)
         assert not check.ok and check.failed_test == "unit"
@@ -153,7 +153,7 @@ class TestTensorCriterion:
         # x0 - x1 + x2 - x3 on the 4-arrow Kronecker quiver: coefficient
         # sum vanishes but the diagonal tensor does not
         q = kronecker(4)
-        terms = tuple((QQ((-1) ** i), Path.from_arrows([q.arrow(f"x{i}")]))
+        terms = tuple((QQ((-1) ** i), path_from_arrows([q.arrow(f"x{i}")]))
                       for i in range(4))
         alg = PathAlgebra(q, (Relation("1", "2", terms),))
         check = is_tensor_relations(alg)
@@ -161,8 +161,8 @@ class TestTensorCriterion:
 
     def test_commutativity_difference_passes(self):
         q = kronecker(2)
-        terms = ((QQ.one, Path.from_arrows([q.arrow("x0")])),
-                 (-QQ.one, Path.from_arrows([q.arrow("x1")])))
+        terms = ((QQ.one, path_from_arrows([q.arrow("x0")])),
+                 (-QQ.one, path_from_arrows([q.arrow("x1")])))
         alg = PathAlgebra(q, (Relation("1", "2", terms),))
         assert is_tensor_relations(alg).ok
 
@@ -170,7 +170,7 @@ class TestTensorCriterion:
 def single_path_algebra():
     """chain4 over QQ with the relation a*b, which fails the unit test."""
     q = load_fixture("chain4").quiver
-    p = Path.from_arrows([q.arrow("a"), q.arrow("b")])
+    p = path_from_arrows([q.arrow("a"), q.arrow("b")])
     return PathAlgebra(q, (Relation("1", "3", ((QQ.one, p),)),))
 
 

@@ -6,13 +6,15 @@ import pytest
 
 import quivertt
 from quivertt import complexes
+from quivertt.path_algebra import Presentation
 from quivertt.quiver import (MAX_PATHS, Arrow, NotOrdered, Path, Quiver,
                              QuiverError, Relation, ResourceBudget,
                              admissible_order, count_paths, enumerate_paths,
                              full_subquiver)
 from quivertt.randgen import random_ordered_quiver
 
-from conftest import FIXTURE_NAMES, load_beilinson, load_fixture
+from conftest import (FIXTURE_NAMES, load_beilinson, load_fixture,
+                      path_from_arrows)
 
 
 def count_paths_dfs(quiver, src, tgt):
@@ -101,9 +103,12 @@ class TestAdmissibleOrder:
 
 class TestPath:
     def test_non_composable_arrows_rejected(self):
+        # a path is named by its ends and its word; a presentation refuses
+        # a word whose arrows do not compose
         q = chain(4)
-        with pytest.raises(QuiverError):
-            Path.from_arrows([q.arrow("a1"), q.arrow("a3")])
+        p = Path("1", "4", ("a1", "a3"))
+        with pytest.raises(QuiverError, match="does not belong"):
+            Presentation(q, (Relation("1", "4", ((1, p),)),))
 
 
 P13 = Path("1", "3", ("a1", "a2"))
@@ -114,8 +119,8 @@ RECORDS = {
     "path": (P13, ("source", "target", "arrows"),
              [Path("0", "3", ("a1", "a2")), Path("1", "4", ("a1", "a2")),
               Path("1", "3", ("a1",))], "Path(1->3: a1*a2)"),
-    "trivial-path": (Path.trivial("1"), ("source", "target", "arrows"),
-                     [Path.trivial("2"), Path("1", "2")], "Path(1->1: e_1)"),
+    "trivial-path": (Path("1", "1", ()), ("source", "target", "arrows"),
+                     [Path("2", "2", ()), Path("1", "2")], "Path(1->1: e_1)"),
     "arrow": (Arrow("a", "1", "2"), ("label", "source", "target"),
               [Arrow("b", "1", "2"), Arrow("a", "0", "2"),
                Arrow("a", "1", "3")],
@@ -242,18 +247,18 @@ class TestRelation:
     def test_homogeneity_enforced(self):
         q = Quiver(("1", "2", "3"),
                    (Arrow("a", "1", "2"), Arrow("b", "1", "3")))
-        pa = Path.from_arrows([q.arrow("a")])
-        pb = Path.from_arrows([q.arrow("b")])
+        pa = path_from_arrows([q.arrow("a")])
+        pb = path_from_arrows([q.arrow("b")])
         with pytest.raises(QuiverError):
             Relation("1", "2", ((1, pa), (-1, pb)))
 
     def test_trivial_path_rejected(self):
         with pytest.raises(QuiverError):
-            Relation("1", "1", ((1, Path.trivial("1")),))
+            Relation("1", "1", ((1, Path("1", "1", ())),))
 
     def test_pretty(self):
         q = chain(3)
-        p = Path.from_arrows([q.arrow("a1"), q.arrow("a2")])
+        p = path_from_arrows([q.arrow("a1"), q.arrow("a2")])
         r = Relation("1", "3", ((1, p), (-1, p)))
         assert r.pretty() == "a1*a2 - a1*a2"
 

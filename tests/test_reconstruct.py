@@ -1,13 +1,16 @@
+import re
+
 import pytest
 
-from quivertt import path_algebra, reconstruct, repcat
+from quivertt import path_algebra, quiver, reconstruct, repcat
 from quivertt.cli import run_command
 from quivertt.fields import QQ, PrimeField
 from quivertt.complexes import (BoundedComplex, ChainMap,
                                 induced_cohomology_map)
 from quivertt.dsl import parse_quiver_file
 from quivertt.path_algebra import (PathAlgebra, Presentation,
-                                   QuotientCertificateError, module_hom_space)
+                                   QuotientCertificateError, RewriteError,
+                                   module_hom_space)
 from quivertt.quiver import list_paths
 from quivertt.randgen import (random_complex, random_representation,
                               random_tensor_quiver, representation_menu)
@@ -213,17 +216,19 @@ class TestAssembleA:
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_doubled_module_map_clears_round_trip(self, monkeypatch):
-        # the generator pushed along an arrow's word lands on twice that
-        # word's vector, while each arrow still acts as the quotient's
-        # arrow step: the module map M_m -> M_n of the arrow class is
-        # doubled, and only the round trip sees it
+        # the vector of the leaf class x0, the generator pushed along its
+        # one arrow, lands on twice that word's vector, while each arrow
+        # still acts as the quotient's arrow step: the module map
+        # M_m -> M_n of the arrow class is doubled, and only the round trip
+        # sees it.  A class's vector is its prefix class's vector walked
+        # along its last arrow, and no arrow acts on the leaf's vector
         real = repcat.Probe.walk
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
         def doubled(self, word, start=None):
             vec = real(self, word, start)
-            if start is None and word == (arrow.label,):
+            if start == {(): self.field.one} and word == (arrow.label,):
                 return {g: c + c for g, c in vec.items()}
             return vec
 
@@ -262,16 +267,17 @@ class TestAssembleA:
 
     def test_module_map_outside_its_pair_clears_round_trip(self,
                                                            monkeypatch):
-        # the generator pushed along an arrow's word picks up the
-        # generator e_n itself, outside e_n Lambda e_m: the dimensions
-        # still match, and only the round trip sees it
+        # the vector of the leaf class x0, the generator pushed along its
+        # one arrow, picks up the generator e_n itself, outside
+        # e_n Lambda e_m: the dimensions still match, and only the round
+        # trip sees it
         real = repcat.Probe.walk
         spec = load_fixture("kronecker2")
         arrow = spec.quiver.arrows[0]
 
         def stray(self, word, start=None):
             vec = real(self, word, start)
-            if start is None and word == (arrow.label,):
+            if start == {(): self.field.one} and word == (arrow.label,):
                 return {**vec, (): self.field.one}
             return vec
 
@@ -310,29 +316,45 @@ class TestAssembleA:
         assert doc["isomorphic_to_path_algebra"] is False
 
     def test_checks_walk_each_class_and_step_each_arrow(self, monkeypatch):
-        # one generator walk per basis class and one quotient arrow step
-        # per (basis class, arrow out of its target) pair: the patched
-        # `walk` and `arrow_step` above see every check.  The quotient's
-        # normal forms of beilinson2 fold no longer word, so every counted
-        # `arrow_step` is a check
+        # each non-trivial class's vector is one walk along its last arrow
+        # from its prefix class's vector, so one probe `act`, and no word
+        # is walked from the generator; each (basis class, arrow out of its
+        # target) pair is one more `act` and one quotient `arrow_step`, so
+        # the patched `walk`, `act` and `arrow_step` above see every check.
+        # The quotient's normal forms of beilinson2 fold no longer word, so
+        # every counted `arrow_step` is a check.  The probe builder walks
+        # from the basis vectors of relation sources too; its calls are
+        # not counted
         alg = algebra_of(load_fixture("beilinson2"))
-        calls = {"walk": 0, "arrow_step": 0}
+        calls = {"generator walk": 0, "walk": 0, "act": 0, "arrow_step": 0}
+        building = []
 
-        def counted(owner, name, check):
+        def counted(owner, name, key):
             real = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += check(*args)
+                if not building:
+                    calls[key(*args)] += 1
                 return real(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
-        # the builder walks from the basis vectors of relation sources too
+        real_init = repcat.Probe.__init__
+
+        def init(self, *args):
+            building.append(self)
+            real_init(self, *args)
+            building.pop()
+
+        monkeypatch.setattr(repcat.Probe, "__init__", init)
         counted(repcat.Probe, "walk", lambda self, word, start=None:
-                start is None)
-        counted(PathAlgebra, "arrow_step", lambda *args: 1)
+                "walk" if start is not None else "generator walk")
+        counted(repcat.Probe, "act", lambda *args: "act")
+        counted(PathAlgebra, "arrow_step", lambda *args: "arrow_step")
+        classes = sum(1 for p in alg.basis if p.arrows)
         pairs = sum(len(alg.quiver.arrows_from(p.target)) for p in alg.basis)
         assert assemble_A(alg).isomorphic
-        assert calls == {"walk": alg.dim, "arrow_step": pairs}
+        assert calls == {"generator walk": 0, "walk": classes,
+                         "act": classes + pairs, "arrow_step": pairs}
 
     def test_beilinson_2_7_reconstructs(self, tmp_path):
         # dim 210, within the path budget
@@ -341,6 +363,22 @@ class TestAssembleA:
         doc, code = run_command(["reconstruct", str(spec)])
         assert code == 0
         assert doc["dimension"] == 210
+        assert doc["isomorphic_to_path_algebra"] is True
+        assert doc["center_dimension"] == doc["end_unit_dimension"] == 1
+
+    def test_beilinson_6_7_reconstructs_with_the_budget_lifted(
+            self, monkeypatch, tmp_path):
+        # P^6 = beil(6,7) has 160132 paths, above the budget, so the CLI
+        # refuses it; in-process, with the budget lifted, it fills a step
+        # table of 9009 entries
+        spec = tmp_path / "beil67.quiver"
+        spec.write_text(beilinson_text(6, 7))
+        doc, code = run_command(["reconstruct", str(spec)])
+        assert code == 1 and doc["error_type"] == "ResourceBudget"
+        monkeypatch.setattr(quiver, "MAX_PATHS", 160132)
+        doc, code = run_command(["reconstruct", str(spec)])
+        assert code == 0
+        assert doc["dimension"] == 3003
         assert doc["isomorphic_to_path_algebra"] is True
         assert doc["center_dimension"] == doc["end_unit_dimension"] == 1
 
@@ -362,6 +400,19 @@ def negate_rules(monkeypatch):
         return gb
 
     monkeypatch.setattr(path_algebra, "groebner_basis", negated)
+
+
+def rewrite_x1_0_x2_0(monkeypatch, rhs):
+    """The rule x1_0 * x2_0 -> rhs, `rhs` a word with coefficient 1, joins
+    the Groebner basis of beilinson2: its shape passes the certificate."""
+    real = path_algebra.groebner_basis
+
+    def extra(polys, fld):
+        gb = real(polys, fld)
+        gb.rules[("x1_0", "x2_0")] = {rhs: fld.one}
+        return gb
+
+    monkeypatch.setattr(path_algebra, "groebner_basis", extra)
 
 
 def add_extra_rule(monkeypatch):
@@ -422,7 +473,8 @@ class TestQuotientMutants:
     exits 2.  A Buchberger loop that drops its S-polynomials, or an extra
     rule of the right shape, keeps the shape of the rules; the probes are
     built from the quiver and the relations alone, so `reconstruct`
-    reports it."""
+    reports it.  Such rules fill the step table in bounded time, and a rule
+    that the table cannot walk raises RewriteError, exit 2."""
 
     @staticmethod
     def spec_file(tmp_path, name, field):
@@ -520,8 +572,12 @@ class TestQuotientMutants:
         doc, code = run_command(["validate", str(path)])
         assert code == 0 and doc["tensor_relations"] is True
         doc, code = run_command(["reconstruct", str(path)])
+        # the table fills a11*a20*a31's steps from rules that are not
+        # confluent, and every bit of the verdict comes out false
         assert code == 0
-        assert doc["verdict"]["dimensions_match"] is False
+        assert doc["verdict"] == {"dimensions_match": False,
+                                  "round_trip_identity": False,
+                                  "structure_constants_match": False}
         assert doc["isomorphic_to_path_algebra"] is False
         assert "a11*a20*a31" in doc["basis"]
 
@@ -531,14 +587,7 @@ class TestQuotientMutants:
         # the probe M_1 keeps the word x1_0 * x2_0, which the quotient
         # with the rule x1_0 * x2_0 -> x1_1 * x2_1 has no class for; the
         # rule is one word with coefficient 1, so the certificate passes
-        real = path_algebra.groebner_basis
-
-        def extra(polys, fld):
-            gb = real(polys, fld)
-            gb.rules[("x1_0", "x2_0")] = {("x1_1", "x2_1"): fld.one}
-            return gb
-
-        monkeypatch.setattr(path_algebra, "groebner_basis", extra)
+        rewrite_x1_0_x2_0(monkeypatch, ("x1_1", "x2_1"))
         spec = load_fixture("beilinson2")
         alg = PathAlgebra(spec.quiver, spec.relations, field)
         assert alg.tensor_check.ok
@@ -552,6 +601,43 @@ class TestQuotientMutants:
         assert evaluator.yoneda(first, "1") == first
         with pytest.raises(ReconstructionError, match=r"x1_0\*x2_0"):
             evaluator.compose(first, "1", second)
+
+
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    def test_extra_rule_clears_dimensions_and_constants(self, monkeypatch,
+                                                        tmp_path, field):
+        # the rule x1_0*x2_0 -> x1_1*x2_1 rewrites its tip to a larger
+        # word; the table still fills every step, and the dimensions and
+        # the structure constants come out false
+        path = self.spec_file(tmp_path, "beilinson2", field)
+        rewrite_x1_0_x2_0(monkeypatch, ("x1_1", "x2_1"))
+        doc, code = run_command(["reconstruct", str(path)])
+        assert code == 0
+        assert doc["verdict"] == {"dimensions_match": False,
+                                  "round_trip_identity": True,
+                                  "structure_constants_match": False}
+
+    @pytest.mark.parametrize("field", ["QQ", "F 101"])
+    @pytest.mark.parametrize("rhs, why", [
+        (("x2_1",), "right side x2_1 cannot be walked from 1"),
+        (("x1_1", "x1_0"), "the word x1_1*x1_0 is not a path"),
+        (("x1_0", "x2_0"), "the word x1_0*x2_0 is rewritten back to itself"),
+    ], ids=["wrong-ends", "no-path", "self"])
+    def test_rule_the_table_cannot_walk_exits_2(self, monkeypatch, tmp_path,
+                                                field, rhs, why):
+        # a rule whose right side starts or ends elsewhere, is no path, or
+        # leads back to its own tip fills no step: a named error, exit 2
+        path = self.spec_file(tmp_path, "beilinson2", field)
+        rewrite_x1_0_x2_0(monkeypatch, rhs)
+        doc, code = run_command(["reconstruct", str(path)])
+        assert code == 2
+        assert doc["error_type"] == "RewriteError"
+        assert doc["error"].startswith("quotient certificate failed")
+        assert why in doc["error"]
+        spec = parse_quiver_file(path)
+        alg = PathAlgebra(spec.quiver, spec.relations, spec.field)
+        with pytest.raises(RewriteError, match=re.escape(why)):
+            alg.arrow_step(alg.word_index[("x1_0",)], "x2_0")
 
 
 class TestCenter:

@@ -12,7 +12,7 @@ from quivertt.repcat import (Representation, RepresentationError, _split,
                              simple_object, tensor,
                              unit_filtration, unit_object)
 
-from conftest import load_fixture
+from conftest import load_fixture, path_from_arrows
 
 
 class TestRepresentation:
@@ -33,15 +33,14 @@ class TestRepresentation:
         A = Matrix(1, 2, [[1, 2]])
         B = Matrix(1, 1, [[3]])
         rep = Representation(q, {"1": 2, "2": 1, "3": 1}, {"a": A, "b": B})
-        from quivertt.quiver import Path
-        p = Path.from_arrows([q.arrow("a"), q.arrow("b")])
+        p = path_from_arrows([q.arrow("a"), q.arrow("b")])
         assert rep.path_action(p) == B @ A
 
     def test_trivial_path_acts_as_identity(self):
         spec = load_fixture("chain4")
         u = unit_object(spec.quiver)
         from quivertt.quiver import Path
-        assert u.path_action(Path.trivial("2")) == Matrix.identity(1)
+        assert u.path_action(Path("2", "2", ())) == Matrix.identity(1)
 
 
 class TestTensor:

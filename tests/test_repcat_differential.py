@@ -74,7 +74,7 @@ def test_path_action_matches_identity_start(rng):
     # a trivial path on a zero space is the 0x0 identity
     q = Quiver(("1",), ())
     rep = Representation(q, {"1": 0}, {})
-    assert rep.path_action(Path.trivial("1")) == Matrix.identity(0)
+    assert rep.path_action(Path("1", "1", ())) == Matrix.identity(0)
 
 
 HOM_FIELDS = [QQ, PrimeField(2), PrimeField(101)]

@@ -389,7 +389,7 @@ def test_the_caller_check_sees_every_form():
 # so they are built from the quiver and the relations alone: the probe
 # builder reads none of the quotient's Groebner basis, step table, normal
 # forms, structure constants or basis indices.
-QUOTIENT_ATTRIBUTES = {"groebner", "_steps", "_walk", "nf_path", "arrow_step",
+QUOTIENT_ATTRIBUTES = {"groebner", "_steps", "_walk", "_fill", "arrow_step",
                        "product_indices", "word_index", "idempotent_index"}
 PROBE_BUILDER = ("Probe",)
 # The code that reads the projective modules off the probes: it multiplies
@@ -453,7 +453,7 @@ def test_the_probe_check_sees_every_form():
 # not `dim`.
 LISTED = {"basis", "pair_indices", "word_index", "idempotent_index",
           "_list_basis", "dim",
-          "dim_pair", "nf_path", "arrow_step", "product_indices",
+          "dim_pair", "_fill", "arrow_step", "product_indices",
           "element_word", "module_basis", "_walk", "product", "idempotent"}
 CERTIFICATE_ONLY = {
     "spectrum": ("spc", "sheaf_sections", "presheaf_sections"),
