@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (Coordinates, DimensionMismatch, Echelon, Matrix,
-                     block_matrix, kronecker, sparse_kernel)
+                     block_matrix, check_grid, kronecker, sparse_kernel)
 from .quiver import ResourceBudget
 from .repcat import (RepMorphism, Representation, direct_sum, tensor,
                      zero_object)
@@ -369,7 +369,15 @@ def complex_from_json(data, quiver, field=QQ):
     canonical decimal form, a vertex key the quiver does not have, or a
     dimension that is not a non-negative JSON integer, and ResourceBudget
     when the dimensions add up to more than MAX_COMPLEX_DIM, before
-    building any matrix."""
+    building any matrix.
+
+    An entry x is the literal `str(x)`, parsed by `field.parse`.  Each
+    distinct text is parsed once per file, through a table keyed by the
+    text and never by the JSON value: `1`, `1.0` and `true` compare equal
+    in Python, yet only the first is a literal.  A grid is mapped through
+    the table, so the first bad literal in it raises before its shape is
+    checked, and its elements go into the matrix without a second
+    coercion."""
     declared = {key: rep_data.get("dims", {})
                 for key, rep_data in data.get("terms", {}).items()}
     total = 0
@@ -388,15 +396,15 @@ def complex_from_json(data, quiver, field=QQ):
         raise ResourceBudget(
             f"complex declares total dimension {total}, above the budget "
             f"of {MAX_COMPLEX_DIM}")
+    literals = _Literals(field)
     terms = {}
     for key, rep_data in data.get("terms", {}).items():
         dims = declared[key]
         maps = {}
         for label, grid in rep_data.get("arrows", {}).items():
             a = quiver.arrow(label)
-            maps[label] = Matrix(dims.get(a.target, 0), dims.get(a.source, 0),
-                                 [[field.parse(str(x)) for x in row] for row in grid],
-                                 field)
+            maps[label] = literals.matrix(
+                dims.get(a.target, 0), dims.get(a.source, 0), grid)
         terms[_degree("term", key)] = Representation(quiver, dims, maps, field)
     diffs = {}
     for key, comp_data in data.get("differentials", {}).items():
@@ -407,11 +415,28 @@ def complex_from_json(data, quiver, field=QQ):
         comps = {}
         for v in quiver.vertices:
             grid = comp_data.get(v, [])
-            comps[v] = Matrix(tgt.dims[v], src.dims[v],
-                              [[field.parse(str(x)) for x in row] for row in grid],
-                              field)
+            comps[v] = literals.matrix(tgt.dims[v], src.dims[v], grid)
         diffs[i] = RepMorphism(src, tgt, comps)
     return BoundedComplex(quiver, terms, diffs, field)
+
+
+class _Literals(dict):
+    """The field element of each literal text met so far in one file."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, text):
+        x = self[text] = self.field.parse(text)
+        return x
+
+    def matrix(self, rows, cols, grid):
+        """The `rows` x `cols` matrix of the entry grid `grid`."""
+        entries = tuple(tuple(map(self.__getitem__, map(str, row)))
+                        for row in grid)
+        check_grid(rows, cols, entries)
+        return Matrix._raw(rows, cols, entries, self.field)
 
 
 def _degree(where, key):

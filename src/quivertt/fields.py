@@ -6,8 +6,11 @@ most systems here hold cost machine-integer arithmetic, not a gcd per
 operation.  Results are not normalised after each operation: a `Fraction`
 with denominator one, such as `Fraction(1, 2) * 2`, is still a valid
 element, which compares, hashes and formats like the `int`.  The field
-normalises where it coerces (`Rationals.__call__`, `parse`), and the
-elimination and the `Matrix` constructor coerce their inputs.  Since
+normalises where it coerces (`Rationals.__call__`, `parse`).  The
+elimination coerces its inputs, and so do the two matrix constructors
+for foreign input, `Matrix(...)` and `Matrix.from_columns`; the other
+ways to make a matrix assemble entries that are canonical already (see
+`linalg`).  Since
 `int / int` is a float, no code outside this module divides field
 elements: a quotient is `field.inv(x)` times the numerator.
 

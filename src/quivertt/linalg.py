@@ -7,6 +7,17 @@ n-by-zero matrices are legal and represent maps to/from the zero space; they
 show up constantly when simple objects and extensions by zero are around, so
 nothing here assumes positive dimensions.
 
+Only two constructors coerce: `Matrix(...)` and `Matrix.from_columns`
+pass every entry through `field(x)`, for input from outside the library.
+Every other matrix is assembled from entries that are canonical field
+elements already, through `Matrix._raw` with no `field(x)` per entry:
+`zeros` and `identity` from `field.zero` and `field.one`, `block_matrix`
+by joining the rows of its blocks, `kronecker` and the arithmetic from
+`field.vector`, and `complexes.complex_from_json` from one parse per
+literal text.  `zeros` and `identity` refuse a negative shape, and
+`block_matrix` and `complex_from_json` check their grid with
+`check_grid`, as the constructor does.
+
 All elimination goes through `Echelon`, which stores its rows sparse, as
 {column: value} dicts, because the systems it solves (the relation
 images of the probes of `repcat`, Hom constraints, commutators,
@@ -57,9 +68,7 @@ class Matrix:
 
     def __init__(self, rows, cols, entries, field=QQ):
         entries = tuple(tuple(field(x) for x in row) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise DimensionMismatch(
-                f"entry grid does not match shape {rows}x{cols}")
+        check_grid(rows, cols, entries)
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -78,14 +87,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows_list, field=QQ, cols=None):
-        r = len(rows_list)
-        if r == 0 and cols is None:
-            cols = 0
-        c = cols if cols is not None else len(rows_list[0])
-        return cls(r, c, rows_list, field)
-
-    @classmethod
     def from_columns(cls, cols_list, field=QQ, rows=None):
         c = len(cols_list)
         if c == 0 and rows is None:
@@ -95,13 +96,19 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, field=QQ):
+        _check_shape(n, n)
         one, zero = field.one, field.zero
-        return cls(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)], field)
+        entries = []
+        for i in range(n):
+            row = [zero] * n
+            row[i] = one
+            entries.append(tuple(row))
+        return cls._raw(n, n, tuple(entries), field)
 
     @classmethod
     def zeros(cls, rows, cols, field=QQ):
-        zero = field.zero
-        return cls(rows, cols, [[zero] * cols for _ in range(rows)], field)
+        _check_shape(rows, cols)
+        return cls._raw(rows, cols, ((field.zero,) * cols,) * rows, field)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -181,16 +188,38 @@ class Matrix:
 
 
 def block_matrix(blocks, field=QQ):
-    """Assemble a matrix from a 2d grid of blocks (row/col counts must agree)."""
+    """Assemble a matrix over `field` from a 2d grid of blocks over it,
+    joining their rows of canonical entries; the blocks of a grid row
+    share the height of its first block, and DimensionMismatch is raised
+    unless every row of the result is as wide as the first grid row."""
     if not blocks:
         return Matrix.zeros(0, 0, field)
     rows = []
     for brow in blocks:
-        height = brow[0].rows
-        for i in range(height):
-            rows.append(tuple(x for blk in brow for x in blk.entries[i]))
+        grids = [blk.entries for blk in brow]
+        for i in range(brow[0].rows):
+            row = ()
+            for grid in grids:
+                row += grid[i]
+            rows.append(row)
     cols = sum(b.cols for b in blocks[0])
-    return Matrix.from_rows(rows, field, cols=cols)
+    check_grid(len(rows), cols, rows)
+    return Matrix._raw(len(rows), cols, tuple(rows), field)
+
+
+def check_grid(rows, cols, entries):
+    """DimensionMismatch unless `entries` is a grid of `rows` rows of
+    `cols` entries each."""
+    if len(entries) != rows or any(len(r) != cols for r in entries):
+        raise DimensionMismatch(
+            f"entry grid does not match shape {rows}x{cols}")
+
+
+def _check_shape(rows, cols):
+    """DimensionMismatch for a negative number of rows or columns."""
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch(
+            f"entry grid does not match shape {rows}x{cols}")
 
 
 def rref(m):

@@ -1,4 +1,4 @@
-"""Three functions of `complexes` as they were before, kept as
+"""Four functions of `complexes` as they were before, kept as
 differential oracles.
 
 `cohomology_at_oracle` is vertex-wise cohomology before the kernel of
@@ -16,16 +16,25 @@ degree, and each differential is assembled block by block as
 spaces before its projection was read off `linalg.Coordinates`: it
 completes the image basis and the representatives by standard vectors
 and takes the projection from the rows of the inverse of that basis, both
-from `complete_basis_oracle`."""
+from `complete_basis_oracle`.
 
-from quivertt.complexes import (BoundedComplex, ChainMap, ComplexError,
-                                GradedVectorSpace, cohomology_at)
+`complex_from_json_oracle` is the reader of complex files before it
+parsed each literal text once per file: every entry x goes through
+`field.parse(str(x))`, and the `Matrix` constructor coerces each parsed
+element again and then checks the grid's shape."""
+
+from quivertt.complexes import (MAX_COMPLEX_DIM, BoundedComplex, ChainMap,
+                                ComplexError, GradedVectorSpace,
+                                _check_vertices, _degree, cohomology_at)
+from quivertt.fields import QQ
 from quivertt.linalg import DimensionMismatch, Matrix, block_matrix
-from quivertt.repcat import RepMorphism, Representation, direct_sum
+from quivertt.quiver import ResourceBudget
+from quivertt.repcat import (RepMorphism, Representation, direct_sum,
+                             zero_object)
 
 from fields_oracle import oracle_field
 from linalg_oracles import (RREFEchelonOracle, complete_basis_oracle,
-                            kernel_basis_oracle)
+                            from_rows, kernel_basis_oracle)
 from repcat_oracles import in_oracle_field
 
 
@@ -93,9 +102,9 @@ def split_vector_complex_oracle(cx):
         reps = gvs.representatives.get(i, [])
         img = gvs.image_basis.get(i, [])
         _, inv = complete_basis_oracle(list(img) + list(reps), d, field)
-        proj = Matrix.from_rows([inv.entries[r] for r in
-                                 range(len(img), len(img) + len(reps))],
-                                field, cols=d)
+        proj = from_rows([inv.entries[r] for r in
+                          range(len(img), len(img) + len(reps))],
+                         field, cols=d)
         if reps:
             h_terms[i] = Representation(cx.quiver, {x: len(reps)}, {}, field)
         to_comps[i] = proj
@@ -108,3 +117,48 @@ def split_vector_complex_oracle(cx):
                       {i: RepMorphism(h_cx.term(i), cx.term(i), {x: from_comps[i]})
                        for i in cx.terms})
     return h_cx, to_h, from_h
+
+
+def complex_from_json_oracle(data, quiver, field=QQ):
+    declared = {key: rep_data.get("dims", {})
+                for key, rep_data in data.get("terms", {}).items()}
+    total = 0
+    for key, dims in declared.items():
+        _check_vertices(f"term {key}", dims, quiver)
+        for v, d in dims.items():
+            if type(d) is not int:
+                raise ComplexError(
+                    f"term {key}: dimension {d!r} at vertex {v} is not an "
+                    f"integer")
+            if d < 0:
+                raise ComplexError(
+                    f"term {key}: negative dimension {d} at vertex {v}")
+            total += d
+    if total > MAX_COMPLEX_DIM:
+        raise ResourceBudget(
+            f"complex declares total dimension {total}, above the budget "
+            f"of {MAX_COMPLEX_DIM}")
+    terms = {}
+    for key, rep_data in data.get("terms", {}).items():
+        dims = declared[key]
+        maps = {}
+        for label, grid in rep_data.get("arrows", {}).items():
+            a = quiver.arrow(label)
+            maps[label] = Matrix(dims.get(a.target, 0), dims.get(a.source, 0),
+                                 [[field.parse(str(x)) for x in row] for row in grid],
+                                 field)
+        terms[_degree("term", key)] = Representation(quiver, dims, maps, field)
+    diffs = {}
+    for key, comp_data in data.get("differentials", {}).items():
+        i = _degree("differential", key)
+        src = terms.get(i, zero_object(quiver, field))
+        tgt = terms.get(i + 1, zero_object(quiver, field))
+        _check_vertices(f"differential {key}", comp_data, quiver)
+        comps = {}
+        for v in quiver.vertices:
+            grid = comp_data.get(v, [])
+            comps[v] = Matrix(tgt.dims[v], src.dims[v],
+                              [[field.parse(str(x)) for x in row] for row in grid],
+                              field)
+        diffs[i] = RepMorphism(src, tgt, comps)
+    return BoundedComplex(quiver, terms, diffs, field)

@@ -24,6 +24,17 @@ from quivertt.linalg import InconsistentSystem, Matrix
 from fields_oracle import FpElement, oracle_field
 
 
+def from_rows(rows_list, field=QQ, cols=None):
+    """The matrix of the rows `rows_list`, coerced by `Matrix`; with no
+    rows its width is `cols`, or zero.  `Matrix.from_rows` until
+    `block_matrix` stopped calling it."""
+    r = len(rows_list)
+    if r == 0 and cols is None:
+        cols = 0
+    c = cols if cols is not None else len(rows_list[0])
+    return Matrix(r, c, rows_list, field)
+
+
 def exact(field, x):
     """`x` as the oracles compute with it: a `Fraction` over QQ, and an
     element of the oracle field over F_p."""
@@ -132,9 +143,9 @@ def solve_many_oracle(a, bs):
     """Particular solutions of a x = b for each b, read off the RREF of
     the augmented matrix [a | b_0 | b_1 | ...]."""
     field = a.field
-    aug = Matrix.from_rows([tuple(row) + tuple(b[i] for b in bs)
-                            for i, row in enumerate(a.entries)],
-                           field, cols=a.cols + len(bs))
+    aug = from_rows([tuple(row) + tuple(b[i] for b in bs)
+                     for i, row in enumerate(a.entries)],
+                    field, cols=a.cols + len(bs))
     red, pivots, _ = rref_oracle(aug)
     if any(p >= a.cols for p in pivots):
         raise InconsistentSystem("rhs not in column span")

@@ -37,7 +37,7 @@ from quivertt.repcat import Representation, hom_space, unit_object
 
 from conftest import id_morphism, path_from_arrows
 from fields_oracle import oracle_field
-from linalg_oracles import kernel_basis_oracle
+from linalg_oracles import from_rows, kernel_basis_oracle
 from path_algebra_oracles import (combine_product, nf_path_oracle,
                                   product_indices_oracle)
 
@@ -79,7 +79,7 @@ def module_hom_space_oracle(alg, n, m):
     constraint_rows = []
     for kappa in kernel_basis_oracle(action):
         constraint_rows.extend(_right_mult_rows(alg, n, dict(enumerate(kappa))))
-    sys_mat = Matrix.from_rows(constraint_rows, field, cols=dn)
+    sys_mat = from_rows(constraint_rows, field, cols=dn)
 
     maps = []
     for v in kernel_basis_oracle(sys_mat):
@@ -106,7 +106,7 @@ def center_basis_oracle(alg):
                 row = blocks.setdefault(gi, [field.zero] * d)
                 row[i] = row[i] - c
         rows.extend(r for r in blocks.values() if any(r))
-    vecs = kernel_basis_oracle(Matrix.from_rows(rows, field, cols=d))
+    vecs = kernel_basis_oracle(from_rows(rows, field, cols=d))
     return [{i: v[i] for i in range(d) if v[i]} for v in vecs]
 
 

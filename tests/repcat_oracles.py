@@ -21,8 +21,8 @@ from quivertt.repcat import (FiltrationStep, Representation,
                              unit_object)
 
 from fields_oracle import oracle_field
-from linalg_oracles import (complete_basis_oracle, solve_many_oracle,
-                            gauss_jordan_kernel_oracle)
+from linalg_oracles import (complete_basis_oracle, from_rows,
+                            gauss_jordan_kernel_oracle, solve_many_oracle)
 
 
 def in_oracle_field(rep):
@@ -70,7 +70,7 @@ def sub_quotient_oracle(rep, sub_bases):
         d = rep.dims[x]
         chosen, inv = complete_basis_oracle(sub_mats[x].columns(), d, field)
         comp_mats[x] = Matrix.from_columns(chosen, field, rows=d)
-        proj_mats[x] = Matrix.from_rows(
+        proj_mats[x] = from_rows(
             [inv.entries[i] for i in range(sub_mats[x].cols, d)], field, cols=d)
 
     quot_arrow = {}

@@ -316,12 +316,20 @@ class TestExitCodes:
         ('{"terms": {\n  "0": {\n    "dims": {"1": 1,}}}}', "line 3, column 21:")])
     def test_invalid_json_names_the_decoder_position(self, tmp_path, text,
                                                     where):
+        # the report passes on the position of the running interpreter's
+        # decoder; `where` is that position up to Python 3.12, and from
+        # 3.13 the decoder puts the trailing comma one column earlier
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(text)
+        at = f"line {decoded.value.lineno}, column {decoded.value.colno}:"
+        if sys.version_info < (3, 13):
+            assert at == where
         cx = tmp_path / "cx.json"
         cx.write_text(text)
         doc, code = run("support", fixture_path("kronecker2"),
                         "--complex", str(cx))
         assert code == 2 and doc["error_type"] == "ParseError"
-        assert doc["error"].startswith(where)
+        assert doc["error"].startswith(at)
         assert doc["error"].count("line") == 1
 
     def test_negative_complex_dimension_is_2(self, tmp_path):

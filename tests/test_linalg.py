@@ -12,8 +12,9 @@ from quivertt.linalg import (Coordinates, DimensionMismatch, Echelon,
 from conftest import is_element
 from fields_oracle import oracle_field
 from linalg_oracles import (RREFEchelonOracle, complete_basis_oracle,
-                            gauss_jordan_kernel_oracle, kernel_basis_oracle,
-                            matmul_oracle, rref_oracle, solve_many_oracle)
+                            from_rows, gauss_jordan_kernel_oracle,
+                            kernel_basis_oracle, matmul_oracle, rref_oracle,
+                            solve_many_oracle)
 
 
 # -- independent oracles ------------------------------------------------
@@ -366,7 +367,7 @@ def test_echelon_kernel_matches_kernel_basis(stream):
     for row in rows:
         ech.add(row)
     assert [dense(v, ncols, field) for v in ech.sparse_kernel_basis()] == \
-        kernel_basis_oracle(Matrix.from_rows(rows, field))
+        kernel_basis_oracle(from_rows(rows, field))
 
 
 @settings(max_examples=80, deadline=None)
@@ -381,7 +382,7 @@ def test_gauss_jordan_kernel_oracle_matches_kernel_basis(stream):
     got = gauss_jordan_kernel_oracle(raw, ncols, field)
     assert all(is_element(x, field) for v in got for x in v.values())
     assert [dense(v, ncols, field) for v in got] == \
-        kernel_basis_oracle(Matrix.from_rows(rows, field))
+        kernel_basis_oracle(from_rows(rows, field))
 
 
 # -- zero-skipping kernels against their dense oracles -------------------
@@ -663,7 +664,7 @@ def sparse_kernel_oracle(ncols, field, groups):
                 row = by_key.setdefault(key, [0] * ncols)
                 row[col] += c * x
         rows += by_key.values()
-    return kernel_basis_oracle(Matrix.from_rows(rows, field, cols=ncols))
+    return kernel_basis_oracle(from_rows(rows, field, cols=ncols))
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
