@@ -1,6 +1,13 @@
 """Command-line front end: parse a quiver spec file, run one computation,
 print a JSON report.
 
+Each request goes through argparse once: an argv that starts with a
+command name is parsed by that command's own subparser, and the top-level
+parser sees only the rest (help, an empty argv, an unknown command) and
+reports the arguments a subparser left over.  A usage error prints
+argparse's usage to stderr and no JSON document, and exits 2; `--help`
+prints its text to stdout and exits 0.
+
 Exit codes: 0 on success, 1 on a domain refusal (non-tensor relations where
 tensor relations are required, incompatible subquiver, unordered quiver,
 an input over its size budget),
@@ -245,7 +252,10 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by every call."""
+    """The argument parser, built on first use and shared by every call.
+    Its `commands` maps each command name to the subparser that
+    `add_parser` made for it, which `parse_request` hands the command's
+    arguments to; the top-level parser parses only help and errors."""
     parser = argparse.ArgumentParser(
         prog="quivertt",
         description="Exact tensor-triangular geometry of quiver derived "
@@ -257,13 +267,30 @@ def build_parser():
         p.add_argument("file", help="path to a .quiver spec file")
         for flag, flag_help in flags.items():
             p.add_argument(f"--{flag}", required=True, help=flag_help)
+    parser.commands = sub.choices
     return parser
+
+
+def parse_request(argv):
+    """The Namespace that `build_parser().parse_args(argv)` returns, with
+    one argparse pass when argv[0] names a command: its subparser parses
+    the rest, as the subparsers action would, and the top-level parser
+    reports what it leaves over.  Raises SystemExit where that call does,
+    with the same code and output."""
+    parser = build_parser()
+    if argv and argv[0] in _COMMANDS:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
 
 
 def run_command(argv):
     """Parse argv, run one subcommand, and return (report dict, exit code)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_request(argv)
     except SystemExit as exc:
         return None, (2 if exc.code else 0)
     try:

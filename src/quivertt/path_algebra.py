@@ -19,12 +19,16 @@ tails are fully reduced at the end.  Polynomials are {word: coefficient}
 dicts, a word being a tuple of arrow labels; a path's source and target
 follow from its arrows.
 
-A `Presentation` is the quiver, the relations and the field.  Building
-one checks the path budget (`quiver.check_path_budget`), runs the
-Groebner basis and certifies the tensor verdict; every tip is a path, so
-the budget bounds the Groebner computation too.  It lists no path: the
-spectrum, the sheaves, the k-points and `check-tensor` need only the
-quiver and the certified tensor verdict, so they take a `Presentation`.
+A `Presentation` is the quiver, the relations and the field.  Its
+relations are the given ones in the field: a `Relation` whose
+coefficients already are field elements, as a parsed spec's are, is kept
+as it is, and any other is rebuilt.  Building one walks each relation
+word once along the quiver, checks the path budget
+(`quiver.check_path_budget`), runs the Groebner basis and certifies the
+tensor verdict; every tip is a path, so the budget bounds the Groebner
+computation too.  It lists no path: the spectrum, the sheaves, the
+k-points and `check-tensor` need only the quiver and the certified
+tensor verdict, so they take a `Presentation`.
 A `PathAlgebra` is a `Presentation` that lists the basis of kQ/(R) when
 it is built.  The basis is the set of paths that contain no tip, listed
 by `quiver.list_paths`, the depth-first search of `enumerate_paths`,
@@ -88,10 +92,23 @@ RREFEchelon = Echelon
 
 
 def _coerced(relations, field):
-    """The relation generators with every coefficient in `field`."""
-    return tuple(Relation(g.source, g.target,
-                          tuple((field(c), p) for c, p in g.terms))
-                 for g in relations)
+    """The relation generators with every coefficient in `field`.  A
+    `Relation` whose every coefficient c already is `field(c)`, of the
+    same class, is kept as it is: it is immutable and was checked
+    homogeneous when it was built."""
+    out = []
+    for g in relations:
+        if g.__class__ is Relation:
+            for c, _ in g.terms:
+                d = field(c)
+                if d.__class__ is not c.__class__ or d != c:
+                    break
+            else:
+                out.append(g)
+                continue
+        out.append(Relation(g.source, g.target,
+                            [(field(c), p) for c, p in g.terms]))
+    return tuple(out)
 
 
 def _polynomial(terms):
@@ -237,17 +254,20 @@ class Presentation:
         self.tensor_check = certify_quotient(self, is_tensor_relations(self))
 
     def _check_path(self, p):
-        """Raise QuiverError unless `p` is a path of the quiver."""
-        w = p.arrows
-        src, tgt = self._source, self._target
-        if w:
-            ok = (all(a in src for a in w)
-                  and all(tgt[a] == src[b] for a, b in zip(w, w[1:]))
-                  and p.source == src[w[0]] and p.target == tgt[w[-1]])
-        else:
-            ok = p.source in self._pos and p.target == p.source
-        if not ok:
-            raise QuiverError(f"path {p} does not belong to this quiver")
+        """Raise QuiverError unless `p` is a path of the quiver: one walk
+        from `p.source`, a vertex, along its word, each arrow known and
+        starting where the walk stands, that ends at `p.target`."""
+        at = p.source
+        if at in self._pos:
+            src, tgt = self._source, self._target
+            for a in p.arrows:
+                if a not in src or src[a] != at:
+                    break
+                at = tgt[a]
+            else:
+                if p.target == at:
+                    return
+        raise QuiverError(f"path {p} does not belong to this quiver")
 
 
 class PathAlgebra(Presentation):

@@ -24,6 +24,10 @@ it must return, read off `quotient_oracle`'s build.
 `groebner_basis_oracle` is Buchberger's loop as it was before the tips
 were indexed by their first and last arrows: each new tip is matched
 against every rule, both ways round, at every overlap length.
+`coerced_oracle` and `check_path_oracle` are the relation coercion and
+the path check of a `Presentation` as they were before a relation already
+in the field was kept and each word was walked once: every relation is
+rebuilt, and a word is checked by two passes over its arrows.
 
 Over F_p every oracle computes in the field of `fields_oracle.oracle_field`,
 whose `FpElement`s reduce in each operator; the library's F_p elements are
@@ -178,6 +182,29 @@ def quotient_oracle(alg):
             out.pair_indices[pair] = local
         out.module_bases.setdefault(pair[0], []).extend(local)
     return out
+
+
+def coerced_oracle(relations, field):
+    """The relation generators with every coefficient in `field`, each
+    rebuilt."""
+    return tuple(Relation(g.source, g.target,
+                          tuple((field(c), p) for c, p in g.terms))
+                 for g in relations)
+
+
+def check_path_oracle(quiver, p):
+    """Raise QuiverError unless `p` is a path of `quiver`."""
+    w = p.arrows
+    src = {a.label: a.source for a in quiver.arrows}
+    tgt = {a.label: a.target for a in quiver.arrows}
+    if w:
+        ok = (all(a in src for a in w)
+              and all(tgt[a] == src[b] for a, b in zip(w, w[1:]))
+              and p.source == src[w[0]] and p.target == tgt[w[-1]])
+    else:
+        ok = p.source in set(quiver.vertices) and p.target == p.source
+    if not ok:
+        raise QuiverError(f"path {p} does not belong to this quiver")
 
 
 def compatibility_oracle(quiver, relations, verts, field):

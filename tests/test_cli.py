@@ -708,6 +708,7 @@ class TestParserReuse:
         ("spectrum", fixture_path("kronecker2")),
         ("validate",),
         ("sheaf", fixture_path("kronecker2"), "--open", "1"),
+        (),
     ]
 
     def test_shared_parser_answers_as_a_fresh_one(self, monkeypatch, capsys):
@@ -716,7 +717,9 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
         fresh = [run(*argv) for argv in self.REQUESTS]
         assert shared == fresh
-        assert [code for _, code in shared] == [0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 0]
+        assert [code for _, code in shared] == \
+            [0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 0, 2]
+        assert shared[-1] == (None, 2)
 
     def test_import_does_not_build_the_parser(self):
         env = dict(os.environ)
@@ -747,6 +750,72 @@ class TestParserReuse:
         finally:
             build_parser.cache_clear()
         assert built.count("quivertt") == 1
+
+
+K2 = fixture_path("kronecker2")
+# every command, then each way argparse reads a command's arguments, and
+# the argvs that only the top-level parser answers
+DISPATCH_ARGVS = [
+    *every_command(K2),
+    ("support", K2, "--complex", "cx.json"),
+    ("sheaf", K2, "--open=1,2"),
+    ("sheaf", K2, "--op", "1"),
+    ("sheaf", "--open", "1", K2),
+    ("sheaf", K2, "--open", "1", "--open", "2"),
+    ("validate", "--", K2),
+    ("validate", K2, "extra"),
+    ("compat", K2, "--verts", "1", "extra", "--bogus"),
+    ("validate", K2, "--bogus"),
+    ("validate", "-h"),
+    ("--help",),
+    ("-h", "validate"),
+    ("validate",),
+    ("validate", "no-such-file.quiver"),
+    ("sheaf", K2),
+    ("no-such-command", K2),
+    (),
+]
+
+
+class TestOneParsePerRequest:
+    """`cli.parse_request`, one argparse pass per command, against the
+    top-level parse it replaced."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = ("namespace", vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=[
+        " ".join("FILE" if a == K2 else a for a in argv) or "[]"
+        for argv in DISPATCH_ARGVS])
+    def test_matches_the_top_level_parse(self, argv, capsys):
+        capsys.readouterr()
+        want = self.outcome(build_parser().parse_args, argv, capsys)
+        assert self.outcome(cli.parse_request, argv, capsys) == want
+
+    def test_one_argparse_pass_per_valid_request(self, monkeypatch,
+                                                  tmp_path):
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({"terms": {"0": {"dims": {"1": 1}}}}))
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counting)
+        for argv in every_command(K2) + [("support", K2, "--complex",
+                                          str(cx))]:
+            calls.clear()
+            _, code = run(*argv)
+            assert code == 0 and calls == [f"quivertt {argv[0]}"], argv
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
